@@ -49,12 +49,13 @@ DEFAULT_TOLERANCE = 3.0
 # 1M-row runs with tiny sample counts (and its threaded `tN` variants are
 # pure overhead on single-CPU runners), so it jitters far more than the
 # microbenches and gets a looser leash across the board.  serve_throughput
-# round-trips a real loopback TCP socket through an event loop and a worker
-# pool, so its timings ride scheduler and network-stack jitter.
+# round-trips a real loopback TCP socket through per-connection reader and
+# writer threads and a worker pool, so its timings ride scheduler and
+# network-stack jitter.
 FILE_TOLERANCES = {
     "BENCH_parallel_scale.json": 5.0,
     "BENCH_serve_throughput.json": 5.0,
-    # Loopback TCP through the event loop, like serve_throughput.
+    # Loopback TCP through the threaded server, like serve_throughput.
     "BENCH_multi_reviewer.json": 5.0,
     # Sub-millisecond whole-replay timings jitter hard on shared runners.
     "BENCH_recovery.json": 5.0,

@@ -1,6 +1,6 @@
 //! Multi-reviewer serving throughput: a [`ReviewTeam`] of 1/2/4/8 named
 //! reviewers drives the Figure-1 session to completion over ONE pipelined
-//! connection through the event-loop server, leases and conflict resolution
+//! connection through the threaded server, leases and conflict resolution
 //! included.
 //!
 //! Like `serve_throughput`, this bench times whole runs by hand (the

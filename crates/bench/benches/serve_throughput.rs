@@ -1,5 +1,5 @@
 //! Serving-layer throughput: whole Figure-1 sessions per second through the
-//! event-loop server, multiplexed vs. one-connection-per-session, plus the
+//! threaded server, multiplexed vs. one-connection-per-session, plus the
 //! tail latency of a single cheap verb.
 //!
 //! This bench does NOT use the criterion shim's timing loop — it needs a
@@ -17,9 +17,9 @@
 //!   sessions/sec = 16e9 / median_ns.
 //! * `separate_drive/16` — the same 16 sessions, each on its own
 //!   sequential connection (the legacy in-order client).
-//! * `verb_p99/hello` — p99 round-trip of the cheapest verb over the
-//!   event loop, measuring framing + loop + pool overhead, not engine
-//!   work.
+//! * `verb_p99/hello` — p99 round-trip of the cheapest verb through the
+//!   server, measuring framing + reader/writer thread + pool overhead, not
+//!   engine work.
 
 use std::fs;
 use std::net::{TcpListener, TcpStream};

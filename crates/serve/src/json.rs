@@ -140,8 +140,10 @@ impl Json {
     /// whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -212,9 +214,16 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The protocol
+/// nests a few levels; the bound keeps a hostile document from exhausting
+/// the parsing thread's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -259,8 +268,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -337,13 +357,15 @@ impl<'a> Parser<'a> {
                 }
                 b if b < 0x20 => return Err(self.error("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // encoding is valid by construction).
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 (split multi-byte sequence)"))?;
-                    let c = text.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or control
+                    // byte in one go.  Those are all ASCII, so the run ends
+                    // on a char boundary of the (valid UTF-8) input.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -482,6 +504,49 @@ mod tests {
         round_trip(Json::str("control \u{01}\u{1f} backspace \u{08} ff \u{0C}"));
         round_trip(Json::str("unicode é ü ↦ 漢字 🙂"));
         round_trip(Json::str("  leading and trailing  "));
+    }
+
+    /// A mebibyte-long string decodes in time linear in its length, with
+    /// multi-byte characters on both sides of every escape.
+    #[test]
+    fn a_long_string_with_every_escape_class_round_trips() {
+        let pieces = [
+            ("plain ascii ", "plain ascii "),
+            ("é", "é"),
+            ("漢字", "漢字"),
+            ("🙂", "🙂"),
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\/", "/"),
+            (r"\n", "\n"),
+            (r"\r", "\r"),
+            (r"\t", "\t"),
+            (r"\b", "\u{08}"),
+            (r"\f", "\u{0C}"),
+            (r"\u0001", "\u{01}"),
+            (r"\u00e9", "é"),
+            (r"\ud83d\ude42", "🙂"),
+        ];
+        let (mut doc, mut expected) = (String::from("\""), String::new());
+        for i in 0.. {
+            if expected.len() >= 1 << 20 {
+                break;
+            }
+            let (raw, text) = pieces[i % pieces.len()];
+            doc.push_str(raw);
+            expected.push_str(text);
+        }
+        doc.push('"');
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(expected.clone()));
+        round_trip(Json::Str(expected));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let err = Json::parse(&"[{\"k\":".repeat(1 << 16)).unwrap_err();
+        assert!(err.detail.contains("nested deeper"), "{err}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Serves many concurrent Guided Data Repair sessions ([`gdr_core::step`]'s
 //! pull-based engines) over a line-delimited JSON protocol.  Std-only by
 //! design: the codec ([`json`]/[`wire`]) is hand-rolled, the transport is
-//! `std::net::TcpListener` / any `Read + Write` pair, and the server is a
-//! hand-rolled event loop ([`server::ServerConfig`]) — nonblocking accept
-//! and read feeding a bounded worker pool — over a **sharded**
+//! `std::net::TcpListener` / any `Read + Write` pair, and the server
+//! ([`server::ServerConfig`]) gives each connection a blocking reader and
+//! writer thread in front of a bounded worker pool, over a **sharded**
 //! [`store::SessionStore`] ([`store::STORE_SHARDS`] FNV-routed shards, so
 //! traffic on one session never contends on another's shard lock).
 //!
@@ -13,13 +13,15 @@
 //!
 //! Three layers, each independently bounded:
 //!
-//! * **Connections** are owned by one event-loop thread (no thread per
-//!   socket); per-connection memory is capped by the reply-buffer bound
-//!   and the outstanding-request cap
-//!   ([`server::ServerConfig::reply_buffer_bytes`] /
-//!   [`server::ServerConfig::max_outstanding`]) — a slow reader gets TCP
-//!   backpressure and `busy` refusals, never unbounded buffers.
-//! * **Dispatch** runs on [`server::ServerConfig::workers`] pool threads;
+//! * **Connections** each get a reader and a writer thread (small fixed
+//!   stacks, blocking I/O, so an idle server burns no CPU).  The reader
+//!   decodes request lines of at most [`server::MAX_FRAME_BYTES`] and
+//!   admits at most [`server::ServerConfig::max_outstanding`] requests
+//!   whose reply is not yet written; the writer writes replies and frees
+//!   those slots.  A slow reader gets `busy` refusals and then TCP
+//!   backpressure, never unbounded buffers.
+//! * **Dispatch** runs on [`server::ServerConfig::workers`] pool threads,
+//!   which hand replies to the writer and never touch a socket;
 //!   `seq`-tagged requests from one connection run concurrently and reply
 //!   out of order ([`wire`] documents the correlation contract), while
 //!   bare requests keep the legacy strictly-in-order semantics.
@@ -208,14 +210,16 @@
 //! use std::net::{TcpListener, TcpStream};
 //! use std::sync::Arc;
 //! use gdr_serve::client::{Client, OpenOptions};
-//! use gdr_serve::server::serve_listener;
+//! use gdr_serve::server::ServerConfig;
 //! use gdr_serve::store::SessionStore;
 //! use gdr_core::strategy::Strategy;
 //!
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
 //! let addr = listener.local_addr().unwrap();
 //! let store = Arc::new(SessionStore::new());
-//! let server = std::thread::spawn(move || serve_listener(listener, store, Some(1)));
+//! let server = std::thread::spawn(move || {
+//!     ServerConfig::new().max_connections(Some(1)).serve(listener, store)
+//! });
 //!
 //! let (dirty, clean, rules) = gdr_core::fixture::figure1_instance();
 //! let mut client = Client::connect(TcpStream::connect(addr).unwrap(), "demo").unwrap();
@@ -252,7 +256,7 @@ pub use journal::{
 };
 pub use json::{Json, JsonError};
 pub use server::{
-    dispatch, dispatch_with, serve_connection, serve_listener, ServerConfig, ServerLimits,
+    dispatch, dispatch_with, serve_connection, ServerConfig, ServerLimits, MAX_FRAME_BYTES,
 };
 pub use store::{
     CompactionStats, DurabilityConfig, OpenSpec, Session, SessionJournal, SessionOptions,

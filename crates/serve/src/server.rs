@@ -1,27 +1,32 @@
-//! The session server: request dispatch plus transport loops.
+//! The session server: request dispatch plus two transports.
 //!
-//! Two transports share one dispatch core:
+//! Both transports share one dispatch core ([`dispatch_with`]) and one
+//! frame reader, which answers a request line longer than
+//! [`MAX_FRAME_BYTES`] with `bad_request` and goes on serving.
 //!
 //! * [`serve_connection`] runs the protocol **blocking and in order** over
 //!   any `Read + Write` pair (a TCP stream, stdio, an in-memory pipe in
 //!   tests) — one request, one reply, strictly sequential.  `seq` tags are
 //!   echoed but confer no reordering; this is the reference semantics.
-//! * [`ServerConfig::serve`] runs the **multiplexed event-loop server**: a
-//!   single readiness-polling thread (nonblocking accept/read/write,
-//!   hand-rolled over `std::net`) feeds a bounded pool of worker threads,
-//!   so one slow engine verb never blocks other connections — or other
-//!   `seq`-tagged requests on the *same* connection.  Backpressure is
-//!   explicit: at most [`ServerConfig::max_outstanding`] requests per
-//!   connection are in flight (excess is refused with a `busy` error
-//!   reply, without running), and once a connection's unflushed replies
-//!   exceed [`ServerConfig::reply_buffer_bytes`] the server stops reading
-//!   from that socket until the client drains — a slow reader costs TCP
-//!   backpressure, never unbounded server memory.
+//! * [`ServerConfig::serve`] runs the **threaded TCP server**.  The calling
+//!   thread accepts.  Each connection gets a reader thread, which decodes
+//!   requests, and a writer thread, which writes replies; requests run on a
+//!   pool of [`ServerConfig::workers`] threads, so one slow engine verb
+//!   never blocks other connections — or other `seq`-tagged requests on
+//!   the *same* connection.  All I/O is blocking, so an idle server waits
+//!   in `accept`/`read` and burns no CPU.
 //!
 //! Ordering: requests without `seq` are processed one at a time, in
 //! arrival order, per connection (the legacy contract); requests with
 //! `seq` run concurrently on the worker pool and their replies are written
 //! as they complete, tagged with the echoed `seq`.
+//!
+//! Backpressure: a connection has at most [`ServerConfig::max_outstanding`]
+//! admitted requests whose reply is not yet written; more are refused with
+//! a `busy` reply, without running.  Workers hand replies to the writer and
+//! never touch a socket, so a client that stops reading holds at most that
+//! many replies and parks no worker; once as many `busy`/`bad_request`
+//! replies wait too, its reader stops reading.
 //!
 //! A protocol violation — malformed line, unknown session, stale work id —
 //! produces a structured error *reply* on that connection and nothing
@@ -29,20 +34,13 @@
 //! other session is untouched.  A worker that panics mid-verb is contained
 //! too: the offending request gets an `engine` error reply and the worker
 //! survives.
-//!
-//! [`serve_listener`] survives as the legacy thread-free entry point; it
-//! now runs the event loop under [`ServerConfig::default`], which
-//! reproduces the pre-event-loop observable behaviour for in-order
-//! clients.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 use gdr_core::error::GdrError;
 use gdr_core::step::WorkId;
@@ -77,15 +75,15 @@ impl Default for ServerLimits {
 
 /// Handles one decoded request against the store, producing the reply.
 ///
-/// This is the entire server semantics; the transport loops below only
-/// frame lines around it.  `hello` advertises [`ServerLimits::default`];
+/// This is the entire server semantics; the transports below only frame
+/// lines around it.  `hello` advertises [`ServerLimits::default`];
 /// transports with tuned limits use [`dispatch_with`].
 pub fn dispatch(store: &SessionStore, request: Request) -> Response {
     dispatch_with(store, request, &ServerLimits::default())
 }
 
-/// [`dispatch`] with explicit `hello` limits (the event loop passes its
-/// configured `max_outstanding` here).
+/// [`dispatch`] with explicit `hello` limits (the threaded server passes
+/// its configured `max_outstanding` here).
 pub fn dispatch_with(store: &SessionStore, request: Request, limits: &ServerLimits) -> Response {
     match handle(store, request, limits) {
         Ok(response) => response,
@@ -406,44 +404,72 @@ fn store_error(error: StoreError) -> WireError {
     }
 }
 
+/// Longest request line either transport reads, in bytes, not counting its
+/// newline.  A 100k-row `open` is about 10 MB.  A longer line is answered
+/// with `bad_request`; the rest of it is discarded up to the next newline
+/// and the connection goes on serving.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// A request line's echoed `seq` tag and its request, or why it is bad.
+type Frame = (Option<u64>, Result<Request, String>);
+
+/// Reads and decodes the next non-blank request line (`Ok(None)` at EOF),
+/// buffering at most [`MAX_FRAME_BYTES`] + 1 bytes of it.
+fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(None);
+        }
+        if line.len() > MAX_FRAME_BYTES && line.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            let detail = format!("request line longer than {MAX_FRAME_BYTES} bytes");
+            return Ok(Some((None, Err(detail))));
+        }
+        let text = String::from_utf8_lossy(&line);
+        let text = text.trim();
+        if !text.is_empty() {
+            return Ok(Some(decode_request_frame(text)));
+        }
+    }
+}
+
+fn reply_line(response: &Response, seq: Option<u64>) -> String {
+    let mut line = encode_response_frame(response, seq);
+    line.push('\n');
+    line
+}
+
 /// Serves one connection **blocking and strictly in order**: reads request
 /// lines until EOF, writing one reply line per request.  Blank lines are
-/// ignored; malformed lines get a `bad_request` reply and the connection
-/// continues.  `seq` tags are echoed on replies but do not reorder them —
-/// this is the reference semantics the event loop must agree with.
+/// ignored; malformed or over-long lines get a `bad_request` reply and the
+/// connection continues.  `seq` tags are echoed on replies but do not
+/// reorder them — this is the reference semantics the threaded server must
+/// agree with.
 pub fn serve_connection(
     store: &SessionStore,
     reader: impl Read,
     mut writer: impl Write,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(reader);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (seq, decoded) = decode_request_frame(trimmed);
+    while let Some((seq, decoded)) = read_frame(&mut reader)? {
         let response = match decoded {
             Ok(request) => dispatch(store, request),
             Err(detail) => Response::Error(WireError::BadRequest { detail }),
         };
-        writer.write_all(encode_response_frame(&response, seq).as_bytes())?;
-        writer.write_all(b"\n")?;
+        writer.write_all(reply_line(&response, seq).as_bytes())?;
         writer.flush()?;
     }
+    Ok(())
 }
 
-/// Tuning knobs for the multiplexed event-loop server.
+/// Tuning knobs for the threaded TCP server.
 ///
-/// The builder starts from [`ServerConfig::default`], which reproduces the
-/// historical `serve_listener` behaviour for in-order clients: every
-/// accepted connection is served until EOF, requests without `seq` are
-/// answered strictly in arrival order, and no durability is configured.
+/// The builder starts from [`ServerConfig::default`]: every accepted
+/// connection is served until EOF, requests without `seq` are answered
+/// strictly in arrival order, and no durability is configured.
 ///
 /// ```no_run
 /// use std::net::TcpListener;
@@ -459,7 +485,6 @@ pub fn serve_connection(
 pub struct ServerConfig {
     workers: usize,
     max_outstanding: usize,
-    reply_buffer_bytes: usize,
     max_connections: Option<usize>,
     durability: Option<DurabilityConfig>,
 }
@@ -469,7 +494,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             max_outstanding: 64,
-            reply_buffer_bytes: 1 << 20,
             max_connections: None,
             durability: None,
         }
@@ -488,19 +512,11 @@ impl ServerConfig {
         self
     }
 
-    /// Per-connection cap on requests that are dispatched (or queued for
-    /// in-order dispatch) but not yet answered.  Requests beyond the cap
-    /// are refused with a `busy` error reply without running.
+    /// Per-connection cap on requests that are admitted but whose reply is
+    /// not yet written.  Requests beyond the cap are refused with a `busy`
+    /// error reply without running.
     pub fn max_outstanding(mut self, cap: usize) -> ServerConfig {
         self.max_outstanding = cap.max(1);
-        self
-    }
-
-    /// Per-connection bound on buffered reply bytes.  Once a connection's
-    /// unflushed replies exceed this, the server stops reading from its
-    /// socket until the client drains (TCP backpressure).
-    pub fn reply_buffer_bytes(mut self, bytes: usize) -> ServerConfig {
-        self.reply_buffer_bytes = bytes.max(1);
         self
     }
 
@@ -527,148 +543,168 @@ impl ServerConfig {
         }))
     }
 
-    /// Runs the event-loop server on `listener` until `max_connections`
-    /// have been accepted and served to EOF (forever when `None`).
+    /// Runs the server on `listener` until `max_connections` have been
+    /// accepted and served to EOF (forever when `None`).  The calling
+    /// thread accepts; each connection gets a reader and a writer thread,
+    /// and requests run on the worker pool.
     pub fn serve(&self, listener: TcpListener, store: Arc<SessionStore>) -> io::Result<()> {
-        run_event_loop(listener, store, self)
+        let limits = ServerLimits {
+            max_outstanding: self.max_outstanding,
+            ..ServerLimits::default()
+        };
+        let pool = Arc::new(Pool::default());
+        thread::scope(|workers| {
+            let served = (0..self.workers)
+                .try_for_each(|i| {
+                    thread::Builder::new()
+                        .name(format!("gdr-serve-worker-{i}"))
+                        .spawn_scoped(workers, || worker_loop(&store, &pool, &limits))
+                        .map(drop)
+                })
+                .and_then(|()| {
+                    thread::scope(|conns| {
+                        let mut accepted = 0;
+                        while self.max_connections.is_none_or(|max| accepted < max) {
+                            let stream = match listener.accept() {
+                                Ok((stream, _peer)) => stream,
+                                Err(err) if err.kind() == ErrorKind::Interrupted => continue,
+                                Err(err) => return Err(err),
+                            };
+                            accepted += 1;
+                            let conn = Arc::new(Conn {
+                                state: Mutex::default(),
+                                changed: Condvar::new(),
+                                pool: Arc::clone(&pool),
+                                max_outstanding: self.max_outstanding,
+                            });
+                            let spawned = thread::Builder::new()
+                                .stack_size(CONN_STACK_BYTES)
+                                .spawn_scoped(conns, move || {
+                                    if let Err(err) = conn.serve(stream) {
+                                        eprintln!("gdr-serve: connection failed: {err}");
+                                    }
+                                });
+                            if let Err(err) = spawned {
+                                eprintln!("gdr-serve: cannot start a connection thread: {err}");
+                            }
+                        }
+                        Ok(())
+                    })
+                });
+            // Every connection is done: release the workers to be joined.
+            pool.close();
+            served
+        })
     }
 }
 
-/// Accepts TCP connections and serves them all from one event loop (all
-/// sharing `store`), until `max_connections` have been accepted (`None` =
-/// forever).  Returns once every accepted connection has been served to
-/// EOF.  Equivalent to `ServerConfig::default().max_connections(n)` — use
-/// [`ServerConfig`] directly to tune workers, caps, or durability.
-pub fn serve_listener(
-    listener: TcpListener,
-    store: Arc<SessionStore>,
-    max_connections: Option<usize>,
-) -> io::Result<()> {
-    ServerConfig::default()
-        .max_connections(max_connections)
-        .serve(listener, store)
-}
+/// Stack size of each connection's reader and writer thread: the reader
+/// only decodes frames (with bounded nesting), verbs run on the pool.
+const CONN_STACK_BYTES: usize = 256 << 10;
 
-/// One dispatched request travelling to the worker pool, with everything
-/// needed to route its reply back to the right connection.
+/// A request on its way to the worker pool, with the connection its reply
+/// goes to.  An untagged one (`seq` is `None`) runs in order: finishing it
+/// starts the connection's next untagged request.
 struct Job {
-    shared: Arc<ConnShared>,
+    conn: Arc<Conn>,
     request: Request,
     seq: Option<u64>,
-    legacy: bool,
 }
 
-/// Hand-rolled bounded task queue (`gdr-relation`'s `ThreadPool` is scoped
-/// fork-join and cannot host long-lived detached workers).  Bounded-ness
-/// comes from the callers: every job is covered by a connection's
-/// `max_outstanding` slot acquired *before* submit.
-struct WorkQueue {
-    state: Mutex<WorkState>,
-    ready: Condvar,
+/// The worker pool's job queue.  Idle workers wait on a stack and a new
+/// job wakes the one that went idle last, so a client that waits for each
+/// reply keeps landing on one warm worker — rather than spreading its
+/// session's allocations over every worker's malloc arena.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
 }
 
-struct WorkState {
+#[derive(Default)]
+struct PoolState {
     jobs: VecDeque<Job>,
-    shutdown: bool,
+    /// Idle workers, the most recently idle last.
+    idle: Vec<Thread>,
+    /// Set once no connection is left: workers return instead of waiting.
+    closed: bool,
 }
 
-impl WorkQueue {
-    fn new() -> WorkQueue {
-        WorkQueue {
-            state: Mutex::new(WorkState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
+impl PoolState {
+    fn make_idle(&mut self, worker: &Thread) {
+        if !self.idle.iter().any(|idle| idle.id() == worker.id()) {
+            self.idle.push(worker.clone());
+        }
+    }
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn submit(&self, conn: &Arc<Conn>, request: Request, seq: Option<u64>) {
+        let mut state = self.lock();
+        let conn = Arc::clone(conn);
+        state.jobs.push_back(Job { conn, request, seq });
+        if let Some(worker) = state.idle.pop() {
+            worker.unpark();
         }
     }
 
-    fn submit(&self, job: Job) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.idle.drain(..).for_each(|worker| worker.unpark());
     }
 
-    fn shutdown(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.shutdown = true;
-        drop(state);
-        self.ready.notify_all();
+    /// Puts `worker` on top of the idle stack ahead of [`Pool::next`].
+    fn ready(&self, worker: &Thread) {
+        self.lock().make_idle(worker);
+    }
+
+    /// The next job for `worker`, parking it while there is none; `None`
+    /// once the pool is closed.
+    fn next(&self, worker: &Thread) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                state.idle.retain(|idle| idle.id() != worker.id());
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            // Also after a wake-up whose job another worker took.
+            state.make_idle(worker);
+            drop(state);
+            thread::park();
+            state = self.lock();
+        }
     }
 }
 
-fn worker_loop(store: Arc<SessionStore>, queue: Arc<WorkQueue>, limits: ServerLimits) {
-    loop {
-        let job = {
-            let mut state = queue
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break job;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = queue
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
+fn worker_loop(store: &SessionStore, pool: &Pool, limits: &ServerLimits) {
+    let me = thread::current();
+    while let Some(job) = pool.next(&me) {
         // A panicking verb must cost its requester an error reply, never
         // the worker thread (a dead worker would silently shrink the pool).
         let response = catch_unwind(AssertUnwindSafe(|| {
-            dispatch_with(&store, job.request, &limits)
+            dispatch_with(store, job.request, limits)
         }))
         .unwrap_or_else(|_| {
             Response::Error(WireError::Engine {
                 detail: "panic while serving request".to_string(),
             })
         });
-        // Queue the reply BEFORE releasing the outstanding slot / legacy
-        // flag: observers that see the slot free (Acquire) must find the
-        // reply already in the buffer, or in-order delivery breaks.
-        {
-            let mut replies = job
-                .shared
-                .replies
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            replies.extend_from_slice(reply_line(&response, job.seq).as_bytes());
-        }
-        if job.legacy {
-            job.shared.legacy_inflight.store(false, Ordering::Release);
-        }
-        job.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+        // Ready up before the reply goes out, so the request it provokes
+        // comes back to this worker even if the hand-off preempts it.
+        pool.ready(&me);
+        job.conn
+            .reply(reply_line(&response, job.seq), job.seq.is_none());
     }
 }
 
-fn reply_line(response: &Response, seq: Option<u64>) -> String {
-    let mut line = encode_response_frame(response, seq);
-    line.push('\n');
-    line
-}
-
-/// Connection state shared between the event loop and the worker pool.
-struct ConnShared {
-    /// Encoded reply lines completed by workers, awaiting the event loop.
-    replies: Mutex<Vec<u8>>,
-    /// Requests dispatched or queued-for-dispatch but not yet replied.
-    outstanding: AtomicUsize,
-    /// Whether a no-`seq` request is currently running (at most one).
-    legacy_inflight: AtomicBool,
-}
-
-/// A no-`seq` request waiting its strictly-in-order turn — or a locally
+/// An untagged request waiting its strictly-in-order turn — or a locally
 /// produced reply (`bad_request` / `busy`) that must keep its place in
 /// that order.
 enum Pending {
@@ -676,324 +712,186 @@ enum Pending {
     Reply(String),
 }
 
-/// Event-loop-owned state for one connection.
+/// One connection, shared by its reader thread (which admits requests),
+/// the workers (which answer them) and its writer thread (which writes the
+/// replies).
 struct Conn {
-    stream: TcpStream,
-    shared: Arc<ConnShared>,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    pending_legacy: VecDeque<Pending>,
-    eof: bool,
+    state: Mutex<ConnState>,
+    /// Signalled when replies are queued or written, and at hang-up: the
+    /// writer waits for replies, the reader for its backlog to shrink.
+    changed: Condvar,
+    pool: Arc<Pool>,
+    max_outstanding: usize,
+}
+
+#[derive(Default)]
+struct ConnState {
+    /// Reply lines for the writer, each flagged whether it answers an
+    /// admitted request (and so holds an `outstanding` slot).
+    outbox: VecDeque<(String, bool)>,
+    /// Admitted requests whose reply is not yet written.
+    outstanding: usize,
+    /// Locally produced replies not yet written.
+    local: usize,
+    /// Untagged requests and the replies to untagged bad lines, in arrival
+    /// order.
+    in_order: VecDeque<Pending>,
+    /// Whether an untagged request is on the worker pool.
+    in_order_running: bool,
+    /// The reader has stopped; the writer returns once every reply is out.
+    hung_up: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            shared: Arc::new(ConnShared {
-                replies: Mutex::new(Vec::new()),
-                outstanding: AtomicUsize::new(0),
-                legacy_inflight: AtomicBool::new(false),
-            }),
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            pending_legacy: VecDeque::new(),
-            eof: false,
-        }
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Moves worker-completed replies into the write buffer.
-    fn drain_replies(&mut self) -> bool {
-        let mut replies = self
-            .shared
-            .replies
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if replies.is_empty() {
-            return false;
-        }
-        self.write_buf.extend_from_slice(&replies);
-        replies.clear();
-        true
+    fn wait<'a>(&self, state: MutexGuard<'a, ConnState>) -> MutexGuard<'a, ConnState> {
+        self.changed
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Advances the in-order queue: emits locally produced replies and
-    /// dispatches the next legacy request once the previous one finished.
-    fn pump_legacy(&mut self, queue: &Arc<WorkQueue>) -> bool {
-        let mut progress = false;
-        while !self.shared.legacy_inflight.load(Ordering::Acquire) {
-            if self.pending_legacy.is_empty() {
-                break;
-            }
-            // The just-finished request's reply is already in `replies`
-            // (workers queue it before clearing the flag); pull it into
-            // the write buffer first so younger replies stay behind it.
-            self.drain_replies();
-            match self.pending_legacy.pop_front() {
-                None => unreachable!("checked non-empty above"),
-                Some(Pending::Reply(line)) => {
-                    self.write_buf.extend_from_slice(line.as_bytes());
-                    progress = true;
-                }
-                Some(Pending::Request(request)) => {
-                    self.shared.legacy_inflight.store(true, Ordering::Release);
-                    self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-                    queue.submit(Job {
-                        shared: self.shared.clone(),
-                        request,
-                        seq: None,
-                        legacy: true,
-                    });
-                    progress = true;
-                    break;
-                }
-            }
-        }
-        progress
-    }
-
-    /// Writes as much of the buffered output as the socket accepts.
-    fn flush(&mut self) -> io::Result<bool> {
-        if self.write_buf.is_empty() {
-            return Ok(false);
-        }
-        let mut written = 0;
-        loop {
-            match self.stream.write(&self.write_buf[written..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        ErrorKind::WriteZero,
-                        "socket closed mid-reply",
-                    ))
-                }
-                Ok(n) => {
-                    written += n;
-                    if written == self.write_buf.len() {
-                        break;
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                Err(err) => return Err(err),
-            }
-        }
-        self.write_buf.drain(..written);
-        Ok(written > 0)
-    }
-
-    /// Reads available bytes and processes every complete line.
-    fn read_some(&mut self, config: &ServerConfig, queue: &Arc<WorkQueue>) -> io::Result<bool> {
-        let mut progress = false;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    progress = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    progress = true;
-                    // Bound the per-iteration batch so one firehose
-                    // connection cannot starve the rest of the loop.
-                    if self.read_buf.len() >= config.reply_buffer_bytes {
-                        break;
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                Err(err) => return Err(err),
-            }
-        }
-        self.extract_lines(config, queue);
-        Ok(progress)
-    }
-
-    fn extract_lines(&mut self, config: &ServerConfig, queue: &Arc<WorkQueue>) {
-        let mut buf = std::mem::take(&mut self.read_buf);
-        let mut start = 0;
-        while let Some(pos) = buf[start..].iter().position(|&b| b == b'\n') {
-            let end = start + pos;
-            let line = String::from_utf8_lossy(&buf[start..end]);
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                self.handle_line(trimmed, config, queue);
-            }
-            start = end + 1;
-        }
-        buf.drain(..start);
-        self.read_buf = buf;
-    }
-
-    /// Decodes one frame and routes it: `seq`-tagged requests dispatch
-    /// immediately (out-of-order replies allowed); bare requests join the
-    /// strictly-in-order queue; over-cap requests are refused with `busy`.
-    fn handle_line(&mut self, line: &str, config: &ServerConfig, queue: &Arc<WorkQueue>) {
-        let (seq, decoded) = decode_request_frame(line);
-        let pipelined = seq.is_some();
-        let reply_now = |conn: &mut Conn, reply: String| {
-            if pipelined {
-                conn.write_buf.extend_from_slice(reply.as_bytes());
-            } else {
-                conn.pending_legacy.push_back(Pending::Reply(reply));
-            }
-        };
-        match decoded {
-            Err(detail) => {
-                let reply = reply_line(&Response::Error(WireError::BadRequest { detail }), seq);
-                reply_now(self, reply);
-            }
-            Ok(request) => {
-                let queued = self
-                    .pending_legacy
-                    .iter()
-                    .filter(|p| matches!(p, Pending::Request(_)))
-                    .count();
-                let inflight = self.shared.outstanding.load(Ordering::Acquire) + queued;
-                if inflight >= config.max_outstanding {
-                    let reply = reply_line(
-                        &Response::Error(WireError::Busy {
-                            max_outstanding: config.max_outstanding,
-                        }),
-                        seq,
-                    );
-                    reply_now(self, reply);
-                } else if pipelined {
-                    self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-                    queue.submit(Job {
-                        shared: self.shared.clone(),
-                        request,
-                        seq,
-                        legacy: false,
-                    });
-                } else {
-                    self.pending_legacy.push_back(Pending::Request(request));
-                }
-            }
-        }
-    }
-
-    /// True once the connection can be dropped: client hung up, nothing
-    /// queued, nothing in flight, everything flushed.
-    fn finished(&self) -> bool {
-        self.eof
-            && self.pending_legacy.is_empty()
-            && self.shared.outstanding.load(Ordering::Acquire) == 0
-            && self.write_buf.is_empty()
-            && self
-                .shared
-                .replies
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .is_empty()
-    }
-
-    /// One scheduling pass: replies out, in-order queue forward, socket
-    /// write, socket read (unless the reply buffer says backpressure).
-    fn pump(&mut self, config: &ServerConfig, queue: &Arc<WorkQueue>) -> io::Result<bool> {
-        let mut progress = self.drain_replies();
-        progress |= self.pump_legacy(queue);
-        progress |= self.flush()?;
-        if !self.eof && self.write_buf.len() < config.reply_buffer_bytes {
-            progress |= self.read_some(config, queue)?;
-        }
-        Ok(progress)
-    }
-}
-
-/// Sleep when the loop is fully idle; yield while workers are busy so
-/// replies are picked up promptly (matters on single-CPU hosts).
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-fn run_event_loop(
-    listener: TcpListener,
-    store: Arc<SessionStore>,
-    config: &ServerConfig,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let queue = Arc::new(WorkQueue::new());
-    let limits = ServerLimits {
-        max_outstanding: config.max_outstanding,
-        ..ServerLimits::default()
-    };
-    let workers: Vec<_> = (0..config.workers)
-        .map(|i| {
-            let store = store.clone();
-            let queue = queue.clone();
+    /// Serves the connection: starts its writer, reads requests until EOF,
+    /// then waits until every admitted request's reply is written.
+    fn serve(self: Arc<Self>, stream: TcpStream) -> io::Result<()> {
+        // One small line per reply; never wait out Nagle.
+        stream.set_nodelay(true).ok();
+        let write_half = stream.try_clone()?;
+        thread::scope(|scope| {
             thread::Builder::new()
-                .name(format!("gdr-serve-worker-{i}"))
-                .spawn(move || worker_loop(store, queue, limits))
-                .expect("spawn gdr-serve worker")
+                .stack_size(CONN_STACK_BYTES)
+                .spawn_scoped(scope, || self.write_replies(write_half))?;
+            let read = self.read_requests(stream);
+            let mut state = self.lock();
+            state.hung_up = true;
+            self.advance(&mut state);
+            drop(state);
+            self.changed.notify_all();
+            read
         })
-        .collect();
-
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut accepted = 0usize;
-    let result = 'serve: loop {
-        let mut progress = false;
-        if config.max_connections.is_none_or(|max| accepted < max) {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        accepted += 1;
-                        progress = true;
-                        if let Err(err) = stream.set_nonblocking(true) {
-                            eprintln!("gdr-serve: cannot make connection nonblocking: {err}");
-                            continue;
-                        }
-                        // One small line per reply; never wait out Nagle.
-                        stream.set_nodelay(true).ok();
-                        conns.push(Conn::new(stream));
-                        if config.max_connections.is_some_and(|max| accepted >= max) {
-                            break;
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-                    Err(err) => break 'serve Err(err),
-                }
-            }
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            match conns[i].pump(config, &queue) {
-                Ok(stepped) => {
-                    progress |= stepped;
-                    if conns[i].finished() {
-                        conns.swap_remove(i);
-                        progress = true;
-                    } else {
-                        i += 1;
-                    }
-                }
-                Err(err) => {
-                    // A failed connection is contained: drop it, keep
-                    // serving.  Its queued jobs finish against a reply
-                    // buffer nobody reads, which is harmless.
-                    eprintln!("gdr-serve: connection failed: {err}");
-                    conns.swap_remove(i);
-                    progress = true;
-                }
-            }
-        }
-        if conns.is_empty() && config.max_connections.is_some_and(|max| accepted >= max) {
-            break 'serve Ok(());
-        }
-        if !progress {
-            let busy = conns
-                .iter()
-                .any(|c| c.shared.outstanding.load(Ordering::Acquire) > 0);
-            if busy {
-                thread::yield_now();
-            } else {
-                thread::sleep(IDLE_SLEEP);
-            }
-        }
-    };
-    queue.shutdown();
-    for worker in workers {
-        let _ = worker.join();
     }
-    result
+
+    /// Reads requests until EOF.  Tagged requests go straight to the worker
+    /// pool; untagged ones, and the replies to untagged bad lines, join the
+    /// in-order queue; requests over the `max_outstanding` cap are refused
+    /// with `busy`.  While `max_outstanding` local replies wait for the
+    /// writer, the reader stops reading, so TCP pushes back on a client
+    /// that floods without reading.
+    fn read_requests(self: &Arc<Self>, stream: TcpStream) -> io::Result<()> {
+        let mut reader = BufReader::new(stream);
+        while let Some((seq, decoded)) = read_frame(&mut reader)? {
+            let mut state = self.lock();
+            while state.local >= self.max_outstanding {
+                // The backlog may be waiting for its in-order turn rather
+                // than for the writer.
+                self.advance(&mut state);
+                self.changed.notify_all();
+                state = self.wait(state);
+            }
+            match decoded {
+                Ok(request) if state.outstanding < self.max_outstanding => {
+                    state.outstanding += 1;
+                    match seq {
+                        Some(_) => self.pool.submit(self, request, seq),
+                        None => state.in_order.push_back(Pending::Request(request)),
+                    }
+                }
+                refused => {
+                    state.local += 1;
+                    let error = match refused {
+                        Err(detail) => WireError::BadRequest { detail },
+                        Ok(_) => WireError::Busy {
+                            max_outstanding: self.max_outstanding,
+                        },
+                    };
+                    let line = reply_line(&Response::Error(error), seq);
+                    match seq {
+                        Some(_) => state.outbox.push_back((line, false)),
+                        None => state.in_order.push_back(Pending::Reply(line)),
+                    }
+                }
+            }
+            // Untagged requests start only once no further complete line is
+            // already received, so tagged requests that arrived behind them
+            // in the same batch are not held up by them.
+            if !reader.buffer().contains(&b'\n') {
+                self.advance(&mut state);
+            }
+            // Only a reply is news to the writer; a request on its way to
+            // the pool would just wake it for nothing.
+            let wake = !state.outbox.is_empty();
+            drop(state);
+            if wake {
+                self.changed.notify_all();
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the in-order queue forward while no untagged request runs:
+    /// local replies go to the writer, the next request to the pool.
+    fn advance(self: &Arc<Self>, state: &mut ConnState) {
+        while !state.in_order_running {
+            match state.in_order.pop_front() {
+                None => break,
+                Some(Pending::Reply(line)) => state.outbox.push_back((line, false)),
+                Some(Pending::Request(request)) => {
+                    state.in_order_running = true;
+                    self.pool.submit(self, request, None);
+                }
+            }
+        }
+    }
+
+    /// Hands a worker's reply to the writer; after an untagged request,
+    /// starts the next one in order.
+    fn reply(self: &Arc<Self>, line: String, in_order: bool) {
+        let mut state = self.lock();
+        state.outbox.push_back((line, true));
+        if in_order {
+            state.in_order_running = false;
+            self.advance(&mut state);
+        }
+        drop(state);
+        self.changed.notify_all();
+    }
+
+    /// Writes replies as they arrive, everything queued in one batch, and
+    /// frees each admitted request's slot once its reply is written.  After
+    /// a failed write the client is gone: replies are discarded so the
+    /// connection can still wind down.  Returns once the reader has stopped
+    /// and every reply is out.
+    fn write_replies(&self, stream: TcpStream) {
+        let mut out = BufWriter::new(stream);
+        let mut healthy = true;
+        let mut state = self.lock();
+        loop {
+            if state.outbox.is_empty() {
+                if state.hung_up && state.outstanding == 0 && state.local == 0 {
+                    return;
+                }
+                state = self.wait(state);
+                continue;
+            }
+            let batch = std::mem::take(&mut state.outbox);
+            drop(state);
+            if healthy {
+                let written = batch
+                    .iter()
+                    .try_for_each(|(line, _)| out.write_all(line.as_bytes()))
+                    .and_then(|()| out.flush());
+                if let Err(err) = written {
+                    eprintln!("gdr-serve: connection failed: {err}");
+                    healthy = false;
+                }
+            }
+            state = self.lock();
+            let admitted = batch.iter().filter(|(_, admitted)| *admitted).count();
+            state.outstanding -= admitted;
+            state.local -= batch.len() - admitted;
+            self.changed.notify_all();
+        }
+    }
 }

@@ -450,15 +450,13 @@ pub struct CompactionStats {
 }
 
 /// How to construct a [`Session`]: journal tunables plus optional on-disk
-/// durability, in one builder.  Replaces the old positional constructor
-/// family (`open` / `open_with` / `open_durable`), which survive as thin
-/// deprecated shims for one release.
+/// durability, in one builder.
 ///
 /// ```
 /// use gdr_serve::store::SessionOptions;
 /// use gdr_serve::journal::JournalConfig;
 ///
-/// // In-memory, default journal tunables (the old `Session::open`):
+/// // In-memory, default journal tunables:
 /// let options = SessionOptions::new();
 /// // Durable under a directory, custom compaction cadence:
 /// let options = SessionOptions::new()
@@ -533,37 +531,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the engine from the spec and starts an empty in-memory
-    /// journal (no disk attachment) with the default [`JournalConfig`].
-    #[deprecated(note = "use `SessionOptions::new().open(spec)`")]
-    pub fn open(spec: OpenSpec) -> Session {
-        SessionOptions::new()
-            .open(spec)
-            .expect("in-memory open is infallible")
-    }
-
-    /// [`SessionOptions::journal`] as a positional constructor.
-    #[deprecated(note = "use `SessionOptions::new().journal(config).open(spec)`")]
-    pub fn open_with(spec: OpenSpec, config: JournalConfig) -> Session {
-        SessionOptions::new()
-            .journal(config)
-            .open(spec)
-            .expect("in-memory open is infallible")
-    }
-
-    /// [`SessionOptions::durable`] as a positional constructor.
-    #[deprecated(note = "use `SessionOptions::new().journal(config).durable(dir).open(spec)`")]
-    pub fn open_durable(
-        spec: OpenSpec,
-        dir: impl Into<PathBuf>,
-        config: JournalConfig,
-    ) -> Result<Session, GdrError> {
-        SessionOptions::new()
-            .journal(config)
-            .durable(dir)
-            .open(spec)
-    }
-
     /// Rebuilds a session from its on-disk journal: loads the spec, the
     /// recovered event prefix (truncating corrupt tails — see
     /// [`DiskJournal::load`]) and the newest valid checkpoint, then replays

@@ -19,7 +19,7 @@ use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy;
 use gdr_relation::csv::to_csv;
 use gdr_serve::client::{Client, ClientError, OpenOptions, RetryPolicy};
-use gdr_serve::server::serve_listener;
+use gdr_serve::server::ServerConfig;
 use gdr_serve::store::SessionStore;
 use gdr_serve::wire::{Request, Response, WireError};
 
@@ -77,7 +77,7 @@ fn spawn_server() -> std::net::SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let store = Arc::new(SessionStore::new());
-    thread::spawn(move || serve_listener(listener, store, None));
+    thread::spawn(move || ServerConfig::new().serve(listener, store));
     addr
 }
 

@@ -18,7 +18,7 @@ use gdr_relation::csv::to_csv;
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::client::{Client, OpenOptions};
-use gdr_serve::server::serve_listener;
+use gdr_serve::server::ServerConfig;
 use gdr_serve::store::SessionStore;
 use gdr_serve::wire::{Response, WireError};
 
@@ -34,7 +34,11 @@ fn spawn_server(
     let store = Arc::new(SessionStore::new());
     let server = {
         let store = store.clone();
-        thread::spawn(move || serve_listener(listener, store, Some(connections)))
+        thread::spawn(move || {
+            ServerConfig::new()
+                .max_connections(Some(connections))
+                .serve(listener, store)
+        })
     };
     (addr, store, server)
 }

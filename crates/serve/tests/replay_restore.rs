@@ -332,20 +332,3 @@ fn store_keeps_sessions_independent() {
     assert!(store.get("a").is_err());
     assert_eq!(store.len(), 1);
 }
-
-/// The deprecated positional constructors must keep working for one
-/// release as shims over `SessionOptions`, producing identical engines.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructor_shims_match_the_builder() {
-    let mut old = Session::open(figure1_spec(Strategy::GdrNoLearning, true));
-    let mut new = SessionOptions::new()
-        .open(figure1_spec(Strategy::GdrNoLearning, true))
-        .expect("open");
-    let oracle = GroundTruthOracle::new(fixture::figure1_instance().1);
-    for _ in 0..3 {
-        drive_one(&mut old, &oracle);
-        drive_one(&mut new, &oracle);
-    }
-    assert_eq!(fingerprint(old.engine()), fingerprint(new.engine()));
-}

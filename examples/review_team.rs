@@ -4,7 +4,7 @@
 //! cargo run --example review_team
 //! ```
 //!
-//! Spawns the `gdr-serve` event-loop server on a loopback port, opens the
+//! Spawns the `gdr-serve` threaded server on a loopback port, opens the
 //! Figure 1 instance with a `majority-2` conflict policy, and lets a
 //! [`ReviewTeam`] of four named reviewers pull **work leases** concurrently
 //! through one [`MuxClient`]:

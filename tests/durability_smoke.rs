@@ -19,7 +19,7 @@ use gdr::core::strategy::Strategy;
 use gdr::relation::csv::to_csv;
 use gdr::repair::Update;
 use gdr::serve::client::{Client, OpenOptions};
-use gdr::serve::server::serve_listener;
+use gdr::serve::server::ServerConfig;
 use gdr::serve::store::{DurabilityConfig, SessionStore};
 use gdr::serve::wire::Response;
 
@@ -57,7 +57,11 @@ fn spawn_server(
 ) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let handle = thread::spawn(move || serve_listener(listener, store, Some(max_connections)));
+    let handle = thread::spawn(move || {
+        ServerConfig::new()
+            .max_connections(Some(max_connections))
+            .serve(listener, store)
+    });
     (addr, handle)
 }
 

@@ -15,7 +15,7 @@ use gdr::core::strategy::Strategy;
 use gdr::relation::csv::to_csv;
 use gdr::repair::Feedback;
 use gdr::serve::client::{Client, ClientError, OpenOptions};
-use gdr::serve::server::serve_listener;
+use gdr::serve::server::ServerConfig;
 use gdr::serve::store::SessionStore;
 use gdr::serve::wire::{Response, WireError};
 
@@ -26,7 +26,11 @@ fn serve_sessions_loopback_drives_one_session_to_done() {
     let store = Arc::new(SessionStore::new());
     let server = {
         let store = store.clone();
-        thread::spawn(move || serve_listener(listener, store, Some(1)))
+        thread::spawn(move || {
+            ServerConfig::new()
+                .max_connections(Some(1))
+                .serve(listener, store)
+        })
     };
 
     let (dirty, clean, _rules) = fixture::figure1_instance();
