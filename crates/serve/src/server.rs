@@ -45,6 +45,7 @@ use std::thread::{self, Thread};
 use gdr_core::error::GdrError;
 use gdr_core::step::WorkId;
 use gdr_relation::csv::parse_csv;
+use gdr_relation::{AttrId, TupleId, Value};
 
 use gdr_core::team::{TeamConfig, TeamPlan};
 
@@ -128,9 +129,7 @@ fn handle(
             spec.team.lease_ttl = lease_ttl.unwrap_or(limits.lease_ttl);
             let handle = store.open(&session, spec).map_err(store_error)?;
             let dirty_tuples = {
-                let guard = handle
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.engine().state().dirty_tuples().len()
             };
             Ok(Response::Opened {
@@ -278,22 +277,14 @@ fn handle(
 /// second round trip.
 fn team_plan_response(session: &crate::store::Session, plan: TeamPlan) -> Response {
     match plan {
-        TeamPlan::Ask { id, update } => {
-            let current = session
-                .engine()
-                .state()
-                .table()
-                .cell(update.tuple, update.attr)
-                .clone();
-            Response::Leased {
-                id: id.raw(),
-                tuple: update.tuple,
-                attr: update.attr,
-                current,
-                value: update.value,
-                score: update.score,
-            }
-        }
+        TeamPlan::Ask { id, update } => Response::Leased {
+            id: id.raw(),
+            tuple: update.tuple,
+            attr: update.attr,
+            current: current_value(session, update.cell()),
+            value: update.value,
+            score: update.score,
+        },
         TeamPlan::Fix { id, cell, current } => Response::Fix {
             id: id.raw(),
             tuple: cell.0,
@@ -354,46 +345,35 @@ fn plan_response(session: &crate::store::Session, plan: gdr_core::step::WorkPlan
             update,
             group_context,
             uncertainty,
-        } => {
-            let current = session
-                .engine()
-                .state()
-                .table()
-                .cell(update.tuple, update.attr)
-                .clone();
-            Response::Ask {
-                id: id.raw(),
-                tuple: update.tuple,
-                attr: update.attr,
-                current,
-                value: update.value,
-                score: update.score,
-                uncertainty,
-                group: group_context.map(|g| WireGroup {
-                    attr: g.attr,
-                    value: g.value,
-                    benefit: g.benefit,
-                    size: g.size,
-                    quota: g.quota,
-                    asked: g.asked,
-                }),
-            }
-        }
-        WorkPlan::NeedsValue { cell } => {
-            let current = session
-                .engine()
-                .state()
-                .table()
-                .cell(cell.0, cell.1)
-                .clone();
-            Response::NeedValue {
-                tuple: cell.0,
-                attr: cell.1,
-                current,
-            }
-        }
+        } => Response::Ask {
+            id: id.raw(),
+            tuple: update.tuple,
+            attr: update.attr,
+            current: current_value(session, update.cell()),
+            value: update.value,
+            score: update.score,
+            uncertainty,
+            group: group_context.map(|g| WireGroup {
+                attr: g.attr,
+                value: g.value,
+                benefit: g.benefit,
+                size: g.size,
+                quota: g.quota,
+                asked: g.asked,
+            }),
+        },
+        WorkPlan::NeedsValue { cell } => Response::NeedValue {
+            tuple: cell.0,
+            attr: cell.1,
+            current: current_value(session, cell),
+        },
         WorkPlan::Done(reason) => Response::Done { reason },
     }
+}
+
+/// The value `cell` holds now, which replies show as `current`.
+fn current_value(session: &crate::store::Session, (tuple, attr): (TupleId, AttrId)) -> Value {
+    session.engine().state().table().cell(tuple, attr).clone()
 }
 
 fn store_error(error: StoreError) -> WireError {
@@ -428,12 +408,25 @@ fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
             let detail = format!("request line longer than {MAX_FRAME_BYTES} bytes");
             return Ok(Some((None, Err(detail))));
         }
-        let text = String::from_utf8_lossy(&line);
-        let text = text.trim();
-        if !text.is_empty() {
-            return Ok(Some(decode_request_frame(text)));
+        if !is_blank(&line) {
+            let text = String::from_utf8_lossy(&line);
+            return Ok(Some(decode_request_frame(text.trim())));
         }
     }
+}
+
+/// Whether [`read_frame`] skips `line` as blank.
+fn is_blank(line: &[u8]) -> bool {
+    String::from_utf8_lossy(line).trim().is_empty()
+}
+
+/// Whether `buffered` holds a complete non-blank line, which the next
+/// [`read_frame`] returns without reading the socket.
+fn holds_request_line(buffered: &[u8]) -> bool {
+    let mut lines = buffered.split(|&byte| byte == b'\n');
+    // The unterminated tail: empty when `buffered` ends with a newline.
+    lines.next_back();
+    lines.any(|line| !is_blank(line))
 }
 
 fn reply_line(response: &Response, seq: Option<u64>) -> String {
@@ -547,6 +540,10 @@ impl ServerConfig {
     /// accepted and served to EOF (forever when `None`).  The calling
     /// thread accepts; each connection gets a reader and a writer thread,
     /// and requests run on the worker pool.
+    ///
+    /// If `accept` fails (other than by interruption), the server stops
+    /// accepting, but returns the error only once every connection it
+    /// already accepted has been served to EOF.
     pub fn serve(&self, listener: TcpListener, store: Arc<SessionStore>) -> io::Result<()> {
         let limits = ServerLimits {
             max_outstanding: self.max_outstanding,
@@ -813,10 +810,11 @@ impl Conn {
                     }
                 }
             }
-            // Untagged requests start only once no further complete line is
-            // already received, so tagged requests that arrived behind them
-            // in the same batch are not held up by them.
-            if !reader.buffer().contains(&b'\n') {
+            // Untagged requests start only once the next read may block, so
+            // tagged requests that arrived behind them in the same batch are
+            // not held up by them.  Buffered blank lines do not count: the
+            // next read skips them and then blocks.
+            if !holds_request_line(reader.buffer()) {
                 self.advance(&mut state);
             }
             // Only a reply is news to the writer; a request on its way to

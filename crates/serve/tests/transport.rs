@@ -155,6 +155,48 @@ fn serve_connection_refuses_an_over_long_line_too() {
     assert_bad_request_then_hello(&mut out.as_slice());
 }
 
+/// Blank lines that arrive with a bare request do not hold its reply back:
+/// the reader skips them and waits for more input, so the request must
+/// already be running.  The connection stays open throughout, so hang-up
+/// cannot be what starts it.
+#[test]
+fn blank_lines_behind_a_bare_request_do_not_hold_up_its_reply() {
+    let (addr, server) = spawn_server(ServerConfig::new().max_connections(Some(1)));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let reader = stream.try_clone().expect("clone");
+    reader
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(reader);
+    let mut next = || {
+        let mut line = String::new();
+        replies
+            .read_line(&mut line)
+            .expect("a reply before the timeout");
+        decode_response_frame(line.trim()).expect("decode reply").1
+    };
+
+    stream
+        .write_all(format!("{}\n", hello_line()).as_bytes())
+        .expect("write hello and a blank line");
+    let hello = next();
+    assert!(matches!(hello, Response::Hello { .. }), "got {hello:?}");
+
+    // A locally refused bare line, then whitespace-only lines (one of them
+    // Unicode whitespace only).
+    stream
+        .write_all("not json\n \t\r\n\u{a0}\n".as_bytes())
+        .expect("write a bad line and blank lines");
+    let refused = next();
+    assert!(
+        matches!(refused, Response::Error(WireError::BadRequest { .. })),
+        "got {refused:?}"
+    );
+
+    drop((stream, replies));
+    server.join().expect("server thread").expect("serve");
+}
+
 /// A deeply nested line is decoded on the connection's small-stack reader
 /// thread; the parser's nesting bound turns it into a `bad_request`.
 #[test]
