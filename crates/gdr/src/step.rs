@@ -1327,12 +1327,12 @@ impl GdrEngine {
     }
 
     /// The engine as one framed `S1 <len> <fnv64-hex> <payload>` snapshot
-    /// record — the binary sibling of the `J1` journal frame, checksummed so
-    /// a torn or bit-flipped file is detected before decoding begins.
+    /// record — the frame every durable record uses, checksummed so a torn
+    /// or bit-flipped file is detected before decoding begins.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         self.encode_state(&mut enc);
-        codec::frame_snapshot(enc.as_bytes())
+        codec::frame(enc.as_bytes())
     }
 
     /// Decodes an engine from a framed snapshot produced by
@@ -1341,7 +1341,7 @@ impl GdrEngine {
     /// trailing bytes — is a typed [`CodecError`], never a panic, so
     /// recovery code can fall back to an older snapshot or a full replay.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> codec::Result<GdrEngine> {
-        let payload = codec::unframe_snapshot(bytes)?;
+        let payload = codec::unframe(bytes)?;
         let mut dec = Dec::new(payload);
         let engine = GdrEngine::decode_state(&mut dec)?;
         dec.finish()?;

@@ -199,16 +199,6 @@ pub enum Resolution {
     },
 }
 
-fn encode_feedback(enc: &mut Enc, feedback: Feedback) {
-    enc.u8(feedback.index() as u8);
-}
-
-fn decode_feedback(dec: &mut Dec<'_>) -> codec::Result<Feedback> {
-    let tag = dec.u8()?;
-    Feedback::from_index(tag as usize)
-        .ok_or_else(|| CodecError::new(format!("invalid feedback tag {tag}")))
-}
-
 impl Resolution {
     /// Serialises the resolution into `enc`.
     pub fn encode_state(&self, enc: &mut Enc) {
@@ -217,7 +207,7 @@ impl Resolution {
                 enc.u8(0);
                 enc.usize(cell.0);
                 enc.usize(cell.1);
-                encode_feedback(enc, *feedback);
+                feedback.encode_state(enc);
             }
             Resolution::Supply { cell, value } => {
                 enc.u8(1);
@@ -238,7 +228,7 @@ impl Resolution {
         match dec.u8()? {
             0 => Ok(Resolution::Answer {
                 cell: (dec.usize()?, dec.usize()?),
-                feedback: decode_feedback(dec)?,
+                feedback: Feedback::decode_state(dec)?,
             }),
             1 => Ok(Resolution::Supply {
                 cell: (dec.usize()?, dec.usize()?),
@@ -355,14 +345,14 @@ impl AnswerRec {
     fn encode_state(&self, enc: &mut Enc) {
         self.item.encode_state(enc);
         enc.str(&self.reviewer);
-        encode_feedback(enc, self.feedback);
+        self.feedback.encode_state(enc);
     }
 
     fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AnswerRec> {
         Ok(AnswerRec {
             item: ItemKey::decode_state(dec)?,
             reviewer: dec.str()?.to_string(),
-            feedback: decode_feedback(dec)?,
+            feedback: Feedback::decode_state(dec)?,
         })
     }
 }
@@ -717,7 +707,7 @@ impl TeamSession {
             enc.usize(cell.0);
             enc.usize(cell.1);
             enc.value(value);
-            encode_feedback(enc, *feedback);
+            feedback.encode_state(enc);
         }
         enc.usize(self.resolutions.len());
         for resolution in &self.resolutions {
@@ -753,7 +743,7 @@ impl TeamSession {
             buffered.push((
                 (dec.usize()?, dec.usize()?),
                 dec.value()?,
-                decode_feedback(dec)?,
+                Feedback::decode_state(dec)?,
             ));
         }
         let n_resolutions = dec.seq_len(17)?;
@@ -779,14 +769,14 @@ impl TeamSession {
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         self.encode_state(&mut enc);
-        codec::frame_snapshot(enc.as_bytes())
+        codec::frame(enc.as_bytes())
     }
 
     /// Decodes a session from a framed snapshot produced by
     /// [`TeamSession::to_snapshot_bytes`].  Every failure is a typed
     /// [`CodecError`] so callers can degrade to replay.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> codec::Result<TeamSession> {
-        let payload = codec::unframe_snapshot(bytes)?;
+        let payload = codec::unframe(bytes)?;
         let mut dec = Dec::new(payload);
         let session = TeamSession::decode_state(&mut dec)?;
         dec.finish()?;

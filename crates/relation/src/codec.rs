@@ -30,23 +30,25 @@
 //!
 //! ## `S1` framing
 //!
-//! A complete snapshot payload is framed as `S1 <len> <fnv64-hex> ` followed
-//! by exactly `len` payload bytes — the same magic/length/checksum shape as
-//! the `J1` journal record framing, except length-delimited because the
-//! payload is binary.  [`frame_snapshot`] / [`unframe_snapshot`] implement
-//! the frame; a checksum mismatch or short file is a [`CodecError`], never a
-//! panic.
+//! Every durable record — a journal event, a session spec, a checkpoint —
+//! is framed as `S1 <len> <fnv64-hex> ` followed by exactly `len` payload
+//! bytes.  [`frame`] writes a frame; [`read_frame`] validates the frame at
+//! the start of a byte stream and returns its payload plus the bytes it
+//! spans, so a reader walks a stream of concatenated frames and stops at
+//! the first torn or corrupt one.  [`unframe`] reads a buffer that must
+//! hold exactly one frame.  A checksum mismatch, a short buffer, or a
+//! length claiming more bytes than follow is a [`CodecError`], never a
+//! panic and never an allocation.
 
 use std::fmt;
 
 use crate::value::Value;
 
-/// Magic token opening a framed snapshot (the binary sibling of the `J1`
-/// journal record magic).
-pub const SNAPSHOT_MAGIC: &str = "S1";
+/// Magic token opening every frame.
+pub const FRAME_MAGIC: &str = "S1";
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard integrity
-/// hash (journal record checksums, store sharding, snapshot frames).
+/// hash (frame checksums, session digests, store sharding).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -78,7 +80,7 @@ impl CodecError {
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot codec: {}", self.detail)
+        write!(f, "state codec: {}", self.detail)
     }
 }
 
@@ -357,68 +359,82 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Frames a snapshot payload as `S1 <len> <fnv64-hex> ` + payload — the
-/// binary, length-delimited sibling of the `J1` journal record frame.
-pub fn frame_snapshot(payload: &[u8]) -> Vec<u8> {
-    let header = format!(
-        "{SNAPSHOT_MAGIC} {} {:016x} ",
-        payload.len(),
-        fnv1a64(payload)
-    );
+/// Frames `payload` as `S1 <len> <fnv64-hex> ` + payload.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let header = format!("{FRAME_MAGIC} {} {:016x} ", payload.len(), fnv1a64(payload));
     let mut framed = Vec::with_capacity(header.len() + payload.len());
     framed.extend_from_slice(header.as_bytes());
     framed.extend_from_slice(payload);
     framed
 }
 
-/// Validates an `S1` frame and returns the payload slice.  Any defect —
-/// wrong magic, malformed header, short payload, trailing garbage, checksum
-/// mismatch — is a [`CodecError`].
-pub fn unframe_snapshot(bytes: &[u8]) -> Result<&[u8]> {
+/// Longest header field the writer emits: a `u64` length in decimal.
+const MAX_HEADER_FIELD: usize = 20;
+
+/// Validates the frame at the start of `bytes` and returns its payload and
+/// the number of bytes the frame spans; bytes after it are left alone.
+/// Only the canonical header the writer emits is accepted (decimal length
+/// without leading zeros, 16 lowercase hex digits), so every single-bit
+/// flip in a header is rejected.  Any defect — wrong magic, malformed
+/// header, a length claiming more bytes than follow, checksum mismatch —
+/// is a [`CodecError`].
+pub fn read_frame(bytes: &[u8]) -> Result<(&[u8], usize)> {
     // Header fields are ASCII and space-terminated; the payload is binary
     // and starts right after the third space.
-    let mut fields = Vec::with_capacity(3);
+    let mut fields = [""; 3];
     let mut start = 0usize;
-    for _ in 0..3 {
+    for field in &mut fields {
         let rest = &bytes[start..];
         let space = rest
             .iter()
+            .take(MAX_HEADER_FIELD + 1)
             .position(|&b| b == b' ')
-            .ok_or_else(|| CodecError::new("snapshot frame header is truncated"))?;
-        let field = std::str::from_utf8(&rest[..space])
-            .map_err(|_| CodecError::new("snapshot frame header is not ASCII"))?;
-        fields.push(field);
+            .ok_or_else(|| CodecError::new("frame header is truncated or malformed"))?;
+        *field = std::str::from_utf8(&rest[..space])
+            .map_err(|_| CodecError::new("frame header is not ASCII"))?;
         start += space + 1;
     }
-    if fields[0] != SNAPSHOT_MAGIC {
+    let [magic, len_text, sum_text] = fields;
+    if magic != FRAME_MAGIC {
         return Err(CodecError::new(format!(
-            "bad snapshot magic `{}`",
-            fields[0].escape_default()
+            "bad frame magic `{}`",
+            magic.escape_default()
         )));
     }
-    let len: usize = fields[1]
-        .parse()
-        .map_err(|_| CodecError::new(format!("bad snapshot length field `{}`", fields[1])))?;
-    if fields[2].len() != 16 || !fields[2].bytes().all(|b| b.is_ascii_hexdigit()) {
+    let len = len_text
+        .parse::<usize>()
+        .ok()
+        .filter(|len| len.to_string() == len_text)
+        .ok_or_else(|| CodecError::new(format!("bad frame length field `{len_text}`")))?;
+    let checksum = u64::from_str_radix(sum_text, 16)
+        .ok()
+        .filter(|sum| format!("{sum:016x}") == sum_text)
+        .ok_or_else(|| CodecError::new(format!("bad frame checksum field `{sum_text}`")))?;
+    let available = bytes.len() - start;
+    if len > available {
         return Err(CodecError::new(format!(
-            "bad snapshot checksum field `{}`",
-            fields[2]
+            "frame declares {len} payload bytes, {available} follow"
         )));
     }
-    let checksum = u64::from_str_radix(fields[2], 16)
-        .map_err(|_| CodecError::new("bad snapshot checksum field"))?;
-    let payload = &bytes[start..];
-    if payload.len() != len {
-        return Err(CodecError::new(format!(
-            "snapshot payload is {} bytes, frame declares {len}",
-            payload.len()
-        )));
-    }
+    let payload = &bytes[start..start + len];
     let actual = fnv1a64(payload);
     if actual != checksum {
         return Err(CodecError::new(format!(
-            "snapshot checksum mismatch: frame says {checksum:016x}, payload hashes to \
+            "frame checksum mismatch: header says {checksum:016x}, payload hashes to \
              {actual:016x}"
+        )));
+    }
+    Ok((payload, start + len))
+}
+
+/// [`read_frame`] for a buffer that must hold exactly one frame (a
+/// checkpoint file): trailing bytes are an error.
+pub fn unframe(bytes: &[u8]) -> Result<&[u8]> {
+    let (payload, used) = read_frame(bytes)?;
+    if used != bytes.len() {
+        return Err(CodecError::new(format!(
+            "{} bytes after the frame",
+            bytes.len() - used
         )));
     }
     Ok(payload)
@@ -534,30 +550,60 @@ mod tests {
             &b"hello"[..],
             &[0u8, 255, 10, 32, 13][..], // newline/space/NUL-ish bytes
         ] {
-            let framed = frame_snapshot(payload);
-            assert_eq!(unframe_snapshot(&framed).unwrap(), payload);
+            let framed = frame(payload);
+            assert_eq!(unframe(&framed).unwrap(), payload);
         }
     }
 
     #[test]
     fn snapshot_frame_rejects_every_single_byte_flip() {
-        let framed = frame_snapshot(b"payload bytes here");
+        let framed = frame(b"payload bytes here");
         for i in 0..framed.len() {
             let mut bad = framed.clone();
             bad[i] ^= 0x01;
-            assert!(unframe_snapshot(&bad).is_err(), "flip at {i} accepted");
+            assert!(unframe(&bad).is_err(), "flip at {i} accepted");
         }
     }
 
     #[test]
     fn snapshot_frame_rejects_truncation_and_extension() {
-        let framed = frame_snapshot(b"data");
+        let framed = frame(b"data");
         for cut in 0..framed.len() {
-            assert!(unframe_snapshot(&framed[..cut]).is_err(), "cut {cut}");
+            assert!(unframe(&framed[..cut]).is_err(), "cut {cut}");
         }
         let mut long = framed.clone();
         long.push(b'x');
-        assert!(unframe_snapshot(&long).is_err());
+        assert!(unframe(&long).is_err());
+    }
+
+    #[test]
+    fn read_frame_walks_concatenated_frames() {
+        let payloads: [&[u8]; 3] = [b"first", b"", &[b' ', b'\n', 0, 255]];
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        let mut offset = 0;
+        for payload in payloads {
+            let (read, used) = read_frame(&stream[offset..]).unwrap();
+            assert_eq!(read, payload);
+            offset += used;
+        }
+        assert_eq!(offset, stream.len());
+    }
+
+    #[test]
+    fn read_frame_rejects_lengths_beyond_the_buffer_and_noncanonical_headers() {
+        let huge = format!("S1 {} {:016x} abc", usize::MAX, fnv1a64(b"abc"));
+        assert!(read_frame(huge.as_bytes()).is_err());
+        let overflow = format!("S1 99999999999999999999999 {:016x} abc", fnv1a64(b"abc"));
+        assert!(read_frame(overflow.as_bytes()).is_err());
+        let padded = format!("S1 03 {:016x} abc", fnv1a64(b"abc"));
+        assert!(read_frame(padded.as_bytes()).is_err());
+        let upper = format!("S1 3 {:016X} abc", fnv1a64(b"abc"));
+        assert!(read_frame(upper.as_bytes()).is_err());
+        let good = format!("S1 3 {:016x} abc", fnv1a64(b"abc"));
+        assert_eq!(
+            read_frame(good.as_bytes()).unwrap(),
+            (&b"abc"[..], good.len())
+        );
     }
 
     #[test]

@@ -160,6 +160,18 @@ impl Feedback {
     pub fn from_index(index: usize) -> Option<Feedback> {
         Feedback::ALL.get(index).copied()
     }
+
+    /// Serialises the label into `enc` as its one-byte index.
+    pub fn encode_state(self, enc: &mut Enc) {
+        enc.u8(self.index() as u8);
+    }
+
+    /// Rebuilds a label written by [`Feedback::encode_state`].
+    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Feedback> {
+        let tag = dec.u8()?;
+        Feedback::from_index(tag as usize)
+            .ok_or_else(|| CodecError::new(format!("invalid feedback tag {tag}")))
+    }
 }
 
 impl fmt::Display for Feedback {

@@ -3,16 +3,19 @@
 //! The in-memory [`crate::store::SessionJournal`] already makes every
 //! session a replayable value (build inputs + state-advancing verbs).  This
 //! module gives that value a durable form a server can crash out of and
-//! recover from:
+//! recover from.  Every file it writes uses one format: `S1` frames
+//! ([`gdr_relation::codec::frame`]) around payloads of the versioned state
+//! codec that every layer implements.
 //!
-//! * **Record framing.**  Every record is one line of the form
-//!   `J1 <len> <fnv64-hex> <payload>\n` — a length prefix, a checksum, and a
-//!   payload that is exactly one line of the [`crate::json`] codec (the
-//!   encoder escapes raw newlines, so a payload never spans lines).  A torn
-//!   write, a short write, or a flipped bit fails the length or checksum
-//!   check and the loader **truncates to the last valid record** instead of
-//!   failing the session; the wire protocol's `StaleWork` recovery already
-//!   makes drivers resilient to a rolled-back outstanding question.
+//! * **Records.**  A record is one frame, `S1 <len> <fnv64-hex> ` plus
+//!   `len` payload bytes.  An event payload is a one-byte variant tag and
+//!   its fields; the spec payload is the `encode_state` of the table,
+//!   rules, strategy, configuration, team configuration and optional ground
+//!   truth.  A torn write, a short write, or a flipped bit fails the header
+//!   or checksum check and the loader **truncates to the last valid
+//!   record** instead of failing the session; the wire protocol's
+//!   `StaleWork` recovery already makes drivers resilient to a rolled-back
+//!   outstanding question.
 //! * **Segments.**  Events append to `seg-NNNNNN.gdrj` files that roll over
 //!   at a configurable byte size, so one hot session never owns one
 //!   unbounded file and recovery IO is bounded per segment.  The build
@@ -23,26 +26,16 @@
 //!   next one), or never (for tests).  Segment rolls always sync the
 //!   sealed segment regardless of policy.
 //! * **Checkpoints.**  Compaction (see [`crate::store::Session::compact`])
-//!   persists the digest-validated engine snapshot itself — a
-//!   `snap-NNNNNN.gdrs` file holding the [`TeamSession`] state codec in its
-//!   `S1 <len> <fnv64-hex> <payload>` framing — alongside `snapshot.gdrj`,
-//!   a marker record with the event count and engine digest, both via
-//!   write-to-temp + atomic rename.  Recovery loads the newest decodable
-//!   snapshot and replays only the journal tail past it, so cold-restore
-//!   cost is one decode plus a bounded tail replay instead of a full
-//!   transcript replay.  A corrupt, digest-mismatched, or over-claiming
-//!   snapshot degrades to the next older one and ultimately to full
-//!   replay ([`RecoveryReport`] says which); the clean event prefix is
-//!   never lost, because snapshots are an accelerator — the journal
-//!   remains the durability format of record.
-//!
-//! ## Fidelity
-//!
-//! The spec record carries the table and optional ground truth as CSV and
-//! the rules in the [`gdr_cfd::parser`] line syntax — exactly the fidelity
-//! of the wire `open` request, which is the product path.  Tables whose
-//! cells are all `Str`/`Null` (everything CSV-born) round-trip exactly;
-//! rule weights ride as shortest-round-trip floats and survive bit-for-bit.
+//!   persists the digest-validated session itself as `snap-NNNNNN.gdrs`
+//!   (write-to-temp + fsync + atomic rename): one frame holding the
+//!   session's [`team_digest`] followed by its [`TeamSession`] state.
+//!   Recovery loads the newest checkpoint that decodes, covers no more
+//!   events than the recovered prefix holds, and re-digests to the digest
+//!   it carries, then replays only the journal tail past it.  Anything else
+//!   degrades to the next older checkpoint and ultimately to full replay
+//!   ([`RecoveryReport`] says which); the clean event prefix is never lost,
+//!   because checkpoints are an accelerator — the journal remains the
+//!   durability format of record.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -53,36 +46,16 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use gdr_cfd::{parser, RuleSet};
+use gdr_cfd::RuleSet;
 use gdr_core::config::GdrConfig;
 use gdr_core::step::GdrEngine;
+use gdr_core::strategy::Strategy;
 use gdr_core::team::{Resolution, TeamConfig, TeamSession};
-use gdr_learn::{ForestConfig, TreeConfig};
-use gdr_relation::csv::{parse_csv, to_csv};
-use gdr_relation::Value;
+use gdr_relation::codec::{self, fnv1a64, CodecError, Dec, Enc};
+use gdr_relation::Table;
+use gdr_repair::Feedback;
 
-use crate::json::Json;
 use crate::store::{OpenSpec, TranscriptEvent};
-use crate::wire::{
-    feedback_from_token, feedback_token, policy_from_token, policy_token, strategy_from_token,
-    strategy_token, value_from_json, value_to_json,
-};
-
-// ---- checksum -------------------------------------------------------------
-
-/// FNV-1a 64-bit over a byte slice — the record checksum.  Not
-/// cryptographic; it exists to detect torn and bit-rotted records, the same
-/// job CRCs do in WAL formats, with zero dependencies.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
 
 // ---- errors ---------------------------------------------------------------
 
@@ -91,6 +64,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub enum JournalError {
     /// An IO error from the filesystem.
     Io(io::Error),
+    /// [`DiskJournal::create`] found a journal already in the directory:
+    /// another open claimed the session id first.
+    Exists {
+        /// The directory that already holds a journal.
+        dir: PathBuf,
+    },
     /// A record or file that must be intact (the spec, a decoded event) is
     /// not.  Tail corruption of event segments is *not* an error — the
     /// loader truncates and reports it in [`RecoveryReport`] instead.
@@ -104,6 +83,9 @@ impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JournalError::Io(err) => write!(f, "journal IO error: {err}"),
+            JournalError::Exists { dir } => {
+                write!(f, "{} already holds a journal", dir.display())
+            }
             JournalError::Corrupt { detail } => write!(f, "corrupt journal: {detail}"),
         }
     }
@@ -113,7 +95,7 @@ impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JournalError::Io(err) => Some(err),
-            JournalError::Corrupt { .. } => None,
+            JournalError::Exists { .. } | JournalError::Corrupt { .. } => None,
         }
     }
 }
@@ -132,539 +114,242 @@ impl From<JournalError> for gdr_core::error::GdrError {
     }
 }
 
-// ---- record framing -------------------------------------------------------
+// ---- record stream --------------------------------------------------------
 
-const RECORD_MAGIC: &str = "J1";
-
-/// Frames one payload line as a journal record: `J1 <len> <fnv64-hex>
-/// <payload>\n`.  The payload must not contain a raw newline (the JSON
-/// encoder guarantees this for its output).
-pub fn frame_record(payload: &str) -> Vec<u8> {
-    debug_assert!(
-        !payload.contains('\n'),
-        "record payloads are single lines by construction"
-    );
-    format!(
-        "{RECORD_MAGIC} {} {:016x} {payload}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
-    .into_bytes()
-}
-
-/// The outcome of scanning a byte stream of framed records: the decoded
-/// payloads of every valid record, the byte length of that valid prefix,
-/// and — when the scan stopped early — what was wrong with the first
-/// invalid record.
+/// The outcome of scanning a byte stream of framed records: the payloads
+/// of every valid record, the byte length of that valid prefix, and — when
+/// the scan stopped early — what was wrong with the first invalid record.
 #[derive(Debug)]
-pub struct ScanOutcome {
+pub struct ScanOutcome<'a> {
     /// Payloads of the valid record prefix, in order.
-    pub payloads: Vec<String>,
+    pub payloads: Vec<&'a [u8]>,
     /// Byte length of the valid prefix (truncate the file to this).
     pub valid_len: usize,
     /// Why the scan stopped, if it did not consume every byte.
     pub corruption: Option<String>,
 }
 
-/// Scans a segment byte stream, stopping at the first record that is torn
-/// (no trailing newline), short, malformed, or checksum-failing.  Never
-/// panics: every byte stream yields a (possibly empty) valid prefix.
-pub fn scan_records(bytes: &[u8]) -> ScanOutcome {
+/// Scans a segment byte stream, stopping at the first record that is torn,
+/// short, malformed, or checksum-failing.  Never panics: every byte stream
+/// yields a (possibly empty) valid prefix.
+pub fn scan_records(bytes: &[u8]) -> ScanOutcome<'_> {
     let mut payloads = Vec::new();
     let mut offset = 0usize;
+    let mut corruption = None;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let Some(line_end) = rest.iter().position(|&b| b == b'\n') else {
-            return ScanOutcome {
-                payloads,
-                valid_len: offset,
-                corruption: Some(format!(
-                    "torn record at byte {offset}: {} trailing bytes with no newline",
-                    rest.len()
-                )),
-            };
-        };
-        let line = &rest[..line_end];
-        match parse_record_line(line) {
-            Ok(payload) => {
+        match codec::read_frame(&bytes[offset..]) {
+            Ok((payload, used)) => {
                 payloads.push(payload);
-                offset += line_end + 1;
+                offset += used;
             }
-            Err(detail) => {
-                return ScanOutcome {
-                    payloads,
-                    valid_len: offset,
-                    corruption: Some(format!("invalid record at byte {offset}: {detail}")),
-                }
+            Err(err) => {
+                corruption = Some(format!("invalid record at byte {offset}: {}", err.detail));
+                break;
             }
         }
     }
     ScanOutcome {
         payloads,
         valid_len: offset,
-        corruption: None,
+        corruption,
     }
-}
-
-fn parse_record_line(line: &[u8]) -> Result<String, String> {
-    let text = std::str::from_utf8(line).map_err(|_| "not UTF-8".to_string())?;
-    let rest = text
-        .strip_prefix(RECORD_MAGIC)
-        .and_then(|r| r.strip_prefix(' '))
-        .ok_or_else(|| format!("missing `{RECORD_MAGIC} ` magic"))?;
-    let (len_text, rest) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing length field".to_string())?;
-    let len: usize = len_text
-        .parse()
-        .map_err(|_| format!("bad length `{len_text}`"))?;
-    let (sum_text, payload) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum field".to_string())?;
-    // Exactly 16 lowercase hex digits — the canonical form the writer
-    // emits.  (`from_str_radix` alone would also accept uppercase and `+`,
-    // letting some single-bit flips in this field go undetected.)
-    if sum_text.len() != 16
-        || !sum_text
-            .bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-    {
-        return Err(format!("bad checksum `{sum_text}`"));
-    }
-    let sum =
-        u64::from_str_radix(sum_text, 16).map_err(|_| format!("bad checksum `{sum_text}`"))?;
-    if payload.len() != len {
-        return Err(format!(
-            "length mismatch: header says {len}, payload has {}",
-            payload.len()
-        ));
-    }
-    if fnv1a64(payload.as_bytes()) != sum {
-        return Err("checksum mismatch".to_string());
-    }
-    Ok(payload.to_string())
 }
 
 // ---- record payloads ------------------------------------------------------
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+fn encode_cell(enc: &mut Enc, cell: (usize, usize)) {
+    enc.usize(cell.0);
+    enc.usize(cell.1);
 }
 
-fn u64_json(value: u64) -> Json {
-    match i64::try_from(value) {
-        Ok(i) => Json::Int(i),
-        Err(_) => Json::str(value.to_string()),
-    }
+fn decode_cell(dec: &mut Dec<'_>) -> codec::Result<(usize, usize)> {
+    Ok((dec.usize()?, dec.usize()?))
 }
 
-fn field<'j>(json: &'j Json, key: &str) -> Result<&'j Json, String> {
-    json.get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn str_field(json: &Json, key: &str) -> Result<String, String> {
-    field(json, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` must be a string"))
-}
-
-fn usize_field(json: &Json, key: &str) -> Result<usize, String> {
-    field(json, key)?
-        .as_i64()
-        .and_then(|i| usize::try_from(i).ok())
-        .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
-}
-
-fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
-    match field(json, key)? {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        Json::Str(s) => s.parse::<u64>().ok(),
-        _ => None,
-    }
-    .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
-}
-
-fn f64_field(json: &Json, key: &str) -> Result<f64, String> {
-    field(json, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` must be a number"))
-}
-
-fn bool_field(json: &Json, key: &str) -> Result<bool, String> {
-    field(json, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` must be a boolean"))
-}
-
-fn value_field(json: &Json, key: &str) -> Result<Value, String> {
-    value_from_json(field(json, key)?)
-        .ok_or_else(|| format!("field `{key}` must be null, an integer, or a string"))
-}
-
-/// Encodes one transcript event as a record payload line.
-pub fn encode_event(event: &TranscriptEvent) -> String {
-    let json = match event {
-        TranscriptEvent::Pulled => obj(vec![("ev", Json::str("pulled"))]),
-        TranscriptEvent::Answered(id, feedback) => obj(vec![
-            ("ev", Json::str("answered")),
-            ("id", u64_json(*id)),
-            ("feedback", Json::str(feedback_token(*feedback))),
-        ]),
-        TranscriptEvent::Supplied(cell, value) => obj(vec![
-            ("ev", Json::str("supplied")),
-            ("tuple", Json::Int(cell.0 as i64)),
-            ("attr", Json::Int(cell.1 as i64)),
-            ("value", value_to_json(value)),
-        ]),
-        TranscriptEvent::Skipped(cell) => obj(vec![
-            ("ev", Json::str("skipped")),
-            ("tuple", Json::Int(cell.0 as i64)),
-            ("attr", Json::Int(cell.1 as i64)),
-        ]),
-        TranscriptEvent::Finished => obj(vec![("ev", Json::str("finished"))]),
-        TranscriptEvent::Leased { reviewer, id } => obj(vec![
-            ("ev", Json::str("leased")),
-            ("reviewer", Json::str(reviewer)),
-            ("id", u64_json(*id)),
-        ]),
-        TranscriptEvent::Waited { reviewer } => obj(vec![
-            ("ev", Json::str("waited")),
-            ("reviewer", Json::str(reviewer)),
-        ]),
+/// Encodes one transcript event as a record payload: a one-byte variant
+/// tag followed by the variant's fields.
+pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
+    let mut enc = Enc::new();
+    match event {
+        TranscriptEvent::Pulled => enc.u8(0),
+        TranscriptEvent::Answered(id, feedback) => {
+            enc.u8(1);
+            enc.u64(*id);
+            feedback.encode_state(&mut enc);
+        }
+        TranscriptEvent::Supplied(cell, value) => {
+            enc.u8(2);
+            encode_cell(&mut enc, *cell);
+            enc.value(value);
+        }
+        TranscriptEvent::Skipped(cell) => {
+            enc.u8(3);
+            encode_cell(&mut enc, *cell);
+        }
+        TranscriptEvent::Finished => enc.u8(4),
+        TranscriptEvent::Leased { reviewer, id } => {
+            enc.u8(5);
+            enc.str(reviewer);
+            enc.u64(*id);
+        }
+        TranscriptEvent::Waited { reviewer } => {
+            enc.u8(6);
+            enc.str(reviewer);
+        }
         TranscriptEvent::AnsweredAs {
             reviewer,
             id,
             feedback,
-        } => obj(vec![
-            ("ev", Json::str("answer_as")),
-            ("reviewer", Json::str(reviewer)),
-            ("id", u64_json(*id)),
-            ("feedback", Json::str(feedback_token(*feedback))),
-        ]),
+        } => {
+            enc.u8(7);
+            enc.str(reviewer);
+            enc.u64(*id);
+            feedback.encode_state(&mut enc);
+        }
         TranscriptEvent::SuppliedAs {
             reviewer,
             id,
             value,
-        } => obj(vec![
-            ("ev", Json::str("supply_as")),
-            ("reviewer", Json::str(reviewer)),
-            ("id", u64_json(*id)),
-            ("value", value_to_json(value)),
-        ]),
-        TranscriptEvent::SkippedAs { reviewer, id } => obj(vec![
-            ("ev", Json::str("skip_as")),
-            ("reviewer", Json::str(reviewer)),
-            ("id", u64_json(*id)),
-        ]),
-        TranscriptEvent::Released { reviewer, id } => obj(vec![
-            ("ev", Json::str("released")),
-            ("reviewer", Json::str(reviewer)),
-            ("id", u64_json(*id)),
-        ]),
+        } => {
+            enc.u8(8);
+            enc.str(reviewer);
+            enc.u64(*id);
+            enc.value(value);
+        }
+        TranscriptEvent::SkippedAs { reviewer, id } => {
+            enc.u8(9);
+            enc.str(reviewer);
+            enc.u64(*id);
+        }
+        TranscriptEvent::Released { reviewer, id } => {
+            enc.u8(10);
+            enc.str(reviewer);
+            enc.u64(*id);
+        }
         TranscriptEvent::Resolved { index, resolution } => {
-            let mut members = vec![
-                ("ev", Json::str("resolved")),
-                ("index", Json::Int(*index as i64)),
-            ];
-            match resolution {
-                Resolution::Answer { cell, feedback } => {
-                    members.push(("kind", Json::str("answer")));
-                    members.push(("tuple", Json::Int(cell.0 as i64)));
-                    members.push(("attr", Json::Int(cell.1 as i64)));
-                    members.push(("feedback", Json::str(feedback_token(*feedback))));
-                }
-                Resolution::Supply { cell, value } => {
-                    members.push(("kind", Json::str("supply")));
-                    members.push(("tuple", Json::Int(cell.0 as i64)));
-                    members.push(("attr", Json::Int(cell.1 as i64)));
-                    members.push(("value", value_to_json(value)));
-                }
-                Resolution::Skip { cell } => {
-                    members.push(("kind", Json::str("skip")));
-                    members.push(("tuple", Json::Int(cell.0 as i64)));
-                    members.push(("attr", Json::Int(cell.1 as i64)));
-                }
-            }
-            obj(members)
+            enc.u8(11);
+            enc.usize(*index);
+            resolution.encode_state(&mut enc);
         }
-    };
-    json.encode()
-}
-
-/// Inverse of [`encode_event`].
-pub fn decode_event(payload: &str) -> Result<TranscriptEvent, String> {
-    let json = Json::parse(payload).map_err(|e| e.to_string())?;
-    match str_field(&json, "ev")?.as_str() {
-        "pulled" => Ok(TranscriptEvent::Pulled),
-        "answered" => {
-            let token = str_field(&json, "feedback")?;
-            let feedback =
-                feedback_from_token(&token).ok_or_else(|| format!("unknown feedback `{token}`"))?;
-            Ok(TranscriptEvent::Answered(u64_field(&json, "id")?, feedback))
-        }
-        "supplied" => Ok(TranscriptEvent::Supplied(
-            (usize_field(&json, "tuple")?, usize_field(&json, "attr")?),
-            value_field(&json, "value")?,
-        )),
-        "skipped" => Ok(TranscriptEvent::Skipped((
-            usize_field(&json, "tuple")?,
-            usize_field(&json, "attr")?,
-        ))),
-        "finished" => Ok(TranscriptEvent::Finished),
-        "leased" => Ok(TranscriptEvent::Leased {
-            reviewer: str_field(&json, "reviewer")?,
-            id: u64_field(&json, "id")?,
-        }),
-        "waited" => Ok(TranscriptEvent::Waited {
-            reviewer: str_field(&json, "reviewer")?,
-        }),
-        "answer_as" => {
-            let token = str_field(&json, "feedback")?;
-            let feedback =
-                feedback_from_token(&token).ok_or_else(|| format!("unknown feedback `{token}`"))?;
-            Ok(TranscriptEvent::AnsweredAs {
-                reviewer: str_field(&json, "reviewer")?,
-                id: u64_field(&json, "id")?,
-                feedback,
-            })
-        }
-        "supply_as" => Ok(TranscriptEvent::SuppliedAs {
-            reviewer: str_field(&json, "reviewer")?,
-            id: u64_field(&json, "id")?,
-            value: value_field(&json, "value")?,
-        }),
-        "skip_as" => Ok(TranscriptEvent::SkippedAs {
-            reviewer: str_field(&json, "reviewer")?,
-            id: u64_field(&json, "id")?,
-        }),
-        "released" => Ok(TranscriptEvent::Released {
-            reviewer: str_field(&json, "reviewer")?,
-            id: u64_field(&json, "id")?,
-        }),
-        "resolved" => {
-            let cell = (usize_field(&json, "tuple")?, usize_field(&json, "attr")?);
-            let kind = str_field(&json, "kind")?;
-            let resolution = match kind.as_str() {
-                "answer" => {
-                    let token = str_field(&json, "feedback")?;
-                    let feedback = feedback_from_token(&token)
-                        .ok_or_else(|| format!("unknown feedback `{token}`"))?;
-                    Resolution::Answer { cell, feedback }
-                }
-                "supply" => Resolution::Supply {
-                    cell,
-                    value: value_field(&json, "value")?,
-                },
-                "skip" => Resolution::Skip { cell },
-                other => return Err(format!("unknown resolution kind `{other}`")),
-            };
-            Ok(TranscriptEvent::Resolved {
-                index: usize_field(&json, "index")?,
-                resolution,
-            })
-        }
-        other => Err(format!("unknown event kind `{other}`")),
     }
+    enc.into_bytes()
 }
 
-fn config_to_json(config: &GdrConfig) -> Json {
-    obj(vec![
-        ("ns_batch", Json::Int(config.ns_batch as i64)),
-        (
-            "min_verifications_per_group",
-            Json::Int(config.min_verifications_per_group as i64),
-        ),
-        (
-            "learner_min_training",
-            Json::Int(config.learner_min_training as i64),
-        ),
-        ("seed", u64_json(config.seed)),
-        (
-            "checkpoint_every",
-            Json::Int(config.checkpoint_every as i64),
-        ),
-        ("full_walk_refresh", Json::Bool(config.full_walk_refresh)),
-        ("parallelism", Json::Int(config.parallelism as i64)),
-        (
-            "forest",
-            obj(vec![
-                ("trees", Json::Int(config.forest.trees as i64)),
-                (
-                    "sample_fraction",
-                    Json::Float(config.forest.sample_fraction),
-                ),
-                ("max_depth", Json::Int(config.forest.tree.max_depth as i64)),
-                (
-                    "min_samples_split",
-                    Json::Int(config.forest.tree.min_samples_split as i64),
-                ),
-                (
-                    "features_per_split",
-                    match config.forest.tree.features_per_split {
-                        Some(n) => Json::Int(n as i64),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn config_from_json(json: &Json) -> Result<GdrConfig, String> {
-    let forest = field(json, "forest")?;
-    Ok(GdrConfig {
-        ns_batch: usize_field(json, "ns_batch")?,
-        min_verifications_per_group: usize_field(json, "min_verifications_per_group")?,
-        learner_min_training: usize_field(json, "learner_min_training")?,
-        forest: ForestConfig {
-            trees: usize_field(forest, "trees")?,
-            sample_fraction: f64_field(forest, "sample_fraction")?,
-            tree: TreeConfig {
-                max_depth: usize_field(forest, "max_depth")?,
-                min_samples_split: usize_field(forest, "min_samples_split")?,
-                features_per_split: match forest.get("features_per_split") {
-                    None | Some(Json::Null) => None,
-                    Some(_) => Some(usize_field(forest, "features_per_split")?),
-                },
-            },
+fn decode_event_state(dec: &mut Dec<'_>) -> codec::Result<TranscriptEvent> {
+    Ok(match dec.u8()? {
+        0 => TranscriptEvent::Pulled,
+        1 => TranscriptEvent::Answered(dec.u64()?, Feedback::decode_state(dec)?),
+        2 => TranscriptEvent::Supplied(decode_cell(dec)?, dec.value()?),
+        3 => TranscriptEvent::Skipped(decode_cell(dec)?),
+        4 => TranscriptEvent::Finished,
+        5 => TranscriptEvent::Leased {
+            reviewer: dec.str()?,
+            id: dec.u64()?,
         },
-        seed: u64_field(json, "seed")?,
-        checkpoint_every: usize_field(json, "checkpoint_every")?,
-        full_walk_refresh: bool_field(json, "full_walk_refresh")?,
-        parallelism: usize_field(json, "parallelism")?,
+        6 => TranscriptEvent::Waited {
+            reviewer: dec.str()?,
+        },
+        7 => TranscriptEvent::AnsweredAs {
+            reviewer: dec.str()?,
+            id: dec.u64()?,
+            feedback: Feedback::decode_state(dec)?,
+        },
+        8 => TranscriptEvent::SuppliedAs {
+            reviewer: dec.str()?,
+            id: dec.u64()?,
+            value: dec.value()?,
+        },
+        9 => TranscriptEvent::SkippedAs {
+            reviewer: dec.str()?,
+            id: dec.u64()?,
+        },
+        10 => TranscriptEvent::Released {
+            reviewer: dec.str()?,
+            id: dec.u64()?,
+        },
+        11 => TranscriptEvent::Resolved {
+            index: dec.usize()?,
+            resolution: Resolution::decode_state(dec)?,
+        },
+        tag => return Err(CodecError::new(format!("unknown event tag {tag}"))),
     })
 }
 
-/// Encodes a session's build inputs as the spec record payload.  Tables
-/// travel as CSV, rules as [`parser::rule_to_line`] lines with their weights
-/// alongside (shortest-round-trip floats, so weights survive bit-for-bit).
-pub fn encode_spec(spec: &OpenSpec) -> String {
-    let rules_text: String = spec
-        .rules
-        .iter()
-        .map(|(_, rule)| parser::rule_to_line(spec.dirty.schema(), rule) + "\n")
-        .collect();
-    let weights: Vec<Json> = spec
-        .rules
-        .iter()
-        .map(|(id, _)| Json::Float(spec.rules.weight(id)))
-        .collect();
-    let mut members = vec![
-        ("rec", Json::str("spec")),
-        ("table_name", Json::str(spec.dirty.name())),
-        ("table_csv", Json::str(to_csv(&spec.dirty))),
-        ("rules", Json::str(rules_text)),
-        ("weights", Json::Array(weights)),
-        ("strategy", Json::str(strategy_token(spec.strategy))),
-        ("config", config_to_json(&spec.config)),
-        ("policy", Json::str(policy_token(spec.team.policy))),
-        ("lease_ttl", u64_json(spec.team.lease_ttl)),
-    ];
-    if let Some(truth) = &spec.ground_truth {
-        members.push(("truth_name", Json::str(truth.name())));
-        members.push(("ground_truth_csv", Json::str(to_csv(truth))));
-    }
-    obj(members).encode()
+/// Decodes `payload` with `decode`, requiring it to be consumed exactly.
+fn decode_whole<T>(
+    payload: &[u8],
+    decode: impl FnOnce(&mut Dec<'_>) -> codec::Result<T>,
+) -> Result<T, String> {
+    let mut dec = Dec::new(payload);
+    let value = decode(&mut dec).map_err(|e| e.detail)?;
+    dec.finish().map_err(|e| e.detail)?;
+    Ok(value)
 }
 
-/// Inverse of [`encode_spec`].
-pub fn decode_spec(payload: &str) -> Result<OpenSpec, String> {
-    let json = Json::parse(payload).map_err(|e| e.to_string())?;
-    if str_field(&json, "rec")? != "spec" {
-        return Err("spec record has the wrong `rec` kind".to_string());
-    }
-    let table_name = str_field(&json, "table_name")?;
-    let dirty = parse_csv(&table_name, &str_field(&json, "table_csv")?)
-        .map_err(|e| format!("table_csv: {e}"))?;
-    let rules_text = str_field(&json, "rules")?;
-    let rules =
-        parser::parse_rules(dirty.schema(), &rules_text).map_err(|e| format!("rules: {e}"))?;
-    let weights: Vec<f64> = field(&json, "weights")?
-        .as_array()
-        .ok_or_else(|| "field `weights` must be an array".to_string())?
-        .iter()
-        .map(|w| w.as_f64().ok_or_else(|| "bad rule weight".to_string()))
-        .collect::<Result<_, _>>()?;
-    if weights.len() != rules.len() {
-        return Err(format!(
-            "{} weights for {} rules",
-            weights.len(),
-            rules.len()
-        ));
-    }
-    let rules = RuleSet::with_weights(rules, weights);
-    let strategy_text = str_field(&json, "strategy")?;
-    let strategy = strategy_from_token(&strategy_text)
-        .ok_or_else(|| format!("unknown strategy `{strategy_text}`"))?;
-    let config = config_from_json(field(&json, "config")?)?;
-    let ground_truth = match json.get("ground_truth_csv") {
-        None | Some(Json::Null) => None,
-        Some(_) => {
-            let truth_name = str_field(&json, "truth_name")?;
-            Some(
-                parse_csv(&truth_name, &str_field(&json, "ground_truth_csv")?)
-                    .map_err(|e| format!("ground_truth_csv: {e}"))?,
-            )
+/// Inverse of [`encode_event`].
+pub fn decode_event(payload: &[u8]) -> Result<TranscriptEvent, String> {
+    decode_whole(payload, decode_event_state)
+}
+
+/// Encodes a session's build inputs as the spec record payload.
+pub fn encode_spec(spec: &OpenSpec) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.section("spec", 1);
+    spec.dirty.encode_state(&mut enc);
+    spec.rules.encode_state(&mut enc);
+    spec.strategy.encode_state(&mut enc);
+    spec.config.encode_state(&mut enc);
+    spec.team.encode_state(&mut enc);
+    enc.option(spec.ground_truth.as_ref(), |enc, truth| {
+        truth.encode_state(enc)
+    });
+    enc.into_bytes()
+}
+
+fn decode_spec_state(dec: &mut Dec<'_>) -> codec::Result<OpenSpec> {
+    dec.section_at_most("spec", 1)?;
+    let dirty = Table::decode_state(dec)?;
+    let rules = RuleSet::decode_state(dec)?;
+    let arity = dirty.schema().arity();
+    for (id, rule) in rules.iter() {
+        if rule.attrs().iter().any(|&attr| attr >= arity) {
+            return Err(CodecError::new(format!(
+                "rule {id} names an attribute outside the {arity}-column table"
+            )));
         }
-    };
-    // Specs written before the team verbs existed carry no coordinator
-    // fields; they decode to the defaults (the same optional-field pattern
-    // as `ground_truth_csv`).
-    let mut team = TeamConfig::default();
-    if let Some(Json::Str(token)) = json.get("policy") {
-        team.policy =
-            policy_from_token(token).ok_or_else(|| format!("unknown policy `{token}`"))?;
-    }
-    match json.get("lease_ttl") {
-        None | Some(Json::Null) => {}
-        Some(_) => team.lease_ttl = u64_field(&json, "lease_ttl")?,
     }
     let mut spec = OpenSpec::new(dirty, rules);
-    spec.strategy = strategy;
-    spec.config = config;
-    spec.ground_truth = ground_truth;
-    spec.team = team;
+    spec.strategy = Strategy::decode_state(dec)?;
+    spec.config = GdrConfig::decode_state(dec)?;
+    spec.team = TeamConfig::decode_state(dec)?;
+    spec.ground_truth = dec.option(Table::decode_state)?;
     Ok(spec)
 }
 
-/// The compaction checkpoint persisted as `snapshot.gdrj`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMarker {
-    /// How many transcript events the in-memory snapshot covers.
-    pub events: usize,
-    /// [`engine_digest`] of the snapshot engine, for divergence diagnosis.
-    pub digest: u64,
+/// Inverse of [`encode_spec`].
+pub fn decode_spec(payload: &[u8]) -> Result<OpenSpec, String> {
+    decode_whole(payload, decode_spec_state)
 }
 
-/// Encodes a snapshot marker as a record payload line.
-pub fn encode_snapshot(marker: SnapshotMarker) -> String {
-    obj(vec![
-        ("rec", Json::str("snapshot")),
-        ("events", Json::Int(marker.events as i64)),
-        ("digest", Json::str(format!("{:016x}", marker.digest))),
-    ])
-    .encode()
+/// Frames a compaction checkpoint: `team`'s [`team_digest`] followed by its
+/// state, in one frame.
+fn encode_checkpoint(team: &TeamSession, digest: u64) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.section("checkpoint", 1);
+    enc.u64(digest);
+    team.encode_state(&mut enc);
+    codec::frame(enc.as_bytes())
 }
 
-/// Inverse of [`encode_snapshot`].
-pub fn decode_snapshot(payload: &str) -> Result<SnapshotMarker, String> {
-    let json = Json::parse(payload).map_err(|e| e.to_string())?;
-    if str_field(&json, "rec")? != "snapshot" {
-        return Err("snapshot record has the wrong `rec` kind".to_string());
-    }
-    let digest_text = str_field(&json, "digest")?;
-    let digest =
-        u64::from_str_radix(&digest_text, 16).map_err(|_| format!("bad digest `{digest_text}`"))?;
-    Ok(SnapshotMarker {
-        events: usize_field(&json, "events")?,
-        digest,
+/// Decodes a `snap-NNNNNN.gdrs` checkpoint file into the session it holds
+/// and the digest recorded alongside it.  The caller decides whether the
+/// digest still matches ([`team_digest`] of the decoded session).
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<(TeamSession, u64), String> {
+    let payload = codec::unframe(bytes).map_err(|e| e.detail)?;
+    decode_whole(payload, |dec| {
+        dec.section_at_most("checkpoint", 1)?;
+        let digest = dec.u64()?;
+        Ok((TeamSession::decode_state(dec)?, digest))
     })
 }
 
@@ -699,7 +384,7 @@ pub fn engine_digest(engine: &GdrEngine) -> u64 {
 /// [`engine_digest`] extended with the multi-reviewer coordinator: the
 /// lease table, collected answers, escalations, buffered and applied
 /// resolutions, and the logical clock (via
-/// [`TeamSession::digest_text`]).  This is the digest compaction markers
+/// [`TeamSession::digest_text`]).  This is the digest compaction checkpoints
 /// record and recovery validates for team-served sessions — two sessions
 /// with equal digests serve every reviewer identically.
 pub fn team_digest(team: &TeamSession) -> u64 {
@@ -762,13 +447,12 @@ impl Default for JournalConfig {
 // ---- disk journal ---------------------------------------------------------
 
 const SPEC_FILE: &str = "spec.gdrj";
-const SNAPSHOT_FILE: &str = "snapshot.gdrj";
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".gdrj";
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".gdrs";
-/// How many snapshot payload files a compaction leaves on disk: the one it
-/// just wrote plus one older fallback, so a corrupt newest snapshot still
+/// How many checkpoint files a compaction leaves on disk: the one it just
+/// wrote plus one older fallback, so a corrupt newest checkpoint still
 /// degrades to a checkpointed restore instead of a full replay.
 const SNAPSHOTS_KEPT: usize = 2;
 
@@ -783,9 +467,9 @@ fn segment_index(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Name of the snapshot payload file covering the first `events` transcript
-/// events: `snap-NNNNNN.gdrs`, the serialised [`TeamSession`] in its `S1`
-/// framing.
+/// Name of the checkpoint file covering the first `events` transcript
+/// events: `snap-NNNNNN.gdrs`, one frame holding the session's
+/// [`team_digest`] and its [`TeamSession`] state.
 pub fn snapshot_name(events: u64) -> String {
     format!("{SNAP_PREFIX}{events:06}{SNAP_SUFFIX}")
 }
@@ -797,7 +481,7 @@ fn snapshot_events(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Event counts of every snapshot payload file in `dir`, newest first.
+/// Event counts of every checkpoint file in `dir`, newest first.
 fn snapshot_files(dir: &Path) -> io::Result<Vec<u64>> {
     let mut snaps: Vec<u64> = fs::read_dir(dir)?
         .filter_map(|entry| entry.ok())
@@ -828,8 +512,7 @@ pub fn session_dir_name(id: &str) -> String {
 /// under: new sessions are created at
 /// `<root>/<session_shard(id)>/<session_dir_name(id)>/`, spreading large
 /// stores over 256 subdirectories so one root directory never holds every
-/// session.  (Pre-sharding stores used `<root>/<session_dir_name(id)>/`;
-/// the store still discovers that flat layout on load.)
+/// session.
 pub fn session_shard(id: &str) -> String {
     format!("{:02x}", fnv1a64(id.as_bytes()) & 0xff)
 }
@@ -843,13 +526,10 @@ pub struct RecoveryReport {
     pub dropped_segments: usize,
     /// Detail of the corruption that forced the truncation, if any.
     pub corruption: Option<String>,
-    /// The snapshot marker existed but was unreadable and was ignored
-    /// (recovery falls back to full journal replay).
-    pub snapshot_ignored: bool,
-    /// Snapshot payload files that were unreadable, undecodable,
-    /// digest-mismatched against the marker, or claimed more events than
-    /// the recovered prefix holds; each was deleted and recovery degraded
-    /// to the next older snapshot (ultimately to full replay).
+    /// Checkpoint files that were unreadable, undecodable, mismatched the
+    /// digest they carry, or claimed more events than the recovered prefix
+    /// holds; each was deleted and recovery degraded to the next older
+    /// checkpoint (ultimately to full replay).
     pub snapshots_skipped: usize,
 }
 
@@ -859,7 +539,6 @@ impl RecoveryReport {
         self.truncated_bytes == 0
             && self.dropped_segments == 0
             && self.corruption.is_none()
-            && !self.snapshot_ignored
             && self.snapshots_skipped == 0
     }
 }
@@ -871,11 +550,9 @@ pub struct LoadedJournal {
     pub spec: OpenSpec,
     /// The recovered event transcript (the valid prefix, in order).
     pub events: Vec<TranscriptEvent>,
-    /// The snapshot marker, when present and intact.
-    pub snapshot: Option<SnapshotMarker>,
-    /// The newest valid checkpoint: the decoded snapshot session and the
+    /// The newest valid checkpoint: the decoded session and the
     /// number of leading transcript events it covers.  Restore clones this
-    /// and replays only `events[checkpoint.0..]`; `None` (no snapshot
+    /// and replays only `events[checkpoint.0..]`; `None` (no checkpoint
     /// files, or none survived validation) means full replay.
     pub checkpoint: Option<(usize, TeamSession)>,
     /// What recovery had to repair.
@@ -1016,14 +693,12 @@ impl DiskJournal {
             .open(&spec_path)
             .map_err(|err| {
                 if err.kind() == io::ErrorKind::AlreadyExists {
-                    JournalError::Corrupt {
-                        detail: format!("{} already holds a journal", dir.display()),
-                    }
+                    JournalError::Exists { dir: dir.clone() }
                 } else {
                     JournalError::Io(err)
                 }
             })?;
-        spec_file.write_all(&frame_record(&encode_spec(spec)))?;
+        spec_file.write_all(&codec::frame(&encode_spec(spec)))?;
         spec_file.sync_all()?;
         let active = File::create(dir.join(segment_name(0)))?;
         DiskJournal::assemble(dir, active, 0, 0, config)
@@ -1066,29 +741,17 @@ impl DiskJournal {
     /// Reads a journal directory back, truncating corrupt tails **on disk**
     /// (the offending segment is cut to its last valid record and every
     /// later segment is removed) so subsequent appends restart from a
-    /// consistent prefix.  A corrupt snapshot marker is deleted and ignored.
-    /// Only a missing or corrupt spec record is fatal.
+    /// consistent prefix.  Unusable checkpoint files are deleted and
+    /// skipped.  Only a missing or corrupt spec record is fatal.
     pub fn load(dir: impl AsRef<Path>) -> Result<LoadedJournal, JournalError> {
         let dir = dir.as_ref();
         let spec_bytes = fs::read(dir.join(SPEC_FILE))?;
-        let spec_scan = scan_records(&spec_bytes);
-        let spec_payload = match (&spec_scan.payloads[..], &spec_scan.corruption) {
-            ([payload], None) => payload,
-            _ => {
-                return Err(JournalError::Corrupt {
-                    detail: format!(
-                        "spec record unreadable: {}",
-                        spec_scan
-                            .corruption
-                            .as_deref()
-                            .unwrap_or("expected exactly one record")
-                    ),
-                })
-            }
-        };
-        let spec = decode_spec(spec_payload).map_err(|detail| JournalError::Corrupt {
-            detail: format!("spec record: {detail}"),
-        })?;
+        let spec = codec::unframe(&spec_bytes)
+            .map_err(|e| e.detail)
+            .and_then(decode_spec)
+            .map_err(|detail| JournalError::Corrupt {
+                detail: format!("spec record: {detail}"),
+            })?;
 
         let mut recovery = RecoveryReport::default();
         let mut events = Vec::new();
@@ -1126,47 +789,22 @@ impl DiskJournal {
             }
         }
 
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let snapshot = match fs::read(&snapshot_path) {
-            Err(_) => None,
-            Ok(bytes) => {
-                let scan = scan_records(&bytes);
-                let marker = match (&scan.payloads[..], &scan.corruption) {
-                    ([payload], None) => decode_snapshot(payload).ok(),
-                    _ => None,
-                };
-                // A marker that is unreadable, or that claims more events
-                // than the recovered prefix holds, is ignored: recovery
-                // falls back to full journal replay.
-                let usable = marker.filter(|m| m.events <= events.len());
-                if usable.is_none() {
-                    recovery.snapshot_ignored = true;
-                    fs::remove_file(&snapshot_path).ok();
-                }
-                usable
-            }
-        };
-
-        // Checkpoint payloads: the newest snapshot that reads back, decodes,
-        // covers no more events than the recovered prefix holds, and (when
-        // the marker speaks for it) matches the recorded digest becomes the
-        // replay base.  Anything else is deleted and counted, and recovery
-        // degrades to the next older snapshot — ultimately to full replay.
-        // The clean event prefix is untouched either way.
+        // Checkpoints: the newest one that covers no more events than the
+        // recovered prefix holds, decodes, and re-digests to the digest it
+        // carries becomes the replay base.  Anything else is deleted and
+        // counted, and recovery degrades to the next older checkpoint —
+        // ultimately to full replay.  The clean event prefix is untouched
+        // either way.
         let mut checkpoint = None;
         for covered in snapshot_files(dir)? {
             let path = dir.join(snapshot_name(covered));
-            let decoded = fs::read(&path)
+            let usable = fs::read(&path)
                 .ok()
-                .and_then(|bytes| TeamSession::from_snapshot_bytes(&bytes).ok());
-            let usable = decoded.filter(|team| {
-                covered as usize <= events.len()
-                    && snapshot.is_none_or(|m| {
-                        m.events != covered as usize || team_digest(team) == m.digest
-                    })
-            });
+                .filter(|_| covered as usize <= events.len())
+                .and_then(|bytes| decode_checkpoint(&bytes).ok())
+                .filter(|(team, digest)| team_digest(team) == *digest);
             match usable {
-                Some(team) => {
+                Some((team, _)) => {
                     checkpoint = Some((covered as usize, team));
                     break;
                 }
@@ -1180,7 +818,6 @@ impl DiskJournal {
         Ok(LoadedJournal {
             spec,
             events,
-            snapshot,
             checkpoint,
             recovery,
         })
@@ -1223,7 +860,7 @@ impl DiskJournal {
     /// Appends one event record, rolling the segment and applying the fsync
     /// policy as configured.
     pub fn append(&mut self, event: &TranscriptEvent) -> Result<(), JournalError> {
-        let record = frame_record(&encode_event(event));
+        let record = codec::frame(&encode_event(event));
         if self.active_len > 0
             && self.active_len + record.len() as u64 > self.config.segment_max_bytes
         {
@@ -1296,28 +933,22 @@ impl DiskJournal {
         self.syncs.load(Ordering::Relaxed)
     }
 
-    /// Persists a compaction checkpoint: the serialised session itself as
-    /// `snap-NNNNNN.gdrs`, then the `snapshot.gdrj` marker, each via
-    /// write-to-temp + atomic rename.  The payload lands first so a crash
-    /// between the two leaves a snapshot without a marker (still usable),
-    /// never a marker promising a payload that does not exist.  Older
-    /// payloads beyond [`SNAPSHOTS_KEPT`] are pruned.
-    pub fn record_snapshot(
+    /// Persists a compaction checkpoint covering the first `events`
+    /// transcript events: `team` and its `digest` as `snap-NNNNNN.gdrs`, via
+    /// write-to-temp + fsync + atomic rename.  Older checkpoints beyond
+    /// [`SNAPSHOTS_KEPT`] are pruned.
+    pub fn record_checkpoint(
         &mut self,
-        marker: SnapshotMarker,
+        events: usize,
         team: &TeamSession,
+        digest: u64,
     ) -> Result<(), JournalError> {
-        let name = snapshot_name(marker.events as u64);
+        let name = snapshot_name(events as u64);
         let tmp = self.dir.join(format!("{name}.tmp"));
         let mut file = File::create(&tmp)?;
-        team.write_snapshot(&mut file)?;
+        file.write_all(&encode_checkpoint(team, digest))?;
         file.sync_all()?;
         fs::rename(&tmp, self.dir.join(&name))?;
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let mut file = File::create(&tmp)?;
-        file.write_all(&frame_record(&encode_snapshot(marker)))?;
-        file.sync_all()?;
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         for &events in snapshot_files(&self.dir)?.iter().skip(SNAPSHOTS_KEPT) {
             fs::remove_file(self.dir.join(snapshot_name(events))).ok();
         }
@@ -1421,8 +1052,7 @@ mod tests {
     use super::fault::{FaultMode, FaultyWriter};
     use super::*;
     use gdr_core::fixture;
-    use gdr_core::strategy::Strategy;
-    use gdr_repair::Feedback;
+    use gdr_relation::Value;
     use std::io::Write;
 
     fn sample_events() -> Vec<TranscriptEvent> {
@@ -1485,12 +1115,21 @@ mod tests {
     fn every_event_round_trips_through_the_record_codec() {
         for event in sample_events() {
             let payload = encode_event(&event);
-            assert!(!payload.contains('\n'), "payload must be one line");
-            assert_eq!(decode_event(&payload).unwrap(), event, "via {payload}");
-            let framed = frame_record(&payload);
+            assert_eq!(decode_event(&payload).unwrap(), event, "via {payload:?}");
+            let framed = codec::frame(&payload);
             let scan = scan_records(&framed);
             assert!(scan.corruption.is_none());
-            assert_eq!(scan.payloads, vec![payload]);
+            assert_eq!(scan.payloads, vec![&payload[..]]);
+            // A payload cut short or extended is an error, not a panic.
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_event(&payload[..cut]).is_err(),
+                    "{event:?} cut {cut}"
+                );
+            }
+            let mut long = payload.clone();
+            long.push(0);
+            assert!(decode_event(&long).is_err());
         }
     }
 
@@ -1508,6 +1147,11 @@ mod tests {
             lease_ttl: 7,
         };
         let decoded = decode_spec(&encode_spec(&spec)).expect("decode spec");
+        assert_eq!(
+            encode_spec(&decoded),
+            encode_spec(&spec),
+            "re-encodes exactly"
+        );
         assert_eq!(decoded.team, spec.team);
         assert_eq!(decoded.dirty.name(), spec.dirty.name());
         assert_eq!(
@@ -1545,21 +1189,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_marker_round_trips() {
-        let marker = SnapshotMarker {
-            events: 42,
-            digest: 0xdead_beef_0bad_d00d,
-        };
-        assert_eq!(decode_snapshot(&encode_snapshot(marker)).unwrap(), marker);
-    }
-
-    #[test]
     fn scan_truncates_at_every_cut_and_flip() {
         let events = sample_events();
         let mut bytes = Vec::new();
         let mut boundaries = vec![0usize];
         for event in &events {
-            bytes.extend_from_slice(&frame_record(&encode_event(event)));
+            bytes.extend_from_slice(&codec::frame(&encode_event(event)));
             boundaries.push(bytes.len());
         }
         // Kill at every byte boundary: the valid prefix is exactly the
@@ -1594,7 +1229,7 @@ mod tests {
 
     #[test]
     fn faulty_writer_kills_and_tears_at_the_boundary() {
-        let record = frame_record(&encode_event(&TranscriptEvent::Pulled));
+        let record = codec::frame(&encode_event(&TranscriptEvent::Pulled));
         // Kill: nothing past the budget lands.
         for budget in 0..=record.len() {
             let mut writer = FaultyWriter::new(Vec::new(), budget, FaultMode::Kill);
@@ -1619,6 +1254,25 @@ mod tests {
         let scan = scan_records(&inner);
         assert!(scan.payloads.is_empty());
         assert!(scan.corruption.is_some());
+    }
+
+    #[test]
+    fn create_refuses_a_directory_that_holds_a_journal() {
+        let dir = std::env::temp_dir().join(format!("gdr-journal-exists-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (dirty, _, rules) = fixture::figure1_instance();
+        let spec = OpenSpec::new(dirty, rules);
+        let config = JournalConfig {
+            fsync: FsyncPolicy::Never,
+            ..JournalConfig::default()
+        };
+        drop(DiskJournal::create(&dir, &spec, config).expect("first create"));
+        let err = DiskJournal::create(&dir, &spec, config).expect_err("second create");
+        assert!(
+            matches!(&err, JournalError::Exists { dir: d } if *d == dir),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

@@ -139,13 +139,11 @@
 //! journal and compares engine digests before the snapshot is adopted; a
 //! divergence fails with a `journal` error and changes nothing.  In durable
 //! mode the adopted snapshot is also *persisted*: the session serialises
-//! through the versioned, checksummed state codec that runs through every
-//! layer (`gdr_relation::codec`'s `S1` framing, surfaced as
-//! [`gdr_core::team::TeamSession::to_snapshot_bytes`] /
-//! [`gdr_core::team::TeamSession::from_snapshot_bytes`]) into a
-//! `snap-NNNNNN.gdrs` checkpoint file, and a cold restart becomes *load the
-//! newest valid checkpoint, replay only the journal tail* instead of
-//! replaying the whole transcript.
+//! through the versioned state codec that runs through every layer
+//! ([`gdr_core::team::TeamSession::encode_state`], in `gdr_relation::codec`'s
+//! checksummed `S1` frame) into a `snap-NNNNNN.gdrs` checkpoint file, and a
+//! cold restart becomes *load the newest valid checkpoint, replay only the
+//! journal tail* instead of replaying the whole transcript.
 //!
 //! ## Durable session tier
 //!
@@ -153,16 +151,17 @@
 //! to disk under `root/<2-hex>/<escaped-id>/` — the two-hex-digit shard is
 //! a prefix of the id's FNV-1a 64 hash ([`journal::session_shard`]), so
 //! huge stores never pile thousands of directories into one listing — and
-//! survives process death.  Journals written by pre-sharding builds at the
-//! flat `root/<escaped-id>/` are still discovered, served, and
-//! duplicate-checked in place; no migration step exists or is needed.
+//! survives process death.
 //!
-//! * **Segment format** — `spec.gdrj` holds the framed build inputs (its
-//!   `create_new` creation is the atomic claim on a session id); events
-//!   append to `seg-NNNNNN.gdrj` segments rolled at
-//!   [`journal::JournalConfig::segment_max_bytes`].  Each record is one
-//!   line, `J1 <len> <fnv64-hex> <payload>`, where the payload is a line of
-//!   this crate's JSON codec and the checksum is FNV-1a 64 over it.
+//! * **Segment format** — every file is written in the `S1` frame of
+//!   `gdr_relation::codec`: `S1 <len> <fnv64-hex> ` followed by `len`
+//!   payload bytes, the checksum being FNV-1a 64 over the payload.
+//!   `spec.gdrj` holds one frame with the build inputs in the state codec
+//!   (its `create_new` creation is the atomic claim on a session id);
+//!   events append to `seg-NNNNNN.gdrj` segments of concatenated frames,
+//!   rolled at [`journal::JournalConfig::segment_max_bytes`], each payload
+//!   a one-byte event tag and its fields.  `examples/journal_dump.rs`
+//!   prints any journal directory as text.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (default),
 //!   `EveryN(n)`, `GroupCommit`, or `Never`; sealed segments are always
 //!   synced.  `GroupCommit` hands fsyncs to a background flusher: appends
@@ -180,15 +179,14 @@
 //!   from the last durable record; [`journal::RecoveryReport`] says what
 //!   was cut.
 //! * **Checkpointed recovery** — each compaction persists the serialised
-//!   session as `snap-NNNNNN.gdrs` (S1-framed, checksummed, written
-//!   tmp+fsync+rename *before* the `snapshot.gdrj` marker) and keeps the
-//!   newest two.  Recovery loads the newest checkpoint that decodes, is
-//!   covered by the surviving event prefix, and (when the marker vouches
-//!   for it) matches the marker digest — then replays only the journal
-//!   tail.  Damage degrades instead of failing: an unusable checkpoint is
-//!   deleted and counted in [`journal::RecoveryReport::snapshots_skipped`],
-//!   recovery falls back to the older checkpoint and finally to full
-//!   replay, and a marker that claims more events than survive is ignored.
+//!   session and its [`journal::team_digest`] in one frame as
+//!   `snap-NNNNNN.gdrs` (written tmp+fsync+rename) and keeps the newest
+//!   two.  Recovery loads the newest checkpoint that decodes, is covered by
+//!   the surviving event prefix, and re-digests to the digest it carries —
+//!   then replays only the journal tail.  Damage degrades instead of
+//!   failing: an unusable checkpoint is deleted and counted in
+//!   [`journal::RecoveryReport::snapshots_skipped`], and recovery falls
+//!   back to the older checkpoint and finally to full replay.
 //!   The journal remains the format of record; checkpoints only cut the
 //!   replay.  The fault-injection suite drives recovery from every
 //!   kill/torn-write prefix of a recorded session and requires

@@ -40,7 +40,7 @@
 //! A store created with [`SessionStore::durable`] additionally writes every
 //! journal to disk ([`crate::journal::DiskJournal`]): the spec at open,
 //! every event as it is applied (fsync'd per the configured policy), and a
-//! snapshot *marker* at each compaction.  Sessions rehydrate transparently
+//! checkpoint at each compaction.  Sessions rehydrate transparently
 //! on the next verb after a crash or an eviction — [`SessionStore::get`]
 //! falls back to the on-disk journal when the id is not live — and idle
 //! sessions are LRU-evicted from RAM once `max_live_sessions` is exceeded
@@ -84,12 +84,13 @@ use gdr_core::error::GdrError;
 use gdr_core::step::{GdrEngine, SessionBuilder, WorkId, WorkPlan};
 use gdr_core::strategy::Strategy;
 use gdr_core::team::{Resolution, TeamConfig, TeamPlan, TeamSession};
+use gdr_relation::codec::fnv1a64;
 use gdr_relation::{Table, Value};
 use gdr_repair::{Cell, Feedback};
 
 use crate::journal::{
-    fnv1a64, session_dir_name, session_shard, team_digest, DiskJournal, JournalConfig,
-    RecoveryReport, SnapshotMarker,
+    session_dir_name, session_shard, team_digest, DiskJournal, JournalConfig, JournalError,
+    RecoveryReport,
 };
 
 /// Number of independent session-map shards (a power of two, so routing is
@@ -500,15 +501,7 @@ impl SessionOptions {
             Some(dir) => Some(DiskJournal::create(dir, &spec, self.journal)?),
             None => None,
         };
-        let journal = SessionJournal::new(spec);
-        Ok(Session {
-            team: journal.spec.build(),
-            journal,
-            outstanding: false,
-            resolved_logged: 0,
-            config: self.journal,
-            disk,
-        })
+        Ok(Session::start(spec, self.journal, disk))
     }
 }
 
@@ -531,6 +524,20 @@ pub struct Session {
 }
 
 impl Session {
+    /// Builds the engine from `spec` and starts a session journaling to
+    /// `disk`, when given.
+    fn start(spec: OpenSpec, config: JournalConfig, disk: Option<DiskJournal>) -> Session {
+        let journal = SessionJournal::new(spec);
+        Session {
+            team: journal.spec.build(),
+            journal,
+            outstanding: false,
+            resolved_logged: 0,
+            config,
+            disk,
+        }
+    }
+
     /// Rebuilds a session from its on-disk journal: loads the spec, the
     /// recovered event prefix (truncating corrupt tails — see
     /// [`DiskJournal::load`]) and the newest valid checkpoint, then replays
@@ -571,15 +578,6 @@ impl Session {
                 (journal, team)
             }
         };
-        if let Some(marker) = loaded.snapshot {
-            // The marker is an integrity checkpoint, not a replay input: if
-            // it covers the whole recovered transcript, the rebuilt session
-            // must digest-match it.  A mismatch means the marker is from a
-            // diverged history — ignore it, full replay is authoritative.
-            if marker.events == journal.events_total() && team_digest(&team) != marker.digest {
-                recovery.snapshot_ignored = true;
-            }
-        }
         let resolved_logged = team.resolutions().len();
         Ok((
             Session {
@@ -821,9 +819,9 @@ impl Session {
 
     /// Compacts the journal: installs a clone of the live engine as the
     /// replay base, drops the absorbed tail from RAM, and (in durable mode)
-    /// persists the checkpoint on disk — the serialised session itself as a
-    /// `snap-NNNNNN.gdrs` payload plus the `snapshot.gdrj` marker — so a
-    /// cold restart loads the snapshot and replays only the journal tail.
+    /// persists the checkpoint on disk — the serialised session and its
+    /// digest as a `snap-NNNNNN.gdrs` file — so a cold restart loads the
+    /// checkpoint and replays only the journal tail.
     /// When [`JournalConfig::validate_compaction`] is set the snapshot is
     /// only adopted after a full replay of the current journal
     /// digest-matches the live engine — a divergence (which would make the
@@ -832,10 +830,9 @@ impl Session {
     pub fn compact(&mut self) -> Result<CompactionStats, GdrError> {
         let events = self.journal.events_total();
         let dropped = self.journal.tail.len();
+        let live = team_digest(&self.team);
         if self.config.validate_compaction {
-            let replayed = self.journal.replay()?;
-            let live = team_digest(&self.team);
-            let rebuilt = team_digest(&replayed);
+            let rebuilt = team_digest(&self.journal.replay()?);
             if rebuilt != live {
                 return Err(GdrError::Journal {
                     detail: format!(
@@ -847,13 +844,7 @@ impl Session {
         }
         self.journal.adopt_snapshot(self.team.clone());
         if let Some(disk) = &mut self.disk {
-            disk.record_snapshot(
-                SnapshotMarker {
-                    events,
-                    digest: team_digest(&self.team),
-                },
-                &self.team,
-            )?;
+            disk.record_checkpoint(events, &self.team, live)?;
         }
         Ok(CompactionStats {
             events,
@@ -915,9 +906,8 @@ impl From<GdrError> for StoreError {
 /// How a [`SessionStore`] persists and bounds its sessions.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Root directory; each new session gets
-    /// `root/<2-hex-shard>/<escaped-id>/` (the flat pre-sharding layout
-    /// `root/<escaped-id>/` is still discovered on load).
+    /// Root directory; each session's journal lives in
+    /// `root/<2-hex-shard>/<escaped-id>/`.
     pub root: PathBuf,
     /// Journal tunables applied to every session.
     pub journal: JournalConfig,
@@ -1079,29 +1069,17 @@ impl SessionStore {
         self.len() == 0
     }
 
-    /// Where a *new* session's journal is created: the sharded layout
-    /// `<root>/<2-hex fnv64 prefix>/<escaped id>/`.
+    /// Where `id`'s journal lives: `<root>/<2-hex fnv64 prefix>/<escaped
+    /// id>/`.
     fn session_dir(&self, id: &str) -> Option<PathBuf> {
         self.durability
             .as_ref()
             .map(|d| d.root.join(session_shard(id)).join(session_dir_name(id)))
     }
 
-    /// Where `id`'s journal already lives, if anywhere: the sharded layout
-    /// wins; the pre-sharding flat layout (`<root>/<escaped id>/`) is still
-    /// discovered, so stores written by older builds keep serving without a
-    /// migration step.
+    /// [`SessionStore::session_dir`], when a journal exists there.
     fn existing_session_dir(&self, id: &str) -> Option<PathBuf> {
-        let config = self.durability.as_ref()?;
-        let sharded = config
-            .root
-            .join(session_shard(id))
-            .join(session_dir_name(id));
-        if DiskJournal::exists(&sharded) {
-            return Some(sharded);
-        }
-        let flat = config.root.join(session_dir_name(id));
-        DiskJournal::exists(&flat).then_some(flat)
+        self.session_dir(id).filter(|dir| DiskJournal::exists(dir))
     }
 
     fn stamp(&self) -> u64 {
@@ -1137,15 +1115,20 @@ impl SessionStore {
         // behind an open.  In durable mode the journal directory is claimed
         // atomically first, so a racing open of the same id loses at the
         // filesystem.
-        let mut options = SessionOptions::new();
-        if let (Some(config), Some(dir)) = (&self.durability, self.session_dir(id)) {
-            options = options.journal(config.journal).durable(dir);
-        }
-        let session = Arc::new(Mutex::new(
-            options
-                .open(spec)
-                .map_err(|err| duplicate_or_journal(id, err))?,
-        ));
+        let (config, disk) = match (&self.durability, self.session_dir(id)) {
+            (Some(durability), Some(dir)) => {
+                let disk = match DiskJournal::create(dir, &spec, durability.journal) {
+                    Ok(disk) => disk,
+                    Err(JournalError::Exists { .. }) => {
+                        return Err(StoreError::DuplicateSession(id.to_string()))
+                    }
+                    Err(err) => return Err(StoreError::Gdr(err.into())),
+                };
+                (durability.journal, Some(disk))
+            }
+            _ => (JournalConfig::default(), None),
+        };
+        let session = Arc::new(Mutex::new(Session::start(spec, config, disk)));
         self.insert(id, session.clone())?;
         // Session drops (final journal sync) happen here, outside any lock.
         drop(self.evict_over_budget());
@@ -1259,18 +1242,6 @@ impl SessionStore {
         let session = self.get(id)?;
         let mut guard = lock_recovering(&session);
         f(&mut guard).map_err(StoreError::Gdr)
-    }
-}
-
-/// Maps the error of a lost open race (the journal directory was claimed
-/// between our pre-check and our create) onto `DuplicateSession`; anything
-/// else stays a journal error.
-fn duplicate_or_journal(id: &str, err: GdrError) -> StoreError {
-    match &err {
-        GdrError::Journal { detail } if detail.contains("already holds a journal") => {
-            StoreError::DuplicateSession(id.to_string())
-        }
-        _ => StoreError::Gdr(err),
     }
 }
 

@@ -14,12 +14,12 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-use common::{fingerprint, TempDir};
+use common::{fingerprint, record_ends, TempDir};
 use gdr_core::config::GdrConfig;
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::strategy::Strategy;
 use gdr_core::team::{ConflictPolicy, TeamConfig, TeamPlan};
-use gdr_serve::journal::{snapshot_name, FsyncPolicy, JournalConfig};
+use gdr_serve::journal::{snapshot_name, DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::store::{OpenSpec, Session, SessionOptions};
 
 fn journal_config() -> JournalConfig {
@@ -105,7 +105,7 @@ fn workload_events() -> usize {
 }
 
 /// The concatenated journal byte stream and the offset just past each
-/// record (payloads never contain newlines).
+/// record, from the framed lengths of the decoded events.
 fn stream_and_ends(dir: &Path) -> (Vec<u8>, Vec<usize>) {
     let mut stream = Vec::new();
     for index in 0u64.. {
@@ -115,12 +115,10 @@ fn stream_and_ends(dir: &Path) -> (Vec<u8>, Vec<usize>) {
         }
         stream.extend(fs::read(path).expect("read segment"));
     }
-    let ends = stream
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .map(|(i, _)| i + 1)
-        .collect();
+    let loaded = DiskJournal::load(dir).expect("load recording");
+    assert!(loaded.recovery.clean(), "{:?}", loaded.recovery);
+    let ends = record_ends(&loaded.events);
+    assert_eq!(ends.last().copied(), Some(stream.len()));
     (stream, ends)
 }
 
@@ -402,12 +400,11 @@ fn corrupt_checkpoints_degrade_without_losing_the_clean_prefix() {
 
 #[test]
 fn pre_checkpoint_era_journals_restore_unchanged() {
-    // A journal dir from before checkpoint payloads existed: segments and a
-    // `snapshot.gdrj` marker, but no `snap-*.gdrs` files.  Recovery must be
-    // a clean full replay — no skips, no complaints, identical state.
+    // A journal dir without checkpoints: the spec and segments, but no
+    // `snap-*.gdrs` files.  Recovery must be a clean full replay — no skips,
+    // no complaints, identical state.
     let rec = record_reference();
     let dir = trial_dir(rec.dir.path(), &rec.stream, rec.stream.len(), false);
-    assert!(dir.join("snapshot.gdrj").exists(), "marker must ride along");
     assert!(snapshot_files(dir.path()).is_empty());
 
     let (session, recovery) =

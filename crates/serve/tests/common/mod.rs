@@ -18,7 +18,9 @@ use gdr_core::fixture;
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::step::{GdrEngine, WorkPlan};
 use gdr_core::strategy::Strategy;
-use gdr_serve::store::{OpenSpec, Session};
+use gdr_relation::codec;
+use gdr_serve::journal::encode_event;
+use gdr_serve::store::{OpenSpec, Session, TranscriptEvent};
 
 /// A uniquely named directory under the system temp dir, removed on drop.
 pub struct TempDir {
@@ -57,6 +59,19 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.path);
     }
+}
+
+/// Byte offset just past each record of a segment stream that journals
+/// `events`: the running sum of the events' framed lengths.  Records are
+/// binary, so their boundaries come from the frames, not from a delimiter.
+pub fn record_ends(events: &[TranscriptEvent]) -> Vec<usize> {
+    events
+        .iter()
+        .scan(0, |end, event| {
+            *end += codec::frame(&encode_event(event)).len();
+            Some(*end)
+        })
+        .collect()
 }
 
 /// The Figure-1 spec under `GdrConfig::fast()`.

@@ -10,7 +10,7 @@ mod common;
 
 use std::fs;
 
-use common::{figure1_spec, fingerprint, TempDir};
+use common::{figure1_spec, fingerprint, record_ends, TempDir};
 use gdr_core::step::WorkPlan;
 use gdr_core::strategy::Strategy;
 use gdr_relation::Value;
@@ -116,14 +116,9 @@ fn every_event_kind_rehydrates_bit_identically_at_every_boundary() {
         .any(|e| matches!(e, TranscriptEvent::Skipped(_))));
     assert_eq!(events.last(), Some(&TranscriptEvent::Finished));
 
-    // Byte offset just past each record (payloads never contain newlines).
-    let record_ends: Vec<usize> = stream
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .map(|(i, _)| i + 1)
-        .collect();
-    assert_eq!(record_ends.len(), events.len());
+    // Byte offset just past each record, from the events' framed lengths.
+    let record_ends = record_ends(&events);
+    assert_eq!(record_ends.last().copied(), Some(stream.len()));
 
     for boundary in 0..=events.len() {
         let cut = if boundary == 0 {

@@ -2,7 +2,7 @@
 //!
 //! The harness records one durable reference session (Figure 1, ground-truth
 //! oracle, small segments so the journal spans several files, aggressive
-//! auto-compaction so snapshot markers are exercised), then attacks its byte
+//! auto-compaction so checkpoints are exercised), then attacks its byte
 //! stream:
 //!
 //! 1. a process **kill or torn write at every byte boundary** — produced by
@@ -25,7 +25,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{drive_one, figure1_spec, fingerprint, TempDir};
+use common::{drive_one, figure1_spec, fingerprint, record_ends, TempDir};
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy as GdrStrategy;
 use gdr_serve::journal::fault::{FaultMode, FaultyWriter};
@@ -59,8 +59,8 @@ fn journal_config() -> JournalConfig {
         fsync: FsyncPolicy::Never,
         // Small segments so the reference journal spans several files.
         segment_max_bytes: 200,
-        // Aggressive auto-compaction so snapshot markers are recorded and
-        // must be ignored/validated on recovery.
+        // Aggressive auto-compaction so checkpoints are recorded and must
+        // be ignored/validated on recovery.
         compact_every: 5,
         validate_compaction: true,
     }
@@ -93,14 +93,6 @@ fn reference() -> &'static Reference {
             segments.push(fs::read(path).expect("read segment"));
         }
         let stream: Vec<u8> = segments.concat();
-        // Payloads never contain raw newlines, so record boundaries are
-        // exactly the newline positions.
-        let record_ends: Vec<usize> = stream
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .map(|(i, _)| i + 1)
-            .collect();
 
         let loaded = DiskJournal::load(dir.path()).expect("load reference");
         assert!(
@@ -108,10 +100,11 @@ fn reference() -> &'static Reference {
             "reference journal must load clean: {:?}",
             loaded.recovery
         );
+        let record_ends = record_ends(&loaded.events);
         assert_eq!(
-            loaded.events.len(),
-            record_ends.len(),
-            "one record per event"
+            record_ends.last().copied(),
+            Some(stream.len()),
+            "one record per event, and nothing else in the segments"
         );
         assert!(
             segments.len() >= 2,
@@ -119,8 +112,8 @@ fn reference() -> &'static Reference {
             segments.len()
         );
         assert!(
-            loaded.snapshot.is_some(),
-            "auto-compaction must have recorded a snapshot marker"
+            loaded.checkpoint.is_some(),
+            "auto-compaction must have recorded a checkpoint"
         );
 
         Reference {
@@ -309,8 +302,7 @@ fn early_segment_corruption_drops_later_segments_and_repair_is_idempotent() {
         "recovered events must be a clean prefix"
     );
 
-    // The repair was persisted: loading again finds nothing to fix (the
-    // stale snapshot marker was discarded along with the truncated tail).
+    // The repair was persisted: loading again finds nothing to fix.
     let again = DiskJournal::load(dir.path()).expect("reload");
     assert!(
         again.recovery.clean(),

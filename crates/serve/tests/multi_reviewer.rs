@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 
-use common::{figure1_spec, fingerprint, TempDir};
+use common::{figure1_spec, fingerprint, record_ends, TempDir};
 use gdr_core::fixture;
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::step::{GdrEngine, WorkPlan};
@@ -773,14 +773,9 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
     }
     assert_eq!(events.last(), Some(&TranscriptEvent::Finished));
 
-    // Byte offset just past each record (payloads never contain newlines).
-    let record_ends: Vec<usize> = stream
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .map(|(i, _)| i + 1)
-        .collect();
-    assert_eq!(record_ends.len(), events.len());
+    // Byte offset just past each record, from the events' framed lengths.
+    let record_ends = record_ends(&events);
+    assert_eq!(record_ends.last().copied(), Some(stream.len()));
 
     for boundary in 0..=events.len() {
         let cut = if boundary == 0 {

@@ -1,27 +1,18 @@
-//! Journal-root sharding: new durable sessions live under
+//! Journal-root sharding: durable sessions live under
 //! `<root>/<2-hex-hash-prefix>/<escaped-id>/` so huge stores never pile
-//! thousands of directories into one listing — while journals written by
-//! pre-sharding builds (flat `<root>/<escaped-id>/`) keep being discovered,
-//! served, duplicate-checked, and removed without any migration step.
+//! thousands of directories into one listing, and a journal found there is
+//! *the* session under its id: it is rehydrated, duplicate-checked, and
+//! removed in place.
 
 mod common;
 
-use common::{drive_one, figure1_spec, fingerprint, TempDir};
-use gdr_core::oracle::GroundTruthOracle;
+use common::{figure1_spec, TempDir};
 use gdr_core::strategy::Strategy;
 use gdr_serve::journal::{session_dir_name, session_shard, DiskJournal};
-use gdr_serve::store::{DurabilityConfig, SessionOptions, SessionStore, StoreError};
+use gdr_serve::store::{DurabilityConfig, SessionStore, StoreError};
 
 fn durable_store(root: &TempDir) -> SessionStore {
     SessionStore::durable(DurabilityConfig::new(root.path())).expect("durable store")
-}
-
-fn oracle() -> GroundTruthOracle {
-    GroundTruthOracle::new(
-        figure1_spec(Strategy::GdrNoLearning, true)
-            .ground_truth
-            .expect("truth"),
-    )
 }
 
 #[test]
@@ -65,49 +56,6 @@ fn new_sessions_land_in_their_hash_shard() {
 }
 
 #[test]
-fn flat_pre_sharding_journals_keep_working() {
-    let root = TempDir::new("shard-flat");
-    let oracle = oracle();
-
-    // A journal laid out the way pre-sharding builds wrote it: directly
-    // under the root, no shard prefix.
-    let flat_dir = root.path().join(session_dir_name("legacy"));
-    let mut recorded = SessionOptions::new()
-        .durable(&flat_dir)
-        .open(figure1_spec(Strategy::GdrNoLearning, true))
-        .expect("open flat");
-    for _ in 0..3 {
-        assert!(drive_one(&mut recorded, &oracle));
-    }
-    let recorded_fp = fingerprint(recorded.engine());
-    drop(recorded);
-
-    // The sharded store discovers the flat journal: it is *the* session
-    // under its id — lookups rehydrate it and duplicate opens are refused.
-    let store = durable_store(&root);
-    assert!(matches!(
-        store.open("legacy", figure1_spec(Strategy::GdrNoLearning, true)),
-        Err(StoreError::DuplicateSession(_))
-    ));
-    store
-        .with_session("legacy", |s| {
-            assert_eq!(s.disk_dir(), Some(flat_dir.as_path()));
-            assert_eq!(fingerprint(s.engine()), recorded_fp);
-            // It keeps journaling in place: drive it to completion.
-            while drive_one(s, &oracle) {}
-            s.finish()?;
-            Ok(())
-        })
-        .expect("drive legacy");
-
-    // `remove` deletes whichever layout holds the journal.
-    assert!(store.remove("legacy"));
-    assert!(!flat_dir.exists(), "flat journal not removed");
-    assert!(store.get("legacy").is_err());
-    assert!(!store.remove("legacy"));
-}
-
-#[test]
 fn sharded_and_flat_duplicate_checks_cover_both_layouts() {
     let root = TempDir::new("shard-dup");
 
@@ -135,4 +83,32 @@ fn sharded_and_flat_duplicate_checks_cover_both_layouts() {
             .open("kept", figure1_spec(Strategy::GdrNoLearning, true))
             .expect("re-open after remove"),
     );
+}
+
+#[test]
+fn racing_opens_of_one_id_yield_one_session_and_duplicates() {
+    let root = TempDir::new("shard-race");
+    let store = durable_store(&root);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    store
+                        .open("contested", figure1_spec(Strategy::GdrNoLearning, true))
+                        .map(drop)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("open thread"))
+            .collect()
+    });
+    assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 1);
+    for outcome in outcomes.iter().filter(|o| o.is_err()) {
+        assert!(
+            matches!(outcome, Err(StoreError::DuplicateSession(id)) if id == "contested"),
+            "{outcome:?}"
+        );
+    }
 }

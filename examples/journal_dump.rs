@@ -1,0 +1,142 @@
+//! Print a durable session's on-disk journal as text.
+//!
+//! ```text
+//! cargo run --example journal_dump -- <session-dir>
+//! ```
+//!
+//! A session directory holds `spec.gdrj` (the build inputs),
+//! `seg-NNNNNN.gdrj` event segments and `snap-NNNNNN.gdrs` checkpoints, all
+//! binary `S1` frames.  This prints the spec summary, every event with its
+//! index, every checkpoint with the events it covers and its digest, and
+//! any corruption found on the way.  It only reads: it scans and decodes
+//! the files itself instead of calling `DiskJournal::load`, which truncates
+//! corrupt tails on disk.
+
+use std::fs;
+use std::path::Path;
+use std::process::ExitCode;
+
+use gdr_relation::codec;
+use gdr_serve::journal::{decode_checkpoint, decode_event, decode_spec, scan_records, team_digest};
+
+/// The numbered files `<prefix>NNNNNN<suffix>` in `dir`, by number.
+fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Vec<(u64, String)> {
+    let mut files: Vec<(u64, String)> = fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let number = name
+                .strip_prefix(prefix)?
+                .strip_suffix(suffix)?
+                .parse()
+                .ok()?;
+            Some((number, name))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn dump_spec(dir: &Path) {
+    let spec = fs::read(dir.join("spec.gdrj"))
+        .map_err(|e| e.to_string())
+        .and_then(|bytes| decode_spec(codec::unframe(&bytes).map_err(|e| e.detail)?));
+    match spec {
+        Ok(spec) => {
+            println!(
+                "spec: table `{}`, {} rows x {} columns, {} rules, strategy {:?}",
+                spec.dirty.name(),
+                spec.dirty.len(),
+                spec.dirty.schema().arity(),
+                spec.rules.len(),
+                spec.strategy
+            );
+            println!(
+                "      seed {}, team {:?}, ground truth {}",
+                spec.config.seed,
+                spec.team,
+                if spec.ground_truth.is_some() {
+                    "yes"
+                } else {
+                    "no"
+                }
+            );
+        }
+        Err(detail) => println!("spec: UNREADABLE: {detail}"),
+    }
+}
+
+/// Prints every event of every segment, numbering them across segments.
+/// Stops where recovery would: at the first corrupt record.
+fn dump_events(dir: &Path) {
+    let mut index = 0usize;
+    let mut corrupt = false;
+    for (_, name) in numbered_files(dir, "seg-", ".gdrj") {
+        if corrupt {
+            println!("{name}: follows a corrupt record; recovery would drop it");
+            continue;
+        }
+        let bytes = match fs::read(dir.join(&name)) {
+            Ok(bytes) => bytes,
+            Err(err) => {
+                println!("{name}: UNREADABLE: {err}");
+                corrupt = true;
+                continue;
+            }
+        };
+        let scan = scan_records(&bytes);
+        println!(
+            "{name}: {} records, {} bytes",
+            scan.payloads.len(),
+            bytes.len()
+        );
+        for payload in &scan.payloads {
+            match decode_event(payload) {
+                Ok(event) => println!("  {index:>6}  {event:?}"),
+                Err(detail) => println!("  {index:>6}  UNDECODABLE: {detail}"),
+            }
+            index += 1;
+        }
+        if let Some(detail) = scan.corruption {
+            println!(
+                "  CORRUPTION: {detail}; recovery would cut {} bytes",
+                bytes.len() - scan.valid_len
+            );
+            corrupt = true;
+        }
+    }
+    println!("{index} events in the valid prefix");
+}
+
+fn dump_checkpoints(dir: &Path) {
+    for (covered, name) in numbered_files(dir, "snap-", ".gdrs") {
+        let decoded = fs::read(dir.join(&name))
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| decode_checkpoint(&bytes));
+        match decoded {
+            Ok((team, digest)) => {
+                let verdict = if team_digest(&team) == digest {
+                    "matches its session"
+                } else {
+                    "MISMATCH: recovery would skip it"
+                };
+                println!("{name}: covers {covered} events, digest {digest:016x} ({verdict})");
+            }
+            Err(detail) => println!("{name}: covers {covered} events, UNREADABLE: {detail}"),
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let Some(dir) = std::env::args_os().nth(1) else {
+        eprintln!("usage: journal_dump <session-dir>");
+        return ExitCode::from(2);
+    };
+    let dir = Path::new(&dir);
+    dump_spec(dir);
+    dump_events(dir);
+    dump_checkpoints(dir);
+    ExitCode::SUCCESS
+}
