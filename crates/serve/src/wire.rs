@@ -1512,226 +1512,389 @@ fn decode_response_json(json: &Json) -> Result<Response, String> {
 mod tests {
     use super::*;
 
-    fn request_round_trip(request: Request) {
-        let line = encode_request(&request);
-        assert!(!line.contains('\n'), "one line: {line}");
-        assert_eq!(decode_request(&line).unwrap(), request, "via {line}");
+    /// The maximal `u64`, as the wire carries it: a decimal string.
+    const MAX: &str = "\"18446744073709551615\"";
+
+    /// Encodes `request` without a `seq`, pins the exact line, and decodes
+    /// it back.
+    fn request_round_trip(request: Request, expected: &str) {
+        let line = encode_request_frame(&request, None);
+        assert_eq!(line, expected);
+        assert_eq!(
+            decode_request_frame(&line),
+            (None, Ok(request)),
+            "via {line}"
+        );
     }
 
-    fn response_round_trip(response: Response) {
-        let line = encode_response(&response);
-        assert!(!line.contains('\n'), "one line: {line}");
-        assert_eq!(decode_response(&line).unwrap(), response, "via {line}");
+    /// Encodes `response` without a `seq`, pins the exact line, and decodes
+    /// it back.
+    fn response_round_trip(response: Response, expected: &str) {
+        let line = encode_response_frame(&response, None);
+        assert_eq!(line, expected);
+        assert_eq!(
+            decode_response_frame(&line),
+            Ok((None, response)),
+            "via {line}"
+        );
+    }
+
+    /// The `bad_request` detail a malformed request line decodes to.
+    fn request_error(line: &str) -> String {
+        match decode_request_frame(line).1 {
+            Ok(request) => panic!("`{line}` decoded to {request:?}"),
+            Err(detail) => detail,
+        }
+    }
+
+    /// The error a malformed response line decodes to.
+    fn response_error(line: &str) -> String {
+        match decode_response_frame(line) {
+            Ok(response) => panic!("`{line}` decoded to {response:?}"),
+            Err(detail) => detail,
+        }
+    }
+
+    fn open(strategy: Strategy, policy: Option<ConflictPolicy>) -> Request {
+        Request::Open {
+            session: "s".into(),
+            table_csv: "A\n1\n".into(),
+            rules: String::new(),
+            strategy,
+            seed: None,
+            ground_truth_csv: None,
+            policy,
+            lease_ttl: None,
+        }
+    }
+
+    /// The string member `key` of an encoded frame.
+    fn member(line: &str, key: &str) -> String {
+        Json::parse(line)
+            .unwrap()
+            .get(key)
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
     }
 
     #[test]
     fn u64_extremes_round_trip_without_wrapping() {
         // The upper half of the u64 range rides as a decimal string.
-        request_round_trip(Request::Open {
-            session: "s".into(),
-            table_csv: "A\n1\n".into(),
-            rules: String::new(),
-            strategy: Strategy::Gdr,
-            seed: Some(u64::MAX),
-            ground_truth_csv: None,
-            policy: None,
-            lease_ttl: Some(u64::MAX),
-        });
-        request_round_trip(Request::Answer {
-            session: "s".into(),
-            id: u64::MAX,
-            feedback: Feedback::Confirm,
-        });
-        response_round_trip(Response::Error(WireError::StaleWork {
-            got: u64::MAX,
-            outstanding: 7,
-        }));
-        // The string form is strict: signs and garbage still fail.
-        assert!(
-            decode_request(r#"{"op":"answer","session":"s","id":"-1","feedback":"confirm"}"#)
-                .is_err()
+        request_round_trip(
+            Request::Open {
+                session: "s".into(),
+                table_csv: "A\n1\n".into(),
+                rules: String::new(),
+                strategy: Strategy::Gdr,
+                seed: Some(u64::MAX),
+                ground_truth_csv: None,
+                policy: None,
+                lease_ttl: Some(u64::MAX),
+            },
+            &format!(
+                r#"{{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","seed":{MAX},"lease_ttl":{MAX}}}"#
+            ),
         );
-        assert!(decode_request(
-            r#"{"op":"answer","session":"s","id":"seven","feedback":"confirm"}"#
-        )
-        .is_err());
+        request_round_trip(
+            Request::Answer {
+                session: "s".into(),
+                id: u64::MAX,
+                feedback: Feedback::Confirm,
+            },
+            &format!(r#"{{"op":"answer","session":"s","id":{MAX},"feedback":"confirm"}}"#),
+        );
+        response_round_trip(
+            Response::Error(WireError::StaleWork {
+                got: u64::MAX,
+                outstanding: 7,
+            }),
+            &format!(r#"{{"err":"stale_work","got":{MAX},"outstanding":7}}"#),
+        );
+        // `i64::MAX` is the last value written as a number.
+        response_round_trip(
+            Response::Error(WireError::StaleWork {
+                got: i64::MAX as u64,
+                outstanding: i64::MAX as u64 + 1,
+            }),
+            r#"{"err":"stale_work","got":9223372036854775807,"outstanding":"9223372036854775808"}"#,
+        );
+        // The string form is strict: signs and garbage still fail.
+        for bad in [r#""-1""#, r#""seven""#, r#""""#, "1.5", "null"] {
+            assert_eq!(
+                request_error(&format!(
+                    r#"{{"op":"answer","session":"s","id":{bad},"feedback":"confirm"}}"#
+                )),
+                "field `id` must be a non-negative integer",
+                "id {bad}"
+            );
+        }
     }
 
     #[test]
     fn every_request_round_trips() {
-        request_round_trip(Request::Open {
-            session: "s-1".into(),
-            table_csv: "A,B\n\"Fort, Wayne\",\"say \"\"hi\"\"\"\n".into(),
-            rules: "ZIP -> CT : 46360 || Michigan City\n".into(),
-            strategy: Strategy::GdrNoLearning,
-            seed: Some(42),
-            ground_truth_csv: Some("A,B\nx,y\n".into()),
-            policy: Some(ConflictPolicy::Majority { k: 3 }),
-            lease_ttl: Some(16),
-        });
-        request_round_trip(Request::Open {
-            session: "s".into(),
-            table_csv: "A\n1\n".into(),
-            rules: String::new(),
-            strategy: Strategy::ActiveLearningOnly,
-            seed: None,
-            ground_truth_csv: None,
-            policy: None,
-            lease_ttl: None,
-        });
-        request_round_trip(Request::Next {
-            session: "s".into(),
-        });
-        request_round_trip(Request::Answer {
-            session: "s".into(),
-            id: 7,
-            feedback: Feedback::Retain,
-        });
-        request_round_trip(Request::Supply {
-            session: "s".into(),
-            tuple: 3,
-            attr: 1,
-            value: Value::from("  whitespace preserved  "),
-        });
-        request_round_trip(Request::Supply {
-            session: "s".into(),
-            tuple: 0,
-            attr: 0,
-            value: Value::Null,
-        });
-        request_round_trip(Request::Supply {
-            session: "s".into(),
-            tuple: 0,
-            attr: 0,
-            value: Value::Int(-3),
-        });
-        request_round_trip(Request::Skip {
-            session: "s".into(),
-            tuple: 2,
-            attr: 5,
-        });
-        request_round_trip(Request::Finish {
-            session: "s".into(),
-        });
-        request_round_trip(Request::Report {
-            session: "s".into(),
-        });
-        request_round_trip(Request::Restore {
-            session: "s".into(),
-        });
-        request_round_trip(Request::Compact {
-            session: "s".into(),
-        });
+        request_round_trip(
+            Request::Open {
+                session: "s-1".into(),
+                table_csv: "A,B\n\"Fort, Wayne\",\"say \"\"hi\"\"\"\n".into(),
+                rules: "ZIP -> CT : 46360 || Michigan City\n".into(),
+                strategy: Strategy::GdrNoLearning,
+                seed: Some(42),
+                ground_truth_csv: Some("A,B\nx,y\n".into()),
+                policy: Some(ConflictPolicy::Majority { k: 3 }),
+                lease_ttl: Some(16),
+            },
+            r#"{"op":"open","session":"s-1","table_csv":"A,B\n\"Fort, Wayne\",\"say \"\"hi\"\"\"\n","rules":"ZIP -> CT : 46360 || Michigan City\n","strategy":"gdr_no_learning","seed":42,"ground_truth_csv":"A,B\nx,y\n","policy":"majority-3","lease_ttl":16}"#,
+        );
+        // Absent optionals are omitted, not written as `null`.
+        request_round_trip(
+            open(Strategy::ActiveLearningOnly, None),
+            r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"active_learning"}"#,
+        );
+        request_round_trip(
+            Request::Next {
+                session: "s".into(),
+            },
+            r#"{"op":"next","session":"s"}"#,
+        );
+        request_round_trip(
+            Request::Answer {
+                session: "s".into(),
+                id: 7,
+                feedback: Feedback::Retain,
+            },
+            r#"{"op":"answer","session":"s","id":7,"feedback":"retain"}"#,
+        );
+        request_round_trip(
+            Request::Supply {
+                session: "s".into(),
+                tuple: 3,
+                attr: 1,
+                value: Value::from("  whitespace preserved  "),
+            },
+            r#"{"op":"supply","session":"s","tuple":3,"attr":1,"value":"  whitespace preserved  "}"#,
+        );
+        request_round_trip(
+            Request::Supply {
+                session: "s".into(),
+                tuple: 0,
+                attr: 0,
+                value: Value::Null,
+            },
+            r#"{"op":"supply","session":"s","tuple":0,"attr":0,"value":null}"#,
+        );
+        request_round_trip(
+            Request::Supply {
+                session: "s".into(),
+                tuple: 0,
+                attr: 0,
+                value: Value::Int(-3),
+            },
+            r#"{"op":"supply","session":"s","tuple":0,"attr":0,"value":-3}"#,
+        );
+        request_round_trip(
+            Request::Skip {
+                session: "s".into(),
+                tuple: 2,
+                attr: 5,
+            },
+            r#"{"op":"skip","session":"s","tuple":2,"attr":5}"#,
+        );
+        request_round_trip(
+            Request::Finish {
+                session: "s".into(),
+            },
+            r#"{"op":"finish","session":"s"}"#,
+        );
+        request_round_trip(
+            Request::Report {
+                session: "s".into(),
+            },
+            r#"{"op":"report","session":"s"}"#,
+        );
+        request_round_trip(
+            Request::Restore {
+                session: "s".into(),
+            },
+            r#"{"op":"restore","session":"s"}"#,
+        );
+        request_round_trip(
+            Request::Compact {
+                session: "s".into(),
+            },
+            r#"{"op":"compact","session":"s"}"#,
+        );
     }
 
     #[test]
     fn every_response_round_trips() {
-        response_round_trip(Response::Opened {
-            session: "s".into(),
-            dirty_tuples: 4,
-        });
-        response_round_trip(Response::Ask {
-            id: 9,
-            tuple: 3,
-            attr: 1,
-            current: Value::from("Michigan Cty"),
-            value: Value::from("Michigan City"),
-            score: 0.25,
-            uncertainty: 1.0,
-            group: Some(WireGroup {
+        response_round_trip(
+            Response::Opened {
+                session: "s".into(),
+                dirty_tuples: 4,
+            },
+            r#"{"ok":"opened","session":"s","dirty_tuples":4}"#,
+        );
+        response_round_trip(
+            Response::Ask {
+                id: 9,
+                tuple: 3,
                 attr: 1,
+                current: Value::from("Michigan Cty"),
                 value: Value::from("Michigan City"),
-                benefit: 0.0625,
-                size: 3,
-                quota: 2,
-                asked: 1,
-            }),
-        });
-        response_round_trip(Response::Ask {
-            id: 1,
-            tuple: 0,
-            attr: 0,
-            current: Value::Null,
-            value: Value::Int(46360),
-            score: 1.0,
-            uncertainty: 0.5,
-            group: None,
-        });
-        response_round_trip(Response::NeedValue {
-            tuple: 6,
-            attr: 2,
-            current: Value::from("Colfax"),
-        });
-        for reason in [
-            DoneReason::Exhausted,
-            DoneReason::Stalled,
-            DoneReason::AutomaticComplete,
-            DoneReason::Finished,
+                score: 0.25,
+                uncertainty: 1.0,
+                group: Some(WireGroup {
+                    attr: 1,
+                    value: Value::from("Michigan City"),
+                    benefit: 0.0625,
+                    size: 3,
+                    quota: 2,
+                    asked: 1,
+                }),
+            },
+            r#"{"ok":"ask","id":9,"tuple":3,"attr":1,"current":"Michigan Cty","value":"Michigan City","score":0.25,"uncertainty":1.0,"group":{"attr":1,"value":"Michigan City","benefit":0.0625,"size":3,"quota":2,"asked":1}}"#,
+        );
+        response_round_trip(
+            Response::Ask {
+                id: 1,
+                tuple: 0,
+                attr: 0,
+                current: Value::Null,
+                value: Value::Int(46360),
+                score: 1.0,
+                uncertainty: 0.5,
+                group: None,
+            },
+            r#"{"ok":"ask","id":1,"tuple":0,"attr":0,"current":null,"value":46360,"score":1.0,"uncertainty":0.5}"#,
+        );
+        response_round_trip(
+            Response::NeedValue {
+                tuple: 6,
+                attr: 2,
+                current: Value::from("Colfax"),
+            },
+            r#"{"ok":"need_value","tuple":6,"attr":2,"current":"Colfax"}"#,
+        );
+        for (reason, token) in [
+            (DoneReason::Exhausted, "exhausted"),
+            (DoneReason::Stalled, "stalled"),
+            (DoneReason::AutomaticComplete, "automatic_complete"),
+            (DoneReason::Finished, "finished"),
         ] {
-            response_round_trip(Response::Done { reason });
+            response_round_trip(
+                Response::Done { reason },
+                &format!(r#"{{"ok":"done","reason":"{token}"}}"#),
+            );
         }
-        response_round_trip(Response::Answered { verifications: 11 });
-        response_round_trip(Response::Supplied { verifications: 12 });
-        response_round_trip(Response::Skipped);
-        response_round_trip(Response::Report {
-            verifications: 11,
-            learner_decisions: 2,
-            dirty_tuples: 0,
-            eval: Some(WireEval {
-                initial_loss: 0.359375,
-                final_loss: 0.0,
-                improvement_pct: 100.0,
-                precision: 1.0,
-                recall: 0.875,
-            }),
-        });
-        response_round_trip(Response::Report {
-            verifications: 0,
-            learner_decisions: 0,
-            dirty_tuples: 3,
-            eval: None,
-        });
-        response_round_trip(Response::Restored { replayed: 17 });
-        response_round_trip(Response::Compacted {
-            events: 64,
-            tail: 3,
-        });
+        response_round_trip(
+            Response::Answered { verifications: 11 },
+            r#"{"ok":"answered","verifications":11}"#,
+        );
+        response_round_trip(
+            Response::Supplied { verifications: 12 },
+            r#"{"ok":"supplied","verifications":12}"#,
+        );
+        response_round_trip(Response::Skipped, r#"{"ok":"skipped"}"#);
+        response_round_trip(
+            Response::Report {
+                verifications: 11,
+                learner_decisions: 2,
+                dirty_tuples: 0,
+                eval: Some(WireEval {
+                    initial_loss: 0.359375,
+                    final_loss: 0.0,
+                    improvement_pct: 100.0,
+                    precision: 1.0,
+                    recall: 0.875,
+                }),
+            },
+            r#"{"ok":"report","verifications":11,"learner_decisions":2,"dirty_tuples":0,"eval":{"initial_loss":0.359375,"final_loss":0.0,"improvement_pct":100.0,"precision":1.0,"recall":0.875}}"#,
+        );
+        response_round_trip(
+            Response::Report {
+                verifications: 0,
+                learner_decisions: 0,
+                dirty_tuples: 3,
+                eval: None,
+            },
+            r#"{"ok":"report","verifications":0,"learner_decisions":0,"dirty_tuples":3}"#,
+        );
+        response_round_trip(
+            Response::Restored { replayed: 17 },
+            r#"{"ok":"restored","replayed":17}"#,
+        );
+        response_round_trip(
+            Response::Compacted {
+                events: 64,
+                tail: 3,
+            },
+            r#"{"ok":"compacted","events":64,"tail":3}"#,
+        );
     }
 
     #[test]
     fn every_error_reply_round_trips() {
-        response_round_trip(Response::Error(WireError::StaleWork {
-            got: 8,
-            outstanding: 7,
-        }));
-        response_round_trip(Response::Error(WireError::WorkMismatch {
-            verb: "supply_value".into(),
-            got: WireTarget::Value(3, 1),
-            outstanding: WireTarget::Ask(7),
-        }));
-        response_round_trip(Response::Error(WireError::WorkMismatch {
-            verb: "answer".into(),
-            got: WireTarget::Ask(7),
-            outstanding: WireTarget::Value(2, 0),
-        }));
-        response_round_trip(Response::Error(WireError::NoOutstandingWork {
-            verb: "answer".into(),
-        }));
-        response_round_trip(Response::Error(WireError::UnknownSession {
-            session: "ghost".into(),
-        }));
-        response_round_trip(Response::Error(WireError::DuplicateSession {
-            session: "dup".into(),
-        }));
-        response_round_trip(Response::Error(WireError::BadRequest {
-            detail: "unknown op `frob`".into(),
-        }));
-        response_round_trip(Response::Error(WireError::Engine {
-            detail: "unknown rule id 9".into(),
-        }));
-        response_round_trip(Response::Error(WireError::Journal {
-            detail: "fsync of seg-000002.gdrj failed".into(),
-        }));
+        response_round_trip(
+            Response::Error(WireError::StaleWork {
+                got: 8,
+                outstanding: 7,
+            }),
+            r#"{"err":"stale_work","got":8,"outstanding":7}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::WorkMismatch {
+                verb: "supply_value".into(),
+                got: WireTarget::Value(3, 1),
+                outstanding: WireTarget::Ask(7),
+            }),
+            r#"{"err":"work_mismatch","verb":"supply_value","got":{"kind":"value","tuple":3,"attr":1},"outstanding":{"kind":"ask","id":7}}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::WorkMismatch {
+                verb: "answer".into(),
+                got: WireTarget::Ask(7),
+                outstanding: WireTarget::Value(2, 0),
+            }),
+            r#"{"err":"work_mismatch","verb":"answer","got":{"kind":"ask","id":7},"outstanding":{"kind":"value","tuple":2,"attr":0}}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::NoOutstandingWork {
+                verb: "answer".into(),
+            }),
+            r#"{"err":"no_outstanding_work","verb":"answer"}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::UnknownSession {
+                session: "ghost".into(),
+            }),
+            r#"{"err":"unknown_session","session":"ghost"}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::DuplicateSession {
+                session: "dup".into(),
+            }),
+            r#"{"err":"duplicate_session","session":"dup"}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::BadRequest {
+                detail: "unknown op `frob`".into(),
+            }),
+            r#"{"err":"bad_request","detail":"unknown op `frob`"}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::Engine {
+                detail: "unknown rule id 9".into(),
+            }),
+            r#"{"err":"engine","detail":"unknown rule id 9"}"#,
+        );
+        response_round_trip(
+            Response::Error(WireError::Journal {
+                detail: "fsync of seg-000002.gdrj failed".into(),
+            }),
+            r#"{"err":"journal","detail":"fsync of seg-000002.gdrj failed"}"#,
+        );
         // The durability variant also rides the `GdrError` mapping.
         let err: WireError = GdrError::Journal {
             detail: "disk full".into(),
@@ -1778,157 +1941,374 @@ mod tests {
 
     #[test]
     fn malformed_requests_decode_to_errors() {
-        for bad in [
-            "",
-            "{}",
-            "not json",
-            r#"{"op":"frob","session":"s"}"#,
-            r#"{"op":"answer","session":"s"}"#,
-            r#"{"op":"answer","session":"s","id":-1,"feedback":"confirm"}"#,
-            r#"{"op":"answer","session":"s","id":1,"feedback":"maybe"}"#,
-            r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"nope"}"#,
-            r#"{"op":"supply","session":"s","tuple":0,"attr":0,"value":[1]}"#,
-            r#"{"op":"next"}"#,
+        // Each line has exactly one fault, so its detail is the same
+        // whatever order a decoder checks the members in.
+        for (bad, detail) in [
+            ("", "JSON error at byte 0: unexpected end of input"),
+            ("not json", "JSON error at byte 0: expected `null`"),
+            ("[1]", "missing field `op`"),
+            ("{}", "missing field `op`"),
+            (r#"{"op":7,"session":"s"}"#, "field `op` must be a string"),
+            (r#"{"op":"frob","session":"s"}"#, "unknown op `frob`"),
+            (r#"{"op":"next"}"#, "missing field `session`"),
+            (
+                r#"{"op":"next","session":7}"#,
+                "field `session` must be a string",
+            ),
+            (
+                r#"{"op":"answer","session":"s","id":1}"#,
+                "missing field `feedback`",
+            ),
+            (
+                r#"{"op":"answer","session":"s","feedback":"confirm"}"#,
+                "missing field `id`",
+            ),
+            (
+                r#"{"op":"answer","session":"s","id":-1,"feedback":"confirm"}"#,
+                "field `id` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"answer","session":"s","id":1,"feedback":"maybe"}"#,
+                "unknown feedback `maybe`",
+            ),
+            (
+                r#"{"op":"answer","session":"s","id":1,"feedback":true}"#,
+                "field `feedback` must be a string",
+            ),
+            (
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"nope"}"#,
+                "unknown strategy `nope`",
+            ),
+            (
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","strategy":"gdr"}"#,
+                "missing field `rules`",
+            ),
+            (
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","seed":-5}"#,
+                "field `seed` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","ground_truth_csv":1}"#,
+                "field `ground_truth_csv` must be a string",
+            ),
+            (
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","lease_ttl":"x"}"#,
+                "field `lease_ttl` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"supply","session":"s","tuple":0,"attr":0,"value":[1]}"#,
+                "field `value` must be null, an integer, or a string",
+            ),
+            (
+                r#"{"op":"supply","session":"s","tuple":-1,"attr":0,"value":1}"#,
+                "field `tuple` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"skip","session":"s","tuple":0,"attr":0.5}"#,
+                "field `attr` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"hello","version":4294967296}"#,
+                "field `version` must fit in 32 bits",
+            ),
+            (
+                r#"{"op":"hello","version":-1}"#,
+                "field `version` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"next","session":"s","seq":-1}"#,
+                "field `seq` must be a non-negative integer",
+            ),
         ] {
-            assert!(decode_request(bad).is_err(), "`{bad}` should fail");
+            assert_eq!(request_error(bad), detail, "`{bad}`");
+        }
+        // A frame with two faults fails; which fault it names is not pinned.
+        for bad in [
+            r#"{"op":"answer","session":"s"}"#,
+            r#"{"op":"frob"}"#,
+            r#"{"op":"supply","session":"s","tuple":"x","attr":"y","value":[]}"#,
+        ] {
+            assert!(decode_request_frame(bad).1.is_err(), "`{bad}` should fail");
+        }
+    }
+
+    #[test]
+    fn malformed_responses_decode_to_errors() {
+        for (bad, detail) in [
+            ("", "JSON error at byte 0: unexpected end of input"),
+            ("{}", "missing field `ok`"),
+            (r#"{"ok":3}"#, "field `ok` must be a string"),
+            (r#"{"ok":"frob"}"#, "unknown ok kind `frob`"),
+            (r#"{"err":"frob"}"#, "unknown error kind `frob`"),
+            (
+                r#"{"err":null,"ok":"wait"}"#,
+                "field `err` must be a string",
+            ),
+            (
+                r#"{"ok":"done","reason":"bored"}"#,
+                "unknown done reason `bored`",
+            ),
+            (r#"{"ok":"done"}"#, "missing field `reason`"),
+            (
+                r#"{"err":"work_mismatch","verb":"answer","got":{"kind":"frob"},"outstanding":{"kind":"ask","id":1}}"#,
+                "unknown target kind `frob`",
+            ),
+            (
+                r#"{"err":"work_mismatch","verb":"answer","got":{"kind":"value","tuple":1},"outstanding":{"kind":"ask","id":1}}"#,
+                "missing field `attr`",
+            ),
+            (
+                r#"{"err":"work_mismatch","verb":"answer","got":{"kind":"ask","id":1}}"#,
+                "missing field `outstanding`",
+            ),
+            (
+                r#"{"err":"stale_work","got":1,"outstanding":-1}"#,
+                "field `outstanding` must be a non-negative integer",
+            ),
+            (r#"{"err":"busy"}"#, "missing field `max_outstanding`"),
+            (
+                r#"{"ok":"leases","leases":[{"id":1,"reviewer":"a","tuple":0,"age":2}]}"#,
+                "missing field `attr`",
+            ),
+            (
+                r#"{"ok":"leases","leases":{}}"#,
+                "field `leases` must be an array",
+            ),
+            (r#"{"ok":"leases"}"#, "missing field `leases`"),
+            (
+                r#"{"ok":"released","held":1}"#,
+                "field `held` must be a boolean",
+            ),
+            (
+                r#"{"ok":"ask","id":1,"tuple":0,"attr":0,"current":null,"value":1,"score":"high","uncertainty":0.5}"#,
+                "field `score` must be a number",
+            ),
+            (
+                r#"{"ok":"ask","id":1,"tuple":0,"attr":0,"current":null,"value":1,"score":1.0,"uncertainty":0.5,"group":{"attr":1,"value":1,"benefit":0.5,"size":3,"quota":2}}"#,
+                "missing field `asked`",
+            ),
+            (
+                r#"{"ok":"report","verifications":1,"learner_decisions":0,"dirty_tuples":0,"eval":{"initial_loss":1.0,"final_loss":0.0,"improvement_pct":100.0,"precision":1.0}}"#,
+                "missing field `recall`",
+            ),
+            (
+                r#"{"ok":"hello","version":2,"compact":true}"#,
+                "missing field `pipelining`",
+            ),
+            (
+                r#"{"ok":"hello","version":2,"pipelining":true,"compact":true,"leases":"yes"}"#,
+                "field `leases` must be a boolean",
+            ),
+            (
+                r#"{"ok":"hello","version":4294967296,"pipelining":true,"compact":true}"#,
+                "field `version` must fit in 32 bits",
+            ),
+            (
+                r#"{"ok":"skipped","seq":"x"}"#,
+                "field `seq` must be a non-negative integer",
+            ),
+        ] {
+            assert_eq!(response_error(bad), detail, "`{bad}`");
         }
     }
 
     #[test]
     fn hello_and_busy_round_trip() {
-        request_round_trip(Request::Hello { version: 2 });
-        response_round_trip(Response::Hello {
-            version: PROTOCOL_VERSION,
-            pipelining: true,
-            compact: true,
-            leases: true,
-            max_outstanding: 64,
-            lease_ttl: 32,
-        });
-        response_round_trip(Response::Error(WireError::Busy {
-            max_outstanding: 64,
-        }));
-        // A bare hello defaults to version 1 (the legacy protocol).
-        assert_eq!(
-            decode_request(r#"{"op":"hello"}"#).unwrap(),
-            Request::Hello { version: 1 }
+        request_round_trip(
+            Request::Hello { version: 2 },
+            r#"{"op":"hello","version":2}"#,
         );
-        // A hello reply from before the capability/limit fields decodes
-        // tolerantly: no leases, no reported limits.
-        assert_eq!(
-            decode_response(r#"{"ok":"hello","version":2,"pipelining":true,"compact":true}"#)
-                .unwrap(),
+        response_round_trip(
             Response::Hello {
-                version: 2,
+                version: PROTOCOL_VERSION,
                 pipelining: true,
                 compact: true,
-                leases: false,
-                max_outstanding: 0,
-                lease_ttl: 0,
-            }
+                leases: true,
+                max_outstanding: 64,
+                lease_ttl: 32,
+            },
+            r#"{"ok":"hello","version":2,"pipelining":true,"compact":true,"leases":true,"max_outstanding":64,"lease_ttl":32}"#,
         );
+        response_round_trip(
+            Response::Error(WireError::Busy {
+                max_outstanding: 64,
+            }),
+            r#"{"err":"busy","max_outstanding":64}"#,
+        );
+        // A bare hello defaults to version 1 (the legacy protocol).
+        for bare in [r#"{"op":"hello"}"#, r#"{"op":"hello","version":null}"#] {
+            assert_eq!(
+                decode_request_frame(bare),
+                (None, Ok(Request::Hello { version: 1 }))
+            );
+        }
+        // A hello reply from before the capability/limit fields decodes
+        // tolerantly: no leases, no reported limits.
+        let legacy = Response::Hello {
+            version: 2,
+            pipelining: true,
+            compact: true,
+            leases: false,
+            max_outstanding: 0,
+            lease_ttl: 0,
+        };
+        for old in [
+            r#"{"ok":"hello","version":2,"pipelining":true,"compact":true}"#,
+            r#"{"ok":"hello","version":2,"pipelining":true,"compact":true,"leases":null,"max_outstanding":null,"lease_ttl":null}"#,
+        ] {
+            assert_eq!(decode_response_frame(old), Ok((None, legacy.clone())));
+        }
     }
 
     #[test]
     fn every_lease_verb_round_trips() {
-        request_round_trip(Request::Lease {
-            session: "s".into(),
-            reviewer: "alice".into(),
-        });
-        request_round_trip(Request::Lease {
-            session: "s".into(),
-            reviewer: "名前 with spaces \"and quotes\"".into(),
-        });
-        request_round_trip(Request::AnswerAs {
-            session: "s".into(),
-            reviewer: "bob".into(),
-            id: u64::MAX,
-            feedback: Feedback::Reject,
-        });
-        request_round_trip(Request::SupplyAs {
-            session: "s".into(),
-            reviewer: "carol".into(),
-            id: 7,
-            value: Value::from("Michigan City"),
-        });
-        request_round_trip(Request::SupplyAs {
-            session: "s".into(),
-            reviewer: String::new(),
-            id: 0,
-            value: Value::Null,
-        });
-        request_round_trip(Request::SkipAs {
-            session: "s".into(),
-            reviewer: "dave".into(),
-            id: 3,
-        });
-        request_round_trip(Request::Release {
-            session: "s".into(),
-            reviewer: "alice".into(),
-            id: 2,
-        });
-        response_round_trip(Response::Leased {
-            id: 9,
-            tuple: 3,
-            attr: 1,
-            current: Value::from("Michigan Cty"),
-            value: Value::from("Michigan City"),
-            score: 0.25,
-        });
-        response_round_trip(Response::Fix {
-            id: 10,
-            tuple: 6,
-            attr: 2,
-            current: Value::Null,
-        });
-        response_round_trip(Response::Wait);
-        response_round_trip(Response::Released { held: true });
-        response_round_trip(Response::Released { held: false });
-        request_round_trip(Request::Leases {
-            session: "s".into(),
-        });
-        response_round_trip(Response::Leases { leases: Vec::new() });
-        response_round_trip(Response::Leases {
-            leases: vec![
-                WireLease {
-                    id: 4,
-                    reviewer: "alice".into(),
-                    tuple: 7,
-                    attr: 1,
-                    age: 0,
-                },
-                WireLease {
-                    id: u64::MAX,
-                    reviewer: "bob".into(),
-                    tuple: 0,
-                    attr: 3,
-                    age: u64::MAX,
-                },
-            ],
-        });
-        // A lease entry missing a field is a decode error, not a default.
-        assert!(decode_response(
-            r#"{"ok":"leases","leases":[{"id":1,"reviewer":"a","tuple":0,"age":2}]}"#
-        )
-        .is_err());
+        request_round_trip(
+            Request::Lease {
+                session: "s".into(),
+                reviewer: "alice".into(),
+            },
+            r#"{"op":"lease","session":"s","reviewer":"alice"}"#,
+        );
+        request_round_trip(
+            Request::Lease {
+                session: "s".into(),
+                reviewer: "名前 with spaces \"and quotes\"".into(),
+            },
+            r#"{"op":"lease","session":"s","reviewer":"名前 with spaces \"and quotes\""}"#,
+        );
+        request_round_trip(
+            Request::AnswerAs {
+                session: "s".into(),
+                reviewer: "bob".into(),
+                id: u64::MAX,
+                feedback: Feedback::Reject,
+            },
+            &format!(
+                r#"{{"op":"answer_as","session":"s","reviewer":"bob","id":{MAX},"feedback":"reject"}}"#
+            ),
+        );
+        request_round_trip(
+            Request::SupplyAs {
+                session: "s".into(),
+                reviewer: "carol".into(),
+                id: 7,
+                value: Value::from("Michigan City"),
+            },
+            r#"{"op":"supply_as","session":"s","reviewer":"carol","id":7,"value":"Michigan City"}"#,
+        );
+        request_round_trip(
+            Request::SupplyAs {
+                session: "s".into(),
+                reviewer: String::new(),
+                id: 0,
+                value: Value::Null,
+            },
+            r#"{"op":"supply_as","session":"s","reviewer":"","id":0,"value":null}"#,
+        );
+        request_round_trip(
+            Request::SkipAs {
+                session: "s".into(),
+                reviewer: "dave".into(),
+                id: 3,
+            },
+            r#"{"op":"skip_as","session":"s","reviewer":"dave","id":3}"#,
+        );
+        request_round_trip(
+            Request::Release {
+                session: "s".into(),
+                reviewer: "alice".into(),
+                id: 2,
+            },
+            r#"{"op":"release","session":"s","reviewer":"alice","id":2}"#,
+        );
+        response_round_trip(
+            Response::Leased {
+                id: 9,
+                tuple: 3,
+                attr: 1,
+                current: Value::from("Michigan Cty"),
+                value: Value::from("Michigan City"),
+                score: 0.25,
+            },
+            r#"{"ok":"leased","id":9,"tuple":3,"attr":1,"current":"Michigan Cty","value":"Michigan City","score":0.25}"#,
+        );
+        response_round_trip(
+            Response::Fix {
+                id: 10,
+                tuple: 6,
+                attr: 2,
+                current: Value::Null,
+            },
+            r#"{"ok":"fix","id":10,"tuple":6,"attr":2,"current":null}"#,
+        );
+        response_round_trip(Response::Wait, r#"{"ok":"wait"}"#);
+        response_round_trip(
+            Response::Released { held: true },
+            r#"{"ok":"released","held":true}"#,
+        );
+        response_round_trip(
+            Response::Released { held: false },
+            r#"{"ok":"released","held":false}"#,
+        );
+        request_round_trip(
+            Request::Leases {
+                session: "s".into(),
+            },
+            r#"{"op":"leases","session":"s"}"#,
+        );
+        response_round_trip(
+            Response::Leases { leases: Vec::new() },
+            r#"{"ok":"leases","leases":[]}"#,
+        );
+        response_round_trip(
+            Response::Leases {
+                leases: vec![
+                    WireLease {
+                        id: 4,
+                        reviewer: "alice".into(),
+                        tuple: 7,
+                        attr: 1,
+                        age: 0,
+                    },
+                    WireLease {
+                        id: u64::MAX,
+                        reviewer: "bob".into(),
+                        tuple: 0,
+                        attr: 3,
+                        age: u64::MAX,
+                    },
+                ],
+            },
+            &format!(
+                r#"{{"ok":"leases","leases":[{{"id":4,"reviewer":"alice","tuple":7,"attr":1,"age":0}},{{"id":{MAX},"reviewer":"bob","tuple":0,"attr":3,"age":{MAX}}}]}}"#
+            ),
+        );
         // Missing reviewer is a bad request, not a default.
-        assert!(decode_request(r#"{"op":"lease","session":"s"}"#).is_err());
-        assert!(
-            decode_request(r#"{"op":"answer_as","session":"s","id":1,"feedback":"confirm"}"#)
-                .is_err()
+        assert_eq!(
+            request_error(r#"{"op":"lease","session":"s"}"#),
+            "missing field `reviewer`"
+        );
+        assert_eq!(
+            request_error(r#"{"op":"answer_as","session":"s","id":1,"feedback":"confirm"}"#),
+            "missing field `reviewer`"
         );
     }
 
     #[test]
     fn policy_tokens_round_trip_and_reject_garbage() {
-        for policy in [
-            ConflictPolicy::FirstWins,
-            ConflictPolicy::EscalateToNeedsValue,
-            ConflictPolicy::Majority { k: 1 },
-            ConflictPolicy::Majority { k: 3 },
-            ConflictPolicy::Majority { k: 0 },
+        for (policy, token) in [
+            (ConflictPolicy::FirstWins, "first_wins"),
+            (ConflictPolicy::EscalateToNeedsValue, "escalate"),
+            (ConflictPolicy::Majority { k: 1 }, "majority-1"),
+            (ConflictPolicy::Majority { k: 3 }, "majority-3"),
+            (ConflictPolicy::Majority { k: 0 }, "majority-0"),
         ] {
-            assert_eq!(policy_from_token(&policy_token(policy)), Some(policy));
+            request_round_trip(
+                open(Strategy::Gdr, Some(policy)),
+                &format!(
+                    r#"{{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","policy":"{token}"}}"#
+                ),
+            );
         }
         for bad in [
             "",
@@ -1938,16 +2318,24 @@ mod tests {
             "majority-+3",
             "majority-03",
             "majority-three",
+            "majority-0x3",
+            "majority-99999999999999999999999",
             "first-wins",
             "escalate-2",
         ] {
-            assert_eq!(policy_from_token(bad), None, "`{bad}` should fail");
+            assert_eq!(
+                request_error(&format!(
+                    r#"{{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","policy":"{bad}"}}"#
+                )),
+                format!("unknown policy `{bad}`"),
+            );
         }
-        // An open with a bad policy token is a bad request.
-        assert!(decode_request(
-            r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","policy":"majority-0x3"}"#
-        )
-        .is_err());
+        assert_eq!(
+            request_error(
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"gdr","policy":3}"#
+            ),
+            "field `policy` must be a string"
+        );
     }
 
     #[test]
@@ -1960,9 +2348,18 @@ mod tests {
             decode_request_frame(&encode_request_frame(&request, None)),
             (None, Ok(request.clone()))
         );
-        // Tagged: the seq survives the round trip, u64 extremes included.
-        for seq in [0, 7, u64::MAX] {
+        // Tagged: `seq` is the last member, and survives the round trip,
+        // u64 extremes included.
+        for (seq, text) in [
+            (0, "0".to_string()),
+            (7, "7".to_string()),
+            (u64::MAX, MAX.to_string()),
+        ] {
             let line = encode_request_frame(&request, Some(seq));
+            assert_eq!(
+                line,
+                format!(r#"{{"op":"next","session":"s","seq":{text}}}"#)
+            );
             assert_eq!(
                 decode_request_frame(&line),
                 (Some(seq), Ok(request.clone()))
@@ -1970,35 +2367,99 @@ mod tests {
         }
         let response = Response::Skipped;
         let line = encode_response_frame(&response, Some(41));
-        assert_eq!(decode_response_frame(&line).unwrap(), (Some(41), response));
-        // Legacy decoders ignore the tag entirely.
-        assert_eq!(decode_response(&line).unwrap(), Response::Skipped);
+        assert_eq!(line, r#"{"ok":"skipped","seq":41}"#);
+        assert_eq!(decode_response_frame(&line), Ok((Some(41), response)));
+        let line = encode_response_frame(
+            &Response::Error(WireError::Busy { max_outstanding: 2 }),
+            Some(u64::MAX),
+        );
+        assert_eq!(
+            line,
+            format!(r#"{{"err":"busy","max_outstanding":2,"seq":{MAX}}}"#)
+        );
+        // A `null` seq is no seq.
+        assert_eq!(
+            decode_request_frame(r#"{"op":"next","session":"s","seq":null}"#),
+            (None, Ok(request))
+        );
 
         // A malformed request still surrenders its seq, so the error reply
         // can be correlated; a malformed seq is itself a bad request.
-        let (seq, decoded) = decode_request_frame(r#"{"op":"frob","session":"s","seq":9}"#);
-        assert_eq!(seq, Some(9));
-        assert!(decoded.is_err());
-        let (seq, decoded) = decode_request_frame(r#"{"op":"next","session":"s","seq":-1}"#);
-        assert_eq!(seq, None);
-        assert!(decoded.is_err());
+        assert_eq!(
+            decode_request_frame(r#"{"op":"frob","session":"s","seq":9}"#),
+            (Some(9), Err("unknown op `frob`".to_string()))
+        );
+        assert_eq!(
+            decode_request_frame(r#"{"op":"next","session":"s","seq":-1}"#),
+            (
+                None,
+                Err("field `seq` must be a non-negative integer".to_string())
+            )
+        );
     }
 
     #[test]
     fn strategy_and_feedback_tokens_are_total_and_unique() {
         let mut seen = std::collections::HashSet::new();
         for strategy in Strategy::ALL {
-            let token = strategy_token(strategy);
-            assert!(seen.insert(token), "duplicate token {token}");
-            assert_eq!(strategy_from_token(token), Some(strategy));
+            let request = open(strategy, None);
+            let line = encode_request_frame(&request, None);
+            let token = member(&line, "strategy");
+            assert_eq!(decode_request_frame(&line), (None, Ok(request)));
+            assert!(seen.insert(token.clone()), "duplicate token {token}");
         }
-        assert_eq!(strategy_from_token("bogus"), None);
+        assert_eq!(seen.len(), Strategy::ALL.len());
+        assert_eq!(
+            request_error(
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"bogus"}"#
+            ),
+            "unknown strategy `bogus`"
+        );
+        let mut seen = std::collections::HashSet::new();
         for feedback in Feedback::ALL {
+            let request = Request::Answer {
+                session: "s".into(),
+                id: 1,
+                feedback,
+            };
+            let line = encode_request_frame(&request, None);
+            assert!(seen.insert(member(&line, "feedback")));
+            assert_eq!(decode_request_frame(&line), (None, Ok(request)));
+        }
+        assert_eq!(
+            request_error(r#"{"op":"answer","session":"s","id":1,"feedback":"bogus"}"#),
+            "unknown feedback `bogus`"
+        );
+    }
+
+    #[test]
+    fn strategy_tokens_are_pinned() {
+        for (strategy, token) in [
+            (Strategy::Gdr, "gdr"),
+            (Strategy::GdrNoLearning, "gdr_no_learning"),
+            (Strategy::GdrSLearning, "gdr_s_learning"),
+            (Strategy::ActiveLearningOnly, "active_learning"),
+            (Strategy::Greedy, "greedy"),
+            (Strategy::RandomOrder, "random"),
+            (Strategy::AutomaticHeuristic, "heuristic"),
+        ] {
+            let line = encode_request_frame(&open(strategy, None), None);
+            assert_eq!(member(&line, "strategy"), token);
+        }
+        for (feedback, token) in [
+            (Feedback::Confirm, "confirm"),
+            (Feedback::Reject, "reject"),
+            (Feedback::Retain, "retain"),
+        ] {
+            let request = Request::Answer {
+                session: "s".into(),
+                id: 1,
+                feedback,
+            };
             assert_eq!(
-                feedback_from_token(feedback_token(feedback)),
-                Some(feedback)
+                member(&encode_request_frame(&request, None), "feedback"),
+                token
             );
         }
-        assert_eq!(feedback_from_token("bogus"), None);
     }
 }

@@ -1,11 +1,18 @@
-//! Decoder robustness: no byte sequence on disk can panic the journal
-//! decoders.  Arbitrary bytes, every truncation and every single-bit flip of
+//! Decoder robustness: no byte sequence on disk or on the wire can panic a
+//! decoder.
+//!
+//! On disk: arbitrary bytes, every truncation and every single-bit flip of
 //! a recorded segment, spec and checkpoint — and of the event and spec
 //! payloads inside them — go to `scan_records`, `decode_event`,
 //! `decode_spec`, `decode_checkpoint` and `DiskJournal::load`.  Each must return a valid
 //! prefix, `Ok` or `Err`, and never panic; a frame whose length field claims
 //! far more bytes than follow it is rejected without allocating for it.
-
+//!
+//! On the wire: arbitrary bytes (read as lossy UTF-8, as a connection reads
+//! a line), and every truncation and single-byte substitution of a golden
+//! frame of every protocol message, go to `Json::parse`,
+//! `decode_request_frame` and `decode_response_frame`.  Each must return
+//! `Ok` or `Err`, never panic.
 mod common;
 
 use std::fs;
@@ -14,13 +21,22 @@ use std::sync::OnceLock;
 
 use common::{drive_one, figure1_spec, TempDir};
 use gdr_core::oracle::GroundTruthOracle;
+use gdr_core::step::DoneReason;
 use gdr_core::strategy::Strategy as GdrStrategy;
+use gdr_core::team::ConflictPolicy;
 use gdr_relation::codec::{self, fnv1a64};
+use gdr_relation::Value;
+use gdr_repair::Feedback;
 use gdr_serve::journal::{
     decode_checkpoint, decode_event, decode_spec, scan_records, DiskJournal, FsyncPolicy,
     JournalConfig,
 };
+use gdr_serve::json::Json;
 use gdr_serve::store::SessionOptions;
+use gdr_serve::wire::{
+    decode_request_frame, decode_response_frame, encode_request_frame, encode_response_frame,
+    Request, Response, WireError, WireEval, WireGroup, WireLease, WireTarget,
+};
 use proptest::prelude::*;
 
 /// The files of one recorded durable session.
@@ -208,7 +224,246 @@ fn target_strategy() -> impl Strategy<Value = Target> {
     ]
 }
 
+/// One frame of every request, response and error message, most of them
+/// `seq`-tagged, with optional members both present and absent.
+fn golden_frames() -> &'static [String] {
+    static FRAMES: OnceLock<Vec<String>> = OnceLock::new();
+    FRAMES.get_or_init(|| {
+        let s = || "s".to_string();
+        let requests = [
+            Request::Hello { version: 2 },
+            Request::Open {
+                session: s(),
+                table_csv: "A,B\n\"x, y\",1\n".into(),
+                rules: "A -> B : x || 1\n".into(),
+                strategy: GdrStrategy::GdrNoLearning,
+                seed: Some(u64::MAX),
+                ground_truth_csv: Some("A,B\nx,2\n".into()),
+                policy: Some(ConflictPolicy::Majority { k: 2 }),
+                lease_ttl: Some(16),
+            },
+            Request::Open {
+                session: s(),
+                table_csv: "A\n1\n".into(),
+                rules: String::new(),
+                strategy: GdrStrategy::Gdr,
+                seed: None,
+                ground_truth_csv: None,
+                policy: None,
+                lease_ttl: None,
+            },
+            Request::Next { session: s() },
+            Request::Answer {
+                session: s(),
+                id: 7,
+                feedback: Feedback::Confirm,
+            },
+            Request::Supply {
+                session: s(),
+                tuple: 3,
+                attr: 1,
+                value: Value::from("Michigan City"),
+            },
+            Request::Skip {
+                session: s(),
+                tuple: 2,
+                attr: 5,
+            },
+            Request::Finish { session: s() },
+            Request::Report { session: s() },
+            Request::Restore { session: s() },
+            Request::Compact { session: s() },
+            Request::Lease {
+                session: s(),
+                reviewer: "alice".into(),
+            },
+            Request::AnswerAs {
+                session: s(),
+                reviewer: "bob".into(),
+                id: u64::MAX,
+                feedback: Feedback::Reject,
+            },
+            Request::SupplyAs {
+                session: s(),
+                reviewer: "carol".into(),
+                id: 4,
+                value: Value::Int(-3),
+            },
+            Request::SkipAs {
+                session: s(),
+                reviewer: "dave".into(),
+                id: 3,
+            },
+            Request::Release {
+                session: s(),
+                reviewer: "alice".into(),
+                id: 2,
+            },
+            Request::Leases { session: s() },
+        ];
+        let responses = [
+            Response::Hello {
+                version: 2,
+                pipelining: true,
+                compact: true,
+                leases: true,
+                max_outstanding: 64,
+                lease_ttl: 32,
+            },
+            Response::Opened {
+                session: s(),
+                dirty_tuples: 4,
+            },
+            Response::Ask {
+                id: 9,
+                tuple: 3,
+                attr: 1,
+                current: Value::Null,
+                value: Value::from("Michigan City"),
+                score: 0.25,
+                uncertainty: 1.0,
+                group: Some(WireGroup {
+                    attr: 1,
+                    value: Value::Int(46360),
+                    benefit: 0.0625,
+                    size: 3,
+                    quota: 2,
+                    asked: 1,
+                }),
+            },
+            Response::NeedValue {
+                tuple: 6,
+                attr: 2,
+                current: Value::from("Colfax"),
+            },
+            Response::Done {
+                reason: DoneReason::AutomaticComplete,
+            },
+            Response::Answered { verifications: 11 },
+            Response::Supplied { verifications: 12 },
+            Response::Skipped,
+            Response::Report {
+                verifications: 11,
+                learner_decisions: 2,
+                dirty_tuples: 0,
+                eval: Some(WireEval {
+                    initial_loss: 0.359375,
+                    final_loss: 0.0,
+                    improvement_pct: 100.0,
+                    precision: 1.0,
+                    recall: 0.875,
+                }),
+            },
+            Response::Restored { replayed: 17 },
+            Response::Compacted {
+                events: 64,
+                tail: 3,
+            },
+            Response::Leased {
+                id: 9,
+                tuple: 3,
+                attr: 1,
+                current: Value::from("Michigan Cty"),
+                value: Value::from("Michigan City"),
+                score: 0.25,
+            },
+            Response::Fix {
+                id: 10,
+                tuple: 6,
+                attr: 2,
+                current: Value::Null,
+            },
+            Response::Wait,
+            Response::Released { held: true },
+            Response::Leases {
+                leases: vec![WireLease {
+                    id: u64::MAX,
+                    reviewer: "bob".into(),
+                    tuple: 0,
+                    attr: 3,
+                    age: 5,
+                }],
+            },
+            Response::Error(WireError::StaleWork {
+                got: 8,
+                outstanding: 7,
+            }),
+            Response::Error(WireError::WorkMismatch {
+                verb: "supply_value".into(),
+                got: WireTarget::Value(3, 1),
+                outstanding: WireTarget::Ask(7),
+            }),
+            Response::Error(WireError::NoOutstandingWork {
+                verb: "answer".into(),
+            }),
+            Response::Error(WireError::UnknownSession { session: s() }),
+            Response::Error(WireError::DuplicateSession { session: s() }),
+            Response::Error(WireError::BadRequest {
+                detail: "unknown op `frob`".into(),
+            }),
+            Response::Error(WireError::Busy {
+                max_outstanding: 64,
+            }),
+            Response::Error(WireError::Engine {
+                detail: "unknown rule id 9".into(),
+            }),
+            Response::Error(WireError::Journal {
+                detail: "disk full".into(),
+            }),
+        ];
+        let mut frames = Vec::new();
+        for (i, request) in requests.iter().enumerate() {
+            let line = encode_request_frame(request, (i % 2 == 0).then_some(i as u64));
+            assert_eq!(decode_request_frame(&line).1.as_ref(), Ok(request));
+            frames.push(line);
+        }
+        for (i, response) in responses.iter().enumerate() {
+            let line = encode_response_frame(response, (i % 2 == 0).then_some(u64::MAX - i as u64));
+            assert_eq!(
+                decode_response_frame(&line).map(|(_, r)| r).as_ref(),
+                Ok(response)
+            );
+            frames.push(line);
+        }
+        frames
+    })
+}
+
+/// Feeds `bytes`, read as lossy UTF-8 like a connection reads a line, to
+/// every wire decoder.  Any result but a panic passes.
+fn decode_wire(bytes: &[u8]) {
+    let line = String::from_utf8_lossy(bytes);
+    let _ = Json::parse(&line);
+    let _ = decode_request_frame(&line);
+    let _ = decode_response_frame(&line);
+}
+
+#[test]
+fn every_cut_and_substitution_of_a_golden_wire_frame_decodes_or_errs() {
+    for frame in golden_frames() {
+        let bytes = frame.as_bytes();
+        for cut in 0..bytes.len() {
+            decode_wire(&bytes[..cut]);
+        }
+        let mut damaged = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for byte in 0..=u8::MAX {
+                damaged[at] = byte;
+                decode_wire(&damaged);
+            }
+            damaged[at] = bytes[at];
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic_a_wire_decoder(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        decode_wire(&bytes);
+    }
+
     #[test]
     fn arbitrary_bytes_never_panic_a_decoder_or_the_loader(
         bytes in proptest::collection::vec(0u8..=255, 0..2048),
