@@ -31,7 +31,7 @@
 //! which moves only when a *new distinct value* enters a column; pattern
 //! constants are re-hashed only then.  A constant absent from a column's
 //! dictionary can equal no cell (every cell's value is interned), so it
-//! resolves to [`ResolvedEntry::Absent`] and all comparisons against it are
+//! resolves to `ResolvedEntry::Absent` and all comparisons against it are
 //! `false` — and because dictionaries are append-only, a binding, once made,
 //! never changes.
 //!
@@ -369,7 +369,7 @@ impl ViolationEngine {
     /// 2. **Per-rule merge** — constant states and variable `tuple_key` maps
     ///    are unions of disjoint chunk sets, merged per rule in chunk order.
     /// 3. **Per-shard merge** — each shard folds its group fragments in
-    ///    chunk order into full [`Group`]s, then computes the aggregate sums
+    ///    chunk order into full `Group`s, then computes the aggregate sums
     ///    and the group generation stamps once per group.
     ///
     /// Generation stamps replicate the sequential insertion history exactly:

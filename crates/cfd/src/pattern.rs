@@ -65,7 +65,7 @@ impl From<Value> for PatternValue {
 /// A pattern over an explicit list of attributes.
 ///
 /// The pattern stores `(attribute, entry)` pairs so it can be evaluated
-/// against a [`Tuple`] without knowing the full schema; the attribute list is
+/// against a [`Tuple`](gdr_relation::Tuple) without knowing the full schema; the attribute list is
 /// the rule's `X` (for the LHS pattern) or `X ∪ {A}` (for the full pattern).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {

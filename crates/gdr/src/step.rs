@@ -30,7 +30,7 @@
 //! Protocol violations are **typed errors, not panics**: a verb that does
 //! not fit the outstanding work item — a stale [`WorkId`], a wrong cell, a
 //! double answer, an answer after [`GdrEngine::finish`] — returns a
-//! [`GdrError`](crate::error::GdrError) and leaves the engine untouched, so
+//! [`GdrError`] and leaves the engine untouched, so
 //! `next_work` re-serves the same plan and a retrying driver recovers.  This
 //! is what lets one engine serve a remote client (see the `gdr-serve`
 //! crate): a misbehaving connection cannot poison the session, let alone the

@@ -1,7 +1,7 @@
 //! Multi-reviewer sessions: work leases and conflict resolution on top of
 //! the pull engine.
 //!
-//! [`GdrEngine`](crate::step::GdrEngine) serves exactly one outstanding
+//! [`GdrEngine`] serves exactly one outstanding
 //! work item — the right contract for one reviewer, and the wrong shape for
 //! a review *team*.  [`TeamSession`] wraps an engine and fans the current
 //! ranked group out to N reviewers under **work leases**:

@@ -1,6 +1,6 @@
 //! Tables: interned, columnar storage behind a row-oriented API.
 //!
-//! A [`Table`] stores one [`Column`] per attribute: a dense `Vec<ValueId>`
+//! A [`Table`] stores one `Column` per attribute: a dense `Vec<ValueId>`
 //! of per-row ids plus the attribute's [`ValueInterner`] dictionary and a
 //! per-id occurrence count.  Rows are addressed by a stable [`TupleId`] and
 //! read through [`TupleRef`] views; owned [`crate::Tuple`]s exist only at

@@ -49,7 +49,7 @@ impl RepairState {
     /// for every attribute of every dirty tuple (step 1 of the GDR process).
     ///
     /// Runs as a four-phase walk on the state's thread pool (sequential by
-    /// default); see [`RepairState::generate_for_dirty`].
+    /// default); see `RepairState::generate_for_dirty`.
     pub fn generate_initial_updates(&mut self) {
         let dirty = self.engine.dirty_tuples_with(&self.threads);
         self.generate_for_dirty(&dirty, false);
@@ -271,7 +271,7 @@ impl RepairState {
     ///
     /// **Journal-driven**: instead of walking every dirty tuple × attribute,
     /// this drains the revisit queue — the write-damage fan-out accumulated
-    /// by [`RepairState::note_cell_change`] plus the cells perturbed by
+    /// by `RepairState::note_cell_change` plus the cells perturbed by
     /// prevented/unchangeable marks — and touches exactly those cells.
     /// Because `UpdateAttributeTuple` is a deterministic function of the
     /// database, the engine, and the per-cell flags, every cell *outside*

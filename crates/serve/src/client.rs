@@ -49,8 +49,8 @@ use gdr_relation::Value;
 use gdr_repair::{Feedback, Update};
 
 use crate::wire::{
-    decode_response, decode_response_frame, encode_request, encode_request_frame, Request,
-    Response, WireError, WireLease, PROTOCOL_VERSION,
+    decode_response_frame, encode_request_frame, Request, Response, WireError, WireLease,
+    PROTOCOL_VERSION,
 };
 
 /// The server's `hello` reply: protocol version, capability flags, and the
@@ -70,6 +70,33 @@ pub struct ServerHello {
     pub max_outstanding: usize,
     /// Default lease TTL in coordinator operations (`0` = not reported).
     pub lease_ttl: u64,
+}
+
+impl ServerHello {
+    /// Reads the server's reply to a `hello` request.
+    fn from_reply(response: Response) -> Result<ServerHello, ClientError> {
+        match response {
+            Response::Hello {
+                version,
+                pipelining,
+                compact,
+                leases,
+                max_outstanding,
+                lease_ttl,
+            } => Ok(ServerHello {
+                version,
+                pipelining,
+                compact,
+                leases,
+                max_outstanding,
+                lease_ttl,
+            }),
+            Response::Error(err) => Err(ClientError::Server(err)),
+            other => Err(ClientError::Protocol(format!(
+                "hello expected a hello reply, got {other:?}"
+            ))),
+        }
+    }
 }
 
 /// A client-side error: transport failure, an undecodable reply, or a
@@ -268,7 +295,8 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Sends one request and reads one reply — the protocol is strictly
     /// request/reply, so this is the only I/O primitive.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.writer.write_all(encode_request(request).as_bytes())?;
+        self.writer
+            .write_all(encode_request_frame(request, None).as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let mut line = String::new();
@@ -278,7 +306,9 @@ impl<R: Read, W: Write> Client<R, W> {
                 "server closed the connection",
             )));
         }
-        decode_response(line.trim()).map_err(ClientError::Protocol)
+        decode_response_frame(line.trim())
+            .map(|(_, response)| response)
+            .map_err(ClientError::Protocol)
     }
 
     fn expect_ok(&mut self, request: &Request) -> Result<Response, ClientError> {
@@ -414,28 +444,10 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Servers predating the verb answer with `bad_request` — treat that
     /// as "legacy, no pipelining" rather than a failure.
     pub fn hello(&mut self) -> Result<ServerHello, ClientError> {
-        match self.expect_ok(&Request::Hello {
+        let hello = Request::Hello {
             version: PROTOCOL_VERSION,
-        })? {
-            Response::Hello {
-                version,
-                pipelining,
-                compact,
-                leases,
-                max_outstanding,
-                lease_ttl,
-            } => Ok(ServerHello {
-                version,
-                pipelining,
-                compact,
-                leases,
-                max_outstanding,
-                lease_ttl,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "hello expected a hello reply, got {other:?}"
-            ))),
-        }
+        };
+        ServerHello::from_reply(self.call(&hello)?)
     }
 
     /// The remote twin of `gdr_core::session::drive`: answers served work
@@ -502,57 +514,13 @@ impl<R: Read, W: Write> Client<R, W> {
                 },
                 &mut retry,
             )?;
-            match plan {
-                Response::Ask {
-                    id,
-                    tuple,
-                    attr,
-                    current,
-                    value,
-                    score,
-                    ..
-                } => {
-                    let update = Update::new(tuple, attr, value, score);
-                    let feedback = user.feedback(&update, &current);
-                    interactions += 1;
-                    let request = Request::Answer {
-                        session: self.session.clone(),
-                        id,
-                        feedback,
-                    };
-                    if let Err(err) = self.step(&request, &mut retry) {
-                        recover_or_fail(err)?;
-                    }
-                }
-                Response::NeedValue {
-                    tuple,
-                    attr,
-                    current,
-                } => {
-                    interactions += 1;
-                    let request = match user.correct_value(tuple, attr) {
-                        Some(value) if value != current => Request::Supply {
-                            session: self.session.clone(),
-                            tuple,
-                            attr,
-                            value,
-                        },
-                        _ => Request::Skip {
-                            session: self.session.clone(),
-                            tuple,
-                            attr,
-                        },
-                    };
-                    if let Err(err) = self.step(&request, &mut retry) {
-                        recover_or_fail(err)?;
-                    }
-                }
+            let request = match plan {
                 Response::Done { reason } => return Ok(reason),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "next expected a work plan, got {other:?}"
-                    )))
-                }
+                plan => answer_plan(&self.session, plan, user)?,
+            };
+            interactions += 1;
+            if let Err(err) = self.step(&request, &mut retry) {
+                recover_or_fail(err)?;
             }
         }
         match self.step(
@@ -573,11 +541,7 @@ impl<R: Read, W: Write> Client<R, W> {
 /// the next pull); anything else propagates.
 fn recover_or_fail(err: ClientError) -> Result<(), ClientError> {
     match err {
-        ClientError::Server(
-            WireError::StaleWork { .. }
-            | WireError::WorkMismatch { .. }
-            | WireError::NoOutstandingWork { .. },
-        ) => Ok(()),
+        ClientError::Server(err) if is_retryable(&err) => Ok(()),
         other => Err(other),
     }
 }
@@ -590,6 +554,85 @@ fn is_retryable(err: &WireError) -> bool {
             | WireError::WorkMismatch { .. }
             | WireError::NoOutstandingWork { .. }
     )
+}
+
+/// The verb that answers a served work plan from `user`: `answer` for an
+/// `ask`, and for a `need_value` either `supply` or, when the user knows no
+/// different value, `skip`.  Any other reply is an error.
+fn answer_plan(
+    session: &str,
+    plan: Response,
+    user: &dyn UserOracle,
+) -> Result<Request, ClientError> {
+    let session = session.to_string();
+    match plan {
+        Response::Ask {
+            id,
+            tuple,
+            attr,
+            current,
+            value,
+            score,
+            ..
+        } => {
+            let feedback = user.feedback(&Update::new(tuple, attr, value, score), &current);
+            Ok(Request::Answer {
+                session,
+                id,
+                feedback,
+            })
+        }
+        Response::NeedValue {
+            tuple,
+            attr,
+            current,
+        } => Ok(match user.correct_value(tuple, attr) {
+            Some(value) if value != current => Request::Supply {
+                session,
+                tuple,
+                attr,
+                value,
+            },
+            _ => Request::Skip {
+                session,
+                tuple,
+                attr,
+            },
+        }),
+        Response::Error(err) => Err(ClientError::Server(err)),
+        other => Err(ClientError::Protocol(format!(
+            "next expected a work plan, got {other:?}"
+        ))),
+    }
+}
+
+/// Sends `request` and keeps it in `pending` as the lane's in-flight
+/// request, for `busy` re-sends; returns its seq.
+fn send_pending<R: Read, W: Write>(
+    mux: &mut MuxClient<R, W>,
+    pending: &mut Option<Request>,
+    request: Request,
+) -> Result<u64, ClientError> {
+    let seq = mux.send(&request)?;
+    *pending = Some(request);
+    Ok(seq)
+}
+
+/// Absorbs a `busy` refusal by re-sending the refused request verbatim —
+/// safe, because the server refused it without running it.  Returns the
+/// re-sent seq, or `None` for any other reply.
+fn resend_if_busy<R: Read, W: Write>(
+    mux: &mut MuxClient<R, W>,
+    response: &Response,
+    pending: &Option<Request>,
+) -> Result<Option<u64>, ClientError> {
+    if !matches!(response, Response::Error(WireError::Busy { .. })) {
+        return Ok(None);
+    }
+    let request = pending
+        .as_ref()
+        .ok_or_else(|| ClientError::Protocol("busy reply with no request in flight".to_string()))?;
+    mux.send(request).map(Some)
 }
 
 /// Where one multiplexed session stands in its drive loop.
@@ -688,29 +731,10 @@ impl<R: Read, W: Write> MuxClient<R, W> {
 
     /// Performs the `hello` handshake (see [`Client::hello`]).
     pub fn hello(&mut self) -> Result<ServerHello, ClientError> {
-        match self.call(&Request::Hello {
+        let hello = Request::Hello {
             version: PROTOCOL_VERSION,
-        })? {
-            Response::Hello {
-                version,
-                pipelining,
-                compact,
-                leases,
-                max_outstanding,
-                lease_ttl,
-            } => Ok(ServerHello {
-                version,
-                pipelining,
-                compact,
-                leases,
-                max_outstanding,
-                lease_ttl,
-            }),
-            Response::Error(err) => Err(ClientError::Server(err)),
-            other => Err(ClientError::Protocol(format!(
-                "hello expected a hello reply, got {other:?}"
-            ))),
-        }
+        };
+        ServerHello::from_reply(self.call(&hello)?)
     }
 
     /// Drives every (already opened) session in `sessions` to completion
@@ -749,16 +773,9 @@ impl<R: Read, W: Write> MuxClient<R, W> {
                 .remove(&seq)
                 .ok_or_else(|| ClientError::Protocol(format!("reply for unknown seq {seq}")))?;
             let lane = &mut lanes[index];
-            if let Response::Error(err) = &response {
-                if matches!(err, WireError::Busy { .. }) {
-                    // Refused without running — safe to re-send verbatim.
-                    let request = lane.pending.clone().ok_or_else(|| {
-                        ClientError::Protocol("busy reply with no request in flight".to_string())
-                    })?;
-                    let seq = self.send(&request)?;
-                    routes.insert(seq, index);
-                    continue;
-                }
+            if let Some(seq) = resend_if_busy(self, &response, &lane.pending)? {
+                routes.insert(seq, index);
+                continue;
             }
             match advance_lane(self, lane, response, user, budget)? {
                 Some(seq) => {
@@ -795,9 +812,7 @@ fn start_turn<R: Read, W: Write>(
             session: lane.session.clone(),
         }
     };
-    let seq = mux.send(&request)?;
-    lane.pending = Some(request);
-    Ok(seq)
+    send_pending(mux, &mut lane.pending, request)
 }
 
 /// Feeds one reply into a lane's state machine; returns the seq of the
@@ -811,61 +826,17 @@ fn advance_lane<R: Read, W: Write>(
 ) -> Result<Option<u64>, ClientError> {
     match lane.state {
         LaneState::AwaitPlan => match response {
-            Response::Ask {
-                id,
-                tuple,
-                attr,
-                current,
-                value,
-                score,
-                ..
-            } => {
-                let update = Update::new(tuple, attr, value, score);
-                let feedback = user.feedback(&update, &current);
-                lane.interactions += 1;
-                let request = Request::Answer {
-                    session: lane.session.clone(),
-                    id,
-                    feedback,
-                };
-                lane.state = LaneState::AwaitAck;
-                let seq = mux.send(&request)?;
-                lane.pending = Some(request);
-                Ok(Some(seq))
-            }
-            Response::NeedValue {
-                tuple,
-                attr,
-                current,
-            } => {
-                lane.interactions += 1;
-                let request = match user.correct_value(tuple, attr) {
-                    Some(value) if value != current => Request::Supply {
-                        session: lane.session.clone(),
-                        tuple,
-                        attr,
-                        value,
-                    },
-                    _ => Request::Skip {
-                        session: lane.session.clone(),
-                        tuple,
-                        attr,
-                    },
-                };
-                lane.state = LaneState::AwaitAck;
-                let seq = mux.send(&request)?;
-                lane.pending = Some(request);
-                Ok(Some(seq))
-            }
             Response::Done { reason } => {
                 lane.state = LaneState::Done(reason);
                 lane.pending = None;
                 Ok(None)
             }
-            Response::Error(err) => Err(ClientError::Server(err)),
-            other => Err(ClientError::Protocol(format!(
-                "next expected a work plan, got {other:?}"
-            ))),
+            plan => {
+                let request = answer_plan(&lane.session, plan, user)?;
+                lane.interactions += 1;
+                lane.state = LaneState::AwaitAck;
+                send_pending(mux, &mut lane.pending, request).map(Some)
+            }
         },
         LaneState::AwaitAck => match response {
             Response::Error(err) if !is_retryable(&err) => Err(ClientError::Server(err)),
@@ -984,16 +955,9 @@ impl ReviewTeam {
                 .remove(&seq)
                 .ok_or_else(|| ClientError::Protocol(format!("reply for unknown seq {seq}")))?;
             let lane = &mut lanes[index];
-            if let Response::Error(err) = &response {
-                if matches!(err, WireError::Busy { .. }) {
-                    // Refused without running — safe to re-send verbatim.
-                    let request = lane.pending.clone().ok_or_else(|| {
-                        ClientError::Protocol("busy reply with no request in flight".to_string())
-                    })?;
-                    let seq = mux.send(&request)?;
-                    routes.insert(seq, index);
-                    continue;
-                }
+            if let Some(seq) = resend_if_busy(mux, &response, &lane.pending)? {
+                routes.insert(seq, index);
+                continue;
             }
             let spent = budget.is_some_and(|b| total >= b);
             let next_seq = match lane.state {
@@ -1008,9 +972,7 @@ impl ReviewTeam {
                             id,
                         };
                         lane.state = ReviewerState::AwaitAck;
-                        let seq = mux.send(&request)?;
-                        lane.pending = Some(request);
-                        Some(seq)
+                        Some(send_pending(mux, &mut lane.pending, request)?)
                     }
                     Response::Leased {
                         id,
@@ -1031,9 +993,7 @@ impl ReviewTeam {
                             feedback,
                         };
                         lane.state = ReviewerState::AwaitAck;
-                        let seq = mux.send(&request)?;
-                        lane.pending = Some(request);
-                        Some(seq)
+                        Some(send_pending(mux, &mut lane.pending, request)?)
                     }
                     Response::Fix {
                         id,
@@ -1057,9 +1017,7 @@ impl ReviewTeam {
                             },
                         };
                         lane.state = ReviewerState::AwaitAck;
-                        let seq = mux.send(&request)?;
-                        lane.pending = Some(request);
-                        Some(seq)
+                        Some(send_pending(mux, &mut lane.pending, request)?)
                     }
                     Response::Wait if spent => None,
                     // Every servable item is leased to other reviewers:
@@ -1142,7 +1100,5 @@ fn send_lease<R: Read, W: Write>(
         reviewer: lane.name.clone(),
     };
     lane.state = ReviewerState::AwaitLease;
-    let seq = mux.send(&request)?;
-    lane.pending = Some(request);
-    Ok(seq)
+    send_pending(mux, &mut lane.pending, request)
 }

@@ -936,7 +936,7 @@ impl DiskJournal {
     /// Persists a compaction checkpoint covering the first `events`
     /// transcript events: `team` and its `digest` as `snap-NNNNNN.gdrs`, via
     /// write-to-temp + fsync + atomic rename.  Older checkpoints beyond
-    /// [`SNAPSHOTS_KEPT`] are pruned.
+    /// `SNAPSHOTS_KEPT` are pruned.
     pub fn record_checkpoint(
         &mut self,
         events: usize,

@@ -57,7 +57,7 @@
 //!
 //! Every session is a multi-reviewer session; the single-user verbs are the
 //! degenerate one-reviewer case.  `open` takes two optional fields:
-//! `policy` (a conflict-policy token, see [`policy_token`]; default
+//! `policy` (a conflict-policy token, see *Field encodings*; default
 //! `first_wins`) and `lease_ttl` (coordinator operations a lease survives;
 //! default server-chosen).  The verbs, each carrying the reviewer's
 //! self-chosen id in `"reviewer"`:
@@ -89,6 +89,34 @@
 //! to the same cell resolve under the session's policy before the engine
 //! sees them, so the observable repair equals some serial one-reviewer
 //! order.
+//!
+//! # Field encodings
+//!
+//! Each message is one object whose members are listed, in order, by its
+//! row in the schema tables at the end of this module; an optional member
+//! is left out when absent, and the decoders also read `null` as absent.
+//! The member values:
+//!
+//! * Counts, tuple and attribute ids are JSON integers.  A `u64` — work
+//!   and lease ids, `seq`, `seed`, `lease_ttl`, lease `age` — is an integer
+//!   up to `i64::MAX` and a decimal string above it (`u64::MAX` is
+//!   `"18446744073709551615"`); decoders accept either form for any value.
+//! * Cell values are type-faithful: `null` is `Null`, an integer is `Int`,
+//!   a string is `Str`, so `Str("42")` and `Int(42)` stay distinct on the
+//!   wire (strict equality matters to the repair semantics).
+//! * Scores and evaluation figures are JSON numbers.
+//! * `strategy` is one of `gdr`, `gdr_no_learning`, `gdr_s_learning`,
+//!   `active_learning`, `greedy`, `random` and `heuristic`.
+//! * `feedback` is one of `confirm`, `reject` and `retain`.
+//! * A `done` reply's `reason` is one of `exhausted`, `stalled`,
+//!   `automatic_complete` and `finished`.
+//! * `policy` is `first_wins`, `escalate`, or `majority-<k>` (e.g.
+//!   `majority-3`), where `<k>` is a plain decimal: digits only, no sign,
+//!   and no leading zero unless `<k>` is `0` itself.
+//!
+//! An unknown token, a missing member or a wrongly typed one makes the frame
+//! malformed.  When a frame has several faults, the error names the first
+//! in row order.
 //!
 //! # Error replies
 //!
@@ -145,15 +173,15 @@ pub enum Request {
         table_csv: String,
         /// The data-quality rules, in the `gdr_cfd::parser` line syntax.
         rules: String,
-        /// Strategy token (see [`strategy_token`]).
+        /// The session's strategy (a token, see the module docs).
         strategy: Strategy,
         /// Optional seed override for the session's randomness.
         seed: Option<u64>,
         /// Optional ground truth (CSV): installs evaluation hooks so
         /// `report` carries loss/accuracy — the simulated-user setting.
         ground_truth_csv: Option<String>,
-        /// Optional conflict policy for multi-reviewer sessions (see
-        /// [`policy_token`]); absent → `first_wins`.
+        /// Optional conflict policy for multi-reviewer sessions (a token,
+        /// see the module docs); absent → `first_wins`.
         policy: Option<ConflictPolicy>,
         /// Optional lease TTL in coordinator operations; absent → the
         /// server's default (reported by `hello`).
@@ -380,7 +408,7 @@ pub enum Response {
     },
     /// `next`/`finish`: the session is over.
     Done {
-        /// Why (see [`done_token`]).
+        /// Why (a token, see the module docs).
         reason: DoneReason,
     },
     /// `answer` was applied.
@@ -571,605 +599,402 @@ impl From<GdrError> for WireError {
     }
 }
 
-// ---- token tables ---------------------------------------------------------
+// ---- field codecs ---------------------------------------------------------
 
-/// The wire token of a strategy.
-pub fn strategy_token(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Gdr => "gdr",
-        Strategy::GdrNoLearning => "gdr_no_learning",
-        Strategy::GdrSLearning => "gdr_s_learning",
-        Strategy::ActiveLearningOnly => "active_learning",
-        Strategy::Greedy => "greedy",
-        Strategy::RandomOrder => "random",
-        Strategy::AutomaticHeuristic => "heuristic",
+/// How one member value maps to JSON and back.  Every message below is a
+/// table of such fields, so a type's encoding is written once and shared by
+/// every message that carries it.
+trait Field: Sized {
+    /// The member's JSON, or `None` to omit the member.
+    fn encode(&self) -> Option<Json>;
+    /// Decodes member `key`, given its JSON (`None` when the frame lacks it).
+    fn decode(json: Option<&Json>, key: &str) -> Result<Self, String>;
+}
+
+/// Decodes member `key` of an object.
+fn get<T: Field>(json: &Json, key: &str) -> Result<T, String> {
+    T::decode(json.get(key), key)
+}
+
+fn present<'j>(json: Option<&'j Json>, key: &str) -> Result<&'j Json, String> {
+    json.ok_or_else(|| format!("missing field `{key}`"))
+}
+
+fn str_member<'j>(json: Option<&'j Json>, key: &str) -> Result<&'j str, String> {
+    present(json, key)?
+        .as_str()
+        .ok_or_else(|| format!("field `{key}` must be a string"))
+}
+
+fn not_a_count(key: &str) -> String {
+    format!("field `{key}` must be a non-negative integer")
+}
+
+/// The members of one object, in row order, leaving out the ones whose
+/// value encodes to `None`; one spare slot takes a trailing `seq`.
+fn row<const N: usize>(fields: [(&str, Option<Json>); N]) -> Vec<(String, Json)> {
+    let mut members = Vec::with_capacity(N + 1);
+    for (key, value) in fields {
+        if let Some(value) = value {
+            members.push((key.to_string(), value));
+        }
+    }
+    members
+}
+
+impl Field for String {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::str(self.as_str()))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<String, String> {
+        str_member(json, key).map(str::to_string)
     }
 }
 
-/// Inverse of [`strategy_token`].
-pub fn strategy_from_token(token: &str) -> Option<Strategy> {
-    Strategy::ALL
-        .into_iter()
-        .find(|&s| strategy_token(s) == token)
-}
-
-/// The wire token of a feedback verdict.
-pub fn feedback_token(feedback: Feedback) -> &'static str {
-    match feedback {
-        Feedback::Confirm => "confirm",
-        Feedback::Reject => "reject",
-        Feedback::Retain => "retain",
+impl Field for usize {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Int(*self as i64))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<usize, String> {
+        present(json, key)?
+            .as_i64()
+            .and_then(|i| usize::try_from(i).ok())
+            .ok_or_else(|| not_a_count(key))
     }
 }
 
-/// Inverse of [`feedback_token`].
-pub fn feedback_from_token(token: &str) -> Option<Feedback> {
-    Feedback::ALL
-        .into_iter()
-        .find(|&f| feedback_token(f) == token)
-}
-
-/// The wire token of a conflict policy: `first_wins`, `majority-<k>`
-/// (e.g. `majority-3`), or `escalate`.
-pub fn policy_token(policy: ConflictPolicy) -> String {
-    match policy {
-        ConflictPolicy::FirstWins => "first_wins".to_string(),
-        ConflictPolicy::Majority { k } => format!("majority-{k}"),
-        ConflictPolicy::EscalateToNeedsValue => "escalate".to_string(),
+/// The JSON tree carries integers as `i64`, so the upper half of the `u64`
+/// range rides as a decimal string (see the module docs).
+impl Field for u64 {
+    fn encode(&self) -> Option<Json> {
+        Some(match i64::try_from(*self) {
+            Ok(i) => Json::Int(i),
+            Err(_) => Json::str(self.to_string()),
+        })
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<u64, String> {
+        match present(json, key)? {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::Str(s) => s.parse().ok(),
+            _ => None,
+        }
+        .ok_or_else(|| not_a_count(key))
     }
 }
 
-/// Inverse of [`policy_token`].  Strict: `majority-<k>` takes a plain
-/// decimal `k` (no sign, no leading zeros beyond `0` itself).
-pub fn policy_from_token(token: &str) -> Option<ConflictPolicy> {
-    match token {
-        "first_wins" => Some(ConflictPolicy::FirstWins),
-        "escalate" => Some(ConflictPolicy::EscalateToNeedsValue),
-        other => {
-            let digits = other.strip_prefix("majority-")?;
-            let plain_decimal = !digits.is_empty()
-                && digits.bytes().all(|b| b.is_ascii_digit())
-                && (digits.len() == 1 || !digits.starts_with('0'));
-            if !plain_decimal {
-                return None;
+impl Field for u32 {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Int(i64::from(*self)))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<u32, String> {
+        u32::try_from(u64::decode(json, key)?)
+            .map_err(|_| format!("field `{key}` must fit in 32 bits"))
+    }
+}
+
+impl Field for f64 {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Float(*self))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<f64, String> {
+        present(json, key)?
+            .as_f64()
+            .ok_or_else(|| format!("field `{key}` must be a number"))
+    }
+}
+
+impl Field for bool {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Bool(*self))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<bool, String> {
+        present(json, key)?
+            .as_bool()
+            .ok_or_else(|| format!("field `{key}` must be a boolean"))
+    }
+}
+
+impl Field for Value {
+    fn encode(&self) -> Option<Json> {
+        Some(match self {
+            Value::Null => Json::Null,
+            Value::Int(i) => Json::Int(*i),
+            Value::Str(s) => Json::str(s.as_str()),
+        })
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<Value, String> {
+        match present(json, key)? {
+            Json::Null => Ok(Value::Null),
+            Json::Int(i) => Ok(Value::Int(*i)),
+            Json::Str(s) => Ok(Value::Str(s.clone())),
+            _ => Err(format!(
+                "field `{key}` must be null, an integer, or a string"
+            )),
+        }
+    }
+}
+
+/// Absent when `None`; a missing or `null` member decodes to `None`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Option<Json> {
+        self.as_ref().and_then(T::encode)
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<Option<T>, String> {
+        match json {
+            None | Some(Json::Null) => Ok(None),
+            json => T::decode(json, key).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Array(self.iter().filter_map(T::encode).collect()))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<Vec<T>, String> {
+        present(json, key)?
+            .as_array()
+            .ok_or_else(|| format!("field `{key}` must be an array"))?
+            .iter()
+            .map(|item| T::decode(Some(item), key))
+            .collect()
+    }
+}
+
+/// A field written as one token of a fixed table.
+macro_rules! tokens {
+    ($ty:ty, $what:literal { $($variant:path = $token:literal),+ $(,)? }) => {
+        impl Field for $ty {
+            fn encode(&self) -> Option<Json> {
+                Some(Json::str(match self {
+                    $($variant => $token),+
+                }))
             }
-            let k = digits.parse::<usize>().ok()?;
-            Some(ConflictPolicy::Majority { k })
+            fn decode(json: Option<&Json>, key: &str) -> Result<$ty, String> {
+                match str_member(json, key)? {
+                    $($token => Ok($variant),)+
+                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
+                }
+            }
+        }
+    };
+}
+
+tokens!(Strategy, "strategy" {
+    Strategy::Gdr = "gdr",
+    Strategy::GdrNoLearning = "gdr_no_learning",
+    Strategy::GdrSLearning = "gdr_s_learning",
+    Strategy::ActiveLearningOnly = "active_learning",
+    Strategy::Greedy = "greedy",
+    Strategy::RandomOrder = "random",
+    Strategy::AutomaticHeuristic = "heuristic",
+});
+
+tokens!(Feedback, "feedback" {
+    Feedback::Confirm = "confirm",
+    Feedback::Reject = "reject",
+    Feedback::Retain = "retain",
+});
+
+tokens!(DoneReason, "done reason" {
+    DoneReason::Exhausted = "exhausted",
+    DoneReason::Stalled = "stalled",
+    DoneReason::AutomaticComplete = "automatic_complete",
+    DoneReason::Finished = "finished",
+});
+
+impl Field for ConflictPolicy {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::str(match self {
+            ConflictPolicy::FirstWins => "first_wins".to_string(),
+            ConflictPolicy::Majority { k } => format!("majority-{k}"),
+            ConflictPolicy::EscalateToNeedsValue => "escalate".to_string(),
+        }))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<ConflictPolicy, String> {
+        let token = str_member(json, key)?;
+        let policy = match token {
+            "first_wins" => Some(ConflictPolicy::FirstWins),
+            "escalate" => Some(ConflictPolicy::EscalateToNeedsValue),
+            other => other
+                .strip_prefix("majority-")
+                .filter(|digits| {
+                    !digits.is_empty()
+                        && digits.bytes().all(|b| b.is_ascii_digit())
+                        && (digits.len() == 1 || !digits.starts_with('0'))
+                })
+                .and_then(|digits| digits.parse().ok())
+                .map(|k| ConflictPolicy::Majority { k }),
+        };
+        policy.ok_or_else(|| format!("unknown policy `{token}`"))
+    }
+}
+
+impl Field for WireTarget {
+    fn encode(&self) -> Option<Json> {
+        Some(Json::Object(match self {
+            WireTarget::Ask(id) => row([("kind", Some(Json::str("ask"))), ("id", id.encode())]),
+            WireTarget::Value(tuple, attr) => row([
+                ("kind", Some(Json::str("value"))),
+                ("tuple", tuple.encode()),
+                ("attr", attr.encode()),
+            ]),
+        }))
+    }
+    fn decode(json: Option<&Json>, key: &str) -> Result<WireTarget, String> {
+        let json = present(json, key)?;
+        match str_member(json.get("kind"), "kind")? {
+            "ask" => Ok(WireTarget::Ask(get(json, "id")?)),
+            "value" => Ok(WireTarget::Value(get(json, "tuple")?, get(json, "attr")?)),
+            other => Err(format!("unknown target kind `{other}`")),
         }
     }
 }
 
-/// The wire token of a completion reason.
-pub fn done_token(reason: DoneReason) -> &'static str {
-    match reason {
-        DoneReason::Exhausted => "exhausted",
-        DoneReason::Stalled => "stalled",
-        DoneReason::AutomaticComplete => "automatic_complete",
-        DoneReason::Finished => "finished",
-    }
-}
-
-/// Inverse of [`done_token`].
-pub fn done_from_token(token: &str) -> Option<DoneReason> {
-    [
-        DoneReason::Exhausted,
-        DoneReason::Stalled,
-        DoneReason::AutomaticComplete,
-        DoneReason::Finished,
-    ]
-    .into_iter()
-    .find(|&r| done_token(r) == token)
-}
-
-/// [`Value`] → JSON: `Null` ↔ `null`, `Int` ↔ number, `Str` ↔ string.  The
-/// mapping is type-faithful, so `Str("42")` and `Int(42)` stay distinct on
-/// the wire (strict equality matters to the repair semantics).
-pub fn value_to_json(value: &Value) -> Json {
-    match value {
-        Value::Null => Json::Null,
-        Value::Int(i) => Json::Int(*i),
-        Value::Str(s) => Json::str(s.clone()),
-    }
-}
-
-/// Inverse of [`value_to_json`].
-pub fn value_from_json(json: &Json) -> Option<Value> {
-    match json {
-        Json::Null => Some(Value::Null),
-        Json::Int(i) => Some(Value::Int(*i)),
-        Json::Str(s) => Some(Value::Str(s.clone())),
-        _ => None,
-    }
-}
-
-// ---- encoding -------------------------------------------------------------
-
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Encodes a `u64` field.  The JSON tree carries integers as `i64`, so the
-/// (pathological but legal) upper half of the `u64` range — e.g. a seed of
-/// `u64::MAX` — is written as a decimal string instead of wrapping
-/// negative; [`u64_field`] accepts both forms.
-fn u64_json(value: u64) -> Json {
-    match i64::try_from(value) {
-        Ok(i) => Json::Int(i),
-        Err(_) => Json::str(value.to_string()),
-    }
-}
-
-/// Appends a `seq` correlation member to an (object) frame.
-fn with_seq(json: Json, seq: Option<u64>) -> Json {
-    match (json, seq) {
-        (Json::Object(mut members), Some(seq)) => {
-            members.push(("seq".to_string(), u64_json(seq)));
-            Json::Object(members)
+/// A nested record: an object with one member per struct field.
+macro_rules! record {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Field for $ty {
+            fn encode(&self) -> Option<Json> {
+                Some(Json::Object(row([$((stringify!($field), self.$field.encode())),+])))
+            }
+            fn decode(json: Option<&Json>, key: &str) -> Result<$ty, String> {
+                let json = present(json, key)?;
+                Ok($ty { $($field: get(json, stringify!($field))?),+ })
+            }
         }
-        (json, _) => json,
-    }
+    };
 }
 
-/// Encodes a request as one JSON line (no trailing newline, no `seq`) —
-/// the legacy in-order frame.
-pub fn encode_request(request: &Request) -> String {
-    encode_request_frame(request, None)
+record! { WireGroup { attr, value, benefit, size, quota, asked } }
+record! { WireEval { initial_loss, final_loss, improvement_pct, precision, recall } }
+record! { WireLease { id, reviewer, tuple, attr, age } }
+
+// ---- message tables -------------------------------------------------------
+
+/// Decodes one table field; `field = default` stands in for a missing or
+/// `null` member.
+macro_rules! member {
+    ($json:ident, $field:ident) => {
+        get($json, stringify!($field))?
+    };
+    ($json:ident, $field:ident = $default:expr) => {
+        get::<Option<_>>($json, stringify!($field))?.unwrap_or($default)
+    };
+}
+
+/// Derives `members()` and `from_members()` of a message enum from its
+/// table: one row `Variant "kind" { field, .. }` per variant, members in row
+/// order after the `$tag` member naming the kind.  A frame carrying the
+/// `$other_tag` member instead decodes as the wrapped `$other` enum.
+macro_rules! messages {
+    (
+        $ty:ident by $tag:literal, unknown $what:literal
+        $(, $wrap:ident($other:ident) by $other_tag:literal)?
+        { $($variant:ident $kind:literal { $($field:ident $(= $default:expr)?),* })+ }
+    ) => {
+        impl $ty {
+            fn members(&self) -> Vec<(String, Json)> {
+                match self {
+                    $($ty::$wrap(other) => other.members(),)?
+                    $($ty::$variant { $($field),* } => row([
+                        ($tag, Some(Json::str($kind))),
+                        $((stringify!($field), $field.encode())),*
+                    ]),)+
+                }
+            }
+
+            fn from_members(json: &Json) -> Result<$ty, String> {
+                $(if json.get($other_tag).is_some() {
+                    return $other::from_members(json).map($ty::$wrap);
+                })?
+                match str_member(json.get($tag), $tag)? {
+                    $($kind => Ok($ty::$variant {
+                        $($field: member!(json, $field $(= $default)?)),*
+                    }),)+
+                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
+                }
+            }
+        }
+    };
+}
+
+messages!(Request by "op", unknown "op" {
+    Hello "hello" { version = 1 }
+    Open "open" { session, table_csv, rules, strategy, seed, ground_truth_csv, policy, lease_ttl }
+    Next "next" { session }
+    Answer "answer" { session, id, feedback }
+    Supply "supply" { session, tuple, attr, value }
+    Skip "skip" { session, tuple, attr }
+    Finish "finish" { session }
+    Report "report" { session }
+    Restore "restore" { session }
+    Compact "compact" { session }
+    Lease "lease" { session, reviewer }
+    AnswerAs "answer_as" { session, reviewer, id, feedback }
+    SupplyAs "supply_as" { session, reviewer, id, value }
+    SkipAs "skip_as" { session, reviewer, id }
+    Release "release" { session, reviewer, id }
+    Leases "leases" { session }
+});
+
+// Capability and limit fields added to `hello` after v2 shipped decode
+// tolerantly: a server that predates them reports none.
+messages!(Response by "ok", unknown "ok kind", Error(WireError) by "err" {
+    Hello "hello" {
+        version, pipelining, compact, leases = false, max_outstanding = 0, lease_ttl = 0
+    }
+    Opened "opened" { session, dirty_tuples }
+    Ask "ask" { id, tuple, attr, current, value, score, uncertainty, group }
+    NeedValue "need_value" { tuple, attr, current }
+    Done "done" { reason }
+    Answered "answered" { verifications }
+    Supplied "supplied" { verifications }
+    Skipped "skipped" {}
+    Report "report" { verifications, learner_decisions, dirty_tuples, eval }
+    Restored "restored" { replayed }
+    Compacted "compacted" { events, tail }
+    Leased "leased" { id, tuple, attr, current, value, score }
+    Fix "fix" { id, tuple, attr, current }
+    Wait "wait" {}
+    Released "released" { held }
+    Leases "leases" { leases }
+});
+
+messages!(WireError by "err", unknown "error kind" {
+    StaleWork "stale_work" { got, outstanding }
+    WorkMismatch "work_mismatch" { verb, got, outstanding }
+    NoOutstandingWork "no_outstanding_work" { verb }
+    UnknownSession "unknown_session" { session }
+    DuplicateSession "duplicate_session" { session }
+    BadRequest "bad_request" { detail }
+    Busy "busy" { max_outstanding }
+    Engine "engine" { detail }
+    Journal "journal" { detail }
+});
+
+// ---- frames ---------------------------------------------------------------
+
+/// Appends the optional `seq` member and writes the object as one line.
+fn encode_frame(mut members: Vec<(String, Json)>, seq: Option<u64>) -> String {
+    if let Some(seq) = seq.encode() {
+        members.push(("seq".to_string(), seq));
+    }
+    Json::Object(members).encode()
 }
 
 /// Encodes a request frame, tagging it with a `seq` correlation id when one
 /// is given (see the module docs: a `seq`-tagged frame may be answered out
 /// of order, with `seq` echoed on the reply).
 pub fn encode_request_frame(request: &Request, seq: Option<u64>) -> String {
-    with_seq(request_json(request), seq).encode()
-}
-
-fn request_json(request: &Request) -> Json {
-    match request {
-        Request::Hello { version } => obj(vec![
-            ("op", Json::str("hello")),
-            ("version", Json::Int(*version as i64)),
-        ]),
-        Request::Open {
-            session,
-            table_csv,
-            rules,
-            strategy,
-            seed,
-            ground_truth_csv,
-            policy,
-            lease_ttl,
-        } => {
-            let mut members = vec![
-                ("op", Json::str("open")),
-                ("session", Json::str(session.clone())),
-                ("table_csv", Json::str(table_csv.clone())),
-                ("rules", Json::str(rules.clone())),
-                ("strategy", Json::str(strategy_token(*strategy))),
-            ];
-            if let Some(seed) = seed {
-                members.push(("seed", u64_json(*seed)));
-            }
-            if let Some(truth) = ground_truth_csv {
-                members.push(("ground_truth_csv", Json::str(truth.clone())));
-            }
-            if let Some(policy) = policy {
-                members.push(("policy", Json::str(policy_token(*policy))));
-            }
-            if let Some(ttl) = lease_ttl {
-                members.push(("lease_ttl", u64_json(*ttl)));
-            }
-            obj(members)
-        }
-        Request::Next { session } => obj(vec![
-            ("op", Json::str("next")),
-            ("session", Json::str(session.clone())),
-        ]),
-        Request::Answer {
-            session,
-            id,
-            feedback,
-        } => obj(vec![
-            ("op", Json::str("answer")),
-            ("session", Json::str(session.clone())),
-            ("id", u64_json(*id)),
-            ("feedback", Json::str(feedback_token(*feedback))),
-        ]),
-        Request::Supply {
-            session,
-            tuple,
-            attr,
-            value,
-        } => obj(vec![
-            ("op", Json::str("supply")),
-            ("session", Json::str(session.clone())),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-            ("value", value_to_json(value)),
-        ]),
-        Request::Skip {
-            session,
-            tuple,
-            attr,
-        } => obj(vec![
-            ("op", Json::str("skip")),
-            ("session", Json::str(session.clone())),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-        ]),
-        Request::Finish { session } => obj(vec![
-            ("op", Json::str("finish")),
-            ("session", Json::str(session.clone())),
-        ]),
-        Request::Report { session } => obj(vec![
-            ("op", Json::str("report")),
-            ("session", Json::str(session.clone())),
-        ]),
-        Request::Restore { session } => obj(vec![
-            ("op", Json::str("restore")),
-            ("session", Json::str(session.clone())),
-        ]),
-        Request::Compact { session } => obj(vec![
-            ("op", Json::str("compact")),
-            ("session", Json::str(session.clone())),
-        ]),
-        Request::Lease { session, reviewer } => obj(vec![
-            ("op", Json::str("lease")),
-            ("session", Json::str(session.clone())),
-            ("reviewer", Json::str(reviewer.clone())),
-        ]),
-        Request::AnswerAs {
-            session,
-            reviewer,
-            id,
-            feedback,
-        } => obj(vec![
-            ("op", Json::str("answer_as")),
-            ("session", Json::str(session.clone())),
-            ("reviewer", Json::str(reviewer.clone())),
-            ("id", u64_json(*id)),
-            ("feedback", Json::str(feedback_token(*feedback))),
-        ]),
-        Request::SupplyAs {
-            session,
-            reviewer,
-            id,
-            value,
-        } => obj(vec![
-            ("op", Json::str("supply_as")),
-            ("session", Json::str(session.clone())),
-            ("reviewer", Json::str(reviewer.clone())),
-            ("id", u64_json(*id)),
-            ("value", value_to_json(value)),
-        ]),
-        Request::SkipAs {
-            session,
-            reviewer,
-            id,
-        } => obj(vec![
-            ("op", Json::str("skip_as")),
-            ("session", Json::str(session.clone())),
-            ("reviewer", Json::str(reviewer.clone())),
-            ("id", u64_json(*id)),
-        ]),
-        Request::Release {
-            session,
-            reviewer,
-            id,
-        } => obj(vec![
-            ("op", Json::str("release")),
-            ("session", Json::str(session.clone())),
-            ("reviewer", Json::str(reviewer.clone())),
-            ("id", u64_json(*id)),
-        ]),
-        Request::Leases { session } => obj(vec![
-            ("op", Json::str("leases")),
-            ("session", Json::str(session.clone())),
-        ]),
-    }
-}
-
-fn target_json(target: &WireTarget) -> Json {
-    match target {
-        WireTarget::Ask(id) => obj(vec![("kind", Json::str("ask")), ("id", u64_json(*id))]),
-        WireTarget::Value(tuple, attr) => obj(vec![
-            ("kind", Json::str("value")),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-        ]),
-    }
-}
-
-/// Encodes a response as one JSON line (no trailing newline, no `seq`).
-/// Success replies carry `"ok": <kind>`; error replies carry `"err": <kind>`.
-pub fn encode_response(response: &Response) -> String {
-    encode_response_frame(response, None)
+    encode_frame(request.members(), seq)
 }
 
 /// Encodes a response frame, echoing the request's `seq` when one was
-/// present.
+/// present.  Success replies carry `"ok": <kind>`; error replies carry
+/// `"err": <kind>`.
 pub fn encode_response_frame(response: &Response, seq: Option<u64>) -> String {
-    with_seq(response_json(response), seq).encode()
-}
-
-fn response_json(response: &Response) -> Json {
-    match response {
-        Response::Hello {
-            version,
-            pipelining,
-            compact,
-            leases,
-            max_outstanding,
-            lease_ttl,
-        } => obj(vec![
-            ("ok", Json::str("hello")),
-            ("version", Json::Int(*version as i64)),
-            ("pipelining", Json::Bool(*pipelining)),
-            ("compact", Json::Bool(*compact)),
-            ("leases", Json::Bool(*leases)),
-            ("max_outstanding", Json::Int(*max_outstanding as i64)),
-            ("lease_ttl", u64_json(*lease_ttl)),
-        ]),
-        Response::Opened {
-            session,
-            dirty_tuples,
-        } => obj(vec![
-            ("ok", Json::str("opened")),
-            ("session", Json::str(session.clone())),
-            ("dirty_tuples", Json::Int(*dirty_tuples as i64)),
-        ]),
-        Response::Ask {
-            id,
-            tuple,
-            attr,
-            current,
-            value,
-            score,
-            uncertainty,
-            group,
-        } => {
-            let mut members = vec![
-                ("ok", Json::str("ask")),
-                ("id", u64_json(*id)),
-                ("tuple", Json::Int(*tuple as i64)),
-                ("attr", Json::Int(*attr as i64)),
-                ("current", value_to_json(current)),
-                ("value", value_to_json(value)),
-                ("score", Json::Float(*score)),
-                ("uncertainty", Json::Float(*uncertainty)),
-            ];
-            if let Some(group) = group {
-                members.push((
-                    "group",
-                    obj(vec![
-                        ("attr", Json::Int(group.attr as i64)),
-                        ("value", value_to_json(&group.value)),
-                        ("benefit", Json::Float(group.benefit)),
-                        ("size", Json::Int(group.size as i64)),
-                        ("quota", Json::Int(group.quota as i64)),
-                        ("asked", Json::Int(group.asked as i64)),
-                    ]),
-                ));
-            }
-            obj(members)
-        }
-        Response::NeedValue {
-            tuple,
-            attr,
-            current,
-        } => obj(vec![
-            ("ok", Json::str("need_value")),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-            ("current", value_to_json(current)),
-        ]),
-        Response::Done { reason } => obj(vec![
-            ("ok", Json::str("done")),
-            ("reason", Json::str(done_token(*reason))),
-        ]),
-        Response::Answered { verifications } => obj(vec![
-            ("ok", Json::str("answered")),
-            ("verifications", Json::Int(*verifications as i64)),
-        ]),
-        Response::Supplied { verifications } => obj(vec![
-            ("ok", Json::str("supplied")),
-            ("verifications", Json::Int(*verifications as i64)),
-        ]),
-        Response::Skipped => obj(vec![("ok", Json::str("skipped"))]),
-        Response::Report {
-            verifications,
-            learner_decisions,
-            dirty_tuples,
-            eval,
-        } => {
-            let mut members = vec![
-                ("ok", Json::str("report")),
-                ("verifications", Json::Int(*verifications as i64)),
-                ("learner_decisions", Json::Int(*learner_decisions as i64)),
-                ("dirty_tuples", Json::Int(*dirty_tuples as i64)),
-            ];
-            if let Some(eval) = eval {
-                members.push((
-                    "eval",
-                    obj(vec![
-                        ("initial_loss", Json::Float(eval.initial_loss)),
-                        ("final_loss", Json::Float(eval.final_loss)),
-                        ("improvement_pct", Json::Float(eval.improvement_pct)),
-                        ("precision", Json::Float(eval.precision)),
-                        ("recall", Json::Float(eval.recall)),
-                    ]),
-                ));
-            }
-            obj(members)
-        }
-        Response::Restored { replayed } => obj(vec![
-            ("ok", Json::str("restored")),
-            ("replayed", Json::Int(*replayed as i64)),
-        ]),
-        Response::Compacted { events, tail } => obj(vec![
-            ("ok", Json::str("compacted")),
-            ("events", Json::Int(*events as i64)),
-            ("tail", Json::Int(*tail as i64)),
-        ]),
-        Response::Leased {
-            id,
-            tuple,
-            attr,
-            current,
-            value,
-            score,
-        } => obj(vec![
-            ("ok", Json::str("leased")),
-            ("id", u64_json(*id)),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-            ("current", value_to_json(current)),
-            ("value", value_to_json(value)),
-            ("score", Json::Float(*score)),
-        ]),
-        Response::Fix {
-            id,
-            tuple,
-            attr,
-            current,
-        } => obj(vec![
-            ("ok", Json::str("fix")),
-            ("id", u64_json(*id)),
-            ("tuple", Json::Int(*tuple as i64)),
-            ("attr", Json::Int(*attr as i64)),
-            ("current", value_to_json(current)),
-        ]),
-        Response::Wait => obj(vec![("ok", Json::str("wait"))]),
-        Response::Released { held } => obj(vec![
-            ("ok", Json::str("released")),
-            ("held", Json::Bool(*held)),
-        ]),
-        Response::Leases { leases } => obj(vec![
-            ("ok", Json::str("leases")),
-            (
-                "leases",
-                Json::Array(
-                    leases
-                        .iter()
-                        .map(|lease| {
-                            obj(vec![
-                                ("id", u64_json(lease.id)),
-                                ("reviewer", Json::str(lease.reviewer.clone())),
-                                ("tuple", Json::Int(lease.tuple as i64)),
-                                ("attr", Json::Int(lease.attr as i64)),
-                                ("age", u64_json(lease.age)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Response::Error(error) => match error {
-            WireError::StaleWork { got, outstanding } => obj(vec![
-                ("err", Json::str("stale_work")),
-                ("got", u64_json(*got)),
-                ("outstanding", u64_json(*outstanding)),
-            ]),
-            WireError::WorkMismatch {
-                verb,
-                got,
-                outstanding,
-            } => obj(vec![
-                ("err", Json::str("work_mismatch")),
-                ("verb", Json::str(verb.clone())),
-                ("got", target_json(got)),
-                ("outstanding", target_json(outstanding)),
-            ]),
-            WireError::NoOutstandingWork { verb } => obj(vec![
-                ("err", Json::str("no_outstanding_work")),
-                ("verb", Json::str(verb.clone())),
-            ]),
-            WireError::UnknownSession { session } => obj(vec![
-                ("err", Json::str("unknown_session")),
-                ("session", Json::str(session.clone())),
-            ]),
-            WireError::DuplicateSession { session } => obj(vec![
-                ("err", Json::str("duplicate_session")),
-                ("session", Json::str(session.clone())),
-            ]),
-            WireError::BadRequest { detail } => obj(vec![
-                ("err", Json::str("bad_request")),
-                ("detail", Json::str(detail.clone())),
-            ]),
-            WireError::Busy { max_outstanding } => obj(vec![
-                ("err", Json::str("busy")),
-                ("max_outstanding", Json::Int(*max_outstanding as i64)),
-            ]),
-            WireError::Engine { detail } => obj(vec![
-                ("err", Json::str("engine")),
-                ("detail", Json::str(detail.clone())),
-            ]),
-            WireError::Journal { detail } => obj(vec![
-                ("err", Json::str("journal")),
-                ("detail", Json::str(detail.clone())),
-            ]),
-        },
-    }
-}
-
-// ---- decoding -------------------------------------------------------------
-
-fn field<'j>(json: &'j Json, key: &str) -> Result<&'j Json, String> {
-    json.get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn str_field(json: &Json, key: &str) -> Result<String, String> {
-    field(json, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` must be a string"))
-}
-
-fn usize_field(json: &Json, key: &str) -> Result<usize, String> {
-    field(json, key)?
-        .as_i64()
-        .and_then(|i| usize::try_from(i).ok())
-        .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
-}
-
-fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
-    match field(json, key)? {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        // The string form carries the upper half of the u64 range (see
-        // `u64_json`); leading zeros and signs are rejected by `parse`.
-        Json::Str(s) => s.parse::<u64>().ok(),
-        _ => None,
-    }
-    .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
-}
-
-fn f64_field(json: &Json, key: &str) -> Result<f64, String> {
-    field(json, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` must be a number"))
-}
-
-fn value_field(json: &Json, key: &str) -> Result<Value, String> {
-    value_from_json(field(json, key)?)
-        .ok_or_else(|| format!("field `{key}` must be null, an integer, or a string"))
-}
-
-/// The optional `seq` correlation id of a frame (absent or `null` → none).
-fn seq_of(json: &Json) -> Result<Option<u64>, String> {
-    match json.get("seq") {
-        None | Some(Json::Null) => Ok(None),
-        Some(_) => u64_field(json, "seq").map(Some),
-    }
-}
-
-/// Decodes one request line, ignoring any `seq` tag.
-pub fn decode_request(line: &str) -> Result<Request, String> {
-    decode_request_frame(line).1
+    encode_frame(response.members(), seq)
 }
 
 /// Decodes one request frame: the `seq` correlation id (when one was
@@ -1180,332 +1005,17 @@ pub fn decode_request_frame(line: &str) -> (Option<u64>, Result<Request, String>
         Ok(json) => json,
         Err(err) => return (None, Err(err.to_string())),
     };
-    let seq = match seq_of(&json) {
-        Ok(seq) => seq,
-        Err(err) => return (None, Err(err)),
-    };
-    (seq, decode_request_json(&json))
-}
-
-fn decode_request_json(json: &Json) -> Result<Request, String> {
-    let op = str_field(json, "op")?;
-    if op == "hello" {
-        let version = match json.get("version") {
-            None | Some(Json::Null) => 1,
-            Some(_) => u64_field(json, "version")?
-                .try_into()
-                .map_err(|_| "field `version` must fit in 32 bits".to_string())?,
-        };
-        return Ok(Request::Hello { version });
+    match get(&json, "seq") {
+        Ok(seq) => (seq, Request::from_members(&json)),
+        Err(err) => (None, Err(err)),
     }
-    let session = str_field(json, "session")?;
-    match op.as_str() {
-        "open" => {
-            let strategy_text = str_field(json, "strategy")?;
-            let strategy = strategy_from_token(&strategy_text)
-                .ok_or_else(|| format!("unknown strategy `{strategy_text}`"))?;
-            let seed = match json.get("seed") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(u64_field(json, "seed")?),
-            };
-            let ground_truth_csv = match json.get("ground_truth_csv") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(str_field(json, "ground_truth_csv")?),
-            };
-            let policy = match json.get("policy") {
-                None | Some(Json::Null) => None,
-                Some(_) => {
-                    let token = str_field(json, "policy")?;
-                    Some(
-                        policy_from_token(&token)
-                            .ok_or_else(|| format!("unknown policy `{token}`"))?,
-                    )
-                }
-            };
-            let lease_ttl = match json.get("lease_ttl") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(u64_field(json, "lease_ttl")?),
-            };
-            Ok(Request::Open {
-                session,
-                table_csv: str_field(json, "table_csv")?,
-                rules: str_field(json, "rules")?,
-                strategy,
-                seed,
-                ground_truth_csv,
-                policy,
-                lease_ttl,
-            })
-        }
-        "next" => Ok(Request::Next { session }),
-        "answer" => {
-            let feedback_text = str_field(json, "feedback")?;
-            let feedback = feedback_from_token(&feedback_text)
-                .ok_or_else(|| format!("unknown feedback `{feedback_text}`"))?;
-            Ok(Request::Answer {
-                session,
-                id: u64_field(json, "id")?,
-                feedback,
-            })
-        }
-        "supply" => Ok(Request::Supply {
-            session,
-            tuple: usize_field(json, "tuple")?,
-            attr: usize_field(json, "attr")?,
-            value: value_field(json, "value")?,
-        }),
-        "skip" => Ok(Request::Skip {
-            session,
-            tuple: usize_field(json, "tuple")?,
-            attr: usize_field(json, "attr")?,
-        }),
-        "finish" => Ok(Request::Finish { session }),
-        "report" => Ok(Request::Report { session }),
-        "restore" => Ok(Request::Restore { session }),
-        "compact" => Ok(Request::Compact { session }),
-        "lease" => Ok(Request::Lease {
-            session,
-            reviewer: str_field(json, "reviewer")?,
-        }),
-        "answer_as" => {
-            let feedback_text = str_field(json, "feedback")?;
-            let feedback = feedback_from_token(&feedback_text)
-                .ok_or_else(|| format!("unknown feedback `{feedback_text}`"))?;
-            Ok(Request::AnswerAs {
-                session,
-                reviewer: str_field(json, "reviewer")?,
-                id: u64_field(json, "id")?,
-                feedback,
-            })
-        }
-        "supply_as" => Ok(Request::SupplyAs {
-            session,
-            reviewer: str_field(json, "reviewer")?,
-            id: u64_field(json, "id")?,
-            value: value_field(json, "value")?,
-        }),
-        "skip_as" => Ok(Request::SkipAs {
-            session,
-            reviewer: str_field(json, "reviewer")?,
-            id: u64_field(json, "id")?,
-        }),
-        "release" => Ok(Request::Release {
-            session,
-            reviewer: str_field(json, "reviewer")?,
-            id: u64_field(json, "id")?,
-        }),
-        "leases" => Ok(Request::Leases { session }),
-        other => Err(format!("unknown op `{other}`")),
-    }
-}
-
-fn decode_target(json: &Json) -> Result<WireTarget, String> {
-    match str_field(json, "kind")?.as_str() {
-        "ask" => Ok(WireTarget::Ask(u64_field(json, "id")?)),
-        "value" => Ok(WireTarget::Value(
-            usize_field(json, "tuple")?,
-            usize_field(json, "attr")?,
-        )),
-        other => Err(format!("unknown target kind `{other}`")),
-    }
-}
-
-/// Decodes one response line, ignoring any `seq` echo.
-pub fn decode_response(line: &str) -> Result<Response, String> {
-    decode_response_frame(line).map(|(_, response)| response)
 }
 
 /// Decodes one response frame: the echoed `seq` (when present) and the
 /// response itself.
 pub fn decode_response_frame(line: &str) -> Result<(Option<u64>, Response), String> {
     let json = Json::parse(line).map_err(|e| e.to_string())?;
-    let seq = seq_of(&json)?;
-    decode_response_json(&json).map(|response| (seq, response))
-}
-
-fn decode_response_json(json: &Json) -> Result<Response, String> {
-    if let Some(err) = json.get("err") {
-        let kind = err
-            .as_str()
-            .ok_or_else(|| "field `err` must be a string".to_string())?;
-        let error = match kind {
-            "stale_work" => WireError::StaleWork {
-                got: u64_field(json, "got")?,
-                outstanding: u64_field(json, "outstanding")?,
-            },
-            "work_mismatch" => WireError::WorkMismatch {
-                verb: str_field(json, "verb")?,
-                got: decode_target(field(json, "got")?)?,
-                outstanding: decode_target(field(json, "outstanding")?)?,
-            },
-            "no_outstanding_work" => WireError::NoOutstandingWork {
-                verb: str_field(json, "verb")?,
-            },
-            "unknown_session" => WireError::UnknownSession {
-                session: str_field(json, "session")?,
-            },
-            "duplicate_session" => WireError::DuplicateSession {
-                session: str_field(json, "session")?,
-            },
-            "bad_request" => WireError::BadRequest {
-                detail: str_field(json, "detail")?,
-            },
-            "busy" => WireError::Busy {
-                max_outstanding: usize_field(json, "max_outstanding")?,
-            },
-            "engine" => WireError::Engine {
-                detail: str_field(json, "detail")?,
-            },
-            "journal" => WireError::Journal {
-                detail: str_field(json, "detail")?,
-            },
-            other => return Err(format!("unknown error kind `{other}`")),
-        };
-        return Ok(Response::Error(error));
-    }
-    let ok = str_field(json, "ok")?;
-    match ok.as_str() {
-        "hello" => {
-            let version = u64_field(json, "version")?
-                .try_into()
-                .map_err(|_| "field `version` must fit in 32 bits".to_string())?;
-            let bool_field = |key: &str| {
-                field(json, key)?
-                    .as_bool()
-                    .ok_or_else(|| format!("field `{key}` must be a boolean"))
-            };
-            // Capability and limit fields added after v2 shipped decode
-            // tolerantly: a server that predates them reports none.
-            let leases = match json.get("leases") {
-                None | Some(Json::Null) => false,
-                Some(_) => bool_field("leases")?,
-            };
-            let max_outstanding = match json.get("max_outstanding") {
-                None | Some(Json::Null) => 0,
-                Some(_) => usize_field(json, "max_outstanding")?,
-            };
-            let lease_ttl = match json.get("lease_ttl") {
-                None | Some(Json::Null) => 0,
-                Some(_) => u64_field(json, "lease_ttl")?,
-            };
-            Ok(Response::Hello {
-                version,
-                pipelining: bool_field("pipelining")?,
-                compact: bool_field("compact")?,
-                leases,
-                max_outstanding,
-                lease_ttl,
-            })
-        }
-        "opened" => Ok(Response::Opened {
-            session: str_field(json, "session")?,
-            dirty_tuples: usize_field(json, "dirty_tuples")?,
-        }),
-        "ask" => {
-            let group = match json.get("group") {
-                None | Some(Json::Null) => None,
-                Some(group) => Some(WireGroup {
-                    attr: usize_field(group, "attr")?,
-                    value: value_field(group, "value")?,
-                    benefit: f64_field(group, "benefit")?,
-                    size: usize_field(group, "size")?,
-                    quota: usize_field(group, "quota")?,
-                    asked: usize_field(group, "asked")?,
-                }),
-            };
-            Ok(Response::Ask {
-                id: u64_field(json, "id")?,
-                tuple: usize_field(json, "tuple")?,
-                attr: usize_field(json, "attr")?,
-                current: value_field(json, "current")?,
-                value: value_field(json, "value")?,
-                score: f64_field(json, "score")?,
-                uncertainty: f64_field(json, "uncertainty")?,
-                group,
-            })
-        }
-        "need_value" => Ok(Response::NeedValue {
-            tuple: usize_field(json, "tuple")?,
-            attr: usize_field(json, "attr")?,
-            current: value_field(json, "current")?,
-        }),
-        "done" => {
-            let reason_text = str_field(json, "reason")?;
-            Ok(Response::Done {
-                reason: done_from_token(&reason_text)
-                    .ok_or_else(|| format!("unknown done reason `{reason_text}`"))?,
-            })
-        }
-        "answered" => Ok(Response::Answered {
-            verifications: usize_field(json, "verifications")?,
-        }),
-        "supplied" => Ok(Response::Supplied {
-            verifications: usize_field(json, "verifications")?,
-        }),
-        "skipped" => Ok(Response::Skipped),
-        "report" => {
-            let eval = match json.get("eval") {
-                None | Some(Json::Null) => None,
-                Some(eval) => Some(WireEval {
-                    initial_loss: f64_field(eval, "initial_loss")?,
-                    final_loss: f64_field(eval, "final_loss")?,
-                    improvement_pct: f64_field(eval, "improvement_pct")?,
-                    precision: f64_field(eval, "precision")?,
-                    recall: f64_field(eval, "recall")?,
-                }),
-            };
-            Ok(Response::Report {
-                verifications: usize_field(json, "verifications")?,
-                learner_decisions: usize_field(json, "learner_decisions")?,
-                dirty_tuples: usize_field(json, "dirty_tuples")?,
-                eval,
-            })
-        }
-        "restored" => Ok(Response::Restored {
-            replayed: usize_field(json, "replayed")?,
-        }),
-        "compacted" => Ok(Response::Compacted {
-            events: usize_field(json, "events")?,
-            tail: usize_field(json, "tail")?,
-        }),
-        "leased" => Ok(Response::Leased {
-            id: u64_field(json, "id")?,
-            tuple: usize_field(json, "tuple")?,
-            attr: usize_field(json, "attr")?,
-            current: value_field(json, "current")?,
-            value: value_field(json, "value")?,
-            score: f64_field(json, "score")?,
-        }),
-        "fix" => Ok(Response::Fix {
-            id: u64_field(json, "id")?,
-            tuple: usize_field(json, "tuple")?,
-            attr: usize_field(json, "attr")?,
-            current: value_field(json, "current")?,
-        }),
-        "wait" => Ok(Response::Wait),
-        "released" => Ok(Response::Released {
-            held: field(json, "held")?
-                .as_bool()
-                .ok_or_else(|| "field `held` must be a boolean".to_string())?,
-        }),
-        "leases" => {
-            let entries = field(json, "leases")?
-                .as_array()
-                .ok_or_else(|| "field `leases` must be an array".to_string())?;
-            let mut leases = Vec::with_capacity(entries.len());
-            for entry in entries {
-                leases.push(WireLease {
-                    id: u64_field(entry, "id")?,
-                    reviewer: str_field(entry, "reviewer")?,
-                    tuple: usize_field(entry, "tuple")?,
-                    attr: usize_field(entry, "attr")?,
-                    age: u64_field(entry, "age")?,
-                });
-            }
-            Ok(Response::Leases { leases })
-        }
-        other => Err(format!("unknown ok kind `{other}`")),
-    }
+    Ok((get(&json, "seq")?, Response::from_members(&json)?))
 }
 
 #[cfg(test)]

@@ -235,16 +235,19 @@ fn protocol_garbage_gets_error_replies_and_the_connection_survives() {
     );
 
     // The connection (and process) still works: open a real session on it.
-    let open = gdr_serve::wire::encode_request(&gdr_serve::wire::Request::Open {
-        session: "x".into(),
-        table_csv: to_csv(&fixture::figure1_instance().0),
-        rules: fixture::figure1_rules_text().into(),
-        strategy: Strategy::GdrNoLearning,
-        seed: None,
-        ground_truth_csv: None,
-        policy: None,
-        lease_ttl: None,
-    });
+    let open = gdr_serve::wire::encode_request_frame(
+        &gdr_serve::wire::Request::Open {
+            session: "x".into(),
+            table_csv: to_csv(&fixture::figure1_instance().0),
+            rules: fixture::figure1_rules_text().into(),
+            strategy: Strategy::GdrNoLearning,
+            seed: None,
+            ground_truth_csv: None,
+            policy: None,
+            lease_ttl: None,
+        },
+        None,
+    );
     assert!(ask(&open).contains("\"ok\":\"opened\""));
     // Duplicate open is a typed error too.
     assert!(ask(&open).contains("\"err\":\"duplicate_session\""));
