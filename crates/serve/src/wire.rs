@@ -1078,17 +1078,6 @@ mod tests {
         }
     }
 
-    /// The string member `key` of an encoded frame.
-    fn member(line: &str, key: &str) -> String {
-        Json::parse(line)
-            .unwrap()
-            .get(key)
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string()
-    }
-
     #[test]
     fn u64_extremes_round_trip_without_wrapping() {
         // The upper half of the u64 range rides as a decimal string.
@@ -1910,41 +1899,7 @@ mod tests {
 
     #[test]
     fn strategy_and_feedback_tokens_are_total_and_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for strategy in Strategy::ALL {
-            let request = open(strategy, None);
-            let line = encode_request_frame(&request, None);
-            let token = member(&line, "strategy");
-            assert_eq!(decode_request_frame(&line), (None, Ok(request)));
-            assert!(seen.insert(token.clone()), "duplicate token {token}");
-        }
-        assert_eq!(seen.len(), Strategy::ALL.len());
-        assert_eq!(
-            request_error(
-                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"bogus"}"#
-            ),
-            "unknown strategy `bogus`"
-        );
-        let mut seen = std::collections::HashSet::new();
-        for feedback in Feedback::ALL {
-            let request = Request::Answer {
-                session: "s".into(),
-                id: 1,
-                feedback,
-            };
-            let line = encode_request_frame(&request, None);
-            assert!(seen.insert(member(&line, "feedback")));
-            assert_eq!(decode_request_frame(&line), (None, Ok(request)));
-        }
-        assert_eq!(
-            request_error(r#"{"op":"answer","session":"s","id":1,"feedback":"bogus"}"#),
-            "unknown feedback `bogus`"
-        );
-    }
-
-    #[test]
-    fn strategy_tokens_are_pinned() {
-        for (strategy, token) in [
+        let strategies = [
             (Strategy::Gdr, "gdr"),
             (Strategy::GdrNoLearning, "gdr_no_learning"),
             (Strategy::GdrSLearning, "gdr_s_learning"),
@@ -1952,24 +1907,43 @@ mod tests {
             (Strategy::Greedy, "greedy"),
             (Strategy::RandomOrder, "random"),
             (Strategy::AutomaticHeuristic, "heuristic"),
-        ] {
-            let line = encode_request_frame(&open(strategy, None), None);
-            assert_eq!(member(&line, "strategy"), token);
+        ];
+        assert_eq!(strategies.map(|(strategy, _)| strategy), Strategy::ALL);
+        let tokens: std::collections::HashSet<_> = strategies.map(|(_, token)| token).into();
+        assert_eq!(tokens.len(), strategies.len(), "duplicate token");
+        for (strategy, token) in strategies {
+            request_round_trip(
+                open(strategy, None),
+                &format!(
+                    r#"{{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"{token}"}}"#
+                ),
+            );
         }
-        for (feedback, token) in [
+        assert_eq!(
+            request_error(
+                r#"{"op":"open","session":"s","table_csv":"A\n1\n","rules":"","strategy":"bogus"}"#
+            ),
+            "unknown strategy `bogus`"
+        );
+        let feedbacks = [
             (Feedback::Confirm, "confirm"),
             (Feedback::Reject, "reject"),
             (Feedback::Retain, "retain"),
-        ] {
-            let request = Request::Answer {
-                session: "s".into(),
-                id: 1,
-                feedback,
-            };
-            assert_eq!(
-                member(&encode_request_frame(&request, None), "feedback"),
-                token
+        ];
+        assert_eq!(feedbacks.map(|(feedback, _)| feedback), Feedback::ALL);
+        for (feedback, token) in feedbacks {
+            request_round_trip(
+                Request::Answer {
+                    session: "s".into(),
+                    id: 1,
+                    feedback,
+                },
+                &format!(r#"{{"op":"answer","session":"s","id":1,"feedback":"{token}"}}"#),
             );
         }
+        assert_eq!(
+            request_error(r#"{"op":"answer","session":"s","id":1,"feedback":"bogus"}"#),
+            "unknown feedback `bogus`"
+        );
     }
 }
