@@ -2,9 +2,8 @@
 //! rebuilt from its transcript.
 //!
 //! A durable Figure-1 session is recorded once through the multi-reviewer
-//! verbs (every answer journals `Pulled`/`Leased`/`AnsweredAs`/`Resolved`
-//! records, so the transcript is several times longer than the answer
-//! count), with auto-compaction disabled so every rebuild replays the full
+//! verbs (every answer journals `Leased`/`AnsweredAs`/`Resolved` records,
+//! so the transcript is several times longer than the answer count), with auto-compaction disabled so every rebuild replays the full
 //! stream.  Three paths are timed:
 //!
 //! * `live_rehydrate/full` — [`Session::restore`]: the in-memory journal

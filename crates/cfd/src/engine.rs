@@ -1323,6 +1323,13 @@ impl ViolationEngine {
         dec.section("vioeng")?;
         let ruleset = RuleSet::decode_state(dec)?;
         let arity = dec.usize()?;
+        for (id, rule) in ruleset.iter() {
+            if rule.attrs().iter().any(|&attr| attr >= arity) {
+                return Err(CodecError::new(format!(
+                    "rule {id} names an attribute outside the {arity}-column table"
+                )));
+            }
+        }
         let n_rows = dec.usize()?;
         let n_states = dec.seq_len(1)?;
         if n_states != ruleset.len() {

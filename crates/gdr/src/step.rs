@@ -605,6 +605,13 @@ impl GdrEngine {
         }
     }
 
+    /// The outstanding work item: served by [`GdrEngine::next_work`] and
+    /// not yet answered, so the next pull re-serves it.  `None` before the
+    /// first pull, between an answer and the next pull, and once concluded.
+    pub fn outstanding(&self) -> Option<&WorkPlan> {
+        self.pending.as_ref()
+    }
+
     /// The candidate updates of the currently selected group, in ranking
     /// order — including the served pick, which stays in the list until it
     /// is answered.  Empty outside a group (pool strategy, supply sweep,

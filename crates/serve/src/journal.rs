@@ -171,7 +171,6 @@ fn decode_cell(dec: &mut Dec<'_>) -> codec::Result<(usize, usize)> {
 pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
     let mut enc = Enc::new();
     match event {
-        TranscriptEvent::Pulled => enc.u8(0),
         TranscriptEvent::Answered(id, feedback) => {
             enc.u8(1);
             enc.u64(*id);
@@ -186,7 +185,10 @@ pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
             enc.u8(3);
             encode_cell(&mut enc, *cell);
         }
-        TranscriptEvent::Finished => enc.u8(4),
+        TranscriptEvent::Finished { pulled } => {
+            enc.u8(4);
+            enc.bool(*pulled);
+        }
         TranscriptEvent::Leased { reviewer, id } => {
             enc.u8(5);
             enc.str(reviewer);
@@ -237,11 +239,12 @@ pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
 
 fn decode_event_state(dec: &mut Dec<'_>) -> codec::Result<TranscriptEvent> {
     Ok(match dec.u8()? {
-        0 => TranscriptEvent::Pulled,
         1 => TranscriptEvent::Answered(dec.u64()?, Feedback::decode_state(dec)?),
         2 => TranscriptEvent::Supplied(decode_cell(dec)?, dec.value()?),
         3 => TranscriptEvent::Skipped(decode_cell(dec)?),
-        4 => TranscriptEvent::Finished,
+        4 => TranscriptEvent::Finished {
+            pulled: dec.bool()?,
+        },
         5 => TranscriptEvent::Leased {
             reviewer: dec.str()?,
             id: dec.u64()?,
@@ -1057,7 +1060,7 @@ mod tests {
 
     fn sample_events() -> Vec<TranscriptEvent> {
         vec![
-            TranscriptEvent::Pulled,
+            TranscriptEvent::Finished { pulled: true },
             TranscriptEvent::Answered(7, Feedback::Confirm),
             TranscriptEvent::Answered(u64::MAX, Feedback::Reject),
             TranscriptEvent::Supplied((3, 1), Value::from("Fort, \"Wayne\"\nIN")),
@@ -1107,7 +1110,7 @@ mod tests {
                 index: 1,
                 resolution: gdr_core::team::Resolution::Skip { cell: (7, 7) },
             },
-            TranscriptEvent::Finished,
+            TranscriptEvent::Finished { pulled: false },
         ]
     }
 
@@ -1131,6 +1134,8 @@ mod tests {
             long.push(0);
             assert!(decode_event(&long).is_err());
         }
+        // Tag 0 is unassigned: pulls are never journaled.
+        assert!(decode_event(&[0]).is_err());
     }
 
     #[test]
@@ -1229,7 +1234,10 @@ mod tests {
 
     #[test]
     fn faulty_writer_kills_and_tears_at_the_boundary() {
-        let record = codec::frame(&encode_event(&TranscriptEvent::Pulled));
+        let record = codec::frame(&encode_event(&TranscriptEvent::Answered(
+            7,
+            Feedback::Confirm,
+        )));
         // Kill: nothing past the budget lands.
         for budget in 0..=record.len() {
             let mut writer = FaultyWriter::new(Vec::new(), budget, FaultMode::Kill);

@@ -115,19 +115,17 @@
 //!
 //! Persistence is **replay-based**.  The engine is deterministic, so the
 //! store journals, per session, (1) the build inputs exactly as they
-//! arrived in `open` and (2) every successful state-advancing protocol step
-//! ([`store::TranscriptEvent`]) — the verbs, plus every pull made with no
-//! item outstanding ([`store::TranscriptEvent::Pulled`]), because such a
-//! pull runs real bookkeeping: the initial checkpoint, the learner phase
-//! closing the previous group, suggestion refresh, the final checkpoint at
-//! conclusion.  `restore` rebuilds the engine from scratch and replays the
-//! transcript through the public pull API; the result is bit-identical to
-//! the live engine — quality checkpoints compared via `f64::to_bits` in
-//! this crate's tests, at every interruption point.  A pull that merely
-//! re-serves the outstanding item is pure and is not journaled: the rebuilt
-//! engine re-serves that item with the same work id on the next pull, so a
-//! client that was mid-question resumes seamlessly.  Protocol errors mutate
-//! nothing and are never journaled.
+//! arrived in `open` and (2) every successful state-changing verb
+//! ([`store::TranscriptEvent`]): one record, and one fsync under the
+//! default policy, per answer.  `restore` rebuilds the engine from scratch
+//! and replays the transcript through the public pull API; the result is
+//! bit-identical to the live engine — quality checkpoints compared via
+//! `f64::to_bits` in this crate's tests, at every interruption point.
+//! Pulls are not journaled; replay infers them (see [`store`]).  A pull
+//! after the last record is repeated by the next one with the same plan and
+//! work id, so a client that was mid-question when the server died resumes
+//! seamlessly, by pulling again or by answering the id it holds.  A verb
+//! that fails journals nothing.
 //!
 //! The journal *is* the session history, so auditability comes for free and
 //! the transcript stays the durability format of record.  Replay cost is

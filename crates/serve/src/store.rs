@@ -5,14 +5,17 @@
 //! `tests/step_equivalence.rs` pins for the in-process drivers).  The store
 //! leans on that instead of snapshotting engine internals: each session
 //! journals its build inputs ([`OpenSpec`]) and every *successful*,
-//! state-advancing protocol step ([`TranscriptEvent`]), and
-//! [`Session::restore`] rebuilds the engine by replaying the journal
-//! through the public pull API.  Crucially, that includes the pulls: a
-//! `next_work` call with no item outstanding runs real bookkeeping (group
-//! selection, the learner phase that closes the previous group, suggestion
-//! refresh, checkpoints) and is journaled as [`TranscriptEvent::Pulled`];
-//! a pull that merely re-serves the outstanding item is pure and is not.
-//! Protocol errors mutate nothing, so they are never journaled.
+//! state-changing verb ([`TranscriptEvent`]), and [`Session::restore`]
+//! rebuilds the engine by replaying the journal through the public pull API.
+//! Pulls are not journaled, although one made with no item outstanding runs
+//! real bookkeeping (group selection, the learner phase that closes the
+//! previous group, suggestion refresh, checkpoints).  Replay infers them:
+//! every verb that needs an outstanding item pulls first, live and on
+//! replay alike (with an item outstanding, a pull is a pure re-serve), and
+//! [`TranscriptEvent::Finished`] records whether a pull preceded `finish`.
+//! A pull after the last event needs no record: the next pull repeats it,
+//! with the same work id.  A failed verb journals nothing; at most it
+//! leaves such a pull behind.
 //!
 //! Multi-reviewer sessions journal the same way: every state-changing
 //! coordinator operation — a lease grant, a clock-ticking wait, an accepted
@@ -146,19 +149,9 @@ impl OpenSpec {
     }
 }
 
-/// One successful, state-advancing protocol step, as journaled.
+/// One successful, state-changing protocol step, as journaled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TranscriptEvent {
-    /// A `next_work` pull made with no item outstanding.  Such a pull is
-    /// *not* a read: it starts the engine (initial checkpoint; for the
-    /// automatic strategy, the entire heuristic), closes the previous group
-    /// (learner decisions, suggestion refresh, stall bookkeeping), selects
-    /// the next one, and — at the end of a session — seals the conclusion
-    /// and records the final checkpoint.  Replay must make exactly these
-    /// pulls, even when no verb ever followed them (e.g. `finish` right
-    /// after a pull that crossed a group boundary).  Pulls that re-serve an
-    /// already-outstanding item are pure and are not journaled.
-    Pulled,
     /// `answer(id, feedback)` was applied.
     Answered(u64, Feedback),
     /// `supply_value(cell, value)` was applied.
@@ -166,7 +159,12 @@ pub enum TranscriptEvent {
     /// `skip_value(cell)` was applied.
     Skipped(Cell),
     /// `finish()` concluded the session.
-    Finished,
+    Finished {
+        /// The engine held a served item or had concluded, so replay pulls
+        /// before finishing: the unjournaled pull that got it there (e.g.
+        /// one that crossed a group boundary), or else a pure re-serve.
+        pulled: bool,
+    },
     /// A state-changing [`TeamSession::next_work_for`] granted lease `id`
     /// to `reviewer`.  Replay re-runs the pull and validates the recomputed
     /// grant against the recorded id — the coordinator is deterministic, so
@@ -279,7 +277,8 @@ impl SessionJournal {
         events: &[TranscriptEvent],
     ) -> SessionJournal {
         debug_assert!(covered <= events.len(), "checkpoint beyond the transcript");
-        let ends_finished = covered > 0 && events[covered - 1] == TranscriptEvent::Finished;
+        let ends_finished =
+            covered > 0 && matches!(events[covered - 1], TranscriptEvent::Finished { .. });
         SessionJournal {
             spec,
             snapshot: Some(JournalSnapshot {
@@ -315,7 +314,7 @@ impl SessionJournal {
 
     fn ends_finished(&self) -> bool {
         match self.tail.last() {
-            Some(event) => *event == TranscriptEvent::Finished,
+            Some(event) => matches!(event, TranscriptEvent::Finished { .. }),
             None => self.snapshot.as_ref().is_some_and(|s| s.ends_finished),
         }
     }
@@ -345,13 +344,10 @@ impl SessionJournal {
         };
         for event in &self.tail {
             match event {
-                TranscriptEvent::Pulled => {
-                    team.engine_mut().next_work()?;
-                }
-                // Each verb re-pulls before applying; its serving pull is
-                // already in the transcript as `Pulled`, so this extra call
-                // is a pure re-serve of the outstanding item — it keeps the
-                // replay robust even against a journal with missing pulls.
+                // Each verb pulls before applying, exactly as the live verb
+                // did: this re-runs the unjournaled pull that served the
+                // item, or re-serves it purely when an earlier event (or the
+                // snapshot) already did.
                 TranscriptEvent::Answered(raw, feedback) => {
                     let engine = team.engine_mut();
                     engine.next_work()?;
@@ -367,7 +363,10 @@ impl SessionJournal {
                     engine.next_work()?;
                     engine.skip_value(*cell)?;
                 }
-                TranscriptEvent::Finished => {
+                TranscriptEvent::Finished { pulled } => {
+                    if *pulled {
+                        team.engine_mut().next_work()?;
+                    }
                     team.finish()?;
                 }
                 TranscriptEvent::Leased { reviewer, id } => {
@@ -512,10 +511,6 @@ impl SessionOptions {
 pub struct Session {
     team: TeamSession,
     journal: SessionJournal,
-    /// Whether a served work item is currently outstanding — the line
-    /// between pure pulls (re-serves, not journaled) and state-advancing
-    /// pulls (journaled as [`TranscriptEvent::Pulled`]).
-    outstanding: bool,
     /// How many entries of the cumulative resolution log already have a
     /// [`TranscriptEvent::Resolved`] checkpoint in the journal.
     resolved_logged: usize,
@@ -531,7 +526,6 @@ impl Session {
         Session {
             team: journal.spec.build(),
             journal,
-            outstanding: false,
             resolved_logged: 0,
             config,
             disk,
@@ -583,7 +577,6 @@ impl Session {
             Session {
                 team,
                 journal,
-                outstanding: false,
                 resolved_logged,
                 config,
                 disk: Some(disk),
@@ -637,84 +630,81 @@ impl Session {
         Ok(())
     }
 
-    /// Pulls the next work item.  A pull made with an item already
-    /// outstanding is a pure re-serve (same plan, same work id) and is not
-    /// journaled; a pull that actually advances the engine — including the
-    /// first one and the one that observes the conclusion — is journaled as
-    /// [`TranscriptEvent::Pulled`] so replay re-runs its bookkeeping.
+    /// Whether replay must pull once past the journal to reach the live
+    /// engine.  Pulls are never journaled, and one that served an item or
+    /// observed the conclusion leaves a state the journal alone may not
+    /// imply.  Re-running it is harmless when the journal does imply it: a
+    /// pull with an item outstanding, or after the conclusion, is pure.
+    fn pull_pending(&self) -> bool {
+        let engine = self.team.engine();
+        engine.outstanding().is_some() || engine.done().is_some()
+    }
+
+    /// Pulls the next work item.  Journals nothing: a pull made with an
+    /// item already outstanding is a pure re-serve (same plan, same work
+    /// id), and one that advances the engine is re-run on replay by the
+    /// verb that follows it (see the [module docs](self)).
     // `next` is the protocol verb, not an iterator (it does not yield a
     // stream of distinct items — it re-serves until answered).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<WorkPlan, GdrError> {
-        let advancing = !self.outstanding && self.team.engine().done().is_none();
-        let plan = self.team.engine_mut().next_work()?;
-        self.outstanding = !matches!(plan, WorkPlan::Done(_));
-        if advancing {
-            self.journal_event(TranscriptEvent::Pulled)?;
-        }
-        Ok(plan)
+        self.team.engine_mut().next_work()
     }
 
-    /// Answers the outstanding `AskUser` item; journals on success.
+    /// Answers the `AskUser` item `id`; journals on success.  Pulls first
+    /// when nothing is outstanding, as replay does, so a client that held
+    /// `id` across a crash answers it without pulling again.
     pub fn answer(&mut self, id: WorkId, feedback: Feedback) -> Result<usize, GdrError> {
-        self.team.engine_mut().answer(id, feedback)?;
-        self.outstanding = false;
+        let engine = self.team.engine_mut();
+        engine.next_work()?;
+        engine.answer(id, feedback)?;
         self.journal_event(TranscriptEvent::Answered(id.raw(), feedback))?;
         Ok(self.team.engine().verifications())
     }
 
-    /// Supplies a value for the outstanding `NeedsValue` cell; journals on
-    /// success.
+    /// Supplies a value for the `NeedsValue` cell; pulls and journals as
+    /// [`Session::answer`].
     pub fn supply(&mut self, cell: Cell, value: Value) -> Result<usize, GdrError> {
-        self.team.engine_mut().supply_value(cell, value.clone())?;
-        self.outstanding = false;
+        let engine = self.team.engine_mut();
+        engine.next_work()?;
+        engine.supply_value(cell, value.clone())?;
         self.journal_event(TranscriptEvent::Supplied(cell, value))?;
         Ok(self.team.engine().verifications())
     }
 
-    /// Skips the outstanding `NeedsValue` cell; journals on success.
+    /// Skips the `NeedsValue` cell; pulls and journals as
+    /// [`Session::answer`].
     pub fn skip(&mut self, cell: Cell) -> Result<(), GdrError> {
-        self.team.engine_mut().skip_value(cell)?;
-        self.outstanding = false;
+        let engine = self.team.engine_mut();
+        engine.next_work()?;
+        engine.skip_value(cell)?;
         self.journal_event(TranscriptEvent::Skipped(cell))?;
         Ok(())
     }
 
     /// Finishes the session; journals on success.
     pub fn finish(&mut self) -> Result<gdr_core::step::DoneReason, GdrError> {
+        let pulled = self.pull_pending();
         let reason = self.team.finish()?;
-        self.outstanding = false;
         // finish() is idempotent; journal it once so replay stays aligned.
         if !self.journal.ends_finished() {
-            self.journal_event(TranscriptEvent::Finished)?;
+            self.journal_event(TranscriptEvent::Finished { pulled })?;
         }
         Ok(reason)
     }
 
     // ---- team verbs -------------------------------------------------------
-
-    /// Every team verb pulls the engine internally, and that pull can be
-    /// state-advancing (the session's first pull, the one that closes a
-    /// group, the one that seals the conclusion) even when the verb itself
-    /// then fails or journals nothing — e.g. a stale `answer_as`, or a
-    /// `lease` that observes the conclusion.  Journaling the advancing pull
-    /// *before* the coordinator runs keeps the transcript complete: after
-    /// this, the verb's own engine pull is a pure re-serve.
-    fn sync_pull(&mut self) -> Result<(), GdrError> {
-        if !self.outstanding && self.team.engine().done().is_none() {
-            self.team.engine_mut().next_work()?;
-            self.outstanding = self.team.engine().done().is_none();
-            self.journal_event(TranscriptEvent::Pulled)?;
-        }
-        Ok(())
-    }
+    //
+    // Every team verb pulls the engine first, inside the coordinator, and
+    // replaying its event re-runs that pull.  A verb that then fails or
+    // journals nothing (a stale `answer_as`, a `lease` that re-serves or
+    // observes the conclusion) leaves its pull pending, like `next`.
 
     /// Serves (or re-serves) work to `reviewer` under a lease.  A pure
     /// re-serve (the reviewer already holds a live lease on valid work)
     /// journals nothing; a state-changing pull — a grant or a clock-ticking
     /// [`TeamPlan::Wait`] — is journaled so replay re-runs it.
     pub fn lease(&mut self, reviewer: &str) -> Result<TeamPlan, GdrError> {
-        self.sync_pull()?;
         let before = self.team.clock();
         let plan = self.team.next_work_for(reviewer)?;
         if self.team.clock() != before {
@@ -730,7 +720,6 @@ impl Session {
             };
             self.journal_event(event)?;
         }
-        self.outstanding = !matches!(plan, TeamPlan::Done(_));
         Ok(plan)
     }
 
@@ -743,9 +732,7 @@ impl Session {
         id: WorkId,
         feedback: Feedback,
     ) -> Result<usize, GdrError> {
-        self.sync_pull()?;
         self.team.answer_as(reviewer, id, feedback)?;
-        self.outstanding = self.team.engine().done().is_none();
         self.journal_event(TranscriptEvent::AnsweredAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
@@ -763,9 +750,7 @@ impl Session {
         id: WorkId,
         value: Value,
     ) -> Result<usize, GdrError> {
-        self.sync_pull()?;
         self.team.supply_as(reviewer, id, value.clone())?;
-        self.outstanding = self.team.engine().done().is_none();
         self.journal_event(TranscriptEvent::SuppliedAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
@@ -778,9 +763,7 @@ impl Session {
     /// Declines the leased fix item `id` as `reviewer`; journals on
     /// success, as [`Session::answer_as`].
     pub fn skip_as(&mut self, reviewer: &str, id: WorkId) -> Result<(), GdrError> {
-        self.sync_pull()?;
         self.team.skip_as(reviewer, id)?;
-        self.outstanding = self.team.engine().done().is_none();
         self.journal_event(TranscriptEvent::SkippedAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
@@ -793,7 +776,6 @@ impl Session {
     /// that actually held (returned `true`) changes state and is journaled;
     /// a stale release is a no-op on both the session and the journal.
     pub fn release_lease(&mut self, reviewer: &str, id: WorkId) -> Result<bool, GdrError> {
-        self.sync_pull()?;
         let held = self.team.release(reviewer, id)?;
         if held {
             self.journal_event(TranscriptEvent::Released {
@@ -801,7 +783,6 @@ impl Session {
                 id: id.raw(),
             })?;
         }
-        self.outstanding = self.team.engine().done().is_none();
         Ok(held)
     }
 
@@ -818,13 +799,14 @@ impl Session {
     }
 
     /// Compacts the journal: installs a clone of the live engine as the
-    /// replay base, drops the absorbed tail from RAM, and (in durable mode)
+    /// replay base (a pending pull included: the verbs after it re-serve
+    /// purely), drops the absorbed tail from RAM, and (in durable mode)
     /// persists the checkpoint on disk — the serialised session and its
     /// digest as a `snap-NNNNNN.gdrs` file — so a cold restart loads the
     /// checkpoint and replays only the journal tail.
     /// When [`JournalConfig::validate_compaction`] is set the snapshot is
-    /// only adopted after a full replay of the current journal
-    /// digest-matches the live engine — a divergence (which would make the
+    /// only adopted after a full replay of the current journal (and of a
+    /// pending pull) digest-matches the live engine — a divergence (which would make the
     /// snapshot lie) fails with [`GdrError::Journal`] and leaves the
     /// journal untouched.
     pub fn compact(&mut self) -> Result<CompactionStats, GdrError> {
@@ -832,7 +814,7 @@ impl Session {
         let dropped = self.journal.tail.len();
         let live = team_digest(&self.team);
         if self.config.validate_compaction {
-            let rebuilt = team_digest(&self.journal.replay()?);
+            let rebuilt = team_digest(&self.replayed()?);
             if rebuilt != live {
                 return Err(GdrError::Journal {
                     detail: format!(
@@ -853,15 +835,22 @@ impl Session {
         })
     }
 
+    /// The journal replayed, then the pending pull re-run when there is one
+    /// ([`Session::pull_pending`]): the live session, rebuilt.
+    fn replayed(&self) -> Result<TeamSession, GdrError> {
+        let mut team = self.journal.replay()?;
+        if self.pull_pending() {
+            team.engine_mut().next_work()?;
+        }
+        Ok(team)
+    }
+
     /// Discards the live engine and replays the journal in its place
-    /// (snapshot + tail when compacted, from scratch otherwise).  Returns
-    /// the number of tail events replayed.
+    /// (snapshot + tail when compacted, from scratch otherwise), re-running
+    /// a pending pull so the restored engine re-serves the item the live
+    /// one held.  Returns the number of tail events replayed.
     pub fn restore(&mut self) -> Result<usize, GdrError> {
-        self.team = self.journal.replay()?;
-        // Conservatively treat nothing as outstanding: if the replayed
-        // engine does hold a served item, the next pull re-serves it purely
-        // and journals one extra `Pulled`, which replays as a no-op.
-        self.outstanding = false;
+        self.team = self.replayed()?;
         self.resolved_logged = self.resolved_logged.max(self.team.resolutions().len());
         Ok(self.journal.tail.len())
     }

@@ -20,11 +20,12 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use common::{drive_one, figure1_spec, TempDir};
+use gdr_cfd::{Cfd, RuleSet};
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::step::DoneReason;
 use gdr_core::strategy::Strategy as GdrStrategy;
-use gdr_core::team::ConflictPolicy;
-use gdr_relation::codec::{self, fnv1a64};
+use gdr_core::team::{ConflictPolicy, TeamSession};
+use gdr_relation::codec::{self, fnv1a64, Enc};
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
@@ -184,6 +185,43 @@ fn a_length_field_claiming_more_than_follows_is_rejected() {
         load_dir(&recorded.spec, &stream, Some(&bogus));
         load_dir(&bogus, &recorded.segment, None);
     }
+}
+
+/// A checkpoint payload behind a valid checksum that names a rule attribute
+/// past the table's arity is rejected, not trusted: the violation engine's
+/// decoder must return `Err` where resolving the rule would index out of
+/// bounds.
+#[test]
+fn a_checkpoint_rule_past_the_table_arity_is_rejected() {
+    let spec = figure1_spec(GdrStrategy::GdrNoLearning, true);
+    let arity = spec.dirty.schema().arity();
+    let session = SessionOptions::new().open(spec.clone()).expect("open");
+    let payload = codec::unframe(&session.team().to_snapshot_bytes())
+        .expect("snapshot frame")
+        .to_vec();
+    let encode = |rules: &RuleSet| {
+        let mut enc = Enc::new();
+        rules.encode_state(&mut enc);
+        enc.into_bytes()
+    };
+    let mut rules: Vec<Cfd> = spec.rules.iter().map(|(_, rule)| rule.clone()).collect();
+    rules[0] = Cfd::new(
+        rules[0].name(),
+        rules[0].lhs().to_vec(),
+        rules[0].lhs_pattern().to_vec(),
+        arity,
+        rules[0].rhs_pattern().clone(),
+    )
+    .expect("well-formed apart from the arity");
+    let (valid, pushed) = (encode(&spec.rules), encode(&RuleSet::new(rules)));
+    assert_eq!(valid.len(), pushed.len());
+    let at = payload
+        .windows(valid.len())
+        .position(|window| window == valid)
+        .expect("the engine's rules are in the checkpoint");
+    let mut damaged = payload;
+    damaged[at..at + valid.len()].copy_from_slice(&pushed);
+    assert!(TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err());
 }
 
 /// Which recorded file a proptest case damages.

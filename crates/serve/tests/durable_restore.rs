@@ -1,5 +1,5 @@
 //! The on-disk twin of `replay_restore`: a scripted session that journals
-//! **every** event kind — `Pulled`, `Answered`, `Supplied` (with values that
+//! **every** solo event kind — `Answered`, `Supplied` (with values that
 //! appear nowhere in the table or the ground truth, including a non-string),
 //! `Skipped`, `Finished` — is rehydrated from disk at every event boundary
 //! and must be bit-identical to the in-memory replay of the same prefix;
@@ -101,7 +101,6 @@ fn every_event_kind_rehydrates_bit_identically_at_every_boundary() {
     let events = loaded.events;
 
     // The script really did journal every variant, novel values included.
-    assert!(events.contains(&TranscriptEvent::Pulled));
     assert!(events
         .iter()
         .any(|e| matches!(e, TranscriptEvent::Answered(..))));
@@ -114,7 +113,10 @@ fn every_event_kind_rehydrates_bit_identically_at_every_boundary() {
     assert!(events
         .iter()
         .any(|e| matches!(e, TranscriptEvent::Skipped(_))));
-    assert_eq!(events.last(), Some(&TranscriptEvent::Finished));
+    assert_eq!(
+        events.last(),
+        Some(&TranscriptEvent::Finished { pulled: true })
+    );
 
     // Byte offset just past each record, from the events' framed lengths.
     let record_ends = record_ends(&events);

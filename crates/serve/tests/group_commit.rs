@@ -14,6 +14,7 @@ use common::{figure1_spec, fingerprint, TempDir};
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::strategy::Strategy;
 use gdr_core::team::TeamPlan;
+use gdr_repair::Feedback;
 use gdr_serve::journal::{DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::store::{DurabilityConfig, SessionStore, TranscriptEvent};
 
@@ -34,7 +35,9 @@ fn a_burst_of_appends_coalesces_into_few_fsyncs() {
         let mut journal =
             DiskJournal::create(dir.path(), &spec, journal_config(fsync)).expect("create");
         for _ in 0..500 {
-            journal.append(&TranscriptEvent::Pulled).expect("append");
+            journal
+                .append(&TranscriptEvent::Answered(7, Feedback::Confirm))
+                .expect("append");
         }
         journal.wait_durable();
         let (appends, syncs) = (journal.appends(), journal.syncs());

@@ -165,7 +165,7 @@ fn restore_over_the_wire_resumes_mid_session() {
 
     // "Kill" the engine server-side and replay the journal over the wire.
     let replayed = client.restore().expect("restore");
-    assert!(replayed >= 4, "Started + three answers journaled");
+    assert!(replayed >= 3, "three answers journaled");
 
     // The restored engine re-serves the outstanding question with the same
     // work id, and the session drives on to completion.

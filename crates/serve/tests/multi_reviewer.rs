@@ -724,7 +724,6 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
     let events = loaded.events;
 
     // The script really did journal every team event kind.
-    assert!(events.contains(&TranscriptEvent::Pulled));
     for (name, seen) in [
         (
             "Leased",
@@ -771,7 +770,10 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
     ] {
         assert!(seen, "script never journaled a {name} event");
     }
-    assert_eq!(events.last(), Some(&TranscriptEvent::Finished));
+    assert_eq!(
+        events.last(),
+        Some(&TranscriptEvent::Finished { pulled: true })
+    );
 
     // Byte offset just past each record, from the events' framed lengths.
     let record_ends = record_ends(&events);
