@@ -4,7 +4,7 @@
 Usage:
     python3 ci/ab_perfbench.py [--parent REV | --parent-dir DIR]
         [--rounds N] [--workloads solo_review,team_fleet] [--seed N]
-        [--seconds S]
+        [--seconds S] [--claim WORKLOAD/METRIC ...]
     python3 ci/ab_perfbench.py --self-test
 
 The host this benchmark runs on switches between speeds for seconds at a
@@ -31,6 +31,13 @@ is wider than the bound and not every child run beats every parent run,
 ``same`` otherwise.  Any run that reports
 ``correct: false`` or a failed operation is listed, and the exit status is
 1 when any metric is ``WORSE`` or any run was incorrect.
+
+``--claim <workload>/<metric>`` (repeatable) tests a claimed gain by the
+rule of choosing-metrics section 8: the claim is met only when the child
+wins at least nine tenths of the pairs, ties counting for neither, and the
+child's median beats the parent's by more than the parent's inter-quartile
+range.  Each claim prints ``met`` or ``NOT MET``; any unmet claim makes the
+exit status 1.
 
 ``--self-test`` checks the median, quartile, ratio and verdict arithmetic on
 canned results and runs nothing else.
@@ -80,6 +87,13 @@ def child_better(child, parent, better):
     return child < parent if better == "lower" else child > parent
 
 
+def median_gain(parent_runs, child_runs, better):
+    """How far the child's median beats the parent's, in the metric's unit
+    (negative when it is worse)."""
+    parent_median, child_median = median(parent_runs), median(child_runs)
+    return parent_median - child_median if better == "lower" else child_median - parent_median
+
+
 def verdict(parent_runs, child_runs, better, bound):
     """Classifies paired runs of one metric: ``WORSE``, ``better``,
     ``unresolved`` or ``same`` (see the module docs)."""
@@ -89,13 +103,22 @@ def verdict(parent_runs, child_runs, better, bound):
     if worse:
         return "WORSE"
     q1, q3 = quartiles(parent_runs)
-    gain = parent_median - child_median if better == "lower" else child_median - parent_median
-    if gain > q3 - q1:
+    if median_gain(parent_runs, child_runs, better) > q3 - q1:
         return "better"
     every_run_better = all(child_better(c, p, better) for c in child_runs for p in parent_runs)
     if parent_median and (q3 - q1) / parent_median > bound and not every_run_better:
         return "unresolved"
     return "same"
+
+
+def claim_met(parent_runs, child_runs, better):
+    """Whether paired runs (``parent_runs[i]`` against ``child_runs[i]``)
+    support a claimed gain: the child wins at least nine tenths of the
+    pairs, ties counting for neither, and its median gain exceeds the
+    parent's inter-quartile range."""
+    wins = sum(child_better(c, p, better) for p, c in zip(parent_runs, child_runs))
+    q1, q3 = quartiles(parent_runs)
+    return 10 * wins >= 9 * len(parent_runs) and median_gain(parent_runs, child_runs, better) > q3 - q1
 
 
 def summarize(benchmark, results):
@@ -196,6 +219,17 @@ def self_test():
     # Higher is better: the bound applies below 1.
     assert verdict([100.0] * 3, [70.0] * 3, "higher", 0.25) == "WORSE"
     assert verdict([100.0] * 3, [130.0] * 3, "higher", 0.25) == "better"
+    # A claim needs 9/10 wins and a median gain beyond the parent's IQR.
+    parent = [76.0, 76.5, 77.0, 76.2, 76.8, 75.9, 76.4, 77.2, 76.1, 76.6]
+    assert claim_met(parent, [53.5] * 9 + [77.0], "lower")
+    assert not claim_met(parent, [53.5] * 8 + [77.0, 80.0], "lower")
+    # Ties count for neither side: nine wins and a tie still meet the claim,
+    # eight wins and two ties do not.
+    assert claim_met(parent, [53.5] * 9 + [parent[9]], "lower")
+    assert not claim_met(parent, [53.5] * 8 + parent[8:], "lower")
+    # All wins but a gain inside the parent's spread is not a claim.
+    assert not claim_met([1.0, 2.0, 3.0, 4.0, 5.0], [0.9, 1.9, 2.9, 3.9, 4.9], "lower")
+    assert claim_met([100.0] * 10, [130.0] * 10, "higher")
     benchmark = {
         "end_to_end": [
             {"name": "wait_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -229,6 +263,9 @@ def main():
     parser.add_argument("--workloads", help="comma-separated workloads (default: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, help="seconds per run (default: run_seconds)")
+    parser.add_argument(
+        "--claim", action="append", default=[], metavar="WORKLOAD/METRIC", help="a claimed gain to test (repeatable)"
+    )
     args = parser.parse_args()
     if args.self_test:
         self_test()
@@ -239,6 +276,11 @@ def main():
     command = benchmark["command"]
     seconds = args.seconds or benchmark["run_seconds"]
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    claims = [claim.split("/", 1) for claim in args.claim]
+    for claim in claims:
+        if len(claim) != 2 or claim[0] not in workloads or claim[1] not in better:
+            raise SystemExit(f"--claim {'/'.join(claim)}: not a measured workload/end-to-end metric")
 
     scratch = None
     parent = args.parent_dir
@@ -269,7 +311,14 @@ def main():
         print_rows(rows)
         for workload, round_index, side, failed in incorrect:
             print(f"INCORRECT: {workload} round {round_index + 1} {side} (failed={failed})")
-        return 1 if incorrect or any(row["verdict"] == "WORSE" for row in rows) else 0
+        unmet = 0
+        for workload, name in claims:
+            parent_runs = [p[name] for p, _ in results[workload]]
+            child_runs = [c[name] for _, c in results[workload]]
+            met = claim_met(parent_runs, child_runs, better[name])
+            unmet += not met
+            print(f"CLAIM {workload}/{name}: {'met' if met else 'NOT MET'}")
+        return 1 if incorrect or unmet or any(row["verdict"] == "WORSE" for row in rows) else 0
     finally:
         if scratch is not None:
             subprocess.run(["git", "worktree", "remove", "--force", parent], cwd=REPO, check=False)

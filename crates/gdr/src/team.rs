@@ -639,45 +639,6 @@ impl TeamSession {
         self.engine.finish()
     }
 
-    /// A deterministic description of the coordinator state, for digesting
-    /// alongside the engine in durability checks.
-    pub fn digest_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "clock={} next_lease={} policy={:?} ttl={}",
-            self.clock, self.next_lease_id, self.config.policy, self.config.lease_ttl
-        );
-        for lease in &self.leases {
-            let _ = writeln!(
-                out,
-                "lease {} {} {:?} @{}",
-                lease.id.raw(),
-                lease.reviewer,
-                lease.item,
-                lease.granted_at
-            );
-        }
-        for rec in &self.answers {
-            let _ = writeln!(
-                out,
-                "answer {} {:?} {:?}",
-                rec.reviewer, rec.item, rec.feedback
-            );
-        }
-        for (cell, suggestion) in &self.escalations {
-            let _ = writeln!(out, "escalation {cell:?} {suggestion:?}");
-        }
-        for (cell, value, feedback) in &self.buffered {
-            let _ = writeln!(out, "buffered {cell:?} {value:?} {feedback:?}");
-        }
-        for resolution in &self.resolutions {
-            let _ = writeln!(out, "resolved {resolution:?}");
-        }
-        out
-    }
-
     /// Serialises the whole session — the wrapped engine and every piece of
     /// coordinator state (clock, lease table, collected answers,
     /// escalations, buffered resolutions, and the resolution transcript) —
@@ -764,12 +725,20 @@ impl TeamSession {
         })
     }
 
-    /// The session as one framed `S1 <len> <fnv64-hex> <payload>` snapshot
-    /// record (see [`crate::step::GdrEngine::to_snapshot_bytes`]).
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+    /// The session's canonical state: the [`TeamSession::encode_state`]
+    /// payload.  Equal payloads mean equal sessions, every row, model and
+    /// lease included.
+    pub fn state_bytes(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         self.encode_state(&mut enc);
-        codec::frame(enc.as_bytes())
+        enc.into_bytes()
+    }
+
+    /// The session as one framed `S1 <len> <fnv64-hex> <payload>` snapshot
+    /// record around [`TeamSession::state_bytes`] (see
+    /// [`crate::step::GdrEngine::to_snapshot_bytes`]).
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        codec::frame(&self.state_bytes())
     }
 
     /// Decodes a session from a framed snapshot produced by
@@ -1361,8 +1330,7 @@ mod tests {
 
         let bytes = t.to_snapshot_bytes();
         let mut restored = TeamSession::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_snapshot_bytes(), bytes);
-        assert_eq!(restored.digest_text(), t.digest_text());
+        assert_eq!(restored.to_snapshot_bytes(), t.to_snapshot_bytes());
         let (live, mirrored) = (t.lease_table(), restored.lease_table());
         assert_eq!(live.len(), mirrored.len());
         for (a, b) in live.iter().zip(&mirrored) {
@@ -1377,7 +1345,6 @@ mod tests {
         t.supply_as("carol", id, value.clone()).unwrap();
         restored.supply_as("carol", id, value).unwrap();
         assert_eq!(restored.to_snapshot_bytes(), t.to_snapshot_bytes());
-        assert_eq!(restored.digest_text(), t.digest_text());
     }
 
     #[test]

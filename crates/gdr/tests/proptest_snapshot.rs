@@ -184,9 +184,9 @@ fn round_trip_at_boundary(team: &TeamSession, boundary: usize) -> TeamSession {
         "boundary {boundary}: re-encoded snapshot is not byte-identical"
     );
     assert_eq!(
-        restored.digest_text(),
-        team.digest_text(),
-        "boundary {boundary}: coordinator digest diverged"
+        restored.to_snapshot_bytes(),
+        team.to_snapshot_bytes(),
+        "boundary {boundary}: coordinator state diverged"
     );
     assert_eq!(
         fingerprint(restored.engine()),
@@ -239,6 +239,6 @@ proptest! {
         drive_to_done(&mut team, &reviewers);
         drive_to_done(&mut restored, &reviewers);
         prop_assert_eq!(fingerprint(team.engine()), fingerprint(restored.engine()));
-        prop_assert_eq!(team.digest_text(), restored.digest_text());
+        prop_assert_eq!(team.to_snapshot_bytes(), restored.to_snapshot_bytes());
     }
 }

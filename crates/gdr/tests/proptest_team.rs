@@ -283,10 +283,10 @@ proptest! {
 
         if let TeamPlan::Ask { id, .. } = team.next_work_for("r0").expect("lease") {
             team.answer_as("r0", id, Feedback::Confirm).expect("answer");
-            let before = (fingerprint(team.engine()), team.digest_text());
+            let before = (fingerprint(team.engine()), team.to_snapshot_bytes());
             let dup = team.answer_as("r0", id, Feedback::Reject);
             prop_assert!(dup.is_err(), "duplicate answer must be rejected");
-            prop_assert_eq!(before, (fingerprint(team.engine()), team.digest_text()));
+            prop_assert_eq!(before, (fingerprint(team.engine()), team.to_snapshot_bytes()));
         }
     }
 }

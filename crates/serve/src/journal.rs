@@ -26,15 +26,17 @@
 //!   next one), or never (for tests).  Segment rolls always sync the
 //!   sealed segment regardless of policy.
 //! * **Checkpoints.**  Compaction (see [`crate::store::Session::compact`])
-//!   persists the digest-validated session itself as `snap-NNNNNN.gdrs`
-//!   (write-to-temp + fsync + atomic rename): one frame holding the
-//!   session's [`team_digest`] followed by its [`TeamSession`] state.
-//!   Recovery loads the newest checkpoint that decodes, covers no more
-//!   events than the recovered prefix holds, and re-digests to the digest
-//!   it carries, then replays only the journal tail past it.  Anything else
-//!   degrades to the next older checkpoint and ultimately to full replay
-//!   ([`RecoveryReport`] says which); the clean event prefix is never lost,
-//!   because checkpoints are an accelerator — the journal remains the
+//!   persists the validated session itself as `snap-NNNNNN.gdrs`
+//!   (write-to-temp + fsync + atomic rename): the frame
+//!   [`TeamSession::to_snapshot_bytes`] writes, whose checksum is the
+//!   session's [`team_digest`].  A checkpoint write killed before its
+//!   rename leaves a `.tmp` file that the next [`DiskJournal::load`]
+//!   deletes.  Recovery loads the newest checkpoint that decodes, re-encodes
+//!   to its own payload, and covers no more events than the recovered
+//!   prefix holds, then replays only the journal tail past it.  Anything
+//!   else degrades to the next older checkpoint and ultimately to full
+//!   replay ([`RecoveryReport`] says which); the clean event prefix is never
+//!   lost, because checkpoints are an accelerator — the journal remains the
 //!   durability format of record.
 
 use std::fmt;
@@ -48,7 +50,6 @@ use std::time::Duration;
 
 use gdr_cfd::RuleSet;
 use gdr_core::config::GdrConfig;
-use gdr_core::step::GdrEngine;
 use gdr_core::strategy::Strategy;
 use gdr_core::team::{Resolution, TeamConfig, TeamSession};
 use gdr_relation::codec::{self, fnv1a64, CodecError, Dec, Enc};
@@ -334,66 +335,26 @@ pub fn decode_spec(payload: &[u8]) -> Result<OpenSpec, String> {
     decode_whole(payload, decode_spec_state)
 }
 
-/// Frames a compaction checkpoint: `team`'s [`team_digest`] followed by its
-/// state, in one frame.
-fn encode_checkpoint(team: &TeamSession, digest: u64) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.section("checkpoint", 1);
-    enc.u64(digest);
-    team.encode_state(&mut enc);
-    codec::frame(enc.as_bytes())
-}
-
-/// Decodes a `snap-NNNNNN.gdrs` checkpoint file into the session it holds
-/// and the digest recorded alongside it.  The caller decides whether the
-/// digest still matches ([`team_digest`] of the decoded session).
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<(TeamSession, u64), String> {
+/// Decodes a `snap-NNNNNN.gdrs` checkpoint file — a
+/// [`TeamSession::to_snapshot_bytes`] frame — into the session it holds.
+/// The payload must decode exactly and re-encode to itself, so the decoded
+/// session is the one whose digest the frame's checksum is.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<TeamSession, String> {
     let payload = codec::unframe(bytes).map_err(|e| e.detail)?;
-    decode_whole(payload, |dec| {
-        dec.section_at_most("checkpoint", 1)?;
-        let digest = dec.u64()?;
-        Ok((TeamSession::decode_state(dec)?, digest))
-    })
-}
-
-// ---- engine digest --------------------------------------------------------
-
-/// A deterministic digest of everything the restore contract promises to
-/// preserve: the table (cell by cell), the interaction counters, and the
-/// quality checkpoints taken to bits.  Two engines with equal digests are
-/// observably identical to a driver; compaction and recovery use this to
-/// validate that a snapshot or a replay matches the state it replaces.
-pub fn engine_digest(engine: &GdrEngine) -> u64 {
-    let mut text = format!(
-        "{}\nverifications={} learner={} done={:?}\n",
-        engine.state().table(),
-        engine.verifications(),
-        engine.learner_decisions(),
-        engine.done(),
-    );
-    if let Some(hooks) = engine.eval_hooks() {
-        for c in hooks.checkpoints() {
-            text.push_str(&format!(
-                "c {} {:016x} {:016x}\n",
-                c.verifications,
-                c.loss.to_bits(),
-                c.improvement_pct.to_bits()
-            ));
-        }
+    let team = decode_whole(payload, TeamSession::decode_state)?;
+    if team.state_bytes() != payload {
+        return Err("checkpoint payload does not re-encode to itself".to_string());
     }
-    fnv1a64(text.as_bytes())
+    Ok(team)
 }
 
-/// [`engine_digest`] extended with the multi-reviewer coordinator: the
-/// lease table, collected answers, escalations, buffered and applied
-/// resolutions, and the logical clock (via
-/// [`TeamSession::digest_text`]).  This is the digest compaction checkpoints
-/// record and recovery validates for team-served sessions — two sessions
-/// with equal digests serve every reviewer identically.
+/// The session digest: FNV-1a 64 of its canonical state payload
+/// ([`TeamSession::state_bytes`]), which covers every row, the models, the
+/// suggestions and the coordinator.  It equals the checksum of the
+/// session's checkpoint frame.  Two sessions with equal digests serve every
+/// reviewer identically.
 pub fn team_digest(team: &TeamSession) -> u64 {
-    let mut text = format!("{:016x}\n", engine_digest(team.engine()));
-    text.push_str(&team.digest_text());
-    fnv1a64(text.as_bytes())
+    fnv1a64(&team.state_bytes())
 }
 
 // ---- configuration --------------------------------------------------------
@@ -454,6 +415,8 @@ const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".gdrj";
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".gdrs";
+/// Suffix of a checkpoint being written; renamed away once synced.
+const TMP_SUFFIX: &str = ".tmp";
 /// How many checkpoint files a compaction leaves on disk: the one it just
 /// wrote plus one older fallback, so a corrupt newest checkpoint still
 /// degrades to a checkpointed restore instead of a full replay.
@@ -471,8 +434,8 @@ fn segment_index(name: &str) -> Option<u64> {
 }
 
 /// Name of the checkpoint file covering the first `events` transcript
-/// events: `snap-NNNNNN.gdrs`, one frame holding the session's
-/// [`team_digest`] and its [`TeamSession`] state.
+/// events: `snap-NNNNNN.gdrs`, the session's
+/// [`TeamSession::to_snapshot_bytes`] frame.
 pub fn snapshot_name(events: u64) -> String {
     format!("{SNAP_PREFIX}{events:06}{SNAP_SUFFIX}")
 }
@@ -529,10 +492,10 @@ pub struct RecoveryReport {
     pub dropped_segments: usize,
     /// Detail of the corruption that forced the truncation, if any.
     pub corruption: Option<String>,
-    /// Checkpoint files that were unreadable, undecodable, mismatched the
-    /// digest they carry, or claimed more events than the recovered prefix
-    /// holds; each was deleted and recovery degraded to the next older
-    /// checkpoint (ultimately to full replay).
+    /// Checkpoint files that were unreadable, undecodable, did not
+    /// re-encode to their own payload, or claimed more events than the
+    /// recovered prefix holds; each was deleted and recovery degraded to
+    /// the next older checkpoint (ultimately to full replay).
     pub snapshots_skipped: usize,
 }
 
@@ -551,13 +514,18 @@ impl RecoveryReport {
 pub struct LoadedJournal {
     /// The session's build inputs.
     pub spec: OpenSpec,
+    /// The spec record payload `spec` was decoded from.
+    pub spec_record: Vec<u8>,
     /// The recovered event transcript (the valid prefix, in order).
     pub events: Vec<TranscriptEvent>,
-    /// The newest valid checkpoint: the decoded session and the
-    /// number of leading transcript events it covers.  Restore clones this
-    /// and replays only `events[checkpoint.0..]`; `None` (no checkpoint
-    /// files, or none survived validation) means full replay.
+    /// The newest valid checkpoint: the number of leading transcript
+    /// events it covers and the session decoded from it.  Rehydration
+    /// replays `events[checkpoint.0..]` onto this session; `None` (no
+    /// checkpoint files, or none survived validation) means full replay.
     pub checkpoint: Option<(usize, TeamSession)>,
+    /// The bytes of the checkpoint file `checkpoint` was decoded from,
+    /// which become the rehydrated journal's replay base.
+    pub checkpoint_frame: Option<Vec<u8>>,
     /// What recovery had to repair.
     pub recovery: RecoveryReport,
 }
@@ -685,6 +653,16 @@ impl DiskJournal {
         spec: &OpenSpec,
         config: JournalConfig,
     ) -> Result<DiskJournal, JournalError> {
+        DiskJournal::create_from_record(dir, &encode_spec(spec), config)
+    }
+
+    /// [`DiskJournal::create`] from an already encoded spec record payload
+    /// ([`encode_spec`]).
+    pub(crate) fn create_from_record(
+        dir: impl Into<PathBuf>,
+        spec_record: &[u8],
+        config: JournalConfig,
+    ) -> Result<DiskJournal, JournalError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let spec_path = dir.join(SPEC_FILE);
@@ -701,7 +679,7 @@ impl DiskJournal {
                     JournalError::Io(err)
                 }
             })?;
-        spec_file.write_all(&codec::frame(&encode_spec(spec)))?;
+        spec_file.write_all(&codec::frame(spec_record))?;
         spec_file.sync_all()?;
         let active = File::create(dir.join(segment_name(0)))?;
         DiskJournal::assemble(dir, active, 0, 0, config)
@@ -744,24 +722,34 @@ impl DiskJournal {
     /// Reads a journal directory back, truncating corrupt tails **on disk**
     /// (the offending segment is cut to its last valid record and every
     /// later segment is removed) so subsequent appends restart from a
-    /// consistent prefix.  Unusable checkpoint files are deleted and
+    /// consistent prefix.  Unusable checkpoint files, and the temp files of
+    /// checkpoint writes that never reached their rename, are deleted and
     /// skipped.  Only a missing or corrupt spec record is fatal.
     pub fn load(dir: impl AsRef<Path>) -> Result<LoadedJournal, JournalError> {
         let dir = dir.as_ref();
         let spec_bytes = fs::read(dir.join(SPEC_FILE))?;
-        let spec = codec::unframe(&spec_bytes)
+        let (spec, spec_record) = codec::unframe(&spec_bytes)
             .map_err(|e| e.detail)
-            .and_then(decode_spec)
+            .and_then(|payload| Ok((decode_spec(payload)?, payload.to_vec())))
             .map_err(|detail| JournalError::Corrupt {
                 detail: format!("spec record: {detail}"),
             })?;
 
         let mut recovery = RecoveryReport::default();
         let mut events = Vec::new();
-        let mut segments: Vec<u64> = fs::read_dir(dir)?
-            .filter_map(|entry| entry.ok())
-            .filter_map(|entry| segment_index(&entry.file_name().to_string_lossy()))
-            .collect();
+        let mut segments = Vec::new();
+        for entry in fs::read_dir(dir)?.filter_map(|entry| entry.ok()) {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if let Some(index) = segment_index(&name) {
+                segments.push(index);
+            } else if name
+                .strip_suffix(TMP_SUFFIX)
+                .is_some_and(|snap| snapshot_events(snap).is_some())
+            {
+                // A checkpoint write cut before its rename: never adopted.
+                fs::remove_file(entry.path()).ok();
+            }
+        }
         segments.sort_unstable();
         let mut stop_after: Option<usize> = None;
         for (position, &index) in segments.iter().enumerate() {
@@ -793,22 +781,22 @@ impl DiskJournal {
         }
 
         // Checkpoints: the newest one that covers no more events than the
-        // recovered prefix holds, decodes, and re-digests to the digest it
-        // carries becomes the replay base.  Anything else is deleted and
+        // recovered prefix holds and decodes to a session that re-encodes
+        // to it becomes the replay base.  Anything else is deleted and
         // counted, and recovery degrades to the next older checkpoint —
         // ultimately to full replay.  The clean event prefix is untouched
         // either way.
-        let mut checkpoint = None;
+        let (mut checkpoint, mut checkpoint_frame) = (None, None);
         for covered in snapshot_files(dir)? {
             let path = dir.join(snapshot_name(covered));
             let usable = fs::read(&path)
                 .ok()
                 .filter(|_| covered as usize <= events.len())
-                .and_then(|bytes| decode_checkpoint(&bytes).ok())
-                .filter(|(team, digest)| team_digest(team) == *digest);
+                .and_then(|bytes| Some((decode_checkpoint(&bytes).ok()?, bytes)));
             match usable {
-                Some((team, _)) => {
+                Some((team, bytes)) => {
                     checkpoint = Some((covered as usize, team));
+                    checkpoint_frame = Some(bytes);
                     break;
                 }
                 None => {
@@ -820,8 +808,10 @@ impl DiskJournal {
 
         Ok(LoadedJournal {
             spec,
+            spec_record,
             events,
             checkpoint,
+            checkpoint_frame,
             recovery,
         })
     }
@@ -937,19 +927,15 @@ impl DiskJournal {
     }
 
     /// Persists a compaction checkpoint covering the first `events`
-    /// transcript events: `team` and its `digest` as `snap-NNNNNN.gdrs`, via
+    /// transcript events: `frame`, the session's
+    /// [`TeamSession::to_snapshot_bytes`], as `snap-NNNNNN.gdrs`, via
     /// write-to-temp + fsync + atomic rename.  Older checkpoints beyond
     /// `SNAPSHOTS_KEPT` are pruned.
-    pub fn record_checkpoint(
-        &mut self,
-        events: usize,
-        team: &TeamSession,
-        digest: u64,
-    ) -> Result<(), JournalError> {
+    pub fn record_checkpoint(&mut self, events: usize, frame: &[u8]) -> Result<(), JournalError> {
         let name = snapshot_name(events as u64);
-        let tmp = self.dir.join(format!("{name}.tmp"));
+        let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
         let mut file = File::create(&tmp)?;
-        file.write_all(&encode_checkpoint(team, digest))?;
+        file.write_all(frame)?;
         file.sync_all()?;
         fs::rename(&tmp, self.dir.join(&name))?;
         for &events in snapshot_files(&self.dir)?.iter().skip(SNAPSHOTS_KEPT) {
@@ -1191,6 +1177,27 @@ mod tests {
             journal.replay().unwrap()
         };
         assert_eq!(team_digest(&a), team_digest(&b));
+    }
+
+    #[test]
+    fn the_digest_sees_every_row() {
+        let data = gdr_datagen::hospital::generate_hospital_dataset(
+            &gdr_datagen::hospital::HospitalConfig {
+                tuples: 100,
+                dirty_fraction: 0.3,
+                seed: 3,
+                extra_cities: 2,
+            },
+        );
+        let digest = |dirty: Table| {
+            let spec = OpenSpec::new(dirty, data.rules.clone());
+            team_digest(&crate::store::SessionJournal::new(spec).replay().unwrap())
+        };
+        let mut edited = data.dirty.clone();
+        edited
+            .set_cell(25, 0, Value::from("only row 25 holds this"))
+            .unwrap();
+        assert_ne!(digest(data.dirty.clone()), digest(edited));
     }
 
     #[test]

@@ -131,17 +131,21 @@
 //! the transcript stays the durability format of record.  Replay cost is
 //! bounded by **compaction** ([`store::Session::compact`], auto-triggered
 //! every [`journal::JournalConfig::compact_every`] tail events, or on
-//! demand via the `compact` verb): a validated clone of the live session
-//! becomes the replay base and the absorbed tail is dropped from RAM, so a
-//! live `restore` replays only the short tail.  Validation replays the full
-//! journal and compares engine digests before the snapshot is adopted; a
-//! divergence fails with a `journal` error and changes nothing.  In durable
-//! mode the adopted snapshot is also *persisted*: the session serialises
+//! demand via the `compact` verb): the live session is encoded once
 //! through the versioned state codec that runs through every layer
-//! ([`gdr_core::team::TeamSession::encode_state`], in `gdr_relation::codec`'s
-//! checksummed `S1` frame) into a `snap-NNNNNN.gdrs` checkpoint file, and a
-//! cold restart becomes *load the newest valid checkpoint, replay only the
-//! journal tail* instead of replaying the whole transcript.
+//! ([`gdr_core::team::TeamSession::encode_state`]), and those bytes, in
+//! `gdr_relation::codec`'s checksummed `S1` frame, become the replay base
+//! while the absorbed tail is dropped from RAM, so a live `restore` decodes
+//! the base and replays only the short tail.  A session thus holds one
+//! decoded engine, the live one.  Validation replays the journal and
+//! requires the result to re-encode to the live bytes exactly before the
+//! snapshot is adopted; a divergence fails with a `journal` error and
+//! changes nothing.  In durable mode the same frame is first *persisted* as
+//! a `snap-NNNNNN.gdrs` checkpoint file, and a cold restart becomes *load
+//! the newest valid checkpoint, replay only the journal tail* instead of
+//! replaying the whole transcript.  The session digest
+//! ([`journal::team_digest`]) is FNV-1a 64 of those canonical bytes, which
+//! is also the frame's checksum.
 //!
 //! ## Durable session tier
 //!
@@ -177,11 +181,12 @@
 //!   from the last durable record; [`journal::RecoveryReport`] says what
 //!   was cut.
 //! * **Checkpointed recovery** — each compaction persists the serialised
-//!   session and its [`journal::team_digest`] in one frame as
-//!   `snap-NNNNNN.gdrs` (written tmp+fsync+rename) and keeps the newest
-//!   two.  Recovery loads the newest checkpoint that decodes, is covered by
-//!   the surviving event prefix, and re-digests to the digest it carries —
-//!   then replays only the journal tail.  Damage degrades instead of
+//!   session as `snap-NNNNNN.gdrs` (written tmp+fsync+rename; the frame's
+//!   checksum is the session's [`journal::team_digest`]) and keeps the
+//!   newest two; a temp file left by a write cut before its rename is
+//!   deleted on load.  Recovery loads the newest checkpoint that decodes,
+//!   re-encodes to its own payload, and is covered by the surviving event
+//!   prefix — then replays only the journal tail onto the decoded session.  Damage degrades instead of
 //!   failing: an unusable checkpoint is deleted and counted in
 //!   [`journal::RecoveryReport::snapshots_skipped`], and recovery falls
 //!   back to the older checkpoint and finally to full replay.

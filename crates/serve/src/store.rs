@@ -30,13 +30,17 @@
 //!
 //! Replaying from the `open` verb makes restore cost grow with session
 //! length, and so does the in-memory transcript.  [`Session::compact`]
-//! bounds both: it installs a *snapshot* — a clone of the live engine,
-//! validated (by default) by replaying the current journal and comparing
-//! [`crate::journal::engine_digest`]s — as the journal's new replay base
-//! and drops the replayed prefix from RAM.  From then on `replay` is
-//! "clone snapshot + replay short tail".  Sessions auto-compact once the
-//! tail exceeds [`crate::journal::JournalConfig::compact_every`] events, so
-//! journal memory is O(compact_every), not O(session length).
+//! bounds both: it encodes the live session once
+//! ([`TeamSession::state_bytes`]), validates (by default) that replaying
+//! the current journal re-encodes to the same bytes, frames them, writes
+//! them as the on-disk checkpoint in durable mode, and only then installs
+//! the frame as the journal's new replay base and drops the replayed prefix
+//! from RAM.  From then on `replay` is "decode snapshot + replay short
+//! tail".  The session keeps one decoded engine, the live one: its replay
+//! bases are `S1` bytes, the spec record and the newest checkpoint frame.
+//! Sessions auto-compact once the tail exceeds
+//! [`crate::journal::JournalConfig::compact_every`] events, so journal
+//! memory is O(compact_every), not O(session length).
 //!
 //! ## Durability
 //!
@@ -87,13 +91,13 @@ use gdr_core::error::GdrError;
 use gdr_core::step::{GdrEngine, SessionBuilder, WorkId, WorkPlan};
 use gdr_core::strategy::Strategy;
 use gdr_core::team::{Resolution, TeamConfig, TeamPlan, TeamSession};
-use gdr_relation::codec::fnv1a64;
+use gdr_relation::codec::{self, fnv1a64};
 use gdr_relation::{Table, Value};
 use gdr_repair::{Cell, Feedback};
 
 use crate::journal::{
-    session_dir_name, session_shard, team_digest, DiskJournal, JournalConfig, JournalError,
-    RecoveryReport,
+    decode_spec, encode_spec, session_dir_name, session_shard, DiskJournal, JournalConfig,
+    JournalError, RecoveryReport,
 };
 
 /// Number of independent session-map shards (a power of two, so routing is
@@ -137,12 +141,12 @@ impl OpenSpec {
         }
     }
 
-    fn build(&self) -> TeamSession {
-        let builder = SessionBuilder::new(self.dirty.clone(), &self.rules)
+    fn build(self) -> TeamSession {
+        let builder = SessionBuilder::new(self.dirty, &self.rules)
             .strategy(self.strategy)
-            .config(self.config.clone());
-        let engine = match &self.ground_truth {
-            Some(truth) => builder.ground_truth(truth.clone()).build(),
+            .config(self.config);
+        let engine = match self.ground_truth {
+            Some(truth) => builder.ground_truth(truth).build(),
             None => builder.build(),
         };
         TeamSession::new(engine, self.team)
@@ -227,21 +231,25 @@ pub enum TranscriptEvent {
     },
 }
 
-/// The replay base a compaction installs: a validated clone of the live
-/// session (engine plus coordinator), standing in for the `events`
+/// The replay base a compaction installs: the validated live session's
+/// [`TeamSession::to_snapshot_bytes`] frame (in durable mode, byte for byte
+/// the newest `snap-NNNNNN.gdrs` file), standing in for the `events`
 /// transcript entries it absorbed.
 #[derive(Debug, Clone)]
 struct JournalSnapshot {
-    team: TeamSession,
+    frame: Vec<u8>,
     events: usize,
     ends_finished: bool,
 }
 
-/// The per-session journal: build inputs, an optional compaction snapshot,
-/// and the transcript tail recorded since that snapshot.
+/// The per-session journal: the spec record, an optional compaction
+/// snapshot, and the transcript tail recorded since that snapshot.  Both
+/// bases are `S1` bytes; replay decodes the snapshot when there is one and
+/// builds from the spec otherwise.
 #[derive(Debug, Clone)]
 pub struct SessionJournal {
-    spec: OpenSpec,
+    /// The spec record payload ([`encode_spec`]), as `spec.gdrj` frames it.
+    spec: Vec<u8>,
     snapshot: Option<JournalSnapshot>,
     tail: Vec<TranscriptEvent>,
 }
@@ -249,20 +257,21 @@ pub struct SessionJournal {
 impl SessionJournal {
     /// A fresh journal over the given build inputs.
     pub fn new(spec: OpenSpec) -> SessionJournal {
-        SessionJournal {
-            spec,
-            snapshot: None,
-            tail: Vec::new(),
-        }
+        SessionJournal::from_events(spec, Vec::new())
     }
 
     /// A journal rebuilt from externally recovered events (the on-disk
     /// path): no snapshot, the whole transcript as tail.
     pub fn from_events(spec: OpenSpec, events: Vec<TranscriptEvent>) -> SessionJournal {
+        SessionJournal::from_record(encode_spec(&spec), events)
+    }
+
+    /// [`SessionJournal::from_events`] over an encoded spec record.
+    fn from_record(spec: Vec<u8>, tail: Vec<TranscriptEvent>) -> SessionJournal {
         SessionJournal {
             spec,
             snapshot: None,
-            tail: events,
+            tail,
         }
     }
 
@@ -276,23 +285,14 @@ impl SessionJournal {
         covered: usize,
         events: &[TranscriptEvent],
     ) -> SessionJournal {
-        debug_assert!(covered <= events.len(), "checkpoint beyond the transcript");
-        let ends_finished =
-            covered > 0 && matches!(events[covered - 1], TranscriptEvent::Finished { .. });
-        SessionJournal {
-            spec,
-            snapshot: Some(JournalSnapshot {
-                team,
-                events: covered,
-                ends_finished,
-            }),
-            tail: events[covered..].to_vec(),
-        }
+        let mut journal = SessionJournal::from_events(spec, events.to_vec());
+        journal.install_snapshot(team.to_snapshot_bytes(), covered);
+        journal
     }
 
-    /// The journaled build inputs.
-    pub fn spec(&self) -> &OpenSpec {
-        &self.spec
+    /// The journaled build inputs, decoded from the spec record.
+    pub fn spec(&self) -> OpenSpec {
+        decode_spec(&self.spec).expect("the spec record decodes: it was encoded or decoded whole")
     }
 
     /// The in-memory transcript tail: every event since the last compaction
@@ -312,37 +312,53 @@ impl SessionJournal {
         self.snapshot_events() + self.tail.len()
     }
 
-    fn ends_finished(&self) -> bool {
-        match self.tail.last() {
+    /// Whether the first `covered` tail events (the snapshot, when there
+    /// are none) end with `finish`.
+    fn finished_after(&self, covered: usize) -> bool {
+        match self.tail[..covered].last() {
             Some(event) => matches!(event, TranscriptEvent::Finished { .. }),
             None => self.snapshot.as_ref().is_some_and(|s| s.ends_finished),
         }
     }
 
-    /// Installs `team` — which must embody every journaled event — as the
-    /// new replay base and drops the tail it absorbed.
-    fn adopt_snapshot(&mut self, team: TeamSession) {
-        let snapshot = JournalSnapshot {
-            team,
-            events: self.events_total(),
-            ends_finished: self.ends_finished(),
-        };
-        self.snapshot = Some(snapshot);
-        self.tail.clear();
+    /// Installs `frame` — a snapshot of a session that embodies the
+    /// snapshot so far plus the first `covered` tail events — as the new
+    /// replay base and drops the tail it absorbed.
+    fn install_snapshot(&mut self, frame: Vec<u8>, covered: usize) {
+        self.snapshot = Some(JournalSnapshot {
+            frame,
+            events: self.snapshot_events() + covered,
+            ends_finished: self.finished_after(covered),
+        });
+        self.tail.drain(..covered);
     }
 
-    /// Rebuilds the session — from the compaction snapshot when one exists,
-    /// from scratch otherwise — and replays the tail through the public
-    /// pull API.  Determinism makes the result bit-identical to the session
-    /// the transcript was recorded from; a divergence (e.g. a journal
-    /// edited by hand) surfaces as a typed [`GdrError`] because the
-    /// replayed work ids or resolutions no longer line up.
+    /// Rebuilds the session — decoding the compaction snapshot when one
+    /// exists, building from the spec record otherwise — and replays the
+    /// tail through the public pull API.  Determinism makes the result
+    /// bit-identical to the session the transcript was recorded from; a
+    /// divergence (e.g. a journal edited by hand) surfaces as a typed
+    /// [`GdrError`] because the replayed work ids or resolutions no longer
+    /// line up.
     pub fn replay(&self) -> Result<TeamSession, GdrError> {
-        let mut team = match &self.snapshot {
-            Some(snapshot) => snapshot.team.clone(),
-            None => self.spec.build(),
-        };
-        for event in &self.tail {
+        let base = match &self.snapshot {
+            Some(snapshot) => {
+                TeamSession::from_snapshot_bytes(&snapshot.frame).map_err(|e| e.detail)
+            }
+            None => decode_spec(&self.spec).map(OpenSpec::build),
+        }
+        .map_err(|detail| GdrError::Journal {
+            detail: format!("undecodable replay base: {detail}"),
+        })?;
+        SessionJournal::replay_onto(base, &self.tail)
+    }
+
+    /// Replays `events` onto `team` through the public pull API.
+    fn replay_onto(
+        mut team: TeamSession,
+        events: &[TranscriptEvent],
+    ) -> Result<TeamSession, GdrError> {
+        for event in events {
             match event {
                 // Each verb pulls before applying, exactly as the live verb
                 // did: this re-runs the unjournaled pull that served the
@@ -496,11 +512,12 @@ impl SessionOptions {
     /// durable path can fail (journal-directory claim or first write); an
     /// in-memory open is infallible.
     pub fn open(self, spec: OpenSpec) -> Result<Session, GdrError> {
+        let record = encode_spec(&spec);
         let disk = match self.durable_dir {
-            Some(dir) => Some(DiskJournal::create(dir, &spec, self.journal)?),
+            Some(dir) => Some(DiskJournal::create_from_record(dir, &record, self.journal)?),
             None => None,
         };
-        Ok(Session::start(spec, self.journal, disk))
+        Ok(Session::start(spec, record, self.journal, disk))
     }
 }
 
@@ -519,13 +536,17 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the engine from `spec` and starts a session journaling to
-    /// `disk`, when given.
-    fn start(spec: OpenSpec, config: JournalConfig, disk: Option<DiskJournal>) -> Session {
-        let journal = SessionJournal::new(spec);
+    /// Builds the engine from `spec`, whose spec record is `record`, and
+    /// starts a session journaling to `disk`, when given.
+    fn start(
+        spec: OpenSpec,
+        record: Vec<u8>,
+        config: JournalConfig,
+        disk: Option<DiskJournal>,
+    ) -> Session {
         Session {
-            team: journal.spec.build(),
-            journal,
+            team: spec.build(),
+            journal: SessionJournal::from_record(record, Vec::new()),
             resolved_logged: 0,
             config,
             disk,
@@ -538,8 +559,10 @@ impl Session {
     /// only the tail past the checkpoint through the public API (the whole
     /// transcript when no checkpoint survived) and re-attaches the append
     /// handle.  Returns the session together with what recovery had to
-    /// repair.  Determinism makes the checkpointed restore bit-identical to
-    /// a full replay; a checkpoint whose tail no longer replays (a diverged
+    /// repair.  The checkpoint is decoded once and the tail replays onto
+    /// that session; the file's bytes become the journal's replay base.
+    /// Determinism makes the checkpointed restore bit-identical to a full
+    /// replay; a checkpoint whose tail no longer replays (a diverged
     /// history) is dropped and recovery degrades to full replay, so the
     /// clean event prefix is never lost.
     pub fn rehydrate(
@@ -548,29 +571,20 @@ impl Session {
     ) -> Result<(Session, RecoveryReport), GdrError> {
         let (disk, loaded) = DiskJournal::open(dir, config)?;
         let mut recovery = loaded.recovery;
-        let (journal, team) = match loaded.checkpoint {
-            Some((covered, team)) => {
-                let candidate = SessionJournal::from_checkpoint(
-                    loaded.spec.clone(),
-                    team,
-                    covered,
-                    &loaded.events,
-                );
-                match candidate.replay() {
-                    Ok(replayed) => (candidate, replayed),
-                    Err(_) => {
-                        recovery.snapshots_skipped += 1;
-                        let journal = SessionJournal::from_events(loaded.spec, loaded.events);
-                        let team = journal.replay()?;
-                        (journal, team)
-                    }
+        let mut journal = SessionJournal::from_record(loaded.spec_record, loaded.events);
+        let mut checkpointed = None;
+        if let (Some((covered, base)), Some(frame)) = (loaded.checkpoint, loaded.checkpoint_frame) {
+            match SessionJournal::replay_onto(base, &journal.tail[covered..]) {
+                Ok(team) => {
+                    journal.install_snapshot(frame, covered);
+                    checkpointed = Some(team);
                 }
+                Err(_) => recovery.snapshots_skipped += 1,
             }
-            None => {
-                let journal = SessionJournal::from_events(loaded.spec, loaded.events);
-                let team = journal.replay()?;
-                (journal, team)
-            }
+        }
+        let team = match checkpointed {
+            Some(team) => team,
+            None => SessionJournal::replay_onto(loaded.spec.build(), &journal.tail)?,
         };
         let resolved_logged = team.resolutions().len();
         Ok((
@@ -687,7 +701,7 @@ impl Session {
         let pulled = self.pull_pending();
         let reason = self.team.finish()?;
         // finish() is idempotent; journal it once so replay stays aligned.
-        if !self.journal.ends_finished() {
+        if !self.journal.finished_after(self.journal.tail.len()) {
             self.journal_event(TranscriptEvent::Finished { pulled })?;
         }
         Ok(reason)
@@ -798,36 +812,39 @@ impl Session {
         Ok(())
     }
 
-    /// Compacts the journal: installs a clone of the live engine as the
-    /// replay base (a pending pull included: the verbs after it re-serve
-    /// purely), drops the absorbed tail from RAM, and (in durable mode)
-    /// persists the checkpoint on disk — the serialised session and its
-    /// digest as a `snap-NNNNNN.gdrs` file — so a cold restart loads the
-    /// checkpoint and replays only the journal tail.
+    /// Compacts the journal: encodes the live session once (a pending pull
+    /// included: the verbs after it re-serve purely), frames it, persists
+    /// the frame in durable mode as the `snap-NNNNNN.gdrs` checkpoint — so a
+    /// cold restart loads it and replays only the journal tail — and then
+    /// installs the same bytes as the replay base and drops the absorbed
+    /// tail from RAM.
     /// When [`JournalConfig::validate_compaction`] is set the snapshot is
-    /// only adopted after a full replay of the current journal (and of a
-    /// pending pull) digest-matches the live engine — a divergence (which would make the
-    /// snapshot lie) fails with [`GdrError::Journal`] and leaves the
-    /// journal untouched.
+    /// only adopted after a replay of the current journal (and of a pending
+    /// pull) re-encodes to the live payload byte for byte — a divergence
+    /// (which would make the snapshot lie) fails with [`GdrError::Journal`]
+    /// and leaves the journal untouched.
     pub fn compact(&mut self) -> Result<CompactionStats, GdrError> {
         let events = self.journal.events_total();
         let dropped = self.journal.tail.len();
-        let live = team_digest(&self.team);
+        let live = self.team.state_bytes();
         if self.config.validate_compaction {
-            let rebuilt = team_digest(&self.replayed()?);
+            let rebuilt = self.replayed()?.state_bytes();
             if rebuilt != live {
                 return Err(GdrError::Journal {
                     detail: format!(
-                        "compaction validation failed: replayed digest {rebuilt:016x} != \
-                         live digest {live:016x} after {events} events"
+                        "compaction validation failed: replayed digest {:016x} != \
+                         live digest {:016x} after {events} events",
+                        fnv1a64(&rebuilt),
+                        fnv1a64(&live)
                     ),
                 });
             }
         }
-        self.journal.adopt_snapshot(self.team.clone());
+        let frame = codec::frame(&live);
         if let Some(disk) = &mut self.disk {
-            disk.record_checkpoint(events, &self.team, live)?;
+            disk.record_checkpoint(events, &frame)?;
         }
+        self.journal.install_snapshot(frame, dropped);
         Ok(CompactionStats {
             events,
             dropped,
@@ -1104,9 +1121,10 @@ impl SessionStore {
         // behind an open.  In durable mode the journal directory is claimed
         // atomically first, so a racing open of the same id loses at the
         // filesystem.
+        let record = encode_spec(&spec);
         let (config, disk) = match (&self.durability, self.session_dir(id)) {
             (Some(durability), Some(dir)) => {
-                let disk = match DiskJournal::create(dir, &spec, durability.journal) {
+                let disk = match DiskJournal::create_from_record(dir, &record, durability.journal) {
                     Ok(disk) => disk,
                     Err(JournalError::Exists { .. }) => {
                         return Err(StoreError::DuplicateSession(id.to_string()))
@@ -1117,7 +1135,7 @@ impl SessionStore {
             }
             _ => (JournalConfig::default(), None),
         };
-        let session = Arc::new(Mutex::new(Session::start(spec, config, disk)));
+        let session = Arc::new(Mutex::new(Session::start(spec, record, config, disk)));
         self.insert(id, session.clone())?;
         // Session drops (final journal sync) happen here, outside any lock.
         drop(self.evict_over_budget());
@@ -1240,4 +1258,100 @@ impl SessionStore {
 /// consistent one from the journal.)
 fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::{snapshot_name, FsyncPolicy};
+    use gdr_core::oracle::{GroundTruthOracle, UserOracle};
+    use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
+
+    fn spec() -> OpenSpec {
+        let data = generate_hospital_dataset(&HospitalConfig {
+            tuples: 120,
+            dirty_fraction: 0.4,
+            seed: 11,
+            extra_cities: 2,
+        });
+        let mut spec = OpenSpec::new(data.dirty, data.rules);
+        spec.strategy = Strategy::GdrNoLearning;
+        spec.config = GdrConfig::fast();
+        spec.ground_truth = Some(data.clean);
+        spec
+    }
+
+    /// Applies `verbs` oracle answers (or skips), ending on an applied verb.
+    fn drive(session: &mut Session, oracle: &GroundTruthOracle, verbs: usize) {
+        for _ in 0..verbs {
+            match session.next().unwrap() {
+                WorkPlan::AskUser { id, update, .. } => {
+                    let current = session.engine().state().table();
+                    let feedback =
+                        oracle.feedback(&update, current.cell(update.tuple, update.attr));
+                    session.answer(id, feedback).unwrap();
+                }
+                WorkPlan::NeedsValue { cell } => session.skip(cell).unwrap(),
+                WorkPlan::Done(reason) => panic!("session ended early: {reason:?}"),
+            }
+        }
+    }
+
+    /// The in-RAM replay base of a compacted session.
+    fn base(session: &Session) -> &[u8] {
+        &session.journal.snapshot.as_ref().expect("compacted").frame
+    }
+
+    /// Compacts and checks the base against the live session and, when
+    /// durable, against the checkpoint file just written.
+    fn compact(session: &mut Session) {
+        let events = session.compact().unwrap().events;
+        assert_eq!(base(session), session.team().to_snapshot_bytes());
+        if let Some(dir) = session.disk_dir() {
+            let file = fs::read(dir.join(snapshot_name(events as u64))).unwrap();
+            assert_eq!(base(session), file, "in-RAM base differs from the file");
+        }
+    }
+
+    /// Restores and checks the result against the session it replaced.
+    fn restore(session: &mut Session) {
+        let live = session.team().to_snapshot_bytes();
+        session.restore().unwrap();
+        assert_eq!(session.team().to_snapshot_bytes(), live);
+    }
+
+    #[test]
+    fn the_replay_base_is_the_checkpoint_file_and_restores_bit_identically() {
+        let oracle = GroundTruthOracle::new(spec().ground_truth.unwrap());
+        let config = JournalConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: 0,
+            ..JournalConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("gdr-store-base-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for durable in [false, true] {
+            let mut options = SessionOptions::new().journal(config);
+            if durable {
+                options = options.durable(dir.clone());
+            }
+            let mut session = options.open(spec()).unwrap();
+            drive(&mut session, &oracle, 20);
+            compact(&mut session);
+            drive(&mut session, &oracle, 10);
+            restore(&mut session);
+            if durable {
+                let live = session.team().to_snapshot_bytes();
+                drop(session);
+                let (rehydrated, recovery) = Session::rehydrate(&dir, config).unwrap();
+                assert!(recovery.clean(), "{recovery:?}");
+                assert_eq!(rehydrated.team().to_snapshot_bytes(), live);
+                session = rehydrated;
+            }
+            drive(&mut session, &oracle, 10);
+            compact(&mut session);
+            restore(&mut session);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

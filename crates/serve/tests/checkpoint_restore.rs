@@ -258,8 +258,8 @@ fn checkpointed_restore_is_bit_identical_to_full_replay_at_every_boundary() {
             "boundary {boundary}: checkpointed restore diverged from full replay"
         );
         assert_eq!(
-            ckpt_session.team().digest_text(),
-            full_session.team().digest_text(),
+            ckpt_session.team().to_snapshot_bytes(),
+            full_session.team().to_snapshot_bytes(),
             "boundary {boundary}: coordinator state diverged"
         );
 
@@ -413,5 +413,33 @@ fn pre_checkpoint_era_journals_restore_unchanged() {
     assert_eq!(recovery.snapshots_skipped, 0);
     assert_eq!(session.journal().snapshot_events(), 0);
     assert_eq!(session.journal().transcript().len(), rec.events);
+    assert_eq!(fingerprint(session.engine()), rec.final_fp);
+}
+
+#[test]
+fn torn_checkpoint_temp_files_are_removed_and_recovery_is_unchanged() {
+    let rec = record_reference();
+    let new_cover = rec.covered[1];
+    let reference_dir = trial_dir(rec.dir.path(), &rec.stream, rec.stream.len(), true);
+    let (reference, reference_recovery) =
+        Session::rehydrate(reference_dir.path(), journal_config()).expect("reference rehydrate");
+
+    // A kill between the temp file's create and its rename: the next
+    // checkpoint's temp file holds half a frame and was never adopted.
+    let dir = trial_dir(rec.dir.path(), &rec.stream, rec.stream.len(), true);
+    let newest = fs::read(dir.join(snapshot_name(new_cover as u64))).expect("read snap");
+    let torn = format!("{}.tmp", snapshot_name(rec.events as u64));
+    fs::write(dir.join(&torn), &newest[..newest.len() / 2]).expect("plant temp file");
+
+    let (session, recovery) =
+        Session::rehydrate(dir.path(), journal_config()).expect("rehydrate past a temp file");
+    assert!(!dir.join(&torn).exists(), "torn temp file kept");
+    assert_eq!(recovery, reference_recovery);
+    assert!(recovery.clean(), "{recovery:?}");
+    assert_eq!(session.journal().snapshot_events(), new_cover);
+    assert_eq!(
+        session.team().to_snapshot_bytes(),
+        reference.team().to_snapshot_bytes()
+    );
     assert_eq!(fingerprint(session.engine()), rec.final_fp);
 }

@@ -7,8 +7,9 @@
 //! A session directory holds `spec.gdrj` (the build inputs),
 //! `seg-NNNNNN.gdrj` event segments and `snap-NNNNNN.gdrs` checkpoints, all
 //! binary `S1` frames.  This prints the spec summary, every event with its
-//! index, every checkpoint with the events it covers and its digest, and
-//! any corruption found on the way.  It only reads: it scans and decodes
+//! index, every checkpoint with the events it covers, its byte count and
+//! whether it re-encodes to its own payload (recovery's usability test),
+//! and any corruption found on the way.  It only reads: it scans and decodes
 //! the files itself instead of calling `DiskJournal::load`, which truncates
 //! corrupt tails on disk.
 
@@ -17,7 +18,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use gdr_relation::codec;
-use gdr_serve::journal::{decode_checkpoint, decode_event, decode_spec, scan_records, team_digest};
+use gdr_serve::journal::{decode_checkpoint, decode_event, decode_spec, scan_records};
 
 /// The numbered files `<prefix>NNNNNN<suffix>` in `dir`, by number.
 fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> Vec<(u64, String)> {
@@ -112,20 +113,21 @@ fn dump_events(dir: &Path) {
 
 fn dump_checkpoints(dir: &Path) {
     for (covered, name) in numbered_files(dir, "snap-", ".gdrs") {
-        let decoded = fs::read(dir.join(&name))
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| decode_checkpoint(&bytes));
-        match decoded {
-            Ok((team, digest)) => {
-                let verdict = if team_digest(&team) == digest {
-                    "matches its session"
-                } else {
-                    "MISMATCH: recovery would skip it"
-                };
-                println!("{name}: covers {covered} events, digest {digest:016x} ({verdict})");
+        let bytes = match fs::read(dir.join(&name)) {
+            Ok(bytes) => bytes,
+            Err(err) => {
+                println!("{name}: covers {covered} events, UNREADABLE: {err}");
+                continue;
             }
-            Err(detail) => println!("{name}: covers {covered} events, UNREADABLE: {detail}"),
-        }
+        };
+        let verdict = match decode_checkpoint(&bytes) {
+            Ok(_) => "re-encodes to its own payload".to_string(),
+            Err(detail) => format!("UNUSABLE, recovery would skip it: {detail}"),
+        };
+        println!(
+            "{name}: covers {covered} events, {} bytes, {verdict}",
+            bytes.len()
+        );
     }
 }
 
