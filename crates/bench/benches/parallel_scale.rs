@@ -56,7 +56,7 @@ fn bench_parallel_scale(c: &mut Criterion) {
                 &tuples,
                 |b, _| {
                     // Times the full construction: sharded engine build,
-                    // index-pool build, parallel dirty scan, and the
+                    // index-pool build, dirty scan, and the
                     // partitioned initial-update walk.
                     b.iter_batched(
                         || data.dirty.clone(),

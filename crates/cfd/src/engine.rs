@@ -41,7 +41,7 @@
 //! Definition 1 is `total² − Σ_v c_v²` and the group's tuples all satisfy the
 //! rule iff the group holds a single distinct RHS value.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use gdr_relation::codec::{self, CodecError, Dec, Enc};
 use gdr_relation::pool::{partition, shard_of_ids};
@@ -137,10 +137,93 @@ impl ResolvedRule {
     }
 }
 
+/// A dense set of tuple ids, one bit per row: the per-rule violation index
+/// that [`ViolationEngine::tuple_violates`], [`ViolationEngine::is_dirty`],
+/// [`ViolationEngine::violating_tuples`] and
+/// [`ViolationEngine::dirty_tuples`] read.  Membership is a word read and a
+/// mask, with no hashing, and iteration yields ids in ascending order.
+/// Inserting past the end grows the set, so rows appended later need no
+/// separate resize.
+#[derive(Debug, Clone, Default)]
+struct TupleBits {
+    words: Vec<u64>,
+}
+
+impl TupleBits {
+    /// An empty set with room for ids `0..rows`.
+    fn with_rows(rows: usize) -> TupleBits {
+        TupleBits {
+            words: vec![0; rows.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn contains(&self, tuple: TupleId) -> bool {
+        self.words
+            .get(tuple / 64)
+            .is_some_and(|word| word >> (tuple % 64) & 1 == 1)
+    }
+
+    /// Adds `tuple`; `true` when it was not already present.
+    #[inline]
+    fn insert(&mut self, tuple: TupleId) -> bool {
+        let at = tuple / 64;
+        if at >= self.words.len() {
+            self.words.resize(at + 1, 0);
+        }
+        let mask = 1 << (tuple % 64);
+        let fresh = self.words[at] & mask == 0;
+        self.words[at] |= mask;
+        fresh
+    }
+
+    /// Removes `tuple`; `true` when it was present.
+    #[inline]
+    fn remove(&mut self, tuple: TupleId) -> bool {
+        let Some(word) = self.words.get_mut(tuple / 64) else {
+            return false;
+        };
+        let mask = 1 << (tuple % 64);
+        let present = *word & mask != 0;
+        *word &= !mask;
+        present
+    }
+
+    /// Adds every member of `other`.
+    fn union_with(&mut self, other: &TupleBits) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (word, &more) in self.words.iter_mut().zip(&other.words) {
+            *word |= more;
+        }
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(at * 64 + bit)
+            })
+        })
+    }
+}
+
 /// State kept for a constant CFD.
 #[derive(Debug, Clone, Default)]
 struct ConstState {
-    violating: HashSet<TupleId>,
+    /// The tuples in context whose RHS misses the pattern constant.  This
+    /// is the rule's state, so what-ifs maintain it too: each flips one bit
+    /// and flips it back.
+    violating: TupleBits,
+    /// `violating`'s size, which is the rule's `vio(D, {φ})`.
+    violations: usize,
     context: usize,
 }
 
@@ -154,6 +237,16 @@ struct Group {
 }
 
 impl Group {
+    /// A group violates its rule iff it holds two distinct RHS values, and
+    /// then every member violates it.
+    fn violating(&self) -> bool {
+        self.members_by_rhs.len() > 1
+    }
+
+    fn members(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.members_by_rhs.values().flatten().copied()
+    }
+
     fn vio(&self) -> usize {
         let sum_sq: usize = self
             .members_by_rhs
@@ -209,6 +302,10 @@ struct VarState {
     /// never removed, so a stamp survives the group emptying and re-forming —
     /// downstream caches compare stamps for equality only.
     group_generation: HashMap<SmallKey, u64>,
+    /// The members of every group holding two or more RHS values.  Derived
+    /// from `groups`, and left untouched by what-ifs: their round trip
+    /// restores the groups exactly, so the bits stay right.
+    violating: TupleBits,
 }
 
 impl VarState {
@@ -246,6 +343,15 @@ impl VarState {
 enum RuleState {
     Constant(ConstState),
     Variable(VarState),
+}
+
+impl RuleState {
+    fn violating(&self) -> &TupleBits {
+        match self {
+            RuleState::Constant(state) => &state.violating,
+            RuleState::Variable(state) => &state.violating,
+        }
+    }
 }
 
 /// Incremental violation-detection engine over one table and one rule set.
@@ -314,6 +420,7 @@ enum MergedRule {
 struct VarShard {
     groups: HashMap<SmallKey, Group>,
     generations: HashMap<SmallKey, u64>,
+    violating: TupleBits,
     vio: usize,
     satisfying: usize,
     context: usize,
@@ -494,17 +601,23 @@ impl ViolationEngine {
         let merged_rules: Vec<MergedRule> = pool.run_consume(rule_inputs, |_, chunks| {
             let mut iter = chunks.into_iter();
             match iter.next().expect("at least one chunk per rule") {
-                RuleMergeInput::Const(violating, context) => {
+                RuleMergeInput::Const(first, context) => {
+                    let mut violating = first;
                     let mut state = ConstState {
-                        violating: violating.into_iter().collect(),
+                        violating: TupleBits::with_rows(n),
+                        violations: 0,
                         context,
                     };
                     for part in iter {
-                        let RuleMergeInput::Const(violating, context) = part else {
+                        let RuleMergeInput::Const(more, context) = part else {
                             unreachable!("rule kind is fixed across chunks");
                         };
-                        state.violating.extend(violating);
+                        violating.extend(more);
                         state.context += context;
+                    }
+                    state.violations = violating.len();
+                    for tuple in violating {
+                        state.violating.insert(tuple);
                     }
                     MergedRule::Const(state)
                 }
@@ -540,22 +653,26 @@ impl ViolationEngine {
                     let mut satisfying = 0;
                     let mut context = 0;
                     let mut generations = HashMap::with_capacity(groups.len());
+                    let mut violating = TupleBits::with_rows(n);
                     for (key, group) in &groups {
                         vio += group.vio();
                         satisfying += group.satisfying();
                         context += group.total;
                         let last = group
-                            .members_by_rhs
-                            .values()
-                            .flatten()
-                            .copied()
+                            .members()
                             .max()
                             .expect("build-phase groups are never empty");
                         generations.insert(key.clone(), last as u64 + 1);
+                        if group.violating() {
+                            for tuple in group.members() {
+                                violating.insert(tuple);
+                            }
+                        }
                     }
                     VarShard {
                         groups,
                         generations,
+                        violating,
                         vio,
                         satisfying,
                         context,
@@ -584,6 +701,7 @@ impl ViolationEngine {
                 };
                 state.groups.extend(out.groups);
                 state.group_generation.extend(out.generations);
+                state.violating.union_with(&out.violating);
                 state.total_vio += out.vio;
                 state.satisfying_in_context += out.satisfying;
                 state.context += out.context;
@@ -898,8 +1016,8 @@ impl ViolationEngine {
     pub fn rule_stats(&self, rule: RuleId) -> RuleStats {
         match &self.states[rule] {
             RuleState::Constant(state) => RuleStats {
-                violations: state.violating.len(),
-                satisfying: self.n_rows - state.violating.len(),
+                violations: state.violations,
+                satisfying: self.n_rows - state.violations,
                 context: state.context,
             },
             RuleState::Variable(state) => {
@@ -923,7 +1041,7 @@ impl ViolationEngine {
     /// Per-tuple violation count `vio(t, {φ})` of Definition 1.
     pub fn vio_tuple(&self, rule: RuleId, tuple: TupleId) -> usize {
         match &self.states[rule] {
-            RuleState::Constant(state) => usize::from(state.violating.contains(&tuple)),
+            RuleState::Constant(state) => usize::from(state.violating.contains(tuple)),
             RuleState::Variable(state) => {
                 let Some(key) = state.tuple_key.get(&tuple) else {
                     return 0;
@@ -944,24 +1062,15 @@ impl ViolationEngine {
         }
     }
 
-    /// Does the tuple violate the rule?
+    /// Does the tuple violate the rule?  One bit read in the rule's
+    /// violation index: no hashing, whatever the size of the tuple's
+    /// agreement group.
     pub fn tuple_violates(&self, rule: RuleId, tuple: TupleId) -> bool {
-        match &self.states[rule] {
-            RuleState::Constant(state) => state.violating.contains(&tuple),
-            RuleState::Variable(state) => {
-                let Some(key) = state.tuple_key.get(&tuple) else {
-                    return false;
-                };
-                state
-                    .groups
-                    .get(key)
-                    .map(|g| g.members_by_rhs.len() > 1)
-                    .unwrap_or(false)
-            }
-        }
+        self.states[rule].violating().contains(tuple)
     }
 
-    /// The rules violated by a tuple (its `vioRuleList`).
+    /// The rules violated by a tuple (its `vioRuleList`), in ascending
+    /// order: one bit read per rule.
     pub fn violated_rules(&self, tuple: TupleId) -> Vec<RuleId> {
         (0..self.ruleset.len())
             .filter(|&rule| self.tuple_violates(rule, tuple))
@@ -971,9 +1080,11 @@ impl ViolationEngine {
     /// `true` when the tuple violates at least one rule.  Allocation-free
     /// variant of `!violated_rules(tuple).is_empty()` for per-cell hot paths
     /// (the journal-driven suggestion refresh probes this once per revisited
-    /// cell).
+    /// cell): at most one bit read per rule.
     pub fn is_dirty(&self, tuple: TupleId) -> bool {
-        (0..self.ruleset.len()).any(|rule| self.tuple_violates(rule, tuple))
+        self.states
+            .iter()
+            .any(|state| state.violating().contains(tuple))
     }
 
     /// The members of one LHS agreement group of a variable rule, addressed
@@ -998,43 +1109,22 @@ impl ViolationEngine {
             .flat_map(|g| g.members_by_rhs.values().flatten().copied())
     }
 
-    /// All tuples violating a specific rule, in ascending id order.
+    /// All tuples violating a specific rule, in ascending id order: a walk
+    /// over the rule's violation index, one word per 64 rows, that comes out
+    /// sorted without a sort.
     pub fn violating_tuples(&self, rule: RuleId) -> Vec<TupleId> {
-        let mut tuples: Vec<TupleId> = match &self.states[rule] {
-            RuleState::Constant(state) => state.violating.iter().copied().collect(),
-            RuleState::Variable(state) => state
-                .groups
-                .values()
-                .filter(|g| g.members_by_rhs.len() > 1)
-                .flat_map(|g| g.members_by_rhs.values().flatten().copied())
-                .collect(),
-        };
-        tuples.sort_unstable();
-        tuples
+        self.states[rule].violating().iter().collect()
     }
 
-    /// All dirty tuples (violating at least one rule), in ascending id order.
+    /// All dirty tuples (violating at least one rule), in ascending id
+    /// order: the OR of every rule's violation index, word by word, walked
+    /// once.
     pub fn dirty_tuples(&self) -> Vec<TupleId> {
-        let mut dirty = BTreeSet::new();
-        for rule in 0..self.ruleset.len() {
-            dirty.extend(self.violating_tuples(rule));
+        let mut dirty = TupleBits::default();
+        for state in &self.states {
+            dirty.union_with(state.violating());
         }
-        dirty.into_iter().collect()
-    }
-
-    /// [`ViolationEngine::dirty_tuples`] parallelised over rules: each
-    /// worker collects one rule's violating tuples, and the sorted-dedup
-    /// union is identical to the sequential set walk.  Falls back to the
-    /// sequential path on a sequential pool.
-    pub fn dirty_tuples_with(&self, pool: &ThreadPool) -> Vec<TupleId> {
-        if pool.is_sequential() || self.ruleset.len() <= 1 {
-            return self.dirty_tuples();
-        }
-        let per_rule = pool.run(self.ruleset.len(), |rule| self.violating_tuples(rule));
-        let mut dirty: Vec<TupleId> = per_rule.into_iter().flatten().collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
+        dirty.iter().collect()
     }
 
     /// The distinct RHS ids held by `tuple`'s conflict partners under a
@@ -1132,10 +1222,47 @@ impl ViolationEngine {
     /// Compares the incrementally maintained statistics against a fresh
     /// rebuild; returns `true` when they agree for every rule.  Used by tests
     /// and debug assertions.
+    ///
+    /// It also checks every rule's violation index against the hashed state
+    /// it summarises: for a variable rule, the members of the groups holding
+    /// more than one RHS value; for a constant rule, the tuples in context
+    /// whose RHS misses the constant.
     pub fn agrees_with_rebuild(&self, table: &Table) -> bool {
         let fresh = ViolationEngine::build(table, &self.ruleset);
-        (0..self.ruleset.len()).all(|rule| self.rule_stats(rule) == fresh.rule_stats(rule))
-            && self.dirty_tuples() == fresh.dirty_tuples()
+        (0..self.ruleset.len()).all(|rule| {
+            self.rule_stats(rule) == fresh.rule_stats(rule)
+                && self.index_matches_state(rule, table, &fresh.resolved[rule])
+        }) && self.dirty_tuples() == fresh.dirty_tuples()
+    }
+
+    /// Whether rule `rule`'s violation index holds exactly the tuples its
+    /// hashed state (or, for a constant rule, the table under the fresh
+    /// resolution `res`) says violate it.
+    fn index_matches_state(&self, rule: RuleId, table: &Table, res: &ResolvedRule) -> bool {
+        let mut expected = TupleBits::default();
+        match &self.states[rule] {
+            RuleState::Constant(state) => {
+                let cfd = self.ruleset.rule(rule);
+                for tuple in table.tuple_ids() {
+                    if res.in_context(table, tuple, cfd.lhs())
+                        && !res.rhs.matches(table.cell_id(tuple, cfd.rhs()))
+                    {
+                        expected.insert(tuple);
+                    }
+                }
+                if state.violations != state.violating.iter().count() {
+                    return false;
+                }
+            }
+            RuleState::Variable(state) => {
+                for group in state.groups.values().filter(|g| g.violating()) {
+                    for tuple in group.members() {
+                        expected.insert(tuple);
+                    }
+                }
+            }
+        }
+        self.states[rule].violating().iter().eq(expected.iter())
     }
 
     fn add_tuple(&mut self, rule_id: RuleId, table: &Table, tuple: TupleId) {
@@ -1155,8 +1282,10 @@ impl ViolationEngine {
         match &mut states[rule_id] {
             RuleState::Constant(state) => {
                 state.context += 1;
-                if !res.rhs.matches(table.cell_id(tuple, rule.rhs())) {
-                    state.violating.insert(tuple);
+                if !res.rhs.matches(table.cell_id(tuple, rule.rhs()))
+                    && state.violating.insert(tuple)
+                {
+                    state.violations += 1;
                 }
             }
             RuleState::Variable(state) => {
@@ -1182,7 +1311,19 @@ impl ViolationEngine {
                 }
                 state.retract(key.as_slice());
                 if let Some(group) = state.groups.get_mut(&key) {
+                    let was_violating = group.violating();
                     group.insert(rhs, tuple);
+                    // A what-if's round trip restores this group exactly, so
+                    // its members' bits are only maintained on real changes.
+                    if !*suppress_generations {
+                        if was_violating {
+                            state.violating.insert(tuple);
+                        } else if group.violating() {
+                            for member in group.members() {
+                                state.violating.insert(member);
+                            }
+                        }
+                    }
                 } else {
                     let mut group = Group::default();
                     group.insert(rhs, tuple);
@@ -1210,7 +1351,9 @@ impl ViolationEngine {
                 if res.in_context(table, tuple, rule.lhs()) {
                     state.context -= 1;
                 }
-                state.violating.remove(&tuple);
+                if state.violating.remove(tuple) {
+                    state.violations -= 1;
+                }
             }
             RuleState::Variable(state) => {
                 let Some(key) = state.tuple_key.remove(&tuple) else {
@@ -1228,7 +1371,16 @@ impl ViolationEngine {
                 }
                 state.retract(key.as_slice());
                 if let Some(group) = state.groups.get_mut(&key) {
+                    let was_violating = group.violating();
                     group.remove(rhs, tuple);
+                    if was_violating && !*suppress_generations {
+                        state.violating.remove(tuple);
+                        if !group.violating() {
+                            for member in group.members() {
+                                state.violating.remove(member);
+                            }
+                        }
+                    }
                 }
                 state.restore(key.as_slice());
             }
@@ -1252,10 +1404,8 @@ impl ViolationEngine {
             match state {
                 RuleState::Constant(c) => {
                     enc.u8(0);
-                    let mut violating: Vec<TupleId> = c.violating.iter().copied().collect();
-                    violating.sort_unstable();
-                    enc.usize(violating.len());
-                    for t in violating {
+                    enc.usize(c.violations);
+                    for t in c.violating.iter() {
                         enc.usize(t);
                     }
                     enc.usize(c.context);
@@ -1314,12 +1464,16 @@ impl ViolationEngine {
         enc.u64(self.generation_counter);
     }
 
-    /// Rebuilds an engine written by [`ViolationEngine::encode_state`].
+    /// Rebuilds an engine written by [`ViolationEngine::encode_state`] for a
+    /// table of `rows` rows.
     ///
-    /// Pattern-constant resolution is left empty (`resolved_at_generation:
-    /// None`): every read and mutation path refreshes it lazily against the
-    /// live table before use, so decoding never needs the table.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ViolationEngine> {
+    /// The engine's row count must equal `rows`, and every tuple id it names
+    /// must be below it; both are checked before anything is sized from them.
+    /// The variable rules' violation indexes are not encoded: they are filled
+    /// while the group members are read.  Pattern-constant resolution is left
+    /// empty (`resolved_at_generation: None`): every read and mutation path
+    /// refreshes it lazily against the live table before use.
+    pub fn decode_state(dec: &mut Dec<'_>, rows: usize) -> codec::Result<ViolationEngine> {
         dec.section("vioeng")?;
         let ruleset = RuleSet::decode_state(dec)?;
         let arity = dec.usize()?;
@@ -1331,6 +1485,20 @@ impl ViolationEngine {
             }
         }
         let n_rows = dec.usize()?;
+        if n_rows != rows {
+            return Err(CodecError::new(format!(
+                "engine tracks {n_rows} rows but the table has {rows}"
+            )));
+        }
+        let tuple_id = |dec: &mut Dec<'_>| -> codec::Result<TupleId> {
+            let tuple = dec.usize()?;
+            if tuple >= rows {
+                return Err(CodecError::new(format!(
+                    "tuple id {tuple} outside the {rows}-row table"
+                )));
+            }
+            Ok(tuple)
+        };
         let n_states = dec.seq_len(1)?;
         if n_states != ruleset.len() {
             return Err(CodecError::new(format!(
@@ -1344,21 +1512,25 @@ impl ViolationEngine {
             let constant = ruleset.rule(rule_id).is_constant();
             match (tag, constant) {
                 (0, true) => {
-                    let n = dec.seq_len(8)?;
-                    let mut violating = HashSet::with_capacity(n);
-                    for _ in 0..n {
-                        if !violating.insert(dec.usize()?) {
+                    let violations = dec.seq_len(8)?;
+                    let mut violating = TupleBits::with_rows(rows);
+                    for _ in 0..violations {
+                        if !violating.insert(tuple_id(dec)?) {
                             return Err(CodecError::new("duplicate violating tuple"));
                         }
                     }
                     let context = dec.usize()?;
-                    states.push(RuleState::Constant(ConstState { violating, context }));
+                    states.push(RuleState::Constant(ConstState {
+                        violating,
+                        violations,
+                        context,
+                    }));
                 }
                 (1, false) => {
                     let n_keys = dec.seq_len(9)?;
                     let mut tuple_key = HashMap::with_capacity(n_keys);
                     for _ in 0..n_keys {
-                        let tuple = dec.usize()?;
+                        let tuple = tuple_id(dec)?;
                         let key = SmallKey::decode_state(dec)?;
                         if tuple_key.insert(tuple, key).is_some() {
                             return Err(CodecError::new("duplicate tuple key"));
@@ -1366,6 +1538,7 @@ impl ViolationEngine {
                     }
                     let n_groups = dec.seq_len(9)?;
                     let mut groups = HashMap::with_capacity(n_groups);
+                    let mut violating = TupleBits::with_rows(rows);
                     for _ in 0..n_groups {
                         let key = SmallKey::decode_state(dec)?;
                         let n_buckets = dec.seq_len(12)?;
@@ -1375,8 +1548,12 @@ impl ViolationEngine {
                             let n_members = dec.seq_len(8)?;
                             let mut members = HashSet::with_capacity(n_members);
                             for _ in 0..n_members {
-                                if !members.insert(dec.usize()?) {
+                                let member = tuple_id(dec)?;
+                                if !members.insert(member) {
                                     return Err(CodecError::new("duplicate group member"));
+                                }
+                                if n_buckets > 1 {
+                                    violating.insert(member);
                                 }
                             }
                             if members_by_rhs.insert(rhs, members).is_some() {
@@ -1416,6 +1593,7 @@ impl ViolationEngine {
                         satisfying_in_context,
                         context,
                         group_generation,
+                        violating,
                     }));
                 }
                 (tag, _) => {
@@ -1525,7 +1703,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
 
         let bytes = encode(&engine);
         let mut dec = Dec::new(&bytes);
-        let mut restored = ViolationEngine::decode_state(&mut dec).unwrap();
+        let mut restored = ViolationEngine::decode_state(&mut dec, table.len()).unwrap();
         dec.finish().unwrap();
 
         // Re-encoding the restored engine is byte-identical.
@@ -1551,12 +1729,38 @@ STR, CT -> ZIP : _, Fort Wayne || _
 
     #[test]
     fn codec_rejects_corrupt_engine_payloads() {
-        let (_, _, engine) = build_fixture();
+        let (table, _, engine) = build_fixture();
         let bytes = encode(&engine);
         for cut in 0..bytes.len() {
             let mut dec = Dec::new(&bytes[..cut]);
-            let result = ViolationEngine::decode_state(&mut dec).and_then(|_| dec.finish());
+            let result =
+                ViolationEngine::decode_state(&mut dec, table.len()).and_then(|_| dec.finish());
             assert!(result.is_err(), "truncation at {cut} must not decode");
+        }
+    }
+
+    #[test]
+    fn codec_rejects_engines_that_do_not_fit_the_table() {
+        let (table, ruleset, engine) = build_fixture();
+        let bytes = encode(&engine);
+        let rows = table.len();
+        for other in [0, rows - 1, rows + 1] {
+            let mut dec = Dec::new(&bytes);
+            assert!(ViolationEngine::decode_state(&mut dec, other).is_err());
+        }
+        // Push rule 0's first violating tuple (t1) to each id at or past the
+        // table's end.  Its list sits after the header, the arity, the row
+        // count, the state count and the rule's kind tag and list length.
+        let mut enc = Enc::new();
+        enc.section("vioeng", 1);
+        ruleset.encode_state(&mut enc);
+        let at = enc.into_bytes().len() + 8 + 8 + 8 + 1 + 8;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        for tuple in [rows as u64, u64::MAX] {
+            let mut damaged = bytes.clone();
+            damaged[at..at + 8].copy_from_slice(&tuple.to_le_bytes());
+            let mut dec = Dec::new(&damaged);
+            assert!(ViolationEngine::decode_state(&mut dec, rows).is_err());
         }
     }
 
@@ -1935,7 +2139,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
                 );
             }
             assert_eq!(parallel.dirty_tuples(), sequential.dirty_tuples());
-            assert_eq!(parallel.dirty_tuples_with(&pool), sequential.dirty_tuples());
             let var_rule = 6;
             for tuple in (0..table.len()).step_by(997) {
                 assert_eq!(

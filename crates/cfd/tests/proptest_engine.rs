@@ -74,8 +74,8 @@ proptest! {
             let pool = value_pool(attr);
             let value = Value::from(pool[val % pool.len()]);
             engine.apply_cell_change(&mut table, row, attr, value).unwrap();
+            prop_assert!(engine.agrees_with_rebuild(&table));
         }
-        prop_assert!(engine.agrees_with_rebuild(&table));
     }
 
     /// Edits that introduce brand-new values — growing the per-attribute
@@ -118,6 +118,7 @@ proptest! {
             let row = row % table.len();
             let value = Value::from(format!("fresh-{attr}-{i}"));
             engine.stats_if(&mut table, row, attr, &value).unwrap();
+            prop_assert!(engine.agrees_with_rebuild(&table));
         }
         let after: Vec<_> = (0..ruleset.len()).map(|r| engine.rule_stats(r)).collect();
         prop_assert_eq!(before, after);
@@ -141,6 +142,11 @@ proptest! {
             let pool = value_pool(attr);
             let value = Value::from(pool[val % pool.len()]);
             engine.stats_if(&mut table, row, attr, &value).unwrap();
+            prop_assert!(engine.agrees_with_rebuild(&table));
+            for rule in engine.rules_involving(attr).to_vec() {
+                engine.stats_if_rule_guarded(&mut table, row, attr, &value, rule).unwrap();
+                prop_assert!(engine.agrees_with_rebuild(&table));
+            }
         }
         let after: Vec<_> = (0..ruleset.len()).map(|r| engine.rule_stats(r)).collect();
         prop_assert_eq!(before, after);

@@ -36,7 +36,7 @@ pub struct GdrConfig {
     pub full_walk_refresh: bool,
     /// Worker threads for the O(table) construction and full-walk passes
     /// (violation-engine build, agreement-index build, initial update
-    /// generation, the full-walk refresh and dirty scans).  `1` runs strictly
+    /// generation and the full-walk refresh).  `1` runs strictly
     /// sequentially on the calling thread — bit-identical behaviour to every
     /// release before the knob existed — and any higher count is pinned
     /// bit-identical to `1` by property tests (same `ValueId` assignment,

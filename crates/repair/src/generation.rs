@@ -51,7 +51,7 @@ impl RepairState {
     /// Runs as a four-phase walk on the state's thread pool (sequential by
     /// default); see `RepairState::generate_for_dirty`.
     pub fn generate_initial_updates(&mut self) {
-        let dirty = self.engine.dirty_tuples_with(&self.threads);
+        let dirty = self.engine.dirty_tuples();
         self.generate_for_dirty(&dirty, false);
     }
 
@@ -288,7 +288,8 @@ impl RepairState {
 
     /// Revisits one cell: keeps a still-valid suggestion untouched (the full
     /// walk never regenerates cells that have one), drops a stale one, and
-    /// reruns Algorithm 1 when the cell lacks a suggestion.
+    /// reruns Algorithm 1 when the cell lacks a suggestion.  The dirty check
+    /// is [`gdr_cfd::ViolationEngine::is_dirty`]: at most one bit read per rule.
     fn refresh_cell(&mut self, cell: Cell) {
         let (tuple, attr) = cell;
         if let Some(update) = self.possible.get(&cell) {
@@ -324,7 +325,7 @@ impl RepairState {
     /// revisit work.
     pub fn refresh_updates_full(&mut self) {
         self.revisit_queue.clear();
-        let dirty = self.engine.dirty_tuples_with(&self.threads);
+        let dirty = self.engine.dirty_tuples();
         let dirty_set: BTreeSet<TupleId> = dirty.iter().copied().collect();
         // Discard suggestions for clean tuples and for suggestions that
         // became vacuous (equal to the current value) or forbidden.

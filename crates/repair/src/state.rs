@@ -366,6 +366,10 @@ impl RepairState {
     ///    Members that do not violate `φ` are pruned: Algorithm 1 consults a
     ///    rule's scenarios only for tuples violating it, and any member whose
     ///    violation status the write flipped is already queued by (2).
+    ///
+    /// The pruning in (3) asks [`ViolationEngine::tuple_violates`] once per
+    /// member, which is one bit read in the rule's violation index, so the
+    /// walk hashes only to find the groups, never per member.
     fn queue_write_damage(&mut self, tuple: TupleId, attr: AttrId, old_id: ValueId) {
         let RepairState {
             table,
@@ -612,7 +616,7 @@ impl RepairState {
     pub fn decode_state(dec: &mut Dec<'_>, threads: ThreadPool) -> codec::Result<RepairState> {
         dec.section("repair")?;
         let table = Table::decode_state(dec)?;
-        let engine = ViolationEngine::decode_state(dec)?;
+        let engine = ViolationEngine::decode_state(dec, table.len())?;
 
         let n_possible = dec.seq_len(16)?;
         let mut possible = HashMap::with_capacity(n_possible);

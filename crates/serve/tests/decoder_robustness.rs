@@ -224,6 +224,77 @@ fn a_checkpoint_rule_past_the_table_arity_is_rejected() {
     assert!(TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err());
 }
 
+/// The checkpoint payload of a freshly opened Figure 1 session, the offset
+/// of its violation engine's row count in it, and the table's row count.
+fn engine_row_count_site() -> (Vec<u8>, usize, usize) {
+    let spec = figure1_spec(GdrStrategy::GdrNoLearning, true);
+    let (rows, arity) = (spec.dirty.len(), spec.dirty.schema().arity());
+    let session = SessionOptions::new().open(spec).expect("open");
+    let payload = codec::unframe(&session.team().to_snapshot_bytes())
+        .expect("snapshot frame")
+        .to_vec();
+    let engine = session.team().engine().state().engine();
+    let mut enc = Enc::new();
+    engine.encode_state(&mut enc);
+    let whole = enc.into_bytes();
+    // The engine opens with its section header, its rules and the table's
+    // arity; the row count follows.
+    let mut enc = Enc::new();
+    enc.section("vioeng", 1);
+    engine.ruleset().encode_state(&mut enc);
+    enc.usize(arity);
+    let header = enc.into_bytes().len();
+    let at = payload
+        .windows(whole.len())
+        .position(|window| window == whole)
+        .expect("the engine is in the checkpoint");
+    (payload, at + header, rows)
+}
+
+fn write_u64(bytes: &mut [u8], at: usize, value: u64) {
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// A checkpoint whose violation engine claims a row count other than its
+/// table's is rejected before the engine sizes anything from it.
+#[test]
+fn a_checkpoint_engine_row_count_other_than_the_table_is_rejected() {
+    let (payload, at, rows) = engine_row_count_site();
+    for claimed in [rows as u64 + 1, rows as u64 - 1, 0, u64::MAX >> 1] {
+        let mut damaged = payload.clone();
+        write_u64(&mut damaged, at, claimed);
+        assert!(
+            TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err(),
+            "row count {claimed}"
+        );
+    }
+}
+
+/// A checkpoint whose violation engine names a tuple id at or past the
+/// table's row count is rejected: the first constant rule's first
+/// violating tuple is pushed out of range.
+#[test]
+fn a_checkpoint_engine_tuple_past_the_table_is_rejected() {
+    let (payload, at, rows) = engine_row_count_site();
+    // Row count, rule-state count, then rule 0's kind tag and its
+    // violating-tuple count.
+    let tag = at + 16;
+    assert_eq!(payload[tag], 0, "Figure 1's first rule is constant");
+    let count = u64::from_le_bytes(payload[tag + 1..tag + 9].try_into().unwrap());
+    assert!(
+        count > 0,
+        "the dirty instance violates Figure 1's first rule"
+    );
+    for tuple in [rows as u64, rows as u64 + 7, u64::MAX >> 1] {
+        let mut damaged = payload.clone();
+        write_u64(&mut damaged, tag + 9, tuple);
+        assert!(
+            TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err(),
+            "tuple id {tuple}"
+        );
+    }
+}
+
 /// Which recorded file a proptest case damages.
 #[derive(Debug, Clone, Copy)]
 enum Target {
