@@ -9,7 +9,7 @@
 //!
 //! `refresh_full_walk` runs the retained dirty-world-walk oracle
 //! (`refresh_updates_full`) on the same state — the in-suite view of what
-//! the journal-driven path saves.
+//! the write-driven path saves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_bench::{generate, DatasetId};

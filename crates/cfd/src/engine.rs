@@ -1079,7 +1079,7 @@ impl ViolationEngine {
 
     /// `true` when the tuple violates at least one rule.  Allocation-free
     /// variant of `!violated_rules(tuple).is_empty()` for per-cell hot paths
-    /// (the journal-driven suggestion refresh probes this once per revisited
+    /// (the write-driven suggestion refresh probes this once per revisited
     /// cell): at most one bit read per rule.
     pub fn is_dirty(&self, tuple: TupleId) -> bool {
         self.states
@@ -1474,7 +1474,7 @@ impl ViolationEngine {
     /// empty (`resolved_at_generation: None`): every read and mutation path
     /// refreshes it lazily against the live table before use.
     pub fn decode_state(dec: &mut Dec<'_>, rows: usize) -> codec::Result<ViolationEngine> {
-        dec.section("vioeng")?;
+        dec.section("vioeng", 1)?;
         let ruleset = RuleSet::decode_state(dec)?;
         let arity = dec.usize()?;
         for (id, rule) in ruleset.iter() {

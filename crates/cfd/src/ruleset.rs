@@ -165,7 +165,7 @@ impl RuleSet {
     /// re-validated through [`Cfd::new`], so a payload that decodes but does
     /// not describe a well-formed CFD is rejected rather than trusted.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RuleSet> {
-        dec.section("rules")?;
+        dec.section("rules", 1)?;
         let n = dec.seq_len(4)?;
         let mut rules = Vec::with_capacity(n);
         for _ in 0..n {

@@ -28,15 +28,9 @@ pub struct GdrConfig {
     /// Record a quality checkpoint every this many user verifications
     /// (1 = after every answer).
     pub checkpoint_every: usize,
-    /// Refresh suggestions with the pre-incremental full dirty-world walk
-    /// (`RepairState::refresh_updates_full`) instead of the journal-driven
-    /// path.  The two are pinned equivalent by property tests; this switch is
-    /// the debug/fallback oracle for diagnosing a suspected divergence in
-    /// production-like runs.
-    pub full_walk_refresh: bool,
-    /// Worker threads for the O(table) construction and full-walk passes
-    /// (violation-engine build, agreement-index build, initial update
-    /// generation and the full-walk refresh).  `1` runs strictly
+    /// Worker threads for the O(table) construction passes
+    /// (violation-engine build, agreement-index build and initial update
+    /// generation).  `1` runs strictly
     /// sequentially on the calling thread — bit-identical behaviour to every
     /// release before the knob existed — and any higher count is pinned
     /// bit-identical to `1` by property tests (same `ValueId` assignment,
@@ -53,7 +47,6 @@ impl Default for GdrConfig {
             forest: ForestConfig::default(),
             seed: 0xC0FFEE,
             checkpoint_every: 1,
-            full_walk_refresh: false,
             parallelism: 1,
         }
     }
@@ -73,34 +66,31 @@ impl GdrConfig {
             },
             seed: 7,
             checkpoint_every: 1,
-            full_walk_refresh: false,
             parallelism: 1,
         }
     }
 
     /// Serialises the configuration into `enc`.
     pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("config", 1);
+        enc.section("config", 2);
         enc.usize(self.ns_batch);
         enc.usize(self.min_verifications_per_group);
         enc.usize(self.learner_min_training);
         self.forest.encode_state(enc);
         enc.u64(self.seed);
         enc.usize(self.checkpoint_every);
-        enc.bool(self.full_walk_refresh);
         enc.usize(self.parallelism);
     }
 
     /// Rebuilds a configuration written by [`GdrConfig::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrConfig> {
-        dec.section("config")?;
+        dec.section("config", 2)?;
         let ns_batch = dec.usize()?;
         let min_verifications_per_group = dec.usize()?;
         let learner_min_training = dec.usize()?;
         let forest = ForestConfig::decode_state(dec)?;
         let seed = dec.u64()?;
         let checkpoint_every = dec.usize()?;
-        let full_walk_refresh = dec.bool()?;
         let parallelism = dec.usize()?;
         if checkpoint_every == 0 {
             return Err(CodecError::new("checkpoint_every must be positive"));
@@ -115,7 +105,6 @@ impl GdrConfig {
             forest,
             seed,
             checkpoint_every,
-            full_walk_refresh,
             parallelism,
         })
     }

@@ -11,16 +11,18 @@
 //! * [`group_updates`] materialises the groups of a full update snapshot —
 //!   the from-scratch path used by tests, benches, and one-shot callers;
 //! * [`GroupIndex`] is the *persistent* form the interactive loop maintains
-//!   across rounds: groups are keyed on `(AttrId, ValueId)`, members are
-//!   added/retired one [`SuggestionEvent`] at a time, and the ranked order
-//!   lives in a max-ordered structure so a re-rank touches only the groups
-//!   whose score actually changed (see the invalidation protocol in
-//!   [`crate::voi`]).
+//!   across rounds: groups are keyed on `(AttrId, ValueId)`, and for each
+//!   cell in the repair state's net suggestion delta the ranker removes the
+//!   cell's old suggestion and inserts its current one.  Members are keyed
+//!   by tuple, so the order in which cells are applied does not matter.  The
+//!   ranked order lives in a max-ordered structure so a re-rank touches only
+//!   the groups whose score actually changed (see the invalidation protocol
+//!   in [`crate::voi`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use gdr_relation::{AttrId, Schema, TupleId, Value, ValueId};
-use gdr_repair::{SuggestionEvent, Update};
+use gdr_repair::Update;
 
 /// A group of suggested updates sharing the target attribute and the
 /// suggested value.
@@ -169,8 +171,9 @@ impl IndexedGroup {
 }
 
 /// A persistent `(attribute, suggested value)` index over the
-/// `PossibleUpdates` list, maintained incrementally from
-/// [`SuggestionEvent`]s, with a max-ordered ranking over the group scores.
+/// `PossibleUpdates` list, maintained incrementally by
+/// [`GroupIndex::insert`] and [`GroupIndex::remove`], with a max-ordered
+/// ranking over the group scores.
 ///
 /// The index itself is score-agnostic: callers mark groups dirty (directly,
 /// per attribute, or wholesale), compute scores however they like, and feed
@@ -229,17 +232,6 @@ impl GroupIndex {
     /// The attributes with at least one live group.
     pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
         self.by_attr.keys().copied()
-    }
-
-    /// Applies one suggestion-list mutation.
-    pub fn apply_event<F>(&mut self, lookup: F, event: &SuggestionEvent)
-    where
-        F: Fn(AttrId, &Value) -> Option<ValueId>,
-    {
-        match event {
-            SuggestionEvent::Added(update) => self.insert(lookup, update.clone()),
-            SuggestionEvent::Removed(update) => self.remove(lookup, update),
-        }
     }
 
     /// Adds a member update to its group (creating the group on first use)
@@ -510,15 +502,12 @@ mod tests {
         let lookup = make_lookup();
         let mut index = GroupIndex::from_updates(&lookup, updates.iter());
         // Retire one member of the Michigan City group.
-        index.apply_event(
-            &lookup,
-            &SuggestionEvent::Removed(update(4, 3, "Michigan City")),
-        );
+        index.remove(&lookup, &update(4, 3, "Michigan City"));
         // Retire the whole zip group.
-        index.apply_event(&lookup, &SuggestionEvent::Removed(update(5, 5, "46825")));
-        index.apply_event(&lookup, &SuggestionEvent::Removed(update(8, 5, "46825")));
+        index.remove(&lookup, &update(5, 5, "46825"));
+        index.remove(&lookup, &update(8, 5, "46825"));
         // And add a brand-new group.
-        index.apply_event(&lookup, &SuggestionEvent::Added(update(1, 4, "IN")));
+        index.insert(&lookup, update(1, 4, "IN"));
 
         let mut remaining = sample_updates();
         remaining.retain(|u| u.tuple != 4 && u.attr != 5);

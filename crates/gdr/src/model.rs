@@ -174,7 +174,7 @@ impl ModelStore {
 
     /// Rebuilds a store written by [`ModelStore::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ModelStore> {
-        dec.section("models")?;
+        dec.section("models", 1)?;
         let arity = dec.seq_len(8)?;
         let mut learners = Vec::with_capacity(arity);
         for _ in 0..arity {

@@ -391,30 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn full_walk_refresh_oracle_reproduces_the_default_session() {
-        let (dirty, clean, rules) = fixture::figure1_instance();
-        let incremental = SessionBuilder::new(dirty.clone(), &rules)
-            .strategy(Strategy::GdrNoLearning)
-            .config(GdrConfig::fast())
-            .simulated(clean.clone())
-            .run(None)
-            .expect("journal-driven session runs");
-        let config = GdrConfig {
-            full_walk_refresh: true,
-            ..GdrConfig::fast()
-        };
-        let oracle = SessionBuilder::new(dirty, &rules)
-            .strategy(Strategy::GdrNoLearning)
-            .config(config)
-            .simulated(clean)
-            .run(None)
-            .expect("full-walk session runs");
-        assert_eq!(incremental.verifications, oracle.verifications);
-        assert_eq!(incremental.checkpoints, oracle.checkpoints);
-        assert_eq!(incremental.final_loss, oracle.final_loss);
-    }
-
-    #[test]
     fn reports_expose_improvement_at_checkpoints() {
         let report = run_strategy(Strategy::GdrNoLearning, None);
         let early = report.improvement_at(1);

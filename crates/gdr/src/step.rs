@@ -365,7 +365,7 @@ impl EvalHooks {
     /// [`LossTracker`] starts all-dirty, so its first read recomputes every
     /// term — bit-identical to the from-scratch oracle by construction.
     pub fn decode_state(dec: &mut Dec<'_>, rules: &RuleSet) -> codec::Result<EvalHooks> {
-        dec.section("eval")?;
+        dec.section("eval", 1)?;
         let truth = std::sync::Arc::new(Table::decode_state(dec)?);
         let initial_dirty = Table::decode_state(dec)?;
         let n = dec.seq_len(24)?;
@@ -697,7 +697,7 @@ impl GdrEngine {
             progress.actions += 1;
         } else {
             // Pool-strategy answers refresh immediately (no group batching).
-            self.refresh_suggestions();
+            self.state.refresh_updates();
         }
         Ok(())
     }
@@ -714,7 +714,7 @@ impl GdrEngine {
         self.take_needs_value(cell, "supply_value")?;
         let update = Update::new(cell.0, cell.1, value, 1.0);
         self.apply_user_answer(&update, Feedback::Confirm)?;
-        self.refresh_suggestions();
+        self.state.refresh_updates();
         self.phase = Phase::SelectGroup;
         Ok(())
     }
@@ -839,7 +839,7 @@ impl GdrEngine {
                 self.conclude(DoneReason::AutomaticComplete);
             }
             _ => {
-                self.refresh_suggestions();
+                self.state.refresh_updates();
                 self.phase = Phase::SelectGroup;
             }
         }
@@ -997,7 +997,7 @@ impl GdrEngine {
                 }
             }
         }
-        self.refresh_suggestions();
+        self.state.refresh_updates();
         if progress.actions == 0 {
             self.stalled_rounds += 1;
             if self.stalled_rounds >= 3 {
@@ -1045,7 +1045,7 @@ impl GdrEngine {
                     progressed = true;
                 }
             }
-            self.refresh_suggestions();
+            self.state.refresh_updates();
             if !progressed {
                 break;
             }
@@ -1110,7 +1110,7 @@ impl GdrEngine {
     }
 
     /// Selects the strategy's next group: syncs the persistent group index
-    /// with the repair state's change journal, rescores only the invalidated
+    /// with the repair state's suggestion delta, rescores only the invalidated
     /// groups, and reads the top of the max-ordered ranking.  Returns
     /// `(group, benefit, max_benefit)`.
     fn select_top_group(&mut self) -> Result<Option<(UpdateGroup, f64, f64)>> {
@@ -1128,7 +1128,7 @@ impl GdrEngine {
             s if s.uses_voi() => {
                 if s.uses_learner() {
                     // Committee probabilities move with every retrain and
-                    // every row write, outside the journal's view — every
+                    // every row write, outside the delta's view — every
                     // score is stale, but the expensive what-if terms stay
                     // cached; only the Σ p̃·w·term products are redone.
                     ranker.mark_all_dirty();
@@ -1217,17 +1217,6 @@ impl GdrEngine {
         SupplySweep { cells, pos: 0 }
     }
 
-    /// Step 9 of Procedure 1: re-derive the `PossibleUpdates` list.  Runs
-    /// the journal-driven refresh by default; the configuration can route it
-    /// through the full dirty-world walk as a debug/fallback oracle.
-    fn refresh_suggestions(&mut self) {
-        if self.config.full_walk_refresh {
-            self.state.refresh_updates_full();
-        } else {
-            self.state.refresh_updates();
-        }
-    }
-
     fn is_still_pending(&self, update: &Update) -> bool {
         self.state
             .pending_update(update.cell())
@@ -1266,9 +1255,10 @@ impl GdrEngine {
 
     /// Serialises every canonical piece of the engine into `enc`.
     ///
-    /// The [`VoiRanker`] is deliberately absent: its group index, benefit
-    /// memos, and generation watermarks are caches over the repair state's
-    /// journal, rebuilt by the first `sync` after decode, and the Eq. 6
+    /// The [`VoiRanker`] is deliberately absent, and so is the repair
+    /// state's suggestion delta that feeds it: the group index, benefit
+    /// memos, and generation watermarks are caches over the `PossibleUpdates`
+    /// list, rebuilt from it by the first `sync` after decode, and the Eq. 6
     /// arithmetic is pinned bit-identical between the cached and
     /// from-scratch paths — so a restored engine ranks exactly as the
     /// original would.  Everything else (down to the rng stream position
@@ -1297,7 +1287,7 @@ impl GdrEngine {
     /// [`GdrConfig::parallelism`] (parallelism is pinned bit-identical to
     /// sequential execution, so the pool size carries no state).
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrEngine> {
-        dec.section("engine")?;
+        dec.section("engine", 1)?;
         let config = GdrConfig::decode_state(dec)?;
         let strategy = Strategy::decode_state(dec)?;
         let threads = gdr_relation::ThreadPool::new(config.parallelism);

@@ -678,7 +678,7 @@ impl TeamSession {
 
     /// Rebuilds a session written by [`TeamSession::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<TeamSession> {
-        dec.section("team")?;
+        dec.section("team", 1)?;
         let engine = GdrEngine::decode_state(dec)?;
         let config = TeamConfig::decode_state(dec)?;
         let clock = dec.u64()?;

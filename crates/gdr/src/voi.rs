@@ -45,20 +45,27 @@
 //!   every read, so learner retrains never invalidate anything.
 //!
 //! * **Ranking epochs** ([`VoiRanker`] + [`crate::grouping::GroupIndex`]).
-//!   Every database write and every suggestion add/retire is journalled by
-//!   [`RepairState`] (`take_journal` closes an epoch).  On `sync` the ranker
-//!   replays the journal into the persistent group index and marks dirty (a)
-//!   groups whose membership changed and (b) groups of every attribute whose
-//!   generation moved.  `rescore_benefits` then recomputes *only* dirty
-//!   groups — a group of an untouched attribute keeps its previous score
-//!   without a single `stats_if` call — and re-inserts them into the
+//!   [`RepairState`] keeps a *net suggestion delta*: for each cell whose
+//!   suggestion changed since the ranker last synced, the suggestion the
+//!   cell held at that sync.  A cell that goes X → Y → X between two syncs
+//!   nets to nothing, so the delta is bounded by the cells touched, not by
+//!   the answers given.  On `sync` the ranker takes the delta
+//!   (`take_suggestion_delta`), removes each cell's old suggestion from the
+//!   persistent group index and inserts its current one, and marks dirty
+//!   (a) groups whose membership changed and (b) groups of every attribute
+//!   whose generation moved.  `rescore_benefits` then recomputes *only*
+//!   dirty groups — a group of an untouched attribute keeps its previous
+//!   score without a single `stats_if` call — and re-inserts them into the
 //!   max-ordered ranking, which `best`/`ranking` read directly.
 //!
 //! **Cache-coherence invariants.**  (1) Whatever perturbs a rule's stats
 //! bumps its generation in the same mutation; (2) what-if evaluation leaves
-//! stats, generations, and the journal untouched; (3) every mutation of the
-//! `PossibleUpdates` list is journalled, so replaying events reconstructs
-//! the list exactly; (4) suggestion values are interned before they are
+//! stats, generations, and the suggestion delta untouched; (3) every
+//! mutation of the `PossibleUpdates` list goes through the delta, so at each
+//! `sync` the group index holds exactly the list the delta's old values
+//! describe — removing them and inserting the current suggestions
+//! reconstructs the list exactly, in any cell order, because group members
+//! are keyed by tuple; (4) suggestion values are interned before they are
 //! recorded, so `(attr, value-id)` group keys are stable for the life of a
 //! table.  Strategies whose probabilities depend on mutable state outside
 //! this protocol (the learner's committee votes) must pass
@@ -68,8 +75,8 @@
 use std::collections::HashMap;
 
 use gdr_cfd::RuleId;
-use gdr_relation::{AttrId, TupleId, ValueId};
-use gdr_repair::{RepairState, SuggestionEvent, Update};
+use gdr_relation::{AttrId, TupleId, Value, ValueId};
+use gdr_repair::{RepairState, Update};
 
 use crate::grouping::{GroupIndex, UpdateGroup};
 use crate::Result;
@@ -406,7 +413,7 @@ fn benefit_from_deltas(
 }
 
 /// The incremental group ranker: a persistent [`GroupIndex`] kept in sync
-/// with the repair state's change journal, plus a [`BenefitCache`] so
+/// with the repair state's suggestion delta, plus a [`BenefitCache`] so
 /// rescoring a dirty group reuses every still-valid Eq. 6 term.
 #[derive(Debug, Clone, Default)]
 pub struct VoiRanker {
@@ -424,43 +431,34 @@ impl VoiRanker {
     }
 
     /// Brings the group index in line with the repair state: builds it from
-    /// the current `PossibleUpdates` list on first use, afterwards replays
-    /// the change journal accumulated since the previous sync and marks
+    /// the current `PossibleUpdates` list on first use, afterwards applies
+    /// the suggestion delta accumulated since the previous sync, and marks
     /// dirty every group invalidated by membership churn or by rule-stats
     /// generation movement.
     pub fn sync(&mut self, state: &mut RepairState) {
+        let delta = state.take_suggestion_delta();
+        let table = state.table();
+        let lookup = |attr: AttrId, value: &Value| table.lookup_id(attr, value);
         if !self.initialized {
-            let _ = state.take_journal();
-            let table = state.table();
-            self.index = GroupIndex::from_updates(
-                |attr, value| table.lookup_id(attr, value),
-                state.possible_updates(),
-            );
+            self.index = GroupIndex::from_updates(lookup, state.possible_updates());
             self.initialized = true;
         } else {
-            let journal = state.take_journal();
-            let table = state.table();
-            // Track each touched suggestion's final state in this epoch: a
-            // suggestion the consistency manager drops and immediately
-            // regenerates identically (a common revisit outcome) must keep
-            // its memo, but one that stays retired is dead weight — evict
-            // it so the cache tracks the live suggestion set instead of
-            // growing with every what-if ever evaluated.
-            let mut final_state: HashMap<BenefitKey, bool> = HashMap::new();
-            for event in &journal.suggestion_events {
-                self.index
-                    .apply_event(|attr, value| table.lookup_id(attr, value), event);
-                let (update, live) = match event {
-                    SuggestionEvent::Added(update) => (update, true),
-                    SuggestionEvent::Removed(update) => (update, false),
-                };
-                if let Some(id) = table.lookup_id(update.attr, &update.value) {
-                    final_state.insert((update.tuple, update.attr, id), live);
+            for (cell, old) in delta {
+                let current = state.pending_update(cell);
+                if let Some(old) = old {
+                    self.index.remove(lookup, &old);
+                    // A retired suggestion's memo is dead weight: evict it so
+                    // the cache tracks the live suggestion set instead of
+                    // growing with every what-if ever evaluated.  A cell
+                    // still suggesting the same value keeps its memo.
+                    if current.map(|u| &u.value) != Some(&old.value) {
+                        if let Some(id) = lookup(old.attr, &old.value) {
+                            self.cache.remove(&(old.tuple, old.attr, id));
+                        }
+                    }
                 }
-            }
-            for (key, live) in final_state {
-                if !live {
-                    self.cache.remove(&key);
+                if let Some(current) = current {
+                    self.index.insert(lookup, current.clone());
                 }
             }
         }
@@ -475,7 +473,7 @@ impl VoiRanker {
     }
 
     /// Marks every group's score stale (required before rescoring with
-    /// probabilities that may have changed outside the journal, e.g. the
+    /// probabilities that may have changed outside the delta, e.g. the
     /// learner's committee votes).
     pub fn mark_all_dirty(&mut self) {
         self.index.mark_all_dirty();
@@ -578,7 +576,7 @@ impl VoiRanker {
     }
 
     /// Re-marks specific groups dirty (bench support: replay the same
-    /// rescore work repeatedly without re-applying journal events).
+    /// rescore work repeatedly without re-applying the suggestion delta).
     pub fn mark_groups_dirty(&mut self, keys: &[crate::grouping::GroupKey]) {
         for &key in keys {
             self.index.mark_dirty(key);
@@ -622,17 +620,6 @@ impl VoiRanker {
     /// Number of memoized what-if evaluations (test introspection).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-}
-
-/// Applies one suggestion event directly (convenience for tests/benches
-/// driving a [`VoiRanker`] without a journal).
-impl VoiRanker {
-    /// Replays a single event against the index.
-    pub fn apply_event(&mut self, state: &RepairState, event: &SuggestionEvent) {
-        let table = state.table();
-        self.index
-            .apply_event(|attr, value| table.lookup_id(attr, value), event);
     }
 }
 
@@ -829,7 +816,7 @@ mod tests {
         assert!(benefit > 0.0);
         assert_eq!(ranker.max_benefit(), benefit);
 
-        // Confirm one member; the journal drives the index update.
+        // Confirm one member; the suggestion delta drives the index update.
         let update = best.updates[0].clone();
         state
             .apply_feedback(

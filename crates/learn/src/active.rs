@@ -116,7 +116,7 @@ impl ActiveLearner {
 
     /// Rebuilds a learner written by [`ActiveLearner::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ActiveLearner> {
-        dec.section("learner")?;
+        dec.section("learner", 1)?;
         let dataset = Dataset::decode_state(dec)?;
         let config = ForestConfig::decode_state(dec)?;
         let forest = dec.option(RandomForest::decode_state)?;

@@ -235,7 +235,7 @@ impl Dataset {
     /// range-checked so a corrupt payload fails decoding instead of tripping
     /// the [`Dataset::push`] assertions.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Dataset> {
-        dec.section("dataset")?;
+        dec.section("dataset", 1)?;
         let feature_count = dec.usize()?;
         let label_count = dec.usize()?;
         if feature_count > (1 << 20) || label_count > (1 << 20) {

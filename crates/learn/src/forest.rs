@@ -155,7 +155,7 @@ impl RandomForest {
 
     /// Rebuilds a forest written by [`RandomForest::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RandomForest> {
-        dec.section("forest")?;
+        dec.section("forest", 1)?;
         let label_count = dec.usize()?;
         let n = dec.seq_len(8)?;
         let mut trees = Vec::with_capacity(n);

@@ -182,7 +182,7 @@ impl DecisionTree {
 
     /// Rebuilds a tree written by [`DecisionTree::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<DecisionTree> {
-        dec.section("tree")?;
+        dec.section("tree", 1)?;
         let label_count = dec.usize()?;
         let root = decode_node(dec, 0)?;
         Ok(DecisionTree { root, label_count })

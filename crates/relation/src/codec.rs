@@ -242,27 +242,24 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    /// Opens a section: checks the tag matches and returns the version.
-    /// Callers reject versions above what they understand.
-    pub fn section(&mut self, tag: &str) -> Result<u16> {
+    /// Opens a section: checks the tag and that the version is exactly
+    /// `version`.  Formats carry no compatibility decoders, so any other
+    /// version — older or newer — is an error naming the section and both
+    /// versions.
+    pub fn section(&mut self, tag: &str, version: u16) -> Result<()> {
         let got = self.str()?;
         if got != tag {
             return Err(CodecError::new(format!(
                 "expected section `{tag}`, found `{got}`"
             )));
         }
-        self.u16()
-    }
-
-    /// Opens a section and rejects any version above `max_version`.
-    pub fn section_at_most(&mut self, tag: &str, max_version: u16) -> Result<u16> {
-        let version = self.section(tag)?;
-        if version > max_version {
+        let found = self.u16()?;
+        if found != version {
             return Err(CodecError::new(format!(
-                "section `{tag}` has version {version}, this build understands <= {max_version}"
+                "section `{tag}` has version {found}, this build reads version {version}"
             )));
         }
-        Ok(version)
+        Ok(())
     }
 
     /// One byte.
@@ -467,7 +464,7 @@ mod tests {
         let bytes = enc.into_bytes();
 
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.section("test").unwrap(), 3);
+        dec.section("test", 3).unwrap();
         assert_eq!(dec.u8().unwrap(), 7);
         assert_eq!(dec.u16().unwrap(), 300);
         assert_eq!(dec.u32().unwrap(), 70_000);
@@ -517,11 +514,17 @@ mod tests {
         enc.section("alpha", 2);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        assert!(dec.section("beta").is_err());
+        assert!(dec.section("beta", 2).is_err());
+        for other in [1, 3] {
+            let mut dec = Dec::new(&bytes);
+            let err = dec.section("alpha", other).unwrap_err();
+            assert!(err.detail.contains("`alpha`"), "{err:?}");
+            assert!(err
+                .detail
+                .contains(&format!("version 2, this build reads version {other}")));
+        }
         let mut dec = Dec::new(&bytes);
-        assert!(dec.section_at_most("alpha", 1).is_err());
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.section_at_most("alpha", 2).unwrap(), 2);
+        dec.section("alpha", 2).unwrap();
     }
 
     #[test]

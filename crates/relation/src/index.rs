@@ -320,7 +320,7 @@ impl AttrSetIndex {
     /// Rebuilds an index from [`AttrSetIndex::encode_state`] bytes,
     /// preserving exact member order and emptied-group value keys.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrSetIndex> {
-        dec.section_at_most("asidx", 1)?;
+        dec.section("asidx", 1)?;
         let n_attrs = dec.seq_len(8)?;
         let mut attrs = Vec::with_capacity(n_attrs);
         for _ in 0..n_attrs {

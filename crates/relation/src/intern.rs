@@ -154,7 +154,7 @@ impl ValueInterner {
     /// re-interning each value in order, which reproduces ids, the reverse
     /// map, and the generation bit-identically.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ValueInterner> {
-        dec.section_at_most("dict", 1)?;
+        dec.section("dict", 1)?;
         let n = dec.seq_len(1)?;
         let mut interner = ValueInterner::new();
         for _ in 0..n {

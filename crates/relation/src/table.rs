@@ -456,7 +456,7 @@ impl Table {
     /// Rebuilds a table from [`Table::encode_state`] bytes, validating every
     /// id against its dictionary and recounting occurrences.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Table> {
-        dec.section_at_most("table", 1)?;
+        dec.section("table", 1)?;
         let name = dec.str()?;
         let arity = dec.seq_len(8)?;
         let mut names = Vec::with_capacity(arity);

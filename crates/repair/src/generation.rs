@@ -71,7 +71,7 @@ impl RepairState {
     /// 3. **Candidate search** (parallel, read-only): Algorithm 1's scenario
     ///    exploration and best-candidate selection per cell, with a
     ///    per-worker [`CandidateMemo`].
-    /// 4. **Record** (sequential, cell order): journal the suggestions.
+    /// 4. **Record** (sequential, cell order): record the suggestions.
     ///
     /// `skip_existing` preserves the full-refresh contract of touching only
     /// cells without a pending suggestion.
@@ -269,7 +269,7 @@ impl RepairState {
     /// that became vacuous, forbidden, or clean-tupled, and regenerates the
     /// cells lacking one (step 9 of the GDR process).
     ///
-    /// **Journal-driven**: instead of walking every dirty tuple × attribute,
+    /// **Write-driven**: instead of walking every dirty tuple × attribute,
     /// this drains the revisit queue — the write-damage fan-out accumulated
     /// by `RepairState::note_cell_change` plus the cells perturbed by
     /// prevented/unchangeable marks — and touches exactly those cells.
@@ -319,7 +319,7 @@ impl RepairState {
     }
 
     /// The pre-incremental refresh: walks every dirty tuple × attribute.
-    /// Kept as the debug/fallback oracle for the journal-driven
+    /// Kept as the test oracle for the write-driven
     /// [`RepairState::refresh_updates`]; both must produce the identical
     /// `PossibleUpdates` map.  Supersedes (and therefore clears) any queued
     /// revisit work.

@@ -8,7 +8,7 @@
 //! subset across the rule set, so the lookup is a hash probe returning the
 //! agreement group directly.
 //!
-//! The same indices answer the *reverse* question the journal-driven refresh
+//! The same indices answer the *reverse* question the write-driven refresh
 //! asks after a write to `t[A]`: which cells `(t', B)` drew candidates from
 //! `t`?  Exactly the members of `t`'s group in the `attrs(φ) − {B}` index
 //! (under the pre-write projection for the group `t` left, and the post-write
@@ -132,7 +132,7 @@ impl AttrIndexPool {
 
     /// Rebuilds a pool written by [`AttrIndexPool::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrIndexPool> {
-        dec.section("idxpool")?;
+        dec.section("idxpool", 1)?;
         let n_indexes = dec.seq_len(8)?;
         let mut indexes = Vec::with_capacity(n_indexes);
         for _ in 0..n_indexes {

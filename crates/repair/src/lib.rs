@@ -12,23 +12,29 @@
 //!   list, the per-cell `preventedList` and `Changeable` flags, and exposes
 //!   - `UpdateAttributeTuple` (Algorithm 1: the three repair scenarios),
 //!   - the consistency manager of Appendix A.5 (feedback application,
-//!     cascade repairs, revisit bookkeeping), and
-//!   - what-if evaluation of a candidate update for the VOI ranking,
+//!     cascade repairs, revisit bookkeeping),
+//!   - what-if evaluation of a candidate update for the VOI ranking, and
+//!   - the *suggestion delta* the VOI ranker syncs from: for each cell whose
+//!     suggestion changed since the last sync, the suggestion it held then
+//!     (`RepairState::take_suggestion_delta`).  A cell that changes and
+//!     changes back nets to nothing, so the delta is bounded by the cells
+//!     touched, not by the answers given.  It is a cache of the ranker's
+//!     view and is not checkpointed: a decoded state starts with an empty
+//!     delta, and a fresh ranker builds its index from `PossibleUpdates`,
 //! * [`heuristic`] — the fully automatic `BatchRepair`-style baseline used as
 //!   the *Automatic-Heuristic* comparison point in the paper's Figure 4.
 //!
-//! ## The refresh pipeline: journal → affected cells → regeneration
+//! ## The refresh pipeline: write → affected cells → regeneration
 //!
 //! Step 9 of the GDR process re-derives the `PossibleUpdates` list after
 //! every batch of feedback.  Done naively that is a walk over every dirty
 //! tuple × attribute with an O(n) candidate scan per cell; here the whole
-//! pipeline is *journal-driven* and index-backed so its cost is proportional
+//! pipeline is *write-driven* and index-backed so its cost is proportional
 //! to the damage of the answers, not to the table:
 //!
-//! 1. **Journal.**  Every real cell write flows through
-//!    `RepairState::note_cell_change`, which (besides feeding the ranking
-//!    epochs' [`ChangeJournal`]) propagates the write into a pool of
-//!    incrementally-maintained agreement indices (one
+//! 1. **Write.**  Every real cell write flows through
+//!    `RepairState::note_cell_change`, which propagates the write into a
+//!    pool of incrementally-maintained agreement indices (one
 //!    [`gdr_relation::AttrSetIndex`] per distinct `attrs(φ) − {B}` subset of
 //!    the rule set) and fans the write out into the set of **affected
 //!    cells**: the written tuple's own cells, the cells of tuples sharing
@@ -38,7 +44,7 @@
 //!    `attrs(φ) − {B}` — their `getValueForLHS` candidate pools drew on the
 //!    written value.  Prevented/unchangeable marks queue their own cell.
 //! 2. **Affected cells.**  The union of those cells accumulates in a revisit
-//!    queue that survives ranking epochs and is drained by
+//!    queue that the suggestion delta never touches and that is drained by
 //!    `RepairState::refresh_updates`.
 //! 3. **Regeneration.**  Each queued cell is revisited exactly once: a
 //!    still-valid suggestion is kept untouched, a vacuous/forbidden/
@@ -49,8 +55,8 @@
 //! `UpdateAttributeTuple` is a deterministic function of the database, the
 //! violation engine, and the per-cell flags, so cells outside the affected
 //! set would regenerate to their current state; skipping them cannot change
-//! the outcome.  `RepairState::refresh_updates_full` keeps the pre-journal
-//! full walk as a debug/fallback oracle, and `tests/proptest_refresh.rs`
+//! the outcome.  `RepairState::refresh_updates_full` keeps the
+//! pre-incremental full walk as the oracle, and `tests/proptest_refresh.rs`
 //! pins the two paths to the bit-identical `PossibleUpdates` map under
 //! random feedback/forced-value/novel-value interleavings.
 //!
@@ -85,7 +91,7 @@ pub mod update;
 
 pub use heuristic::{run_heuristic_repair, HeuristicConfig, HeuristicReport};
 pub use similarity::{edit_distance, string_similarity, value_similarity};
-pub use state::{ChangeJournal, FeedbackOutcome, RepairState, SuggestionEvent};
+pub use state::{FeedbackOutcome, RepairState};
 pub use update::{AppliedChange, Cell, ChangeSource, Feedback, Update};
 
 /// Result alias re-using the CFD error type (repairs are driven by rules).

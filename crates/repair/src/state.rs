@@ -1,7 +1,7 @@
 //! The mutable repair context shared by update generation, the consistency
 //! manager, and the GDR session loop.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use gdr_cfd::{RuleId, RuleSet, RuleStats, ViolationEngine};
 use gdr_relation::codec::{self, CodecError, Dec, Enc};
@@ -10,118 +10,6 @@ use gdr_relation::{AttrId, Table, ThreadPool, TupleId, Value, ValueId};
 use crate::index_pool::AttrIndexPool;
 use crate::update::{AppliedChange, Cell, ChangeSource, Update};
 use crate::Result;
-
-/// One mutation of the `PossibleUpdates` list, in occurrence order.
-///
-/// Replacing a cell's suggestion is journalled as a `Removed` of the old
-/// update followed by an `Added` of the new one, so a consumer replaying the
-/// events against a snapshot of the list always reconstructs the current
-/// list exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SuggestionEvent {
-    /// A suggestion entered the `PossibleUpdates` list.
-    Added(Update),
-    /// A suggestion left the `PossibleUpdates` list.
-    Removed(Update),
-}
-
-/// Everything that changed since the last ranking epoch — the delta the
-/// interactive loop's incremental re-ranking consumes instead of rescanning
-/// the world (see the invalidation protocol in `gdr_core::voi`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChangeJournal {
-    /// The ranking epoch this journal accumulated under.  Epochs advance on
-    /// every [`RepairState::take_journal`].
-    pub epoch: u64,
-    /// Cells written to the database, in application order (duplicates kept).
-    pub changed_cells: Vec<Cell>,
-    /// Rules whose [`RuleStats`] were perturbed by those writes.
-    pub perturbed_rules: BTreeSet<RuleId>,
-    /// Mutations of the `PossibleUpdates` list, in occurrence order.
-    pub suggestion_events: Vec<SuggestionEvent>,
-}
-
-impl SuggestionEvent {
-    /// Serialises the event into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            SuggestionEvent::Added(u) => {
-                enc.u8(0);
-                u.encode_state(enc);
-            }
-            SuggestionEvent::Removed(u) => {
-                enc.u8(1);
-                u.encode_state(enc);
-            }
-        }
-    }
-
-    /// Rebuilds an event written by [`SuggestionEvent::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SuggestionEvent> {
-        match dec.u8()? {
-            0 => Ok(SuggestionEvent::Added(Update::decode_state(dec)?)),
-            1 => Ok(SuggestionEvent::Removed(Update::decode_state(dec)?)),
-            tag => Err(CodecError::new(format!(
-                "invalid suggestion-event tag {tag}"
-            ))),
-        }
-    }
-}
-
-impl ChangeJournal {
-    /// `true` when nothing changed during the epoch.
-    pub fn is_empty(&self) -> bool {
-        self.changed_cells.is_empty() && self.suggestion_events.is_empty()
-    }
-
-    /// Serialises the journal into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("journal", 1);
-        enc.u64(self.epoch);
-        enc.usize(self.changed_cells.len());
-        for &(tuple, attr) in &self.changed_cells {
-            enc.usize(tuple);
-            enc.usize(attr);
-        }
-        enc.usize(self.perturbed_rules.len());
-        for &rule in &self.perturbed_rules {
-            enc.usize(rule);
-        }
-        enc.usize(self.suggestion_events.len());
-        for event in &self.suggestion_events {
-            event.encode_state(enc);
-        }
-    }
-
-    /// Rebuilds a journal written by [`ChangeJournal::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ChangeJournal> {
-        dec.section("journal")?;
-        let epoch = dec.u64()?;
-        let n_cells = dec.seq_len(16)?;
-        let mut changed_cells = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            changed_cells.push((dec.usize()?, dec.usize()?));
-        }
-        let n_rules = dec.seq_len(8)?;
-        let mut perturbed_rules = BTreeSet::new();
-        for _ in 0..n_rules {
-            if !perturbed_rules.insert(dec.usize()?) {
-                return Err(CodecError::new("duplicate perturbed rule"));
-            }
-        }
-        let n_events = dec.seq_len(1)?;
-        let mut suggestion_events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            suggestion_events.push(SuggestionEvent::decode_state(dec)?);
-        }
-        Ok(ChangeJournal {
-            epoch,
-            changed_cells,
-            perturbed_rules,
-            suggestion_events,
-        })
-    }
-}
 
 /// Outcome of applying one piece of feedback through the consistency manager.
 #[derive(Debug, Clone, Default)]
@@ -154,17 +42,18 @@ pub struct RepairState {
     pub(crate) unchangeable: HashSet<Cell>,
     /// Every change applied to the database, in order.
     pub(crate) applied_log: Vec<AppliedChange>,
-    /// Cell writes, rule perturbations, and suggestion add/retire events
-    /// accumulated since the last [`RepairState::take_journal`].
-    pub(crate) journal: ChangeJournal,
+    /// The net suggestion delta since the ranker last synced: for each cell
+    /// whose suggestion changed, the suggestion it held at that sync.
+    /// Drained by [`RepairState::take_suggestion_delta`]; not checkpointed.
+    pub(crate) suggestion_delta: BTreeMap<Cell, Option<Update>>,
     /// One incrementally-maintained agreement index per distinct
     /// `attrs(φ) − {B}` subset, powering `getValueForLHS` probes and the
-    /// journal-driven refresh's cohabitant lookups.
+    /// write-damage fan-out's cohabitant lookups.
     pub(crate) pool: AttrIndexPool,
     /// Cells whose candidate sets may have changed since the last
     /// [`RepairState::refresh_updates`] — the write-damage fan-out computed
-    /// at journal time, drained by the refresh.  Independent of the ranking
-    /// epochs: `take_journal` never touches it.
+    /// at write time, drained by the refresh.  Independent of the suggestion
+    /// delta: [`RepairState::take_suggestion_delta`] never touches it.
     pub(crate) revisit_queue: BTreeSet<Cell>,
     /// Worker pool for the O(table) passes (engine/index construction and
     /// the full generation walks).  Sequential by default; any worker count
@@ -195,7 +84,7 @@ impl RepairState {
             prevented: HashMap::new(),
             unchangeable: HashSet::new(),
             applied_log: Vec::new(),
-            journal: ChangeJournal::default(),
+            suggestion_delta: BTreeMap::new(),
             pool,
             revisit_queue: BTreeSet::new(),
             threads,
@@ -316,33 +205,33 @@ impl RepairState {
         self.engine.attr_stats_generation(attr)
     }
 
-    /// The changes accumulated since the last ranking epoch.
-    pub fn journal(&self) -> &ChangeJournal {
-        &self.journal
+    /// The live suggestion delta: for each cell whose suggestion changed
+    /// since the last [`RepairState::take_suggestion_delta`], the suggestion
+    /// it held then (`None` when it held none).
+    pub fn suggestion_delta(&self) -> &BTreeMap<Cell, Option<Update>> {
+        &self.suggestion_delta
     }
 
-    /// Closes the current ranking epoch: returns the accumulated journal and
-    /// starts a fresh one with the next epoch number.
-    pub fn take_journal(&mut self) -> ChangeJournal {
-        let next = ChangeJournal {
-            epoch: self.journal.epoch + 1,
-            ..ChangeJournal::default()
-        };
-        std::mem::replace(&mut self.journal, next)
+    /// Drains the suggestion delta: every cell whose suggestion now differs
+    /// from the one it held at the previous take, paired with that old
+    /// suggestion, in ascending cell order.  A cell that changed and changed
+    /// back is left out.  The current suggestion is
+    /// [`RepairState::pending_update`].
+    pub fn take_suggestion_delta(&mut self) -> Vec<(Cell, Option<Update>)> {
+        let possible = &self.possible;
+        std::mem::take(&mut self.suggestion_delta)
+            .into_iter()
+            .filter(|(cell, old)| old.as_ref() != possible.get(cell))
+            .collect()
     }
 
-    /// Records a database write: journals the cell and the rules whose
-    /// statistics the write perturbed, propagates the write into the
-    /// agreement-index pool, and queues the write's *damage* — every cell
-    /// whose candidate set the write may have changed — for the next
+    /// Records a database write: propagates it into the agreement-index
+    /// pool and queues the write's *damage* — every cell whose candidate set
+    /// the write may have changed — for the next
     /// [`RepairState::refresh_updates`].  `old_id` is the id the cell held
     /// before the (already applied) write.
     pub(crate) fn note_cell_change(&mut self, tuple: TupleId, attr: AttrId, old_id: ValueId) {
         self.pool.note_cell_write(&self.table, tuple, attr, old_id);
-        self.journal.changed_cells.push((tuple, attr));
-        self.journal
-            .perturbed_rules
-            .extend(self.engine.rules_involving(attr).iter().copied());
         self.queue_write_damage(tuple, attr, old_id);
     }
 
@@ -495,28 +384,25 @@ impl RepairState {
         Ok(change)
     }
 
-    /// Removes the pending update for a cell, if any, journalling the
-    /// retirement.
+    /// Removes the pending update for a cell, if any, noting the cell's
+    /// old suggestion in the delta.
     pub(crate) fn drop_pending(&mut self, cell: Cell) {
         if let Some(old) = self.possible.remove(&cell) {
-            self.journal
-                .suggestion_events
-                .push(SuggestionEvent::Removed(old));
+            self.suggestion_delta.entry(cell).or_insert(Some(old));
         }
     }
 
     /// Records a suggestion in the `PossibleUpdates` list (replacing any
-    /// previous suggestion for the same cell), journalling the replacement.
-    /// Re-recording an identical suggestion is a no-op.
+    /// previous suggestion for the same cell), noting the cell's old
+    /// suggestion in the delta.  Re-recording an identical suggestion is a
+    /// no-op.
     pub(crate) fn record_suggestion(&mut self, update: Update) {
-        if self.possible.get(&update.cell()) == Some(&update) {
+        let cell = update.cell();
+        if self.possible.get(&cell) == Some(&update) {
             return;
         }
-        self.drop_pending(update.cell());
-        self.journal
-            .suggestion_events
-            .push(SuggestionEvent::Added(update.clone()));
-        self.possible.insert(update.cell(), update);
+        let old = self.possible.insert(cell, update);
+        self.suggestion_delta.entry(cell).or_insert(old);
     }
 
     /// Marks a cell as confirmed-correct.
@@ -558,7 +444,7 @@ impl RepairState {
     /// byte-identically across processes.  The worker pool is not state — the
     /// caller supplies one on decode.
     pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("repair", 1);
+        enc.section("repair", 2);
         self.table.encode_state(enc);
         self.engine.encode_state(enc);
 
@@ -598,7 +484,6 @@ impl RepairState {
             change.encode_state(enc);
         }
 
-        self.journal.encode_state(enc);
         self.pool.encode_state(enc);
 
         enc.usize(self.revisit_queue.len());
@@ -614,7 +499,7 @@ impl RepairState {
     /// rather than state (any worker count produces bit-identical repair
     /// state, so the choice does not affect fidelity).
     pub fn decode_state(dec: &mut Dec<'_>, threads: ThreadPool) -> codec::Result<RepairState> {
-        dec.section("repair")?;
+        dec.section("repair", 2)?;
         let table = Table::decode_state(dec)?;
         let engine = ViolationEngine::decode_state(dec, table.len())?;
 
@@ -658,7 +543,6 @@ impl RepairState {
             applied_log.push(AppliedChange::decode_state(dec)?);
         }
 
-        let journal = ChangeJournal::decode_state(dec)?;
         let pool = AttrIndexPool::decode_state(dec)?;
 
         let n_revisit = dec.seq_len(16)?;
@@ -676,7 +560,7 @@ impl RepairState {
             prevented,
             unchangeable,
             applied_log,
-            journal,
+            suggestion_delta: BTreeMap::new(),
             pool,
             revisit_queue,
             threads,
@@ -774,84 +658,111 @@ mod tests {
     #[test]
     fn journal_records_writes_and_suggestion_churn() {
         let mut state = fixture();
-        // Construction generated the initial suggestions into epoch 0.
-        assert_eq!(state.journal().epoch, 0);
-        let initial_adds = state
-            .journal()
-            .suggestion_events
-            .iter()
-            .filter(|e| matches!(e, SuggestionEvent::Added(_)))
-            .count();
-        assert_eq!(initial_adds, state.pending_count());
-        assert!(state.journal().changed_cells.is_empty());
+        // Construction recorded every initial suggestion into the delta, each
+        // against an empty cell.
+        assert_eq!(state.suggestion_delta().len(), state.pending_count());
+        assert!(state.suggestion_delta().values().all(Option::is_none));
 
-        // Closing the epoch hands the delta over and starts a fresh one.
-        let journal = state.take_journal();
-        assert_eq!(journal.epoch, 0);
-        assert_eq!(state.journal().epoch, 1);
-        assert!(state.journal().is_empty());
+        // Taking hands the delta over and leaves it empty.
+        let delta = state.take_suggestion_delta();
+        assert_eq!(delta.len(), state.pending_count());
+        assert!(state.suggestion_delta().is_empty());
 
-        // A write journals the cell, the perturbed rules, and the retirement
-        // of the cell's suggestion.
+        // A write records the retired suggestion of the written cell.
+        let old = state.pending_update((1, 2)).cloned();
+        assert!(old.is_some());
         state
             .force_value(1, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
             .unwrap();
-        let journal = state.journal();
-        assert_eq!(journal.changed_cells, vec![(1, 2)]);
-        assert_eq!(
-            journal.perturbed_rules.iter().copied().collect::<Vec<_>>(),
-            state.rules_involving(2).to_vec()
-        );
-        assert!(journal
-            .suggestion_events
-            .iter()
-            .any(|e| matches!(e, SuggestionEvent::Removed(u) if u.cell() == (1, 2))));
+        assert_eq!(state.suggestion_delta().get(&(1, 2)), Some(&old));
+    }
+
+    /// Applies one take of the delta to a replica of `PossibleUpdates`: each
+    /// handed-over cell's old suggestion must be the replica's, and the
+    /// cell's current suggestion replaces it.
+    fn apply_take(replayed: &mut HashMap<Cell, Update>, state: &mut RepairState) {
+        for (cell, old) in state.take_suggestion_delta() {
+            assert_eq!(
+                replayed.get(&cell),
+                old.as_ref(),
+                "old suggestion of {cell:?}"
+            );
+            match state.pending_update(cell) {
+                Some(update) => replayed.insert(cell, update.clone()),
+                None => replayed.remove(&cell),
+            };
+        }
     }
 
     #[test]
     fn replaying_suggestion_events_reconstructs_the_pending_list() {
         let mut state = fixture();
         let mut replayed: HashMap<Cell, Update> = HashMap::new();
-        let apply = |replayed: &mut HashMap<Cell, Update>, journal: &ChangeJournal| {
-            for event in &journal.suggestion_events {
-                match event {
-                    SuggestionEvent::Added(u) => {
-                        replayed.insert(u.cell(), u.clone());
-                    }
-                    SuggestionEvent::Removed(u) => {
-                        let gone = replayed.remove(&u.cell());
-                        assert_eq!(gone.as_ref(), Some(u));
-                    }
-                }
-            }
-        };
-        apply(&mut replayed, &state.take_journal());
+        apply_take(&mut replayed, &mut state);
         assert_eq!(replayed, state.possible);
 
-        // Drive a few feedback rounds and keep replaying the deltas.
+        // Drive a few feedback rounds and keep applying the deltas.  Every
+        // suggestion change happens at a cell the round touched: the answered
+        // cell, the cells written, the cells the consistency manager
+        // revisited, or the cells the refresh drained from its queue.  The
+        // delta holds at most one entry per such cell.
         for _ in 0..4 {
             let Some(update) = state.possible_updates_sorted().into_iter().next() else {
                 break;
             };
-            state
+            let outcome = state
                 .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
                 .unwrap();
+            let mut touched: BTreeSet<Cell> = outcome.revisited.iter().copied().collect();
+            touched.insert(update.cell());
+            touched.extend(outcome.applied.iter().map(|c| (c.tuple, c.attr)));
+            touched.extend(state.revisit_queue.iter().copied());
             state.refresh_updates();
-            apply(&mut replayed, &state.take_journal());
+            assert!(state.suggestion_delta().len() <= touched.len());
+            assert!(state.suggestion_delta().keys().all(|c| touched.contains(c)));
+            apply_take(&mut replayed, &mut state);
             assert_eq!(replayed, state.possible);
         }
     }
 
     #[test]
+    fn a_cell_that_changes_back_takes_as_empty() {
+        let mut state = fixture();
+        state.take_suggestion_delta();
+        let x = state
+            .pending_update((1, 2))
+            .cloned()
+            .expect("t1[CT] suggestion");
+        let y = Update::new(1, 2, Value::from("Fort Wayne"), 0.25);
+
+        // X → Y → X, X → none → X, and none → Y → none all net to nothing.
+        state.record_suggestion(y.clone());
+        state.record_suggestion(x.clone());
+        state.drop_pending((1, 2));
+        state.record_suggestion(x.clone());
+        let empty = (0, 1);
+        assert!(state.pending_update(empty).is_none());
+        state.record_suggestion(Update::new(0, 1, Value::from("Main St"), 0.5));
+        state.drop_pending(empty);
+        assert_eq!(state.suggestion_delta().len(), 2);
+        assert!(state.take_suggestion_delta().is_empty());
+
+        // X → Y → Z hands over X once.
+        state.record_suggestion(y);
+        state.record_suggestion(Update::new(1, 2, Value::from("Westville"), 0.75));
+        assert_eq!(state.take_suggestion_delta(), vec![((1, 2), Some(x))]);
+    }
+
+    #[test]
     fn what_if_does_not_touch_journal_or_generations() {
         let mut state = fixture();
-        state.take_journal();
+        state.take_suggestion_delta();
         let gens: Vec<u64> = (0..state.ruleset().len())
             .map(|r| state.stats_generation(r))
             .collect();
         let update = Update::new(1, 2, Value::from("Michigan City"), 0.5);
         state.what_if_stats(&update).unwrap();
-        assert!(state.journal().is_empty());
+        assert!(state.suggestion_delta().is_empty());
         let after: Vec<u64> = (0..state.ruleset().len())
             .map(|r| state.stats_generation(r))
             .collect();
@@ -868,13 +779,14 @@ mod tests {
     fn codec_round_trip_is_bit_identical_and_live() {
         let mut state = fixture();
         // Exercise every serialised component: a write, feedback bookkeeping,
-        // prevented/unchangeable flags, and an open ranking epoch.
+        // and prevented/unchangeable flags.  The suggestion delta left
+        // untaken is not serialised.
         state
             .force_value(1, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
             .unwrap();
         state.mark_prevented((3, 4), Value::from("46111"));
         state.mark_unchangeable((0, 0));
-        state.take_journal();
+        state.take_suggestion_delta();
         let update = state.possible_updates_sorted().into_iter().next().unwrap();
         state
             .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
@@ -892,7 +804,8 @@ mod tests {
             state.possible_updates_sorted()
         );
         assert_eq!(restored.applied_log(), state.applied_log());
-        assert_eq!(restored.journal(), state.journal());
+        assert!(!state.suggestion_delta().is_empty());
+        assert!(restored.suggestion_delta().is_empty());
 
         // Both continue identically through another feedback round.
         for s in [&mut state, &mut restored] {

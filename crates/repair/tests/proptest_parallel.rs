@@ -3,16 +3,15 @@
 //! interner assigns the same `ValueId` to the same value), same violation
 //! statistics and generation stamps, same agreement-group membership, same
 //! `PossibleUpdates` (cells, values, and scores compared via `f64::to_bits`),
-//! and the same construction journal.
+//! and the same construction delta.
 //!
 //! The equivalence must survive mutation: after applying an identical random
 //! op sequence (feedback, forced values, novel user values) to every state
 //! and running the retained full-walk refresh, all worker counts must still
 //! agree cell for cell.
 //!
-//! Note the comparison goes through `possible_updates_sorted`, not the raw
-//! journal: full-walk stale-drop events iterate a `HashMap`, so even two
-//! sequential runs emit `Removed` events in different orders.
+//! After mutation the comparison goes through `possible_updates_sorted`:
+//! the `PossibleUpdates` map is what every worker count must agree on.
 
 use gdr_cfd::{parser, RuleSet};
 use gdr_relation::{Schema, Table, ThreadPool, Value};
@@ -216,9 +215,10 @@ proptest! {
         let rules = ruleset(&schema());
         let seq = RepairState::new(table_from(&picks), &rules);
 
-        // The construction journal is deterministic (suggestions land in
-        // cell order), so even it must match across worker counts.
-        let seq_journal = seq.journal().clone();
+        // The construction delta is deterministic (every suggestion is
+        // recorded against an empty cell), so even it must match across
+        // worker counts.
+        let seq_delta = seq.suggestion_delta().clone();
 
         let mut states: Vec<(usize, RepairState)> = Vec::new();
         for &workers in WORKER_COUNTS {
@@ -230,9 +230,9 @@ proptest! {
             prop_assert_eq!(par.parallelism(), workers);
             assert_bit_identical(&seq, &par, &format!("build with {workers} workers"));
             assert_eq!(
-                &seq_journal,
-                par.journal(),
-                "construction journal diverged with {workers} workers"
+                &seq_delta,
+                par.suggestion_delta(),
+                "construction delta diverged with {workers} workers"
             );
             states.push((workers, par));
         }

@@ -311,7 +311,7 @@ pub fn encode_spec(spec: &OpenSpec) -> Vec<u8> {
 }
 
 fn decode_spec_state(dec: &mut Dec<'_>) -> codec::Result<OpenSpec> {
-    dec.section_at_most("spec", 1)?;
+    dec.section("spec", 1)?;
     let dirty = Table::decode_state(dec)?;
     let rules = RuleSet::decode_state(dec)?;
     let arity = dirty.schema().arity();

@@ -295,6 +295,93 @@ fn a_checkpoint_engine_tuple_past_the_table_is_rejected() {
     }
 }
 
+/// The tag of every versioned state section a session checkpoint can hold.
+const CHECKPOINT_SECTIONS: &[&str] = &[
+    "team", "engine", "config", "rules", "table", "dict", "vioeng", "repair", "idxpool", "asidx",
+    "models", "learner", "forest", "tree", "dataset", "eval",
+];
+
+/// Rewrites every section header of a checkpoint payload to other
+/// versions, re-frames each copy behind a valid checksum, and asserts that
+/// decoding errs, naming the section.  Returns the tags found and the
+/// re-framed copies.
+fn assert_other_versions_rejected(payload: &[u8]) -> (Vec<&'static str>, Vec<Vec<u8>>) {
+    assert!(TeamSession::from_snapshot_bytes(&codec::frame(payload)).is_ok());
+    let mut found = Vec::new();
+    let mut frames = Vec::new();
+    for &tag in CHECKPOINT_SECTIONS {
+        let mut enc = Enc::new();
+        enc.str(tag);
+        let name = enc.into_bytes();
+        let sites: Vec<usize> = payload
+            .windows(name.len())
+            .enumerate()
+            .filter(|(_, window)| *window == name.as_slice())
+            .map(|(at, _)| at + name.len())
+            .collect();
+        for &at in &sites {
+            let version = u16::from_le_bytes([payload[at], payload[at + 1]]);
+            for other in [
+                0,
+                version.wrapping_sub(1),
+                version.wrapping_add(1),
+                u16::MAX,
+            ] {
+                if other == version {
+                    continue;
+                }
+                let mut damaged = payload.to_vec();
+                damaged[at..at + 2].copy_from_slice(&other.to_le_bytes());
+                let frame = codec::frame(&damaged);
+                let err = TeamSession::from_snapshot_bytes(&frame)
+                    .expect_err(&format!("section `{tag}` at version {other}"));
+                assert!(err.detail.contains(&format!("`{tag}`")), "{err:?}");
+                frames.push(frame);
+            }
+        }
+        if !sites.is_empty() {
+            found.push(tag);
+        }
+    }
+    (found, frames)
+}
+
+/// Every section header of a checkpoint, rewritten to any other version, is
+/// refused: each decoder accepts exactly the version it writes, so a
+/// checkpoint of another format errs instead of being misread, and loading
+/// the journal skips it and falls back to replay.  The recorded
+/// `GdrNoLearning` checkpoint holds every section but the trained forests',
+/// which a finished `Gdr` session supplies.
+#[test]
+fn a_checkpoint_section_of_another_version_is_rejected() {
+    let recorded = recorded();
+    let (mut found, frames) =
+        assert_other_versions_rejected(codec::unframe(&recorded.checkpoint).expect("frame"));
+    let events = scan_records(&recorded.segment).payloads.len();
+    for frame in frames {
+        let dir = TempDir::new("robust-version");
+        fs::write(dir.join("spec.gdrj"), &recorded.spec).expect("write spec");
+        fs::write(dir.join("seg-000000.gdrj"), &recorded.segment).expect("write segment");
+        fs::write(dir.join(&recorded.checkpoint_name), frame).expect("write checkpoint");
+        let loaded = DiskJournal::load(dir.path()).expect("the journal loads");
+        assert!(loaded.checkpoint.is_none());
+        assert_eq!(loaded.recovery.snapshots_skipped, 1);
+        assert_eq!(loaded.events.len(), events);
+    }
+
+    let spec = figure1_spec(GdrStrategy::Gdr, true);
+    let oracle = GroundTruthOracle::new(spec.ground_truth.clone().expect("truth"));
+    let mut session = SessionOptions::new().open(spec).expect("open");
+    while drive_one(&mut session, &oracle) {}
+    let learned = session.team().to_snapshot_bytes();
+    let (learned_found, _) =
+        assert_other_versions_rejected(codec::unframe(&learned).expect("snapshot frame"));
+    found.extend(learned_found);
+    for tag in CHECKPOINT_SECTIONS {
+        assert!(found.contains(tag), "no `{tag}` header in {found:?}");
+    }
+}
+
 /// Which recorded file a proptest case damages.
 #[derive(Debug, Clone, Copy)]
 enum Target {
