@@ -1,38 +1,42 @@
-//! The client side of the wire protocol: typed calls plus a remote driver.
+//! The client side of the wire protocol: typed calls plus remote drivers.
 //!
-//! [`Client`] speaks the same codec as the server over any `Read + Write`
-//! pair and exposes one method per protocol verb.  [`Client::drive`] is the
-//! remote twin of `gdr_core::session::drive`: it feeds a served session
-//! from any [`UserOracle`] under an interaction budget, recovering from the
-//! retryable protocol errors the way the error contract intends — on
-//! `stale_work`/`work_mismatch`/`no_outstanding_work` it re-pulls `next`
-//! and continues instead of giving up.
+//! [`Client`] speaks the codec over any `Read + Write` pair, one untagged
+//! request and reply at a time, bound to one session id, with one method
+//! per protocol verb.  [`MuxClient`] tags every request with a `seq`
+//! correlation id and matches replies by tag instead of by position, so
+//! **one connection carries many sessions concurrently**.  Both write and
+//! read frames through one framing type.
 //!
-//! [`Client::drive_retrying`] additionally survives *transport* failures:
-//! a broken or garbled connection is retried under a [`RetryPolicy`]
-//! (capped exponential backoff) through a caller-supplied reconnect
-//! callback.  Re-sending a verb after a failure whose fate is unknown is
-//! semantically safe by the same error contract — if the lost reply had
-//! applied the verb, the duplicate comes back as
-//! `stale_work`/`no_outstanding_work`, which the driver already swallows
-//! and resolves by re-pulling `next`.
+//! Every driver runs the paper's loop remotely — serve an item, take the
+//! [`UserOracle`]'s confirm/reject/retain (or a supplied value), pull again
+//! — through **one per-lane state machine**.  A lane is one of two kinds:
 //!
-//! [`MuxClient`] is the pipelined counterpart: it tags every request with
-//! a `seq` correlation id and matches replies by tag instead of by
-//! position, so **one connection carries many sessions concurrently**.
-//! [`MuxClient::drive_all`] runs a per-session state machine (the same
-//! plan → answer → plan loop as [`Client::drive`]) for N sessions at once,
-//! keeping one verb in flight per session and absorbing `busy` refusals by
-//! re-sending — the replies interleave in whatever order the server's
-//! workers finish.
+//! * **solo**: `next` → `answer`/`supply`/`skip`, then `finish` once the
+//!   lane's own interaction budget is spent;
+//! * **reviewer**: `lease` → `answer_as`/`supply_as`/`skip_as` as one named
+//!   reviewer, or `release` for a lease drawn after the team's shared
+//!   budget is spent; `wait` re-leases.
 //!
-//! [`ReviewTeam`] is the multi-reviewer driver: N named reviewers working
-//! **one** session over one pipelined connection, each running its own
-//! `lease` → `answer_as` loop concurrently.  `wait` replies re-lease,
-//! `busy` refusals re-send, stale leases re-lease, and a reviewer that
-//! draws work after the shared budget is spent releases its lease instead
-//! of answering — the conflict policy chosen at `open` decides how
-//! overlapping answers resolve server-side.
+//! The machine takes a lane, one reply and the budget the lane draws from,
+//! and returns the lane's next request or retires the lane.  The retryable
+//! protocol errors (`stale_work`/`work_mismatch`/`no_outstanding_work`, as
+//! after a concurrent `restore` or a duplicated delivery) are not failures:
+//! the engine re-serves the item on the next pull.
+//!
+//! * [`Client::drive`] runs one solo lane over the untagged framing.
+//!   [`Client::drive_retrying`] also survives *transport* failures: each
+//!   request is re-sent under a [`RetryPolicy`] (capped exponential
+//!   backoff) through a caller-supplied reconnect callback.  Re-sending a
+//!   verb whose fate is unknown is safe by the same error contract: if the
+//!   lost reply had applied it, the duplicate comes back as
+//!   `stale_work`/`no_outstanding_work` and the lane pulls again.
+//! * [`MuxClient::drive_all`] pumps N solo lanes over one pipelined
+//!   connection: one verb in flight per lane, replies consumed in whatever
+//!   order the server's workers finish, `busy` refusals re-sent verbatim.
+//! * [`ReviewTeam::drive`] pumps N reviewer lanes of **one** session the
+//!   same way, then sends one closing `finish` if no lane saw `done`; the
+//!   conflict policy chosen at `open` decides how overlapping answers
+//!   resolve server-side.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -72,6 +76,12 @@ pub struct ServerHello {
     pub lease_ttl: u64,
 }
 
+/// The `hello` handshake request, announcing this client's protocol
+/// version.
+const HELLO: Request = Request::Hello {
+    version: PROTOCOL_VERSION,
+};
+
 impl ServerHello {
     /// Reads the server's reply to a `hello` request.
     fn from_reply(response: Response) -> Result<ServerHello, ClientError> {
@@ -91,10 +101,7 @@ impl ServerHello {
                 max_outstanding,
                 lease_ttl,
             }),
-            Response::Error(err) => Err(ClientError::Server(err)),
-            other => Err(ClientError::Protocol(format!(
-                "hello expected a hello reply, got {other:?}"
-            ))),
+            other => Err(unexpected("hello", "a hello reply", other)),
         }
     }
 }
@@ -126,6 +133,24 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(err: io::Error) -> ClientError {
         ClientError::Io(err)
+    }
+}
+
+/// A reply of the wrong kind for `verb`: an error reply stays typed as
+/// [`ClientError::Server`], anything else is a protocol error naming what
+/// `verb` expected.
+fn unexpected(verb: &str, expected: &str, reply: Response) -> ClientError {
+    match reply {
+        Response::Error(err) => ClientError::Server(err),
+        other => ClientError::Protocol(format!("{verb} expected {expected}, got {other:?}")),
+    }
+}
+
+/// Reads the reply to a `finish`.
+fn done_reason(reply: Response) -> Result<DoneReason, ClientError> {
+    match reply {
+        Response::Done { reason } => Ok(reason),
+        other => Err(unexpected("finish", "a done reply", other)),
     }
 }
 
@@ -198,10 +223,56 @@ impl RetryPolicy {
 /// transport pair, or `None` to give up early.
 type Reconnect<'c, R, W> = &'c mut dyn FnMut(u32) -> Option<(R, W)>;
 
-/// A blocking protocol client bound to one session id.
-pub struct Client<R: Read, W: Write> {
+/// One connection's framing: one request frame per line out, one reply
+/// frame per line in.
+struct Framed<R: Read, W: Write> {
     reader: BufReader<R>,
     writer: W,
+}
+
+impl Framed<TcpStream, TcpStream> {
+    /// Splits a TCP stream (cloned for the read half) with Nagle's
+    /// algorithm disabled: the protocol's small request and reply lines are
+    /// the worst case for delayed-ACK interaction.
+    fn tcp(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(Framed::new(stream.try_clone()?, stream))
+    }
+}
+
+impl<R: Read, W: Write> Framed<R, W> {
+    fn new(reader: R, writer: W) -> Self {
+        Framed {
+            reader: BufReader::new(reader),
+            writer,
+        }
+    }
+
+    /// Writes one request frame, `seq`-tagged or not.
+    fn send(&mut self, request: &Request, seq: Option<u64>) -> Result<(), ClientError> {
+        self.writer
+            .write_all(encode_request_frame(request, seq).as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Reads one reply frame and its `seq` tag, if it has one.
+    fn recv(&mut self) -> Result<(Option<u64>, Response), ClientError> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )));
+        }
+        decode_response_frame(line.trim()).map_err(ClientError::Protocol)
+    }
+}
+
+/// A blocking protocol client bound to one session id.
+pub struct Client<R: Read, W: Write> {
+    framed: Framed<R, W>,
     session: String,
 }
 
@@ -211,9 +282,10 @@ impl Client<TcpStream, TcpStream> {
     /// request/reply with small lines, the worst case for delayed-ACK
     /// interaction.
     pub fn connect(stream: TcpStream, session: impl Into<String>) -> io::Result<Self> {
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(Client::new(reader, stream, session))
+        Ok(Client {
+            framed: Framed::tcp(stream)?,
+            session: session.into(),
+        })
     }
 
     /// Connects over TCP with `timeout` applied to the connect itself and
@@ -228,9 +300,7 @@ impl Client<TcpStream, TcpStream> {
         let stream = TcpStream::connect_timeout(addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(Client::new(reader, stream, session))
+        Client::connect(stream, session)
     }
 }
 
@@ -238,8 +308,7 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Wraps a transport pair.
     pub fn new(reader: R, writer: W, session: impl Into<String>) -> Self {
         Client {
-            reader: BufReader::new(reader),
-            writer,
+            framed: Framed::new(reader, writer),
             session: session.into(),
         }
     }
@@ -253,8 +322,7 @@ impl<R: Read, W: Write> Client<R, W> {
     /// old pair is dropped; any half-exchanged request on it is abandoned
     /// (safe: see the module docs on duplicate-delivery recovery).
     pub fn replace_transport(&mut self, reader: R, writer: W) {
-        self.reader = BufReader::new(reader);
-        self.writer = writer;
+        self.framed = Framed::new(reader, writer);
     }
 
     /// [`Client::call`] with transport-failure retries: on an IO error or
@@ -295,20 +363,8 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Sends one request and reads one reply — the protocol is strictly
     /// request/reply, so this is the only I/O primitive.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.writer
-            .write_all(encode_request_frame(request, None).as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        decode_response_frame(line.trim())
-            .map(|(_, response)| response)
-            .map_err(ClientError::Protocol)
+        self.framed.send(request, None)?;
+        Ok(self.framed.recv()?.1)
     }
 
     fn expect_ok(&mut self, request: &Request) -> Result<Response, ClientError> {
@@ -383,14 +439,8 @@ impl<R: Read, W: Write> Client<R, W> {
 
     /// Ends the session from the client side.
     pub fn finish(&mut self) -> Result<DoneReason, ClientError> {
-        match self.expect_ok(&Request::Finish {
-            session: self.session.clone(),
-        })? {
-            Response::Done { reason } => Ok(reason),
-            other => Err(ClientError::Protocol(format!(
-                "finish expected a done reply, got {other:?}"
-            ))),
-        }
+        let session = self.session.clone();
+        done_reason(self.call(&Request::Finish { session })?)
     }
 
     /// Requests the session summary.
@@ -403,39 +453,30 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Asks the server to rebuild the session's engine by replaying its
     /// journal; returns the number of replayed events.
     pub fn restore(&mut self) -> Result<usize, ClientError> {
-        match self.expect_ok(&Request::Restore {
-            session: self.session.clone(),
-        })? {
+        let session = self.session.clone();
+        match self.call(&Request::Restore { session })? {
             Response::Restored { replayed } => Ok(replayed),
-            other => Err(ClientError::Protocol(format!(
-                "restore expected a restored reply, got {other:?}"
-            ))),
+            other => Err(unexpected("restore", "a restored reply", other)),
         }
     }
 
     /// Asks the server to compact the session's journal (snapshot + drop
     /// the replayed prefix); returns `(total events covered, tail length)`.
     pub fn compact(&mut self) -> Result<(usize, usize), ClientError> {
-        match self.expect_ok(&Request::Compact {
-            session: self.session.clone(),
-        })? {
+        let session = self.session.clone();
+        match self.call(&Request::Compact { session })? {
             Response::Compacted { events, tail } => Ok((events, tail)),
-            other => Err(ClientError::Protocol(format!(
-                "compact expected a compacted reply, got {other:?}"
-            ))),
+            other => Err(unexpected("compact", "a compacted reply", other)),
         }
     }
 
     /// Reads the session's live lease table (grant order).  Purely
     /// observational: ticks no coordinator clock and expires nothing.
     pub fn leases(&mut self) -> Result<Vec<WireLease>, ClientError> {
-        match self.expect_ok(&Request::Leases {
-            session: self.session.clone(),
-        })? {
+        let session = self.session.clone();
+        match self.call(&Request::Leases { session })? {
             Response::Leases { leases } => Ok(leases),
-            other => Err(ClientError::Protocol(format!(
-                "leases expected a leases reply, got {other:?}"
-            ))),
+            other => Err(unexpected("leases", "a leases reply", other)),
         }
     }
 
@@ -444,10 +485,7 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Servers predating the verb answer with `bad_request` — treat that
     /// as "legacy, no pipelining" rather than a failure.
     pub fn hello(&mut self) -> Result<ServerHello, ClientError> {
-        let hello = Request::Hello {
-            version: PROTOCOL_VERSION,
-        };
-        ServerHello::from_reply(self.call(&hello)?)
+        ServerHello::from_reply(self.call(&HELLO)?)
     }
 
     /// The remote twin of `gdr_core::session::drive`: answers served work
@@ -461,7 +499,7 @@ impl<R: Read, W: Write> Client<R, W> {
         user: &dyn UserOracle,
         budget: Option<usize>,
     ) -> Result<DoneReason, ClientError> {
-        self.drive_impl(user, budget, None)
+        self.drive_retrying(user, budget, &RetryPolicy::none(), |_| None)
     }
 
     /// [`Client::drive`] hardened against transport failures: every request
@@ -473,187 +511,18 @@ impl<R: Read, W: Write> Client<R, W> {
     pub fn drive_retrying(
         &mut self,
         user: &dyn UserOracle,
-        budget: Option<usize>,
+        mut budget: Option<usize>,
         policy: &RetryPolicy,
         mut reconnect: impl FnMut(u32) -> Option<(R, W)>,
     ) -> Result<DoneReason, ClientError> {
-        self.drive_impl(user, budget, Some((policy, &mut reconnect)))
-    }
-
-    /// One request with the drive loop's transport handling: retried when a
-    /// retry context is present, and error replies lifted to `Err`.
-    fn step(
-        &mut self,
-        request: &Request,
-        retry: &mut Option<(&RetryPolicy, Reconnect<'_, R, W>)>,
-    ) -> Result<Response, ClientError> {
-        let response = match retry {
-            Some((policy, reconnect)) => self.call_with_retry(request, policy, &mut **reconnect)?,
-            None => self.call(request)?,
-        };
-        match response {
-            Response::Error(err) => Err(ClientError::Server(err)),
-            response => Ok(response),
-        }
-    }
-
-    fn drive_impl(
-        &mut self,
-        user: &dyn UserOracle,
-        budget: Option<usize>,
-        mut retry: Option<(&RetryPolicy, Reconnect<'_, R, W>)>,
-    ) -> Result<DoneReason, ClientError> {
-        let mut interactions = 0usize;
+        let mut lane = Lane::new(&self.session, None, 0, budget == Some(0));
         loop {
-            if budget.is_some_and(|b| interactions >= b) {
-                break;
-            }
-            let plan = self.step(
-                &Request::Next {
-                    session: self.session.clone(),
-                },
-                &mut retry,
-            )?;
-            let request = match plan {
-                Response::Done { reason } => return Ok(reason),
-                plan => answer_plan(&self.session, plan, user)?,
-            };
-            interactions += 1;
-            if let Err(err) = self.step(&request, &mut retry) {
-                recover_or_fail(err)?;
+            let reply = self.call_with_retry(&lane.pending, policy, &mut reconnect)?;
+            if !lane.advance(reply, user, &mut budget)? {
+                return Ok(lane.done.expect("a solo lane retires on a done reply"));
             }
         }
-        match self.step(
-            &Request::Finish {
-                session: self.session.clone(),
-            },
-            &mut retry,
-        )? {
-            Response::Done { reason } => Ok(reason),
-            other => Err(ClientError::Protocol(format!(
-                "finish expected a done reply, got {other:?}"
-            ))),
-        }
     }
-}
-
-/// Swallows the retryable protocol errors (the engine re-serves the plan on
-/// the next pull); anything else propagates.
-fn recover_or_fail(err: ClientError) -> Result<(), ClientError> {
-    match err {
-        ClientError::Server(err) if is_retryable(&err) => Ok(()),
-        other => Err(other),
-    }
-}
-
-/// Is this a retryable protocol error (the engine re-serves the plan)?
-fn is_retryable(err: &WireError) -> bool {
-    matches!(
-        err,
-        WireError::StaleWork { .. }
-            | WireError::WorkMismatch { .. }
-            | WireError::NoOutstandingWork { .. }
-    )
-}
-
-/// The verb that answers a served work plan from `user`: `answer` for an
-/// `ask`, and for a `need_value` either `supply` or, when the user knows no
-/// different value, `skip`.  Any other reply is an error.
-fn answer_plan(
-    session: &str,
-    plan: Response,
-    user: &dyn UserOracle,
-) -> Result<Request, ClientError> {
-    let session = session.to_string();
-    match plan {
-        Response::Ask {
-            id,
-            tuple,
-            attr,
-            current,
-            value,
-            score,
-            ..
-        } => {
-            let feedback = user.feedback(&Update::new(tuple, attr, value, score), &current);
-            Ok(Request::Answer {
-                session,
-                id,
-                feedback,
-            })
-        }
-        Response::NeedValue {
-            tuple,
-            attr,
-            current,
-        } => Ok(match user.correct_value(tuple, attr) {
-            Some(value) if value != current => Request::Supply {
-                session,
-                tuple,
-                attr,
-                value,
-            },
-            _ => Request::Skip {
-                session,
-                tuple,
-                attr,
-            },
-        }),
-        Response::Error(err) => Err(ClientError::Server(err)),
-        other => Err(ClientError::Protocol(format!(
-            "next expected a work plan, got {other:?}"
-        ))),
-    }
-}
-
-/// Sends `request` and keeps it in `pending` as the lane's in-flight
-/// request, for `busy` re-sends; returns its seq.
-fn send_pending<R: Read, W: Write>(
-    mux: &mut MuxClient<R, W>,
-    pending: &mut Option<Request>,
-    request: Request,
-) -> Result<u64, ClientError> {
-    let seq = mux.send(&request)?;
-    *pending = Some(request);
-    Ok(seq)
-}
-
-/// Absorbs a `busy` refusal by re-sending the refused request verbatim —
-/// safe, because the server refused it without running it.  Returns the
-/// re-sent seq, or `None` for any other reply.
-fn resend_if_busy<R: Read, W: Write>(
-    mux: &mut MuxClient<R, W>,
-    response: &Response,
-    pending: &Option<Request>,
-) -> Result<Option<u64>, ClientError> {
-    if !matches!(response, Response::Error(WireError::Busy { .. })) {
-        return Ok(None);
-    }
-    let request = pending
-        .as_ref()
-        .ok_or_else(|| ClientError::Protocol("busy reply with no request in flight".to_string()))?;
-    mux.send(request).map(Some)
-}
-
-/// Where one multiplexed session stands in its drive loop.
-enum LaneState {
-    /// `next` is in flight; expecting a work plan.
-    AwaitPlan,
-    /// `answer`/`supply`/`skip` is in flight; expecting its ack.
-    AwaitAck,
-    /// `finish` is in flight; expecting `done`.
-    AwaitFinish,
-    /// The session completed.
-    Done(DoneReason),
-}
-
-/// One session being driven by [`MuxClient::drive_all`].
-struct Lane {
-    session: String,
-    interactions: usize,
-    state: LaneState,
-    /// The request currently in flight, kept for `busy` re-sends.
-    pending: Option<Request>,
 }
 
 /// A pipelined protocol client: every request carries a `seq` correlation
@@ -663,8 +532,7 @@ struct Lane {
 /// Unlike [`Client`], a `MuxClient` is not bound to one session id; verbs
 /// name their session explicitly.
 pub struct MuxClient<R: Read, W: Write> {
-    reader: BufReader<R>,
-    writer: W,
+    framed: Framed<R, W>,
     next_seq: u64,
 }
 
@@ -672,9 +540,10 @@ impl MuxClient<TcpStream, TcpStream> {
     /// Connects over TCP (the stream is cloned for the read half), with
     /// Nagle's algorithm disabled like [`Client::connect`].
     pub fn connect(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(MuxClient::new(reader, stream))
+        Ok(MuxClient {
+            framed: Framed::tcp(stream)?,
+            next_seq: 0,
+        })
     }
 }
 
@@ -682,8 +551,7 @@ impl<R: Read, W: Write> MuxClient<R, W> {
     /// Wraps a transport pair.
     pub fn new(reader: R, writer: W) -> Self {
         MuxClient {
-            reader: BufReader::new(reader),
-            writer,
+            framed: Framed::new(reader, writer),
             next_seq: 0,
         }
     }
@@ -693,24 +561,14 @@ impl<R: Read, W: Write> MuxClient<R, W> {
     pub fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.writer
-            .write_all(encode_request_frame(request, Some(seq)).as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.framed.send(request, Some(seq))?;
         Ok(seq)
     }
 
     /// Reads one reply frame; replies arrive in server completion order,
     /// not send order.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        let (seq, response) = decode_response_frame(line.trim()).map_err(ClientError::Protocol)?;
+        let (seq, response) = self.framed.recv()?;
         let seq = seq
             .ok_or_else(|| ClientError::Protocol("mux reply is missing its seq tag".to_string()))?;
         Ok((seq, response))
@@ -731,10 +589,7 @@ impl<R: Read, W: Write> MuxClient<R, W> {
 
     /// Performs the `hello` handshake (see [`Client::hello`]).
     pub fn hello(&mut self) -> Result<ServerHello, ClientError> {
-        let hello = Request::Hello {
-            version: PROTOCOL_VERSION,
-        };
-        ServerHello::from_reply(self.call(&hello)?)
+        ServerHello::from_reply(self.call(&HELLO)?)
     }
 
     /// Drives every (already opened) session in `sessions` to completion
@@ -751,133 +606,258 @@ impl<R: Read, W: Write> MuxClient<R, W> {
         user: &dyn UserOracle,
         budget: Option<usize>,
     ) -> Result<Vec<DoneReason>, ClientError> {
+        let mut budgets = vec![budget; sessions.len()];
         let mut lanes: Vec<Lane> = sessions
             .iter()
-            .map(|session| Lane {
-                session: session.clone(),
-                interactions: 0,
-                state: LaneState::AwaitPlan,
-                pending: None,
-            })
+            .enumerate()
+            .map(|(index, session)| Lane::new(session, None, index, budget == Some(0)))
             .collect();
-        // seq of the in-flight request → lane index.
-        let mut routes: HashMap<u64, usize> = HashMap::new();
-        for (index, lane) in lanes.iter_mut().enumerate() {
-            let seq = start_turn(self, lane, budget)?;
-            routes.insert(seq, index);
+        self.pump(&mut lanes, &mut budgets, user)?;
+        Ok(lanes
+            .iter()
+            .map(|lane| lane.done.expect("a solo lane retires on a done reply"))
+            .collect())
+    }
+
+    /// Drives `lanes` over this connection until every lane retires: one
+    /// verb in flight per lane, each reply fed to its lane in server
+    /// completion order.  A `busy` refusal re-sends the refused request
+    /// verbatim, which is safe because the server ran nothing.
+    fn pump(
+        &mut self,
+        lanes: &mut [Lane],
+        budgets: &mut [Option<usize>],
+        user: &dyn UserOracle,
+    ) -> Result<(), ClientError> {
+        // seq of each live lane's in-flight request → lane index.
+        let mut routes = HashMap::new();
+        for (index, lane) in lanes.iter().enumerate() {
+            routes.insert(self.send(&lane.pending)?, index);
         }
-        let mut live = lanes.len();
-        while live > 0 {
-            let (seq, response) = self.recv()?;
+        while !routes.is_empty() {
+            let (seq, reply) = self.recv()?;
             let index = routes
                 .remove(&seq)
                 .ok_or_else(|| ClientError::Protocol(format!("reply for unknown seq {seq}")))?;
             let lane = &mut lanes[index];
-            if let Some(seq) = resend_if_busy(self, &response, &lane.pending)? {
-                routes.insert(seq, index);
-                continue;
-            }
-            match advance_lane(self, lane, response, user, budget)? {
-                Some(seq) => {
-                    routes.insert(seq, index);
-                }
-                None => live -= 1,
+            let busy = matches!(reply, Response::Error(WireError::Busy { .. }));
+            if busy || lane.advance(reply, user, &mut budgets[lane.budget])? {
+                routes.insert(self.send(&lane.pending)?, index);
             }
         }
-        Ok(lanes
-            .into_iter()
-            .map(|lane| match lane.state {
-                LaneState::Done(reason) => reason,
-                _ => unreachable!("live count reached zero with an unfinished lane"),
-            })
-            .collect())
+        Ok(())
     }
 }
 
-/// Sends a lane's next pull — `next` while budget remains, else `finish` —
-/// and returns the in-flight seq.
-fn start_turn<R: Read, W: Write>(
-    mux: &mut MuxClient<R, W>,
-    lane: &mut Lane,
-    budget: Option<usize>,
-) -> Result<u64, ClientError> {
-    let request = if budget.is_some_and(|b| lane.interactions >= b) {
-        lane.state = LaneState::AwaitFinish;
-        Request::Finish {
-            session: lane.session.clone(),
-        }
-    } else {
-        lane.state = LaneState::AwaitPlan;
-        Request::Next {
-            session: lane.session.clone(),
-        }
-    };
-    send_pending(mux, &mut lane.pending, request)
-}
-
-/// Feeds one reply into a lane's state machine; returns the seq of the
-/// lane's next in-flight request, or `None` once the lane is done.
-fn advance_lane<R: Read, W: Write>(
-    mux: &mut MuxClient<R, W>,
-    lane: &mut Lane,
-    response: Response,
-    user: &dyn UserOracle,
-    budget: Option<usize>,
-) -> Result<Option<u64>, ClientError> {
-    match lane.state {
-        LaneState::AwaitPlan => match response {
-            Response::Done { reason } => {
-                lane.state = LaneState::Done(reason);
-                lane.pending = None;
-                Ok(None)
-            }
-            plan => {
-                let request = answer_plan(&lane.session, plan, user)?;
-                lane.interactions += 1;
-                lane.state = LaneState::AwaitAck;
-                send_pending(mux, &mut lane.pending, request).map(Some)
-            }
-        },
-        LaneState::AwaitAck => match response {
-            Response::Error(err) if !is_retryable(&err) => Err(ClientError::Server(err)),
-            // An ack (or a retryable error — the plan will be re-served):
-            // pull again.
-            _ => start_turn(mux, lane, budget).map(Some),
-        },
-        LaneState::AwaitFinish => match response {
-            Response::Done { reason } => {
-                lane.state = LaneState::Done(reason);
-                lane.pending = None;
-                Ok(None)
-            }
-            Response::Error(err) => Err(ClientError::Server(err)),
-            other => Err(ClientError::Protocol(format!(
-                "finish expected a done reply, got {other:?}"
-            ))),
-        },
-        LaneState::Done(_) => Err(ClientError::Protocol(
-            "reply routed to a finished session".to_string(),
-        )),
-    }
-}
-
-/// Where one reviewer stands in its `lease` → `answer_as` loop.
-enum ReviewerState {
-    /// `lease` is in flight; expecting a team plan.
-    AwaitLease,
-    /// `answer_as`/`supply_as`/`skip_as`/`release` is in flight.
-    AwaitAck,
-    /// This reviewer stopped (session done, or budget spent).
-    Retired,
-}
-
-/// One reviewer being driven by [`ReviewTeam::drive`].
-struct ReviewerLane {
-    name: String,
+/// One solo session, or one reviewer of a team session, being driven.
+struct Lane {
+    session: String,
+    /// The reviewer this lane answers as; `None` for a solo lane.
+    reviewer: Option<String>,
+    /// Items this lane answered.
     answers: usize,
-    state: ReviewerState,
-    /// The request currently in flight, kept for `busy` re-sends.
-    pending: Option<Request>,
+    /// Which of its driver's budgets this lane draws on: each holds the
+    /// answers left (`None` = unlimited).  Solo lanes have one each, a
+    /// team's reviewers share one.
+    budget: usize,
+    /// The session's done reason, once a reply carried it.
+    done: Option<DoneReason>,
+    /// The request in flight, which a `busy` refusal re-sends.
+    pending: Request,
+}
+
+impl Lane {
+    /// A lane that leases as `reviewer`, or pulls `next` as a solo lane
+    /// (`finish` if its budget is `spent` already).
+    fn new(session: &str, reviewer: Option<String>, budget: usize, spent: bool) -> Lane {
+        let pending = match &reviewer {
+            None if spent => Request::Finish {
+                session: session.to_string(),
+            },
+            _ => pull(session, &reviewer),
+        };
+        Lane {
+            session: session.to_string(),
+            reviewer,
+            answers: 0,
+            budget,
+            done: None,
+            pending,
+        }
+    }
+
+    /// The lane state machine: feeds `reply` to the request in flight,
+    /// drawing each answer from `budget`.  Returns `true` with the next
+    /// request in `pending`, or `false` once the lane retired.
+    fn advance(
+        &mut self,
+        reply: Response,
+        user: &dyn UserOracle,
+        budget: &mut Option<usize>,
+    ) -> Result<bool, ClientError> {
+        let spent = *budget == Some(0);
+        let next = match (&self.pending, reply) {
+            (Request::Next { .. } | Request::Lease { .. }, Response::Done { reason }) => {
+                self.done = Some(reason);
+                None
+            }
+            (Request::Finish { .. }, reply) => {
+                self.done = Some(done_reason(reply)?);
+                None
+            }
+            (Request::Lease { .. }, Response::Wait) if spent => None,
+            // Every servable item is leased to other reviewers (receiving
+            // this reply drained the socket), or the lease went stale: ask
+            // again.
+            (Request::Lease { .. }, Response::Wait) => Some(self.pending.clone()),
+            (Request::Lease { .. }, Response::Error(err)) if is_retryable(&err) => {
+                Some(self.pending.clone())
+            }
+            // The budget ran out while the lease was in flight: hand the
+            // item back instead of answering over budget.
+            (
+                Request::Lease { session, reviewer },
+                Response::Leased { id, .. } | Response::Fix { id, .. },
+            ) if spent => Some(Request::Release {
+                session: session.clone(),
+                reviewer: reviewer.clone(),
+                id,
+            }),
+            (Request::Next { .. } | Request::Lease { .. }, plan) => {
+                let request = self.answer(plan, user)?;
+                self.answers += 1;
+                if let Some(left) = budget {
+                    *left -= 1;
+                }
+                Some(request)
+            }
+            // An answer verb or `release` is in flight.
+            (_, Response::Error(err)) if !is_retryable(&err) => {
+                return Err(ClientError::Server(err))
+            }
+            // An ack, or a retryable error (the item will be re-served):
+            // pull again while budget remains.
+            _ if !spent => Some(pull(&self.session, &self.reviewer)),
+            _ if self.reviewer.is_some() => None,
+            _ => Some(Request::Finish {
+                session: self.session.clone(),
+            }),
+        };
+        let Some(request) = next else {
+            return Ok(false);
+        };
+        self.pending = request;
+        Ok(true)
+    }
+
+    /// The verb that answers a served item from `user`: feedback on a
+    /// suggested update; for a cell that needs a value, `supply` of the
+    /// user's value, or `skip` when the user knows no different one.
+    fn answer(&self, plan: Response, user: &dyn UserOracle) -> Result<Request, ClientError> {
+        let session = self.session.clone();
+        Ok(match (self.reviewer.clone(), plan) {
+            (
+                None,
+                Response::Ask {
+                    id,
+                    tuple,
+                    attr,
+                    current,
+                    value,
+                    score,
+                    ..
+                },
+            ) => {
+                let feedback = user.feedback(&Update::new(tuple, attr, value, score), &current);
+                Request::Answer {
+                    session,
+                    id,
+                    feedback,
+                }
+            }
+            (
+                Some(reviewer),
+                Response::Leased {
+                    id,
+                    tuple,
+                    attr,
+                    current,
+                    value,
+                    score,
+                },
+            ) => {
+                let feedback = user.feedback(&Update::new(tuple, attr, value, score), &current);
+                Request::AnswerAs {
+                    session,
+                    reviewer,
+                    id,
+                    feedback,
+                }
+            }
+            (
+                None,
+                Response::NeedValue {
+                    tuple,
+                    attr,
+                    current,
+                },
+            ) => match user.correct_value(tuple, attr) {
+                Some(value) if value != current => Request::Supply {
+                    session,
+                    tuple,
+                    attr,
+                    value,
+                },
+                _ => Request::Skip {
+                    session,
+                    tuple,
+                    attr,
+                },
+            },
+            (
+                Some(reviewer),
+                Response::Fix {
+                    id,
+                    tuple,
+                    attr,
+                    current,
+                },
+            ) => match user.correct_value(tuple, attr) {
+                Some(value) if value != current => Request::SupplyAs {
+                    session,
+                    reviewer,
+                    id,
+                    value,
+                },
+                _ => Request::SkipAs {
+                    session,
+                    reviewer,
+                    id,
+                },
+            },
+            (None, other) => return Err(unexpected("next", "a work plan", other)),
+            (Some(_), other) => return Err(unexpected("lease", "a team plan", other)),
+        })
+    }
+}
+
+/// A lane's pull: `lease` as `reviewer`, or `next` for a solo lane.
+fn pull(session: &str, reviewer: &Option<String>) -> Request {
+    let session = session.to_string();
+    match reviewer.clone() {
+        Some(reviewer) => Request::Lease { session, reviewer },
+        None => Request::Next { session },
+    }
+}
+
+/// Is this a retryable protocol error (the engine re-serves the plan)?
+fn is_retryable(err: &WireError) -> bool {
+    matches!(
+        err,
+        WireError::StaleWork { .. }
+            | WireError::WorkMismatch { .. }
+            | WireError::NoOutstandingWork { .. }
+    )
 }
 
 /// What [`ReviewTeam::drive`] produced.
@@ -892,11 +872,11 @@ pub struct ReviewOutcome {
 /// A team of named reviewers driving **one** multi-reviewer session over
 /// one pipelined [`MuxClient`] connection.
 ///
-/// Each reviewer runs the `lease` → decide → `answer_as` loop the wire
-/// protocol describes, all N loops interleaved on the one connection: one
-/// verb in flight per reviewer, replies consumed in server completion
-/// order.  The session must already be open (see
-/// [`OpenOptions::policy`] for choosing its conflict policy).
+/// Each reviewer is one reviewer lane (`lease` → decide → `answer_as`), all
+/// N lanes interleaved on the one connection: one verb in flight per
+/// reviewer, replies consumed in server completion order.  The session
+/// must already be open (see [`OpenOptions::policy`] for choosing its
+/// conflict policy).
 pub struct ReviewTeam {
     session: String,
     reviewers: Vec<String>,
@@ -931,174 +911,29 @@ impl ReviewTeam {
         user: &dyn UserOracle,
         budget: Option<usize>,
     ) -> Result<ReviewOutcome, ClientError> {
-        let mut lanes: Vec<ReviewerLane> = self
+        let mut lanes: Vec<Lane> = self
             .reviewers
             .iter()
-            .map(|name| ReviewerLane {
-                name: name.clone(),
-                answers: 0,
-                state: ReviewerState::AwaitLease,
-                pending: None,
-            })
+            .map(|name| Lane::new(&self.session, Some(name.clone()), 0, false))
             .collect();
-        let mut routes: HashMap<u64, usize> = HashMap::new();
-        let mut total = 0usize;
-        let mut session_done: Option<DoneReason> = None;
-        for (index, lane) in lanes.iter_mut().enumerate() {
-            let seq = send_lease(mux, &self.session, lane)?;
-            routes.insert(seq, index);
-        }
-        let mut live = lanes.len();
-        while live > 0 {
-            let (seq, response) = mux.recv()?;
-            let index = routes
-                .remove(&seq)
-                .ok_or_else(|| ClientError::Protocol(format!("reply for unknown seq {seq}")))?;
-            let lane = &mut lanes[index];
-            if let Some(seq) = resend_if_busy(mux, &response, &lane.pending)? {
-                routes.insert(seq, index);
-                continue;
-            }
-            let spent = budget.is_some_and(|b| total >= b);
-            let next_seq = match lane.state {
-                ReviewerState::AwaitLease => match response {
-                    Response::Leased { id, .. } | Response::Fix { id, .. } if spent => {
-                        // Budget ran out while the lease was in flight:
-                        // hand the item back for nobody instead of
-                        // answering over budget.
-                        let request = Request::Release {
-                            session: self.session.clone(),
-                            reviewer: lane.name.clone(),
-                            id,
-                        };
-                        lane.state = ReviewerState::AwaitAck;
-                        Some(send_pending(mux, &mut lane.pending, request)?)
-                    }
-                    Response::Leased {
-                        id,
-                        tuple,
-                        attr,
-                        current,
-                        value,
-                        score,
-                    } => {
-                        let update = Update::new(tuple, attr, value, score);
-                        let feedback = user.feedback(&update, &current);
-                        lane.answers += 1;
-                        total += 1;
-                        let request = Request::AnswerAs {
-                            session: self.session.clone(),
-                            reviewer: lane.name.clone(),
-                            id,
-                            feedback,
-                        };
-                        lane.state = ReviewerState::AwaitAck;
-                        Some(send_pending(mux, &mut lane.pending, request)?)
-                    }
-                    Response::Fix {
-                        id,
-                        tuple,
-                        attr,
-                        current,
-                    } => {
-                        lane.answers += 1;
-                        total += 1;
-                        let request = match user.correct_value(tuple, attr) {
-                            Some(value) if value != current => Request::SupplyAs {
-                                session: self.session.clone(),
-                                reviewer: lane.name.clone(),
-                                id,
-                                value,
-                            },
-                            _ => Request::SkipAs {
-                                session: self.session.clone(),
-                                reviewer: lane.name.clone(),
-                                id,
-                            },
-                        };
-                        lane.state = ReviewerState::AwaitAck;
-                        Some(send_pending(mux, &mut lane.pending, request)?)
-                    }
-                    Response::Wait if spent => None,
-                    // Every servable item is leased to other reviewers:
-                    // receiving this reply drained the socket, so ask again.
-                    Response::Wait => Some(send_lease(mux, &self.session, lane)?),
-                    Response::Done { reason } => {
-                        session_done.get_or_insert(reason);
-                        None
-                    }
-                    Response::Error(err) if is_retryable(&err) => {
-                        Some(send_lease(mux, &self.session, lane)?)
-                    }
-                    Response::Error(err) => return Err(ClientError::Server(err)),
-                    other => {
-                        return Err(ClientError::Protocol(format!(
-                            "lease expected a team plan, got {other:?}"
-                        )))
-                    }
-                },
-                ReviewerState::AwaitAck => match response {
-                    Response::Error(err) if !is_retryable(&err) => {
-                        return Err(ClientError::Server(err))
-                    }
-                    // An ack (or a retryable error — the lease died and the
-                    // work will be re-served): lease again while budget
-                    // remains.
-                    _ if spent => None,
-                    _ => Some(send_lease(mux, &self.session, lane)?),
-                },
-                ReviewerState::Retired => {
-                    return Err(ClientError::Protocol(
-                        "reply routed to a retired reviewer".to_string(),
-                    ))
-                }
-            };
-            match next_seq {
-                Some(seq) => {
-                    routes.insert(seq, index);
-                }
-                None => {
-                    lane.state = ReviewerState::Retired;
-                    lane.pending = None;
-                    live -= 1;
-                }
-            }
-        }
-        let reason = match session_done {
+        mux.pump(&mut lanes, &mut [budget], user)?;
+        // A concluded engine serves the same reason to every pull, so any
+        // lane's is the session's.
+        let reason = match lanes.iter().find_map(|lane| lane.done) {
             Some(reason) => reason,
             // Budget stop: nobody saw `done`, so close the session.
-            None => match mux.call(&Request::Finish {
+            None => done_reason(mux.call(&Request::Finish {
                 session: self.session.clone(),
-            })? {
-                Response::Done { reason } => reason,
-                Response::Error(err) => return Err(ClientError::Server(err)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "finish expected a done reply, got {other:?}"
-                    )))
-                }
-            },
+            })?)?,
         };
         Ok(ReviewOutcome {
             reason,
-            answers: lanes
-                .into_iter()
-                .map(|lane| (lane.name, lane.answers))
+            answers: self
+                .reviewers
+                .iter()
+                .cloned()
+                .zip(lanes.iter().map(|lane| lane.answers))
                 .collect(),
         })
     }
-}
-
-/// Sends one `lease` for a reviewer and returns the in-flight seq.
-fn send_lease<R: Read, W: Write>(
-    mux: &mut MuxClient<R, W>,
-    session: &str,
-    lane: &mut ReviewerLane,
-) -> Result<u64, ClientError> {
-    let request = Request::Lease {
-        session: session.to_string(),
-        reviewer: lane.name.clone(),
-    };
-    lane.state = ReviewerState::AwaitLease;
-    send_pending(mux, &mut lane.pending, request)
 }

@@ -30,8 +30,9 @@
 //!   even from one connection.  LRU eviction charges a global budget but
 //!   commits per shard.
 //!
-//! [`client::MuxClient::drive_all`] is the client-side counterpart,
-//! driving N sessions over one connection.
+//! On the client side, every driver runs one per-lane state machine (see
+//! [`client`]): [`client::MuxClient::drive_all`] pumps N solo lanes, one
+//! per session, over one pipelined connection.
 //!
 //! This crate exists because the engine's error contract makes it safe: a
 //! protocol violation from a remote client (stale work id, wrong cell,
@@ -75,7 +76,8 @@
 //! `escalate`), and the final state is equivalent to some serial
 //! one-reviewer order.  `leases` is a read-only inspection of the live
 //! lease table (it ticks no clock and expires nothing).
-//! [`client::ReviewTeam`] drives N reviewers over one pipelined connection.
+//! [`client::ReviewTeam`] pumps N reviewer lanes of one session over one
+//! pipelined connection, sharing one answer budget.
 //!
 //! `next` replies with one of:
 //!
@@ -109,18 +111,20 @@
 //!
 //! The first three are *retryable*: the engine state is untouched, so the
 //! client re-pulls `next`, gets the same plan (same work id) and continues.
-//! [`client::Client::drive`] implements exactly that recovery.
+//! The client's lane state machine implements exactly that recovery.
 //!
 //! ## Store and resume semantics
 //!
 //! Persistence is **replay-based**.  The engine is deterministic, so the
-//! store journals, per session, (1) the build inputs exactly as they
-//! arrived in `open` and (2) every successful state-changing verb
-//! ([`store::TranscriptEvent`]): one record, and one fsync under the
-//! default policy, per answer.  `restore` rebuilds the engine from scratch
-//! and replays the transcript through the public pull API; the result is
-//! bit-identical to the live engine — quality checkpoints compared via
-//! `f64::to_bits` in this crate's tests, at every interruption point.
+//! store journals, per session, (1) a spec record: the table and rules as
+//! `open` parsed them, the strategy, the team configuration, the ground
+//! truth if given, and the whole [`gdr_core::config::GdrConfig`], and (2)
+//! every successful state-changing verb ([`store::TranscriptEvent`]): one
+//! record, and one fsync under the default policy, per answer.  `restore`
+//! rebuilds the engine from scratch and replays the transcript through
+//! the public pull API; the result is bit-identical to the live engine —
+//! quality checkpoints compared via `f64::to_bits` in this crate's tests,
+//! at every interruption point.
 //! Pulls are not journaled; replay infers them (see [`store`]).  A pull
 //! after the last record is repeated by the next one with the same plan and
 //! work id, so a client that was mid-question when the server died resumes
@@ -158,12 +162,17 @@
 //! * **Segment format** — every file is written in the `S1` frame of
 //!   `gdr_relation::codec`: `S1 <len> <fnv64-hex> ` followed by `len`
 //!   payload bytes, the checksum being FNV-1a 64 over the payload.
-//!   `spec.gdrj` holds one frame with the build inputs in the state codec
+//!   `spec.gdrj` holds one frame with the spec record in the state codec
 //!   (its `create_new` creation is the atomic claim on a session id);
 //!   events append to `seg-NNNNNN.gdrj` segments of concatenated frames,
 //!   rolled at [`journal::JournalConfig::segment_max_bytes`], each payload
 //!   a one-byte event tag and its fields.  `examples/journal_dump.rs`
-//!   prints any journal directory as text.
+//!   prints any journal directory as text.  The spec has no fallback: a
+//!   build reads only the `spec`, `table`, `dict`, `rules` and `config`
+//!   section versions it writes, so bumping one leaves every older
+//!   durable session unreadable.  Recovering such a session fails with a
+//!   typed `journal` error ([`store::StoreError::Gdr`]), and every other
+//!   session keeps serving.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (default),
 //!   `EveryN(n)`, `GroupCommit`, or `Never`; sealed segments are always
 //!   synced.  `GroupCommit` hands fsyncs to a background flusher: appends
@@ -199,8 +208,9 @@
 //!   idle session is dropped from RAM (never one another thread holds) and
 //!   rehydrated transparently — and bit-identically — on its next verb.
 //!
-//! On the client side, [`client::Client::drive_retrying`] hardens the drive
-//! loop against transport failures: IO errors and torn replies reconnect
+//! On the client side, [`client::Client::drive_retrying`] runs one solo
+//! lane of the same state machine over an untagged connection and hardens
+//! it against transport failures: IO errors and torn replies reconnect
 //! under a [`client::RetryPolicy`] (capped exponential backoff) and resend;
 //! duplicated deliveries are absorbed by the server's `stale_work` /
 //! `no_outstanding_work` contract.

@@ -6,7 +6,10 @@
 //! payloads inside them — go to `scan_records`, `decode_event`,
 //! `decode_spec`, `decode_checkpoint` and `DiskJournal::load`.  Each must return a valid
 //! prefix, `Ok` or `Err`, and never panic; a frame whose length field claims
-//! far more bytes than follow it is rejected without allocating for it.
+//! far more bytes than follow it is rejected without allocating for it.  A
+//! state section of another version is refused, naming the section: in a
+//! checkpoint, which recovery then skips, and in a spec record, which fails
+//! only its own session.
 //!
 //! On the wire: arbitrary bytes (read as lossy UTF-8, as a connection reads
 //! a line), and every truncation and single-byte substitution of a golden
@@ -21,19 +24,20 @@ use std::sync::OnceLock;
 
 use common::{drive_one, figure1_spec, TempDir};
 use gdr_cfd::{Cfd, RuleSet};
+use gdr_core::error::GdrError;
 use gdr_core::oracle::GroundTruthOracle;
-use gdr_core::step::DoneReason;
+use gdr_core::step::{DoneReason, WorkPlan};
 use gdr_core::strategy::Strategy as GdrStrategy;
 use gdr_core::team::{ConflictPolicy, TeamSession};
 use gdr_relation::codec::{self, fnv1a64, Enc};
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
-    decode_checkpoint, decode_event, decode_spec, scan_records, DiskJournal, FsyncPolicy,
-    JournalConfig,
+    decode_checkpoint, decode_event, decode_spec, scan_records, session_dir_name, session_shard,
+    DiskJournal, FsyncPolicy, JournalConfig,
 };
 use gdr_serve::json::Json;
-use gdr_serve::store::SessionOptions;
+use gdr_serve::store::{DurabilityConfig, SessionOptions, SessionStore, StoreError};
 use gdr_serve::wire::{
     decode_request_frame, decode_response_frame, encode_request_frame, encode_response_frame,
     Request, Response, WireError, WireEval, WireGroup, WireLease, WireTarget,
@@ -301,15 +305,22 @@ const CHECKPOINT_SECTIONS: &[&str] = &[
     "models", "learner", "forest", "tree", "dataset", "eval",
 ];
 
-/// Rewrites every section header of a checkpoint payload to other
-/// versions, re-frames each copy behind a valid checksum, and asserts that
-/// decoding errs, naming the section.  Returns the tags found and the
+/// The tag of every versioned state section a spec record holds.
+const SPEC_SECTIONS: &[&str] = &["spec", "table", "dict", "rules", "config"];
+
+/// Rewrites every header of `sections` in `payload` to other versions,
+/// re-frames each copy behind a valid checksum, and asserts that `decode`
+/// errs on each, naming the section.  Returns the tags found and the
 /// re-framed copies.
-fn assert_other_versions_rejected(payload: &[u8]) -> (Vec<&'static str>, Vec<Vec<u8>>) {
-    assert!(TeamSession::from_snapshot_bytes(&codec::frame(payload)).is_ok());
+fn assert_other_versions_rejected<T>(
+    payload: &[u8],
+    sections: &[&'static str],
+    decode: impl Fn(&[u8]) -> Result<T, String>,
+) -> (Vec<&'static str>, Vec<Vec<u8>>) {
+    assert!(decode(payload).is_ok());
     let mut found = Vec::new();
     let mut frames = Vec::new();
-    for &tag in CHECKPOINT_SECTIONS {
+    for &tag in sections {
         let mut enc = Enc::new();
         enc.str(tag);
         let name = enc.into_bytes();
@@ -332,11 +343,11 @@ fn assert_other_versions_rejected(payload: &[u8]) -> (Vec<&'static str>, Vec<Vec
                 }
                 let mut damaged = payload.to_vec();
                 damaged[at..at + 2].copy_from_slice(&other.to_le_bytes());
-                let frame = codec::frame(&damaged);
-                let err = TeamSession::from_snapshot_bytes(&frame)
-                    .expect_err(&format!("section `{tag}` at version {other}"));
-                assert!(err.detail.contains(&format!("`{tag}`")), "{err:?}");
-                frames.push(frame);
+                let Err(detail) = decode(&damaged) else {
+                    panic!("section `{tag}` at version {other} decoded");
+                };
+                assert!(detail.contains(&format!("`{tag}`")), "{detail}");
+                frames.push(codec::frame(&damaged));
             }
         }
         if !sites.is_empty() {
@@ -344,6 +355,11 @@ fn assert_other_versions_rejected(payload: &[u8]) -> (Vec<&'static str>, Vec<Vec
         }
     }
     (found, frames)
+}
+
+/// Decodes a checkpoint payload the way recovery does, from its frame.
+fn decode_checkpoint_payload(payload: &[u8]) -> Result<TeamSession, String> {
+    TeamSession::from_snapshot_bytes(&codec::frame(payload)).map_err(|err| err.detail)
 }
 
 /// Every section header of a checkpoint, rewritten to any other version, is
@@ -355,8 +371,11 @@ fn assert_other_versions_rejected(payload: &[u8]) -> (Vec<&'static str>, Vec<Vec
 #[test]
 fn a_checkpoint_section_of_another_version_is_rejected() {
     let recorded = recorded();
-    let (mut found, frames) =
-        assert_other_versions_rejected(codec::unframe(&recorded.checkpoint).expect("frame"));
+    let (mut found, frames) = assert_other_versions_rejected(
+        codec::unframe(&recorded.checkpoint).expect("frame"),
+        CHECKPOINT_SECTIONS,
+        decode_checkpoint_payload,
+    );
     let events = scan_records(&recorded.segment).payloads.len();
     for frame in frames {
         let dir = TempDir::new("robust-version");
@@ -374,11 +393,62 @@ fn a_checkpoint_section_of_another_version_is_rejected() {
     let mut session = SessionOptions::new().open(spec).expect("open");
     while drive_one(&mut session, &oracle) {}
     let learned = session.team().to_snapshot_bytes();
-    let (learned_found, _) =
-        assert_other_versions_rejected(codec::unframe(&learned).expect("snapshot frame"));
+    let (learned_found, _) = assert_other_versions_rejected(
+        codec::unframe(&learned).expect("snapshot frame"),
+        CHECKPOINT_SECTIONS,
+        decode_checkpoint_payload,
+    );
     found.extend(learned_found);
     for tag in CHECKPOINT_SECTIONS {
         assert!(found.contains(tag), "no `{tag}` header in {found:?}");
+    }
+}
+
+/// The spec record embeds the parsed table and rules and the whole
+/// `GdrConfig`, and it has no fallback: a spec section of another version
+/// makes `decode_spec` err, naming the section, and makes that one durable
+/// session unrecoverable with a typed journal error.  A sibling session
+/// under the same store root still serves.
+#[test]
+fn a_spec_section_of_another_version_fails_only_its_session() {
+    let recorded = recorded();
+    let (found, frames) = assert_other_versions_rejected(
+        codec::unframe(&recorded.spec).expect("spec frame"),
+        SPEC_SECTIONS,
+        decode_spec,
+    );
+    assert_eq!(found, SPEC_SECTIONS, "spec sections found");
+    for frame in frames {
+        let root = TempDir::new("robust-spec-version");
+        let store = SessionStore::durable(DurabilityConfig::new(root.path())).expect("store");
+        for id in ["bumped", "sibling"] {
+            drop(
+                store
+                    .open(id, figure1_spec(GdrStrategy::GdrNoLearning, true))
+                    .expect("open"),
+            );
+        }
+        drop(store);
+        let dir = root
+            .path()
+            .join(session_shard("bumped"))
+            .join(session_dir_name("bumped"));
+        fs::write(dir.join("spec.gdrj"), frame).expect("write spec");
+
+        let store = SessionStore::durable(DurabilityConfig::new(root.path())).expect("store");
+        match store.get("bumped") {
+            Err(StoreError::Gdr(GdrError::Journal { detail })) => {
+                assert!(detail.contains("spec record"), "{detail}");
+            }
+            Err(other) => panic!("expected a journal error, got {other:?}"),
+            Ok(_) => panic!("a spec of another version was served"),
+        }
+        let sibling = store.get("sibling").expect("the sibling rehydrates");
+        let mut sibling = sibling.lock().expect("session lock");
+        assert!(!matches!(
+            sibling.next().expect("the sibling serves"),
+            WorkPlan::Done(_)
+        ));
     }
 }
 

@@ -1,5 +1,6 @@
 //! Multi-reviewer serving end to end: `lease`/`answer_as`/`release` over the
-//! wire, the `ReviewTeam` client driver at 1/2/4 reviewers, serial-replay
+//! wire, the `ReviewTeam` client driver at 1/2/4 reviewers (unbudgeted,
+//! under a shared budget, and re-sending `busy` refusals), serial-replay
 //! equivalence of the store's resolution log, TTL reclamation of abandoned
 //! leases, duplicate-delivery absorption, the advertised `leases`
 //! capability/limits, and — the durability acceptance criterion — a session
@@ -16,13 +17,13 @@ use std::thread;
 use common::{figure1_spec, fingerprint, record_ends, TempDir};
 use gdr_core::fixture;
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
-use gdr_core::step::{GdrEngine, WorkPlan};
+use gdr_core::step::{DoneReason, GdrEngine, WorkPlan};
 use gdr_core::strategy::Strategy;
 use gdr_core::team::{ConflictPolicy, Resolution, TeamConfig, TeamPlan};
 use gdr_relation::csv::to_csv;
 use gdr_relation::Value;
 use gdr_repair::{Feedback, Update};
-use gdr_serve::client::{Client, MuxClient, OpenOptions, ReviewTeam};
+use gdr_serve::client::{Client, MuxClient, OpenOptions, ReviewOutcome, ReviewTeam};
 use gdr_serve::journal::{team_digest, DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::server::{dispatch, ServerConfig};
 use gdr_serve::store::{Session, SessionJournal, SessionOptions, SessionStore, TranscriptEvent};
@@ -82,11 +83,18 @@ fn serial_replay(twin: &mut GdrEngine, resolutions: &[Resolution]) {
     }
 }
 
-/// Drives a `ReviewTeam` of `n` reviewers over one pipelined connection and
-/// returns the store session's fingerprint alongside the fingerprint of its
-/// resolution log replayed serially against a twin engine.
-fn team_run(n: usize, policy: ConflictPolicy) -> (Fingerprint, Fingerprint) {
-    let (addr, store, server) = spawn_server(ServerConfig::new().max_connections(Some(1)));
+/// Drives a `ReviewTeam` of `n` reviewers under a shared `budget` over one
+/// pipelined connection, against a server built from `config`, and returns
+/// the store session's fingerprint, the fingerprint of its resolution log
+/// replayed serially against a twin engine, and the team's outcome.  The
+/// drive must leave no lease behind.
+fn team_run(
+    n: usize,
+    policy: ConflictPolicy,
+    budget: Option<usize>,
+    config: ServerConfig,
+) -> (Fingerprint, Fingerprint, ReviewOutcome) {
+    let (addr, store, server) = spawn_server(config.max_connections(Some(1)));
     let (dirty, clean, _rules) = fixture::figure1_instance();
 
     let mut mux = MuxClient::connect(TcpStream::connect(addr).expect("connect")).expect("mux");
@@ -111,8 +119,14 @@ fn team_run(n: usize, policy: ConflictPolicy) -> (Fingerprint, Fingerprint) {
     let reviewers: Vec<String> = (0..n).map(|i| format!("rev{i}")).collect();
     let team = ReviewTeam::new("team", reviewers);
     let oracle = GroundTruthOracle::new(clean);
-    let outcome = team.drive(&mut mux, &oracle, None).expect("drive team");
+    let outcome = team.drive(&mut mux, &oracle, budget).expect("drive team");
     assert_eq!(outcome.answers.len(), n, "every reviewer reports a tally");
+    let leases = mux
+        .call(&Request::Leases {
+            session: "team".to_string(),
+        })
+        .expect("leases");
+    assert_eq!(leases, Response::Leases { leases: Vec::new() });
 
     drop(mux);
     server.join().expect("server thread").expect("serve");
@@ -130,16 +144,20 @@ fn team_run(n: usize, policy: ConflictPolicy) -> (Fingerprint, Fingerprint) {
     serial_replay(twin.engine_mut(), &resolutions);
     match twin.engine_mut().next_work().expect("concluding pull") {
         WorkPlan::Done(_) => {}
+        // A budget stop leaves work behind; the team's `finish` closed it.
+        _ if budget.is_some() => {
+            twin.finish().expect("serial finish");
+        }
         other => panic!("serial replay did not conclude: {other:?}"),
     }
-    (team_fp, fingerprint(twin.engine()))
+    (team_fp, fingerprint(twin.engine()), outcome)
 }
 
 /// A one-reviewer `ReviewTeam` is *literally* the single-reviewer session:
 /// bit-identical to a plain `Client::drive` run of the same instance.
 #[test]
 fn one_reviewer_team_matches_plain_session_bit_for_bit() {
-    let (team_fp, serial_fp) = team_run(1, ConflictPolicy::FirstWins);
+    let (team_fp, serial_fp, _) = team_run(1, ConflictPolicy::FirstWins, None, ServerConfig::new());
     assert_eq!(
         team_fp, serial_fp,
         "team run diverged from its serial replay"
@@ -184,12 +202,47 @@ fn team_runs_match_serial_replay_at_two_and_four_reviewers() {
         (2, ConflictPolicy::Majority { k: 2 }),
         (4, ConflictPolicy::EscalateToNeedsValue),
     ] {
-        let (team_fp, serial_fp) = team_run(n, policy);
+        let (team_fp, serial_fp, _) = team_run(n, policy, None, ServerConfig::new());
         assert_eq!(
             team_fp, serial_fp,
             "{n}-reviewer team under {policy:?} diverged from its serial replay"
         );
     }
+}
+
+/// A budgeted team answers exactly its shared budget, hands back every
+/// lease it drew after the budget was spent, and closes the session with
+/// `finish`; the result still matches the serial replay.
+#[test]
+fn budgeted_team_answers_its_budget_and_finishes() {
+    for (n, policy) in [
+        (1, ConflictPolicy::FirstWins),
+        (2, ConflictPolicy::Majority { k: 2 }),
+        (4, ConflictPolicy::EscalateToNeedsValue),
+    ] {
+        let (team_fp, serial_fp, outcome) = team_run(n, policy, Some(3), ServerConfig::new());
+        let answers: usize = outcome.answers.iter().map(|(_, count)| count).sum();
+        assert_eq!(answers, 3, "{n} reviewers under {policy:?}: {outcome:?}");
+        assert_eq!(outcome.reason, DoneReason::Finished);
+        assert_eq!(
+            team_fp, serial_fp,
+            "budgeted {n}-reviewer team under {policy:?} diverged from its serial replay"
+        );
+    }
+}
+
+/// With one request allowed in flight per connection, the server refuses
+/// all but one reviewer's verb as `busy`; the team re-sends each refused
+/// verb and still matches its serial replay.
+#[test]
+fn busy_refusals_are_resent_by_the_team() {
+    let (team_fp, serial_fp, _) = team_run(
+        4,
+        ConflictPolicy::FirstWins,
+        None,
+        ServerConfig::new().max_outstanding(1),
+    );
+    assert_eq!(team_fp, serial_fp, "busy re-sends changed the team run");
 }
 
 /// Satellite: `hello` reports the lease capability plus the server's

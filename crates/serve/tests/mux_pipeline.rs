@@ -2,10 +2,12 @@
 //! correlation, out-of-order replies, and the acceptance criterion — N
 //! interleaved sessions driven through one [`MuxClient`] land bit-identical
 //! (`f64::to_bits` fingerprints) to the same sessions driven over N
-//! separate connections.
+//! separate connections, also under a per-session budget and when the
+//! server refuses pipelined verbs as `busy`.
 
 mod common;
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -13,13 +15,14 @@ use std::thread;
 
 use gdr_core::fixture;
 use gdr_core::oracle::GroundTruthOracle;
+use gdr_core::step::DoneReason;
 use gdr_core::strategy::Strategy;
 use gdr_relation::csv::to_csv;
 use gdr_serve::client::{Client, MuxClient, OpenOptions};
 use gdr_serve::server::ServerConfig;
 use gdr_serve::store::SessionStore;
 use gdr_serve::wire::{
-    decode_response_frame, encode_request_frame, Request, Response, PROTOCOL_VERSION,
+    decode_response_frame, encode_request_frame, Request, Response, WireError, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -68,58 +71,70 @@ fn store_fingerprints(store: &SessionStore, sessions: &[String]) -> Vec<Fingerpr
 }
 
 /// Drives `n` sessions to completion over ONE connection with a
-/// [`MuxClient`] and returns their fingerprints.
-fn drive_muxed(n: usize) -> Vec<Fingerprint> {
-    let (addr, store, server) = spawn_server(ServerConfig::new().max_connections(Some(1)));
+/// [`MuxClient`], each under `budget`, against a server built from
+/// `config`, and returns their fingerprints and done reasons.
+fn drive_muxed(
+    n: usize,
+    budget: Option<usize>,
+    config: ServerConfig,
+) -> (Vec<Fingerprint>, Vec<DoneReason>) {
+    let (addr, store, server) = spawn_server(config.max_connections(Some(1)));
     let (dirty, clean, _rules) = fixture::figure1_instance();
     let sessions: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
 
     let mut mux = MuxClient::connect(TcpStream::connect(addr).expect("connect")).expect("mux");
     let hello = mux.hello().expect("hello");
-    assert!(hello.pipelining, "event-loop server must offer pipelining");
+    assert!(hello.pipelining, "the server must offer pipelining");
 
-    // Pipeline all opens before reading a single reply.
-    let mut opens = Vec::new();
+    // Pipeline all opens before reading a single reply; an open refused
+    // as `busy` is sent again.
+    let open = |session: &String| Request::Open {
+        session: session.clone(),
+        table_csv: to_csv(&dirty),
+        rules: fixture::figure1_rules_text().to_string(),
+        strategy: Strategy::GdrNoLearning,
+        seed: None,
+        ground_truth_csv: Some(to_csv(&clean)),
+        policy: None,
+        lease_ttl: None,
+    };
+    let mut opens = HashMap::new();
     for session in &sessions {
-        let seq = mux
-            .send(&Request::Open {
-                session: session.clone(),
-                table_csv: to_csv(&dirty),
-                rules: fixture::figure1_rules_text().to_string(),
-                strategy: Strategy::GdrNoLearning,
-                seed: None,
-                ground_truth_csv: Some(to_csv(&clean)),
-                policy: None,
-                lease_ttl: None,
-            })
-            .expect("send open");
-        opens.push(seq);
+        opens.insert(mux.send(&open(session)).expect("send open"), session);
     }
-    for _ in 0..n {
+    while !opens.is_empty() {
         let (seq, response) = mux.recv().expect("open reply");
-        assert!(opens.contains(&seq), "unknown open seq {seq}");
-        assert!(
-            matches!(response, Response::Opened { .. }),
-            "open failed: {response:?}"
-        );
+        let session = opens
+            .remove(&seq)
+            .unwrap_or_else(|| panic!("unknown open seq {seq}"));
+        match response {
+            Response::Opened { .. } => {}
+            Response::Error(WireError::Busy { .. }) => {
+                opens.insert(mux.send(&open(session)).expect("resend open"), session);
+            }
+            other => panic!("open failed: {other:?}"),
+        }
     }
 
     let oracle = GroundTruthOracle::new(clean);
-    let reasons = mux.drive_all(&sessions, &oracle, None).expect("drive_all");
+    let reasons = mux
+        .drive_all(&sessions, &oracle, budget)
+        .expect("drive_all");
     assert_eq!(reasons.len(), n);
 
     drop(mux);
     server.join().expect("server thread").expect("serve");
-    store_fingerprints(&store, &sessions)
+    (store_fingerprints(&store, &sessions), reasons)
 }
 
-/// Drives the same `n` sessions over `n` separate in-order connections
-/// and returns their fingerprints.
-fn drive_separate(n: usize) -> Vec<Fingerprint> {
+/// Drives the same `n` sessions, each under `budget`, over `n` separate
+/// in-order connections and returns their fingerprints and done reasons.
+fn drive_separate(n: usize, budget: Option<usize>) -> (Vec<Fingerprint>, Vec<DoneReason>) {
     let (addr, store, server) = spawn_server(ServerConfig::new().max_connections(Some(n)));
     let (dirty, clean, _rules) = fixture::figure1_instance();
     let sessions: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
     let oracle = GroundTruthOracle::new(clean);
+    let mut reasons = Vec::new();
     for session in &sessions {
         let mut client =
             Client::connect(TcpStream::connect(addr).expect("connect"), session).expect("client");
@@ -130,10 +145,10 @@ fn drive_separate(n: usize) -> Vec<Fingerprint> {
                 figure1_options(),
             )
             .expect("open");
-        client.drive(&oracle, None).expect("drive");
+        reasons.push(client.drive(&oracle, budget).expect("drive"));
     }
     server.join().expect("server thread").expect("serve");
-    store_fingerprints(&store, &sessions)
+    (store_fingerprints(&store, &sessions), reasons)
 }
 
 #[test]
@@ -210,12 +225,38 @@ fn seq_tagged_reply_overtakes_a_queued_legacy_request() {
 /// bit-identical to the same 16 sessions on separate connections.
 #[test]
 fn sixteen_interleaved_sessions_match_separate_connections() {
-    let muxed = drive_muxed(16);
-    let separate = drive_separate(16);
+    let (muxed, _) = drive_muxed(16, None, ServerConfig::new());
+    let (separate, _) = drive_separate(16, None);
     assert_eq!(muxed.len(), 16);
     for (i, (m, s)) in muxed.iter().zip(&separate).enumerate() {
         assert_eq!(m, s, "session s{i} diverged under multiplexing");
     }
+}
+
+/// A budgeted drive answers three items per session and then closes it
+/// with `finish`; interleaved over one connection, the sessions land
+/// bit-identical to the same budgeted drives on separate connections.
+#[test]
+fn budgeted_interleaved_sessions_match_separate_connections() {
+    let (muxed, muxed_reasons) = drive_muxed(4, Some(3), ServerConfig::new());
+    let (separate, separate_reasons) = drive_separate(4, Some(3));
+    assert_eq!(
+        muxed, separate,
+        "budgeted sessions diverged under multiplexing"
+    );
+    for reason in muxed_reasons.iter().chain(&separate_reasons) {
+        assert_eq!(*reason, DoneReason::Finished);
+    }
+}
+
+/// With one request allowed in flight per connection, the server refuses
+/// all but one of the pipelined verbs as `busy`; `drive_all` re-sends each
+/// refused verb and the sessions still land bit-identical.
+#[test]
+fn busy_refusals_are_resent_without_changing_the_sessions() {
+    let (muxed, _) = drive_muxed(4, None, ServerConfig::new().max_outstanding(1));
+    let (separate, _) = drive_separate(4, None);
+    assert_eq!(muxed, separate, "busy re-sends changed a session");
 }
 
 proptest! {
@@ -225,8 +266,8 @@ proptest! {
     /// separate connections for arbitrary small N.
     #[test]
     fn mux_matches_separate_connections(n in 1usize..=6) {
-        let muxed = drive_muxed(n);
-        let separate = drive_separate(n);
+        let (muxed, _) = drive_muxed(n, None, ServerConfig::new());
+        let (separate, _) = drive_separate(n, None);
         prop_assert_eq!(muxed, separate);
     }
 }
