@@ -2,9 +2,10 @@
 //! rebuilt from its transcript.
 //!
 //! A durable Figure-1 session is recorded once through the multi-reviewer
-//! verbs (every answer journals `Leased`/`AnsweredAs`/`Resolved` records,
-//! so the transcript is several times longer than the answer count), with auto-compaction disabled so every rebuild replays the full
-//! stream.  Three paths are timed:
+//! verbs (every answer journals a `Leased` and an `AnsweredAs` record, the
+//! latter carrying the resolutions it committed, so the transcript is about
+//! twice the answer count), with auto-compaction disabled so every rebuild
+//! replays the full stream.  Three paths are timed:
 //!
 //! * `live_rehydrate/full` — [`Session::restore`]: the in-memory journal
 //!   replays onto a fresh engine (the `restore` verb / compaction

@@ -15,7 +15,8 @@
 //!   lane's own interaction budget is spent;
 //! * **reviewer**: `lease` → `answer_as`/`supply_as`/`skip_as` as one named
 //!   reviewer, or `release` for a lease drawn after the team's shared
-//!   budget is spent; `wait` re-leases.
+//!   budget is spent; `wait` parks the lane until another lane's reply
+//!   may have freed work, then re-leases.
 //!
 //! The machine takes a lane, one reply and the budget the lane draws from,
 //! and returns the lane's next request or retires the lane.  The retryable
@@ -38,7 +39,7 @@
 //!   conflict policy chosen at `open` decides how overlapping answers
 //!   resolve server-side.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -622,7 +623,10 @@ impl<R: Read, W: Write> MuxClient<R, W> {
     /// Drives `lanes` over this connection until every lane retires: one
     /// verb in flight per lane, each reply fed to its lane in server
     /// completion order.  A `busy` refusal re-sends the refused request
-    /// verbatim, which is safe because the server ran nothing.
+    /// verbatim, which is safe because the server ran nothing.  A lane
+    /// told to `wait` (a journaled clock tick) parks.  Each reply that is
+    /// neither `wait` nor `busy` wakes the longest-parked lane, and with
+    /// nothing in flight all of them wake, so the team cannot deadlock.
     fn pump(
         &mut self,
         lanes: &mut [Lane],
@@ -634,6 +638,7 @@ impl<R: Read, W: Write> MuxClient<R, W> {
         for (index, lane) in lanes.iter().enumerate() {
             routes.insert(self.send(&lane.pending)?, index);
         }
+        let mut parked = VecDeque::new();
         while !routes.is_empty() {
             let (seq, reply) = self.recv()?;
             let index = routes
@@ -641,8 +646,23 @@ impl<R: Read, W: Write> MuxClient<R, W> {
                 .ok_or_else(|| ClientError::Protocol(format!("reply for unknown seq {seq}")))?;
             let lane = &mut lanes[index];
             let busy = matches!(reply, Response::Error(WireError::Busy { .. }));
+            let wait = matches!(reply, Response::Wait);
             if busy || lane.advance(reply, user, &mut budgets[lane.budget])? {
-                routes.insert(self.send(&lane.pending)?, index);
+                if wait {
+                    parked.push_back(index);
+                } else {
+                    routes.insert(self.send(&lane.pending)?, index);
+                }
+            }
+            let woken = if routes.is_empty() {
+                parked.len()
+            } else if wait || busy {
+                0
+            } else {
+                parked.len().min(1)
+            };
+            for index in parked.drain(..woken) {
+                routes.insert(self.send(&lanes[index].pending)?, index);
             }
         }
         Ok(())
@@ -706,9 +726,9 @@ impl Lane {
                 None
             }
             (Request::Lease { .. }, Response::Wait) if spent => None,
-            // Every servable item is leased to other reviewers (receiving
-            // this reply drained the socket), or the lease went stale: ask
-            // again.
+            // Every servable item is leased to other reviewers, or the
+            // lease went stale: ask again (the pump parks a waiting lane
+            // before it re-sends).
             (Request::Lease { .. }, Response::Wait) => Some(self.pending.clone()),
             (Request::Lease { .. }, Response::Error(err)) if is_retryable(&err) => {
                 Some(self.pending.clone())

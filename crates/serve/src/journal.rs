@@ -167,8 +167,25 @@ fn decode_cell(dec: &mut Dec<'_>) -> codec::Result<(usize, usize)> {
     Ok((dec.usize()?, dec.usize()?))
 }
 
+fn encode_resolved(enc: &mut Enc, resolved: &[(usize, Resolution)]) {
+    enc.usize(resolved.len());
+    for (index, resolution) in resolved {
+        enc.usize(*index);
+        resolution.encode_state(enc);
+    }
+}
+
+fn decode_resolved(dec: &mut Dec<'_>) -> codec::Result<Vec<(usize, Resolution)>> {
+    // The smallest pair: the index, then a resolution's tag and cell.
+    let len = dec.seq_len(8 + 1 + 16)?;
+    (0..len)
+        .map(|_| Ok((dec.usize()?, Resolution::decode_state(dec)?)))
+        .collect()
+}
+
 /// Encodes one transcript event as a record payload: a one-byte variant
-/// tag followed by the variant's fields.
+/// tag followed by the variant's fields.  A team verb's committed
+/// resolutions come last, behind their count.
 pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
     let mut enc = Enc::new();
     match event {
@@ -203,36 +220,40 @@ pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
             reviewer,
             id,
             feedback,
+            resolved,
         } => {
             enc.u8(7);
             enc.str(reviewer);
             enc.u64(*id);
             feedback.encode_state(&mut enc);
+            encode_resolved(&mut enc, resolved);
         }
         TranscriptEvent::SuppliedAs {
             reviewer,
             id,
             value,
+            resolved,
         } => {
             enc.u8(8);
             enc.str(reviewer);
             enc.u64(*id);
             enc.value(value);
+            encode_resolved(&mut enc, resolved);
         }
-        TranscriptEvent::SkippedAs { reviewer, id } => {
+        TranscriptEvent::SkippedAs {
+            reviewer,
+            id,
+            resolved,
+        } => {
             enc.u8(9);
             enc.str(reviewer);
             enc.u64(*id);
+            encode_resolved(&mut enc, resolved);
         }
         TranscriptEvent::Released { reviewer, id } => {
             enc.u8(10);
             enc.str(reviewer);
             enc.u64(*id);
-        }
-        TranscriptEvent::Resolved { index, resolution } => {
-            enc.u8(11);
-            enc.usize(*index);
-            resolution.encode_state(&mut enc);
         }
     }
     enc.into_bytes()
@@ -257,23 +278,22 @@ fn decode_event_state(dec: &mut Dec<'_>) -> codec::Result<TranscriptEvent> {
             reviewer: dec.str()?,
             id: dec.u64()?,
             feedback: Feedback::decode_state(dec)?,
+            resolved: decode_resolved(dec)?,
         },
         8 => TranscriptEvent::SuppliedAs {
             reviewer: dec.str()?,
             id: dec.u64()?,
             value: dec.value()?,
+            resolved: decode_resolved(dec)?,
         },
         9 => TranscriptEvent::SkippedAs {
             reviewer: dec.str()?,
             id: dec.u64()?,
+            resolved: decode_resolved(dec)?,
         },
         10 => TranscriptEvent::Released {
             reviewer: dec.str()?,
             id: dec.u64()?,
-        },
-        11 => TranscriptEvent::Resolved {
-            index: dec.usize()?,
-            resolution: Resolution::decode_state(dec)?,
         },
         tag => return Err(CodecError::new(format!("unknown event tag {tag}"))),
     })
@@ -1064,37 +1084,54 @@ mod tests {
                 reviewer: "bob".to_string(),
                 id: 3,
                 feedback: Feedback::Retain,
+                resolved: Vec::new(),
+            },
+            TranscriptEvent::AnsweredAs {
+                reviewer: "bob".to_string(),
+                id: 4,
+                feedback: Feedback::Confirm,
+                resolved: vec![(
+                    0,
+                    Resolution::Answer {
+                        cell: (1, 2),
+                        feedback: Feedback::Confirm,
+                    },
+                )],
             },
             TranscriptEvent::SuppliedAs {
                 reviewer: "carol".to_string(),
                 id: 4,
                 value: Value::from("Fort Wayne"),
+                resolved: vec![(
+                    9000,
+                    Resolution::Supply {
+                        cell: (0, 4),
+                        value: Value::Null,
+                    },
+                )],
             },
             TranscriptEvent::SkippedAs {
                 reviewer: "dave".to_string(),
                 id: 5,
+                resolved: vec![
+                    (1, Resolution::Skip { cell: (7, 7) }),
+                    (
+                        2,
+                        Resolution::Supply {
+                            cell: (3, 1),
+                            value: Value::from("Fort, \"Wayne\"\nIN"),
+                        },
+                    ),
+                ],
+            },
+            TranscriptEvent::SkippedAs {
+                reviewer: String::new(),
+                id: u64::MAX,
+                resolved: Vec::new(),
             },
             TranscriptEvent::Released {
                 reviewer: "erin".to_string(),
                 id: 6,
-            },
-            TranscriptEvent::Resolved {
-                index: 0,
-                resolution: gdr_core::team::Resolution::Answer {
-                    cell: (1, 2),
-                    feedback: Feedback::Confirm,
-                },
-            },
-            TranscriptEvent::Resolved {
-                index: 9000,
-                resolution: gdr_core::team::Resolution::Supply {
-                    cell: (0, 4),
-                    value: Value::Null,
-                },
-            },
-            TranscriptEvent::Resolved {
-                index: 1,
-                resolution: gdr_core::team::Resolution::Skip { cell: (7, 7) },
             },
             TranscriptEvent::Finished { pulled: false },
         ]
@@ -1120,8 +1157,10 @@ mod tests {
             long.push(0);
             assert!(decode_event(&long).is_err());
         }
-        // Tag 0 is unassigned: pulls are never journaled.
+        // Tag 0 is unassigned: pulls are never journaled.  Neither is tag
+        // 11: the resolutions a team verb commits ride in its own record.
         assert!(decode_event(&[0]).is_err());
+        assert!(decode_event(&[11]).is_err());
     }
 
     #[test]

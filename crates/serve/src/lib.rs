@@ -120,7 +120,8 @@
 //! `open` parsed them, the strategy, the team configuration, the ground
 //! truth if given, and the whole [`gdr_core::config::GdrConfig`], and (2)
 //! every successful state-changing verb ([`store::TranscriptEvent`]): one
-//! record, and one fsync under the default policy, per answer.  `restore`
+//! record, and one fsync under the default policy, per verb.  A team
+//! verb's record also carries the resolutions it committed.  `restore`
 //! rebuilds the engine from scratch and replays the transcript through
 //! the public pull API; the result is bit-identical to the live engine —
 //! quality checkpoints compared via `f64::to_bits` in this crate's tests,

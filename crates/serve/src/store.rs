@@ -22,9 +22,11 @@
 //! `answer_as`/`supply_as`/`skip_as`, a release that held — is one event,
 //! and the [`gdr_core::team::TeamSession`] coordinator is deterministic, so
 //! replaying the operation sequence reproduces leases, conflict state, and
-//! the applied-resolution log bit-for-bit.  Committed resolutions are
-//! additionally journaled as [`TranscriptEvent::Resolved`] checkpoints that
-//! replay cross-checks against its recomputed log.
+//! the applied-resolution log bit-for-bit.  The record of an accepted
+//! `*_as` verb also carries the resolutions that verb committed, as (log
+//! index, resolution) pairs; replay applies the verb, then cross-checks
+//! each carried pair against its recomputed log.  One team verb is one
+//! record, one append and (under `EveryRecord`) one fsync.
 //!
 //! ## Compaction
 //!
@@ -194,6 +196,10 @@ pub enum TranscriptEvent {
         id: u64,
         /// The reviewer's feedback.
         feedback: Feedback,
+        /// The `(index, resolution)` entries of [`TeamSession::resolutions`]
+        /// the verb committed (none for a quorum's first vote).  Replay
+        /// recomputes them and cross-checks each: a typed error, not drift.
+        resolved: Vec<(usize, Resolution)>,
     },
     /// `supply_as(reviewer, id, value)` was applied.
     SuppliedAs {
@@ -203,6 +209,8 @@ pub enum TranscriptEvent {
         id: u64,
         /// The typed value.
         value: Value,
+        /// The resolutions the verb committed, as for `AnsweredAs`.
+        resolved: Vec<(usize, Resolution)>,
     },
     /// `skip_as(reviewer, id)` was applied.
     SkippedAs {
@@ -210,6 +218,8 @@ pub enum TranscriptEvent {
         reviewer: String,
         /// The lease id skipped.
         id: u64,
+        /// The resolutions the verb committed, as for `AnsweredAs`.
+        resolved: Vec<(usize, Resolution)>,
     },
     /// `release(reviewer, id)` returned a lease to the pool.
     Released {
@@ -217,17 +227,6 @@ pub enum TranscriptEvent {
         reviewer: String,
         /// The released lease id.
         id: u64,
-    },
-    /// Validation checkpoint: entry `index` of the cumulative
-    /// [`TeamSession::resolutions`] log resolved to `resolution`.  Not a
-    /// replay *input* (replay recomputes the log from the operation events);
-    /// replay cross-checks the recomputed entry against the recorded one, so
-    /// a divergence surfaces as a typed error instead of silent drift.
-    Resolved {
-        /// Index into the cumulative resolution log.
-        index: usize,
-        /// The recorded resolution at that index.
-        resolution: Resolution,
     },
 }
 
@@ -414,6 +413,7 @@ impl SessionJournal {
                     reviewer,
                     id,
                     feedback,
+                    ..
                 } => {
                     team.answer_as(reviewer, WorkId::from_raw(*id), *feedback)?;
                 }
@@ -421,10 +421,11 @@ impl SessionJournal {
                     reviewer,
                     id,
                     value,
+                    ..
                 } => {
                     team.supply_as(reviewer, WorkId::from_raw(*id), value.clone())?;
                 }
-                TranscriptEvent::SkippedAs { reviewer, id } => {
+                TranscriptEvent::SkippedAs { reviewer, id, .. } => {
                     team.skip_as(reviewer, WorkId::from_raw(*id))?;
                 }
                 TranscriptEvent::Released { reviewer, id } => {
@@ -437,7 +438,12 @@ impl SessionJournal {
                         });
                     }
                 }
-                TranscriptEvent::Resolved { index, resolution } => {
+            }
+            if let TranscriptEvent::AnsweredAs { resolved, .. }
+            | TranscriptEvent::SuppliedAs { resolved, .. }
+            | TranscriptEvent::SkippedAs { resolved, .. } = event
+            {
+                for (index, resolution) in resolved {
                     let recomputed = team.resolutions().get(*index);
                     if recomputed != Some(resolution) {
                         return Err(GdrError::Journal {
@@ -528,9 +534,6 @@ impl SessionOptions {
 pub struct Session {
     team: TeamSession,
     journal: SessionJournal,
-    /// How many entries of the cumulative resolution log already have a
-    /// [`TranscriptEvent::Resolved`] checkpoint in the journal.
-    resolved_logged: usize,
     config: JournalConfig,
     disk: Option<DiskJournal>,
 }
@@ -547,7 +550,6 @@ impl Session {
         Session {
             team: spec.build(),
             journal: SessionJournal::from_record(record, Vec::new()),
-            resolved_logged: 0,
             config,
             disk,
         }
@@ -586,12 +588,10 @@ impl Session {
             Some(team) => team,
             None => SessionJournal::replay_onto(loaded.spec.build(), &journal.tail)?,
         };
-        let resolved_logged = team.resolutions().len();
         Ok((
             Session {
                 team,
                 journal,
-                resolved_logged,
                 config,
                 disk: Some(disk),
             },
@@ -737,22 +737,23 @@ impl Session {
         Ok(plan)
     }
 
-    /// Applies `reviewer`'s feedback to the leased item `id`; journals on
-    /// success, including a [`TranscriptEvent::Resolved`] checkpoint for
-    /// every resolution the conflict policy committed to the engine.
+    /// Applies `reviewer`'s feedback to the leased item `id`; journals one
+    /// record on success, carrying every resolution the conflict policy
+    /// committed to the engine.
     pub fn answer_as(
         &mut self,
         reviewer: &str,
         id: WorkId,
         feedback: Feedback,
     ) -> Result<usize, GdrError> {
+        let logged = self.team.resolutions().len();
         self.team.answer_as(reviewer, id, feedback)?;
         self.journal_event(TranscriptEvent::AnsweredAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
             feedback,
+            resolved: self.resolved_since(logged),
         })?;
-        self.journal_resolutions()?;
         Ok(self.team.engine().verifications())
     }
 
@@ -764,25 +765,27 @@ impl Session {
         id: WorkId,
         value: Value,
     ) -> Result<usize, GdrError> {
+        let logged = self.team.resolutions().len();
         self.team.supply_as(reviewer, id, value.clone())?;
         self.journal_event(TranscriptEvent::SuppliedAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
             value,
+            resolved: self.resolved_since(logged),
         })?;
-        self.journal_resolutions()?;
         Ok(self.team.engine().verifications())
     }
 
     /// Declines the leased fix item `id` as `reviewer`; journals on
     /// success, as [`Session::answer_as`].
     pub fn skip_as(&mut self, reviewer: &str, id: WorkId) -> Result<(), GdrError> {
+        let logged = self.team.resolutions().len();
         self.team.skip_as(reviewer, id)?;
         self.journal_event(TranscriptEvent::SkippedAs {
             reviewer: reviewer.to_string(),
             id: id.raw(),
+            resolved: self.resolved_since(logged),
         })?;
-        self.journal_resolutions()?;
         Ok(())
     }
 
@@ -800,16 +803,12 @@ impl Session {
         Ok(held)
     }
 
-    /// Journals a [`TranscriptEvent::Resolved`] checkpoint for every
-    /// resolution committed since the last one logged.
-    fn journal_resolutions(&mut self) -> Result<(), GdrError> {
-        while self.resolved_logged < self.team.resolutions().len() {
-            let index = self.resolved_logged;
-            let resolution = self.team.resolutions()[index].clone();
-            self.resolved_logged += 1;
-            self.journal_event(TranscriptEvent::Resolved { index, resolution })?;
-        }
-        Ok(())
+    /// The resolutions committed since the log held `logged` entries, with
+    /// their log indices: what the verb that just ran committed.
+    fn resolved_since(&self, logged: usize) -> Vec<(usize, Resolution)> {
+        (logged..)
+            .zip(self.team.resolutions()[logged..].iter().cloned())
+            .collect()
     }
 
     /// Compacts the journal: encodes the live session once (a pending pull
@@ -868,7 +867,6 @@ impl Session {
     /// one held.  Returns the number of tail events replayed.
     pub fn restore(&mut self) -> Result<usize, GdrError> {
         self.team = self.replayed()?;
-        self.resolved_logged = self.resolved_logged.max(self.team.resolutions().len());
         Ok(self.journal.tail.len())
     }
 }

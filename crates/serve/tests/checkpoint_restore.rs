@@ -36,7 +36,7 @@ fn journal_config() -> JournalConfig {
 fn hospital_spec() -> OpenSpec {
     let data =
         gdr_datagen::hospital::generate_hospital_dataset(&gdr_datagen::hospital::HospitalConfig {
-            tuples: 400,
+            tuples: 560,
             dirty_fraction: 0.45,
             seed: 7,
             extra_cities: 2,

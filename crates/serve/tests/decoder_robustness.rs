@@ -2,14 +2,16 @@
 //! decoder.
 //!
 //! On disk: arbitrary bytes, every truncation and every single-bit flip of
-//! a recorded segment, spec and checkpoint — and of the event and spec
-//! payloads inside them — go to `scan_records`, `decode_event`,
-//! `decode_spec`, `decode_checkpoint` and `DiskJournal::load`.  Each must return a valid
-//! prefix, `Ok` or `Err`, and never panic; a frame whose length field claims
-//! far more bytes than follow it is rejected without allocating for it.  A
-//! state section of another version is refused, naming the section: in a
-//! checkpoint, which recovery then skips, and in a spec record, which fails
-//! only its own session.
+//! a recorded segment (solo, and a team one whose `*_as` records carry
+//! resolutions), spec and checkpoint — and of the event and spec payloads
+//! inside them — go to `scan_records`, `decode_event`, `decode_spec`,
+//! `decode_checkpoint` and `DiskJournal::load`.  Each must return a valid
+//! prefix, `Ok` or `Err`, and never panic; a frame or a resolution list
+//! whose length claims far more than follows is rejected without
+//! allocating for it.  A state section of another version is refused,
+//! naming the section: in a checkpoint, which recovery then skips, and in a
+//! spec record, which fails only its own session.  So is an event record of
+//! a retired layout, which fails only its own session.
 //!
 //! On the wire: arbitrary bytes (read as lossy UTF-8, as a connection reads
 //! a line), and every truncation and single-byte substitution of a golden
@@ -28,16 +30,18 @@ use gdr_core::error::GdrError;
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::step::{DoneReason, WorkPlan};
 use gdr_core::strategy::Strategy as GdrStrategy;
-use gdr_core::team::{ConflictPolicy, TeamSession};
+use gdr_core::team::{ConflictPolicy, Resolution, TeamPlan, TeamSession};
 use gdr_relation::codec::{self, fnv1a64, Enc};
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
     decode_checkpoint, decode_event, decode_spec, scan_records, session_dir_name, session_shard,
-    DiskJournal, FsyncPolicy, JournalConfig,
+    DiskJournal, FsyncPolicy, JournalConfig, JournalError,
 };
 use gdr_serve::json::Json;
-use gdr_serve::store::{DurabilityConfig, SessionOptions, SessionStore, StoreError};
+use gdr_serve::store::{
+    DurabilityConfig, SessionOptions, SessionStore, StoreError, TranscriptEvent,
+};
 use gdr_serve::wire::{
     decode_request_frame, decode_response_frame, encode_request_frame, encode_response_frame,
     Request, Response, WireError, WireEval, WireGroup, WireLease, WireTarget,
@@ -48,6 +52,8 @@ use proptest::prelude::*;
 struct Recorded {
     spec: Vec<u8>,
     segment: Vec<u8>,
+    /// The segment of a team session ([`record_team_segment`]).
+    team_segment: Vec<u8>,
     checkpoint: Vec<u8>,
     /// The checkpoint's file name, which says how many events it covers.
     checkpoint_name: String,
@@ -89,8 +95,55 @@ fn recorded() -> &'static Recorded {
             segment: fs::read(dir.join("seg-000000.gdrj")).expect("read segment"),
             checkpoint: fs::read(dir.join(&checkpoint_name)).expect("read checkpoint"),
             checkpoint_name,
+            team_segment: record_team_segment(),
         }
     })
+}
+
+/// The segment of a durable two-reviewer `Majority { k: 2 }` Figure 1
+/// session, driven until three resolutions are committed: a first vote's
+/// `*_as` record carries none, a deciding vote's the resolutions it
+/// committed.
+fn record_team_segment() -> Vec<u8> {
+    let dir = TempDir::new("robust-team");
+    let mut spec = figure1_spec(GdrStrategy::GdrNoLearning, true);
+    spec.team.policy = ConflictPolicy::Majority { k: 2 };
+    let mut session = SessionOptions::new()
+        .journal(JournalConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: 0,
+            ..JournalConfig::default()
+        })
+        .durable(dir.path())
+        .open(spec)
+        .expect("open durable team");
+    while session.team().resolutions().len() < 3 {
+        for reviewer in ["a", "b"] {
+            match session.lease(reviewer).expect("lease") {
+                TeamPlan::Ask { id, .. } => {
+                    session
+                        .answer_as(reviewer, id, Feedback::Confirm)
+                        .expect("answer_as");
+                }
+                TeamPlan::Fix { id, .. } => session.skip_as(reviewer, id).expect("skip_as"),
+                TeamPlan::Wait => {}
+                TeamPlan::Done(reason) => panic!("concluded early: {reason:?}"),
+            }
+        }
+    }
+    drop(session);
+    let segment = fs::read(dir.join("seg-000000.gdrj")).expect("read team segment");
+    assert!(
+        scan_records(&segment)
+            .payloads
+            .iter()
+            .any(|payload| matches!(
+                decode_event(payload),
+                Ok(TranscriptEvent::AnsweredAs { resolved, .. }) if !resolved.is_empty()
+            )),
+        "the team segment carries a resolution"
+    );
+    segment
 }
 
 /// Feeds `bytes` to every pure decoder.  The scan must return a prefix that
@@ -155,7 +208,12 @@ fn assert_loads_again_clean(dir: &Path) {
 #[test]
 fn every_cut_and_flip_of_the_recorded_files_decodes_or_errs() {
     let recorded = recorded();
-    for file in [&recorded.spec, &recorded.segment, &recorded.checkpoint] {
+    for file in [
+        &recorded.spec,
+        &recorded.segment,
+        &recorded.team_segment,
+        &recorded.checkpoint,
+    ] {
         every_cut_and_flip(file, decode_everything);
     }
 }
@@ -167,7 +225,8 @@ fn every_cut_and_flip_of_the_recorded_payloads_decodes_or_errs() {
     every_cut_and_flip(spec, |payload| {
         let _ = decode_spec(payload);
     });
-    for event in scan_records(&recorded.segment).payloads {
+    let segments = [&recorded.segment, &recorded.team_segment];
+    for event in segments.into_iter().flat_map(|s| scan_records(s).payloads) {
         every_cut_and_flip(event, |payload| {
             let _ = decode_event(payload);
         });
@@ -188,6 +247,104 @@ fn a_length_field_claiming_more_than_follows_is_rejected() {
         assert!(scan.corruption.is_some());
         load_dir(&recorded.spec, &stream, Some(&bogus));
         load_dir(&bogus, &recorded.segment, None);
+    }
+}
+
+/// Event payloads of retired layouts: tag 11, the separate resolution
+/// record, and the team verbs (tags 7, 8 and 9) without their count of
+/// carried resolutions.
+fn retired_event_payloads() -> Vec<Vec<u8>> {
+    let team_verb = |tag: u8, field: &dyn Fn(&mut Enc)| {
+        let mut enc = Enc::new();
+        enc.u8(tag);
+        enc.str("a");
+        enc.u64(1);
+        field(&mut enc);
+        enc.into_bytes()
+    };
+    let mut resolved = Enc::new();
+    resolved.u8(11);
+    resolved.usize(0);
+    Resolution::Skip { cell: (0, 0) }.encode_state(&mut resolved);
+    vec![
+        resolved.into_bytes(),
+        team_verb(7, &|enc| Feedback::Confirm.encode_state(enc)),
+        team_verb(8, &|enc| enc.value(&Value::from("Boaz"))),
+        team_verb(9, &|_| {}),
+    ]
+}
+
+/// A record of a retired layout behind a valid frame is refused as a typed
+/// `Corrupt` journal, without a panic and without a compatibility decode,
+/// and it fails only its own session: a sibling under the same store root
+/// still serves.
+#[test]
+fn a_retired_event_layout_fails_only_its_session() {
+    let recorded = recorded();
+    for payload in retired_event_payloads() {
+        assert!(decode_event(&payload).is_err(), "{payload:?} decoded");
+        let dir = TempDir::new("robust-retired");
+        let mut segment = recorded.segment.clone();
+        segment.extend(codec::frame(&payload));
+        fs::write(dir.join("spec.gdrj"), &recorded.spec).expect("write spec");
+        fs::write(dir.join("seg-000000.gdrj"), &segment).expect("write segment");
+        match DiskJournal::load(dir.path()) {
+            Err(JournalError::Corrupt { detail }) => {
+                assert!(detail.contains("undecodable event"), "{detail}");
+            }
+            Err(other) => panic!("expected a corrupt journal, got {other}"),
+            Ok(_) => panic!("a retired record loaded"),
+        }
+
+        let root = TempDir::new("robust-retired-store");
+        let store = SessionStore::durable(DurabilityConfig::new(root.path())).expect("store");
+        for id in ["retired", "sibling"] {
+            drop(
+                store
+                    .open(id, figure1_spec(GdrStrategy::GdrNoLearning, true))
+                    .expect("open"),
+            );
+        }
+        drop(store);
+        let dir = root
+            .path()
+            .join(session_shard("retired"))
+            .join(session_dir_name("retired"));
+        fs::write(dir.join("seg-000000.gdrj"), codec::frame(&payload)).expect("write segment");
+
+        let store = SessionStore::durable(DurabilityConfig::new(root.path())).expect("store");
+        match store.get("retired") {
+            Err(StoreError::Gdr(GdrError::Journal { detail })) => {
+                assert!(detail.contains("undecodable event"), "{detail}");
+            }
+            Err(other) => panic!("expected a journal error, got {other:?}"),
+            Ok(_) => panic!("a retired record was served"),
+        }
+        let sibling = store.get("sibling").expect("the sibling rehydrates");
+        let mut sibling = sibling.lock().expect("session lock");
+        assert!(!matches!(
+            sibling.next().expect("the sibling serves"),
+            WorkPlan::Done(_)
+        ));
+    }
+}
+
+/// A resolution count claiming more pairs than the bytes that follow could
+/// hold errs at the count, before any pair is decoded or allocated.
+#[test]
+fn a_huge_resolved_count_is_rejected() {
+    for claimed in [u64::MAX, usize::MAX as u64 / 2, 1 << 40, 2] {
+        let mut enc = Enc::new();
+        enc.u8(9);
+        enc.str("a");
+        enc.u64(1);
+        enc.u64(claimed);
+        enc.usize(0);
+        enc.u8(2);
+        let payload = enc.into_bytes();
+        let detail = decode_event(&payload).expect_err("a huge count decoded");
+        assert!(detail.contains("implausible collection length"), "{detail}");
+        decode_everything(&codec::frame(&payload));
     }
 }
 

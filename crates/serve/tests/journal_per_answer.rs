@@ -6,17 +6,29 @@
 //! both sides: a question served but never journaled stays answerable by
 //! its work id after a cold restart, and a `finish` right after a pull that
 //! crossed a group boundary rehydrates bit-identically.
+//!
+//! A team session appends and fsyncs once per state-changing verb: a lease
+//! grant, a clock-ticking wait, an accepted `*_as` verb (whose record also
+//! carries the resolutions it committed), a release that held, `finish`.
+//! Replay cross-checks each carried resolution, so a rewritten one fails.
 
 mod common;
 
+use std::fs;
+
 use common::{drive_one, figure1_spec, fingerprint, TempDir};
 use gdr_core::config::GdrConfig;
+use gdr_core::error::GdrError;
 use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::step::WorkPlan;
 use gdr_core::strategy::Strategy;
+use gdr_core::team::{ConflictPolicy, Resolution, TeamConfig, TeamPlan};
+use gdr_relation::codec;
 use gdr_relation::Value;
 use gdr_repair::Feedback;
-use gdr_serve::journal::{team_digest, FsyncPolicy, JournalConfig};
+use gdr_serve::journal::{
+    decode_event, encode_event, scan_records, team_digest, FsyncPolicy, JournalConfig,
+};
 use gdr_serve::store::{OpenSpec, Session, SessionJournal, SessionOptions, TranscriptEvent};
 
 fn journal_config() -> JournalConfig {
@@ -206,4 +218,148 @@ fn the_finished_flag_replays_a_boundary_pull_that_changes_the_outcome() {
         let (pulled, unpulled) = finish_digests(session);
         pulled != unpulled
     });
+}
+
+/// The resolutions an `*_as` record carries; `None` for any other event.
+fn carried(event: &TranscriptEvent) -> Option<&[(usize, Resolution)]> {
+    match event {
+        TranscriptEvent::AnsweredAs { resolved, .. }
+        | TranscriptEvent::SuppliedAs { resolved, .. }
+        | TranscriptEvent::SkippedAs { resolved, .. } => Some(resolved),
+        _ => None,
+    }
+}
+
+/// Drives a durable two-reviewer `Majority { k: 2 }` Figure 1 session to
+/// its conclusion, checking after every verb that the disk journal has
+/// appended and fsynced exactly once per state-changing verb.  Returns the
+/// session directory.
+fn record_majority_team_session() -> TempDir {
+    let dir = TempDir::new("team-per-verb");
+    let mut spec = figure1_spec(Strategy::GdrNoLearning, true);
+    spec.team = TeamConfig {
+        policy: ConflictPolicy::Majority { k: 2 },
+        lease_ttl: 64,
+    };
+    let oracle = GroundTruthOracle::new(spec.ground_truth.clone().expect("truth"));
+    let mut session = open_durable(&dir, spec);
+    let mut records = 0u64;
+
+    // A release that held is one record; a stale one and a stale answer
+    // are none.
+    let TeamPlan::Ask { id, .. } = session.lease("a").expect("lease") else {
+        panic!("figure 1 opens with a suggestion to lease");
+    };
+    records += 1;
+    assert!(session.release_lease("a", id).expect("release"));
+    records += 1;
+    assert!(!session.release_lease("a", id).expect("stale release"));
+    assert!(session.answer_as("a", id, Feedback::Confirm).is_err());
+    assert_eq!(disk_counts(&session), (records, records));
+
+    let (mut grants, mut waits, mut verbs) = (0u64, 0u64, 0u64);
+    'drive: loop {
+        for reviewer in ["a", "b"] {
+            match session.lease(reviewer).expect("lease") {
+                TeamPlan::Ask { id, update } => {
+                    let current = session
+                        .engine()
+                        .state()
+                        .table()
+                        .cell(update.tuple, update.attr);
+                    let feedback = oracle.feedback(&update, current);
+                    session
+                        .answer_as(reviewer, id, feedback)
+                        .expect("answer_as");
+                    grants += 1;
+                    verbs += 1;
+                }
+                TeamPlan::Fix { id, cell, current } => {
+                    match oracle.correct_value(cell.0, cell.1) {
+                        Some(value) if value != current => {
+                            session.supply_as(reviewer, id, value).expect("supply_as");
+                        }
+                        _ => session.skip_as(reviewer, id).expect("skip_as"),
+                    }
+                    grants += 1;
+                    verbs += 1;
+                }
+                TeamPlan::Wait => waits += 1,
+                TeamPlan::Done(_) => break 'drive,
+            }
+            let expected = records + grants + waits + verbs;
+            assert_eq!(disk_counts(&session), (expected, expected));
+        }
+    }
+    session.finish().expect("finish");
+    records += grants + waits + verbs + 1;
+    assert_eq!(disk_counts(&session), (records, records));
+    assert_eq!(session.journal().transcript().len() as u64, records);
+    assert!(verbs > 0 && session.team().resolutions().len() > 1);
+    dir
+}
+
+#[test]
+fn each_team_verb_costs_one_record_and_carries_its_resolutions() {
+    let dir = record_majority_team_session();
+    let (session, recovery) = Session::rehydrate(dir.path(), journal_config()).expect("rehydrate");
+    assert!(recovery.clean(), "{recovery:?}");
+    let events = session.journal().transcript();
+    let answers: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e, TranscriptEvent::AnsweredAs { .. }))
+        .collect();
+    // The first vote of the quorum commits nothing; the second commits the
+    // session's first resolution.
+    assert_eq!(carried(answers[0]), Some(&[][..]));
+    assert_eq!(
+        carried(answers[1]),
+        Some(&[(0, session.team().resolutions()[0].clone())][..])
+    );
+    // Every committed resolution is carried exactly once, in log order.
+    let logged: Vec<_> = events.iter().filter_map(carried).flatten().collect();
+    assert_eq!(logged.len(), session.team().resolutions().len());
+    for (position, (index, resolution)) in logged.into_iter().enumerate() {
+        assert_eq!(*index, position);
+        assert_eq!(*resolution, session.team().resolutions()[position]);
+    }
+}
+
+/// Rewrites the first carried resolution of a recorded segment (behind a
+/// fresh, valid frame): replay recomputes a different entry and fails with
+/// a typed journal error naming the diverged index.
+#[test]
+fn a_rewritten_carried_resolution_fails_replay() {
+    let dir = record_majority_team_session();
+    let segment = fs::read(dir.join("seg-000000.gdrj")).expect("read segment");
+    let mut tampered = Vec::new();
+    let mut rewritten = None;
+    for payload in scan_records(&segment).payloads {
+        let mut event = decode_event(payload).expect("recorded event");
+        if let TranscriptEvent::AnsweredAs { resolved, .. } = &mut event {
+            if let (None, Some((index, Resolution::Answer { feedback, .. }))) =
+                (rewritten, resolved.first_mut())
+            {
+                *feedback = match feedback {
+                    Feedback::Confirm => Feedback::Reject,
+                    _ => Feedback::Confirm,
+                };
+                rewritten = Some(*index);
+            }
+        }
+        tampered.extend(codec::frame(&encode_event(&event)));
+    }
+    let index = rewritten.expect("a recorded answer carried a resolution");
+
+    let copy = TempDir::new("team-tampered");
+    fs::copy(dir.join("spec.gdrj"), copy.join("spec.gdrj")).expect("copy spec");
+    fs::write(copy.join("seg-000000.gdrj"), tampered).expect("write segment");
+    match Session::rehydrate(copy.path(), journal_config()) {
+        Err(GdrError::Journal { detail }) => assert!(
+            detail.contains(&format!("resolution {index} diverged on replay")),
+            "{detail}"
+        ),
+        Err(other) => panic!("expected a journal error, got {other:?}"),
+        Ok(_) => panic!("a rewritten resolution replayed cleanly"),
+    }
 }

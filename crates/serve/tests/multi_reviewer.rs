@@ -26,7 +26,9 @@ use gdr_repair::{Feedback, Update};
 use gdr_serve::client::{Client, MuxClient, OpenOptions, ReviewOutcome, ReviewTeam};
 use gdr_serve::journal::{team_digest, DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::server::{dispatch, ServerConfig};
-use gdr_serve::store::{Session, SessionJournal, SessionOptions, SessionStore, TranscriptEvent};
+use gdr_serve::store::{
+    DurabilityConfig, Session, SessionJournal, SessionOptions, SessionStore, TranscriptEvent,
+};
 use gdr_serve::wire::{Request, Response, WireError};
 
 fn spawn_server(
@@ -86,14 +88,19 @@ fn serial_replay(twin: &mut GdrEngine, resolutions: &[Resolution]) {
 /// Drives a `ReviewTeam` of `n` reviewers under a shared `budget` over one
 /// pipelined connection, against a server built from `config`, and returns
 /// the store session's fingerprint, the fingerprint of its resolution log
-/// replayed serially against a twin engine, and the team's outcome.  The
-/// drive must leave no lease behind.
+/// replayed serially against a twin engine, the team's outcome and the
+/// session's journal tail.  The drive must leave no lease behind.
 fn team_run(
     n: usize,
     policy: ConflictPolicy,
     budget: Option<usize>,
     config: ServerConfig,
-) -> (Fingerprint, Fingerprint, ReviewOutcome) {
+) -> (
+    Fingerprint,
+    Fingerprint,
+    ReviewOutcome,
+    Vec<TranscriptEvent>,
+) {
     let (addr, store, server) = spawn_server(config.max_connections(Some(1)));
     let (dirty, clean, _rules) = fixture::figure1_instance();
 
@@ -136,6 +143,7 @@ fn team_run(
     let team_fp = fingerprint(guard.engine());
     let resolutions = guard.team().resolutions().to_vec();
     let spec = guard.journal().spec().clone();
+    let events = guard.journal().transcript().to_vec();
     drop(guard);
 
     let mut twin = SessionJournal::from_events(spec, Vec::new())
@@ -150,14 +158,15 @@ fn team_run(
         }
         other => panic!("serial replay did not conclude: {other:?}"),
     }
-    (team_fp, fingerprint(twin.engine()), outcome)
+    (team_fp, fingerprint(twin.engine()), outcome, events)
 }
 
 /// A one-reviewer `ReviewTeam` is *literally* the single-reviewer session:
 /// bit-identical to a plain `Client::drive` run of the same instance.
 #[test]
 fn one_reviewer_team_matches_plain_session_bit_for_bit() {
-    let (team_fp, serial_fp, _) = team_run(1, ConflictPolicy::FirstWins, None, ServerConfig::new());
+    let (team_fp, serial_fp, ..) =
+        team_run(1, ConflictPolicy::FirstWins, None, ServerConfig::new());
     assert_eq!(
         team_fp, serial_fp,
         "team run diverged from its serial replay"
@@ -202,7 +211,7 @@ fn team_runs_match_serial_replay_at_two_and_four_reviewers() {
         (2, ConflictPolicy::Majority { k: 2 }),
         (4, ConflictPolicy::EscalateToNeedsValue),
     ] {
-        let (team_fp, serial_fp, _) = team_run(n, policy, None, ServerConfig::new());
+        let (team_fp, serial_fp, ..) = team_run(n, policy, None, ServerConfig::new());
         assert_eq!(
             team_fp, serial_fp,
             "{n}-reviewer team under {policy:?} diverged from its serial replay"
@@ -220,7 +229,7 @@ fn budgeted_team_answers_its_budget_and_finishes() {
         (2, ConflictPolicy::Majority { k: 2 }),
         (4, ConflictPolicy::EscalateToNeedsValue),
     ] {
-        let (team_fp, serial_fp, outcome) = team_run(n, policy, Some(3), ServerConfig::new());
+        let (team_fp, serial_fp, outcome, _) = team_run(n, policy, Some(3), ServerConfig::new());
         let answers: usize = outcome.answers.iter().map(|(_, count)| count).sum();
         assert_eq!(answers, 3, "{n} reviewers under {policy:?}: {outcome:?}");
         assert_eq!(outcome.reason, DoneReason::Finished);
@@ -231,12 +240,49 @@ fn budgeted_team_answers_its_budget_and_finishes() {
     }
 }
 
+/// A reviewer told to `wait` parks until another reviewer's reply may have
+/// freed work, instead of re-leasing at once, and each re-lease that waits
+/// again is a journaled clock tick.  In 15 runs of this 8-reviewer
+/// `FirstWins` drive, a client that re-leased on every `wait` journaled
+/// 141–163 `Waited` records (216–238 events for 25 answers); parking
+/// journals 52–54 (102–104 events).  The run still matches its serial
+/// replay.
+#[test]
+fn waiting_reviewers_park_instead_of_re_leasing() {
+    let root = TempDir::new("team-waits");
+    let durability = DurabilityConfig {
+        journal: JournalConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: 0,
+            ..JournalConfig::default()
+        },
+        ..DurabilityConfig::new(root.path())
+    };
+    let (team_fp, serial_fp, outcome, events) = team_run(
+        8,
+        ConflictPolicy::FirstWins,
+        None,
+        ServerConfig::new().durability(durability),
+    );
+    assert_eq!(team_fp, serial_fp, "the parked team diverged");
+    let answers: usize = outcome.answers.iter().map(|(_, count)| count).sum();
+    assert_eq!(answers, 25, "{outcome:?}");
+    let waits = events
+        .iter()
+        .filter(|e| matches!(e, TranscriptEvent::Waited { .. }))
+        .count();
+    assert!(
+        waits < 141,
+        "{waits} waits journaled, no fewer than re-leasing at once"
+    );
+}
+
 /// With one request allowed in flight per connection, the server refuses
 /// all but one reviewer's verb as `busy`; the team re-sends each refused
 /// verb and still matches its serial replay.
 #[test]
 fn busy_refusals_are_resent_by_the_team() {
-    let (team_fp, serial_fp, _) = team_run(
+    let (team_fp, serial_fp, ..) = team_run(
         4,
         ConflictPolicy::FirstWins,
         None,
@@ -815,10 +861,13 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
                 .any(|e| matches!(e, TranscriptEvent::Released { .. })),
         ),
         (
-            "Resolved",
-            events
-                .iter()
-                .any(|e| matches!(e, TranscriptEvent::Resolved { .. })),
+            "resolution-carrying *_as",
+            events.iter().any(|e| match e {
+                TranscriptEvent::AnsweredAs { resolved, .. }
+                | TranscriptEvent::SuppliedAs { resolved, .. }
+                | TranscriptEvent::SkippedAs { resolved, .. } => !resolved.is_empty(),
+                _ => false,
+            }),
         ),
     ] {
         assert!(seen, "script never journaled a {name} event");
