@@ -1499,7 +1499,9 @@ impl ViolationEngine {
             }
             Ok(tuple)
         };
-        let n_states = dec.seq_len(1)?;
+        // Fewest bytes per element, one per integer and key: a constant
+        // rule's state is a tag, a count and a context.
+        let n_states = dec.seq_len(3)?;
         if n_states != ruleset.len() {
             return Err(CodecError::new(format!(
                 "rule-state count {n_states} does not match {} rules",
@@ -1512,7 +1514,7 @@ impl ViolationEngine {
             let constant = ruleset.rule(rule_id).is_constant();
             match (tag, constant) {
                 (0, true) => {
-                    let violations = dec.seq_len(8)?;
+                    let violations = dec.seq_len(1)?;
                     let mut violating = TupleBits::with_rows(rows);
                     for _ in 0..violations {
                         if !violating.insert(tuple_id(dec)?) {
@@ -1527,7 +1529,7 @@ impl ViolationEngine {
                     }));
                 }
                 (1, false) => {
-                    let n_keys = dec.seq_len(9)?;
+                    let n_keys = dec.seq_len(2)?;
                     let mut tuple_key = HashMap::with_capacity(n_keys);
                     for _ in 0..n_keys {
                         let tuple = tuple_id(dec)?;
@@ -1536,16 +1538,16 @@ impl ViolationEngine {
                             return Err(CodecError::new("duplicate tuple key"));
                         }
                     }
-                    let n_groups = dec.seq_len(9)?;
+                    let n_groups = dec.seq_len(3)?;
                     let mut groups = HashMap::with_capacity(n_groups);
                     let mut violating = TupleBits::with_rows(rows);
                     for _ in 0..n_groups {
                         let key = SmallKey::decode_state(dec)?;
-                        let n_buckets = dec.seq_len(12)?;
+                        let n_buckets = dec.seq_len(2)?;
                         let mut members_by_rhs = HashMap::with_capacity(n_buckets);
                         for _ in 0..n_buckets {
                             let rhs = ValueId::from_index(dec.u32()? as usize);
-                            let n_members = dec.seq_len(8)?;
+                            let n_members = dec.seq_len(1)?;
                             let mut members = HashSet::with_capacity(n_members);
                             for _ in 0..n_members {
                                 let member = tuple_id(dec)?;
@@ -1577,7 +1579,7 @@ impl ViolationEngine {
                     let total_vio = dec.usize()?;
                     let satisfying_in_context = dec.usize()?;
                     let context = dec.usize()?;
-                    let n_gens = dec.seq_len(12)?;
+                    let n_gens = dec.seq_len(2)?;
                     let mut group_generation = HashMap::with_capacity(n_gens);
                     for _ in 0..n_gens {
                         let key = SmallKey::decode_state(dec)?;
@@ -1607,7 +1609,7 @@ impl ViolationEngine {
         for _ in 0..n_states {
             stats_generation.push(dec.u64()?);
         }
-        let n_row_gen = dec.seq_len(8)?;
+        let n_row_gen = dec.seq_len(1)?;
         let mut row_generation = Vec::with_capacity(n_row_gen);
         for _ in 0..n_row_gen {
             row_generation.push(dec.u64()?);
@@ -1750,15 +1752,23 @@ STR, CT -> ZIP : _, Fort Wayne || _
         }
         // Push rule 0's first violating tuple (t1) to each id at or past the
         // table's end.  Its list sits after the header, the arity, the row
-        // count, the state count and the rule's kind tag and list length.
+        // count, the state count and the rule's kind tag and list length;
+        // each is a varint, so the tuple id is re-spliced at its new width.
         let mut enc = Enc::new();
         enc.section("vioeng", 1);
         ruleset.encode_state(&mut enc);
-        let at = enc.into_bytes().len() + 8 + 8 + 8 + 1 + 8;
-        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        enc.usize(engine.involving.len());
+        enc.usize(rows);
+        enc.usize(ruleset.len());
+        enc.u8(0);
+        enc.usize(engine.rule_stats(0).violations);
+        let at = enc.into_bytes().len();
+        assert_eq!(bytes[at], 1, "t1 is one varint byte");
         for tuple in [rows as u64, u64::MAX] {
+            let mut id = Enc::new();
+            id.u64(tuple);
             let mut damaged = bytes.clone();
-            damaged[at..at + 8].copy_from_slice(&tuple.to_le_bytes());
+            damaged.splice(at..at + 1, id.into_bytes());
             let mut dec = Dec::new(&damaged);
             assert!(ViolationEngine::decode_state(&mut dec, rows).is_err());
         }

@@ -166,11 +166,13 @@ impl RuleSet {
     /// not describe a well-formed CFD is rejected rather than trusted.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RuleSet> {
         dec.section("rules", 1)?;
-        let n = dec.seq_len(4)?;
+        // A rule is a name, an LHS count, an RHS attribute and pattern, and
+        // an 8-byte weight; an LHS entry an attribute and a pattern.
+        let n = dec.seq_len(4 + 8)?;
         let mut rules = Vec::with_capacity(n);
         for _ in 0..n {
             let name = dec.str()?;
-            let arity = dec.seq_len(9)?;
+            let arity = dec.seq_len(2)?;
             let mut lhs = Vec::with_capacity(arity);
             let mut lhs_pattern = Vec::with_capacity(arity);
             for _ in 0..arity {

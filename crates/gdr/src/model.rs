@@ -175,7 +175,8 @@ impl ModelStore {
     /// Rebuilds a store written by [`ModelStore::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ModelStore> {
         dec.section("models", 1)?;
-        let arity = dec.seq_len(8)?;
+        // A learner takes at least its 9-byte `learner` section header.
+        let arity = dec.seq_len(9)?;
         let mut learners = Vec::with_capacity(arity);
         for _ in 0..arity {
             learners.push(ActiveLearner::decode_state(dec)?);

@@ -368,7 +368,8 @@ impl EvalHooks {
         dec.section("eval", 1)?;
         let truth = std::sync::Arc::new(Table::decode_state(dec)?);
         let initial_dirty = Table::decode_state(dec)?;
-        let n = dec.seq_len(24)?;
+        // A checkpoint is a count and two 8-byte floats.
+        let n = dec.seq_len(1 + 16)?;
         let mut checkpoints = Vec::with_capacity(n);
         for _ in 0..n {
             checkpoints.push(Checkpoint::decode_state(dec)?);
@@ -428,7 +429,8 @@ impl GroupProgress {
         let quota = dec.usize()?;
         let verified = dec.usize()?;
         let actions = dec.usize()?;
-        let n = dec.seq_len(26)?;
+        // An update is a cell, a value, an 8-byte score and an option.
+        let n = dec.seq_len(3 + 8 + 1)?;
         let mut remaining = Vec::with_capacity(n);
         for _ in 0..n {
             remaining.push(Update::decode_state(dec)?);
@@ -475,7 +477,7 @@ impl SupplySweep {
     }
 
     fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SupplySweep> {
-        let n = dec.seq_len(16)?;
+        let n = dec.seq_len(2)?;
         let mut cells = Vec::with_capacity(n);
         for _ in 0..n {
             cells.push((dec.usize()?, dec.usize()?));
@@ -1323,7 +1325,7 @@ impl GdrEngine {
         })
     }
 
-    /// The engine as one framed `S1 <len> <fnv64-hex> <payload>` snapshot
+    /// The engine as one framed `S2 <len> <fnv64-hex> <payload>` snapshot
     /// record — the frame every durable record uses, checksummed so a torn
     /// or bit-flipped file is detected before decoding begins.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {

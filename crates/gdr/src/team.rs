@@ -683,22 +683,25 @@ impl TeamSession {
         let config = TeamConfig::decode_state(dec)?;
         let clock = dec.u64()?;
         let next_lease_id = dec.u64()?;
-        let n_leases = dec.seq_len(18)?;
+        // Fewest bytes per element, one per integer, string and value: a
+        // lease is an id, a reviewer, a 4-byte item key and a stamp; an
+        // answer an item key, a reviewer and a feedback tag.
+        let n_leases = dec.seq_len(7)?;
         let mut leases = Vec::with_capacity(n_leases);
         for _ in 0..n_leases {
             leases.push(Lease::decode_state(dec)?);
         }
-        let n_answers = dec.seq_len(11)?;
+        let n_answers = dec.seq_len(6)?;
         let mut answers = Vec::with_capacity(n_answers);
         for _ in 0..n_answers {
             answers.push(AnswerRec::decode_state(dec)?);
         }
-        let n_escalations = dec.seq_len(17)?;
+        let n_escalations = dec.seq_len(3)?;
         let mut escalations = Vec::with_capacity(n_escalations);
         for _ in 0..n_escalations {
             escalations.push(((dec.usize()?, dec.usize()?), dec.value()?));
         }
-        let n_buffered = dec.seq_len(18)?;
+        let n_buffered = dec.seq_len(4)?;
         let mut buffered = Vec::with_capacity(n_buffered);
         for _ in 0..n_buffered {
             buffered.push((
@@ -707,7 +710,7 @@ impl TeamSession {
                 Feedback::decode_state(dec)?,
             ));
         }
-        let n_resolutions = dec.seq_len(17)?;
+        let n_resolutions = dec.seq_len(3)?;
         let mut resolutions = Vec::with_capacity(n_resolutions);
         for _ in 0..n_resolutions {
             resolutions.push(Resolution::decode_state(dec)?);
@@ -734,7 +737,7 @@ impl TeamSession {
         enc.into_bytes()
     }
 
-    /// The session as one framed `S1 <len> <fnv64-hex> <payload>` snapshot
+    /// The session as one framed `S2 <len> <fnv64-hex> <payload>` snapshot
     /// record around [`TeamSession::state_bytes`] (see
     /// [`crate::step::GdrEngine::to_snapshot_bytes`]).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {

@@ -243,7 +243,7 @@ impl Dataset {
                 "implausible dataset arity ({feature_count} features, {label_count} labels)"
             )));
         }
-        let n = dec.seq_len(feature_count + 8)?;
+        let n = dec.seq_len(feature_count + 1)?;
         let mut dataset = Dataset::new(feature_count, label_count);
         for _ in 0..n {
             let mut features = Vec::with_capacity(feature_count);

@@ -157,7 +157,8 @@ impl RandomForest {
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RandomForest> {
         dec.section("forest", 1)?;
         let label_count = dec.usize()?;
-        let n = dec.seq_len(8)?;
+        // A tree is its 6-byte `tree` header, a label count and a leaf.
+        let n = dec.seq_len(6 + 1 + 2)?;
         let mut trees = Vec::with_capacity(n);
         for _ in 0..n {
             let tree = DecisionTree::decode_state(dec)?;

@@ -12,26 +12,42 @@
 //!
 //! ## Encoding rules
 //!
-//! * Fixed-width little-endian integers; `f64` travels as raw
-//!   [`f64::to_bits`] so restored floats are **bit-identical** (NaN payloads
-//!   and signed zeros included).
+//! * Every integer (`u16`, `u32`, `u64`, `usize`) is an unsigned LEB128
+//!   varint: seven bits per byte, least significant group first, the high
+//!   bit set on every byte but the last.  `i64` is zigzag-mapped first
+//!   (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`), so small magnitudes of either
+//!   sign stay short.  Tuple ids, attribute ids, lengths, value ids and
+//!   generation stamps are small, so most take one byte.
+//! * Varints are **canonical**: [`Dec`] rejects an overlong encoding (a
+//!   final `0x00` byte after the first, e.g. `[0x80, 0x00]` for 0), a
+//!   tenth byte above 1 or an eleventh byte (more than 64 bits), a value
+//!   that overflows the field's width, and a varint cut short by the end
+//!   of the payload — each a [`CodecError`].  So every payload that
+//!   decodes re-encodes to exactly its own bytes, which the checkpoint
+//!   layers check.
+//! * `f64` travels as its raw [`f64::to_bits`] in 8 little-endian bytes,
+//!   so restored floats are **bit-identical** (NaN payloads and signed
+//!   zeros included).  `u8` and `bool` are one byte.
 //! * Strings and byte blobs are length-prefixed.
 //! * Every struct opens a *section*: an ASCII tag plus a `u16` version
 //!   ([`Enc::section`] / [`Dec::section`]).  Decoders reject unknown tags
-//!   and future versions with a typed [`CodecError`] instead of
-//!   misinterpreting bytes.
+//!   and any version but the one they write with a typed [`CodecError`]
+//!   instead of misinterpreting bytes.
 //! * Hash maps and sets are encoded in **sorted key order** (behaviour never
 //!   depends on map iteration order — replay equivalence across processes
 //!   already proves that) and rebuilt into fresh maps on decode.
 //! * Collection lengths are validated against the remaining payload
 //!   ([`Dec::seq_len`]) before any allocation, so a corrupt length cannot
 //!   balloon memory — it fails the decode, and recovery falls back to
-//!   replay.
+//!   replay.  Each caller passes the fewest bytes one element can take:
+//!   one per integer, string or [`Value`], eight per `f64`, and
+//!   `tag.len() + 2` for a section header with a short tag and a version
+//!   below 128.
 //!
-//! ## `S1` framing
+//! ## `S2` framing
 //!
 //! Every durable record — a journal event, a session spec, a checkpoint —
-//! is framed as `S1 <len> <fnv64-hex> ` followed by exactly `len` payload
+//! is framed as `S2 <len> <fnv64-hex> ` followed by exactly `len` payload
 //! bytes.  [`frame`] writes a frame; [`read_frame`] validates the frame at
 //! the start of a byte stream and returns its payload plus the bytes it
 //! spans, so a reader walks a stream of concatenated frames and stops at
@@ -39,13 +55,20 @@
 //! hold exactly one frame.  A checksum mismatch, a short buffer, or a
 //! length claiming more bytes than follow is a [`CodecError`], never a
 //! panic and never an allocation.
+//!
+//! The magic names the payload encoding.  `S1` payloads wrote every
+//! integer at a fixed width; `S2` payloads write varints.  There is no
+//! compatibility decoder: [`read_frame`] refuses an `S1` frame with an
+//! error naming both magics, so a file of the old format fails its load
+//! instead of being misread.
 
 use std::fmt;
 
 use crate::value::Value;
 
-/// Magic token opening every frame.
-pub const FRAME_MAGIC: &str = "S1";
+/// Magic token opening every frame: `S2`, varint integers (see the
+/// [module docs](self)).
+pub const FRAME_MAGIC: &str = "S2";
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard integrity
 /// hash (frame checksums, session digests, store sharding).
@@ -124,34 +147,45 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Little-endian `u16`.
+    /// An unsigned LEB128 varint: the low seven bits per byte, the high
+    /// bit set on every byte but the last.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// A `u16` as a varint.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(v.into());
     }
 
-    /// Little-endian `u32`.
+    /// A `u32` as a varint.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(v.into());
     }
 
-    /// Little-endian `u64`.
+    /// A `u64` as a varint.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(v);
     }
 
     /// A `usize`, widened to `u64` for a platform-independent encoding.
     pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.varint(v as u64);
     }
 
-    /// Little-endian `i64`.
+    /// An `i64` as the varint of its zigzag mapping.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
-    /// An `f64` as raw bits — restored values are bit-identical.
+    /// An `f64` as its raw bits, 8 little-endian bytes — restored values
+    /// are bit-identical.
     pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// A boolean as one byte.
@@ -267,35 +301,80 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Little-endian `u16`.
+    /// A canonical unsigned LEB128 varint of at most 64 bits.
+    fn varint(&mut self) -> Result<u64> {
+        let start = self.pos;
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&byte) = self.buf.get(self.pos) else {
+                return Err(CodecError::new(format!(
+                    "truncated varint at offset {start}: the payload ends after {} bytes",
+                    self.pos - start
+                )));
+            };
+            self.pos += 1;
+            // The tenth byte holds bit 63 alone; anything more overflows.
+            if shift == 63 && byte > 1 {
+                return Err(CodecError::new(format!(
+                    "varint at offset {start} overflows 64 bits"
+                )));
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError::new(format!(
+                        "overlong varint at offset {start}"
+                    )));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A varint that must fit `T` (a `u16`, `u32` or `usize`).
+    fn varint_as<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T> {
+        let start = self.pos;
+        let value = self.varint()?;
+        T::try_from(value).map_err(|_| {
+            CodecError::new(format!(
+                "varint {value} at offset {start} does not fit a {what}"
+            ))
+        })
+    }
+
+    /// A `u16` varint.
     pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.varint_as("u16")
     }
 
-    /// Little-endian `u32`.
+    /// A `u32` varint.
     pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.varint_as("u32")
     }
 
-    /// Little-endian `u64`.
+    /// A `u64` varint.
     pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.varint()
     }
 
-    /// A `usize` (encoded as `u64`; fails if it does not fit this platform).
+    /// A `usize` varint (fails if it does not fit this platform).
     pub fn usize(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| CodecError::new("usize value exceeds this platform"))
+        self.varint_as("usize on this platform")
     }
 
-    /// Little-endian `i64`.
+    /// A zigzag-mapped `i64` varint.
     pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        let zigzag = self.varint()?;
+        Ok((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64))
     }
 
-    /// An `f64` from raw bits.
+    /// An `f64` from its 8 raw little-endian bytes.
     pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
+        Ok(f64::from_bits(u64::from_le_bytes(
+            self.take(8)?.try_into().unwrap(),
+        )))
     }
 
     /// A boolean (strictly 0 or 1).
@@ -356,7 +435,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Frames `payload` as `S1 <len> <fnv64-hex> ` + payload.
+/// Frames `payload` as `S2 <len> <fnv64-hex> ` + payload.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let header = format!("{FRAME_MAGIC} {} {:016x} ", payload.len(), fnv1a64(payload));
     let mut framed = Vec::with_capacity(header.len() + payload.len());
@@ -394,7 +473,7 @@ pub fn read_frame(bytes: &[u8]) -> Result<(&[u8], usize)> {
     let [magic, len_text, sum_text] = fields;
     if magic != FRAME_MAGIC {
         return Err(CodecError::new(format!(
-            "bad frame magic `{}`",
+            "bad frame magic `{}`: this build reads `{FRAME_MAGIC}` frames only",
             magic.escape_default()
         )));
     }
@@ -594,19 +673,111 @@ mod tests {
 
     #[test]
     fn read_frame_rejects_lengths_beyond_the_buffer_and_noncanonical_headers() {
-        let huge = format!("S1 {} {:016x} abc", usize::MAX, fnv1a64(b"abc"));
+        let huge = format!("S2 {} {:016x} abc", usize::MAX, fnv1a64(b"abc"));
         assert!(read_frame(huge.as_bytes()).is_err());
-        let overflow = format!("S1 99999999999999999999999 {:016x} abc", fnv1a64(b"abc"));
+        let overflow = format!("S2 99999999999999999999999 {:016x} abc", fnv1a64(b"abc"));
         assert!(read_frame(overflow.as_bytes()).is_err());
-        let padded = format!("S1 03 {:016x} abc", fnv1a64(b"abc"));
+        let padded = format!("S2 03 {:016x} abc", fnv1a64(b"abc"));
         assert!(read_frame(padded.as_bytes()).is_err());
-        let upper = format!("S1 3 {:016X} abc", fnv1a64(b"abc"));
+        let upper = format!("S2 3 {:016X} abc", fnv1a64(b"abc"));
         assert!(read_frame(upper.as_bytes()).is_err());
-        let good = format!("S1 3 {:016x} abc", fnv1a64(b"abc"));
+        let good = format!("S2 3 {:016x} abc", fnv1a64(b"abc"));
         assert_eq!(
             read_frame(good.as_bytes()).unwrap(),
             (&b"abc"[..], good.len())
         );
+    }
+
+    #[test]
+    fn varints_round_trip_at_their_width_boundaries() {
+        for (value, width) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ] {
+            let mut enc = Enc::new();
+            enc.u64(value);
+            let bytes = enc.into_bytes();
+            assert_eq!(bytes.len(), width, "{value}");
+            let mut dec = Dec::new(&bytes);
+            assert_eq!(dec.u64().unwrap(), value);
+            dec.finish().unwrap();
+        }
+        let mut enc = Enc::new();
+        enc.u32(u32::MAX);
+        enc.u16(u16::MAX);
+        enc.usize(128);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 5 + 3 + 2);
+        let mut dec = Dec::new(&bytes);
+        assert_eq!(dec.u32().unwrap(), u32::MAX);
+        assert_eq!(dec.u16().unwrap(), u16::MAX);
+        assert_eq!(dec.usize().unwrap(), 128);
+        dec.finish().unwrap();
+    }
+
+    #[test]
+    fn i64_zigzags_so_small_magnitudes_stay_short() {
+        for (value, width) in [
+            (0i64, 1),
+            (-1, 1),
+            (63, 1),
+            (-64, 1),
+            (64, 2),
+            (i64::MAX, 10),
+            (i64::MIN, 10),
+        ] {
+            let mut enc = Enc::new();
+            enc.i64(value);
+            let bytes = enc.into_bytes();
+            assert_eq!(bytes.len(), width, "{value}");
+            assert_eq!(Dec::new(&bytes).i64().unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        let cases: [(&[u8], &str); 5] = [
+            (&[0x80, 0x00], "overlong"),
+            (
+                &[0xff, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+                "overlong",
+            ),
+            (&[0xff; 11], "overflows 64 bits"),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+                "overflows 64 bits",
+            ),
+            (&[0x80], "truncated varint"),
+        ];
+        for (bytes, expected) in cases {
+            let err = Dec::new(bytes).u64().unwrap_err();
+            assert!(err.detail.contains(expected), "{bytes:?}: {err:?}");
+        }
+        assert!(Dec::new(&[])
+            .u64()
+            .unwrap_err()
+            .detail
+            .contains("truncated"));
+        let mut enc = Enc::new();
+        enc.u64(u64::from(u32::MAX) + 1);
+        enc.u32(u32::from(u16::MAX) + 1);
+        let bytes = enc.into_bytes();
+        let err = Dec::new(&bytes).u32().unwrap_err();
+        assert!(err.detail.contains("does not fit a u32"), "{err:?}");
+        let err = Dec::new(&bytes[5..]).u16().unwrap_err();
+        assert!(err.detail.contains("does not fit a u16"), "{err:?}");
+    }
+
+    #[test]
+    fn read_frame_refuses_an_s1_frame_naming_the_magic() {
+        let old = format!("S1 3 {:016x} abc", fnv1a64(b"abc"));
+        let err = read_frame(old.as_bytes()).unwrap_err();
+        assert!(err.detail.contains("`S1`"), "{err:?}");
+        assert!(err.detail.contains("`S2`"), "{err:?}");
+        assert!(frame(b"abc").starts_with(b"S2 3 "));
     }
 
     #[test]

@@ -321,16 +321,18 @@ impl AttrSetIndex {
     /// preserving exact member order and emptied-group value keys.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrSetIndex> {
         dec.section("asidx", 1)?;
-        let n_attrs = dec.seq_len(8)?;
+        let n_attrs = dec.seq_len(1)?;
         let mut attrs = Vec::with_capacity(n_attrs);
         for _ in 0..n_attrs {
             attrs.push(dec.usize()?);
         }
-        let n_groups = dec.seq_len(8)?;
+        // A group is a key and a member count; a value key a value count
+        // and a key.
+        let n_groups = dec.seq_len(2)?;
         let mut groups = HashMap::with_capacity(n_groups);
         for _ in 0..n_groups {
             let key = SmallKey::decode_state(dec)?;
-            let n_members = dec.seq_len(8)?;
+            let n_members = dec.seq_len(1)?;
             let mut members = Vec::with_capacity(n_members);
             for _ in 0..n_members {
                 members.push(dec.usize()?);
@@ -342,7 +344,7 @@ impl AttrSetIndex {
                 return Err(CodecError::new("index payload repeats a group key"));
             }
         }
-        let n_decoded = dec.seq_len(8)?;
+        let n_decoded = dec.seq_len(2)?;
         let mut by_values = HashMap::with_capacity(n_decoded);
         for _ in 0..n_decoded {
             let n_values = dec.seq_len(1)?;

@@ -269,7 +269,7 @@ impl SmallKey {
 
     /// Rebuilds a key from [`SmallKey::encode_state`] bytes.
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SmallKey> {
-        let n = dec.seq_len(4)?;
+        let n = dec.seq_len(1)?;
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
             ids.push(ValueId(dec.u32()?));

@@ -458,7 +458,7 @@ impl Table {
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Table> {
         dec.section("table", 1)?;
         let name = dec.str()?;
-        let arity = dec.seq_len(8)?;
+        let arity = dec.seq_len(1)?;
         let mut names = Vec::with_capacity(arity);
         for _ in 0..arity {
             names.push(dec.str()?);
@@ -468,6 +468,7 @@ impl Table {
         }
         let schema = Schema::new(&names);
         let version = dec.u64()?;
+        // Each row has an 8-byte weight.
         let rows = dec.seq_len(8)?;
         let mut weights = Vec::with_capacity(rows);
         for _ in 0..rows {

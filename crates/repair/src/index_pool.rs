@@ -133,15 +133,16 @@ impl AttrIndexPool {
     /// Rebuilds a pool written by [`AttrIndexPool::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrIndexPool> {
         dec.section("idxpool", 1)?;
-        let n_indexes = dec.seq_len(8)?;
+        // An index takes at least its 7-byte `asidx` section header.
+        let n_indexes = dec.seq_len(7)?;
         let mut indexes = Vec::with_capacity(n_indexes);
         for _ in 0..n_indexes {
             indexes.push(AttrSetIndex::decode_state(dec)?);
         }
-        let n_rules = dec.seq_len(8)?;
+        let n_rules = dec.seq_len(1)?;
         let mut lhs_slots = Vec::with_capacity(n_rules);
         for _ in 0..n_rules {
-            let n_slots = dec.seq_len(8)?;
+            let n_slots = dec.seq_len(1)?;
             let mut slots = Vec::with_capacity(n_slots);
             for _ in 0..n_slots {
                 let slot = dec.usize()?;

@@ -503,7 +503,9 @@ impl RepairState {
         let table = Table::decode_state(dec)?;
         let engine = ViolationEngine::decode_state(dec, table.len())?;
 
-        let n_possible = dec.seq_len(16)?;
+        // Fewest bytes per element, one per integer and value: a cell is 2,
+        // an update 12 (it carries an 8-byte score).
+        let n_possible = dec.seq_len(2 + 12)?;
         let mut possible = HashMap::with_capacity(n_possible);
         for _ in 0..n_possible {
             let cell = (dec.usize()?, dec.usize()?);
@@ -513,11 +515,11 @@ impl RepairState {
             }
         }
 
-        let n_prevented = dec.seq_len(16)?;
+        let n_prevented = dec.seq_len(2 + 1)?;
         let mut prevented = HashMap::with_capacity(n_prevented);
         for _ in 0..n_prevented {
             let cell = (dec.usize()?, dec.usize()?);
-            let n_ids = dec.seq_len(4)?;
+            let n_ids = dec.seq_len(1)?;
             let mut ids = HashSet::with_capacity(n_ids);
             for _ in 0..n_ids {
                 if !ids.insert(ValueId::from_index(dec.u32()? as usize)) {
@@ -529,7 +531,7 @@ impl RepairState {
             }
         }
 
-        let n_unchangeable = dec.seq_len(16)?;
+        let n_unchangeable = dec.seq_len(2)?;
         let mut unchangeable = HashSet::with_capacity(n_unchangeable);
         for _ in 0..n_unchangeable {
             if !unchangeable.insert((dec.usize()?, dec.usize()?)) {
@@ -537,7 +539,8 @@ impl RepairState {
             }
         }
 
-        let n_applied = dec.seq_len(19)?;
+        // A cell, two values and a source tag.
+        let n_applied = dec.seq_len(5)?;
         let mut applied_log = Vec::with_capacity(n_applied);
         for _ in 0..n_applied {
             applied_log.push(AppliedChange::decode_state(dec)?);
@@ -545,7 +548,7 @@ impl RepairState {
 
         let pool = AttrIndexPool::decode_state(dec)?;
 
-        let n_revisit = dec.seq_len(16)?;
+        let n_revisit = dec.seq_len(2)?;
         let mut revisit_queue = BTreeSet::new();
         for _ in 0..n_revisit {
             if !revisit_queue.insert((dec.usize()?, dec.usize()?)) {

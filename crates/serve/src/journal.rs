@@ -3,11 +3,11 @@
 //! The in-memory [`crate::store::SessionJournal`] already makes every
 //! session a replayable value (build inputs + state-advancing verbs).  This
 //! module gives that value a durable form a server can crash out of and
-//! recover from.  Every file it writes uses one format: `S1` frames
+//! recover from.  Every file it writes uses one format: `S2` frames
 //! ([`gdr_relation::codec::frame`]) around payloads of the versioned state
 //! codec that every layer implements.
 //!
-//! * **Records.**  A record is one frame, `S1 <len> <fnv64-hex> ` plus
+//! * **Records.**  A record is one frame, `S2 <len> <fnv64-hex> ` plus
 //!   `len` payload bytes.  An event payload is a one-byte variant tag and
 //!   its fields; the spec payload is the `encode_state` of the table,
 //!   rules, strategy, configuration, team configuration and optional ground
@@ -177,7 +177,7 @@ fn encode_resolved(enc: &mut Enc, resolved: &[(usize, Resolution)]) {
 
 fn decode_resolved(dec: &mut Dec<'_>) -> codec::Result<Vec<(usize, Resolution)>> {
     // The smallest pair: the index, then a resolution's tag and cell.
-    let len = dec.seq_len(8 + 1 + 16)?;
+    let len = dec.seq_len(1 + 1 + 2)?;
     (0..len)
         .map(|_| Ok((dec.usize()?, Resolution::decode_state(dec)?)))
         .collect()

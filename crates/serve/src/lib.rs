@@ -17,9 +17,11 @@
 //!   stacks, blocking I/O, so an idle server burns no CPU).  The reader
 //!   decodes request lines of at most [`server::MAX_FRAME_BYTES`] and
 //!   admits at most [`server::ServerConfig::max_outstanding`] requests
-//!   whose reply is not yet written; the writer writes replies and frees
-//!   those slots.  A slow reader gets `busy` refusals and then TCP
-//!   backpressure, never unbounded buffers.
+//!   whose reply the writer has not yet taken; the writer frees those
+//!   slots as it takes a batch of replies, then writes it, so a connection
+//!   holds at most that many queued replies plus one batch in flight.  A
+//!   slow reader gets `busy` refusals and then TCP backpressure, never
+//!   unbounded buffers.
 //! * **Dispatch** runs on [`server::ServerConfig::workers`] pool threads,
 //!   which hand replies to the writer and never touch a socket;
 //!   `seq`-tagged requests from one connection run concurrently and reply
@@ -139,7 +141,7 @@
 //! demand via the `compact` verb): the live session is encoded once
 //! through the versioned state codec that runs through every layer
 //! ([`gdr_core::team::TeamSession::encode_state`]), and those bytes, in
-//! `gdr_relation::codec`'s checksummed `S1` frame, become the replay base
+//! `gdr_relation::codec`'s checksummed `S2` frame, become the replay base
 //! while the absorbed tail is dropped from RAM, so a live `restore` decodes
 //! the base and replays only the short tail.  A session thus holds one
 //! decoded engine, the live one.  Validation replays the journal and
@@ -160,9 +162,10 @@
 //! huge stores never pile thousands of directories into one listing — and
 //! survives process death.
 //!
-//! * **Segment format** — every file is written in the `S1` frame of
-//!   `gdr_relation::codec`: `S1 <len> <fnv64-hex> ` followed by `len`
-//!   payload bytes, the checksum being FNV-1a 64 over the payload.
+//! * **Segment format** — every file is written in the `S2` frame of
+//!   `gdr_relation::codec`: `S2 <len> <fnv64-hex> ` followed by `len`
+//!   payload bytes, the checksum being FNV-1a 64 over the payload, and
+//!   every integer in a payload a LEB128 varint.
 //!   `spec.gdrj` holds one frame with the spec record in the state codec
 //!   (its `create_new` creation is the atomic claim on a session id);
 //!   events append to `seg-NNNNNN.gdrj` segments of concatenated frames,
@@ -174,6 +177,12 @@
 //!   durable session unreadable.  Recovering such a session fails with a
 //!   typed `journal` error ([`store::StoreError::Gdr`]), and every other
 //!   session keeps serving.
+//! * **Format break at `S2`** — files written before varint integers carry
+//!   the `S1` magic and fixed-width integers.  This build has no decoder
+//!   for them: [`codec::read_frame`](gdr_relation::codec::read_frame)
+//!   refuses the `S1` spec record, so such a session fails to recover with
+//!   a typed `journal` error naming the magic, its files are left as they
+//!   are, and every other session keeps serving.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (default),
 //!   `EveryN(n)`, `GroupCommit`, or `Never`; sealed segments are always
 //!   synced.  `GroupCommit` hands fsyncs to a background flusher: appends

@@ -22,11 +22,15 @@
 //! as they complete, tagged with the echoed `seq`.
 //!
 //! Backpressure: a connection has at most [`ServerConfig::max_outstanding`]
-//! admitted requests whose reply is not yet written; more are refused with
-//! a `busy` reply, without running.  Workers hand replies to the writer and
-//! never touch a socket, so a client that stops reading holds at most that
-//! many replies and parks no worker; once as many `busy`/`bad_request`
-//! replies wait too, its reader stops reading.
+//! admitted requests whose reply the writer has not yet taken; more are
+//! refused with a `busy` reply, without running.  Workers hand replies to
+//! the writer and never touch a socket.  The writer frees a reply's slot
+//! when it takes the reply's batch, before writing it, so a client that
+//! has read a reply can never be refused for that reply's slot.  A client
+//! that stops reading therefore holds at most `max_outstanding` queued
+//! replies plus the `max_outstanding` of the batch being written, and
+//! parks no worker; once as many `busy`/`bad_request` replies wait too,
+//! its reader stops reading.
 //!
 //! A protocol violation — malformed line, unknown session, stale work id —
 //! produces a structured error *reply* on that connection and nothing
@@ -505,9 +509,9 @@ impl ServerConfig {
         self
     }
 
-    /// Per-connection cap on requests that are admitted but whose reply is
-    /// not yet written.  Requests beyond the cap are refused with a `busy`
-    /// error reply without running.
+    /// Per-connection cap on requests that are admitted but whose reply the
+    /// connection's writer has not yet taken.  Requests beyond the cap are
+    /// refused with a `busy` error reply without running.
     pub fn max_outstanding(mut self, cap: usize) -> ServerConfig {
         self.max_outstanding = cap.max(1);
         self
@@ -726,9 +730,9 @@ struct ConnState {
     /// Reply lines for the writer, each flagged whether it answers an
     /// admitted request (and so holds an `outstanding` slot).
     outbox: VecDeque<(String, bool)>,
-    /// Admitted requests whose reply is not yet written.
+    /// Admitted requests whose reply the writer has not yet taken.
     outstanding: usize,
-    /// Locally produced replies not yet written.
+    /// Locally produced replies the writer has not yet taken.
     local: usize,
     /// Untagged requests and the replies to untagged bad lines, in arrival
     /// order.
@@ -856,11 +860,13 @@ impl Conn {
         self.changed.notify_all();
     }
 
-    /// Writes replies as they arrive, everything queued in one batch, and
-    /// frees each admitted request's slot once its reply is written.  After
-    /// a failed write the client is gone: replies are discarded so the
-    /// connection can still wind down.  Returns once the reader has stopped
-    /// and every reply is out.
+    /// Writes replies as they arrive, everything queued in one batch.  Each
+    /// reply's slot is freed when the batch is taken, not after the flush:
+    /// a client may read a reply before this thread relocks, and a request
+    /// it sends then must find that slot free.  After a failed write the
+    /// client is gone: replies are discarded so the connection can still
+    /// wind down.  Returns once the reader has stopped and every reply is
+    /// out.
     fn write_replies(&self, stream: TcpStream) {
         let mut out = BufWriter::new(stream);
         let mut healthy = true;
@@ -874,7 +880,11 @@ impl Conn {
                 continue;
             }
             let batch = std::mem::take(&mut state.outbox);
+            let admitted = batch.iter().filter(|(_, admitted)| *admitted).count();
+            state.outstanding -= admitted;
+            state.local -= batch.len() - admitted;
             drop(state);
+            self.changed.notify_all();
             if healthy {
                 let written = batch
                     .iter()
@@ -886,10 +896,6 @@ impl Conn {
                 }
             }
             state = self.lock();
-            let admitted = batch.iter().filter(|(_, admitted)| *admitted).count();
-            state.outstanding -= admitted;
-            state.local -= batch.len() - admitted;
-            self.changed.notify_all();
         }
     }
 }

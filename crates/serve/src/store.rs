@@ -39,7 +39,7 @@
 //! the frame as the journal's new replay base and drops the replayed prefix
 //! from RAM.  From then on `replay` is "decode snapshot + replay short
 //! tail".  The session keeps one decoded engine, the live one: its replay
-//! bases are `S1` bytes, the spec record and the newest checkpoint frame.
+//! bases are `S2` bytes, the spec record and the newest checkpoint frame.
 //! Sessions auto-compact once the tail exceeds
 //! [`crate::journal::JournalConfig::compact_every`] events, so journal
 //! memory is O(compact_every), not O(session length).
@@ -243,7 +243,7 @@ struct JournalSnapshot {
 
 /// The per-session journal: the spec record, an optional compaction
 /// snapshot, and the transcript tail recorded since that snapshot.  Both
-/// bases are `S1` bytes; replay decodes the snapshot when there is one and
+/// bases are `S2` bytes; replay decodes the snapshot when there is one and
 /// builds from the spec otherwise.
 #[derive(Debug, Clone)]
 pub struct SessionJournal {

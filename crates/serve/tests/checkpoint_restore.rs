@@ -443,3 +443,54 @@ fn torn_checkpoint_temp_files_are_removed_and_recovery_is_unchanged() {
     );
     assert_eq!(fingerprint(session.engine()), rec.final_fp);
 }
+
+/// The checkpoint a 1k-row `team_fleet`-style session writes after its
+/// first 64 events — `HospitalConfig::at_scale(1000)` at seed 1,
+/// `GdrNoLearning`, no ground truth, two reviewers, default journal
+/// tunables — stays within 64 KiB, because varint integers keep tuple ids,
+/// attributes, lengths, value ids and generation stamps at a byte or two.
+#[test]
+fn a_1k_row_team_checkpoint_after_64_events_fits_in_64_kib() {
+    let data =
+        gdr_datagen::hospital::generate_hospital_dataset(&gdr_datagen::hospital::HospitalConfig {
+            seed: 1,
+            ..gdr_datagen::hospital::HospitalConfig::at_scale(1000)
+        });
+    let oracle = GroundTruthOracle::new(data.clean);
+    let mut spec = OpenSpec::new(data.dirty, data.rules);
+    spec.strategy = Strategy::GdrNoLearning;
+    let dir = TempDir::new("ckpt-size");
+    let mut session = SessionOptions::new()
+        .journal(JournalConfig {
+            fsync: FsyncPolicy::Never,
+            ..JournalConfig::default()
+        })
+        .durable(dir.path())
+        .open(spec)
+        .expect("open durable team");
+    assert_eq!(JournalConfig::default().compact_every, 64);
+    let checkpoint = dir.join(snapshot_name(64));
+    while !checkpoint.exists() {
+        assert!(session.journal().events_total() < 64, "no checkpoint at 64");
+        for reviewer in ["a", "b"] {
+            match session.lease(reviewer).expect("lease") {
+                TeamPlan::Ask { id, update } => {
+                    let feedback = {
+                        let current = session
+                            .engine()
+                            .state()
+                            .table()
+                            .cell(update.tuple, update.attr);
+                        oracle.feedback(&update, current)
+                    };
+                    session.answer_as(reviewer, id, feedback).expect("answer");
+                }
+                TeamPlan::Fix { id, .. } => session.skip_as(reviewer, id).expect("skip"),
+                TeamPlan::Wait => {}
+                TeamPlan::Done(reason) => panic!("concluded early: {reason:?}"),
+            }
+        }
+    }
+    let bytes = fs::metadata(&checkpoint).expect("checkpoint").len();
+    assert!(bytes <= 65_536, "the 64-event checkpoint is {bytes} bytes");
+}

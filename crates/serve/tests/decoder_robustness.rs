@@ -11,7 +11,8 @@
 //! allocating for it.  A state section of another version is refused,
 //! naming the section: in a checkpoint, which recovery then skips, and in a
 //! spec record, which fails only its own session.  So is an event record of
-//! a retired layout, which fails only its own session.
+//! a retired layout, and so is a session written in the retired `S1` frame
+//! format; each fails only its own session.
 //!
 //! On the wire: arbitrary bytes (read as lossy UTF-8, as a connection reads
 //! a line), and every truncation and single-byte substitution of a golden
@@ -31,7 +32,7 @@ use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::step::{DoneReason, WorkPlan};
 use gdr_core::strategy::Strategy as GdrStrategy;
 use gdr_core::team::{ConflictPolicy, Resolution, TeamPlan, TeamSession};
-use gdr_relation::codec::{self, fnv1a64, Enc};
+use gdr_relation::codec::{self, fnv1a64, Dec, Enc, FRAME_MAGIC};
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
@@ -237,7 +238,7 @@ fn every_cut_and_flip_of_the_recorded_payloads_decodes_or_errs() {
 fn a_length_field_claiming_more_than_follows_is_rejected() {
     let recorded = recorded();
     for claimed in [u64::MAX, usize::MAX as u64 / 2, 1 << 40] {
-        let bogus = format!("S1 {claimed} {:016x} tiny", fnv1a64(b"tiny")).into_bytes();
+        let bogus = format!("{FRAME_MAGIC} {claimed} {:016x} tiny", fnv1a64(b"tiny")).into_bytes();
         assert!(codec::read_frame(&bogus).is_err());
         decode_everything(&bogus);
         let mut stream = recorded.segment.clone();
@@ -329,6 +330,86 @@ fn a_retired_event_layout_fails_only_its_session() {
     }
 }
 
+/// `bytes`, a stream of frames, with every frame's magic rewritten to
+/// `magic`.
+fn with_frame_magic(bytes: &[u8], magic: &str) -> Vec<u8> {
+    let mut rewritten = Vec::with_capacity(bytes.len());
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (_, used) = codec::read_frame(rest).expect("a recorded frame");
+        let frame = &rest[..used];
+        rewritten.extend_from_slice(magic.as_bytes());
+        rewritten.extend_from_slice(&frame[FRAME_MAGIC.len()..]);
+        rest = &rest[used..];
+    }
+    rewritten
+}
+
+/// Every file of a durable session rewritten to the retired `S1` frame
+/// magic (fixed-width integers) is refused as a whole: `get` returns a
+/// typed journal error naming the format, without a panic and without a
+/// compatibility decode; the session's files are left as they were; and a
+/// sibling session under the same store root still serves.
+#[test]
+fn an_s1_session_fails_only_its_session_naming_the_format() {
+    let root = TempDir::new("robust-s1");
+    let mut config = DurabilityConfig::new(root.path());
+    config.journal = JournalConfig {
+        fsync: FsyncPolicy::Never,
+        compact_every: 8,
+        ..JournalConfig::default()
+    };
+    let store = SessionStore::durable(config.clone()).expect("store");
+    for id in ["old", "sibling"] {
+        let spec = figure1_spec(GdrStrategy::GdrNoLearning, true);
+        let oracle = GroundTruthOracle::new(spec.ground_truth.clone().expect("truth"));
+        let session = store.open(id, spec).expect("open");
+        let mut session = session.lock().expect("session lock");
+        for _ in 0..12 {
+            drive_one(&mut session, &oracle);
+        }
+    }
+    drop(store);
+    let dir = root
+        .path()
+        .join(session_shard("old"))
+        .join(session_dir_name("old"));
+    let mut rewritten = Vec::new();
+    for entry in fs::read_dir(&dir).expect("read_dir") {
+        let path = entry.expect("entry").path();
+        let old = with_frame_magic(&fs::read(&path).expect("read"), "S1");
+        fs::write(&path, &old).expect("rewrite");
+        rewritten.push((path, old));
+    }
+    let names: Vec<String> = rewritten
+        .iter()
+        .map(|(path, _)| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().any(|name| name.ends_with(".gdrs")),
+        "{names:?}"
+    );
+
+    let store = SessionStore::durable(config).expect("store");
+    match store.get("old") {
+        Err(StoreError::Gdr(GdrError::Journal { detail })) => {
+            assert!(detail.contains("bad frame magic `S1`"), "{detail}");
+            assert!(detail.contains(&format!("`{FRAME_MAGIC}`")), "{detail}");
+        }
+        Err(other) => panic!("expected a journal error, got {other:?}"),
+        Ok(_) => panic!("an S1 session was served"),
+    }
+    for (path, old) in &rewritten {
+        assert_eq!(&fs::read(path).expect("read"), old, "{}", path.display());
+    }
+    let sibling = store.get("sibling").expect("the sibling rehydrates");
+    let mut sibling = sibling.lock().expect("session lock");
+    assert!(!matches!(
+        sibling.next().expect("the sibling serves"),
+        WorkPlan::Done(_)
+    ));
+}
+
 /// A resolution count claiming more pairs than the bytes that follow could
 /// hold errs at the count, before any pair is decoded or allocated.
 #[test]
@@ -412,8 +493,17 @@ fn engine_row_count_site() -> (Vec<u8>, usize, usize) {
     (payload, at + header, rows)
 }
 
-fn write_u64(bytes: &mut [u8], at: usize, value: u64) {
-    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+/// `bytes` with the varint at `at` replaced by `value`'s, whatever the
+/// width of either.
+fn splice_varint(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut dec = Dec::new(&bytes[at..]);
+    dec.u64().expect("a varint at the site");
+    let end = bytes.len() - dec.remaining();
+    let mut enc = Enc::new();
+    enc.u64(value);
+    let mut spliced = bytes.to_vec();
+    spliced.splice(at..end, enc.into_bytes());
+    spliced
 }
 
 /// A checkpoint whose violation engine claims a row count other than its
@@ -422,8 +512,7 @@ fn write_u64(bytes: &mut [u8], at: usize, value: u64) {
 fn a_checkpoint_engine_row_count_other_than_the_table_is_rejected() {
     let (payload, at, rows) = engine_row_count_site();
     for claimed in [rows as u64 + 1, rows as u64 - 1, 0, u64::MAX >> 1] {
-        let mut damaged = payload.clone();
-        write_u64(&mut damaged, at, claimed);
+        let damaged = splice_varint(&payload, at, claimed);
         assert!(
             TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err(),
             "row count {claimed}"
@@ -438,17 +527,23 @@ fn a_checkpoint_engine_row_count_other_than_the_table_is_rejected() {
 fn a_checkpoint_engine_tuple_past_the_table_is_rejected() {
     let (payload, at, rows) = engine_row_count_site();
     // Row count, rule-state count, then rule 0's kind tag and its
-    // violating-tuple count.
-    let tag = at + 16;
-    assert_eq!(payload[tag], 0, "Figure 1's first rule is constant");
-    let count = u64::from_le_bytes(payload[tag + 1..tag + 9].try_into().unwrap());
+    // violating-tuple count, each a varint but the tag.
+    let mut dec = Dec::new(&payload[at..]);
+    assert_eq!(dec.usize().expect("row count"), rows);
+    dec.usize().expect("rule-state count");
+    assert_eq!(
+        dec.u8().expect("kind tag"),
+        0,
+        "Figure 1's first rule is constant"
+    );
+    let count = dec.usize().expect("violating-tuple count");
     assert!(
         count > 0,
         "the dirty instance violates Figure 1's first rule"
     );
+    let first = payload.len() - dec.remaining();
     for tuple in [rows as u64, rows as u64 + 7, u64::MAX >> 1] {
-        let mut damaged = payload.clone();
-        write_u64(&mut damaged, tag + 9, tuple);
+        let damaged = splice_varint(&payload, first, tuple);
         assert!(
             TeamSession::from_snapshot_bytes(&codec::frame(&damaged)).is_err(),
             "tuple id {tuple}"
@@ -488,7 +583,7 @@ fn assert_other_versions_rejected<T>(
             .map(|(at, _)| at + name.len())
             .collect();
         for &at in &sites {
-            let version = u16::from_le_bytes([payload[at], payload[at + 1]]);
+            let version = Dec::new(&payload[at..]).u16().expect("section version");
             for other in [
                 0,
                 version.wrapping_sub(1),
@@ -498,8 +593,7 @@ fn assert_other_versions_rejected<T>(
                 if other == version {
                     continue;
                 }
-                let mut damaged = payload.to_vec();
-                damaged[at..at + 2].copy_from_slice(&other.to_le_bytes());
+                let damaged = splice_varint(payload, at, other.into());
                 let Err(detail) = decode(&damaged) else {
                     panic!("section `{tag}` at version {other} decoded");
                 };

@@ -6,7 +6,7 @@
 //!
 //! A session directory holds `spec.gdrj` (the build inputs),
 //! `seg-NNNNNN.gdrj` event segments and `snap-NNNNNN.gdrs` checkpoints, all
-//! binary `S1` frames.  This prints the spec summary, every event with its
+//! binary `S2` frames.  This prints the spec summary, every event with its
 //! index, every checkpoint with the events it covers, its byte count and
 //! whether it re-encodes to its own payload (recovery's usability test),
 //! and any corruption found on the way.  It only reads: it scans and decodes
