@@ -73,8 +73,9 @@ fn journal_config() -> JournalConfig {
         fsync: FsyncPolicy::Never,
         segment_max_bytes: 64 * 1024,
         // No auto-compaction: every rebuild replays the full transcript.
+        // The one explicit compaction validates by replay, outside the
+        // timed loops.
         compact_every: 0,
-        validate_compaction: false,
     }
 }
 

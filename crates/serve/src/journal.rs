@@ -20,11 +20,11 @@
 //!   at a configurable byte size, so one hot session never owns one
 //!   unbounded file and recovery IO is bounded per segment.  The build
 //!   inputs live in `spec.gdrj`, written and fsync'd once at open.
-//! * **Fsync policy.**  [`FsyncPolicy`] trades durability for latency:
-//!   every record, every N records, group-committed by a background
-//!   flusher (appends that arrive while an fsync is in flight share the
-//!   next one), or never (for tests).  Segment rolls always sync the
-//!   sealed segment regardless of policy.
+//! * **Fsync policy.**  [`FsyncPolicy::EveryRecord`], the default, fsyncs
+//!   each record inside [`DiskJournal::append`], so a record is on stable
+//!   storage before the verb that wrote it is answered.
+//!   [`FsyncPolicy::Never`] (tests, benches) leaves flushing to the OS and
+//!   claims no durability.  Segment rolls always sync the sealed segment.
 //! * **Checkpoints.**  Compaction (see [`crate::store::Session::compact`])
 //!   persists the validated session itself as `snap-NNNNNN.gdrs`
 //!   (write-to-temp + fsync + atomic rename): the frame
@@ -43,10 +43,6 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread;
-use std::time::Duration;
 
 use gdr_cfd::RuleSet;
 use gdr_core::config::GdrConfig;
@@ -382,25 +378,12 @@ pub fn team_digest(team: &TeamSession) -> u64 {
 /// When appended records reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every appended record — maximum durability.
+    /// fsync after every appended record, before [`DiskJournal::append`]
+    /// returns.
     EveryRecord,
-    /// fsync after every N appended records (and on segment rolls).
-    EveryN(u32),
-    /// Group commit: appends hand durability to a per-journal background
-    /// flusher, and every record appended while an fsync is in flight is
-    /// covered by the next single fsync.  Under contention this performs
-    /// far fewer fsyncs than [`FsyncPolicy::EveryRecord`] while keeping the
-    /// durability lag bounded by one flush cycle (plus the
-    /// [`GROUP_COMMIT_WINDOW`] coalescing delay); [`DiskJournal::sync`] and
-    /// [`DiskJournal::wait_durable`] still force or await full durability.
-    GroupCommit,
     /// Never fsync explicitly (tests; the OS flushes eventually).
     Never,
 }
-
-/// How long the group-commit flusher waits after waking before it issues
-/// the fsync, so a burst of concurrent appends lands in one flush.
-pub const GROUP_COMMIT_WINDOW: Duration = Duration::from_millis(2);
 
 /// Per-journal tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -412,9 +395,6 @@ pub struct JournalConfig {
     /// Auto-compact the in-memory journal once its tail exceeds this many
     /// events (0 disables auto-compaction; `compact` stays available).
     pub compact_every: usize,
-    /// Validate each compaction snapshot by replaying the tail through the
-    /// public API and comparing digests before adopting it.
-    pub validate_compaction: bool,
 }
 
 impl Default for JournalConfig {
@@ -423,7 +403,6 @@ impl Default for JournalConfig {
             fsync: FsyncPolicy::EveryRecord,
             segment_max_bytes: 64 * 1024,
             compact_every: 64,
-            validate_compaction: true,
         }
     }
 }
@@ -550,106 +529,6 @@ pub struct LoadedJournal {
     pub recovery: RecoveryReport,
 }
 
-/// Shared state between appenders and the group-commit flusher thread.
-#[derive(Debug)]
-struct FlushShared {
-    state: Mutex<FlushState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct FlushState {
-    /// A clone of the active segment's handle (swapped on rolls).
-    file: Option<File>,
-    /// Records appended so far (across segments).
-    written: u64,
-    /// Records known durable: sealed segments are synced on roll, and the
-    /// flusher advances this after each group fsync.
-    synced: u64,
-    shutdown: bool,
-}
-
-impl FlushShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlushState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The background fsync thread behind [`FsyncPolicy::GroupCommit`].
-#[derive(Debug)]
-struct GroupFlusher {
-    shared: Arc<FlushShared>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl GroupFlusher {
-    fn spawn(file: File, syncs: Arc<AtomicU64>) -> GroupFlusher {
-        let shared = Arc::new(FlushShared {
-            state: Mutex::new(FlushState {
-                file: Some(file),
-                written: 0,
-                synced: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = thread::spawn(move || flusher_loop(&thread_shared, &syncs));
-        GroupFlusher {
-            shared,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for GroupFlusher {
-    fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn flusher_loop(shared: &FlushShared, syncs: &AtomicU64) {
-    loop {
-        let shutting_down = {
-            let mut state = shared.lock();
-            while !state.shutdown && state.synced >= state.written {
-                state = shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if state.synced >= state.written {
-                return; // shutdown with nothing pending
-            }
-            state.shutdown
-        };
-        if !shutting_down {
-            // The group window: records appended while this flush spins up
-            // (and while the fsync itself is in flight) ride the same sync.
-            thread::sleep(GROUP_COMMIT_WINDOW);
-        }
-        let (file, target) = {
-            let state = shared.lock();
-            let file = state.file.as_ref().and_then(|f| f.try_clone().ok());
-            (file, state.written)
-        };
-        if let Some(file) = file {
-            let _ = file.sync_all();
-        }
-        syncs.fetch_add(1, Ordering::Relaxed);
-        let mut state = shared.lock();
-        // `max`: a concurrent roll may already have marked everything
-        // durable (it syncs the sealed segment inline); never move back.
-        state.synced = state.synced.max(target);
-        drop(state);
-        shared.cv.notify_all();
-    }
-}
-
 /// The append side of one session's on-disk journal.
 #[derive(Debug)]
 pub struct DiskJournal {
@@ -657,10 +536,8 @@ pub struct DiskJournal {
     active: File,
     active_index: u64,
     active_len: u64,
-    unsynced: u32,
     appended: u64,
-    syncs: Arc<AtomicU64>,
-    flusher: Option<GroupFlusher>,
+    syncs: u64,
     config: JournalConfig,
 }
 
@@ -702,36 +579,25 @@ impl DiskJournal {
         spec_file.write_all(&codec::frame(spec_record))?;
         spec_file.sync_all()?;
         let active = File::create(dir.join(segment_name(0)))?;
-        DiskJournal::assemble(dir, active, 0, 0, config)
+        Ok(DiskJournal::assemble(dir, active, 0, 0, config))
     }
 
-    /// Builds the append handle, spawning the group-commit flusher when the
-    /// policy asks for one.
     fn assemble(
         dir: PathBuf,
         active: File,
         active_index: u64,
         active_len: u64,
         config: JournalConfig,
-    ) -> Result<DiskJournal, JournalError> {
-        let syncs = Arc::new(AtomicU64::new(0));
-        let flusher = match config.fsync {
-            FsyncPolicy::GroupCommit => {
-                Some(GroupFlusher::spawn(active.try_clone()?, Arc::clone(&syncs)))
-            }
-            _ => None,
-        };
-        Ok(DiskJournal {
+    ) -> DiskJournal {
+        DiskJournal {
             dir,
             active,
             active_index,
             active_len,
-            unsynced: 0,
             appended: 0,
-            syncs,
-            flusher,
+            syncs: 0,
             config,
-        })
+        }
     }
 
     /// Whether `dir` holds a journal (i.e. a spec record was written).
@@ -856,7 +722,7 @@ impl DiskJournal {
         let path = dir.join(segment_name(last_index));
         let active = OpenOptions::new().create(true).append(true).open(&path)?;
         let active_len = active.metadata()?.len();
-        let journal = DiskJournal::assemble(dir, active, last_index, active_len, config)?;
+        let journal = DiskJournal::assemble(dir, active, last_index, active_len, config);
         Ok((journal, loaded))
     }
 
@@ -865,13 +731,9 @@ impl DiskJournal {
         &self.dir
     }
 
-    /// The journal's configuration.
-    pub fn config(&self) -> &JournalConfig {
-        &self.config
-    }
-
-    /// Appends one event record, rolling the segment and applying the fsync
-    /// policy as configured.
+    /// Appends one event record, rolling the segment when it is full.  Under
+    /// [`FsyncPolicy::EveryRecord`] the record is on stable storage when
+    /// this returns.
     pub fn append(&mut self, event: &TranscriptEvent) -> Result<(), JournalError> {
         let record = codec::frame(&encode_event(event));
         if self.active_len > 0
@@ -883,25 +745,12 @@ impl DiskJournal {
             self.active_index += 1;
             self.active = File::create(self.dir.join(segment_name(self.active_index)))?;
             self.active_len = 0;
-            if let Some(flusher) = &self.flusher {
-                let clone = self.active.try_clone()?;
-                flusher.shared.lock().file = Some(clone);
-            }
         }
         self.active.write_all(&record)?;
         self.active_len += record.len() as u64;
-        self.unsynced += 1;
         self.appended += 1;
-        let due = match self.config.fsync {
-            FsyncPolicy::EveryRecord => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::GroupCommit | FsyncPolicy::Never => false,
-        };
-        if due {
+        if self.config.fsync == FsyncPolicy::EveryRecord {
             self.sync()?;
-        } else if let Some(flusher) = &self.flusher {
-            flusher.shared.lock().written += 1;
-            flusher.shared.cv.notify_all();
         }
         Ok(())
     }
@@ -909,31 +758,8 @@ impl DiskJournal {
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<(), JournalError> {
         self.active.sync_all()?;
-        self.unsynced = 0;
-        self.syncs.fetch_add(1, Ordering::Relaxed);
-        if let Some(flusher) = &self.flusher {
-            let mut state = flusher.shared.lock();
-            state.synced = state.written;
-            drop(state);
-            flusher.shared.cv.notify_all();
-        }
+        self.syncs += 1;
         Ok(())
-    }
-
-    /// Blocks until every appended record is on stable storage.  A no-op
-    /// outside [`FsyncPolicy::GroupCommit`], where [`DiskJournal::append`]
-    /// already applied the policy inline.
-    pub fn wait_durable(&self) {
-        if let Some(flusher) = &self.flusher {
-            let mut state = flusher.shared.lock();
-            while state.synced < state.written {
-                state = flusher
-                    .shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
     }
 
     /// Records appended through this handle.
@@ -941,9 +767,9 @@ impl DiskJournal {
         self.appended
     }
 
-    /// fsyncs issued through this handle (inline and group-committed).
+    /// fsyncs issued through this handle.
     pub fn syncs(&self) -> u64 {
-        self.syncs.load(Ordering::Relaxed)
+        self.syncs
     }
 
     /// Persists a compaction checkpoint covering the first `events`
@@ -968,7 +794,7 @@ impl DiskJournal {
 impl Drop for DiskJournal {
     fn drop(&mut self) {
         // Best-effort: an evicted or closing session should not lose its
-        // tail to a missing final sync under `FsyncPolicy::EveryN`/`Never`.
+        // tail to a missing final sync under `FsyncPolicy::Never`.
         let _ = self.active.sync_all();
     }
 }

@@ -3,9 +3,9 @@
 //! Serves many concurrent Guided Data Repair sessions ([`gdr_core::step`]'s
 //! pull-based engines) over a line-delimited JSON protocol.  Std-only by
 //! design: the codec ([`json`]/[`wire`]) is hand-rolled, the transport is
-//! `std::net::TcpListener` / any `Read + Write` pair, and the server
-//! ([`server::ServerConfig`]) gives each connection a blocking reader and
-//! writer thread in front of a bounded worker pool, over a **sharded**
+//! `std::net::TcpListener`, and the server ([`server::ServerConfig`])
+//! gives each connection a blocking reader and writer thread in front of
+//! a bounded worker pool, over a **sharded**
 //! [`store::SessionStore`] ([`store::STORE_SHARDS`] FNV-routed shards, so
 //! traffic on one session never contends on another's shard lock).
 //!
@@ -183,16 +183,12 @@
 //!   refuses the `S1` spec record, so such a session fails to recover with
 //!   a typed `journal` error naming the magic, its files are left as they
 //!   are, and every other session keeps serving.
-//! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (default),
-//!   `EveryN(n)`, `GroupCommit`, or `Never`; sealed segments are always
-//!   synced.  `GroupCommit` hands fsyncs to a background flusher: appends
-//!   return after the buffered write, and every record that lands while an
-//!   fsync is in flight is folded into the next one (a ~2ms coalescing
-//!   window), so concurrent verbs cost far fewer fsyncs than `EveryRecord`;
-//!   [`journal::DiskJournal::wait_durable`] is the hard barrier that blocks
-//!   until everything appended so far is on stable storage.  Disk is
-//!   written *before* RAM, so the in-memory journal never claims more than
-//!   stable storage plus the configured fsync window.
+//! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (the
+//!   default) fsyncs each record before its verb replies, so every
+//!   acknowledged verb is on stable storage; `Never` (tests, benches)
+//!   leaves flushing to the OS.  Sealed segments are always synced.  Disk
+//!   is written *before* RAM, so the in-memory journal never claims more
+//!   than stable storage.
 //! * **Corruption semantics** — recovery scans for the longest valid record
 //!   prefix: the first torn, short, malformed, or checksum-failing record
 //!   truncates its segment (persisted with `set_len`, so repair is
@@ -276,9 +272,7 @@ pub use journal::{
     team_digest, DiskJournal, FsyncPolicy, JournalConfig, JournalError, RecoveryReport,
 };
 pub use json::{Json, JsonError};
-pub use server::{
-    dispatch, dispatch_with, serve_connection, ServerConfig, ServerLimits, MAX_FRAME_BYTES,
-};
+pub use server::{dispatch, dispatch_with, ServerConfig, ServerLimits, MAX_FRAME_BYTES};
 pub use store::{
     CompactionStats, DurabilityConfig, OpenSpec, Session, SessionJournal, SessionOptions,
     SessionStore, StoreError, TranscriptEvent, STORE_SHARDS,

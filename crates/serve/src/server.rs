@@ -1,20 +1,15 @@
-//! The session server: request dispatch plus two transports.
+//! The session server: request dispatch ([`dispatch_with`]) plus the
+//! threaded TCP transport around it.
 //!
-//! Both transports share one dispatch core ([`dispatch_with`]) and one
-//! frame reader, which answers a request line longer than
-//! [`MAX_FRAME_BYTES`] with `bad_request` and goes on serving.
-//!
-//! * [`serve_connection`] runs the protocol **blocking and in order** over
-//!   any `Read + Write` pair (a TCP stream, stdio, an in-memory pipe in
-//!   tests) — one request, one reply, strictly sequential.  `seq` tags are
-//!   echoed but confer no reordering; this is the reference semantics.
-//! * [`ServerConfig::serve`] runs the **threaded TCP server**.  The calling
-//!   thread accepts.  Each connection gets a reader thread, which decodes
-//!   requests, and a writer thread, which writes replies; requests run on a
-//!   pool of [`ServerConfig::workers`] threads, so one slow engine verb
-//!   never blocks other connections — or other `seq`-tagged requests on
-//!   the *same* connection.  All I/O is blocking, so an idle server waits
-//!   in `accept`/`read` and burns no CPU.
+//! [`ServerConfig::serve`] runs the server.  The calling thread accepts.
+//! Each connection gets a reader thread, which decodes requests, and a
+//! writer thread, which writes replies; requests run on a pool of
+//! [`ServerConfig::workers`] threads, so one slow engine verb never blocks
+//! other connections — or other `seq`-tagged requests on the *same*
+//! connection.  All I/O is blocking, so an idle server waits in
+//! `accept`/`read` and burns no CPU.  A request line longer than
+//! [`MAX_FRAME_BYTES`] is answered with `bad_request`, and the connection
+//! goes on serving.
 //!
 //! Ordering: requests without `seq` are processed one at a time, in
 //! arrival order, per connection (the legacy contract); requests with
@@ -80,9 +75,9 @@ impl Default for ServerLimits {
 
 /// Handles one decoded request against the store, producing the reply.
 ///
-/// This is the entire server semantics; the transports below only frame
+/// This is the entire server semantics; the transport below only frames
 /// lines around it.  `hello` advertises [`ServerLimits::default`];
-/// transports with tuned limits use [`dispatch_with`].
+/// a server with tuned limits uses [`dispatch_with`].
 pub fn dispatch(store: &SessionStore, request: Request) -> Response {
     dispatch_with(store, request, &ServerLimits::default())
 }
@@ -388,7 +383,7 @@ fn store_error(error: StoreError) -> WireError {
     }
 }
 
-/// Longest request line either transport reads, in bytes, not counting its
+/// Longest request line the server reads, in bytes, not counting its
 /// newline.  A 100k-row `open` is about 10 MB.  A longer line is answered
 /// with `bad_request`; the rest of it is discarded up to the next newline
 /// and the connection goes on serving.
@@ -437,29 +432,6 @@ fn reply_line(response: &Response, seq: Option<u64>) -> String {
     let mut line = encode_response_frame(response, seq);
     line.push('\n');
     line
-}
-
-/// Serves one connection **blocking and strictly in order**: reads request
-/// lines until EOF, writing one reply line per request.  Blank lines are
-/// ignored; malformed or over-long lines get a `bad_request` reply and the
-/// connection continues.  `seq` tags are echoed on replies but do not
-/// reorder them — this is the reference semantics the threaded server must
-/// agree with.
-pub fn serve_connection(
-    store: &SessionStore,
-    reader: impl Read,
-    mut writer: impl Write,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(reader);
-    while let Some((seq, decoded)) = read_frame(&mut reader)? {
-        let response = match decoded {
-            Ok(request) => dispatch(store, request),
-            Err(detail) => Response::Error(WireError::BadRequest { detail }),
-        };
-        writer.write_all(reply_line(&response, seq).as_bytes())?;
-        writer.flush()?;
-    }
-    Ok(())
 }
 
 /// Tuning knobs for the threaded TCP server.

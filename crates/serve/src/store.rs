@@ -33,8 +33,8 @@
 //! Replaying from the `open` verb makes restore cost grow with session
 //! length, and so does the in-memory transcript.  [`Session::compact`]
 //! bounds both: it encodes the live session once
-//! ([`TeamSession::state_bytes`]), validates (by default) that replaying
-//! the current journal re-encodes to the same bytes, frames them, writes
+//! ([`TeamSession::state_bytes`]), validates that replaying the current
+//! journal re-encodes to the same bytes, frames them, writes
 //! them as the on-disk checkpoint in durable mode, and only then installs
 //! the frame as the journal's new replay base and drops the replayed prefix
 //! from RAM.  From then on `replay` is "decode snapshot + replay short
@@ -48,7 +48,8 @@
 //!
 //! A store created with [`SessionStore::durable`] additionally writes every
 //! journal to disk ([`crate::journal::DiskJournal`]): the spec at open,
-//! every event as it is applied (fsync'd per the configured policy), and a
+//! every event as it is applied (fsync'd before the verb returns under the
+//! default [`crate::journal::FsyncPolicy::EveryRecord`]), and a
 //! checkpoint at each compaction.  Sessions rehydrate transparently
 //! on the next verb after a crash or an eviction — [`SessionStore::get`]
 //! falls back to the on-disk journal when the id is not live — and idle
@@ -74,7 +75,9 @@
 //! eviction commits under the victim's shard lock after re-validation
 //! (still present, still idle, not touched since) — borrowers clone the
 //! session `Arc` under the shard lock, so a session observed idle under
-//! that lock cannot gain a borrower while it is evicted.  Poisoned locks
+//! that lock cannot gain a borrower while it is evicted.  Each shard also
+//! has a claim lock, held while a session is created or rehydrated and
+//! inserted, so a session id never has two live copies.  Poisoned locks
 //! are recovered (`PoisonError::into_inner`): a panicking worker must not
 //! take every other session down, and `restore` rebuilds a
 //! definitely-consistent engine from the journal if a panic left the live
@@ -85,7 +88,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gdr_cfd::RuleSet;
 use gdr_core::config::GdrConfig;
@@ -467,8 +470,6 @@ pub struct CompactionStats {
     pub events: usize,
     /// Tail events dropped from RAM by this compaction.
     pub dropped: usize,
-    /// Whether the snapshot was validated by replay before adoption.
-    pub validated: bool,
 }
 
 /// How to construct a [`Session`]: journal tunables plus optional on-disk
@@ -498,8 +499,8 @@ impl SessionOptions {
         SessionOptions::default()
     }
 
-    /// Sets the journal tunables (auto-compaction cadence, validation,
-    /// segment size, fsync policy).
+    /// Sets the journal tunables (auto-compaction cadence, segment size,
+    /// fsync policy).
     pub fn journal(mut self, config: JournalConfig) -> SessionOptions {
         self.journal = config;
         self
@@ -508,7 +509,8 @@ impl SessionOptions {
     /// Also writes the journal to `dir` on disk.  The directory is claimed
     /// atomically at open (a concurrent create of the same dir fails), the
     /// spec record is fsync'd before the engine is built, and every
-    /// subsequent event is appended per the configured fsync policy.
+    /// subsequent event is appended (and fsync'd, under the default policy)
+    /// before its verb returns.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> SessionOptions {
         self.durable_dir = Some(dir.into());
         self
@@ -523,7 +525,7 @@ impl SessionOptions {
             Some(dir) => Some(DiskJournal::create_from_record(dir, &record, self.journal)?),
             None => None,
         };
-        Ok(Session::start(spec, record, self.journal, disk))
+        Ok(Session::start(spec.build(), record, self.journal, disk))
     }
 }
 
@@ -539,16 +541,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds the engine from `spec`, whose spec record is `record`, and
-    /// starts a session journaling to `disk`, when given.
+    /// Starts a session on `team`, freshly built from the spec whose record
+    /// is `record`, journaling to `disk`, when given.
     fn start(
-        spec: OpenSpec,
+        team: TeamSession,
         record: Vec<u8>,
         config: JournalConfig,
         disk: Option<DiskJournal>,
     ) -> Session {
         Session {
-            team: spec.build(),
+            team,
             journal: SessionJournal::from_record(record, Vec::new()),
             config,
             disk,
@@ -620,15 +622,15 @@ impl Session {
     }
 
     /// The on-disk journal itself, when this session is durable — for
-    /// durability waits and fsync accounting ([`DiskJournal::wait_durable`],
-    /// [`DiskJournal::appends`], [`DiskJournal::syncs`]).
+    /// append and fsync accounting ([`DiskJournal::appends`],
+    /// [`DiskJournal::syncs`]).
     pub fn disk(&self) -> Option<&DiskJournal> {
         self.disk.as_ref()
     }
 
     /// Appends an applied event to the journals — disk first (so the
-    /// in-memory journal never claims more than stable storage plus the
-    /// fsync window), then RAM — and auto-compacts when the tail is due.
+    /// in-memory journal never claims more than stable storage), then RAM —
+    /// and auto-compacts when the tail is due.
     /// On a disk error the event is journaled **nowhere** even though the
     /// engine applied it: the caller gets [`GdrError::Journal`], and a
     /// `restore` (or crash recovery) rolls back to the last durable record,
@@ -817,38 +819,31 @@ impl Session {
     /// cold restart loads it and replays only the journal tail — and then
     /// installs the same bytes as the replay base and drops the absorbed
     /// tail from RAM.
-    /// When [`JournalConfig::validate_compaction`] is set the snapshot is
-    /// only adopted after a replay of the current journal (and of a pending
-    /// pull) re-encodes to the live payload byte for byte — a divergence
-    /// (which would make the snapshot lie) fails with [`GdrError::Journal`]
-    /// and leaves the journal untouched.
+    /// The snapshot is only adopted after a replay of the current journal
+    /// (and of a pending pull) re-encodes to the live payload byte for
+    /// byte — a divergence (which would make the snapshot lie) fails with
+    /// [`GdrError::Journal`] and leaves the journal untouched.
     pub fn compact(&mut self) -> Result<CompactionStats, GdrError> {
         let events = self.journal.events_total();
         let dropped = self.journal.tail.len();
         let live = self.team.state_bytes();
-        if self.config.validate_compaction {
-            let rebuilt = self.replayed()?.state_bytes();
-            if rebuilt != live {
-                return Err(GdrError::Journal {
-                    detail: format!(
-                        "compaction validation failed: replayed digest {:016x} != \
-                         live digest {:016x} after {events} events",
-                        fnv1a64(&rebuilt),
-                        fnv1a64(&live)
-                    ),
-                });
-            }
+        let rebuilt = self.replayed()?.state_bytes();
+        if rebuilt != live {
+            return Err(GdrError::Journal {
+                detail: format!(
+                    "compaction validation failed: replayed digest {:016x} != \
+                     live digest {:016x} after {events} events",
+                    fnv1a64(&rebuilt),
+                    fnv1a64(&live)
+                ),
+            });
         }
         let frame = codec::frame(&live);
         if let Some(disk) = &mut self.disk {
             disk.record_checkpoint(events, &frame)?;
         }
         self.journal.install_snapshot(frame, dropped);
-        Ok(CompactionStats {
-            events,
-            dropped,
-            validated: self.config.validate_compaction,
-        })
+        Ok(CompactionStats { events, dropped })
     }
 
     /// The journal replayed, then the pending pull re-run when there is one
@@ -993,7 +988,21 @@ impl ShardMap {
     }
 }
 
-type Shard = Mutex<ShardMap>;
+/// One shard: its session map, and the claim lock held while a session of
+/// the shard is created or rehydrated and inserted.  Replay runs under the
+/// claim lock only, so it never stalls the shard's live sessions, and a
+/// second claimant of the same id waits, then finds the first one's copy.
+#[derive(Default)]
+struct Shard {
+    map: Mutex<ShardMap>,
+    claim: Mutex<()>,
+}
+
+impl Shard {
+    fn map(&self) -> MutexGuard<'_, ShardMap> {
+        lock_recovering(&self.map)
+    }
+}
 
 /// A thread-safe, sharded map of sessions keyed by id (see the
 /// [module docs](self) for the locking design).
@@ -1093,7 +1102,7 @@ impl SessionStore {
     /// Inserts an already-built session into `id`'s shard, bumping the live
     /// counter under the shard lock; fails if the id was inserted meanwhile.
     fn insert(&self, id: &str, session: Arc<Mutex<Session>>) -> Result<(), StoreError> {
-        let mut shard = lock_recovering(self.shard(id));
+        let mut shard = self.shard(id).map();
         if shard.sessions.contains_key(id) {
             return Err(StoreError::DuplicateSession(id.to_string()));
         }
@@ -1104,37 +1113,41 @@ impl SessionStore {
 
     /// Creates a session under `id`.
     pub fn open(&self, id: &str, spec: OpenSpec) -> Result<Arc<Mutex<Session>>, StoreError> {
+        let shard = self.shard(id);
         // Cheap duplicate pre-check so a racing re-open does not pay for a
         // doomed engine build.  For durable stores the check covers disk
         // too: an evicted session is still *the* session under its id.
-        if lock_recovering(self.shard(id)).sessions.contains_key(id) {
-            return Err(StoreError::DuplicateSession(id.to_string()));
-        }
-        if self.existing_session_dir(id).is_some() {
+        if shard.map().sessions.contains_key(id) || self.existing_session_dir(id).is_some() {
             return Err(StoreError::DuplicateSession(id.to_string()));
         }
         // Build the engine (violation detection, suggestion generation —
-        // potentially large) *outside* any shard lock so concurrent
-        // requests — even on sessions of the same shard — are never stalled
-        // behind an open.  In durable mode the journal directory is claimed
-        // atomically first, so a racing open of the same id loses at the
-        // filesystem.
+        // potentially large) *outside* any lock so concurrent requests —
+        // even on sessions of the same shard — are never stalled behind an
+        // open.
         let record = encode_spec(&spec);
-        let (config, disk) = match (&self.durability, self.session_dir(id)) {
-            (Some(durability), Some(dir)) => {
-                let disk = match DiskJournal::create_from_record(dir, &record, durability.journal) {
-                    Ok(disk) => disk,
-                    Err(JournalError::Exists { .. }) => {
-                        return Err(StoreError::DuplicateSession(id.to_string()))
+        let team = spec.build();
+        // Claim the id and insert under the claim lock, so a `get` never
+        // finds the journal without the session.  In durable mode the
+        // journal directory is the claim: a racing open of the same id loses
+        // at the filesystem.
+        let session = {
+            let _claim = lock_recovering(&shard.claim);
+            let (config, disk) = match (&self.durability, self.session_dir(id)) {
+                (Some(durability), Some(dir)) => {
+                    match DiskJournal::create_from_record(dir, &record, durability.journal) {
+                        Ok(disk) => (durability.journal, Some(disk)),
+                        Err(JournalError::Exists { .. }) => {
+                            return Err(StoreError::DuplicateSession(id.to_string()))
+                        }
+                        Err(err) => return Err(StoreError::Gdr(err.into())),
                     }
-                    Err(err) => return Err(StoreError::Gdr(err.into())),
-                };
-                (durability.journal, Some(disk))
-            }
-            _ => (JournalConfig::default(), None),
+                }
+                _ => (JournalConfig::default(), None),
+            };
+            let session = Arc::new(Mutex::new(Session::start(team, record, config, disk)));
+            self.insert(id, session.clone())?;
+            session
         };
-        let session = Arc::new(Mutex::new(Session::start(spec, record, config, disk)));
-        self.insert(id, session.clone())?;
         // Session drops (final journal sync) happen here, outside any lock.
         drop(self.evict_over_budget());
         Ok(session)
@@ -1143,33 +1156,31 @@ impl SessionStore {
     /// Looks up a session by id, rehydrating it from its on-disk journal
     /// when the store is durable and the session is not live in RAM.
     pub fn get(&self, id: &str) -> Result<Arc<Mutex<Session>>, StoreError> {
-        let stamp = self.stamp();
-        if let Some(session) = lock_recovering(self.shard(id)).touch(id, stamp) {
+        let shard = self.shard(id);
+        if let Some(session) = shard.map().touch(id, self.stamp()) {
             return Ok(session);
         }
         let Some(config) = &self.durability else {
             return Err(StoreError::UnknownSession(id.to_string()));
         };
-        let Some(dir) = self.existing_session_dir(id) else {
-            return Err(StoreError::UnknownSession(id.to_string()));
-        };
-        // Rehydrate outside the shard lock: replay can be expensive and
-        // must not stall every other session.  A concurrent rehydrate of
-        // the same id is resolved below — first insert wins, the loser's
-        // copy is dropped (its append handle wrote nothing).
-        let (session, _recovery) = Session::rehydrate(&dir, config.journal)?;
-        let session = Arc::new(Mutex::new(session));
-        if self.insert(id, session.clone()).is_err() {
-            // Lost the rehydration race; serve the winner's copy.
-            let shard = lock_recovering(self.shard(id));
-            if let Some(entry) = shard.sessions.get(id) {
-                return Ok(entry.session.clone());
+        // Rehydrate under the claim lock, then look again: a concurrent
+        // caller for the same id may have rehydrated it meanwhile.  Two
+        // copies would both own the directory — a second `DiskJournal::load`
+        // repairs files under the first copy's append handle — and a copy
+        // loaded before the first one's verbs would miss them.
+        let session = {
+            let _claim = lock_recovering(&shard.claim);
+            if let Some(session) = shard.map().touch(id, self.stamp()) {
+                return Ok(session);
             }
-            // Winner already evicted again — extraordinarily unlikely, but
-            // our fully-replayed copy is just as correct, so retry-insert
-            // is not needed; hand it out untracked.
-            return Ok(session);
-        }
+            let Some(dir) = self.existing_session_dir(id) else {
+                return Err(StoreError::UnknownSession(id.to_string()));
+            };
+            let (session, _recovery) = Session::rehydrate(&dir, config.journal)?;
+            let session = Arc::new(Mutex::new(session));
+            self.insert(id, session.clone())?;
+            session
+        };
         drop(self.evict_over_budget());
         Ok(session)
     }
@@ -1196,7 +1207,7 @@ impl SessionStore {
         while self.live.load(Ordering::Acquire) > config.max_live_sessions {
             let mut victim: Option<(usize, String, u64)> = None;
             for (index, shard) in self.shards.iter().enumerate() {
-                if let Some((stamp, id)) = lock_recovering(shard).idle_candidate() {
+                if let Some((stamp, id)) = shard.map().idle_candidate() {
                     if victim.as_ref().is_none_or(|(_, _, t)| stamp < *t) {
                         victim = Some((index, id, stamp));
                     }
@@ -1205,7 +1216,7 @@ impl SessionStore {
             let Some((index, id, last_used)) = victim else {
                 break; // Everything over the cap is currently borrowed.
             };
-            let mut shard = lock_recovering(&self.shards[index]);
+            let mut shard = self.shards[index].map();
             // Re-validate under the shard lock: the candidate may have been
             // borrowed, touched, or removed since its shard reported it.
             let still_idle = shard.sessions.get(&id).is_some_and(|entry| {
@@ -1226,7 +1237,11 @@ impl SessionStore {
     /// Removes a session — from RAM and, in durable mode, from disk.
     /// Returns whether it existed anywhere.
     pub fn remove(&self, id: &str) -> bool {
-        let entry = lock_recovering(self.shard(id)).remove(id);
+        // Under the claim lock, so no `get` rehydrates a half-deleted
+        // directory.
+        let shard = self.shard(id);
+        let _claim = lock_recovering(&shard.claim);
+        let entry = shard.map().remove(id);
         let lived = entry.is_some();
         if lived {
             self.live.fetch_sub(1, Ordering::AcqRel);
@@ -1254,7 +1269,7 @@ impl SessionStore {
 /// panicked mid-request must not deny every later request.  (For a session
 /// whose engine might have been left mid-mutation, `restore` rebuilds a
 /// consistent one from the journal.)
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

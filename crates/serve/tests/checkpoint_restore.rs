@@ -29,7 +29,6 @@ fn journal_config() -> JournalConfig {
         fsync: FsyncPolicy::Never,
         segment_max_bytes: 16 * 1024,
         compact_every: 0,
-        validate_compaction: true,
     }
 }
 

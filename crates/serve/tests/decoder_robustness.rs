@@ -71,7 +71,6 @@ fn recorded() -> &'static Recorded {
                 fsync: FsyncPolicy::Never,
                 segment_max_bytes: 1 << 20,
                 compact_every: 8,
-                validate_compaction: true,
             })
             .durable(dir.path())
             .open(spec)

@@ -20,12 +20,9 @@ use gdr_serve::store::{Session, SessionJournal, SessionOptions, TranscriptEvent}
 
 fn journal_config() -> JournalConfig {
     JournalConfig {
-        // A batched policy (unlike the fault suite's `Never` and the
-        // default `EveryRecord`) so all three fsync modes see coverage.
-        fsync: FsyncPolicy::EveryN(3),
+        fsync: FsyncPolicy::EveryRecord,
         segment_max_bytes: 256,
         compact_every: 7,
-        validate_compaction: true,
     }
 }
 

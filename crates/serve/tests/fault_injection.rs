@@ -62,7 +62,6 @@ fn journal_config() -> JournalConfig {
         // Aggressive auto-compaction so checkpoints are recorded and must
         // be ignored/validated on recovery.
         compact_every: 5,
-        validate_compaction: true,
     }
 }
 

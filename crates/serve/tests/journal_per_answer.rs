@@ -11,10 +11,14 @@
 //! grant, a clock-ticking wait, an accepted `*_as` verb (whose record also
 //! carries the resolutions it committed), a release that held, `finish`.
 //! Replay cross-checks each carried resolution, so a rewritten one fails.
+//! Two reviewer threads contending on one durable store still fsync every
+//! record, and the journal reloads complete.
 
 mod common;
 
 use std::fs;
+use std::sync::Arc;
+use std::thread;
 
 use common::{drive_one, figure1_spec, fingerprint, TempDir};
 use gdr_core::config::GdrConfig;
@@ -29,14 +33,16 @@ use gdr_repair::Feedback;
 use gdr_serve::journal::{
     decode_event, encode_event, scan_records, team_digest, FsyncPolicy, JournalConfig,
 };
-use gdr_serve::store::{OpenSpec, Session, SessionJournal, SessionOptions, TranscriptEvent};
+use gdr_serve::store::{
+    DurabilityConfig, OpenSpec, Session, SessionJournal, SessionOptions, SessionStore,
+    TranscriptEvent,
+};
 
 fn journal_config() -> JournalConfig {
     JournalConfig {
         fsync: FsyncPolicy::EveryRecord,
         segment_max_bytes: 1 << 20,
         compact_every: 0,
-        validate_compaction: true,
     }
 }
 
@@ -362,4 +368,87 @@ fn a_rewritten_carried_resolution_fails_replay() {
         Err(other) => panic!("expected a journal error, got {other:?}"),
         Ok(_) => panic!("a rewritten resolution replayed cleanly"),
     }
+}
+
+#[test]
+fn contending_reviewer_threads_fsync_every_record_and_reload_complete() {
+    let config = JournalConfig {
+        segment_max_bytes: 8 * 1024,
+        ..journal_config()
+    };
+    let root = TempDir::new("contended-verbs");
+    let mut durability = DurabilityConfig::new(root.path());
+    durability.journal = config;
+    let store = Arc::new(SessionStore::durable(durability).expect("durable store"));
+    let spec = || figure1_spec(Strategy::GdrNoLearning, true);
+    store.open("s", spec()).expect("open");
+
+    let workers: Vec<_> = ["a", "b"]
+        .map(|reviewer| {
+            let store = Arc::clone(&store);
+            thread::spawn(move || {
+                let oracle = GroundTruthOracle::new(spec().ground_truth.expect("truth"));
+                for _ in 0..4_000 {
+                    let done = store
+                        .with_session("s", |s| match s.lease(reviewer)? {
+                            TeamPlan::Ask { id, update } => {
+                                let feedback = {
+                                    let current =
+                                        s.engine().state().table().cell(update.tuple, update.attr);
+                                    oracle.feedback(&update, current)
+                                };
+                                s.answer_as(reviewer, id, feedback)?;
+                                Ok(false)
+                            }
+                            TeamPlan::Fix { id, cell, current } => {
+                                match oracle.correct_value(cell.0, cell.1) {
+                                    Some(value) if value != current => {
+                                        s.supply_as(reviewer, id, value)?;
+                                    }
+                                    _ => s.skip_as(reviewer, id)?,
+                                }
+                                Ok(false)
+                            }
+                            TeamPlan::Wait => Ok(false),
+                            TeamPlan::Done(_) => Ok(true),
+                        })
+                        .expect("verb");
+                    if done {
+                        return;
+                    }
+                }
+                panic!("reviewer {reviewer} did not converge");
+            })
+        })
+        .into_iter()
+        .collect();
+    for worker in workers {
+        worker.join().expect("reviewer thread");
+    }
+
+    let (appends, syncs, events, fp, dir) = store
+        .with_session("s", |s| {
+            s.finish()?;
+            let disk = s.disk().expect("durable session");
+            Ok((
+                disk.appends(),
+                disk.syncs(),
+                s.journal().events_total(),
+                fingerprint(s.engine()),
+                s.disk_dir().expect("dir").to_path_buf(),
+            ))
+        })
+        .expect("inspect");
+    drop(store);
+    assert!(events > 50, "workload too small: {events} events");
+    assert!(
+        syncs >= appends,
+        "every record must be fsynced: {syncs} fsyncs for {appends} appends"
+    );
+
+    // Cold reload: the journal is complete and replays to the live state.
+    let (session, recovery) = Session::rehydrate(&dir, config).expect("rehydrate");
+    assert!(recovery.clean(), "{recovery:?}");
+    assert_eq!(session.journal().events_total(), events);
+    assert_eq!(fingerprint(session.engine()), fp);
 }

@@ -683,10 +683,9 @@ fn leases_verb_round_trips_through_the_client() {
 
 fn journal_config() -> JournalConfig {
     JournalConfig {
-        fsync: FsyncPolicy::EveryN(3),
+        fsync: FsyncPolicy::EveryRecord,
         segment_max_bytes: 256,
         compact_every: 7,
-        validate_compaction: true,
     }
 }
 

@@ -4,16 +4,23 @@
 //! sessions are never evicted, in-memory stores never evict at all, and a
 //! session whose lock was poisoned by a panicking connection thread stays
 //! servable (regression for the `lock_recovering` + `restore` path).
+//! Concurrent lookups of an evicted session share one rehydrated copy.
 
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use common::{drive_one, figure1_spec, fingerprint, TempDir};
+use gdr_core::config::GdrConfig;
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy;
-use gdr_serve::store::{DurabilityConfig, SessionOptions, SessionStore, StoreError};
+use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
+use gdr_serve::journal::{team_digest, JournalConfig};
+use gdr_serve::store::{
+    DurabilityConfig, OpenSpec, Session, SessionOptions, SessionStore, StoreError,
+};
 
 fn durable_store(root: &TempDir, max_live: usize) -> SessionStore {
     let mut config = DurabilityConfig::new(root.path());
@@ -182,4 +189,105 @@ fn poisoned_session_lock_stays_servable() {
     store
         .with_session("p", |s| s.finish().map(|_| ()))
         .expect("finish after poison");
+}
+
+/// Regression: every caller that missed the map used to rehydrate its own
+/// copy of an evicted session.  The second copy's `DiskJournal::load` could
+/// delete the checkpoint temp file the first copy was about to rename, or
+/// cut a record the first copy was appending; and a second copy inserted
+/// after the first had served a verb and been evicted again missed that
+/// verb.  Now one caller rehydrates under the shard's claim lock and the
+/// rest find its copy.  Each round evicts the session, releases six
+/// threads at one `get`, and one of them drives a verb, which compacts,
+/// while the others may still be looking the session up.
+#[test]
+fn concurrent_gets_of_an_evicted_session_share_one_rehydrated_copy() {
+    const THREADS: usize = 6;
+    const ROUNDS: usize = 60;
+    let data = generate_hospital_dataset(&HospitalConfig {
+        tuples: 120,
+        dirty_fraction: 0.4,
+        seed: 11,
+        extra_cities: 2,
+    });
+    let spec = || {
+        let mut spec = OpenSpec::new(data.dirty.clone(), data.rules.clone());
+        spec.strategy = Strategy::GdrNoLearning;
+        spec.config = GdrConfig::fast();
+        spec.ground_truth = Some(data.clean.clone());
+        spec
+    };
+    let journal = JournalConfig {
+        compact_every: 1,
+        ..JournalConfig::default()
+    };
+    let root = TempDir::new("evict-race");
+    let mut config = DurabilityConfig::new(root.path());
+    config.max_live_sessions = 1;
+    config.journal = journal;
+    let store = SessionStore::durable(config).expect("durable store");
+    let oracle = GroundTruthOracle::new(data.clean.clone());
+    drop(store.open("target", spec()).expect("open target"));
+    let barrier = Barrier::new(THREADS);
+    let mut live = store
+        .with_session("target", |s| Ok(fingerprint(s.engine())))
+        .expect("fingerprint");
+
+    for round in 0..ROUNDS {
+        // Touching the other session over the cap of one evicts the target.
+        match round {
+            0 => drop(store.open("other", spec()).expect("open other")),
+            _ => drop(store.get("other").expect("get other")),
+        }
+        assert_eq!(store.len(), 1, "round {round}: the target stayed live");
+        let handles: Vec<_> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (store, barrier, oracle, live) = (&store, &barrier, &oracle, &live);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let session = store.get("target").expect("get target");
+                        if thread == 0 {
+                            let mut guard = session.lock().expect("session lock");
+                            assert_eq!(
+                                fingerprint(guard.engine()),
+                                *live,
+                                "round {round}: the rehydrated copy diverged"
+                            );
+                            if !drive_one(&mut guard, oracle) {
+                                guard.finish().expect("finish");
+                            }
+                        }
+                        session
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().expect("worker"))
+                .collect()
+        });
+        for handle in &handles[1..] {
+            assert!(
+                Arc::ptr_eq(&handles[0], handle),
+                "round {round}: two copies of one session were handed out"
+            );
+        }
+        live = fingerprint(handles[0].lock().expect("session lock").engine());
+    }
+
+    let (digest, dir) = store
+        .with_session("target", |s| {
+            assert_eq!(fingerprint(s.engine()), live);
+            Ok((
+                team_digest(s.team()),
+                s.disk_dir().expect("dir").to_path_buf(),
+            ))
+        })
+        .expect("inspect");
+    drop(store);
+    let (cold, recovery) = Session::rehydrate(&dir, journal).expect("cold rehydrate");
+    assert!(recovery.clean(), "{recovery:?}");
+    assert_eq!(fingerprint(cold.engine()), live);
+    assert_eq!(team_digest(cold.team()), digest);
 }

@@ -1,7 +1,7 @@
-//! Transport limits of the threaded server and of `serve_connection`: a
-//! client that never reads its replies cannot stall another connection,
-//! and an over-long or over-nested request line costs its sender a
-//! `bad_request` reply, never the connection or the server.
+//! Transport limits of the threaded server: a client that never reads its
+//! replies cannot stall another connection, and an over-long or
+//! over-nested request line costs its sender a `bad_request` reply, never
+//! the connection or the server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -15,8 +15,7 @@ use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy;
 use gdr_relation::csv::to_csv;
 use gdr_serve::client::{Client, OpenOptions};
-use gdr_serve::server::{serve_connection, ServerConfig, MAX_FRAME_BYTES};
-use gdr_serve::store::SessionStore;
+use gdr_serve::server::{ServerConfig, MAX_FRAME_BYTES};
 use gdr_serve::wire::{
     decode_response_frame, encode_request_frame, Request, Response, WireError, PROTOCOL_VERSION,
 };
@@ -145,14 +144,6 @@ fn an_over_long_line_is_refused_and_the_connection_keeps_serving() {
     assert_bad_request_then_hello(&mut replies);
     drop((stream, replies));
     server.join().expect("server thread").expect("serve");
-}
-
-#[test]
-fn serve_connection_refuses_an_over_long_line_too() {
-    let store = SessionStore::new();
-    let mut out = Vec::new();
-    serve_connection(&store, over_long_line_then_hello().as_slice(), &mut out).expect("serve");
-    assert_bad_request_then_hello(&mut out.as_slice());
 }
 
 /// Blank lines that arrive with a bare request do not hold its reply back:
