@@ -45,15 +45,10 @@ import sys
 # CI runners are noisy; only flag order-of-magnitude regressions by default.
 DEFAULT_TOLERANCE = 3.0
 
-# Per-file default overrides.  The parallel_scale suite times multi-second
-# 1M-row runs with tiny sample counts (and its threaded `tN` variants are
-# pure overhead on single-CPU runners), so it jitters far more than the
-# microbenches and gets a looser leash across the board.  serve_throughput
-# round-trips a real loopback TCP socket through per-connection reader and
-# writer threads and a worker pool, so its timings ride scheduler and
-# network-stack jitter.
+# Per-file default overrides.  serve_throughput round-trips a real loopback
+# TCP socket through per-connection reader and writer threads and a worker
+# pool, so its timings ride scheduler and network-stack jitter.
 FILE_TOLERANCES = {
-    "BENCH_parallel_scale.json": 5.0,
     "BENCH_serve_throughput.json": 5.0,
     # Loopback TCP through the threaded server, like serve_throughput.
     "BENCH_multi_reviewer.json": 5.0,

@@ -1,21 +1,14 @@
-//! Criterion bench: thread-pool scaling of the two O(table) hot paths —
-//! sharded violation-engine construction and initial possible-update
-//! generation — on scaled hospital datasets (8k / 100k / 1M rows, worker
-//! counts 1/2/4/8).
+//! Criterion bench: the two O(table) construction paths — violation-engine
+//! build and initial possible-update generation — on scaled hospital
+//! datasets (8k / 100k / 1M rows).
 //!
-//! `t1` runs the sequential code path (the pool inlines single-worker work),
-//! so `tN / t1` per size is the measured speedup.  On a single-CPU container
-//! the threaded variants can only show overhead, not speedup; the suite
-//! exists so the same ids become meaningful on multi-core hardware, and so
-//! regressions in the sequential path (`t1`) are gated either way.
+//! Construction is sequential; the `t1` suffix keeps the ids of earlier
+//! baselines comparable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_cfd::ViolationEngine;
 use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
-use gdr_relation::ThreadPool;
 use gdr_repair::RepairState;
-
-const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// Per-size measurement budget: (sample_size, measurement_time, warm_up).
 fn budget(tuples: usize) -> (usize, std::time::Duration, std::time::Duration) {
@@ -38,36 +31,31 @@ fn bench_parallel_scale(c: &mut Criterion) {
         group.warm_up_time(warm_up);
 
         let data = generate_hospital_dataset(&HospitalConfig::at_scale(tuples));
-        for &threads in THREAD_COUNTS {
-            let pool = ThreadPool::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new("build_engine", format!("{tuples}/t{threads}")),
-                &tuples,
-                |b, _| {
-                    b.iter(|| {
-                        let engine =
-                            ViolationEngine::build_with_pool(&data.dirty, &data.rules, &pool);
-                        std::hint::black_box(engine.total_violations())
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("initial_possible_updates", format!("{tuples}/t{threads}")),
-                &tuples,
-                |b, _| {
-                    // Times the full construction: sharded engine build,
-                    // index-pool build, dirty scan, and the
-                    // partitioned initial-update walk.
-                    b.iter_batched(
-                        || data.dirty.clone(),
-                        |dirty| {
-                            let state = RepairState::with_parallelism(dirty, &data.rules, pool);
-                            std::hint::black_box(state.pending_count())
-                        },
-                    )
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("build_engine", format!("{tuples}/t1")),
+            &tuples,
+            |b, _| {
+                b.iter(|| {
+                    let engine = ViolationEngine::build(&data.dirty, &data.rules);
+                    std::hint::black_box(engine.total_violations())
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("initial_possible_updates", format!("{tuples}/t1")),
+            &tuples,
+            |b, _| {
+                // Times the full construction: engine build, index-pool
+                // build, dirty scan, and the initial-update walk.
+                b.iter_batched(
+                    || data.dirty.clone(),
+                    |dirty| {
+                        let state = RepairState::new(dirty, &data.rules);
+                        std::hint::black_box(state.pending_count())
+                    },
+                )
+            },
+        );
     }
     group.finish();
 }

@@ -44,8 +44,7 @@
 use std::collections::{HashMap, HashSet};
 
 use gdr_relation::codec::{self, CodecError, Dec, Enc};
-use gdr_relation::pool::{partition, shard_of_ids};
-use gdr_relation::{AttrId, SmallKey, Table, ThreadPool, TupleId, Value, ValueId};
+use gdr_relation::{AttrId, SmallKey, Table, TupleId, Value, ValueId};
 
 use crate::pattern::PatternValue;
 use crate::rule::{Cfd, RuleId};
@@ -383,49 +382,6 @@ pub struct ViolationEngine {
     suppress_generations: bool,
 }
 
-/// Tables smaller than this build sequentially even on a parallel pool —
-/// below it, thread spawn + merge overhead exceeds the scan itself.
-const MIN_PARALLEL_ROWS: usize = 4096;
-
-/// One shard's group fragments: LHS key → (rhs value, tuple) members.
-type ShardMap = HashMap<SmallKey, Vec<(ValueId, TupleId)>>;
-
-/// Per-chunk, per-rule intermediate state of the parallel build map phase.
-enum BuildPartial {
-    Constant {
-        violating: Vec<TupleId>,
-        context: usize,
-    },
-    Variable {
-        /// LHS key of every in-context tuple of the chunk.
-        keys: HashMap<TupleId, SmallKey>,
-        /// Group fragments routed to their target shard by key hash.
-        shards: Vec<ShardMap>,
-    },
-}
-
-/// Chunk output re-aimed at the per-rule merge phase.
-enum RuleMergeInput {
-    Const(Vec<TupleId>, usize),
-    Keys(HashMap<TupleId, SmallKey>),
-}
-
-/// One rule's merged state after the per-rule phase.
-enum MergedRule {
-    Const(ConstState),
-    Keys(HashMap<TupleId, SmallKey>),
-}
-
-/// Per-shard merged output for one variable rule.
-struct VarShard {
-    groups: HashMap<SmallKey, Group>,
-    generations: HashMap<SmallKey, u64>,
-    violating: TupleBits,
-    vio: usize,
-    satisfying: usize,
-    context: usize,
-}
-
 impl ViolationEngine {
     /// Builds the engine by scanning the whole table once per rule.
     pub fn build(table: &Table, ruleset: &RuleSet) -> ViolationEngine {
@@ -460,268 +416,6 @@ impl ViolationEngine {
         }
         engine.refresh_resolution(table);
         engine
-    }
-
-    /// [`ViolationEngine::build`] parallelised over a [`ThreadPool`], with a
-    /// **bit-identical** result (same groups, same aggregates, same
-    /// generation stamps) — the sequential build stays the oracle.
-    ///
-    /// Three deterministic fork-join phases:
-    ///
-    /// 1. **Map** — workers scan contiguous tuple chunks, accumulating
-    ///    per-rule partials: constant rules collect their chunk's violating
-    ///    tuples + context count; variable rules route `(rhs, tuple)` group
-    ///    fragments to a target shard by the stable hash of the group key
-    ///    ([`shard_of_ids`]), and record each in-context tuple's key.
-    /// 2. **Per-rule merge** — constant states and variable `tuple_key` maps
-    ///    are unions of disjoint chunk sets, merged per rule in chunk order.
-    /// 3. **Per-shard merge** — each shard folds its group fragments in
-    ///    chunk order into full `Group`s, then computes the aggregate sums
-    ///    and the group generation stamps once per group.
-    ///
-    /// Generation stamps replicate the sequential insertion history exactly:
-    /// appending rows `0..n` leaves `generation_counter = n`, every rule's
-    /// stats stamp at `n`, row `t` stamped `t + 1`, and each group stamped
-    /// by the last tuple that joined it (`max member + 1`).
-    ///
-    /// A sequential pool, a small table, or an empty rule set short-circuits
-    /// to [`ViolationEngine::build`] itself.
-    pub fn build_with_pool(table: &Table, ruleset: &RuleSet, pool: &ThreadPool) -> ViolationEngine {
-        let n = table.len();
-        if pool.is_sequential() || n < MIN_PARALLEL_ROWS || ruleset.rules().is_empty() {
-            return ViolationEngine::build(table, ruleset);
-        }
-        let n_rules = ruleset.len();
-        let resolved: Vec<ResolvedRule> = ruleset
-            .rules()
-            .iter()
-            .map(|rule| ResolvedRule::resolve(rule, table))
-            .collect();
-        let workers = pool.workers();
-        let shards = workers;
-        let ranges = partition(n, workers);
-
-        // Phase 1: map contiguous tuple chunks to per-rule partials.
-        let chunk_partials: Vec<Vec<BuildPartial>> = pool.run(workers, |c| {
-            let mut partials: Vec<BuildPartial> = ruleset
-                .rules()
-                .iter()
-                .map(|rule| {
-                    if rule.is_constant() {
-                        BuildPartial::Constant {
-                            violating: Vec::new(),
-                            context: 0,
-                        }
-                    } else {
-                        BuildPartial::Variable {
-                            keys: HashMap::new(),
-                            shards: (0..shards).map(|_| HashMap::new()).collect(),
-                        }
-                    }
-                })
-                .collect();
-            for tuple in ranges[c].clone() {
-                for rule_id in 0..n_rules {
-                    let rule = ruleset.rule(rule_id);
-                    let res = &resolved[rule_id];
-                    if !res.in_context(table, tuple, rule.lhs()) {
-                        continue;
-                    }
-                    match &mut partials[rule_id] {
-                        BuildPartial::Constant { violating, context } => {
-                            *context += 1;
-                            if !res.rhs.matches(table.cell_id(tuple, rule.rhs())) {
-                                violating.push(tuple);
-                            }
-                        }
-                        BuildPartial::Variable {
-                            keys,
-                            shards: shard_maps,
-                        } => {
-                            // Same store-per-row shape as `add_tuple`: keys
-                            // are inline, so building one per row beats
-                            // scratch-slice probing (see the A/B note there).
-                            let key = table.project_key(tuple, rule.lhs());
-                            let rhs = table.cell_id(tuple, rule.rhs());
-                            let shard = shard_of_ids(key.as_slice(), shards);
-                            match shard_maps[shard].get_mut(&key) {
-                                Some(members) => members.push((rhs, tuple)),
-                                None => {
-                                    shard_maps[shard].insert(key.clone(), vec![(rhs, tuple)]);
-                                }
-                            }
-                            keys.insert(tuple, key);
-                        }
-                    }
-                }
-            }
-            partials
-        });
-
-        // Regroup chunk outputs: per-rule inputs keep chunk order; variable
-        // group fragments go to their (shard, rule, chunk) slot.
-        let var_rules: Vec<RuleId> = (0..n_rules)
-            .filter(|&r| !ruleset.rule(r).is_constant())
-            .collect();
-        let mut var_slot = vec![usize::MAX; n_rules];
-        for (vi, &r) in var_rules.iter().enumerate() {
-            var_slot[r] = vi;
-        }
-        let mut rule_inputs: Vec<Vec<RuleMergeInput>> =
-            (0..n_rules).map(|_| Vec::with_capacity(workers)).collect();
-        let mut shard_inputs: Vec<Vec<Vec<ShardMap>>> = (0..shards)
-            .map(|_| {
-                (0..var_rules.len())
-                    .map(|_| Vec::with_capacity(workers))
-                    .collect()
-            })
-            .collect();
-        for chunk in chunk_partials {
-            for (rule_id, partial) in chunk.into_iter().enumerate() {
-                match partial {
-                    BuildPartial::Constant { violating, context } => {
-                        rule_inputs[rule_id].push(RuleMergeInput::Const(violating, context));
-                    }
-                    BuildPartial::Variable {
-                        keys,
-                        shards: shard_maps,
-                    } => {
-                        rule_inputs[rule_id].push(RuleMergeInput::Keys(keys));
-                        let vi = var_slot[rule_id];
-                        for (s, map) in shard_maps.into_iter().enumerate() {
-                            shard_inputs[s][vi].push(map);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 2: merge constant states / tuple_key maps per rule (chunk
-        // tuple sets are disjoint, so these are plain unions).
-        let merged_rules: Vec<MergedRule> = pool.run_consume(rule_inputs, |_, chunks| {
-            let mut iter = chunks.into_iter();
-            match iter.next().expect("at least one chunk per rule") {
-                RuleMergeInput::Const(first, context) => {
-                    let mut violating = first;
-                    let mut state = ConstState {
-                        violating: TupleBits::with_rows(n),
-                        violations: 0,
-                        context,
-                    };
-                    for part in iter {
-                        let RuleMergeInput::Const(more, context) = part else {
-                            unreachable!("rule kind is fixed across chunks");
-                        };
-                        violating.extend(more);
-                        state.context += context;
-                    }
-                    state.violations = violating.len();
-                    for tuple in violating {
-                        state.violating.insert(tuple);
-                    }
-                    MergedRule::Const(state)
-                }
-                RuleMergeInput::Keys(first) => {
-                    let mut keys = first;
-                    for part in iter {
-                        let RuleMergeInput::Keys(map) = part else {
-                            unreachable!("rule kind is fixed across chunks");
-                        };
-                        keys.extend(map);
-                    }
-                    MergedRule::Keys(keys)
-                }
-            }
-        });
-
-        // Phase 3: fold each shard's group fragments (chunk order) into full
-        // groups, then compute aggregates and stamps once per group.
-        let shard_outputs: Vec<Vec<VarShard>> = pool.run_consume(shard_inputs, |_, per_var| {
-            per_var
-                .into_iter()
-                .map(|chunks| {
-                    let mut groups: HashMap<SmallKey, Group> = HashMap::new();
-                    for chunk in chunks {
-                        for (key, members) in chunk {
-                            let group = groups.entry(key).or_default();
-                            for (rhs, tid) in members {
-                                group.insert(rhs, tid);
-                            }
-                        }
-                    }
-                    let mut vio = 0;
-                    let mut satisfying = 0;
-                    let mut context = 0;
-                    let mut generations = HashMap::with_capacity(groups.len());
-                    let mut violating = TupleBits::with_rows(n);
-                    for (key, group) in &groups {
-                        vio += group.vio();
-                        satisfying += group.satisfying();
-                        context += group.total;
-                        let last = group
-                            .members()
-                            .max()
-                            .expect("build-phase groups are never empty");
-                        generations.insert(key.clone(), last as u64 + 1);
-                        if group.violating() {
-                            for tuple in group.members() {
-                                violating.insert(tuple);
-                            }
-                        }
-                    }
-                    VarShard {
-                        groups,
-                        generations,
-                        violating,
-                        vio,
-                        satisfying,
-                        context,
-                    }
-                })
-                .collect()
-        });
-
-        // Assembly: move merged state into the engine (shard key sets are
-        // disjoint, so `extend` is a union, and order does not matter for a
-        // HashMap's logical content).
-        let mut states: Vec<RuleState> = merged_rules
-            .into_iter()
-            .map(|merged| match merged {
-                MergedRule::Const(state) => RuleState::Constant(state),
-                MergedRule::Keys(tuple_key) => RuleState::Variable(VarState {
-                    tuple_key,
-                    ..VarState::default()
-                }),
-            })
-            .collect();
-        for per_var in shard_outputs {
-            for (vi, out) in per_var.into_iter().enumerate() {
-                let RuleState::Variable(state) = &mut states[var_rules[vi]] else {
-                    unreachable!("var_rules indexes variable states only");
-                };
-                state.groups.extend(out.groups);
-                state.group_generation.extend(out.generations);
-                state.violating.union_with(&out.violating);
-                state.total_vio += out.vio;
-                state.satisfying_in_context += out.satisfying;
-                state.context += out.context;
-            }
-        }
-        let involving = (0..table.schema().arity())
-            .map(|attr| ruleset.rules_involving(attr))
-            .collect();
-        ViolationEngine {
-            ruleset: ruleset.clone(),
-            states,
-            resolved,
-            resolved_at_generation: Some(table.dict_generation()),
-            involving,
-            n_rows: n,
-            stats_generation: vec![n as u64; n_rules],
-            row_generation: (1..=n as u64).collect(),
-            generation_counter: n as u64,
-            suppress_generations: false,
-        }
     }
 
     /// The rule set the engine evaluates.
@@ -2097,105 +1791,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
         }
         // Constant rules have no buckets.
         assert_eq!(engine.conflict_rhs_ids(0, 1), Vec::<ValueId>::new());
-    }
-
-    /// A table large enough to cross the parallel-build threshold, with a
-    /// mix of clean rows, constant violations, and variable conflicts.
-    fn large_fixture() -> (Table, RuleSet) {
-        let schema = schema();
-        let mut table = Table::new("addr", schema.clone());
-        for i in 0..(super::MIN_PARALLEL_ROWS + 137) {
-            let src = format!("H{}", i % 13);
-            let street = format!("street{}", i % 29);
-            let (city, zip) = match i % 5 {
-                0 => ("Michigan City", "46360"),
-                1 => ("Westville", "46360"), // violates 46360 → Michigan City
-                2 => ("Fort Wayne", "46825"),
-                // Fort Wayne rows sharing streets with distinct zips:
-                // variable-rule conflicts.
-                3 => ("Fort Wayne", "46999"),
-                _ => ("Westville", "46391"),
-            };
-            table
-                .push_text_row(&[&src, &street, city, "IN", zip])
-                .unwrap();
-        }
-        let mut ruleset = RuleSet::new(parse_rules(&schema, rules_text()).unwrap());
-        ruleset.weights_from_context(&table);
-        (table, ruleset)
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let (table, ruleset) = large_fixture();
-        let sequential = ViolationEngine::build(&table, &ruleset);
-        for workers in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(workers);
-            let parallel = ViolationEngine::build_with_pool(&table, &ruleset, &pool);
-            assert_eq!(parallel.row_count(), sequential.row_count());
-            for rule in 0..ruleset.len() {
-                assert_eq!(
-                    parallel.rule_stats(rule),
-                    sequential.rule_stats(rule),
-                    "rule {rule} stats (workers {workers})"
-                );
-                assert_eq!(
-                    parallel.stats_generation(rule),
-                    sequential.stats_generation(rule)
-                );
-                assert_eq!(
-                    parallel.violating_tuples(rule),
-                    sequential.violating_tuples(rule)
-                );
-            }
-            assert_eq!(parallel.dirty_tuples(), sequential.dirty_tuples());
-            let var_rule = 6;
-            for tuple in (0..table.len()).step_by(997) {
-                assert_eq!(
-                    parallel.row_generation(tuple),
-                    sequential.row_generation(tuple)
-                );
-                assert_eq!(
-                    parallel.agreement_group(var_rule, tuple),
-                    sequential.agreement_group(var_rule, tuple)
-                );
-                assert_eq!(
-                    parallel.conflict_partners(var_rule, tuple),
-                    sequential.conflict_partners(var_rule, tuple)
-                );
-                let key = table.project_key(tuple, ruleset.rule(var_rule).lhs());
-                assert_eq!(
-                    parallel.group_generation(var_rule, &key),
-                    sequential.group_generation(var_rule, &key)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_then_incremental_changes_stay_consistent() {
-        // The parallel-built engine must be a drop-in for the sequential one
-        // under subsequent incremental mutation: same stamps, same stats.
-        let (mut table, ruleset) = large_fixture();
-        let mut seq = ViolationEngine::build(&table, &ruleset);
-        let mut par = ViolationEngine::build_with_pool(&table, &ruleset, &ThreadPool::new(4));
-        let mut table2 = table.clone();
-        for (tuple, attr, value) in [
-            (1, 2, Value::from("Michigan City")),
-            (3, 4, Value::from("46825")),
-            (7, 1, Value::from("elsewhere")),
-        ] {
-            seq.apply_cell_change(&mut table, tuple, attr, value.clone())
-                .unwrap();
-            par.apply_cell_change(&mut table2, tuple, attr, value)
-                .unwrap();
-        }
-        for rule in 0..ruleset.len() {
-            assert_eq!(par.rule_stats(rule), seq.rule_stats(rule));
-            assert_eq!(par.stats_generation(rule), seq.stats_generation(rule));
-        }
-        assert_eq!(par.dirty_tuples(), seq.dirty_tuples());
-        assert!(par.agrees_with_rebuild(&table2));
     }
 
     #[test]

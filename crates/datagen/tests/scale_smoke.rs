@@ -1,7 +1,6 @@
 //! Fixed-seed scale smoke test: the 100 000-row hospital dataset must
 //! generate deterministically within a wall-clock budget, and the violation
-//! engine's sharded parallel build must agree with the sequential build on
-//! it.  Debug builds run a bounded 10 000-row variant so `cargo test` stays
+//! engine must find violations in it.  Debug builds run a bounded 10 000-row variant so `cargo test` stays
 //! fast; the release profile (the tier-1 `--release` build and CI) covers
 //! the full 100k.
 
@@ -9,7 +8,6 @@ use std::time::Instant;
 
 use gdr_cfd::ViolationEngine;
 use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
-use gdr_relation::ThreadPool;
 
 const SEED: u64 = 77;
 
@@ -59,16 +57,8 @@ fn fixed_seed_scale_generation_smoke() {
     assert_eq!(data.dirty, twin.dirty);
     assert_eq!(data.corrupted_cells, twin.corrupted_cells);
 
-    // Sequential and sharded-parallel engine builds agree on the result.
-    let sequential = ViolationEngine::build(&data.dirty, &data.rules);
-    let parallel = ViolationEngine::build_with_pool(&data.dirty, &data.rules, &ThreadPool::new(4));
-    assert_eq!(
-        sequential.total_violations(),
-        parallel.total_violations(),
-        "parallel engine build diverged on violation totals"
-    );
-    assert_eq!(sequential.dirty_tuples(), parallel.dirty_tuples());
-    assert!(sequential.total_violations() > 0);
+    let engine = ViolationEngine::build(&data.dirty, &data.rules);
+    assert!(engine.total_violations() > 0);
 
     // Time cap: generous enough for slow CI machines, tight enough to catch
     // an accidental quadratic regression (which would take minutes at 100k).

@@ -28,14 +28,6 @@ pub struct GdrConfig {
     /// Record a quality checkpoint every this many user verifications
     /// (1 = after every answer).
     pub checkpoint_every: usize,
-    /// Worker threads for the O(table) construction passes
-    /// (violation-engine build, agreement-index build and initial update
-    /// generation).  `1` runs strictly
-    /// sequentially on the calling thread — bit-identical behaviour to every
-    /// release before the knob existed — and any higher count is pinned
-    /// bit-identical to `1` by property tests (same `ValueId` assignment,
-    /// same score bits).
-    pub parallelism: usize,
 }
 
 impl Default for GdrConfig {
@@ -47,7 +39,6 @@ impl Default for GdrConfig {
             forest: ForestConfig::default(),
             seed: 0xC0FFEE,
             checkpoint_every: 1,
-            parallelism: 1,
         }
     }
 }
@@ -66,37 +57,31 @@ impl GdrConfig {
             },
             seed: 7,
             checkpoint_every: 1,
-            parallelism: 1,
         }
     }
 
     /// Serialises the configuration into `enc`.
     pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("config", 2);
+        enc.section("config", 3);
         enc.usize(self.ns_batch);
         enc.usize(self.min_verifications_per_group);
         enc.usize(self.learner_min_training);
         self.forest.encode_state(enc);
         enc.u64(self.seed);
         enc.usize(self.checkpoint_every);
-        enc.usize(self.parallelism);
     }
 
     /// Rebuilds a configuration written by [`GdrConfig::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrConfig> {
-        dec.section("config", 2)?;
+        dec.section("config", 3)?;
         let ns_batch = dec.usize()?;
         let min_verifications_per_group = dec.usize()?;
         let learner_min_training = dec.usize()?;
         let forest = ForestConfig::decode_state(dec)?;
         let seed = dec.u64()?;
         let checkpoint_every = dec.usize()?;
-        let parallelism = dec.usize()?;
         if checkpoint_every == 0 {
             return Err(CodecError::new("checkpoint_every must be positive"));
-        }
-        if parallelism == 0 {
-            return Err(CodecError::new("parallelism must be positive"));
         }
         Ok(GdrConfig {
             ns_batch,
@@ -105,7 +90,6 @@ impl GdrConfig {
             forest,
             seed,
             checkpoint_every,
-            parallelism,
         })
     }
 }

@@ -1284,16 +1284,12 @@ impl GdrEngine {
         enc.usize(self.stalled_rounds);
     }
 
-    /// Rebuilds an engine written by [`GdrEngine::encode_state`].  The
-    /// thread pool is runtime configuration, recreated from the decoded
-    /// [`GdrConfig::parallelism`] (parallelism is pinned bit-identical to
-    /// sequential execution, so the pool size carries no state).
+    /// Rebuilds an engine written by [`GdrEngine::encode_state`].
     pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrEngine> {
         dec.section("engine", 1)?;
         let config = GdrConfig::decode_state(dec)?;
         let strategy = Strategy::decode_state(dec)?;
-        let threads = gdr_relation::ThreadPool::new(config.parallelism);
-        let state = RepairState::decode_state(dec, threads)?;
+        let state = RepairState::decode_state(dec)?;
         let models = ModelStore::decode_state(dec)?;
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
@@ -1432,8 +1428,7 @@ impl<'r> SessionBuilder<'r> {
     /// Builds the pull-based engine.
     pub fn build(self) -> GdrEngine {
         let arity = self.dirty.schema().arity();
-        let threads = gdr_relation::ThreadPool::new(self.config.parallelism);
-        let state = RepairState::with_parallelism(self.dirty, self.rules, threads);
+        let state = RepairState::new(self.dirty, self.rules);
         let initial_dirty_tuples = state.dirty_tuples().len();
         let models = ModelStore::new(arity, self.config.forest.clone(), self.config.seed);
         let rng = StdRng::seed_from_u64(self.config.seed ^ 0x5eed);

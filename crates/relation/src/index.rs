@@ -35,14 +35,9 @@ use std::collections::HashMap;
 
 use crate::codec::{self, CodecError, Dec, Enc};
 use crate::intern::{SmallKey, ValueId};
-use crate::pool::{partition, shard_of_ids, ThreadPool};
 use crate::schema::AttrId;
 use crate::table::{Table, TupleId};
 use crate::value::Value;
-
-/// Tables smaller than this build sequentially even on a parallel pool —
-/// below it, thread spawn + merge overhead exceeds the scan itself.
-const MIN_PARALLEL_ROWS: usize = 4096;
 
 /// An index that groups tuple ids by their projection on a fixed attribute
 /// set.  Build once, then either rebuild on staleness (snapshot mode) or
@@ -68,91 +63,6 @@ impl AttrSetIndex {
                 .entry(table.project_key(id, attrs))
                 .or_default()
                 .push(id);
-        }
-        let by_values = groups
-            .keys()
-            .map(|key| {
-                let values: Vec<Value> = key
-                    .as_slice()
-                    .iter()
-                    .zip(attrs)
-                    .map(|(&vid, &attr)| table.id_value(attr, vid).clone())
-                    .collect();
-                (values, key.clone())
-            })
-            .collect();
-        AttrSetIndex {
-            attrs: attrs.to_vec(),
-            groups,
-            by_values,
-            built_at_version: table.version(),
-        }
-    }
-
-    /// [`AttrSetIndex::build`] parallelised over a [`ThreadPool`]: map
-    /// workers scan contiguous tuple chunks into per-shard partial group
-    /// maps (sharded by the deterministic key hash), reduce workers merge
-    /// each shard's partials **in chunk order** so every group's member list
-    /// comes out in ascending tuple order — bit-identical to the sequential
-    /// scan.  A sequential pool or a small table short-circuits to `build`.
-    pub fn build_with_pool(table: &Table, attrs: &[AttrId], pool: &ThreadPool) -> AttrSetIndex {
-        let n = table.len();
-        if pool.is_sequential() || n < MIN_PARALLEL_ROWS {
-            return AttrSetIndex::build(table, attrs);
-        }
-        let workers = pool.workers();
-        let shards = workers;
-        let ranges = partition(n, workers);
-
-        // Map: each chunk groups its own tuples, routed to shards by key.
-        let chunk_maps: Vec<Vec<HashMap<SmallKey, Vec<TupleId>>>> = pool.run(workers, |c| {
-            let mut maps: Vec<HashMap<SmallKey, Vec<TupleId>>> =
-                (0..shards).map(|_| HashMap::new()).collect();
-            let mut scratch: Vec<ValueId> = Vec::with_capacity(attrs.len());
-            for id in ranges[c].clone() {
-                table.project_key_into(id, attrs, &mut scratch);
-                let shard = shard_of_ids(&scratch, shards);
-                match maps[shard].get_mut(scratch.as_slice()) {
-                    Some(members) => members.push(id),
-                    None => {
-                        maps[shard].insert(SmallKey::from_slice(&scratch), vec![id]);
-                    }
-                }
-            }
-            maps
-        });
-
-        // Regroup chunk outputs by shard, preserving chunk order per shard.
-        let mut by_shard: Vec<Vec<HashMap<SmallKey, Vec<TupleId>>>> =
-            (0..shards).map(|_| Vec::with_capacity(workers)).collect();
-        for chunk in chunk_maps {
-            for (shard, map) in chunk.into_iter().enumerate() {
-                by_shard[shard].push(map);
-            }
-        }
-
-        // Reduce: merge each shard's chunk partials left-to-right; appending
-        // chunk c's members after chunk c-1's keeps every group ascending.
-        let merged = pool.run_consume(by_shard, |_, parts| {
-            let mut iter = parts.into_iter();
-            let mut merged = iter.next().unwrap_or_default();
-            for part in iter {
-                for (key, mut members) in part {
-                    match merged.get_mut(key.as_slice()) {
-                        Some(existing) => existing.append(&mut members),
-                        None => {
-                            merged.insert(key, members);
-                        }
-                    }
-                }
-            }
-            merged
-        });
-
-        let mut groups: HashMap<SmallKey, Vec<TupleId>> =
-            HashMap::with_capacity(merged.iter().map(|m| m.len()).sum());
-        for shard in merged {
-            groups.extend(shard);
         }
         let by_values = groups
             .keys()
@@ -573,35 +483,6 @@ mod tests {
             .collect();
         all.sort();
         all
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        // Enough rows to clear MIN_PARALLEL_ROWS, with heavy key skew so
-        // shard merge order actually matters.
-        let schema = Schema::new(&["CT", "ZIP"]);
-        let mut t = Table::new("scale", schema);
-        for i in 0..(MIN_PARALLEL_ROWS + 117) {
-            let city = format!("city{}", i % 7);
-            let zip = format!("{}", 10_000 + i % 23);
-            t.push_text_row(&[&city, &zip]).unwrap();
-        }
-        for attrs in [vec![0], vec![0, 1], vec![]] {
-            let sequential = AttrSetIndex::build(&t, &attrs);
-            for workers in [1, 2, 3, 8] {
-                let pool = ThreadPool::new(workers);
-                let parallel = AttrSetIndex::build_with_pool(&t, &attrs, &pool);
-                assert_eq!(parallel.attrs(), sequential.attrs());
-                assert_eq!(parallel.group_count(), sequential.group_count());
-                // Member vectors must match *in order* (ascending tuples),
-                // not just as sets — downstream candidate generation
-                // iterates them.
-                for (values, members) in sequential.iter() {
-                    assert_eq!(parallel.get(values), members.as_slice());
-                }
-                assert!(!parallel.is_stale(&t));
-            }
-        }
     }
 
     #[test]

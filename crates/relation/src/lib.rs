@@ -58,9 +58,7 @@
 //! * [`codec`] — the versioned, checksummed state codec every layer uses to
 //!   serialise canonical state for checkpointed recovery,
 //! * [`csv`] — a minimal CSV reader/writer,
-//! * [`stats`] — per-attribute domain statistics (active domain, counts),
-//! * [`pool`] — a std-only scoped [`ThreadPool`] with deterministic
-//!   job→worker assignment, used to parallelise the O(table) build paths.
+//! * [`stats`] — per-attribute domain statistics (active domain, counts).
 //!
 //! ```
 //! use gdr_relation::{Schema, Table, Value};
@@ -90,7 +88,6 @@ pub mod csv;
 pub mod error;
 pub mod index;
 pub mod intern;
-pub mod pool;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -101,7 +98,6 @@ pub use codec::{CodecError, Dec, Enc};
 pub use error::RelationError;
 pub use index::{AttrSetIndex, ValueIndex};
 pub use intern::{SmallKey, ValueId, ValueInterner};
-pub use pool::ThreadPool;
 pub use schema::{AttrId, Attribute, Schema};
 pub use stats::{AttributeStats, TableStats};
 pub use table::{Table, TupleId};

@@ -331,15 +331,6 @@ impl Table {
         SmallKey::collect(attrs.iter().map(|&attr| self.columns[attr].ids[id]))
     }
 
-    /// [`Table::project_key`] into a caller-owned scratch buffer, cleared
-    /// first.  Lets per-row loops probe `SmallKey`-keyed maps through the
-    /// `Borrow<[ValueId]>` impl without constructing a key at all, deferring
-    /// [`SmallKey`] materialisation to the (rare) first-occurrence insert.
-    pub fn project_key_into(&self, id: TupleId, attrs: &[AttrId], scratch: &mut Vec<ValueId>) {
-        scratch.clear();
-        scratch.extend(attrs.iter().map(|&attr| self.columns[attr].ids[id]));
-    }
-
     /// [`Table::project_key`] with `value_id` substituted wherever `attr`
     /// appears in `attrs`.  Index maintainers use this to reconstruct the key
     /// a row projected to *before* a cell write, from the previous id the

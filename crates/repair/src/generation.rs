@@ -18,38 +18,98 @@
 //! `⟨t, B, v, sim(t[B], v)⟩` recorded in `PossibleUpdates`.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use gdr_cfd::{Cfd, RuleId};
-use gdr_relation::{pool, AttrId, SmallKey, TupleId, ValueId};
+use gdr_relation::{AttrId, SmallKey, Table, TupleId, ValueId};
 
 use crate::similarity::value_similarity;
 use crate::state::RepairState;
 use crate::update::{Cell, Update};
 
-/// Memo of `getValueForLHS` candidate pools, shared across one generation
-/// walk.
+/// Memo of `getValueForLHS` candidate pools and similarity scores, shared
+/// across one generation walk.
 ///
 /// Scenario 3 draws candidates from the tuples agreeing with `t` on
 /// `attrs(φ) − {B}`.  Walking a full dirty list re-derives the same pool for
 /// every dirty member of the same agreement group, which turns pathological
 /// when a broad subset (e.g. `{State}`) collapses the table into one group:
-/// the naive walk is O(dirty × group) ≈ O(n²).  The memo keys the *distinct
+/// the naive walk is O(dirty × group) ≈ O(n²).  `pools` keys the *distinct
 /// non-null ids of attribute `B` within one group* by `(index slot, B,
-/// group key)` so each pool is computed once per walk.  Pure cache: the
-/// final candidate list is sorted and deduplicated anyway, so memoised and
-/// recomputed pools yield identical suggestions.
+/// group key)` so each pool is computed once per walk.  Most members of a
+/// group also share one current value, so each pool keeps its best
+/// candidate per current id, and a cell with no prevented value takes that
+/// one id instead of the whole pool.
+///
+/// `scores` keys each [`value_similarity`] result by `(B, current id,
+/// candidate id)`, so a walk scores each value pair once.
+///
+/// Pure cache: interned ids are append-only (an id never names another
+/// value), the similarity is a pure function, and the best candidate is the
+/// maximum of a total order (score, then the smaller value), so the best of
+/// a pool's best and the other candidates is the best of them all.
+/// Memoised and recomputed walks yield bit-identical suggestions.
 #[derive(Debug, Default)]
 struct CandidateMemo {
-    groups: HashMap<(usize, AttrId, SmallKey), Vec<ValueId>>,
+    pools: HashMap<(usize, AttrId, SmallKey), CandidatePool>,
+    scores: Scores,
+}
+
+/// One agreement group's distinct candidate ids, and the best of them for
+/// each current id asked about so far.
+#[derive(Debug, Default)]
+struct CandidatePool {
+    ids: Vec<ValueId>,
+    best: HashMap<ValueId, Option<ValueId>>,
+}
+
+/// Memoised [`value_similarity`] per `(attr, current id, candidate id)`.
+#[derive(Debug, Default)]
+struct Scores(HashMap<(AttrId, ValueId, ValueId), f64>);
+
+impl Scores {
+    /// The best admissible candidate for a cell of `attr` holding `current`:
+    /// the highest score, ties going to the smaller value.  The current id
+    /// and the `prevented` ids are not admissible.  Order and duplicates in
+    /// `candidates` do not matter.
+    fn best(
+        &mut self,
+        table: &Table,
+        attr: AttrId,
+        current: ValueId,
+        candidates: &[ValueId],
+        prevented: Option<&HashSet<ValueId>>,
+    ) -> Option<(ValueId, f64)> {
+        let mut best: Option<(ValueId, f64)> = None;
+        for &candidate in candidates {
+            if candidate == current || prevented.is_some_and(|ids| ids.contains(&candidate)) {
+                continue;
+            }
+            let score = *self.0.entry((attr, current, candidate)).or_insert_with(|| {
+                value_similarity(
+                    table.id_value(attr, current),
+                    table.id_value(attr, candidate),
+                )
+            });
+            let better = match best {
+                None => true,
+                Some((best_id, best_score)) => {
+                    score > best_score
+                        || (score == best_score
+                            && table.id_value(attr, candidate) < table.id_value(attr, best_id))
+                }
+            };
+            if better {
+                best = Some((candidate, score));
+            }
+        }
+        best
+    }
 }
 
 impl RepairState {
     /// Generates the initial `PossibleUpdates` list: Algorithm 1 is invoked
     /// for every attribute of every dirty tuple (step 1 of the GDR process).
-    ///
-    /// Runs as a four-phase walk on the state's thread pool (sequential by
-    /// default); see `RepairState::generate_for_dirty`.
     pub fn generate_initial_updates(&mut self) {
         let dirty = self.engine.dirty_tuples();
         self.generate_for_dirty(&dirty, false);
@@ -57,31 +117,26 @@ impl RepairState {
 
     /// The shared full-walk generator behind
     /// [`RepairState::generate_initial_updates`] and
-    /// [`RepairState::refresh_updates_full`], parallelised over the state's
-    /// thread pool in four phases:
+    /// [`RepairState::refresh_updates_full`], in two passes over the cells
+    /// ascending by `(tuple, attr)`:
     ///
-    /// 1. **Violated rules** (parallel, read-only): each dirty tuple's
-    ///    violated-rule list.
-    /// 2. **Pre-intern** (sequential): for every cell to be generated, intern
-    ///    the rule constants Algorithm 1 may suggest, *in the exact order the
-    ///    per-cell generator would* — cells ascending by `(tuple, attr)`,
-    ///    rules in violated order, scenario-1 RHS constants before
-    ///    scenario-3 LHS constants.  This is the only dictionary-mutating
-    ///    step, so `ValueId` assignment is identical at any worker count.
-    /// 3. **Candidate search** (parallel, read-only): Algorithm 1's scenario
-    ///    exploration and best-candidate selection per cell, with a
-    ///    per-worker [`CandidateMemo`].
-    /// 4. **Record** (sequential, cell order): record the suggestions.
+    /// 1. **Pre-intern**: intern the rule constants Algorithm 1 may suggest
+    ///    for every cell to be generated, rules in violated order, scenario-1
+    ///    RHS constants before scenario-3 LHS constants.  This is the only
+    ///    dictionary-mutating step, so `ValueId` assignment matches the
+    ///    per-cell [`RepairState::generate_update`] order.
+    /// 2. **Search and record**: Algorithm 1's scenario exploration and
+    ///    best-candidate selection per cell, sharing one [`CandidateMemo`]
+    ///    across the walk.
     ///
     /// `skip_existing` preserves the full-refresh contract of touching only
     /// cells without a pending suggestion.
     fn generate_for_dirty(&mut self, dirty: &[TupleId], skip_existing: bool) {
-        let threads = self.threads;
         let arity = self.table.schema().arity();
-        let violated: Vec<Vec<RuleId>> = {
-            let engine = &self.engine;
-            threads.run(dirty.len(), |i| engine.violated_rules(dirty[i]))
-        };
+        let violated: Vec<Vec<RuleId>> = dirty
+            .iter()
+            .map(|&tuple| self.engine.violated_rules(tuple))
+            .collect();
         let mut cells: Vec<(usize, Cell)> = Vec::new();
         for (i, &tuple) in dirty.iter().enumerate() {
             for attr in 0..arity {
@@ -100,27 +155,11 @@ impl RepairState {
                 cells.push((i, cell));
             }
         }
-        let ranges = pool::partition(cells.len(), threads.workers());
-        let chunks: Vec<Vec<(Cell, Option<Update>)>> = {
-            let state = &*self;
-            threads.run(ranges.len(), |w| {
-                let mut memo = CandidateMemo::default();
-                ranges[w]
-                    .clone()
-                    .map(|c| {
-                        let (i, (tuple, attr)) = cells[c];
-                        let update = state.candidate_update(tuple, attr, &violated[i], &mut memo);
-                        ((tuple, attr), update)
-                    })
-                    .collect()
-            })
-        };
-        for chunk in chunks {
-            for (cell, update) in chunk {
-                match update {
-                    Some(update) => self.record_suggestion(update),
-                    None => self.drop_pending(cell),
-                }
+        let mut memo = CandidateMemo::default();
+        for (i, (tuple, attr)) in cells {
+            match self.candidate_update(tuple, attr, &violated[i], &mut memo) {
+                Some(update) => self.record_suggestion(update),
+                None => self.drop_pending((tuple, attr)),
             }
         }
     }
@@ -167,7 +206,7 @@ impl RepairState {
     /// Interns every rule constant Algorithm 1 may propose for `(t, attr)`
     /// across the violated rules — the only dictionary-mutating part of
     /// candidate generation, split out so [`RepairState::candidate_update`]
-    /// can run read-only (and therefore in parallel).  The intern order —
+    /// can run read-only.  The intern order —
     /// rules in violated order, a rule's scenario-1 RHS constant before its
     /// scenario-3 LHS constants in pattern order — matches the in-line
     /// interleaving the generator historically used, so `ValueId` assignment
@@ -232,37 +271,13 @@ impl RepairState {
                 self.lhs_candidate_ids(rule_id, tuple, attr, memo, &mut candidates);
             }
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let current_id = self.table.cell_id(tuple, attr);
-        let mut best: Option<(ValueId, f64)> = None;
-        for candidate in candidates {
-            if candidate == current_id || self.is_prevented_id((tuple, attr), candidate) {
-                continue;
-            }
-            let score = value_similarity(
-                self.table.id_value(attr, current_id),
-                self.table.id_value(attr, candidate),
-            );
-            let better = match best {
-                None => true,
-                Some((best_id, best_score)) => {
-                    score > best_score
-                        || (score == best_score
-                            && self.table.id_value(attr, candidate)
-                                < self.table.id_value(attr, best_id))
-                }
-            };
-            if better {
-                best = Some((candidate, score));
-            }
-        }
-
-        best.map(|(id, score)| {
-            let value = self.table.id_value(attr, id).clone();
-            Update::with_value_id(tuple, attr, value, score, id)
-        })
+        let current = self.table.cell_id(tuple, attr);
+        let prevented = self.prevented.get(&(tuple, attr));
+        let (id, score) = memo
+            .scores
+            .best(&self.table, attr, current, &candidates, prevented)?;
+        let value = self.table.id_value(attr, id).clone();
+        Some(Update::with_value_id(tuple, attr, value, score, id))
     }
 
     /// Ensures every dirty tuple has fresh suggestions: discards suggestions
@@ -390,10 +405,12 @@ impl RepairState {
         // other attributes: one id-keyed probe of the `attrs(φ) − {B}` index,
         // with the group's distinct non-null id pool memoised per walk so
         // large agreement groups are scanned once, not once per dirty member.
+        // A cell with no prevented value needs only the pool's best
+        // candidate for its current value.
         let slot = self.pool.lhs_slot(rule_id, lhs_pos);
         let index = self.pool.lhs_index(rule_id, lhs_pos);
         let key = self.table.project_key(tuple, index.attrs());
-        let pool_ids: &Vec<ValueId> = match memo.groups.entry((slot, attr, key)) {
+        let pool = match memo.pools.entry((slot, attr, key)) {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
                 let mut ids: Vec<ValueId> = Vec::new();
@@ -405,10 +422,24 @@ impl RepairState {
                 }
                 ids.sort_unstable();
                 ids.dedup();
-                entry.insert(ids)
+                entry.insert(CandidatePool {
+                    ids,
+                    best: HashMap::new(),
+                })
             }
         };
-        candidates.extend_from_slice(pool_ids);
+        if self.prevented.contains_key(&(tuple, attr)) {
+            candidates.extend_from_slice(&pool.ids);
+        } else {
+            let current = self.table.cell_id(tuple, attr);
+            let best = pool.best.entry(current).or_insert_with(|| {
+                let best = memo
+                    .scores
+                    .best(&self.table, attr, current, &pool.ids, None);
+                best.map(|(id, _)| id)
+            });
+            candidates.extend(*best);
+        }
         candidates.extend_from_slice(&constants);
     }
 }

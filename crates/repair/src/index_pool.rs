@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use gdr_cfd::{RuleId, RuleSet};
 use gdr_relation::codec::{self, CodecError, Dec, Enc};
-use gdr_relation::{AttrId, AttrSetIndex, Table, ThreadPool, TupleId, ValueId};
+use gdr_relation::{AttrId, AttrSetIndex, Table, TupleId, ValueId};
 
 /// One incrementally-maintained [`AttrSetIndex`] per distinct
 /// `attrs(φ) − {B}` subset of the rule set, with per-rule lookup tables.
@@ -42,22 +42,10 @@ pub(crate) struct AttrIndexPool {
 }
 
 impl AttrIndexPool {
-    /// Sequential convenience constructor.
-    #[cfg(test)]
-    pub fn build(table: &Table, ruleset: &RuleSet) -> AttrIndexPool {
-        AttrIndexPool::build_with_pool(table, ruleset, &ThreadPool::sequential())
-    }
-
     /// Builds the pool: enumerates every `attrs(φ) − {B}` subset (for `B`
     /// ranging over each rule's LHS), dedups them, and builds each index
-    /// with one table scan on the given thread pool.  The indices themselves
-    /// are built one after another (no nested parallelism); results are
-    /// bit-identical to the sequential build.
-    pub fn build_with_pool(
-        table: &Table,
-        ruleset: &RuleSet,
-        threads: &ThreadPool,
-    ) -> AttrIndexPool {
+    /// with one table scan.
+    pub fn build(table: &Table, ruleset: &RuleSet) -> AttrIndexPool {
         let mut indexes: Vec<AttrSetIndex> = Vec::new();
         let mut by_attrs: HashMap<Vec<AttrId>, usize> = HashMap::new();
         let mut lhs_slots: Vec<Vec<usize>> = Vec::with_capacity(ruleset.len());
@@ -69,7 +57,7 @@ impl AttrIndexPool {
                 .map(|&b| {
                     let subset: Vec<AttrId> = attrs.iter().copied().filter(|&a| a != b).collect();
                     *by_attrs.entry(subset.clone()).or_insert_with(|| {
-                        indexes.push(AttrSetIndex::build_with_pool(table, &subset, threads));
+                        indexes.push(AttrSetIndex::build(table, &subset));
                         indexes.len() - 1
                     })
                 })

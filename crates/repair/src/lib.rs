@@ -10,7 +10,9 @@
 //! * [`RepairState`] — the mutable repair context: it owns the database
 //!   instance and its [`gdr_cfd::ViolationEngine`], the `PossibleUpdates`
 //!   list, the per-cell `preventedList` and `Changeable` flags, and exposes
-//!   - `UpdateAttributeTuple` (Algorithm 1: the three repair scenarios),
+//!   - `UpdateAttributeTuple` (Algorithm 1: the three repair scenarios);
+//!     the initial walk over every dirty cell runs sequentially and scores
+//!     each `(current, candidate)` value pair once,
 //!   - the consistency manager of Appendix A.5 (feedback application,
 //!     cascade repairs, revisit bookkeeping),
 //!   - what-if evaluation of a candidate update for the VOI ranking, and

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use gdr_cfd::{RuleId, RuleSet, RuleStats, ViolationEngine};
 use gdr_relation::codec::{self, CodecError, Dec, Enc};
-use gdr_relation::{AttrId, Table, ThreadPool, TupleId, Value, ValueId};
+use gdr_relation::{AttrId, Table, TupleId, Value, ValueId};
 
 use crate::index_pool::AttrIndexPool;
 use crate::update::{AppliedChange, Cell, ChangeSource, Update};
@@ -55,10 +55,6 @@ pub struct RepairState {
     /// at write time, drained by the refresh.  Independent of the suggestion
     /// delta: [`RepairState::take_suggestion_delta`] never touches it.
     pub(crate) revisit_queue: BTreeSet<Cell>,
-    /// Worker pool for the O(table) passes (engine/index construction and
-    /// the full generation walks).  Sequential by default; any worker count
-    /// produces bit-identical state (see `tests/proptest_parallel.rs`).
-    pub(crate) threads: ThreadPool,
 }
 
 impl RepairState {
@@ -66,17 +62,8 @@ impl RepairState {
     /// the dirty tuples, and generates the initial `PossibleUpdates` list
     /// (step 1 of the GDR process).
     pub fn new(table: Table, ruleset: &RuleSet) -> RepairState {
-        RepairState::with_parallelism(table, ruleset, ThreadPool::sequential())
-    }
-
-    /// [`RepairState::new`] with the O(table) construction passes — violation
-    /// engine build, agreement-index build, and the initial generation walk —
-    /// run on the given thread pool.  Any worker count yields state
-    /// bit-identical to the sequential build (same `ValueId` assignment, same
-    /// score bits); the pool is retained for the full-walk refresh oracle.
-    pub fn with_parallelism(table: Table, ruleset: &RuleSet, threads: ThreadPool) -> RepairState {
-        let engine = ViolationEngine::build_with_pool(&table, ruleset, &threads);
-        let pool = AttrIndexPool::build_with_pool(&table, ruleset, &threads);
+        let engine = ViolationEngine::build(&table, ruleset);
+        let pool = AttrIndexPool::build(&table, ruleset);
         let mut state = RepairState {
             table,
             engine,
@@ -87,15 +74,9 @@ impl RepairState {
             suggestion_delta: BTreeMap::new(),
             pool,
             revisit_queue: BTreeSet::new(),
-            threads,
         };
         state.generate_initial_updates();
         state
-    }
-
-    /// Worker count of the pool driving the O(table) passes.
-    pub fn parallelism(&self) -> usize {
-        self.threads.workers()
     }
 
     /// The current database instance.
@@ -494,11 +475,7 @@ impl RepairState {
     }
 
     /// Rebuilds a repair context written by [`RepairState::encode_state`].
-    ///
-    /// `threads` replaces the worker pool, which is runtime configuration
-    /// rather than state (any worker count produces bit-identical repair
-    /// state, so the choice does not affect fidelity).
-    pub fn decode_state(dec: &mut Dec<'_>, threads: ThreadPool) -> codec::Result<RepairState> {
+    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RepairState> {
         dec.section("repair", 2)?;
         let table = Table::decode_state(dec)?;
         let engine = ViolationEngine::decode_state(dec, table.len())?;
@@ -566,7 +543,6 @@ impl RepairState {
             suggestion_delta: BTreeMap::new(),
             pool,
             revisit_queue,
-            threads,
         })
     }
 }
@@ -797,7 +773,7 @@ mod tests {
 
         let bytes = encode(&state);
         let mut dec = Dec::new(&bytes);
-        let mut restored = RepairState::decode_state(&mut dec, ThreadPool::sequential()).unwrap();
+        let mut restored = RepairState::decode_state(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(encode(&restored), bytes);
         assert!(restored.invariants_hold());
@@ -828,8 +804,7 @@ mod tests {
         let bytes = encode(&state);
         for cut in (0..bytes.len()).step_by(7) {
             let mut dec = Dec::new(&bytes[..cut]);
-            let result = RepairState::decode_state(&mut dec, ThreadPool::sequential())
-                .and_then(|_| dec.finish());
+            let result = RepairState::decode_state(&mut dec).and_then(|_| dec.finish());
             assert!(result.is_err(), "truncation at {cut} must not decode");
         }
     }

@@ -12,7 +12,7 @@
 
 use gdr_cfd::{parser, RuleSet};
 use gdr_relation::{Schema, Table, Value};
-use gdr_repair::{ChangeSource, Feedback, RepairState, Update};
+use gdr_repair::{value_similarity, ChangeSource, Feedback, RepairState, Update};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -176,5 +176,117 @@ proptest! {
             assert_refresh_paths_agree(&mut state, step + 1);
         }
         prop_assert!(state.invariants_hold());
+    }
+}
+
+/// More rows for the initial-walk case: near-miss zips and city spellings
+/// in the same agreement groups, so one group holds several current values
+/// and candidates tie on score.
+const WALK_ROWS: &[[&str; 5]] = &[
+    ["H1", "Coliseum Blvd", "Fort Wayne", "IN", "46835"],
+    ["H2", "Clinton St", "Fort Wayne", "IN", "46815"],
+    ["H3", "Coliseum Blvd", "Fort Wayne", "IN", "46826"],
+    ["H1", "Wabash St", "Michigan City", "MI", "46360"],
+    ["H2", "Franklin St", "Michigan Cty", "IN", "46361"],
+    ["H3", "Lincolnway", "Westville", "IN", "46390"],
+    ["H1", "Main St", "Westvill", "IN", "46391"],
+    ["H2", "Clinton St", "Fort Wayme", "IN", "46825"],
+    ["H3", "Clinton St", "Fort Wayne", "IN", "46825"],
+];
+
+/// Algorithm 1 from scratch for one cell: every candidate of the three
+/// scenarios, found by scanning the table and scored directly, with no memo
+/// and no index.  The best is the highest score, ties going to the smaller
+/// value.
+fn reference_update(state: &RepairState, tuple: usize, attr: usize) -> Option<(Value, f64)> {
+    let table = state.table();
+    let current = table.cell(tuple, attr);
+    let mut candidates: Vec<Value> = Vec::new();
+    for rule_id in state.engine().violated_rules(tuple) {
+        let rule = state.ruleset().rule(rule_id);
+        if rule.rhs() == attr {
+            if rule.is_constant() {
+                candidates.extend(rule.rhs_pattern().as_const().cloned());
+            } else {
+                for partner in state.engine().conflict_partners(rule_id, tuple) {
+                    candidates.push(table.cell(partner, attr).clone());
+                }
+            }
+        } else if rule.lhs().contains(&attr) {
+            for (&lhs_attr, pattern) in rule.lhs().iter().zip(rule.lhs_pattern()) {
+                if lhs_attr == attr {
+                    candidates.extend(pattern.as_const().cloned());
+                }
+            }
+            let others: Vec<usize> = rule.attrs().into_iter().filter(|&a| a != attr).collect();
+            for row in 0..table.len() {
+                let agrees = others
+                    .iter()
+                    .all(|&a| table.cell(row, a) == table.cell(tuple, a));
+                if agrees && !table.cell(row, attr).is_null() {
+                    candidates.push(table.cell(row, attr).clone());
+                }
+            }
+        }
+    }
+    candidates
+        .into_iter()
+        .filter(|value| value != current && !state.is_prevented((tuple, attr), value))
+        .map(|value| (value_similarity(current, &value), value))
+        .max_by(|(a, x), (b, y)| a.total_cmp(b).then(y.cmp(x)))
+        .map(|(score, value)| (value, score))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The initial walk of `RepairState::new` memoises candidate pools, their
+    /// best candidates and similarity scores across cells; per-cell
+    /// `generate_update` starts from an empty memo.  Rerunning it on every
+    /// dirty cell must reproduce the walk's suggestion bit for bit, intern
+    /// nothing new, and leave the pending map unchanged.  Both must also
+    /// match Algorithm 1 computed from scratch.
+    #[test]
+    fn memoised_initial_walk_equals_per_cell_generation(
+        picks in proptest::collection::vec(0..ROWS.len() + WALK_ROWS.len(), 2..40),
+    ) {
+        let schema = schema();
+        let mut table = Table::new("addr", schema.clone());
+        for &pick in &picks {
+            let row = ROWS.get(pick).unwrap_or_else(|| &WALK_ROWS[pick - ROWS.len()]);
+            table.push_text_row(row).unwrap();
+        }
+        let walked = RepairState::new(table, &ruleset(&schema));
+        let mut per_cell = walked.clone();
+        for tuple in walked.dirty_tuples() {
+            for attr in 0..schema.arity() {
+                let fresh = per_cell.generate_update(tuple, attr);
+                let memoised = walked.pending_update((tuple, attr));
+                prop_assert_eq!(fresh.is_some(), memoised.is_some(), "cell {:?}", (tuple, attr));
+                let reference = reference_update(&walked, tuple, attr);
+                prop_assert_eq!(
+                    memoised.map(|u| (u.value.clone(), u.score.to_bits())),
+                    reference.map(|(value, score)| (value, score.to_bits())),
+                    "cell {:?} against the reference",
+                    (tuple, attr)
+                );
+                if let (Some(a), Some(b)) = (fresh, memoised) {
+                    prop_assert_eq!(&a.value, &b.value, "cell {:?}", (tuple, attr));
+                    prop_assert_eq!(a.value_id, b.value_id, "cell {:?}", (tuple, attr));
+                    prop_assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "cell {:?}: score {} vs {}",
+                        (tuple, attr),
+                        a.score,
+                        b.score
+                    );
+                }
+            }
+        }
+        for attr in 0..schema.arity() {
+            prop_assert_eq!(walked.table().dict_values(attr), per_cell.table().dict_values(attr));
+        }
+        prop_assert_eq!(walked.possible_updates_sorted(), per_cell.possible_updates_sorted());
     }
 }

@@ -183,6 +183,11 @@
 //!   refuses the `S1` spec record, so such a session fails to recover with
 //!   a typed `journal` error naming the magic, its files are left as they
 //!   are, and every other session keeps serving.
+//! * **`config` v3** — `GdrConfig` no longer carries a worker count, so
+//!   its `config` section is at version 3 and has no decoder for v2.  A
+//!   durable session written by an older build fails to recover with a
+//!   typed `journal` error naming the section, and every other session
+//!   keeps serving.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (the
 //!   default) fsyncs each record before its verb replies, so every
 //!   acknowledged verb is on stable storage; `Never` (tests, benches)

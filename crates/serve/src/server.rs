@@ -408,15 +408,17 @@ fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
             return Ok(Some((None, Err(detail))));
         }
         if !is_blank(&line) {
-            let text = String::from_utf8_lossy(&line);
-            return Ok(Some(decode_request_frame(text.trim())));
+            return Ok(Some(match std::str::from_utf8(&line) {
+                Ok(text) => decode_request_frame(text.trim()),
+                Err(_) => (None, Err("request line is not valid UTF-8".to_string())),
+            }));
         }
     }
 }
 
 /// Whether [`read_frame`] skips `line` as blank.
 fn is_blank(line: &[u8]) -> bool {
-    String::from_utf8_lossy(line).trim().is_empty()
+    std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
 }
 
 /// Whether `buffered` holds a complete non-blank line, which the next

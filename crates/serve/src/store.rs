@@ -60,9 +60,8 @@
 //! ## Locking: sharded maps, per-session mutexes
 //!
 //! The store is **sharded**: session ids route to one of [`STORE_SHARDS`]
-//! independent mutex-guarded maps by a stable FNV-1a hash of the id (the
-//! same deterministic-routing idea as `gdr_relation::pool::shard_of_ids`),
-//! so an `open`, lookup, or eviction on one shard never blocks traffic on
+//! independent mutex-guarded maps by a stable FNV-1a hash of the id, so
+//! an `open`, lookup, or eviction on one shard never blocks traffic on
 //! another.  A request locks its shard only to look up (or insert) the
 //! `Arc<Mutex<Session>>`, then drives the engine under the per-session
 //! mutex — sessions never block one another, and under the multiplexed
@@ -1065,8 +1064,8 @@ impl SessionStore {
         self.durability.as_ref()
     }
 
-    /// The shard owning `id` — a stable FNV-1a hash of the id, masked down
-    /// (the `shard_of_ids` routing idea applied to session ids).
+    /// The shard owning `id` — a stable FNV-1a hash of the id, masked down,
+    /// so an id routes to the same shard in every process.
     fn shard(&self, id: &str) -> &Shard {
         &self.shards[fnv1a64(id.as_bytes()) as usize & (STORE_SHARDS - 1)]
     }

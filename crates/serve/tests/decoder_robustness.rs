@@ -14,8 +14,8 @@
 //! a retired layout, and so is a session written in the retired `S1` frame
 //! format; each fails only its own session.
 //!
-//! On the wire: arbitrary bytes (read as lossy UTF-8, as a connection reads
-//! a line), and every truncation and single-byte substitution of a golden
+//! On the wire: arbitrary bytes (refused unless valid UTF-8, as a
+//! connection reads a line), and every truncation and single-byte substitution of a golden
 //! frame of every protocol message, go to `Json::parse`,
 //! `decode_request_frame` and `decode_response_frame`.  Each must return
 //! `Ok` or `Err`, never panic.
@@ -945,13 +945,16 @@ fn golden_frames() -> &'static [String] {
     })
 }
 
-/// Feeds `bytes`, read as lossy UTF-8 like a connection reads a line, to
-/// every wire decoder.  Any result but a panic passes.
+/// Feeds `bytes` to every wire decoder when they are valid UTF-8; a
+/// connection answers any other line with `bad_request` before decoding.
+/// Any result but a panic passes.
 fn decode_wire(bytes: &[u8]) {
-    let line = String::from_utf8_lossy(bytes);
-    let _ = Json::parse(&line);
-    let _ = decode_request_frame(&line);
-    let _ = decode_response_frame(&line);
+    let Ok(line) = std::str::from_utf8(bytes) else {
+        return;
+    };
+    let _ = Json::parse(line);
+    let _ = decode_request_frame(line);
+    let _ = decode_response_frame(line);
 }
 
 #[test]

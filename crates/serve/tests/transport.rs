@@ -1,7 +1,7 @@
 //! Transport limits of the threaded server: a client that never reads its
-//! replies cannot stall another connection, and an over-long or
-//! over-nested request line costs its sender a `bad_request` reply, never
-//! the connection or the server.
+//! replies cannot stall another connection, and an over-long,
+//! over-nested or non-UTF-8 request line costs its sender a `bad_request`
+//! reply, never the connection or the server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -200,6 +200,42 @@ fn a_deeply_nested_line_is_refused_without_crashing_the_reader() {
     bytes.extend_from_slice(hello_line().as_bytes());
     stream.write_all(&bytes).expect("write request lines");
     assert_bad_request_then_hello(&mut replies);
+    drop((stream, replies));
+    server.join().expect("server thread").expect("serve");
+}
+
+/// A line that is not valid UTF-8 is refused, not decoded lossily: the ids
+/// `a\xFE` and `a\xFF` would otherwise both read as `a\u{FFFD}` and name
+/// one session, so the second `open` would fail as a duplicate.
+#[test]
+fn a_line_that_is_not_utf8_is_refused_and_the_connection_keeps_serving() {
+    let (addr, server) = spawn_server(ServerConfig::new().max_connections(Some(1)));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    let (dirty, _clean, _rules) = fixture::figure1_instance();
+    let open = Request::Open {
+        session: "a~".to_string(),
+        table_csv: to_csv(&dirty),
+        rules: fixture::figure1_rules_text().to_string(),
+        strategy: Strategy::GdrNoLearning,
+        seed: None,
+        ground_truth_csv: None,
+        policy: None,
+        lease_ttl: None,
+    };
+    let line = format!("{}\n", encode_request_frame(&open, None)).into_bytes();
+    let at = line
+        .windows(4)
+        .position(|w| w == b"\"a~\"")
+        .expect("session id in the open line")
+        + 2;
+    for invalid in [0xFE, 0xFF] {
+        let mut bytes = line.clone();
+        bytes[at] = invalid;
+        bytes.extend_from_slice(hello_line().as_bytes());
+        stream.write_all(&bytes).expect("write request lines");
+        assert_bad_request_then_hello(&mut replies);
+    }
     drop((stream, replies));
     server.join().expect("server thread").expect("serve");
 }
