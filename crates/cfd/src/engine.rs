@@ -1087,75 +1087,33 @@ impl ViolationEngine {
     /// set is written in sorted key order — two engines that are behaviourally
     /// identical produce byte-identical encodings.  Derivable state (resolved
     /// pattern ids, the per-attribute rule index, the what-if suppression
-    /// flag) is omitted and rebuilt on decode.
+    /// flag, the variable rules' violation bits) is omitted and rebuilt on
+    /// decode.
     pub fn encode_state(&self, enc: &mut Enc) {
         enc.section("vioeng", 1);
-        self.ruleset.encode_state(enc);
-        enc.usize(self.involving.len());
-        enc.usize(self.n_rows);
+        enc.put(&self.ruleset);
+        enc.put(&self.involving.len());
+        enc.put(&self.n_rows);
         enc.usize(self.states.len());
         for state in &self.states {
             match state {
                 RuleState::Constant(c) => {
                     enc.u8(0);
                     enc.usize(c.violations);
-                    for t in c.violating.iter() {
-                        enc.usize(t);
+                    for tuple in c.violating.iter() {
+                        enc.put(&tuple);
                     }
-                    enc.usize(c.context);
+                    enc.put(&c.context);
                 }
                 RuleState::Variable(v) => {
                     enc.u8(1);
-                    let mut keys: Vec<(TupleId, &SmallKey)> =
-                        v.tuple_key.iter().map(|(&t, k)| (t, k)).collect();
-                    keys.sort_unstable_by_key(|(t, _)| *t);
-                    enc.usize(keys.len());
-                    for (tuple, key) in keys {
-                        enc.usize(tuple);
-                        key.encode_state(enc);
-                    }
-                    let mut groups: Vec<(&SmallKey, &Group)> = v.groups.iter().collect();
-                    groups.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-                    enc.usize(groups.len());
-                    for (key, group) in groups {
-                        key.encode_state(enc);
-                        let mut buckets: Vec<(ValueId, &HashSet<TupleId>)> =
-                            group.members_by_rhs.iter().map(|(&r, m)| (r, m)).collect();
-                        buckets.sort_unstable_by_key(|(rhs, _)| *rhs);
-                        enc.usize(buckets.len());
-                        for (rhs, members) in buckets {
-                            enc.u32(rhs.raw());
-                            let mut sorted: Vec<TupleId> = members.iter().copied().collect();
-                            sorted.sort_unstable();
-                            enc.usize(sorted.len());
-                            for t in sorted {
-                                enc.usize(t);
-                            }
-                        }
-                        enc.usize(group.total);
-                    }
-                    enc.usize(v.total_vio);
-                    enc.usize(v.satisfying_in_context);
-                    enc.usize(v.context);
-                    let mut gens: Vec<(&SmallKey, u64)> =
-                        v.group_generation.iter().map(|(k, &g)| (k, g)).collect();
-                    gens.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
-                    enc.usize(gens.len());
-                    for (key, stamp) in gens {
-                        key.encode_state(enc);
-                        enc.u64(stamp);
-                    }
+                    enc.put(v);
                 }
             }
         }
-        for &stamp in &self.stats_generation {
-            enc.u64(stamp);
-        }
-        enc.usize(self.row_generation.len());
-        for &stamp in &self.row_generation {
-            enc.u64(stamp);
-        }
-        enc.u64(self.generation_counter);
+        enc.fixed(&self.stats_generation);
+        enc.put(&self.row_generation);
+        enc.put(&self.generation_counter);
     }
 
     /// Rebuilds an engine written by [`ViolationEngine::encode_state`] for a
@@ -1163,14 +1121,14 @@ impl ViolationEngine {
     ///
     /// The engine's row count must equal `rows`, and every tuple id it names
     /// must be below it; both are checked before anything is sized from them.
-    /// The variable rules' violation indexes are not encoded: they are filled
-    /// while the group members are read.  Pattern-constant resolution is left
-    /// empty (`resolved_at_generation: None`): every read and mutation path
+    /// The variable rules' violation bits are not encoded: they are filled
+    /// from the decoded groups.  Pattern-constant resolution is left empty
+    /// (`resolved_at_generation: None`): every read and mutation path
     /// refreshes it lazily against the live table before use.
     pub fn decode_state(dec: &mut Dec<'_>, rows: usize) -> codec::Result<ViolationEngine> {
         dec.section("vioeng", 1)?;
-        let ruleset = RuleSet::decode_state(dec)?;
-        let arity = dec.usize()?;
+        let ruleset: RuleSet = dec.get()?;
+        let arity: usize = dec.get()?;
         for (id, rule) in ruleset.iter() {
             if rule.attrs().iter().any(|&attr| attr >= arity) {
                 return Err(CodecError::new(format!(
@@ -1178,24 +1136,22 @@ impl ViolationEngine {
                 )));
             }
         }
-        let n_rows = dec.usize()?;
+        let n_rows: usize = dec.get()?;
         if n_rows != rows {
             return Err(CodecError::new(format!(
                 "engine tracks {n_rows} rows but the table has {rows}"
             )));
         }
-        let tuple_id = |dec: &mut Dec<'_>| -> codec::Result<TupleId> {
-            let tuple = dec.usize()?;
-            if tuple >= rows {
-                return Err(CodecError::new(format!(
+        let check_tuple = |tuple: TupleId| {
+            if tuple < rows {
+                Ok(())
+            } else {
+                Err(CodecError::new(format!(
                     "tuple id {tuple} outside the {rows}-row table"
-                )));
+                )))
             }
-            Ok(tuple)
         };
-        // Fewest bytes per element, one per integer and key: a constant
-        // rule's state is a tag, a count and a context.
-        let n_states = dec.seq_len(3)?;
+        let n_states = dec.usize()?;
         if n_states != ruleset.len() {
             return Err(CodecError::new(format!(
                 "rule-state count {n_states} does not match {} rules",
@@ -1204,93 +1160,37 @@ impl ViolationEngine {
         }
         let mut states = Vec::with_capacity(n_states);
         for rule_id in 0..n_states {
-            let tag = dec.u8()?;
-            let constant = ruleset.rule(rule_id).is_constant();
-            match (tag, constant) {
+            match (dec.u8()?, ruleset.rule(rule_id).is_constant()) {
                 (0, true) => {
-                    let violations = dec.seq_len(1)?;
+                    let tuples: Vec<TupleId> = dec.get()?;
                     let mut violating = TupleBits::with_rows(rows);
-                    for _ in 0..violations {
-                        if !violating.insert(tuple_id(dec)?) {
+                    for &tuple in &tuples {
+                        check_tuple(tuple)?;
+                        if !violating.insert(tuple) {
                             return Err(CodecError::new("duplicate violating tuple"));
                         }
                     }
-                    let context = dec.usize()?;
                     states.push(RuleState::Constant(ConstState {
                         violating,
-                        violations,
-                        context,
+                        violations: tuples.len(),
+                        context: dec.get()?,
                     }));
                 }
                 (1, false) => {
-                    let n_keys = dec.seq_len(2)?;
-                    let mut tuple_key = HashMap::with_capacity(n_keys);
-                    for _ in 0..n_keys {
-                        let tuple = tuple_id(dec)?;
-                        let key = SmallKey::decode_state(dec)?;
-                        if tuple_key.insert(tuple, key).is_some() {
-                            return Err(CodecError::new("duplicate tuple key"));
-                        }
-                    }
-                    let n_groups = dec.seq_len(3)?;
-                    let mut groups = HashMap::with_capacity(n_groups);
-                    let mut violating = TupleBits::with_rows(rows);
-                    for _ in 0..n_groups {
-                        let key = SmallKey::decode_state(dec)?;
-                        let n_buckets = dec.seq_len(2)?;
-                        let mut members_by_rhs = HashMap::with_capacity(n_buckets);
-                        for _ in 0..n_buckets {
-                            let rhs = ValueId::from_index(dec.u32()? as usize);
-                            let n_members = dec.seq_len(1)?;
-                            let mut members = HashSet::with_capacity(n_members);
-                            for _ in 0..n_members {
-                                let member = tuple_id(dec)?;
-                                if !members.insert(member) {
-                                    return Err(CodecError::new("duplicate group member"));
-                                }
-                                if n_buckets > 1 {
-                                    violating.insert(member);
-                                }
-                            }
-                            if members_by_rhs.insert(rhs, members).is_some() {
-                                return Err(CodecError::new("duplicate rhs bucket"));
+                    let mut var: VarState = dec.get()?;
+                    var.tuple_key
+                        .keys()
+                        .try_for_each(|&tuple| check_tuple(tuple))?;
+                    var.violating = TupleBits::with_rows(rows);
+                    for group in var.groups.values() {
+                        for member in group.members() {
+                            check_tuple(member)?;
+                            if group.violating() {
+                                var.violating.insert(member);
                             }
                         }
-                        let total = dec.usize()?;
-                        if groups
-                            .insert(
-                                key,
-                                Group {
-                                    members_by_rhs,
-                                    total,
-                                },
-                            )
-                            .is_some()
-                        {
-                            return Err(CodecError::new("duplicate agreement group"));
-                        }
                     }
-                    let total_vio = dec.usize()?;
-                    let satisfying_in_context = dec.usize()?;
-                    let context = dec.usize()?;
-                    let n_gens = dec.seq_len(2)?;
-                    let mut group_generation = HashMap::with_capacity(n_gens);
-                    for _ in 0..n_gens {
-                        let key = SmallKey::decode_state(dec)?;
-                        let stamp = dec.u64()?;
-                        if group_generation.insert(key, stamp).is_some() {
-                            return Err(CodecError::new("duplicate group generation"));
-                        }
-                    }
-                    states.push(RuleState::Variable(VarState {
-                        tuple_key,
-                        groups,
-                        total_vio,
-                        satisfying_in_context,
-                        context,
-                        group_generation,
-                        violating,
-                    }));
+                    states.push(RuleState::Variable(var));
                 }
                 (tag, _) => {
                     return Err(CodecError::new(format!(
@@ -1299,16 +1199,9 @@ impl ViolationEngine {
                 }
             }
         }
-        let mut stats_generation = Vec::with_capacity(n_states);
-        for _ in 0..n_states {
-            stats_generation.push(dec.u64()?);
-        }
-        let n_row_gen = dec.seq_len(1)?;
-        let mut row_generation = Vec::with_capacity(n_row_gen);
-        for _ in 0..n_row_gen {
-            row_generation.push(dec.u64()?);
-        }
-        let generation_counter = dec.u64()?;
+        let stats_generation = dec.fixed(n_states)?;
+        let row_generation = dec.get()?;
+        let generation_counter = dec.get()?;
         let involving = (0..arity).map(|a| ruleset.rules_involving(a)).collect();
         Ok(ViolationEngine {
             ruleset,
@@ -1325,10 +1218,18 @@ impl ViolationEngine {
     }
 }
 
+gdr_relation::state_record! { Group { members_by_rhs, total } }
+
+gdr_relation::state_record! {
+    VarState { tuple_key, groups, total_vio, satisfying_in_context, context, group_generation }
+    ..Default
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_rules;
+    use gdr_relation::codec::State;
     use gdr_relation::Schema;
 
     fn schema() -> Schema {

@@ -18,6 +18,11 @@ pub enum PatternValue {
     Const(Value),
 }
 
+gdr_relation::state_enum! { PatternValue, "pattern" {
+    0 => Wildcard,
+    1 => Const { 0 },
+} }
+
 impl PatternValue {
     /// Builds a constant pattern entry from anything convertible to a value.
     pub fn constant(value: impl Into<Value>) -> PatternValue {

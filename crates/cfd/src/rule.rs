@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
 use gdr_relation::{AttrId, Row, Schema, Value};
 
 use crate::error::CfdError;
@@ -195,6 +196,38 @@ impl Cfd {
             return Some(true);
         }
         Some(tuple.value(self.rhs) == constant)
+    }
+}
+
+/// The name, the left-hand side as `(attribute, pattern)` pairs, then the
+/// right-hand side's attribute and pattern.  A decoded rule is re-validated
+/// through [`Cfd::new`], so a payload that decodes but does not describe a
+/// well-formed CFD is rejected rather than trusted.
+impl State for Cfd {
+    const MIN_BYTES: usize = String::MIN_BYTES
+        + Vec::<(AttrId, PatternValue)>::MIN_BYTES
+        + AttrId::MIN_BYTES
+        + PatternValue::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.put(&self.name);
+        enc.usize(self.lhs.len());
+        for (attr, pattern) in self.lhs.iter().zip(&self.lhs_pattern) {
+            enc.put(attr);
+            enc.put(pattern);
+        }
+        enc.put(&self.rhs);
+        enc.put(&self.rhs_pattern);
+    }
+
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Cfd> {
+        let name: String = dec.get()?;
+        let (lhs, lhs_pattern) = dec
+            .get::<Vec<(AttrId, PatternValue)>>()?
+            .into_iter()
+            .unzip();
+        Cfd::new(name, lhs, lhs_pattern, dec.get()?, dec.get()?)
+            .map_err(|e| CodecError::new(format!("invalid rule in snapshot: {e}")))
     }
 }
 

@@ -9,31 +9,12 @@
 
 use std::fmt;
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, Dec, Enc, State};
 use gdr_relation::Table;
 
 use crate::error::CfdError;
-use crate::pattern::PatternValue;
 use crate::rule::{Cfd, RuleId};
 use crate::Result;
-
-fn encode_pattern(enc: &mut Enc, pattern: &PatternValue) {
-    match pattern {
-        PatternValue::Wildcard => enc.u8(0),
-        PatternValue::Const(value) => {
-            enc.u8(1);
-            enc.value(value);
-        }
-    }
-}
-
-fn decode_pattern(dec: &mut Dec<'_>) -> codec::Result<PatternValue> {
-    match dec.u8()? {
-        0 => Ok(PatternValue::Wildcard),
-        1 => Ok(PatternValue::Const(dec.value()?)),
-        tag => Err(CodecError::new(format!("invalid pattern tag {tag}"))),
-    }
-}
 
 /// An ordered collection of normal-form CFDs with per-rule weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,54 +122,22 @@ impl RuleSet {
         self.weights.push(weight);
         id
     }
+}
 
-    /// Serialises the rule set (rules and weights) into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
+/// The rules, then one weight per rule (no second length prefix).
+impl State for RuleSet {
+    const MIN_BYTES: usize = codec::section_bytes("rules", 1) + Vec::<Cfd>::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
         enc.section("rules", 1);
-        enc.usize(self.rules.len());
-        for rule in &self.rules {
-            enc.str(rule.name());
-            enc.usize(rule.lhs().len());
-            for (&attr, pattern) in rule.lhs().iter().zip(rule.lhs_pattern()) {
-                enc.usize(attr);
-                encode_pattern(enc, pattern);
-            }
-            enc.usize(rule.rhs());
-            encode_pattern(enc, rule.rhs_pattern());
-        }
-        for &w in &self.weights {
-            enc.f64(w);
-        }
+        enc.put(&self.rules);
+        enc.fixed(&self.weights);
     }
 
-    /// Rebuilds a rule set written by [`RuleSet::encode_state`].  Each rule is
-    /// re-validated through [`Cfd::new`], so a payload that decodes but does
-    /// not describe a well-formed CFD is rejected rather than trusted.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RuleSet> {
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RuleSet> {
         dec.section("rules", 1)?;
-        // A rule is a name, an LHS count, an RHS attribute and pattern, and
-        // an 8-byte weight; an LHS entry an attribute and a pattern.
-        let n = dec.seq_len(4 + 8)?;
-        let mut rules = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = dec.str()?;
-            let arity = dec.seq_len(2)?;
-            let mut lhs = Vec::with_capacity(arity);
-            let mut lhs_pattern = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                lhs.push(dec.usize()?);
-                lhs_pattern.push(decode_pattern(dec)?);
-            }
-            let rhs = dec.usize()?;
-            let rhs_pattern = decode_pattern(dec)?;
-            let rule = Cfd::new(name, lhs, lhs_pattern, rhs, rhs_pattern)
-                .map_err(|e| CodecError::new(format!("invalid rule in snapshot: {e}")))?;
-            rules.push(rule);
-        }
-        let mut weights = Vec::with_capacity(n);
-        for _ in 0..n {
-            weights.push(dec.f64()?);
-        }
+        let rules: Vec<Cfd> = dec.get()?;
+        let weights = dec.fixed(rules.len())?;
         Ok(RuleSet { rules, weights })
     }
 }

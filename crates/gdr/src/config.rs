@@ -1,7 +1,7 @@
 //! Configuration of a GDR session.
 
 use gdr_learn::ForestConfig;
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, CodecError};
 
 /// Tunable parameters of the interactive repair session.
 #[derive(Debug, Clone)]
@@ -60,38 +60,20 @@ impl GdrConfig {
         }
     }
 
-    /// Serialises the configuration into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("config", 3);
-        enc.usize(self.ns_batch);
-        enc.usize(self.min_verifications_per_group);
-        enc.usize(self.learner_min_training);
-        self.forest.encode_state(enc);
-        enc.u64(self.seed);
-        enc.usize(self.checkpoint_every);
-    }
-
-    /// Rebuilds a configuration written by [`GdrConfig::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrConfig> {
-        dec.section("config", 3)?;
-        let ns_batch = dec.usize()?;
-        let min_verifications_per_group = dec.usize()?;
-        let learner_min_training = dec.usize()?;
-        let forest = ForestConfig::decode_state(dec)?;
-        let seed = dec.u64()?;
-        let checkpoint_every = dec.usize()?;
-        if checkpoint_every == 0 {
+    /// Rejects a decoded configuration that never checkpoints.
+    fn check_decoded(&self) -> codec::Result<()> {
+        if self.checkpoint_every == 0 {
             return Err(CodecError::new("checkpoint_every must be positive"));
         }
-        Ok(GdrConfig {
-            ns_batch,
-            min_verifications_per_group,
-            learner_min_training,
-            forest,
-            seed,
-            checkpoint_every,
-        })
+        Ok(())
     }
+}
+
+gdr_relation::state_record! {
+    "config" 3 => GdrConfig {
+        ns_batch, min_verifications_per_group, learner_min_training, forest, seed, checkpoint_every
+    }
+    check GdrConfig::check_decoded
 }
 
 #[cfg(test)]

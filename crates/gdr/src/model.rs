@@ -14,7 +14,7 @@
 //! by the active-learning ordering.
 
 use gdr_learn::{ActiveLearner, FeatureValue, ForestConfig};
-use gdr_relation::codec::{self, Dec, Enc};
+use gdr_relation::codec::{self, Dec, Enc, State};
 use gdr_relation::Table;
 use gdr_repair::{value_similarity, Feedback, Update};
 
@@ -158,33 +158,23 @@ impl ModelStore {
         let features = self.features_for(table, update);
         self.learners[update.attr].uncertainty(&features)
     }
+}
 
-    /// Serialises every per-attribute learner (datasets, trained forests,
-    /// seed schedules) into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
+/// Every per-attribute learner (datasets, trained forests, seed schedules),
+/// then one pending-example count per learner (no second length prefix).
+impl State for ModelStore {
+    const MIN_BYTES: usize = codec::section_bytes("models", 1) + Vec::<ActiveLearner>::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
         enc.section("models", 1);
-        enc.usize(self.learners.len());
-        for learner in &self.learners {
-            learner.encode_state(enc);
-        }
-        for &pending in &self.pending_since_retrain {
-            enc.usize(pending);
-        }
+        enc.put(&self.learners);
+        enc.fixed(&self.pending_since_retrain);
     }
 
-    /// Rebuilds a store written by [`ModelStore::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ModelStore> {
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ModelStore> {
         dec.section("models", 1)?;
-        // A learner takes at least its 9-byte `learner` section header.
-        let arity = dec.seq_len(9)?;
-        let mut learners = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            learners.push(ActiveLearner::decode_state(dec)?);
-        }
-        let mut pending_since_retrain = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            pending_since_retrain.push(dec.usize()?);
-        }
+        let learners: Vec<ActiveLearner> = dec.get()?;
+        let pending_since_retrain = dec.fixed(learners.len())?;
         Ok(ModelStore {
             learners,
             pending_since_retrain,

@@ -32,7 +32,6 @@
 //! assert!(report.final_loss <= report.initial_loss);
 //! ```
 
-use gdr_relation::codec::{self, Dec, Enc};
 use gdr_relation::Value;
 use gdr_repair::{Feedback, RepairState};
 
@@ -53,23 +52,7 @@ pub struct Checkpoint {
     pub improvement_pct: f64,
 }
 
-impl Checkpoint {
-    /// Serialises the checkpoint into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.verifications);
-        enc.f64(self.loss);
-        enc.f64(self.improvement_pct);
-    }
-
-    /// Rebuilds a checkpoint written by [`Checkpoint::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Checkpoint> {
-        Ok(Checkpoint {
-            verifications: dec.usize()?,
-            loss: dec.f64()?,
-            improvement_pct: dec.f64()?,
-        })
-    }
-}
+gdr_relation::state_record! { Checkpoint { verifications, loss, improvement_pct } }
 
 /// Summary of one session run.
 #[derive(Debug, Clone)]

@@ -52,7 +52,7 @@
 //! suggestion) — and records the final checkpoint.
 
 use gdr_cfd::RuleSet;
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
 use gdr_relation::{AttrId, Table, Value};
 use gdr_repair::{
     run_heuristic_repair, Cell, ChangeSource, Feedback, FeedbackOutcome, HeuristicConfig,
@@ -124,28 +124,12 @@ pub enum DoneReason {
     Finished,
 }
 
-impl DoneReason {
-    /// Serialises the reason into `enc`.
-    pub fn encode_state(self, enc: &mut Enc) {
-        enc.u8(match self {
-            DoneReason::Exhausted => 0,
-            DoneReason::Stalled => 1,
-            DoneReason::AutomaticComplete => 2,
-            DoneReason::Finished => 3,
-        });
-    }
-
-    /// Rebuilds a reason written by [`DoneReason::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<DoneReason> {
-        match dec.u8()? {
-            0 => Ok(DoneReason::Exhausted),
-            1 => Ok(DoneReason::Stalled),
-            2 => Ok(DoneReason::AutomaticComplete),
-            3 => Ok(DoneReason::Finished),
-            tag => Err(CodecError::new(format!("invalid done-reason tag {tag}"))),
-        }
-    }
-}
+gdr_relation::state_enum! { DoneReason, "done-reason" {
+    0 => Exhausted,
+    1 => Stalled,
+    2 => AutomaticComplete,
+    3 => Finished,
+} }
 
 /// Where an [`WorkPlan::AskUser`] item sits in the strategy's plan: the
 /// group it was drawn from and how far the group's verification quota has
@@ -167,29 +151,7 @@ pub struct GroupContext {
     pub asked: usize,
 }
 
-impl GroupContext {
-    /// Serialises the context into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.attr);
-        enc.value(&self.value);
-        enc.f64(self.benefit);
-        enc.usize(self.size);
-        enc.usize(self.quota);
-        enc.usize(self.asked);
-    }
-
-    /// Rebuilds a context written by [`GroupContext::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GroupContext> {
-        Ok(GroupContext {
-            attr: dec.usize()?,
-            value: dec.value()?,
-            benefit: dec.f64()?,
-            size: dec.usize()?,
-            quota: dec.usize()?,
-            asked: dec.usize()?,
-        })
-    }
-}
+gdr_relation::state_record! { GroupContext { attr, value, benefit, size, quota, asked } }
 
 /// One unit of work pulled from the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,51 +183,11 @@ pub enum WorkPlan {
     Done(DoneReason),
 }
 
-impl WorkPlan {
-    /// Serialises the plan into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            WorkPlan::AskUser {
-                id,
-                update,
-                group_context,
-                uncertainty,
-            } => {
-                enc.u8(0);
-                enc.u64(id.raw());
-                update.encode_state(enc);
-                enc.option(group_context.as_ref(), |e, context| context.encode_state(e));
-                enc.f64(*uncertainty);
-            }
-            WorkPlan::NeedsValue { cell } => {
-                enc.u8(1);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-            }
-            WorkPlan::Done(reason) => {
-                enc.u8(2);
-                reason.encode_state(enc);
-            }
-        }
-    }
-
-    /// Rebuilds a plan written by [`WorkPlan::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<WorkPlan> {
-        match dec.u8()? {
-            0 => Ok(WorkPlan::AskUser {
-                id: WorkId::from_raw(dec.u64()?),
-                update: Update::decode_state(dec)?,
-                group_context: dec.option(GroupContext::decode_state)?,
-                uncertainty: dec.f64()?,
-            }),
-            1 => Ok(WorkPlan::NeedsValue {
-                cell: (dec.usize()?, dec.usize()?),
-            }),
-            2 => Ok(WorkPlan::Done(DoneReason::decode_state(dec)?)),
-            tag => Err(CodecError::new(format!("invalid work-plan tag {tag}"))),
-        }
-    }
-}
+gdr_relation::state_enum! { WorkPlan, "work-plan" {
+    0 => AskUser { id, update, group_context, uncertainty },
+    1 => NeedsValue { cell },
+    2 => Done { 0 },
+} }
 
 /// Evaluation-only state: everything that needs the ground truth.
 ///
@@ -351,12 +273,9 @@ impl EvalHooks {
     /// functions of those plus the rules and are re-derived on decode.
     pub fn encode_state(&self, enc: &mut Enc) {
         enc.section("eval", 1);
-        self.truth.encode_state(enc);
-        self.initial_dirty.encode_state(enc);
-        enc.usize(self.checkpoints.len());
-        for checkpoint in &self.checkpoints {
-            checkpoint.encode_state(enc);
-        }
+        enc.put(&*self.truth);
+        enc.put(&self.initial_dirty);
+        enc.put(&self.checkpoints);
     }
 
     /// Rebuilds hooks written by [`EvalHooks::encode_state`].  `rules` must
@@ -366,14 +285,9 @@ impl EvalHooks {
     /// term — bit-identical to the from-scratch oracle by construction.
     pub fn decode_state(dec: &mut Dec<'_>, rules: &RuleSet) -> codec::Result<EvalHooks> {
         dec.section("eval", 1)?;
-        let truth = std::sync::Arc::new(Table::decode_state(dec)?);
-        let initial_dirty = Table::decode_state(dec)?;
-        // A checkpoint is a count and two 8-byte floats.
-        let n = dec.seq_len(1 + 16)?;
-        let mut checkpoints = Vec::with_capacity(n);
-        for _ in 0..n {
-            checkpoints.push(Checkpoint::decode_state(dec)?);
-        }
+        let truth = std::sync::Arc::new(dec.get::<Table>()?);
+        let initial_dirty = dec.get()?;
+        let checkpoints = dec.get()?;
         let evaluator = QualityEvaluator::new(&truth, rules, &initial_dirty);
         Ok(EvalHooks {
             evaluator,
@@ -406,56 +320,21 @@ struct GroupProgress {
 }
 
 impl GroupProgress {
-    fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.attr);
-        enc.value(&self.value);
-        enc.f64(self.benefit);
-        enc.usize(self.size);
-        enc.usize(self.quota);
-        enc.usize(self.verified);
-        enc.usize(self.actions);
-        enc.usize(self.remaining.len());
-        for update in &self.remaining {
-            update.encode_state(enc);
+    /// Rejects a decoded served index past the remaining updates.
+    fn check_decoded(&self) -> codec::Result<()> {
+        match self.served {
+            Some(index) if index >= self.remaining.len() => Err(CodecError::new(format!(
+                "served index {index} out of range ({} remaining)",
+                self.remaining.len()
+            ))),
+            _ => Ok(()),
         }
-        enc.option(self.served.as_ref(), |e, &index| e.usize(index));
     }
+}
 
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GroupProgress> {
-        let attr = dec.usize()?;
-        let value = dec.value()?;
-        let benefit = dec.f64()?;
-        let size = dec.usize()?;
-        let quota = dec.usize()?;
-        let verified = dec.usize()?;
-        let actions = dec.usize()?;
-        // An update is a cell, a value, an 8-byte score and an option.
-        let n = dec.seq_len(3 + 8 + 1)?;
-        let mut remaining = Vec::with_capacity(n);
-        for _ in 0..n {
-            remaining.push(Update::decode_state(dec)?);
-        }
-        let served = dec.option(|d| d.usize())?;
-        if let Some(index) = served {
-            if index >= remaining.len() {
-                return Err(CodecError::new(format!(
-                    "served index {index} out of range ({} remaining)",
-                    remaining.len()
-                )));
-            }
-        }
-        Ok(GroupProgress {
-            attr,
-            value,
-            benefit,
-            size,
-            quota,
-            verified,
-            actions,
-            remaining,
-            served,
-        })
-    }
+gdr_relation::state_record! {
+    GroupProgress { attr, value, benefit, size, quota, verified, actions, remaining, served }
+    check GroupProgress::check_decoded
 }
 
 /// Iteration state of the §4.2 user-supplies-a-value sweep over the dirty
@@ -467,31 +346,20 @@ struct SupplySweep {
 }
 
 impl SupplySweep {
-    fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.cells.len());
-        for &(tuple, attr) in &self.cells {
-            enc.usize(tuple);
-            enc.usize(attr);
-        }
-        enc.usize(self.pos);
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SupplySweep> {
-        let n = dec.seq_len(2)?;
-        let mut cells = Vec::with_capacity(n);
-        for _ in 0..n {
-            cells.push((dec.usize()?, dec.usize()?));
-        }
-        let pos = dec.usize()?;
-        if pos > cells.len() {
+    /// Rejects a decoded sweep position past its cells.
+    fn check_decoded(&self) -> codec::Result<()> {
+        if self.pos > self.cells.len() {
             return Err(CodecError::new(format!(
-                "sweep position {pos} out of range ({} cells)",
-                cells.len()
+                "sweep position {} out of range ({} cells)",
+                self.pos,
+                self.cells.len()
             )));
         }
-        Ok(SupplySweep { cells, pos })
+        Ok(())
     }
 }
+
+gdr_relation::state_record! { SupplySweep { cells, pos } check SupplySweep::check_decoded }
 
 #[derive(Debug, Clone)]
 enum Phase {
@@ -508,37 +376,13 @@ enum Phase {
     Done(DoneReason),
 }
 
-impl Phase {
-    fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            Phase::Boot => enc.u8(0),
-            Phase::SelectGroup => enc.u8(1),
-            Phase::InGroup(progress) => {
-                enc.u8(2);
-                progress.encode_state(enc);
-            }
-            Phase::Supplying(sweep) => {
-                enc.u8(3);
-                sweep.encode_state(enc);
-            }
-            Phase::Done(reason) => {
-                enc.u8(4);
-                reason.encode_state(enc);
-            }
-        }
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Phase> {
-        match dec.u8()? {
-            0 => Ok(Phase::Boot),
-            1 => Ok(Phase::SelectGroup),
-            2 => Ok(Phase::InGroup(GroupProgress::decode_state(dec)?)),
-            3 => Ok(Phase::Supplying(SupplySweep::decode_state(dec)?)),
-            4 => Ok(Phase::Done(DoneReason::decode_state(dec)?)),
-            tag => Err(CodecError::new(format!("invalid phase tag {tag}"))),
-        }
-    }
-}
+gdr_relation::state_enum! { Phase, "phase" {
+    0 => Boot,
+    1 => SelectGroup,
+    2 => InGroup { 0 },
+    3 => Supplying { 0 },
+    4 => Done { 0 },
+} }
 
 /// The resumable, caller-driven GDR engine.
 ///
@@ -1255,108 +1099,92 @@ impl GdrEngine {
 
     // ---- serialisable snapshots -------------------------------------------
 
-    /// Serialises every canonical piece of the engine into `enc`.
-    ///
-    /// The [`VoiRanker`] is deliberately absent, and so is the repair
-    /// state's suggestion delta that feeds it: the group index, benefit
-    /// memos, and generation watermarks are caches over the `PossibleUpdates`
-    /// list, rebuilt from it by the first `sync` after decode, and the Eq. 6
-    /// arithmetic is pinned bit-identical between the cached and
-    /// from-scratch paths — so a restored engine ranks exactly as the
-    /// original would.  Everything else (down to the rng stream position
-    /// and the outstanding work plan) travels explicitly.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("engine", 1);
-        self.config.encode_state(enc);
-        self.strategy.encode_state(enc);
-        self.state.encode_state(enc);
-        self.models.encode_state(enc);
-        for word in self.rng.state() {
-            enc.u64(word);
-        }
-        enc.usize(self.verifications);
-        enc.usize(self.learner_decisions);
-        enc.usize(self.initial_dirty_tuples);
-        enc.option(self.eval.as_ref(), |e, hooks| hooks.encode_state(e));
-        self.phase.encode_state(enc);
-        enc.option(self.pending.as_ref(), |e, plan| plan.encode_state(e));
-        enc.u64(self.next_work_id);
-        enc.usize(self.stalled_rounds);
+    /// The engine as one framed `S2 <len> <fnv64-hex> <payload>` snapshot
+    /// record — the frame every durable record uses, checksummed so a torn
+    /// or bit-flipped file is detected before decoding begins.
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        codec::frame(&codec::encode_to_vec(self))
     }
 
-    /// Rebuilds an engine written by [`GdrEngine::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrEngine> {
-        dec.section("engine", 1)?;
-        let config = GdrConfig::decode_state(dec)?;
-        let strategy = Strategy::decode_state(dec)?;
-        let state = RepairState::decode_state(dec)?;
-        let models = ModelStore::decode_state(dec)?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = dec.u64()?;
+    /// Decodes an engine from a framed snapshot produced by
+    /// [`GdrEngine::to_snapshot_bytes`].  Every failure — bad frame,
+    /// checksum mismatch, malformed payload, trailing bytes — is a typed
+    /// [`CodecError`], never a panic, so recovery code can fall back to an
+    /// older snapshot or a full replay.
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> codec::Result<GdrEngine> {
+        codec::decode_exact(codec::unframe(bytes)?)
+    }
+}
+
+gdr_relation::state_record! { WorkId { 0 } }
+
+/// Every canonical piece of the engine.
+///
+/// The [`VoiRanker`] is deliberately absent, and so is the repair state's
+/// suggestion delta that feeds it: the group index, benefit memos, and
+/// generation watermarks are caches over the `PossibleUpdates` list, rebuilt
+/// from it by the first `sync` after decode, and the Eq. 6 arithmetic is
+/// pinned bit-identical between the cached and from-scratch paths — so a
+/// restored engine ranks exactly as the original would.  Everything else
+/// (down to the rng stream position and the outstanding work plan) travels
+/// explicitly.  The evaluation hooks decode against the engine's rules, so
+/// their presence byte is written here rather than by `Option`'s impl.
+impl State for GdrEngine {
+    const MIN_BYTES: usize = codec::section_bytes("engine", 1)
+        + GdrConfig::MIN_BYTES
+        + Strategy::MIN_BYTES
+        + RepairState::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.section("engine", 1);
+        enc.put(&self.config);
+        enc.put(&self.strategy);
+        enc.put(&self.state);
+        enc.put(&self.models);
+        enc.put(&self.rng.state());
+        enc.put(&self.verifications);
+        enc.put(&self.learner_decisions);
+        enc.put(&self.initial_dirty_tuples);
+        enc.put(&self.eval.is_some());
+        if let Some(hooks) = &self.eval {
+            hooks.encode_state(enc);
         }
-        let verifications = dec.usize()?;
-        let learner_decisions = dec.usize()?;
-        let initial_dirty_tuples = dec.usize()?;
-        let eval = dec.option(|d| EvalHooks::decode_state(d, state.ruleset()))?;
-        let phase = Phase::decode_state(dec)?;
-        let pending = dec.option(WorkPlan::decode_state)?;
-        let next_work_id = dec.u64()?;
-        let stalled_rounds = dec.usize()?;
+        enc.put(&self.phase);
+        enc.put(&self.pending);
+        enc.put(&self.next_work_id);
+        enc.put(&self.stalled_rounds);
+    }
+
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<GdrEngine> {
+        dec.section("engine", 1)?;
+        let config = dec.get()?;
+        let strategy = dec.get()?;
+        let state: RepairState = dec.get()?;
+        let models = dec.get()?;
+        let rng = StdRng::from_state(dec.get()?);
+        let verifications = dec.get()?;
+        let learner_decisions = dec.get()?;
+        let initial_dirty_tuples = dec.get()?;
+        let eval = match dec.get()? {
+            true => Some(EvalHooks::decode_state(dec, state.ruleset())?),
+            false => None,
+        };
         Ok(GdrEngine {
             state,
             models,
             ranker: VoiRanker::new(),
             strategy,
             config,
-            rng: StdRng::from_state(rng_state),
+            rng,
             verifications,
             learner_decisions,
             initial_dirty_tuples,
             eval,
-            phase,
-            pending,
-            next_work_id,
-            stalled_rounds,
+            phase: dec.get()?,
+            pending: dec.get()?,
+            next_work_id: dec.get()?,
+            stalled_rounds: dec.get()?,
         })
-    }
-
-    /// The engine as one framed `S2 <len> <fnv64-hex> <payload>` snapshot
-    /// record — the frame every durable record uses, checksummed so a torn
-    /// or bit-flipped file is detected before decoding begins.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode_state(&mut enc);
-        codec::frame(enc.as_bytes())
-    }
-
-    /// Decodes an engine from a framed snapshot produced by
-    /// [`GdrEngine::to_snapshot_bytes`] / [`GdrEngine::write_snapshot`].
-    /// Every failure — bad frame, checksum mismatch, malformed payload,
-    /// trailing bytes — is a typed [`CodecError`], never a panic, so
-    /// recovery code can fall back to an older snapshot or a full replay.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> codec::Result<GdrEngine> {
-        let payload = codec::unframe(bytes)?;
-        let mut dec = Dec::new(payload);
-        let engine = GdrEngine::decode_state(&mut dec)?;
-        dec.finish()?;
-        Ok(engine)
-    }
-
-    /// Writes the framed snapshot to `writer` (one shot; callers owning a
-    /// file decide about syncing and atomic-rename placement).
-    pub fn write_snapshot<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(&self.to_snapshot_bytes())
-    }
-
-    /// Reads a framed snapshot back from `reader`; I/O failures surface as
-    /// [`CodecError`]s so callers have one failure channel to degrade on.
-    pub fn read_snapshot<R: std::io::Read>(mut reader: R) -> codec::Result<GdrEngine> {
-        let mut bytes = Vec::new();
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| CodecError::new(format!("snapshot read failed: {e}")))?;
-        GdrEngine::from_snapshot_bytes(&bytes)
     }
 }
 
@@ -1763,15 +1591,6 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         assert!(GdrEngine::from_snapshot_bytes(&flipped).is_err());
-    }
-
-    #[test]
-    fn snapshot_writes_and_reads_through_io() {
-        let e = engine(Strategy::GdrNoLearning);
-        let mut buffer = Vec::new();
-        e.write_snapshot(&mut buffer).unwrap();
-        let restored = GdrEngine::read_snapshot(&buffer[..]).unwrap();
-        assert_eq!(restored.to_snapshot_bytes(), e.to_snapshot_bytes());
     }
 
     #[test]

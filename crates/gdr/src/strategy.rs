@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
 use gdr_repair::Update;
 use rand::Rng;
 
@@ -106,33 +105,6 @@ impl Strategy {
         }
     }
 
-    /// Serialises the strategy into `enc`.
-    pub fn encode_state(self, enc: &mut Enc) {
-        enc.u8(match self {
-            Strategy::Gdr => 0,
-            Strategy::GdrNoLearning => 1,
-            Strategy::GdrSLearning => 2,
-            Strategy::ActiveLearningOnly => 3,
-            Strategy::Greedy => 4,
-            Strategy::RandomOrder => 5,
-            Strategy::AutomaticHeuristic => 6,
-        });
-    }
-
-    /// Rebuilds a strategy written by [`Strategy::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Strategy> {
-        match dec.u8()? {
-            0 => Ok(Strategy::Gdr),
-            1 => Ok(Strategy::GdrNoLearning),
-            2 => Ok(Strategy::GdrSLearning),
-            3 => Ok(Strategy::ActiveLearningOnly),
-            4 => Ok(Strategy::Greedy),
-            5 => Ok(Strategy::RandomOrder),
-            6 => Ok(Strategy::AutomaticHeuristic),
-            tag => Err(CodecError::new(format!("invalid strategy tag {tag}"))),
-        }
-    }
-
     /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -146,6 +118,16 @@ impl Strategy {
         }
     }
 }
+
+gdr_relation::state_enum! { Strategy, "strategy" {
+    0 => Gdr,
+    1 => GdrNoLearning,
+    2 => GdrSLearning,
+    3 => ActiveLearningOnly,
+    4 => Greedy,
+    5 => RandomOrder,
+    6 => AutomaticHeuristic,
+} }
 
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

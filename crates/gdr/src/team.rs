@@ -45,7 +45,7 @@
 //! pulling [`TeamSession::next_work_for`] again — duplicate deliveries are
 //! absorbed exactly like the single-reviewer verbs absorb them.
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec;
 use gdr_relation::Value;
 use gdr_repair::{Cell, Feedback, Update};
 
@@ -80,31 +80,13 @@ impl ConflictPolicy {
             ConflictPolicy::EscalateToNeedsValue => 2,
         }
     }
-
-    /// Serialises the policy into `enc`.
-    pub fn encode_state(self, enc: &mut Enc) {
-        match self {
-            ConflictPolicy::FirstWins => enc.u8(0),
-            ConflictPolicy::Majority { k } => {
-                enc.u8(1);
-                enc.usize(k);
-            }
-            ConflictPolicy::EscalateToNeedsValue => enc.u8(2),
-        }
-    }
-
-    /// Rebuilds a policy written by [`ConflictPolicy::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ConflictPolicy> {
-        match dec.u8()? {
-            0 => Ok(ConflictPolicy::FirstWins),
-            1 => Ok(ConflictPolicy::Majority { k: dec.usize()? }),
-            2 => Ok(ConflictPolicy::EscalateToNeedsValue),
-            tag => Err(CodecError::new(format!(
-                "invalid conflict-policy tag {tag}"
-            ))),
-        }
-    }
 }
+
+gdr_relation::state_enum! { ConflictPolicy, "conflict-policy" {
+    0 => FirstWins,
+    1 => Majority { k },
+    2 => EscalateToNeedsValue,
+} }
 
 /// Coordinator configuration: the conflict policy and the lease TTL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,21 +108,7 @@ impl Default for TeamConfig {
     }
 }
 
-impl TeamConfig {
-    /// Serialises the configuration into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        self.policy.encode_state(enc);
-        enc.u64(self.lease_ttl);
-    }
-
-    /// Rebuilds a configuration written by [`TeamConfig::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<TeamConfig> {
-        Ok(TeamConfig {
-            policy: ConflictPolicy::decode_state(dec)?,
-            lease_ttl: dec.u64()?,
-        })
-    }
-}
+gdr_relation::state_record! { TeamConfig { policy, lease_ttl } }
 
 /// One unit of work served to a named reviewer.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,48 +167,11 @@ pub enum Resolution {
     },
 }
 
-impl Resolution {
-    /// Serialises the resolution into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            Resolution::Answer { cell, feedback } => {
-                enc.u8(0);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-                feedback.encode_state(enc);
-            }
-            Resolution::Supply { cell, value } => {
-                enc.u8(1);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-                enc.value(value);
-            }
-            Resolution::Skip { cell } => {
-                enc.u8(2);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-            }
-        }
-    }
-
-    /// Rebuilds a resolution written by [`Resolution::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Resolution> {
-        match dec.u8()? {
-            0 => Ok(Resolution::Answer {
-                cell: (dec.usize()?, dec.usize()?),
-                feedback: Feedback::decode_state(dec)?,
-            }),
-            1 => Ok(Resolution::Supply {
-                cell: (dec.usize()?, dec.usize()?),
-                value: dec.value()?,
-            }),
-            2 => Ok(Resolution::Skip {
-                cell: (dec.usize()?, dec.usize()?),
-            }),
-            tag => Err(CodecError::new(format!("invalid resolution tag {tag}"))),
-        }
-    }
-}
+gdr_relation::state_enum! { Resolution, "resolution" {
+    0 => Answer { cell, feedback },
+    1 => Supply { cell, value },
+    2 => Skip { cell },
+} }
 
 /// The work item a lease covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,38 +192,12 @@ impl ItemKey {
             ItemKey::Ask { cell, .. } | ItemKey::Fix { cell, .. } => *cell,
         }
     }
-
-    fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            ItemKey::Ask { cell, value } => {
-                enc.u8(0);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-                enc.value(value);
-            }
-            ItemKey::Fix { cell, suggestion } => {
-                enc.u8(1);
-                enc.usize(cell.0);
-                enc.usize(cell.1);
-                enc.option(suggestion.as_ref(), |e, v| e.value(v));
-            }
-        }
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ItemKey> {
-        match dec.u8()? {
-            0 => Ok(ItemKey::Ask {
-                cell: (dec.usize()?, dec.usize()?),
-                value: dec.value()?,
-            }),
-            1 => Ok(ItemKey::Fix {
-                cell: (dec.usize()?, dec.usize()?),
-                suggestion: dec.option(|d| d.value())?,
-            }),
-            tag => Err(CodecError::new(format!("invalid item-key tag {tag}"))),
-        }
-    }
 }
+
+gdr_relation::state_enum! { ItemKey, "item-key" {
+    0 => Ask { cell, value },
+    1 => Fix { cell, suggestion },
+} }
 
 #[derive(Debug, Clone)]
 struct Lease {
@@ -302,23 +207,7 @@ struct Lease {
     granted_at: u64,
 }
 
-impl Lease {
-    fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.id.raw());
-        enc.str(&self.reviewer);
-        self.item.encode_state(enc);
-        enc.u64(self.granted_at);
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Lease> {
-        Ok(Lease {
-            id: WorkId::from_raw(dec.u64()?),
-            reviewer: dec.str()?.to_string(),
-            item: ItemKey::decode_state(dec)?,
-            granted_at: dec.u64()?,
-        })
-    }
-}
+gdr_relation::state_record! { Lease { id, reviewer, item, granted_at } }
 
 /// A read-only view of one live lease, for inspection transports (the
 /// `leases` wire verb): who holds which work item, and for how long.
@@ -341,21 +230,7 @@ struct AnswerRec {
     feedback: Feedback,
 }
 
-impl AnswerRec {
-    fn encode_state(&self, enc: &mut Enc) {
-        self.item.encode_state(enc);
-        enc.str(&self.reviewer);
-        self.feedback.encode_state(enc);
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AnswerRec> {
-        Ok(AnswerRec {
-            item: ItemKey::decode_state(dec)?,
-            reviewer: dec.str()?.to_string(),
-            feedback: Feedback::decode_state(dec)?,
-        })
-    }
-}
+gdr_relation::state_record! { AnswerRec { item, reviewer, feedback } }
 
 /// A multi-reviewer coordinator over one [`GdrEngine`].
 ///
@@ -639,102 +514,10 @@ impl TeamSession {
         self.engine.finish()
     }
 
-    /// Serialises the whole session — the wrapped engine and every piece of
-    /// coordinator state (clock, lease table, collected answers,
-    /// escalations, buffered resolutions, and the resolution transcript) —
-    /// into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("team", 1);
-        self.engine.encode_state(enc);
-        self.config.encode_state(enc);
-        enc.u64(self.clock);
-        enc.u64(self.next_lease_id);
-        enc.usize(self.leases.len());
-        for lease in &self.leases {
-            lease.encode_state(enc);
-        }
-        enc.usize(self.answers.len());
-        for answer in &self.answers {
-            answer.encode_state(enc);
-        }
-        enc.usize(self.escalations.len());
-        for (cell, suggestion) in &self.escalations {
-            enc.usize(cell.0);
-            enc.usize(cell.1);
-            enc.value(suggestion);
-        }
-        enc.usize(self.buffered.len());
-        for (cell, value, feedback) in &self.buffered {
-            enc.usize(cell.0);
-            enc.usize(cell.1);
-            enc.value(value);
-            feedback.encode_state(enc);
-        }
-        enc.usize(self.resolutions.len());
-        for resolution in &self.resolutions {
-            resolution.encode_state(enc);
-        }
-    }
-
-    /// Rebuilds a session written by [`TeamSession::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<TeamSession> {
-        dec.section("team", 1)?;
-        let engine = GdrEngine::decode_state(dec)?;
-        let config = TeamConfig::decode_state(dec)?;
-        let clock = dec.u64()?;
-        let next_lease_id = dec.u64()?;
-        // Fewest bytes per element, one per integer, string and value: a
-        // lease is an id, a reviewer, a 4-byte item key and a stamp; an
-        // answer an item key, a reviewer and a feedback tag.
-        let n_leases = dec.seq_len(7)?;
-        let mut leases = Vec::with_capacity(n_leases);
-        for _ in 0..n_leases {
-            leases.push(Lease::decode_state(dec)?);
-        }
-        let n_answers = dec.seq_len(6)?;
-        let mut answers = Vec::with_capacity(n_answers);
-        for _ in 0..n_answers {
-            answers.push(AnswerRec::decode_state(dec)?);
-        }
-        let n_escalations = dec.seq_len(3)?;
-        let mut escalations = Vec::with_capacity(n_escalations);
-        for _ in 0..n_escalations {
-            escalations.push(((dec.usize()?, dec.usize()?), dec.value()?));
-        }
-        let n_buffered = dec.seq_len(4)?;
-        let mut buffered = Vec::with_capacity(n_buffered);
-        for _ in 0..n_buffered {
-            buffered.push((
-                (dec.usize()?, dec.usize()?),
-                dec.value()?,
-                Feedback::decode_state(dec)?,
-            ));
-        }
-        let n_resolutions = dec.seq_len(3)?;
-        let mut resolutions = Vec::with_capacity(n_resolutions);
-        for _ in 0..n_resolutions {
-            resolutions.push(Resolution::decode_state(dec)?);
-        }
-        Ok(TeamSession {
-            engine,
-            config,
-            clock,
-            next_lease_id,
-            leases,
-            answers,
-            escalations,
-            buffered,
-            resolutions,
-        })
-    }
-
-    /// The session's canonical state: the [`TeamSession::encode_state`]
-    /// payload.  Equal payloads mean equal sessions, every row, model and
-    /// lease included.
+    /// The session's canonical state: its [`State`](codec::State) payload.  Equal
+    /// payloads mean equal sessions, every row, model and lease included.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        self.encode_state(&mut enc);
-        enc.into_bytes()
+        codec::encode_to_vec(self)
     }
 
     /// The session as one framed `S2 <len> <fnv64-hex> <payload>` snapshot
@@ -746,28 +529,9 @@ impl TeamSession {
 
     /// Decodes a session from a framed snapshot produced by
     /// [`TeamSession::to_snapshot_bytes`].  Every failure is a typed
-    /// [`CodecError`] so callers can degrade to replay.
+    /// [`CodecError`](codec::CodecError) so callers can degrade to replay.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> codec::Result<TeamSession> {
-        let payload = codec::unframe(bytes)?;
-        let mut dec = Dec::new(payload);
-        let session = TeamSession::decode_state(&mut dec)?;
-        dec.finish()?;
-        Ok(session)
-    }
-
-    /// Writes the framed snapshot to `writer`.
-    pub fn write_snapshot<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(&self.to_snapshot_bytes())
-    }
-
-    /// Reads a framed snapshot back from `reader`; I/O failures surface as
-    /// [`CodecError`]s so callers have one failure channel to degrade on.
-    pub fn read_snapshot<R: std::io::Read>(mut reader: R) -> codec::Result<TeamSession> {
-        let mut bytes = Vec::new();
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| CodecError::new(format!("snapshot read failed: {e}")))?;
-        TeamSession::from_snapshot_bytes(&bytes)
+        codec::decode_exact(codec::unframe(bytes)?)
     }
 
     // ---- internals --------------------------------------------------------
@@ -1071,6 +835,15 @@ fn majority(recs: &[Feedback]) -> Feedback {
         .unwrap_or(Feedback::Retain)
 }
 
+// The whole session: the wrapped engine and every piece of coordinator
+// state (clock, lease table, collected answers, escalations, buffered
+// resolutions, and the resolution transcript).
+gdr_relation::state_record! {
+    "team" 1 => TeamSession {
+        engine, config, clock, next_lease_id, leases, answers, escalations, buffered, resolutions
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1363,11 +1136,6 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
         assert!(TeamSession::from_snapshot_bytes(&flipped).is_err());
-        // The io-level surface round-trips the same bytes.
-        let mut buffer = Vec::new();
-        t.write_snapshot(&mut buffer).unwrap();
-        let restored = TeamSession::read_snapshot(&buffer[..]).unwrap();
-        assert_eq!(restored.to_snapshot_bytes(), bytes);
     }
 
     #[test]

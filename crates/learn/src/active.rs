@@ -10,8 +10,6 @@
 //! GDR keeps one learner per attribute of the relation and retrains it after
 //! every batch of user feedback.
 
-use gdr_relation::codec::{self, Dec, Enc};
-
 use crate::dataset::{Dataset, Example, FeatureValue};
 use crate::forest::{ForestConfig, RandomForest};
 
@@ -100,37 +98,6 @@ impl ActiveLearner {
         }
     }
 
-    /// Serialises the learner into `enc`.
-    ///
-    /// The forest is written explicitly rather than re-derived from the
-    /// dataset on decode: examples may have been added since the last
-    /// retrain, so "dataset + retrain" would not reproduce this forest.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("learner", 1);
-        self.dataset.encode_state(enc);
-        self.config.encode_state(enc);
-        enc.option(self.forest.as_ref(), |e, f| f.encode_state(e));
-        enc.u64(self.seed);
-        enc.usize(self.retrains);
-    }
-
-    /// Rebuilds a learner written by [`ActiveLearner::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ActiveLearner> {
-        dec.section("learner", 1)?;
-        let dataset = Dataset::decode_state(dec)?;
-        let config = ForestConfig::decode_state(dec)?;
-        let forest = dec.option(RandomForest::decode_state)?;
-        let seed = dec.u64()?;
-        let retrains = dec.usize()?;
-        Ok(ActiveLearner {
-            dataset,
-            config,
-            forest,
-            seed,
-            retrains,
-        })
-    }
-
     /// Orders the indices of an unlabeled pool by decreasing uncertainty —
     /// the order in which the user should be asked (§4.2, "Interactive Active
     /// Learning Session").  Ties keep the original (stable) order.
@@ -149,9 +116,17 @@ impl ActiveLearner {
     }
 }
 
+// The forest is written explicitly rather than re-derived from the dataset
+// on decode: examples may have been added since the last retrain, so
+// "dataset + retrain" would not reproduce this forest.
+gdr_relation::state_record! {
+    "learner" 1 => ActiveLearner { dataset, config, forest, seed, retrains }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdr_relation::codec::{Dec, Enc, State};
 
     fn cat(s: &str) -> FeatureValue {
         FeatureValue::categorical(s)

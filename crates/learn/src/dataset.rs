@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
 
 /// One feature of an example: categorical, symbolic, numeric, or missing.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,37 +66,14 @@ impl FeatureValue {
     pub fn is_missing(&self) -> bool {
         matches!(self, FeatureValue::Missing)
     }
-
-    /// Serialises the feature into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        match self {
-            FeatureValue::Missing => enc.u8(0),
-            FeatureValue::Categorical(s) => {
-                enc.u8(1);
-                enc.str(s);
-            }
-            FeatureValue::Symbol(s) => {
-                enc.u8(2);
-                enc.u32(*s);
-            }
-            FeatureValue::Numeric(x) => {
-                enc.u8(3);
-                enc.f64(*x);
-            }
-        }
-    }
-
-    /// Rebuilds a feature written by [`FeatureValue::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<FeatureValue> {
-        match dec.u8()? {
-            0 => Ok(FeatureValue::Missing),
-            1 => Ok(FeatureValue::Categorical(dec.str()?)),
-            2 => Ok(FeatureValue::Symbol(dec.u32()?)),
-            3 => Ok(FeatureValue::Numeric(dec.f64()?)),
-            tag => Err(CodecError::new(format!("invalid feature tag {tag}"))),
-        }
-    }
 }
+
+gdr_relation::state_enum! { FeatureValue, "feature" {
+    0 => Missing,
+    1 => Categorical { 0 },
+    2 => Symbol { 0 },
+    3 => Numeric { 0 },
+} }
 
 impl fmt::Display for FeatureValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -217,50 +194,6 @@ impl Dataset {
             .map(|(label, _)| label)
     }
 
-    /// Serialises the dataset (arity and every example, in order) into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("dataset", 1);
-        enc.usize(self.feature_count);
-        enc.usize(self.label_count);
-        enc.usize(self.examples.len());
-        for example in &self.examples {
-            for feature in &example.features {
-                feature.encode_state(enc);
-            }
-            enc.usize(example.label);
-        }
-    }
-
-    /// Rebuilds a dataset written by [`Dataset::encode_state`].  Labels are
-    /// range-checked so a corrupt payload fails decoding instead of tripping
-    /// the [`Dataset::push`] assertions.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Dataset> {
-        dec.section("dataset", 1)?;
-        let feature_count = dec.usize()?;
-        let label_count = dec.usize()?;
-        if feature_count > (1 << 20) || label_count > (1 << 20) {
-            return Err(CodecError::new(format!(
-                "implausible dataset arity ({feature_count} features, {label_count} labels)"
-            )));
-        }
-        let n = dec.seq_len(feature_count + 1)?;
-        let mut dataset = Dataset::new(feature_count, label_count);
-        for _ in 0..n {
-            let mut features = Vec::with_capacity(feature_count);
-            for _ in 0..feature_count {
-                features.push(FeatureValue::decode_state(dec)?);
-            }
-            let label = dec.usize()?;
-            if label >= label_count {
-                return Err(CodecError::new(format!(
-                    "label {label} out of range (label_count = {label_count})"
-                )));
-            }
-            dataset.push(Example::new(features, label));
-        }
-        Ok(dataset)
-    }
-
     /// The distinct labels present in the dataset.
     pub fn distinct_labels(&self) -> Vec<usize> {
         let mut seen = vec![false; self.label_count];
@@ -272,6 +205,50 @@ impl Dataset {
             .filter(|(_, &s)| s)
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// The arity, then every example in order: its `feature_count` features with
+/// no length prefix, then its label.  Labels are range-checked so a corrupt
+/// payload fails decoding instead of tripping the [`Dataset::push`]
+/// assertions.
+impl State for Dataset {
+    const MIN_BYTES: usize = codec::section_bytes("dataset", 1) + 3 * usize::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.section("dataset", 1);
+        enc.put(&self.feature_count);
+        enc.put(&self.label_count);
+        enc.usize(self.examples.len());
+        for example in &self.examples {
+            enc.fixed(&example.features);
+            enc.put(&example.label);
+        }
+    }
+
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Dataset> {
+        dec.section("dataset", 1)?;
+        let feature_count: usize = dec.get()?;
+        let label_count: usize = dec.get()?;
+        if feature_count > (1 << 20) || label_count > (1 << 20) {
+            return Err(CodecError::new(format!(
+                "implausible dataset arity ({feature_count} features, {label_count} labels)"
+            )));
+        }
+        // An example is `feature_count` one-byte features and a label.
+        let n = dec.seq_len(feature_count + 1)?;
+        let mut dataset = Dataset::new(feature_count, label_count);
+        for _ in 0..n {
+            let features = dec.fixed(feature_count)?;
+            let label: usize = dec.get()?;
+            if label >= label_count {
+                return Err(CodecError::new(format!(
+                    "label {label} out of range (label_count = {label_count})"
+                )));
+            }
+            dataset.push(Example::new(features, label));
+        }
+        Ok(dataset)
     }
 }
 

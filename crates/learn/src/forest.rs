@@ -7,7 +7,7 @@
 //! then learn a decision tree with the set S."  The paper uses the WEKA
 //! implementation with `k = 10`; this module reproduces that behaviour.
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, CodecError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -38,23 +38,7 @@ impl Default for ForestConfig {
     }
 }
 
-impl ForestConfig {
-    /// Serialises the configuration into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.trees);
-        enc.f64(self.sample_fraction);
-        self.tree.encode_state(enc);
-    }
-
-    /// Rebuilds a configuration written by [`ForestConfig::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ForestConfig> {
-        Ok(ForestConfig {
-            trees: dec.usize()?,
-            sample_fraction: dec.f64()?,
-            tree: TreeConfig::decode_state(dec)?,
-        })
-    }
-}
+gdr_relation::state_record! { ForestConfig { trees, sample_fraction, tree } }
 
 /// A trained random forest.
 #[derive(Debug, Clone)]
@@ -142,35 +126,20 @@ impl RandomForest {
         committee_entropy(&self.votes(features), self.label_count)
     }
 
-    /// Serialises the trained forest (every tree, in committee order) into
-    /// `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("forest", 1);
-        enc.usize(self.label_count);
-        enc.usize(self.trees.len());
-        for tree in &self.trees {
-            tree.encode_state(enc);
+    /// Rejects a decoded forest whose trees disagree with its label count.
+    fn check_decoded(&self) -> codec::Result<()> {
+        match self
+            .trees
+            .iter()
+            .find(|tree| tree.label_count() != self.label_count)
+        {
+            Some(tree) => Err(CodecError::new(format!(
+                "tree label count {} disagrees with forest label count {}",
+                tree.label_count(),
+                self.label_count
+            ))),
+            None => Ok(()),
         }
-    }
-
-    /// Rebuilds a forest written by [`RandomForest::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RandomForest> {
-        dec.section("forest", 1)?;
-        let label_count = dec.usize()?;
-        // A tree is its 6-byte `tree` header, a label count and a leaf.
-        let n = dec.seq_len(6 + 1 + 2)?;
-        let mut trees = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tree = DecisionTree::decode_state(dec)?;
-            if tree.label_count() != label_count {
-                return Err(CodecError::new(format!(
-                    "tree label count {} disagrees with forest label count {label_count}",
-                    tree.label_count()
-                )));
-            }
-            trees.push(tree);
-        }
-        Ok(RandomForest { trees, label_count })
     }
 
     /// Classification accuracy over a labelled dataset.
@@ -185,6 +154,12 @@ impl RandomForest {
             .count();
         correct as f64 / dataset.len() as f64
     }
+}
+
+// Every tree, in committee order.
+gdr_relation::state_record! {
+    "forest" 1 => RandomForest { label_count, trees }
+    check RandomForest::check_decoded
 }
 
 #[cfg(test)]

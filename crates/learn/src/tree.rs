@@ -15,18 +15,11 @@
 //!
 //! Missing values fail both kinds of test (they go to the "else" branch).
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::{Dataset, Example, FeatureValue};
-
-/// Maximum split-node nesting accepted when decoding a serialised tree.
-/// Real trees are bounded by [`TreeConfig::max_depth`] (default 12); the
-/// limit exists so a corrupt payload cannot recurse the decoder off the
-/// stack.
-const MAX_DECODE_DEPTH: usize = 512;
 
 /// Hyper-parameters of a single tree.
 #[derive(Debug, Clone)]
@@ -40,6 +33,8 @@ pub struct TreeConfig {
     pub features_per_split: Option<usize>,
 }
 
+gdr_relation::state_record! { TreeConfig { max_depth, min_samples_split, features_per_split } }
+
 impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
@@ -50,23 +45,7 @@ impl Default for TreeConfig {
     }
 }
 
-impl TreeConfig {
-    /// Serialises the configuration into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.max_depth);
-        enc.usize(self.min_samples_split);
-        enc.option(self.features_per_split.as_ref(), |e, &m| e.usize(m));
-    }
-
-    /// Rebuilds a configuration written by [`TreeConfig::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<TreeConfig> {
-        Ok(TreeConfig {
-            max_depth: dec.usize()?,
-            min_samples_split: dec.usize()?,
-            features_per_split: dec.option(|d| d.usize())?,
-        })
-    }
-}
+impl TreeConfig {}
 
 /// A binary split test on one feature.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,78 +151,22 @@ impl DecisionTree {
         }
         count(&self.root)
     }
-
-    /// Serialises the trained tree into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("tree", 1);
-        enc.usize(self.label_count);
-        encode_node(enc, &self.root);
-    }
-
-    /// Rebuilds a tree written by [`DecisionTree::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<DecisionTree> {
-        dec.section("tree", 1)?;
-        let label_count = dec.usize()?;
-        let root = decode_node(dec, 0)?;
-        Ok(DecisionTree { root, label_count })
-    }
 }
 
-fn encode_node(enc: &mut Enc, node: &Node) {
-    match node {
-        Node::Leaf { label } => {
-            enc.u8(0);
-            enc.usize(*label);
-        }
-        Node::Split { test, pass, fail } => {
-            enc.u8(1);
-            match test {
-                SplitTest::CategoricalEquals(feature, value) => {
-                    enc.u8(0);
-                    enc.usize(*feature);
-                    enc.str(value);
-                }
-                SplitTest::SymbolEquals(feature, symbol) => {
-                    enc.u8(1);
-                    enc.usize(*feature);
-                    enc.u32(*symbol);
-                }
-                SplitTest::NumericAtMost(feature, threshold) => {
-                    enc.u8(2);
-                    enc.usize(*feature);
-                    enc.f64(*threshold);
-                }
-            }
-            encode_node(enc, pass);
-            encode_node(enc, fail);
-        }
-    }
-}
+gdr_relation::state_record! { "tree" 1 => DecisionTree { label_count, root } }
 
-fn decode_node(dec: &mut Dec<'_>, depth: usize) -> codec::Result<Node> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(CodecError::new("tree nesting exceeds decode depth limit"));
-    }
-    match dec.u8()? {
-        0 => Ok(Node::Leaf {
-            label: dec.usize()?,
-        }),
-        1 => {
-            let test = match dec.u8()? {
-                0 => SplitTest::CategoricalEquals(dec.usize()?, dec.str()?),
-                1 => SplitTest::SymbolEquals(dec.usize()?, dec.u32()?),
-                2 => SplitTest::NumericAtMost(dec.usize()?, dec.f64()?),
-                tag => {
-                    return Err(CodecError::new(format!("invalid split-test tag {tag}")));
-                }
-            };
-            let pass = Box::new(decode_node(dec, depth + 1)?);
-            let fail = Box::new(decode_node(dec, depth + 1)?);
-            Ok(Node::Split { test, pass, fail })
-        }
-        tag => Err(CodecError::new(format!("invalid tree-node tag {tag}"))),
-    }
-}
+// A tree nests one `Box` per split level, so the codec's nesting limit
+// keeps a corrupt payload from recursing the decoder off the stack.
+gdr_relation::state_enum! { Node, "tree-node" {
+    0 => Leaf { label },
+    1 => Split { test, pass, fail },
+} }
+
+gdr_relation::state_enum! { SplitTest, "split-test" {
+    0 => CategoricalEquals { 0, 1 },
+    1 => SymbolEquals { 0, 1 },
+    2 => NumericAtMost { 0, 1 },
+} }
 
 fn build_node(
     dataset: &Dataset,

@@ -62,7 +62,9 @@
 //! error naming both magics, so a file of the old format fails its load
 //! instead of being misread.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 
 use crate::value::Value;
 
@@ -220,14 +222,23 @@ impl Enc {
         }
     }
 
-    /// An `Option<T>` via a presence byte and a closure for the payload.
-    pub fn option<T>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Enc, &T)) {
-        match v {
-            Some(inner) => {
-                self.bool(true);
-                f(self, inner);
-            }
-            None => self.bool(false),
+    /// Any [`State`] value.
+    pub fn put<T: State>(&mut self, v: &T) {
+        v.encode_state(self);
+    }
+
+    /// A slice as a [`Vec`] of its elements encodes: a length, then each
+    /// element.
+    pub fn seq<T: State>(&mut self, items: &[T]) {
+        self.usize(items.len());
+        self.fixed(items);
+    }
+
+    /// Each element back to back, with no length prefix: for a run whose
+    /// length the reader knows from context ([`Dec::fixed`]).
+    pub fn fixed<T: State>(&mut self, items: &[T]) {
+        for item in items {
+            item.encode_state(self);
         }
     }
 }
@@ -238,12 +249,19 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// [`Box`] nesting of the value being decoded, against
+    /// [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Dec<'a> {
     /// A decoder over the full payload.
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -391,14 +409,33 @@ impl<'a> Dec<'a> {
     /// instead of driving a huge allocation.
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize> {
         let n = self.usize()?;
-        let need = n.checked_mul(min_elem_bytes.max(1));
-        if need.is_none() || need.unwrap() > self.remaining() {
-            return Err(CodecError::new(format!(
+        self.check_room(n, min_elem_bytes)?;
+        Ok(n)
+    }
+
+    /// Fails unless `n` elements of at least `min_elem_bytes` each fit in
+    /// the remaining payload.
+    fn check_room(&self, n: usize, min_elem_bytes: usize) -> Result<()> {
+        match n.checked_mul(min_elem_bytes.max(1)) {
+            Some(need) if need <= self.remaining() => Ok(()),
+            _ => Err(CodecError::new(format!(
                 "implausible collection length {n} with {} bytes remaining",
                 self.remaining()
-            )));
+            ))),
         }
-        Ok(n)
+    }
+
+    /// `n` values written back to back by [`Enc::fixed`]: `n` comes from
+    /// context (a row count, a rule count), and is checked against the
+    /// remaining payload before anything is allocated.
+    pub fn fixed<T: State>(&mut self, n: usize) -> Result<Vec<T>> {
+        const { assert!(T::MIN_BYTES >= 1, "every element takes at least one byte") };
+        self.check_room(n, T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(self.get()?);
+        }
+        Ok(items)
     }
 
     /// A length-prefixed UTF-8 string.
@@ -425,14 +462,409 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// An `Option<T>` via a presence byte and a closure for the payload.
-    pub fn option<T>(&mut self, mut f: impl FnMut(&mut Dec<'a>) -> Result<T>) -> Result<Option<T>> {
-        if self.bool()? {
-            Ok(Some(f(self)?))
+    /// Any [`State`] value.
+    pub fn get<T: State>(&mut self) -> Result<T> {
+        T::decode_state(self)
+    }
+}
+
+/// The deepest [`Box`] nesting a decoder accepts.  Real values nest far
+/// less (a decision tree is bounded by its `max_depth`, default 12); the
+/// limit exists so a corrupt payload cannot recurse the decoder off the
+/// stack.
+pub const MAX_NESTING: usize = 512;
+
+/// A value with one canonical byte encoding: the state codec's unit.
+///
+/// [`State::MIN_BYTES`] is the fewest bytes any encoding of the type takes.
+/// Only this module reads it: [`Vec`] and the maps size a claimed length
+/// against the remaining payload with it ([`Dec::seq_len`]) before they
+/// allocate, so no byte sequence makes a decoder allocate more than its
+/// input.  Implementations for records and tagged enums come from
+/// [`state_record!`](crate::state_record) and
+/// [`state_enum!`](crate::state_enum), which derive the bound from the
+/// fields.
+pub trait State: Sized {
+    /// The fewest bytes an encoded value of this type takes.
+    const MIN_BYTES: usize;
+
+    /// Appends the value's encoding to `enc`.
+    fn encode_state(&self, enc: &mut Enc);
+
+    /// Reads one value back, or fails with a typed [`CodecError`].
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self>;
+}
+
+/// Bytes of the varint of `v`.
+const fn varint_len(mut v: u64) -> usize {
+    let mut len = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        len += 1;
+    }
+    len
+}
+
+/// Bytes of an [`Enc::section`] header.
+#[doc(hidden)]
+pub const fn section_bytes(tag: &str, version: u16) -> usize {
+    varint_len(tag.len() as u64) + tag.len() + varint_len(version as u64)
+}
+
+/// `T::MIN_BYTES` of the field a projection reads; lets the macros derive a
+/// bound without naming field types.
+#[doc(hidden)]
+pub const fn field_bytes<S, T: State>(_: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// The smallest entry of `bytes`: the bound of an enum is its tag plus its
+/// cheapest variant.
+#[doc(hidden)]
+pub const fn min_of(bytes: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] < min {
+            min = bytes[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+macro_rules! scalar_state {
+    ($($ty:ident),+) => {$(
+        impl State for $ty {
+            const MIN_BYTES: usize = 1;
+            fn encode_state(&self, enc: &mut Enc) {
+                enc.$ty(*self);
+            }
+            fn decode_state(dec: &mut Dec<'_>) -> Result<$ty> {
+                dec.$ty()
+            }
+        }
+    )+};
+}
+
+scalar_state!(u8, u16, u32, u64, usize, i64, bool);
+
+impl State for f64 {
+    const MIN_BYTES: usize = 8;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.f64(*self);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<f64> {
+        dec.f64()
+    }
+}
+
+impl State for String {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.str(self);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<String> {
+        dec.str()
+    }
+}
+
+impl State for Value {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.value(self);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Value> {
+        dec.value()
+    }
+}
+
+macro_rules! tuple_state {
+    ($(($($name:ident . $index:tt),+))+) => {$(
+        impl<$($name: State),+> State for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+            fn encode_state(&self, enc: &mut Enc) {
+                $(self.$index.encode_state(enc);)+
+            }
+            fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+                Ok(($($name::decode_state(dec)?,)+))
+            }
+        }
+    )+};
+}
+
+tuple_state! {
+    (A.0, B.1)
+    (A.0, B.1, C.2)
+    (A.0, B.1, C.2, D.3)
+}
+
+/// A fixed-length array: its elements back to back, no length prefix.
+impl<T: State, const N: usize> State for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.fixed(self);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        let items: Vec<T> = dec.fixed(N)?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N items")))
+    }
+}
+
+/// A presence byte, then the value if present.
+impl<T: State> State for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.bool(self.is_some());
+        if let Some(inner) = self {
+            inner.encode_state(enc);
+        }
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        if dec.bool()? {
+            Ok(Some(dec.get()?))
         } else {
             Ok(None)
         }
     }
+}
+
+/// The boxed value itself.  Decoding one nests a level deeper, and past
+/// [`MAX_NESTING`] levels it fails; the bound is one byte rather than the
+/// inner type's, so recursive types can state theirs.
+impl<T: State> State for Box<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        (**self).encode_state(enc);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        const { assert!(T::MIN_BYTES >= 1, "a boxed value takes at least one byte") };
+        if dec.depth == MAX_NESTING {
+            return Err(CodecError::new(format!(
+                "nesting exceeds the decoder's limit of {MAX_NESTING} levels"
+            )));
+        }
+        dec.depth += 1;
+        let value = dec.get();
+        dec.depth -= 1;
+        value.map(Box::new)
+    }
+}
+
+/// A length, then each element.
+impl<T: State> State for Vec<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.seq(self);
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        let n = dec.usize()?;
+        dec.fixed(n)
+    }
+}
+
+/// Encodes `entries` as a sequence in ascending key order.
+fn encode_sorted<'a, K: State + Ord + 'a, V: State + 'a>(
+    enc: &mut Enc,
+    entries: impl ExactSizeIterator<Item = (&'a K, &'a V)>,
+) {
+    enc.usize(entries.len());
+    let mut sorted: Vec<(&K, &V)> = entries.collect();
+    sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (key, value) in sorted {
+        key.encode_state(enc);
+        value.encode_state(enc);
+    }
+}
+
+/// Decodes a sequence of `(K, V)` entries into a fresh collection through
+/// `insert`, which reports whether the key was new; a repeated key fails.
+fn decode_entries<K: State, V: State, C>(
+    dec: &mut Dec<'_>,
+    with_capacity: impl FnOnce(usize) -> C,
+    mut insert: impl FnMut(&mut C, K, V) -> bool,
+) -> Result<C> {
+    let n = dec.seq_len(<(K, V)>::MIN_BYTES.max(1))?;
+    let mut collection = with_capacity(n);
+    for _ in 0..n {
+        let (key, value) = dec.get()?;
+        if !insert(&mut collection, key, value) {
+            return Err(CodecError::new("payload repeats a key"));
+        }
+    }
+    Ok(collection)
+}
+
+/// A map, in ascending key order.
+impl<K: State + Ord + Hash, V: State> State for HashMap<K, V> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        encode_sorted(enc, self.iter());
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        decode_entries(dec, HashMap::with_capacity, |map, k, v| {
+            map.insert(k, v).is_none()
+        })
+    }
+}
+
+/// A map, in ascending key order.
+impl<K: State + Ord, V: State> State for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        encode_sorted(enc, self.iter());
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        decode_entries(
+            dec,
+            |_| BTreeMap::new(),
+            |map, k, v| map.insert(k, v).is_none(),
+        )
+    }
+}
+
+/// A set, in ascending order.
+impl<T: State + Ord + Hash> State for HashSet<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        encode_sorted(enc, self.iter().map(|item| (item, &())));
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        decode_entries(dec, HashSet::with_capacity, |set, item, ()| {
+            set.insert(item)
+        })
+    }
+}
+
+/// A set, in ascending order.
+impl<T: State + Ord> State for BTreeSet<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode_state(&self, enc: &mut Enc) {
+        encode_sorted(enc, self.iter().map(|item| (item, &())));
+    }
+    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
+        decode_entries(dec, |_| BTreeSet::new(), |set, item, ()| set.insert(item))
+    }
+}
+
+/// The unit value: no bytes.  It fills the value slot of a set's entries.
+impl State for () {
+    const MIN_BYTES: usize = 0;
+    fn encode_state(&self, _: &mut Enc) {}
+    fn decode_state(_: &mut Dec<'_>) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// `value`'s encoding on its own.
+pub fn encode_to_vec<T: State>(value: &T) -> Vec<u8> {
+    let mut enc = Enc::new();
+    value.encode_state(&mut enc);
+    enc.into_bytes()
+}
+
+/// Decodes one `T` that spans `payload` exactly.
+pub fn decode_exact<T: State>(payload: &[u8]) -> Result<T> {
+    let mut dec = Dec::new(payload);
+    let value = dec.get()?;
+    dec.finish()?;
+    Ok(value)
+}
+
+/// Implements [`State`] for a struct by stating its encoded fields once, in
+/// encoding order, optionally behind a versioned section header:
+///
+/// ```text
+/// state_record! { "tree" 1 => DecisionTree { label_count, root } }
+/// state_record! { TreeConfig { max_depth, min_samples_split, features_per_split } }
+/// ```
+///
+/// Each field encodes and decodes through its own [`State`] impl, and the
+/// struct's [`State::MIN_BYTES`] is the header's plus the fields'.  A field
+/// may be a tuple index (`ValueId { 0 }`).  Fields left out must be
+/// `Default`, and a trailing `check path` names a
+/// `fn(&Self) -> codec::Result<()>` run on every decoded value.
+#[macro_export]
+macro_rules! state_record {
+    ($($tag:literal $version:literal =>)? $ty:ident { $($field:tt),* $(,)? }
+     $(.. $default:ident)? $(check $check:path)?) => {
+        impl $crate::codec::State for $ty {
+            const MIN_BYTES: usize = 0
+                $(+ $crate::codec::section_bytes($tag, $version))?
+                $(+ $crate::codec::field_bytes(|s: &$ty| &s.$field))*;
+
+            fn encode_state(&self, enc: &mut $crate::codec::Enc) {
+                $(enc.section($tag, $version);)?
+                $(enc.put(&self.$field);)*
+            }
+
+            fn decode_state(dec: &mut $crate::codec::Dec<'_>) -> $crate::codec::Result<$ty> {
+                $(dec.section($tag, $version)?;)?
+                let value = $ty {
+                    $($field: dec.get()?,)*
+                    $(..$default::default())?
+                };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`State`] for an enum by stating each variant's one-byte tag
+/// and its encoded fields once:
+///
+/// ```text
+/// state_enum! { Resolution, "resolution" {
+///     0 => Answer { cell, feedback },
+///     1 => Supply { cell, value },
+///     2 => Skip { cell },
+/// } }
+/// ```
+///
+/// A unit variant lists no fields; a tuple variant lists its indices
+/// (`Categorical { 0 }`).  An unknown tag fails as
+/// ``invalid <what> tag <tag>``.  The enum's [`State::MIN_BYTES`] is the tag
+/// byte plus its cheapest variant.
+#[macro_export]
+macro_rules! state_enum {
+    ($ty:ident, $what:literal { $($tag:literal => $variant:ident $({ $($field:tt),* $(,)? })?),+ $(,)? }) => {
+        impl $crate::codec::State for $ty {
+            const MIN_BYTES: usize = 1 + $crate::codec::min_of(&[$(
+                0 $($(+ $crate::codec::field_bytes(|s: &$ty| match s {
+                    $ty::$variant { $field: x, .. } => x,
+                    #[allow(unreachable_patterns)]
+                    _ => unreachable!(),
+                }))*)?
+            ),+]);
+
+            fn encode_state(&self, enc: &mut $crate::codec::Enc) {
+                match self {
+                    $(this @ $ty::$variant { .. } => {
+                        let _ = this;
+                        enc.u8($tag);
+                        $($(match this {
+                            $ty::$variant { $field: x, .. } => enc.put(x),
+                            #[allow(unreachable_patterns)]
+                            _ => unreachable!(),
+                        })*)?
+                    })+
+                }
+            }
+
+            fn decode_state(dec: &mut $crate::codec::Dec<'_>) -> $crate::codec::Result<$ty> {
+                match dec.u8()? {
+                    $($tag => Ok($ty::$variant { $($($field: dec.get()?),*)? }),)+
+                    tag => Err($crate::codec::CodecError::new(format!(
+                        concat!("invalid ", $what, " tag {}"),
+                        tag
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 /// Frames `payload` as `S2 <len> <fnv64-hex> ` + payload.
@@ -538,8 +970,8 @@ mod tests {
         enc.value(&Value::Null);
         enc.value(&Value::Int(-9));
         enc.value(&Value::Str("x".into()));
-        enc.option(Some(&42u64), |e, v| e.u64(*v));
-        enc.option::<u64>(None, |e, v| e.u64(*v));
+        enc.put(&Some(42u64));
+        enc.put(&None::<u64>);
         let bytes = enc.into_bytes();
 
         let mut dec = Dec::new(&bytes);
@@ -558,8 +990,8 @@ mod tests {
         assert_eq!(dec.value().unwrap(), Value::Null);
         assert_eq!(dec.value().unwrap(), Value::Int(-9));
         assert_eq!(dec.value().unwrap(), Value::Str("x".into()));
-        assert_eq!(dec.option(|d| d.u64()).unwrap(), Some(42));
-        assert_eq!(dec.option(|d| d.u64()).unwrap(), None);
+        assert_eq!(dec.get::<Option<u64>>().unwrap(), Some(42));
+        assert_eq!(dec.get::<Option<u64>>().unwrap(), None);
         dec.finish().unwrap();
     }
 

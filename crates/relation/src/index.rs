@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use crate::codec::{self, CodecError, Dec, Enc};
+use crate::codec::{self, CodecError};
 use crate::intern::{SmallKey, ValueId};
 use crate::schema::AttrId;
 use crate::table::{Table, TupleId};
@@ -191,90 +191,23 @@ impl AttrSetIndex {
         table.version() != self.built_at_version
     }
 
-    /// Serialises the index **faithfully**, not as a rebuild recipe:
-    /// incremental maintenance (`swap_remove` + append) leaves each group's
-    /// member order dependent on the write history, and `by_values` keeps
-    /// keys whose group has emptied, so both are canonical state.  Map
-    /// entries are written in sorted key order (iteration order is a hash
-    /// artefact, never behaviour).
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("asidx", 1);
-        enc.usize(self.attrs.len());
-        for &attr in &self.attrs {
-            enc.usize(attr);
+    /// Rejects a decoded index with an empty group: maintenance removes a
+    /// group when its last member leaves.
+    fn check_decoded(&self) -> codec::Result<()> {
+        if self.groups.values().any(Vec::is_empty) {
+            return Err(CodecError::new("index payload contains an empty group"));
         }
-        let mut keys: Vec<&SmallKey> = self.groups.keys().collect();
-        keys.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        enc.usize(keys.len());
-        for key in keys {
-            key.encode_state(enc);
-            let members = &self.groups[key];
-            enc.usize(members.len());
-            for &member in members {
-                enc.usize(member);
-            }
-        }
-        let mut decoded: Vec<(&Vec<Value>, &SmallKey)> = self.by_values.iter().collect();
-        decoded.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        enc.usize(decoded.len());
-        for (values, key) in decoded {
-            enc.usize(values.len());
-            for value in values {
-                enc.value(value);
-            }
-            key.encode_state(enc);
-        }
-        enc.u64(self.built_at_version);
+        Ok(())
     }
+}
 
-    /// Rebuilds an index from [`AttrSetIndex::encode_state`] bytes,
-    /// preserving exact member order and emptied-group value keys.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrSetIndex> {
-        dec.section("asidx", 1)?;
-        let n_attrs = dec.seq_len(1)?;
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            attrs.push(dec.usize()?);
-        }
-        // A group is a key and a member count; a value key a value count
-        // and a key.
-        let n_groups = dec.seq_len(2)?;
-        let mut groups = HashMap::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let key = SmallKey::decode_state(dec)?;
-            let n_members = dec.seq_len(1)?;
-            let mut members = Vec::with_capacity(n_members);
-            for _ in 0..n_members {
-                members.push(dec.usize()?);
-            }
-            if members.is_empty() {
-                return Err(CodecError::new("index payload contains an empty group"));
-            }
-            if groups.insert(key, members).is_some() {
-                return Err(CodecError::new("index payload repeats a group key"));
-            }
-        }
-        let n_decoded = dec.seq_len(2)?;
-        let mut by_values = HashMap::with_capacity(n_decoded);
-        for _ in 0..n_decoded {
-            let n_values = dec.seq_len(1)?;
-            let mut values = Vec::with_capacity(n_values);
-            for _ in 0..n_values {
-                values.push(dec.value()?);
-            }
-            let key = SmallKey::decode_state(dec)?;
-            if by_values.insert(values, key).is_some() {
-                return Err(CodecError::new("index payload repeats a value key"));
-            }
-        }
-        let built_at_version = dec.u64()?;
-        Ok(AttrSetIndex {
-            attrs,
-            groups,
-            by_values,
-            built_at_version,
-        })
-    }
+// The index is encoded **faithfully**, not as a rebuild recipe: incremental
+// maintenance (`swap_remove` + append) leaves each group's member order
+// dependent on the write history, and `by_values` keeps keys whose group has
+// emptied, so both are canonical state.
+crate::state_record! {
+    "asidx" 1 => AttrSetIndex { attrs, groups, by_values, built_at_version }
+    check AttrSetIndex::check_decoded
 }
 
 /// An index mapping each distinct value of one column to the tuples holding
@@ -356,6 +289,7 @@ impl ValueIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::State;
     use crate::schema::Schema;
 
     fn table() -> Table {

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::codec::{self, CodecError, Dec, Enc};
+use crate::codec::{self, CodecError, Dec, Enc, State};
 use crate::value::Value;
 
 /// Dense index of a distinct [`Value`] within one attribute's dictionary.
@@ -137,28 +137,30 @@ impl ValueInterner {
     pub fn generation(&self) -> u64 {
         self.generation
     }
+}
 
-    /// Serialises the dictionary: the distinct values in id order.  The
-    /// reverse map and the generation counter are derivable (the dictionary
-    /// is append-only, so `generation == values.len()` invariantly) and are
-    /// rebuilt by [`ValueInterner::decode_state`].
-    pub fn encode_state(&self, enc: &mut Enc) {
+crate::state_record! { ValueId { 0 } }
+
+/// The dictionary: the distinct values in id order.  The reverse map and
+/// the generation counter are derivable (the dictionary is append-only, so
+/// `generation == values.len()` invariantly); decoding re-interns each value
+/// in order, which reproduces ids, the reverse map, and the generation
+/// bit-identically.
+impl State for ValueInterner {
+    const MIN_BYTES: usize = codec::section_bytes("dict", 1) + Vec::<Value>::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
         enc.section("dict", 1);
-        enc.usize(self.values.len());
-        for value in &self.values {
-            enc.value(value);
-        }
+        enc.put(&self.values);
     }
 
-    /// Rebuilds a dictionary from [`ValueInterner::encode_state`] bytes by
-    /// re-interning each value in order, which reproduces ids, the reverse
-    /// map, and the generation bit-identically.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ValueInterner> {
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ValueInterner> {
         dec.section("dict", 1)?;
-        let n = dec.seq_len(1)?;
+        let values: Vec<Value> = dec.get()?;
+        let n = values.len();
         let mut interner = ValueInterner::new();
-        for _ in 0..n {
-            interner.intern(dec.value()?);
+        for value in values {
+            interner.intern(value);
         }
         if interner.len() != n {
             return Err(CodecError::new(
@@ -255,26 +257,20 @@ impl SmallKey {
     pub fn is_empty(&self) -> bool {
         self.as_slice().is_empty()
     }
+}
 
-    /// Serialises the logical id slice.  Inline-versus-spilled is a
-    /// representation detail ([`SmallKey::from_slice`] re-chooses it by
-    /// length) and is not encoded.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        let ids = self.as_slice();
-        enc.usize(ids.len());
-        for id in ids {
-            enc.u32(id.raw());
-        }
+/// The logical id slice, as a `Vec<ValueId>` encodes.  Inline-versus-spilled
+/// is a representation detail ([`SmallKey::from_slice`] re-chooses it by
+/// length) and is not encoded.
+impl State for SmallKey {
+    const MIN_BYTES: usize = 1;
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.seq(self.as_slice());
     }
 
-    /// Rebuilds a key from [`SmallKey::encode_state`] bytes.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SmallKey> {
-        let n = dec.seq_len(1)?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(ValueId(dec.u32()?));
-        }
-        Ok(SmallKey::from_slice(&ids))
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<SmallKey> {
+        Ok(SmallKey::from_slice(&dec.get::<Vec<ValueId>>()?))
     }
 }
 
@@ -285,6 +281,19 @@ impl PartialEq for SmallKey {
 }
 
 impl Eq for SmallKey {}
+
+impl PartialOrd for SmallKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the logical id slice, like equality.
+impl Ord for SmallKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
 
 impl Hash for SmallKey {
     fn hash<H: Hasher>(&self, state: &mut H) {

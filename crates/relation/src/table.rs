@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::codec::{self, CodecError, Dec, Enc};
+use crate::codec::{self, CodecError, Dec, Enc, State};
 use crate::error::RelationError;
 use crate::intern::{SmallKey, ValueId, ValueInterner};
 use crate::schema::{AttrId, Schema};
@@ -420,78 +420,6 @@ impl Table {
         }
     }
 
-    /// Serialises the table's canonical state: name, schema, per-column
-    /// dictionary and id column, row weights, and the version counter.  The
-    /// per-id occurrence counts are derivable (a recount over the id
-    /// columns) and are rebuilt by [`Table::decode_state`].
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("table", 1);
-        enc.str(&self.name);
-        enc.usize(self.schema.arity());
-        for attr in self.schema.attributes() {
-            enc.str(&attr.name);
-        }
-        enc.u64(self.version);
-        enc.usize(self.weights.len());
-        for &weight in &self.weights {
-            enc.f64(weight);
-        }
-        for column in &self.columns {
-            column.dict.encode_state(enc);
-            for &id in &column.ids {
-                enc.u32(id.raw());
-            }
-        }
-    }
-
-    /// Rebuilds a table from [`Table::encode_state`] bytes, validating every
-    /// id against its dictionary and recounting occurrences.
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Table> {
-        dec.section("table", 1)?;
-        let name = dec.str()?;
-        let arity = dec.seq_len(1)?;
-        let mut names = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            names.push(dec.str()?);
-        }
-        if names.len() != names.iter().collect::<std::collections::HashSet<_>>().len() {
-            return Err(CodecError::new("schema payload repeats an attribute name"));
-        }
-        let schema = Schema::new(&names);
-        let version = dec.u64()?;
-        // Each row has an 8-byte weight.
-        let rows = dec.seq_len(8)?;
-        let mut weights = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            weights.push(dec.f64()?);
-        }
-        let mut columns = Vec::with_capacity(arity);
-        for attr in 0..arity {
-            let dict = ValueInterner::decode_state(dec)?;
-            let mut ids = Vec::with_capacity(rows);
-            let mut counts = vec![0u32; dict.len()];
-            for _ in 0..rows {
-                let id = dec.u32()? as usize;
-                if id >= dict.len() {
-                    return Err(CodecError::new(format!(
-                        "column {attr} references id {id} outside its {}-entry dictionary",
-                        dict.len()
-                    )));
-                }
-                counts[id] += 1;
-                ids.push(ValueId::from_index(id));
-            }
-            columns.push(Column { ids, dict, counts });
-        }
-        Ok(Table {
-            name,
-            schema,
-            columns,
-            weights,
-            version,
-        })
-    }
-
     /// Counts the cells on which two instances of the same schema differ.
     ///
     /// This is the raw ingredient of the precision/recall metrics in the
@@ -517,6 +445,71 @@ impl Table {
         }
         diffs.sort_unstable();
         Ok(diffs)
+    }
+}
+
+/// The table's canonical state: name, schema, version counter, row weights,
+/// then per column its dictionary and id column.  The per-id occurrence
+/// counts are derivable (a recount over the id columns) and are rebuilt on
+/// decode, which validates every id against its dictionary.
+impl State for Table {
+    const MIN_BYTES: usize = codec::section_bytes("table", 1)
+        + String::MIN_BYTES
+        + Vec::<String>::MIN_BYTES
+        + u64::MIN_BYTES
+        + Vec::<f64>::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
+        enc.section("table", 1);
+        enc.put(&self.name);
+        enc.usize(self.schema.arity());
+        for attr in self.schema.attributes() {
+            enc.put(&attr.name);
+        }
+        enc.put(&self.version);
+        enc.put(&self.weights);
+        // Every column holds one id per row: no length prefix.
+        for column in &self.columns {
+            enc.put(&column.dict);
+            enc.fixed(&column.ids);
+        }
+    }
+
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Table> {
+        dec.section("table", 1)?;
+        let name = dec.get()?;
+        let names: Vec<String> = dec.get()?;
+        if names.len() != names.iter().collect::<std::collections::HashSet<_>>().len() {
+            return Err(CodecError::new("schema payload repeats an attribute name"));
+        }
+        let schema = Schema::new(&names);
+        let version = dec.get()?;
+        let weights: Vec<f64> = dec.get()?;
+        let rows = weights.len();
+        let mut columns = Vec::with_capacity(names.len());
+        for attr in 0..names.len() {
+            let dict: ValueInterner = dec.get()?;
+            let ids: Vec<ValueId> = dec.fixed(rows)?;
+            let mut counts = vec![0u32; dict.len()];
+            for id in &ids {
+                let Some(count) = counts.get_mut(id.index()) else {
+                    return Err(CodecError::new(format!(
+                        "column {attr} references id {} outside its {}-entry dictionary",
+                        id.index(),
+                        dict.len()
+                    )));
+                };
+                *count += 1;
+            }
+            columns.push(Column { ids, dict, counts });
+        }
+        Ok(Table {
+            name,
+            schema,
+            columns,
+            weights,
+            version,
+        })
     }
 }
 

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use gdr_cfd::{RuleId, RuleSet};
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, CodecError};
 use gdr_relation::{AttrId, AttrSetIndex, Table, TupleId, ValueId};
 
 /// One incrementally-maintained [`AttrSetIndex`] per distinct
@@ -100,52 +100,28 @@ impl AttrIndexPool {
         self.indexes.len()
     }
 
-    /// Serialises the pool — every index faithfully (including
-    /// maintenance-history-dependent member order) plus the per-rule slot
-    /// tables — into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.section("idxpool", 1);
-        enc.usize(self.indexes.len());
-        for index in &self.indexes {
-            index.encode_state(enc);
-        }
-        enc.usize(self.lhs_slots.len());
-        for slots in &self.lhs_slots {
-            enc.usize(slots.len());
-            for &slot in slots {
-                enc.usize(slot);
-            }
+    /// Rejects a decoded slot that names no index.
+    fn check_decoded(&self) -> codec::Result<()> {
+        match self
+            .lhs_slots
+            .iter()
+            .flatten()
+            .find(|&&slot| slot >= self.indexes.len())
+        {
+            Some(slot) => Err(CodecError::new(format!(
+                "index slot {slot} out of range ({} indexes)",
+                self.indexes.len()
+            ))),
+            None => Ok(()),
         }
     }
+}
 
-    /// Rebuilds a pool written by [`AttrIndexPool::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AttrIndexPool> {
-        dec.section("idxpool", 1)?;
-        // An index takes at least its 7-byte `asidx` section header.
-        let n_indexes = dec.seq_len(7)?;
-        let mut indexes = Vec::with_capacity(n_indexes);
-        for _ in 0..n_indexes {
-            indexes.push(AttrSetIndex::decode_state(dec)?);
-        }
-        let n_rules = dec.seq_len(1)?;
-        let mut lhs_slots = Vec::with_capacity(n_rules);
-        for _ in 0..n_rules {
-            let n_slots = dec.seq_len(1)?;
-            let mut slots = Vec::with_capacity(n_slots);
-            for _ in 0..n_slots {
-                let slot = dec.usize()?;
-                if slot >= indexes.len() {
-                    return Err(CodecError::new(format!(
-                        "index slot {slot} out of range ({} indexes)",
-                        indexes.len()
-                    )));
-                }
-                slots.push(slot);
-            }
-            lhs_slots.push(slots);
-        }
-        Ok(AttrIndexPool { indexes, lhs_slots })
-    }
+// Every index faithfully (including maintenance-history-dependent member
+// order), then the per-rule slot tables.
+gdr_relation::state_record! {
+    "idxpool" 1 => AttrIndexPool { indexes, lhs_slots }
+    check AttrIndexPool::check_decoded
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use gdr_cfd::{RuleId, RuleSet, RuleStats, ViolationEngine};
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
+use gdr_relation::codec::{self, Dec, Enc, State};
 use gdr_relation::{AttrId, Table, TupleId, Value, ValueId};
 
 use crate::index_pool::AttrIndexPool;
@@ -419,130 +419,41 @@ impl RepairState {
                 && self.table.cell(update.tuple, update.attr) != &update.value
         })
     }
+}
 
-    /// Serialises the full repair context into `enc`.  Maps and sets are
-    /// written in sorted key order so behaviourally identical states encode
-    /// byte-identically across processes.  The worker pool is not state — the
-    /// caller supplies one on decode.
-    pub fn encode_state(&self, enc: &mut Enc) {
+/// The full repair context.  Maps and sets are written in sorted key order
+/// so behaviourally identical states encode byte-identically across
+/// processes.  The ranker's suggestion delta is not state: a decoded
+/// context starts with none.
+impl State for RepairState {
+    const MIN_BYTES: usize = codec::section_bytes("repair", 2) + Table::MIN_BYTES;
+
+    fn encode_state(&self, enc: &mut Enc) {
         enc.section("repair", 2);
-        self.table.encode_state(enc);
+        enc.put(&self.table);
         self.engine.encode_state(enc);
-
-        let mut possible: Vec<(&Cell, &Update)> = self.possible.iter().collect();
-        possible.sort_unstable_by_key(|(cell, _)| **cell);
-        enc.usize(possible.len());
-        for (&(tuple, attr), update) in possible {
-            enc.usize(tuple);
-            enc.usize(attr);
-            update.encode_state(enc);
-        }
-
-        let mut prevented: Vec<(&Cell, &HashSet<ValueId>)> = self.prevented.iter().collect();
-        prevented.sort_unstable_by_key(|(cell, _)| **cell);
-        enc.usize(prevented.len());
-        for (&(tuple, attr), ids) in prevented {
-            enc.usize(tuple);
-            enc.usize(attr);
-            let mut sorted: Vec<ValueId> = ids.iter().copied().collect();
-            sorted.sort_unstable();
-            enc.usize(sorted.len());
-            for id in sorted {
-                enc.u32(id.raw());
-            }
-        }
-
-        let mut unchangeable: Vec<Cell> = self.unchangeable.iter().copied().collect();
-        unchangeable.sort_unstable();
-        enc.usize(unchangeable.len());
-        for (tuple, attr) in unchangeable {
-            enc.usize(tuple);
-            enc.usize(attr);
-        }
-
-        enc.usize(self.applied_log.len());
-        for change in &self.applied_log {
-            change.encode_state(enc);
-        }
-
-        self.pool.encode_state(enc);
-
-        enc.usize(self.revisit_queue.len());
-        for &(tuple, attr) in &self.revisit_queue {
-            enc.usize(tuple);
-            enc.usize(attr);
-        }
+        enc.put(&self.possible);
+        enc.put(&self.prevented);
+        enc.put(&self.unchangeable);
+        enc.put(&self.applied_log);
+        enc.put(&self.pool);
+        enc.put(&self.revisit_queue);
     }
 
-    /// Rebuilds a repair context written by [`RepairState::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RepairState> {
+    fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RepairState> {
         dec.section("repair", 2)?;
-        let table = Table::decode_state(dec)?;
+        let table: Table = dec.get()?;
         let engine = ViolationEngine::decode_state(dec, table.len())?;
-
-        // Fewest bytes per element, one per integer and value: a cell is 2,
-        // an update 12 (it carries an 8-byte score).
-        let n_possible = dec.seq_len(2 + 12)?;
-        let mut possible = HashMap::with_capacity(n_possible);
-        for _ in 0..n_possible {
-            let cell = (dec.usize()?, dec.usize()?);
-            let update = Update::decode_state(dec)?;
-            if possible.insert(cell, update).is_some() {
-                return Err(CodecError::new("duplicate pending update"));
-            }
-        }
-
-        let n_prevented = dec.seq_len(2 + 1)?;
-        let mut prevented = HashMap::with_capacity(n_prevented);
-        for _ in 0..n_prevented {
-            let cell = (dec.usize()?, dec.usize()?);
-            let n_ids = dec.seq_len(1)?;
-            let mut ids = HashSet::with_capacity(n_ids);
-            for _ in 0..n_ids {
-                if !ids.insert(ValueId::from_index(dec.u32()? as usize)) {
-                    return Err(CodecError::new("duplicate prevented value"));
-                }
-            }
-            if prevented.insert(cell, ids).is_some() {
-                return Err(CodecError::new("duplicate prevented cell"));
-            }
-        }
-
-        let n_unchangeable = dec.seq_len(2)?;
-        let mut unchangeable = HashSet::with_capacity(n_unchangeable);
-        for _ in 0..n_unchangeable {
-            if !unchangeable.insert((dec.usize()?, dec.usize()?)) {
-                return Err(CodecError::new("duplicate unchangeable cell"));
-            }
-        }
-
-        // A cell, two values and a source tag.
-        let n_applied = dec.seq_len(5)?;
-        let mut applied_log = Vec::with_capacity(n_applied);
-        for _ in 0..n_applied {
-            applied_log.push(AppliedChange::decode_state(dec)?);
-        }
-
-        let pool = AttrIndexPool::decode_state(dec)?;
-
-        let n_revisit = dec.seq_len(2)?;
-        let mut revisit_queue = BTreeSet::new();
-        for _ in 0..n_revisit {
-            if !revisit_queue.insert((dec.usize()?, dec.usize()?)) {
-                return Err(CodecError::new("duplicate revisit cell"));
-            }
-        }
-
         Ok(RepairState {
             table,
             engine,
-            possible,
-            prevented,
-            unchangeable,
-            applied_log,
+            possible: dec.get()?,
+            prevented: dec.get()?,
+            unchangeable: dec.get()?,
+            applied_log: dec.get()?,
             suggestion_delta: BTreeMap::new(),
-            pool,
-            revisit_queue,
+            pool: dec.get()?,
+            revisit_queue: dec.get()?,
         })
     }
 }

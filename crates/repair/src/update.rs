@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-use gdr_relation::codec::{self, CodecError, Dec, Enc};
 use gdr_relation::{AttrId, Schema, Table, TupleId, Value, ValueId};
 
 /// A cell position `(t, A)` — the unit the consistency manager tracks
@@ -83,28 +82,6 @@ impl Update {
         (self.tuple, self.attr)
     }
 
-    /// Serialises the update (including the cached interned id, so decoded
-    /// updates are representation-identical, not just logically equal) into
-    /// `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.tuple);
-        enc.usize(self.attr);
-        enc.value(&self.value);
-        enc.f64(self.score);
-        enc.option(self.value_id.as_ref(), |e, id| e.u32(id.raw()));
-    }
-
-    /// Rebuilds an update written by [`Update::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Update> {
-        Ok(Update {
-            tuple: dec.usize()?,
-            attr: dec.usize()?,
-            value: dec.value()?,
-            score: dec.f64()?,
-            value_id: dec.option(|d| Ok(ValueId::from_index(d.u32()? as usize)))?,
-        })
-    }
-
     /// Renders the update against a schema and table for human consumption.
     pub fn describe(&self, schema: &Schema, table: &Table) -> String {
         format!(
@@ -117,6 +94,10 @@ impl Update {
         )
     }
 }
+
+// The cached interned id is encoded too, so decoded updates are
+// representation-identical, not just logically equal.
+gdr_relation::state_record! { Update { tuple, attr, value, score, value_id } }
 
 impl fmt::Display for Update {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -160,19 +141,14 @@ impl Feedback {
     pub fn from_index(index: usize) -> Option<Feedback> {
         Feedback::ALL.get(index).copied()
     }
-
-    /// Serialises the label into `enc` as its one-byte index.
-    pub fn encode_state(self, enc: &mut Enc) {
-        enc.u8(self.index() as u8);
-    }
-
-    /// Rebuilds a label written by [`Feedback::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Feedback> {
-        let tag = dec.u8()?;
-        Feedback::from_index(tag as usize)
-            .ok_or_else(|| CodecError::new(format!("invalid feedback tag {tag}")))
-    }
 }
+
+// One byte: the label's index in `Feedback::ALL`.
+gdr_relation::state_enum! { Feedback, "feedback" {
+    0 => Confirm,
+    1 => Reject,
+    2 => Retain,
+} }
 
 impl fmt::Display for Feedback {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -200,28 +176,12 @@ pub enum ChangeSource {
     Heuristic,
 }
 
-impl ChangeSource {
-    /// Serialises the source into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.u8(match self {
-            ChangeSource::UserConfirmed => 0,
-            ChangeSource::LearnerApplied => 1,
-            ChangeSource::CascadeForced => 2,
-            ChangeSource::Heuristic => 3,
-        });
-    }
-
-    /// Rebuilds a source written by [`ChangeSource::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<ChangeSource> {
-        match dec.u8()? {
-            0 => Ok(ChangeSource::UserConfirmed),
-            1 => Ok(ChangeSource::LearnerApplied),
-            2 => Ok(ChangeSource::CascadeForced),
-            3 => Ok(ChangeSource::Heuristic),
-            tag => Err(CodecError::new(format!("invalid change-source tag {tag}"))),
-        }
-    }
-}
+gdr_relation::state_enum! { ChangeSource, "change-source" {
+    0 => UserConfirmed,
+    1 => LearnerApplied,
+    2 => CascadeForced,
+    3 => Heuristic,
+} }
 
 /// A cell change that has actually been applied to the database.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,27 +198,7 @@ pub struct AppliedChange {
     pub source: ChangeSource,
 }
 
-impl AppliedChange {
-    /// Serialises the change into `enc`.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        enc.usize(self.tuple);
-        enc.usize(self.attr);
-        enc.value(&self.old);
-        enc.value(&self.new);
-        self.source.encode_state(enc);
-    }
-
-    /// Rebuilds a change written by [`AppliedChange::encode_state`].
-    pub fn decode_state(dec: &mut Dec<'_>) -> codec::Result<AppliedChange> {
-        Ok(AppliedChange {
-            tuple: dec.usize()?,
-            attr: dec.usize()?,
-            old: dec.value()?,
-            new: dec.value()?,
-            source: ChangeSource::decode_state(dec)?,
-        })
-    }
-}
+gdr_relation::state_record! { AppliedChange { tuple, attr, old, new, source } }
 
 #[cfg(test)]
 mod tests {

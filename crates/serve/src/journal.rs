@@ -44,13 +44,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use gdr_cfd::RuleSet;
-use gdr_core::config::GdrConfig;
-use gdr_core::strategy::Strategy;
-use gdr_core::team::{Resolution, TeamConfig, TeamSession};
-use gdr_relation::codec::{self, fnv1a64, CodecError, Dec, Enc};
-use gdr_relation::Table;
-use gdr_repair::Feedback;
+use gdr_core::team::TeamSession;
+use gdr_relation::codec::{self, fnv1a64, CodecError};
 
 use crate::store::{OpenSpec, TranscriptEvent};
 
@@ -154,201 +149,60 @@ pub fn scan_records(bytes: &[u8]) -> ScanOutcome<'_> {
 
 // ---- record payloads ------------------------------------------------------
 
-fn encode_cell(enc: &mut Enc, cell: (usize, usize)) {
-    enc.usize(cell.0);
-    enc.usize(cell.1);
-}
+// An event is a one-byte variant tag followed by the variant's fields; a
+// team verb's committed resolutions come last, behind their count.  Tag 0
+// was the retired `Pulled` event and stays unassigned.
+gdr_relation::state_enum! { TranscriptEvent, "event" {
+    1 => Answered { 0, 1 },
+    2 => Supplied { 0, 1 },
+    3 => Skipped { 0 },
+    4 => Finished { pulled },
+    5 => Leased { reviewer, id },
+    6 => Waited { reviewer },
+    7 => AnsweredAs { reviewer, id, feedback, resolved },
+    8 => SuppliedAs { reviewer, id, value, resolved },
+    9 => SkippedAs { reviewer, id, resolved },
+    10 => Released { reviewer, id },
+} }
 
-fn decode_cell(dec: &mut Dec<'_>) -> codec::Result<(usize, usize)> {
-    Ok((dec.usize()?, dec.usize()?))
-}
-
-fn encode_resolved(enc: &mut Enc, resolved: &[(usize, Resolution)]) {
-    enc.usize(resolved.len());
-    for (index, resolution) in resolved {
-        enc.usize(*index);
-        resolution.encode_state(enc);
-    }
-}
-
-fn decode_resolved(dec: &mut Dec<'_>) -> codec::Result<Vec<(usize, Resolution)>> {
-    // The smallest pair: the index, then a resolution's tag and cell.
-    let len = dec.seq_len(1 + 1 + 2)?;
-    (0..len)
-        .map(|_| Ok((dec.usize()?, Resolution::decode_state(dec)?)))
-        .collect()
-}
-
-/// Encodes one transcript event as a record payload: a one-byte variant
-/// tag followed by the variant's fields.  A team verb's committed
-/// resolutions come last, behind their count.
+/// Encodes one transcript event as a record payload.
 pub fn encode_event(event: &TranscriptEvent) -> Vec<u8> {
-    let mut enc = Enc::new();
-    match event {
-        TranscriptEvent::Answered(id, feedback) => {
-            enc.u8(1);
-            enc.u64(*id);
-            feedback.encode_state(&mut enc);
-        }
-        TranscriptEvent::Supplied(cell, value) => {
-            enc.u8(2);
-            encode_cell(&mut enc, *cell);
-            enc.value(value);
-        }
-        TranscriptEvent::Skipped(cell) => {
-            enc.u8(3);
-            encode_cell(&mut enc, *cell);
-        }
-        TranscriptEvent::Finished { pulled } => {
-            enc.u8(4);
-            enc.bool(*pulled);
-        }
-        TranscriptEvent::Leased { reviewer, id } => {
-            enc.u8(5);
-            enc.str(reviewer);
-            enc.u64(*id);
-        }
-        TranscriptEvent::Waited { reviewer } => {
-            enc.u8(6);
-            enc.str(reviewer);
-        }
-        TranscriptEvent::AnsweredAs {
-            reviewer,
-            id,
-            feedback,
-            resolved,
-        } => {
-            enc.u8(7);
-            enc.str(reviewer);
-            enc.u64(*id);
-            feedback.encode_state(&mut enc);
-            encode_resolved(&mut enc, resolved);
-        }
-        TranscriptEvent::SuppliedAs {
-            reviewer,
-            id,
-            value,
-            resolved,
-        } => {
-            enc.u8(8);
-            enc.str(reviewer);
-            enc.u64(*id);
-            enc.value(value);
-            encode_resolved(&mut enc, resolved);
-        }
-        TranscriptEvent::SkippedAs {
-            reviewer,
-            id,
-            resolved,
-        } => {
-            enc.u8(9);
-            enc.str(reviewer);
-            enc.u64(*id);
-            encode_resolved(&mut enc, resolved);
-        }
-        TranscriptEvent::Released { reviewer, id } => {
-            enc.u8(10);
-            enc.str(reviewer);
-            enc.u64(*id);
-        }
-    }
-    enc.into_bytes()
-}
-
-fn decode_event_state(dec: &mut Dec<'_>) -> codec::Result<TranscriptEvent> {
-    Ok(match dec.u8()? {
-        1 => TranscriptEvent::Answered(dec.u64()?, Feedback::decode_state(dec)?),
-        2 => TranscriptEvent::Supplied(decode_cell(dec)?, dec.value()?),
-        3 => TranscriptEvent::Skipped(decode_cell(dec)?),
-        4 => TranscriptEvent::Finished {
-            pulled: dec.bool()?,
-        },
-        5 => TranscriptEvent::Leased {
-            reviewer: dec.str()?,
-            id: dec.u64()?,
-        },
-        6 => TranscriptEvent::Waited {
-            reviewer: dec.str()?,
-        },
-        7 => TranscriptEvent::AnsweredAs {
-            reviewer: dec.str()?,
-            id: dec.u64()?,
-            feedback: Feedback::decode_state(dec)?,
-            resolved: decode_resolved(dec)?,
-        },
-        8 => TranscriptEvent::SuppliedAs {
-            reviewer: dec.str()?,
-            id: dec.u64()?,
-            value: dec.value()?,
-            resolved: decode_resolved(dec)?,
-        },
-        9 => TranscriptEvent::SkippedAs {
-            reviewer: dec.str()?,
-            id: dec.u64()?,
-            resolved: decode_resolved(dec)?,
-        },
-        10 => TranscriptEvent::Released {
-            reviewer: dec.str()?,
-            id: dec.u64()?,
-        },
-        tag => return Err(CodecError::new(format!("unknown event tag {tag}"))),
-    })
-}
-
-/// Decodes `payload` with `decode`, requiring it to be consumed exactly.
-fn decode_whole<T>(
-    payload: &[u8],
-    decode: impl FnOnce(&mut Dec<'_>) -> codec::Result<T>,
-) -> Result<T, String> {
-    let mut dec = Dec::new(payload);
-    let value = decode(&mut dec).map_err(|e| e.detail)?;
-    dec.finish().map_err(|e| e.detail)?;
-    Ok(value)
+    codec::encode_to_vec(event)
 }
 
 /// Inverse of [`encode_event`].
 pub fn decode_event(payload: &[u8]) -> Result<TranscriptEvent, String> {
-    decode_whole(payload, decode_event_state)
+    codec::decode_exact(payload).map_err(|e| e.detail)
+}
+
+gdr_relation::state_record! {
+    "spec" 1 => OpenSpec { dirty, rules, strategy, config, team, ground_truth }
+    check check_spec
+}
+
+/// Rejects a decoded spec whose rules name a column the table lacks.
+fn check_spec(spec: &OpenSpec) -> codec::Result<()> {
+    let arity = spec.dirty.schema().arity();
+    match spec
+        .rules
+        .iter()
+        .find(|(_, rule)| rule.attrs().iter().any(|&attr| attr >= arity))
+    {
+        Some((id, _)) => Err(CodecError::new(format!(
+            "rule {id} names an attribute outside the {arity}-column table"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Encodes a session's build inputs as the spec record payload.
 pub fn encode_spec(spec: &OpenSpec) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.section("spec", 1);
-    spec.dirty.encode_state(&mut enc);
-    spec.rules.encode_state(&mut enc);
-    spec.strategy.encode_state(&mut enc);
-    spec.config.encode_state(&mut enc);
-    spec.team.encode_state(&mut enc);
-    enc.option(spec.ground_truth.as_ref(), |enc, truth| {
-        truth.encode_state(enc)
-    });
-    enc.into_bytes()
-}
-
-fn decode_spec_state(dec: &mut Dec<'_>) -> codec::Result<OpenSpec> {
-    dec.section("spec", 1)?;
-    let dirty = Table::decode_state(dec)?;
-    let rules = RuleSet::decode_state(dec)?;
-    let arity = dirty.schema().arity();
-    for (id, rule) in rules.iter() {
-        if rule.attrs().iter().any(|&attr| attr >= arity) {
-            return Err(CodecError::new(format!(
-                "rule {id} names an attribute outside the {arity}-column table"
-            )));
-        }
-    }
-    let mut spec = OpenSpec::new(dirty, rules);
-    spec.strategy = Strategy::decode_state(dec)?;
-    spec.config = GdrConfig::decode_state(dec)?;
-    spec.team = TeamConfig::decode_state(dec)?;
-    spec.ground_truth = dec.option(Table::decode_state)?;
-    Ok(spec)
+    codec::encode_to_vec(spec)
 }
 
 /// Inverse of [`encode_spec`].
 pub fn decode_spec(payload: &[u8]) -> Result<OpenSpec, String> {
-    decode_whole(payload, decode_spec_state)
+    codec::decode_exact(payload).map_err(|e| e.detail)
 }
 
 /// Decodes a `snap-NNNNNN.gdrs` checkpoint file — a
@@ -357,7 +211,7 @@ pub fn decode_spec(payload: &[u8]) -> Result<OpenSpec, String> {
 /// session is the one whose digest the frame's checksum is.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<TeamSession, String> {
     let payload = codec::unframe(bytes).map_err(|e| e.detail)?;
-    let team = decode_whole(payload, TeamSession::decode_state)?;
+    let team: TeamSession = codec::decode_exact(payload).map_err(|e| e.detail)?;
     if team.state_bytes() != payload {
         return Err("checkpoint payload does not re-encode to itself".to_string());
     }
@@ -886,8 +740,12 @@ pub mod fault {
 mod tests {
     use super::fault::{FaultMode, FaultyWriter};
     use super::*;
+    use gdr_core::config::GdrConfig;
     use gdr_core::fixture;
-    use gdr_relation::Value;
+    use gdr_core::strategy::Strategy;
+    use gdr_core::team::{Resolution, TeamConfig};
+    use gdr_relation::{Table, Value};
+    use gdr_repair::Feedback;
     use std::io::Write;
 
     fn sample_events() -> Vec<TranscriptEvent> {

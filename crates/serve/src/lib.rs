@@ -140,7 +140,7 @@
 //! every [`journal::JournalConfig::compact_every`] tail events, or on
 //! demand via the `compact` verb): the live session is encoded once
 //! through the versioned state codec that runs through every layer
-//! ([`gdr_core::team::TeamSession::encode_state`]), and those bytes, in
+//! ([`gdr_core::team::TeamSession::state_bytes`]), and those bytes, in
 //! `gdr_relation::codec`'s checksummed `S2` frame, become the replay base
 //! while the absorbed tail is dropped from RAM, so a live `restore` decodes
 //! the base and replays only the short tail.  A session thus holds one

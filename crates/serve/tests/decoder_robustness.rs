@@ -32,7 +32,7 @@ use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::step::{DoneReason, WorkPlan};
 use gdr_core::strategy::Strategy as GdrStrategy;
 use gdr_core::team::{ConflictPolicy, Resolution, TeamPlan, TeamSession};
-use gdr_relation::codec::{self, fnv1a64, Dec, Enc, FRAME_MAGIC};
+use gdr_relation::codec::{self, fnv1a64, Dec, Enc, State, FRAME_MAGIC};
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
