@@ -16,10 +16,12 @@ fn bench_update_generation(c: &mut Criterion) {
             BenchmarkId::new("initial_possible_updates", tuples),
             &tuples,
             |b, _| {
-                b.iter(|| {
-                    let state = RepairState::new(data.dirty.clone(), &data.rules);
-                    std::hint::black_box(state.pending_count())
-                })
+                // The table clone is setup, and the built state is returned
+                // so the shim drops it after the clock stops.
+                b.iter_batched(
+                    || data.dirty.clone(),
+                    |dirty| RepairState::new(dirty, &data.rules),
+                )
             },
         );
         let state = RepairState::new(data.dirty.clone(), &data.rules);
@@ -28,13 +30,14 @@ fn bench_update_generation(c: &mut Criterion) {
             BenchmarkId::new("regenerate_one_tuple", tuples),
             &tuples,
             |b, _| {
-                // The clone is setup, not regeneration: iter_batched keeps it
-                // out of the timed region.
+                // The clone is setup, not regeneration, and so is dropping
+                // it: the routine returns the state, and iter_batched keeps
+                // both out of the timed region.
                 b.iter_batched(
                     || state.clone(),
                     |mut state| {
                         state.generate_updates_for_tuple(dirty[0]);
-                        state.pending_count()
+                        state
                     },
                 )
             },

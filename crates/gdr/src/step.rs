@@ -278,16 +278,30 @@ impl EvalHooks {
         enc.put(&self.checkpoints);
     }
 
-    /// Rebuilds hooks written by [`EvalHooks::encode_state`].  `rules` must
-    /// be the rule set of the engine the hooks belong to (the evaluator's
-    /// `|D_opt ⊨ φ|` terms are recomputed from it); the fresh
-    /// [`LossTracker`] starts all-dirty, so its first read recomputes every
-    /// term — bit-identical to the from-scratch oracle by construction.
-    pub fn decode_state(dec: &mut Dec<'_>, rules: &RuleSet) -> codec::Result<EvalHooks> {
+    /// Rebuilds hooks written by [`EvalHooks::encode_state`] for the engine
+    /// whose repair state is `state`.  Both decoded tables must match its
+    /// table's schema and row count, so the rules resolve against them; the
+    /// evaluator's `|D_opt ⊨ φ|` terms are recomputed from its rules, and the
+    /// fresh [`LossTracker`] starts all-dirty, so its first read recomputes
+    /// every term — bit-identical to the from-scratch oracle by
+    /// construction.
+    pub fn decode_state(dec: &mut Dec<'_>, state: &RepairState) -> codec::Result<EvalHooks> {
         dec.section("eval", 1)?;
         let truth = std::sync::Arc::new(dec.get::<Table>()?);
-        let initial_dirty = dec.get()?;
+        let initial_dirty: Table = dec.get()?;
         let checkpoints = dec.get()?;
+        let session = state.table();
+        for table in [&*truth, &initial_dirty] {
+            if !table.schema().same_as(session.schema()) || table.len() != session.len() {
+                return Err(CodecError::new(format!(
+                    "evaluation table `{}` does not match the session table's schema and \
+                     {} rows",
+                    table.name(),
+                    session.len()
+                )));
+            }
+        }
+        let rules = state.ruleset();
         let evaluator = QualityEvaluator::new(&truth, rules, &initial_dirty);
         Ok(EvalHooks {
             evaluator,
@@ -1166,7 +1180,7 @@ impl State for GdrEngine {
         let learner_decisions = dec.get()?;
         let initial_dirty_tuples = dec.get()?;
         let eval = match dec.get()? {
-            true => Some(EvalHooks::decode_state(dec, state.ruleset())?),
+            true => Some(EvalHooks::decode_state(dec, &state)?),
             false => None,
         };
         Ok(GdrEngine {

@@ -39,10 +39,25 @@
 //! * Collection lengths are validated against the remaining payload
 //!   ([`Dec::seq_len`]) before any allocation, so a corrupt length cannot
 //!   balloon memory — it fails the decode, and recovery falls back to
-//!   replay.  Each caller passes the fewest bytes one element can take:
-//!   one per integer, string or [`Value`], eight per `f64`, and
-//!   `tag.len() + 2` for a section header with a short tag and a version
-//!   below 128.
+//!   replay.  The fewest bytes one element can take is its type's
+//!   [`State::MIN_BYTES`], derived from the type's fields, so no caller
+//!   works it out by hand.
+//! * A [`Box`] nests one level deeper, and past [`MAX_NESTING`] levels the
+//!   decode fails, so a corrupt recursive value cannot exhaust the stack.
+//!
+//! ## One declaration per layout
+//!
+//! Every encoded type implements [`State`]: how it encodes, how it
+//! decodes, and the fewest bytes it takes.  The integers, `f64`, `bool`,
+//! `String`, [`Value`], tuples, fixed arrays, `Option`, `Box`, `Vec` and the
+//! maps and sets implement it here.  A struct states its encoded fields once
+//! with [`state_record!`](crate::state_record), optionally behind a section
+//! header and with a check on the decoded value; an enum states each
+//! variant's tag once with [`state_enum!`](crate::state_enum).  A type
+//! whose decoder needs context (a row count, a rule set) keeps a
+//! hand-written decoder, but its fields still decode through [`Dec::get`].
+//! [`encode_to_vec`] and [`decode_exact`] turn one value into a payload and
+//! back.
 //!
 //! ## `S2` framing
 //!

@@ -56,7 +56,10 @@
 //! * [`Table`] — schema + interned columns with cell-level read/write access,
 //! * [`index`] — hash indices over one or more attributes,
 //! * [`codec`] — the versioned, checksummed state codec every layer uses to
-//!   serialise canonical state for checkpointed recovery,
+//!   serialise canonical state for checkpointed recovery: one [`State`]
+//!   trait, implemented per record by [`state_record!`] and per tagged enum
+//!   by [`state_enum!`], so each layout is stated once and the decoder's
+//!   allocation bound is derived from it,
 //! * [`csv`] — a minimal CSV reader/writer,
 //! * [`stats`] — per-attribute domain statistics (active domain, counts).
 //!
@@ -94,7 +97,7 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use codec::{CodecError, Dec, Enc};
+pub use codec::{CodecError, Dec, Enc, State};
 pub use error::RelationError;
 pub use index::{AttrSetIndex, ValueIndex};
 pub use intern::{SmallKey, ValueId, ValueInterner};

@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 use common::{drive_one, figure1_spec, TempDir};
 use gdr_cfd::{Cfd, RuleSet};
 use gdr_core::error::GdrError;
-use gdr_core::oracle::GroundTruthOracle;
+use gdr_core::oracle::{GroundTruthOracle, UserOracle};
 use gdr_core::step::{DoneReason, WorkPlan};
 use gdr_core::strategy::Strategy as GdrStrategy;
 use gdr_core::team::{ConflictPolicy, Resolution, TeamPlan, TeamSession};
@@ -651,6 +651,86 @@ fn a_checkpoint_section_of_another_version_is_rejected() {
     found.extend(learned_found);
     for tag in CHECKPOINT_SECTIONS {
         assert!(found.contains(tag), "no `{tag}` header in {found:?}");
+    }
+}
+
+/// The checkpoint payload of a Figure-1 `Gdr` team session with ground
+/// truth under `EscalateToNeedsValue`, stopped where every section and
+/// every coordinator list is filled: a trained forest and its dataset, the
+/// evaluation hooks, a live lease, a first vote, an escalated disagreement,
+/// a buffered resolution and the resolution log.  Three reviewers lease in
+/// turn; `c` never answers, `b` answers against the oracle on odd lease
+/// ids, and only `b` types fixes.
+fn full_team_checkpoint_payload() -> Vec<u8> {
+    let mut spec = figure1_spec(GdrStrategy::Gdr, true);
+    let oracle = GroundTruthOracle::new(spec.ground_truth.clone().expect("truth"));
+    spec.team.policy = ConflictPolicy::EscalateToNeedsValue;
+    spec.team.lease_ttl = 4;
+    let mut session = SessionOptions::new().open(spec).expect("open");
+    for reviewer in ["a", "b", "c"].into_iter().cycle().take(22) {
+        match session.lease(reviewer).expect("lease") {
+            TeamPlan::Ask { id, update } if reviewer != "c" => {
+                let current = session
+                    .engine()
+                    .state()
+                    .table()
+                    .cell(update.tuple, update.attr);
+                let truth = oracle.feedback(&update, current);
+                let feedback = match (reviewer, id.raw() % 2, truth) {
+                    ("b", 1, Feedback::Confirm) => Feedback::Reject,
+                    ("b", 1, _) => Feedback::Confirm,
+                    _ => truth,
+                };
+                session
+                    .answer_as(reviewer, id, feedback)
+                    .expect("answer_as");
+            }
+            TeamPlan::Fix { id, cell, current } if reviewer == "b" => {
+                match oracle.correct_value(cell.0, cell.1) {
+                    Some(value) if value != current => {
+                        session.supply_as(reviewer, id, value).expect("supply_as");
+                    }
+                    _ => session.skip_as(reviewer, id).expect("skip_as"),
+                }
+            }
+            TeamPlan::Done(reason) => panic!("concluded early: {reason:?}"),
+            _ => {}
+        }
+    }
+    assert!(session.team().live_leases() > 0, "a live lease");
+    assert!(session.team().resolutions().len() >= 2, "resolutions");
+    let payload = session.team().state_bytes();
+    for tag in CHECKPOINT_SECTIONS {
+        let mut header = vec![tag.len() as u8];
+        header.extend_from_slice(tag.as_bytes());
+        assert!(
+            payload.windows(header.len()).any(|w| w == header),
+            "no `{tag}` section"
+        );
+    }
+    payload
+}
+
+/// Every single-bit flip of a full team checkpoint's payload, re-framed
+/// with a fresh checksum so the decoders rather than the frame check see
+/// it, decodes through `TeamSession::from_snapshot_bytes` and
+/// `decode_checkpoint` to `Ok` or `Err`: never a panic, and never an
+/// allocation that aborts.
+#[test]
+fn every_reframed_bit_flip_of_a_team_checkpoint_decodes_or_errs() {
+    let payload = full_team_checkpoint_payload();
+    let mut damaged = payload.clone();
+    for at in 0..payload.len() {
+        for bit in 0..8 {
+            damaged[at] ^= 1 << bit;
+            let framed = codec::frame(&damaged);
+            let outcome = std::panic::catch_unwind(|| {
+                let _ = TeamSession::from_snapshot_bytes(&framed);
+                let _ = decode_checkpoint(&framed);
+            });
+            assert!(outcome.is_ok(), "flipping bit {bit} of byte {at} panicked");
+            damaged[at] ^= 1 << bit;
+        }
     }
 }
 
