@@ -28,7 +28,7 @@
 //! * `f64` travels as its raw [`f64::to_bits`] in 8 little-endian bytes,
 //!   so restored floats are **bit-identical** (NaN payloads and signed
 //!   zeros included).  `u8` and `bool` are one byte.
-//! * Strings and byte blobs are length-prefixed.
+//! * Strings are length-prefixed.
 //! * Every struct opens a *section*: an ASCII tag plus a `u16` version
 //!   ([`Enc::section`] / [`Dec::section`]).  Decoders reject unknown tags
 //!   and any version but the one they write with a typed [`CodecError`]
@@ -77,7 +77,7 @@
 //! error naming both magics, so a file of the old format fails its load
 //! instead of being misread.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
@@ -214,12 +214,6 @@ impl Enc {
     pub fn str(&mut self, v: &str) {
         self.usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// A length-prefixed byte blob.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
     }
 
     /// A cell [`Value`] (tag + payload).
@@ -461,12 +455,6 @@ impl<'a> Dec<'a> {
             .map_err(|_| CodecError::new("string payload is not valid UTF-8"))
     }
 
-    /// A length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.seq_len(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
     /// A cell [`Value`].
     pub fn value(&mut self) -> Result<Value> {
         match self.u8()? {
@@ -492,10 +480,10 @@ pub const MAX_NESTING: usize = 512;
 /// A value with one canonical byte encoding: the state codec's unit.
 ///
 /// [`State::MIN_BYTES`] is the fewest bytes any encoding of the type takes.
-/// Only this module reads it: [`Vec`] and the maps size a claimed length
-/// against the remaining payload with it ([`Dec::seq_len`]) before they
-/// allocate, so no byte sequence makes a decoder allocate more than its
-/// input.  Implementations for records and tagged enums come from
+/// [`Vec`], the maps and sets, and [`Dec::fixed`] check a claimed length
+/// against the remaining payload with it before they allocate, so no byte
+/// sequence makes a decoder allocate more than its input.  Implementations
+/// for records and tagged enums come from
 /// [`state_record!`](crate::state_record) and
 /// [`state_enum!`](crate::state_enum), which derive the bound from the
 /// fields.
@@ -611,7 +599,6 @@ macro_rules! tuple_state {
 tuple_state! {
     (A.0, B.1)
     (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
 }
 
 /// A fixed-length array: its elements back to back, no length prefix.
@@ -701,7 +688,13 @@ fn decode_entries<K: State, V: State, C>(
     with_capacity: impl FnOnce(usize) -> C,
     mut insert: impl FnMut(&mut C, K, V) -> bool,
 ) -> Result<C> {
-    let n = dec.seq_len(<(K, V)>::MIN_BYTES.max(1))?;
+    const {
+        assert!(
+            <(K, V)>::MIN_BYTES >= 1,
+            "every entry takes at least one byte"
+        )
+    };
+    let n = dec.seq_len(<(K, V)>::MIN_BYTES)?;
     let mut collection = with_capacity(n);
     for _ in 0..n {
         let (key, value) = dec.get()?;
@@ -722,21 +715,6 @@ impl<K: State + Ord + Hash, V: State> State for HashMap<K, V> {
         decode_entries(dec, HashMap::with_capacity, |map, k, v| {
             map.insert(k, v).is_none()
         })
-    }
-}
-
-/// A map, in ascending key order.
-impl<K: State + Ord, V: State> State for BTreeMap<K, V> {
-    const MIN_BYTES: usize = 1;
-    fn encode_state(&self, enc: &mut Enc) {
-        encode_sorted(enc, self.iter());
-    }
-    fn decode_state(dec: &mut Dec<'_>) -> Result<Self> {
-        decode_entries(
-            dec,
-            |_| BTreeMap::new(),
-            |map, k, v| map.insert(k, v).is_none(),
-        )
     }
 }
 
@@ -798,9 +776,10 @@ pub fn decode_exact<T: State>(payload: &[u8]) -> Result<T> {
 ///
 /// Each field encodes and decodes through its own [`State`] impl, and the
 /// struct's [`State::MIN_BYTES`] is the header's plus the fields'.  A field
-/// may be a tuple index (`ValueId { 0 }`).  Fields left out must be
-/// `Default`, and a trailing `check path` names a
-/// `fn(&Self) -> codec::Result<()>` run on every decoded value.
+/// may be a tuple index (`ValueId { 0 }`).  A trailing `..Default` fills
+/// the fields left out (derivable caches) from the struct's `Default`, and
+/// a trailing `check path` names a `fn(&Self) -> codec::Result<()>` run on
+/// every decoded value.
 #[macro_export]
 macro_rules! state_record {
     ($($tag:literal $version:literal =>)? $ty:ident { $($field:tt),* $(,)? }
@@ -981,7 +960,6 @@ mod tests {
         enc.f64(f64::NAN);
         enc.bool(true);
         enc.str("héllo");
-        enc.bytes(&[1, 2, 3]);
         enc.value(&Value::Null);
         enc.value(&Value::Int(-9));
         enc.value(&Value::Str("x".into()));
@@ -1001,7 +979,6 @@ mod tests {
         assert!(dec.f64().unwrap().is_nan());
         assert!(dec.bool().unwrap());
         assert_eq!(dec.str().unwrap(), "héllo");
-        assert_eq!(dec.bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(dec.value().unwrap(), Value::Null);
         assert_eq!(dec.value().unwrap(), Value::Int(-9));
         assert_eq!(dec.value().unwrap(), Value::Str("x".into()));
@@ -1030,8 +1007,6 @@ mod tests {
         assert!(dec.seq_len(1).is_err());
         let mut dec = Dec::new(&bytes);
         assert!(dec.str().is_err());
-        let mut dec = Dec::new(&bytes);
-        assert!(dec.bytes().is_err());
     }
 
     #[test]
@@ -1225,6 +1200,125 @@ mod tests {
         assert!(err.detail.contains("`S1`"), "{err:?}");
         assert!(err.detail.contains("`S2`"), "{err:?}");
         assert!(frame(b"abc").starts_with(b"S2 3 "));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        id: u64,
+        weight: f64,
+    }
+
+    impl Pair {
+        fn check_decoded(&self) -> Result<()> {
+            if self.weight.is_nan() {
+                return Err(CodecError::new("NaN weight"));
+            }
+            Ok(())
+        }
+    }
+
+    crate::state_record! { "pair" 1 => Pair { id, weight } check Pair::check_decoded }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Point(u64),
+        Span { from: u64, to: u64 },
+    }
+
+    crate::state_enum! { Shape, "shape" {
+        2 => Empty,
+        4 => Point { 0 },
+        7 => Span { from, to },
+    } }
+
+    /// A recursive value: each link nests one `Box` deeper.
+    #[derive(Debug)]
+    struct Chain(Option<Box<Chain>>);
+
+    crate::state_record! { Chain { 0 } }
+
+    #[test]
+    fn the_macros_state_each_layout_once_and_derive_its_bound() {
+        assert_eq!(<(u64, f64)>::MIN_BYTES, 9);
+        assert_eq!(Pair::MIN_BYTES, section_bytes("pair", 1) + 9);
+        assert_eq!(Shape::MIN_BYTES, 1, "the tag of the field-less variant");
+        let pair = Pair {
+            id: 300,
+            weight: 0.5,
+        };
+        let mut expected = Enc::new();
+        expected.section("pair", 1);
+        expected.u64(300);
+        expected.f64(0.5);
+        assert_eq!(encode_to_vec(&pair), expected.into_bytes());
+        assert_eq!(decode_exact::<Pair>(&encode_to_vec(&pair)).unwrap(), pair);
+        let nan = encode_to_vec(&Pair {
+            id: 1,
+            weight: f64::NAN,
+        });
+        assert_eq!(decode_exact::<Pair>(&nan).unwrap_err().detail, "NaN weight");
+
+        for (shape, bytes) in [
+            (Shape::Empty, vec![2]),
+            (Shape::Point(9), vec![4, 9]),
+            (Shape::Span { from: 1, to: 128 }, vec![7, 1, 128, 1]),
+        ] {
+            assert_eq!(encode_to_vec(&shape), bytes);
+            assert_eq!(decode_exact::<Shape>(&bytes).unwrap(), shape);
+        }
+        let err = decode_exact::<Shape>(&[3]).unwrap_err();
+        assert_eq!(err.detail, "invalid shape tag 3");
+    }
+
+    #[test]
+    fn collections_size_their_allocation_by_the_element_bound() {
+        // Two f64s need 16 bytes; 15 remain.
+        let mut enc = Enc::new();
+        enc.usize(2);
+        enc.fixed(&[0u8; 15]);
+        let err = decode_exact::<Vec<f64>>(&enc.into_bytes()).unwrap_err();
+        assert!(
+            err.detail.contains("implausible collection length 2"),
+            "{err:?}"
+        );
+        let err = Dec::new(&[0; 7]).fixed::<f64>(1).unwrap_err();
+        assert!(err.detail.contains("implausible"), "{err:?}");
+        assert_eq!(
+            decode_exact::<[u64; 3]>(&encode_to_vec(&[1u64, 200, 3])).unwrap(),
+            [1, 200, 3]
+        );
+    }
+
+    #[test]
+    fn maps_and_sets_encode_sorted_and_reject_a_repeated_key() {
+        let map: HashMap<u64, String> = (0..50).map(|k| (k * 7 % 50, k.to_string())).collect();
+        let bytes = encode_to_vec(&map);
+        let mut sorted: Vec<(u64, String)> = map.clone().into_iter().collect();
+        sorted.sort();
+        assert_eq!(bytes, encode_to_vec(&sorted));
+        assert_eq!(decode_exact::<HashMap<u64, String>>(&bytes).unwrap(), map);
+        let set: HashSet<u64> = [5, 1, 3].into();
+        assert_eq!(encode_to_vec(&set), [3, 1, 3, 5]);
+        let repeated = [2, 1, 1];
+        for err in [
+            decode_exact::<HashSet<u64>>(&repeated).unwrap_err(),
+            decode_exact::<BTreeSet<u64>>(&repeated).unwrap_err(),
+        ] {
+            assert!(err.detail.contains("repeats a key"), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn boxes_nest_only_to_the_limit() {
+        let chain = |links: usize| {
+            let mut bytes = vec![1; links];
+            bytes.push(0);
+            bytes
+        };
+        assert!(decode_exact::<Chain>(&chain(MAX_NESTING)).is_ok());
+        let err = decode_exact::<Chain>(&chain(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.detail.contains("nesting"), "{err:?}");
     }
 
     #[test]

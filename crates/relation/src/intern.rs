@@ -263,7 +263,7 @@ impl SmallKey {
 /// is a representation detail ([`SmallKey::from_slice`] re-chooses it by
 /// length) and is not encoded.
 impl State for SmallKey {
-    const MIN_BYTES: usize = 1;
+    const MIN_BYTES: usize = Vec::<ValueId>::MIN_BYTES;
 
     fn encode_state(&self, enc: &mut Enc) {
         enc.seq(self.as_slice());
