@@ -1116,19 +1116,27 @@ impl ViolationEngine {
         enc.put(&self.generation_counter);
     }
 
-    /// Rebuilds an engine written by [`ViolationEngine::encode_state`] for a
-    /// table of `rows` rows.
+    /// Rebuilds an engine written by [`ViolationEngine::encode_state`] for
+    /// `table`.
     ///
-    /// The engine's row count must equal `rows`, and every tuple id it names
-    /// must be below it; both are checked before anything is sized from them.
+    /// The engine's column and row counts must equal the table's, and every
+    /// tuple id it names must be below the row count; each is checked before
+    /// anything is sized from it.
     /// The variable rules' violation bits are not encoded: they are filled
     /// from the decoded groups.  Pattern-constant resolution is left empty
     /// (`resolved_at_generation: None`): every read and mutation path
     /// refreshes it lazily against the live table before use.
-    pub fn decode_state(dec: &mut Dec<'_>, rows: usize) -> codec::Result<ViolationEngine> {
+    pub fn decode_state(dec: &mut Dec<'_>, table: &Table) -> codec::Result<ViolationEngine> {
+        let rows = table.len();
         dec.section("vioeng", 1)?;
         let ruleset: RuleSet = dec.get()?;
         let arity: usize = dec.get()?;
+        if arity != table.schema().arity() {
+            return Err(CodecError::new(format!(
+                "engine covers {arity} columns but the table has {}",
+                table.schema().arity()
+            )));
+        }
         for (id, rule) in ruleset.iter() {
             if rule.attrs().iter().any(|&attr| attr >= arity) {
                 return Err(CodecError::new(format!(
@@ -1300,7 +1308,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
 
         let bytes = encode(&engine);
         let mut dec = Dec::new(&bytes);
-        let mut restored = ViolationEngine::decode_state(&mut dec, table.len()).unwrap();
+        let mut restored = ViolationEngine::decode_state(&mut dec, &table).unwrap();
         dec.finish().unwrap();
 
         // Re-encoding the restored engine is byte-identical.
@@ -1330,8 +1338,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let bytes = encode(&engine);
         for cut in 0..bytes.len() {
             let mut dec = Dec::new(&bytes[..cut]);
-            let result =
-                ViolationEngine::decode_state(&mut dec, table.len()).and_then(|_| dec.finish());
+            let result = ViolationEngine::decode_state(&mut dec, &table).and_then(|_| dec.finish());
             assert!(result.is_err(), "truncation at {cut} must not decode");
         }
     }
@@ -1342,9 +1349,27 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let bytes = encode(&engine);
         let rows = table.len();
         for other in [0, rows - 1, rows + 1] {
+            let mut resized = Table::new("resized", table.schema().clone());
+            for tuple in 0..other {
+                let row = (0..table.schema().arity())
+                    .map(|attr| table.cell(tuple % rows, attr).clone())
+                    .collect();
+                resized.push_row(row).unwrap();
+            }
             let mut dec = Dec::new(&bytes);
-            assert!(ViolationEngine::decode_state(&mut dec, other).is_err());
+            assert!(ViolationEngine::decode_state(&mut dec, &resized).is_err());
         }
+        // A table of another width is refused too, and an encoded width of
+        // 2^40 columns fails before anything is sized from it.
+        let narrow = Table::new("narrow", Schema::new(&["SRC", "STR", "CT", "STT"]));
+        assert!(ViolationEngine::decode_state(&mut Dec::new(&bytes), &narrow).is_err());
+        let mut huge = Enc::new();
+        huge.section("vioeng", 1);
+        huge.put(&RuleSet::new(Vec::new()));
+        huge.usize(1 << 40);
+        let err =
+            ViolationEngine::decode_state(&mut Dec::new(&huge.into_bytes()), &table).unwrap_err();
+        assert!(err.detail.contains("columns"), "{err:?}");
         // Push rule 0's first violating tuple (t1) to each id at or past the
         // table's end.  Its list sits after the header, the arity, the row
         // count, the state count and the rule's kind tag and list length;
@@ -1365,7 +1390,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
             let mut damaged = bytes.clone();
             damaged.splice(at..at + 1, id.into_bytes());
             let mut dec = Dec::new(&damaged);
-            assert!(ViolationEngine::decode_state(&mut dec, rows).is_err());
+            assert!(ViolationEngine::decode_state(&mut dec, &table).is_err());
         }
     }
 

@@ -443,7 +443,7 @@ impl State for RepairState {
     fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RepairState> {
         dec.section("repair", 2)?;
         let table: Table = dec.get()?;
-        let engine = ViolationEngine::decode_state(dec, table.len())?;
+        let engine = ViolationEngine::decode_state(dec, &table)?;
         Ok(RepairState {
             table,
             engine,
