@@ -150,8 +150,8 @@ pub fn scan_records(bytes: &[u8]) -> ScanOutcome<'_> {
 // ---- record payloads ------------------------------------------------------
 
 // An event is a one-byte variant tag followed by the variant's fields; a
-// team verb's committed resolutions come last, behind their count.  Tag 0
-// was the retired `Pulled` event and stays unassigned.
+// team verb's committed resolutions come last, behind their count.  Tags
+// start at 1, and decoding refuses 0 like any other unknown tag.
 gdr_relation::state_enum! { TranscriptEvent, "event" {
     1 => Answered { 0, 1 },
     2 => Supplied { 0, 1 },
