@@ -8,7 +8,9 @@
 //!   9 of the GDR process (Procedure 1),
 //! * the per-tuple violation count `vio(t, {φ})` of **Definition 1** —
 //!   `1` for a violated constant CFD and the number of conflicting partner
-//!   tuples for a variable CFD,
+//!   tuples for a variable CFD.  Every tuple weighs 1: the paper's optional
+//!   per-tuple business weight is not modelled (only the rule weights `w_i`
+//!   scale the loss),
 //! * the per-rule aggregates used by the VOI formula (Eq. 2–6):
 //!   `vio(D, {φ})`, the number of satisfying tuples `|D ⊨ φ|`, and the
 //!   context size `|D(φ)|` that defines the default rule weights,
@@ -607,10 +609,7 @@ impl ViolationEngine {
         let new_id = table.intern_value_ref(attr, value);
         // The round trip leaves every statistic exactly as it found it, so
         // no generation stamp may move — hypothetical evaluation must never
-        // invalidate generation-keyed caches.  The table's modification
-        // counter is rewound for the same reason: how many hypotheticals
-        // were evaluated is not part of the table's logical state.
-        let version = table.version();
+        // invalidate generation-keyed caches.
         self.suppress_generations = true;
         let keys_before: Vec<Option<SmallKey>> = self.involving[attr]
             .iter()
@@ -633,7 +632,6 @@ impl ViolationEngine {
             .collect();
         self.apply_cell_change_id(table, tuple, attr, old_id);
         self.suppress_generations = false;
-        table.rewind_version(version);
 
         let touched_groups = self.involving[attr]
             .iter()
@@ -677,7 +675,6 @@ impl ViolationEngine {
         );
         let new_id = table.intern_value_ref(attr, value);
         self.refresh_resolution(table);
-        let version = table.version();
         self.suppress_generations = true;
         let key_of = |engine: &ViolationEngine| match &engine.states[rule] {
             RuleState::Variable(state) => state.tuple_key.get(&tuple).cloned(),
@@ -693,7 +690,6 @@ impl ViolationEngine {
         table.set_cell_id(tuple, attr, old_id);
         self.add_tuple(rule, table, tuple);
         self.suppress_generations = false;
-        table.rewind_version(version);
 
         let mut guards: Vec<(SmallKey, u64)> = Vec::new();
         for key in [key_before, key_after].into_iter().flatten() {
@@ -873,24 +869,6 @@ impl ViolationEngine {
         }
         partners.sort_unstable();
         partners
-    }
-
-    /// For a variable rule, every tuple agreeing with `tuple` on the rule's
-    /// LHS (including `tuple` itself).  Used by the repair generator to
-    /// propose RHS values taken from the agreement group.
-    pub fn agreement_group(&self, rule: RuleId, tuple: TupleId) -> Vec<TupleId> {
-        let RuleState::Variable(state) = &self.states[rule] else {
-            return Vec::new();
-        };
-        let Some(key) = state.tuple_key.get(&tuple) else {
-            return Vec::new();
-        };
-        let Some(group) = state.groups.get(key) else {
-            return Vec::new();
-        };
-        let mut members: Vec<TupleId> = group.members_by_rhs.values().flatten().copied().collect();
-        members.sort_unstable();
-        members
     }
 
     /// Rebuilds the engine from scratch.  Intended for tests and for callers
@@ -1441,9 +1419,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         assert_eq!(engine.conflict_partners(rule, 2), vec![3]);
         assert_eq!(engine.conflict_partners(rule, 3), vec![2]);
         assert_eq!(engine.conflict_partners(rule, 0), Vec::<TupleId>::new());
-        assert_eq!(engine.agreement_group(rule, 2), vec![2, 3]);
-        // Constant rules have no agreement groups.
-        assert_eq!(engine.agreement_group(0, 1), Vec::<TupleId>::new());
+        // Constant rules have no conflict partners.
         assert_eq!(engine.conflict_partners(0, 1), Vec::<TupleId>::new());
     }
 
@@ -1517,7 +1493,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let before_stats: Vec<RuleStats> = (0..engine.ruleset().len())
             .map(|r| engine.rule_stats(r))
             .collect();
-        let before_version = table.version();
 
         let what_if = engine
             .stats_if(&mut table, 1, 2, &Value::from("Michigan City"))
@@ -1530,16 +1505,12 @@ STR, CT -> ZIP : _, Fort Wayne || _
         assert_eq!(rule0.violations, 0);
         assert_eq!(rule0.satisfying, 5);
 
-        // Nothing stuck: stats and table content identical to before, and the
-        // version counter is rewound across the apply/revert round trip so
-        // version-watermarked caches and state snapshots never observe how
-        // many hypotheticals were evaluated.
+        // Nothing stuck: stats and table content identical to before.
         let after_stats: Vec<RuleStats> = (0..engine.ruleset().len())
             .map(|r| engine.rule_stats(r))
             .collect();
         assert_eq!(before_stats, after_stats);
         assert_eq!(table.cell(1, 2), &Value::from("Westville"));
-        assert_eq!(table.version(), before_version);
         assert!(engine.agrees_with_rebuild(&table));
     }
 

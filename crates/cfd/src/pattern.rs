@@ -83,14 +83,6 @@ impl Pattern {
         Pattern { entries }
     }
 
-    /// A pattern that is all wildcards over the given attributes (i.e. a
-    /// plain FD context).
-    pub fn all_wildcards(attrs: &[AttrId]) -> Pattern {
-        Pattern {
-            entries: attrs.iter().map(|&a| (a, PatternValue::Wildcard)).collect(),
-        }
-    }
-
     /// The `(attribute, entry)` pairs of the pattern.
     pub fn entries(&self) -> &[(AttrId, PatternValue)] {
         &self.entries
@@ -119,22 +111,6 @@ impl Pattern {
         self.entries
             .iter()
             .all(|(attr, entry)| entry.matches(tuple.value(*attr)))
-    }
-
-    /// Evaluates the pattern against an explicit `(attr → value)` accessor,
-    /// used for what-if evaluation where one cell is hypothetically changed.
-    pub fn matches_with<'a, F>(&self, mut lookup: F) -> bool
-    where
-        F: FnMut(AttrId) -> &'a Value,
-    {
-        self.entries
-            .iter()
-            .all(|(attr, entry)| entry.matches(lookup(*attr)))
-    }
-
-    /// Returns `true` when every entry is a wildcard.
-    pub fn is_all_wildcards(&self) -> bool {
-        self.entries.iter().all(|(_, e)| e.is_wildcard())
     }
 }
 
@@ -186,15 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn all_wildcards_matches_everything() {
-        let pattern = Pattern::all_wildcards(&[0, 2]);
-        assert!(pattern.is_all_wildcards());
-        assert!(pattern.matches(&tuple(&["a", "b", "c"])));
-        assert_eq!(pattern.len(), 2);
-        assert!(!pattern.is_empty());
-    }
-
-    #[test]
     fn entry_lookup() {
         let pattern = Pattern::new(vec![(3, PatternValue::constant("46360"))]);
         assert_eq!(
@@ -202,23 +169,6 @@ mod tests {
             Some(&PatternValue::Const(Value::from("46360")))
         );
         assert_eq!(pattern.entry(1), None);
-    }
-
-    #[test]
-    fn matches_with_custom_lookup() {
-        let pattern = Pattern::new(vec![(1, PatternValue::constant("Fort Wayne"))]);
-        let t = tuple(&["x", "Westville", "46391"]);
-        let replacement = Value::from("Fort Wayne");
-        // Hypothetically replace attribute 1.
-        let matched = pattern.matches_with(|attr| {
-            if attr == 1 {
-                &replacement
-            } else {
-                t.value(attr)
-            }
-        });
-        assert!(matched);
-        assert!(!pattern.matches(&t));
     }
 
     #[test]

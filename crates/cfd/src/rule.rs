@@ -3,10 +3,10 @@
 use std::fmt;
 
 use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
-use gdr_relation::{AttrId, Row, Schema, Value};
+use gdr_relation::{AttrId, Row, Schema};
 
 use crate::error::CfdError;
-use crate::pattern::{Pattern, PatternValue};
+use crate::pattern::PatternValue;
 use crate::Result;
 
 /// Identifier of a rule inside a [`crate::RuleSet`] (its position).
@@ -152,18 +152,6 @@ impl Cfd {
         attrs
     }
 
-    /// The LHS pattern as a [`Pattern`] (used to test context membership:
-    /// `t[X] ≍ tp[X]`).
-    pub fn lhs_as_pattern(&self) -> Pattern {
-        Pattern::new(
-            self.lhs
-                .iter()
-                .copied()
-                .zip(self.lhs_pattern.iter().cloned())
-                .collect(),
-        )
-    }
-
     /// `t[X] ≍ tp[X]`: the tuple falls in the rule's context.  Generic over
     /// [`Row`] so owned [`gdr_relation::Tuple`]s and borrowed
     /// [`gdr_relation::TupleRef`]s both work.
@@ -172,30 +160,6 @@ impl Cfd {
             .iter()
             .zip(self.lhs_pattern.iter())
             .all(|(attr, entry)| entry.matches(tuple.value(*attr)))
-    }
-
-    /// Context membership with a hypothetical single-cell override.
-    pub fn in_context_with<R: Row>(&self, tuple: &R, attr: AttrId, value: &Value) -> bool {
-        self.lhs
-            .iter()
-            .zip(self.lhs_pattern.iter())
-            .all(|(a, entry)| {
-                let v = if *a == attr { value } else { tuple.value(*a) };
-                entry.matches(v)
-            })
-    }
-
-    /// For a *constant* rule: does the single tuple satisfy it?
-    ///
-    /// `t ⊨ φ` iff `t[X] ≍ tp[X]` implies `t[A] = tp[A]`.  Variable rules
-    /// cannot be decided on a single tuple; use the
-    /// [`crate::ViolationEngine`] for those.
-    pub fn constant_satisfied_by<R: Row>(&self, tuple: &R) -> Option<bool> {
-        let constant = self.rhs_pattern.as_const()?;
-        if !self.in_context(tuple) {
-            return Some(true);
-        }
-        Some(tuple.value(self.rhs) == constant)
     }
 }
 
@@ -320,7 +284,7 @@ impl CfdSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_relation::{Schema, Tuple};
+    use gdr_relation::{Schema, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(&["Name", "SRC", "STR", "CT", "STT", "ZIP"])
@@ -381,29 +345,6 @@ mod tests {
         let out_ctx = tuple(&["Tom", "H3", "Colfax", "Westville", "IN", "46391"]);
         assert!(rule.in_context(&in_ctx));
         assert!(!rule.in_context(&out_ctx));
-    }
-
-    #[test]
-    fn context_with_override() {
-        let rule = phi_1_1();
-        let t = tuple(&["Tom", "H3", "Colfax", "Westville", "IN", "46391"]);
-        assert!(!rule.in_context(&t));
-        assert!(rule.in_context_with(&t, 5, &Value::from("46360")));
-        // Override of an attribute not on the LHS does not change membership.
-        assert!(!rule.in_context_with(&t, 3, &Value::from("Michigan City")));
-    }
-
-    #[test]
-    fn constant_satisfaction() {
-        let rule = phi_1_1();
-        let ok = tuple(&["Ann", "H1", "Main", "Michigan City", "IN", "46360"]);
-        let bad = tuple(&["Jim", "H2", "Main", "Westville", "IN", "46360"]);
-        let other = tuple(&["Joe", "H2", "Main", "Westville", "IN", "46391"]);
-        assert_eq!(rule.constant_satisfied_by(&ok), Some(true));
-        assert_eq!(rule.constant_satisfied_by(&bad), Some(false));
-        assert_eq!(rule.constant_satisfied_by(&other), Some(true));
-        // Variable rules can't be decided per tuple.
-        assert_eq!(phi_5().constant_satisfied_by(&ok), None);
     }
 
     #[test]
@@ -505,17 +446,5 @@ mod tests {
         assert!(text.contains("46360"));
         assert!(text.contains("Michigan City"));
         assert!(phi_5().to_string().contains("_"));
-    }
-
-    #[test]
-    fn lhs_as_pattern_round_trip() {
-        let rule = phi_5();
-        let pattern = rule.lhs_as_pattern();
-        assert_eq!(pattern.len(), 2);
-        assert!(pattern
-            .entry(3)
-            .unwrap()
-            .matches(&Value::from("Fort Wayne")));
-        assert!(pattern.entry(2).unwrap().is_wildcard());
     }
 }

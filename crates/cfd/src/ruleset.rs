@@ -30,19 +30,6 @@ impl RuleSet {
         RuleSet { rules, weights }
     }
 
-    /// Builds a rule set with explicit weights.
-    ///
-    /// # Panics
-    /// Panics if `weights.len() != rules.len()`; the two vectors are parallel.
-    pub fn with_weights(rules: Vec<Cfd>, weights: Vec<f64>) -> RuleSet {
-        assert_eq!(
-            rules.len(),
-            weights.len(),
-            "one weight per rule is required"
-        );
-        RuleSet { rules, weights }
-    }
-
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.rules.len()
@@ -66,11 +53,6 @@ impl RuleSet {
     /// Returns a rule by id.
     pub fn rule(&self, id: RuleId) -> &Cfd {
         &self.rules[id]
-    }
-
-    /// Fallible rule lookup.
-    pub fn try_rule(&self, id: RuleId) -> Result<&Cfd> {
-        self.rules.get(id).ok_or(CfdError::UnknownRule { rule: id })
     }
 
     /// The weight `w_i` of a rule.
@@ -186,23 +168,6 @@ mod tests {
         assert!(!set.is_empty());
         assert_eq!(set.weight(0), 1.0);
         assert_eq!(set.rule(1).name(), "phi2");
-        assert!(set.try_rule(1).is_ok());
-        assert!(matches!(
-            set.try_rule(9),
-            Err(CfdError::UnknownRule { rule: 9 })
-        ));
-    }
-
-    #[test]
-    fn explicit_weights() {
-        let set = RuleSet::with_weights(rules(), vec![0.5, 2.0]);
-        assert_eq!(set.weights(), &[0.5, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per rule")]
-    fn mismatched_weights_panic() {
-        RuleSet::with_weights(rules(), vec![1.0]);
     }
 
     #[test]
@@ -270,7 +235,7 @@ mod tests {
             "ZIP -> CT : 46360 || Michigan City\nSTR, CT -> ZIP : _, Fort Wayne || _\n",
         )
         .unwrap();
-        let mut set = RuleSet::with_weights(parsed, vec![0.25, 1.75]);
+        let mut set = RuleSet::new(parsed);
         set.weights_from_context(&{
             let mut t = Table::new("addr", schema);
             t.push_text_row(&["Main St", "Michigan City", "46360"])

@@ -224,11 +224,6 @@ impl GroupIndex {
         self.groups.is_empty()
     }
 
-    /// Total number of indexed member updates.
-    pub fn total_updates(&self) -> usize {
-        self.groups.values().map(|g| g.len()).sum()
-    }
-
     /// The attributes with at least one live group.
     pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
         self.by_attr.keys().copied()
@@ -488,7 +483,6 @@ mod tests {
         let lookup = make_lookup();
         let index = GroupIndex::from_updates(&lookup, updates.iter());
         assert_eq!(index.len(), 3);
-        assert_eq!(index.total_updates(), 6);
         let materialised = index.groups_in_default_order();
         assert_eq!(materialised, group_updates(&updates));
         let mut attrs: Vec<AttrId> = index.attrs().collect();

@@ -60,17 +60,6 @@ impl RepairAccuracy {
             self.correctly_updated as f64 / self.initially_incorrect as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +93,6 @@ mod tests {
         assert_eq!(acc.initially_incorrect, 3);
         assert_eq!(acc.precision(), 1.0);
         assert_eq!(acc.recall(), 1.0);
-        assert_eq!(acc.f1(), 1.0);
     }
 
     #[test]
@@ -123,7 +111,6 @@ mod tests {
         assert_eq!(acc.initially_incorrect, 3);
         assert!((acc.precision() - 0.5).abs() < 1e-12);
         assert!((acc.recall() - 1.0 / 3.0).abs() < 1e-12);
-        assert!(acc.f1() > 0.0 && acc.f1() < 1.0);
     }
 
     #[test]
@@ -148,7 +135,6 @@ mod tests {
         assert_eq!(acc.updated, 0);
         assert_eq!(acc.precision(), 1.0);
         assert_eq!(acc.recall(), 0.0);
-        assert_eq!(acc.f1(), 0.0);
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! L(D)     = Σ_i  w_i · ql(D, φ_i)                          (Eq. 3)
 //! ```
 //!
-//! and reports experiment progress as the *quality improvement* — how much of
-//! the initial loss has been recovered.  During an experiment `D_opt` is the
-//! ground truth (§5, "Data quality state metric"), so the evaluator
+//! Every tuple weighs 1 in these counts: Definition 1's optional per-tuple
+//! weight on `vio(t)` is not modelled, and only the rule weights `w_i`
+//! scale the loss.
+//!
+//! The paper reports experiment progress as the *quality improvement* — how
+//! much of the initial loss has been recovered.  During an experiment `D_opt`
+//! is the ground truth (§5, "Data quality state metric"), so the evaluator
 //! pre-computes `|D_opt ⊨ φ|` once and derives the loss of any instance from
 //! its [`gdr_cfd::ViolationEngine`] statistics in `O(|Σ|)`.
 //!

@@ -39,14 +39,6 @@ impl Strategy {
         Strategy::AutomaticHeuristic,
     ];
 
-    /// Does the strategy group updates and rank the groups?
-    pub fn uses_groups(self) -> bool {
-        !matches!(
-            self,
-            Strategy::ActiveLearningOnly | Strategy::AutomaticHeuristic
-        )
-    }
-
     /// Does the strategy train and consult the learning component?
     pub fn uses_learner(self) -> bool {
         matches!(
@@ -61,11 +53,6 @@ impl Strategy {
             self,
             Strategy::Gdr | Strategy::GdrNoLearning | Strategy::GdrSLearning
         )
-    }
-
-    /// Does the strategy consume any user feedback at all?
-    pub fn uses_user(self) -> bool {
-        !matches!(self, Strategy::AutomaticHeuristic)
     }
 
     /// The within-group verification order (§4.2): the index into
@@ -141,10 +128,8 @@ mod tests {
 
     #[test]
     fn capability_matrix_matches_the_paper() {
-        assert!(Strategy::Gdr.uses_groups());
         assert!(Strategy::Gdr.uses_learner());
         assert!(Strategy::Gdr.uses_voi());
-        assert!(Strategy::Gdr.uses_user());
 
         assert!(Strategy::GdrNoLearning.uses_voi());
         assert!(!Strategy::GdrNoLearning.uses_learner());
@@ -152,18 +137,14 @@ mod tests {
         assert!(Strategy::GdrSLearning.uses_voi());
         assert!(Strategy::GdrSLearning.uses_learner());
 
-        assert!(!Strategy::ActiveLearningOnly.uses_groups());
         assert!(Strategy::ActiveLearningOnly.uses_learner());
         assert!(!Strategy::ActiveLearningOnly.uses_voi());
 
-        assert!(Strategy::Greedy.uses_groups());
         assert!(!Strategy::Greedy.uses_voi());
         assert!(!Strategy::Greedy.uses_learner());
 
-        assert!(Strategy::RandomOrder.uses_groups());
         assert!(!Strategy::RandomOrder.uses_voi());
 
-        assert!(!Strategy::AutomaticHeuristic.uses_user());
         assert!(!Strategy::AutomaticHeuristic.uses_learner());
     }
 

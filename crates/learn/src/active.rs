@@ -97,23 +97,6 @@ impl ActiveLearner {
             None => 1.0,
         }
     }
-
-    /// Orders the indices of an unlabeled pool by decreasing uncertainty —
-    /// the order in which the user should be asked (§4.2, "Interactive Active
-    /// Learning Session").  Ties keep the original (stable) order.
-    pub fn rank_by_uncertainty(&self, pool: &[Vec<FeatureValue>]) -> Vec<usize> {
-        let mut scored: Vec<(usize, f64)> = pool
-            .iter()
-            .enumerate()
-            .map(|(i, features)| (i, self.uncertainty(features)))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.into_iter().map(|(i, _)| i).collect()
-    }
 }
 
 // The forest is written explicitly rather than re-derived from the dataset
@@ -193,38 +176,6 @@ mod tests {
         feed_pattern(&mut l, 40);
         l.retrain();
         assert!(l.uncertainty(&probe) < 1.0);
-    }
-
-    #[test]
-    fn ranking_prefers_uncertain_examples() {
-        let mut l = learner();
-        feed_pattern(&mut l, 40);
-        l.retrain();
-        // A confusing feature vector (never seen source) vs two clear ones.
-        let pool = vec![
-            vec![cat("H1"), FeatureValue::Numeric(0.0)],
-            vec![cat("H9"), FeatureValue::Missing],
-            vec![cat("H2"), FeatureValue::Numeric(0.0)],
-        ];
-        let ranked = l.rank_by_uncertainty(&pool);
-        assert_eq!(ranked.len(), 3);
-        // The clear-cut H1/H2 examples cannot rank above the unknown one
-        // unless the forest happens to be unanimous about it too; in that
-        // case order falls back to pool order, so index 1 is still first or
-        // tied at the top.
-        let uncertain_pos = ranked.iter().position(|&i| i == 1).unwrap();
-        assert!(uncertain_pos <= 1);
-    }
-
-    #[test]
-    fn ranking_is_stable_for_ties() {
-        let l = learner(); // untrained: every uncertainty is 1.0
-        let pool = vec![
-            vec![cat("a"), FeatureValue::Numeric(0.0)],
-            vec![cat("b"), FeatureValue::Numeric(0.0)],
-            vec![cat("c"), FeatureValue::Numeric(0.0)],
-        ];
-        assert_eq!(l.rank_by_uncertainty(&pool), vec![0, 1, 2]);
     }
 
     fn encode(learner: &ActiveLearner) -> Vec<u8> {

@@ -193,19 +193,6 @@ impl Dataset {
             .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(&a.0)))
             .map(|(label, _)| label)
     }
-
-    /// The distinct labels present in the dataset.
-    pub fn distinct_labels(&self) -> Vec<usize> {
-        let mut seen = vec![false; self.label_count];
-        for e in &self.examples {
-            seen[e.label] = true;
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// The arity, then every example in order: its `feature_count` features with
@@ -321,12 +308,5 @@ mod tests {
         assert_eq!(d.majority_label(&[]), None);
         // Tie goes to the smaller label.
         assert_eq!(d.majority_label(&[0, 1]), Some(0));
-    }
-
-    #[test]
-    fn distinct_labels_lists_present_classes() {
-        let d = sample();
-        assert_eq!(d.distinct_labels(), vec![0, 1]);
-        assert_eq!(Dataset::new(1, 4).distinct_labels(), Vec::<usize>::new());
     }
 }

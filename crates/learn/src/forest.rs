@@ -75,11 +75,6 @@ impl RandomForest {
         }
     }
 
-    /// Number of trees in the committee.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Number of classes.
     pub fn label_count(&self) -> usize {
         self.label_count
@@ -198,7 +193,6 @@ mod tests {
     fn forest_learns_systematic_pattern() {
         let d = systematic_dataset(60);
         let forest = RandomForest::train(&d, &ForestConfig::default(), 11);
-        assert_eq!(forest.tree_count(), 10);
         assert_eq!(forest.label_count(), 2);
         assert_eq!(
             forest.predict(&[cat("H2"), cat("Westville"), FeatureValue::Numeric(1.0)]),
@@ -278,7 +272,6 @@ mod tests {
             ..ForestConfig::default()
         };
         let forest = RandomForest::train(&d, &config, 3);
-        assert_eq!(forest.tree_count(), 1);
         let probe = vec![cat("H1"), cat("Westville"), FeatureValue::Numeric(0.0)];
         assert!(forest.predict(&probe) < 2);
     }

@@ -6,9 +6,6 @@
 //! RFC 4180 the generators and examples need: double-quote quoting, embedded
 //! commas/quotes/newlines inside quoted fields, and a header row.
 
-use std::fs;
-use std::path::Path;
-
 use crate::error::RelationError;
 use crate::schema::Schema;
 use crate::table::Table;
@@ -40,19 +37,6 @@ pub fn parse_csv(name: &str, text: &str) -> Result<Table> {
     Ok(table)
 }
 
-/// Reads a CSV file from disk into a [`Table`]; the table name is the file
-/// stem.
-pub fn read_csv_file(path: impl AsRef<Path>) -> Result<Table> {
-    let path = path.as_ref();
-    let text = fs::read_to_string(path)?;
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("table")
-        .to_string();
-    parse_csv(&name, &text)
-}
-
 /// Serialises a table to CSV text (header row + one line per tuple).
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
@@ -67,12 +51,6 @@ pub fn to_csv(table: &Table) -> String {
         write_record(&mut out, tuple.iter().map(|v| v.render().into_owned()));
     }
     out
-}
-
-/// Writes a table to a CSV file on disk.
-pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    fs::write(path, to_csv(table))?;
-    Ok(())
 }
 
 fn write_record<I: Iterator<Item = String>>(out: &mut String, fields: I) {
@@ -293,23 +271,5 @@ mod tests {
         let text = to_csv(&table);
         let again = parse_csv("t", &text).unwrap();
         assert_eq!(table, again);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("gdr_relation_csv_roundtrip_test.csv");
-        let table = parse_csv("t", "A,B\n1,x\n").unwrap();
-        write_csv_file(&table, &path).unwrap();
-        let back = read_csv_file(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.cell(0, 1).as_str(), Some("x"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_missing_file_is_io_error() {
-        let err = read_csv_file("/nonexistent/definitely/missing.csv").unwrap_err();
-        assert!(matches!(err, RelationError::Io { .. }));
     }
 }

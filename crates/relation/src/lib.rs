@@ -15,8 +15,8 @@
 //! * a [`ValueInterner`] **dictionary** mapping each distinct [`Value`] to a
 //!   dense [`ValueId`] (`u32`) and back,
 //! * a columnar `Vec<ValueId>` with one id per row, and
-//! * a per-id **occurrence count**, making `count_value` and
-//!   [`Table::active_domain`] O(dictionary) instead of O(rows).
+//! * a per-id **occurrence count**, making [`Table::count_value`] O(1)
+//!   instead of O(rows).
 //!
 //! Hot paths (violation-engine group keys, agreement tests, what-if
 //! evaluation, learning features) work entirely in id space: integer
@@ -35,11 +35,12 @@
 //! 2. Within one attribute, `id == id' ⟺ value == value'` (strict [`Value`]
 //!    equality: `Int(46360) ≠ Str("46360")`).  Ids from different attributes
 //!    are incomparable.
-//! 3. [`Table::version`] bumps on every mutation (row push, cell write,
-//!    weight change) — the staleness signal for row-level caches — while
-//!    [`Table::dict_generation`] moves only when a *new distinct value*
-//!    enters some column — the (much rarer) re-resolution signal for caches
-//!    binding external constants to ids.
+//! 3. [`Table::dict_generation`] moves only when a *new distinct value*
+//!    enters some column — the re-resolution signal for caches binding
+//!    external constants to ids.  Structures derived from the rows
+//!    (violation groups, agreement indices) are kept current by the owner
+//!    that routes each write.  Every tuple weighs 1: the paper's optional
+//!    per-tuple weight is not modelled.
 //! 4. Rows are append-only and addressed by a stable [`TupleId`]; reads go
 //!    through the `Copy`able [`TupleRef`] view, whose id-level accessors
 //!    ([`TupleRef::value_id`], [`TupleRef::project_key`],
@@ -54,14 +55,14 @@
 //! * [`Tuple`] / [`TupleRef`] / [`Row`] — owned rows (construction) and
 //!   borrowed row views (reads),
 //! * [`Table`] — schema + interned columns with cell-level read/write access,
-//! * [`index`] — hash indices over one or more attributes,
+//! * [`index`] — the [`AttrSetIndex`] agreement index, grouping tuples by
+//!   their id projection on an attribute set,
 //! * [`codec`] — the versioned, checksummed state codec every layer uses to
 //!   serialise canonical state for checkpointed recovery: one [`State`]
 //!   trait, implemented per record by [`state_record!`] and per tagged enum
 //!   by [`state_enum!`], so each layout is stated once and the decoder's
 //!   allocation bound is derived from it,
-//! * [`csv`] — a minimal CSV reader/writer,
-//! * [`stats`] — per-attribute domain statistics (active domain, counts).
+//! * [`csv`] — a minimal CSV reader/writer.
 //!
 //! ```
 //! use gdr_relation::{Schema, Table, Value};
@@ -92,20 +93,18 @@ pub mod error;
 pub mod index;
 pub mod intern;
 pub mod schema;
-pub mod stats;
 pub mod table;
 pub mod tuple;
 pub mod value;
 
 pub use codec::{CodecError, Dec, Enc, State};
 pub use error::RelationError;
-pub use index::{AttrSetIndex, ValueIndex};
+pub use index::AttrSetIndex;
 pub use intern::{SmallKey, ValueId, ValueInterner};
 pub use schema::{AttrId, Attribute, Schema};
-pub use stats::{AttributeStats, TableStats};
 pub use table::{Table, TupleId};
 pub use tuple::{Row, Tuple, TupleRef};
-pub use value::{Value, ValueType};
+pub use value::Value;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RelationError>;

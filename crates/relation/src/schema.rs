@@ -97,11 +97,6 @@ impl Schema {
             })
     }
 
-    /// Looks up several attribute ids by name, preserving order.
-    pub fn attr_ids_of(&self, names: &[&str]) -> Result<Vec<AttrId>> {
-        names.iter().map(|n| self.attr_id(n)).collect()
-    }
-
     /// Returns the attribute with the given id.
     pub fn attribute(&self, id: AttrId) -> Result<&Attribute> {
         self.attributes
@@ -210,13 +205,6 @@ mod tests {
                 arity: 6
             }
         ));
-    }
-
-    #[test]
-    fn multi_lookup_preserves_order() {
-        let schema = customer_schema();
-        let ids = schema.attr_ids_of(&["ZIP", "CT"]).unwrap();
-        assert_eq!(ids, vec![5, 3]);
     }
 
     #[test]

@@ -67,19 +67,18 @@ impl Column {
 
 /// An in-memory relation instance with interned, columnar storage.
 ///
-/// Cell updates go through [`Table::set_cell`] / [`Table::set_cell_id`],
-/// which bump a modification counter ([`Table::version`]) that downstream
-/// caches (violation indices, statistics) use to detect staleness.  The
-/// dictionaries additionally expose [`Table::dict_generation`], which moves
-/// only when a *new distinct value* enters some column — the trigger for
-/// re-resolving cached constant → id bindings.
+/// Cell updates go through [`Table::set_cell`] / [`Table::set_cell_id`].
+/// Structures derived from the rows (violation groups, agreement indices)
+/// are kept current by the owner that routes each write.  The dictionaries
+/// expose [`Table::dict_generation`], which moves only when a *new distinct
+/// value* enters some column — the trigger for re-resolving cached
+/// constant → id bindings.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
-    weights: Vec<f64>,
-    version: u64,
+    rows: usize,
 }
 
 impl Table {
@@ -90,8 +89,7 @@ impl Table {
             name: name.into(),
             schema,
             columns,
-            weights: Vec::new(),
-            version: 0,
+            rows: 0,
         }
     }
 
@@ -108,8 +106,7 @@ impl Table {
             name: name.into(),
             schema,
             columns,
-            weights: Vec::with_capacity(capacity),
-            version: 0,
+            rows: 0,
         }
     }
 
@@ -125,17 +122,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.rows
     }
 
     /// Returns `true` when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Monotonically increasing counter bumped on every mutation.
-    pub fn version(&self) -> u64 {
-        self.version
+        self.rows == 0
     }
 
     /// Sum of the per-attribute dictionary generations: moves exactly when a
@@ -153,22 +145,18 @@ impl Table {
                 expected: self.schema.arity(),
             });
         }
-        self.version += 1;
-        let id = self.weights.len();
+        let id = self.rows;
         for (column, value) in self.columns.iter_mut().zip(values) {
             let vid = column.intern(value);
             column.push(vid);
         }
-        self.weights.push(1.0);
+        self.rows += 1;
         Ok(id)
     }
 
     /// Appends an already constructed tuple, validating arity.
     pub fn push_tuple(&mut self, tuple: Tuple) -> Result<TupleId> {
-        let weight = tuple.weight();
-        let id = self.push_row(tuple.into_values())?;
-        self.weights[id] = weight;
-        Ok(id)
+        self.push_row(tuple.into_values())
     }
 
     /// Appends a row of text fields (empty fields become `Null`).
@@ -240,7 +228,6 @@ impl Table {
                 arity: self.schema.arity(),
             });
         }
-        self.version += 1;
         let column = &mut self.columns[attr];
         let vid = column.intern(value);
         let old = column.set(id, vid);
@@ -255,25 +242,7 @@ impl Table {
     /// `attr` (debug builds), or when `id`/`attr` are out of bounds.
     pub fn set_cell_id(&mut self, id: TupleId, attr: AttrId, new: ValueId) -> ValueId {
         debug_assert!(new.index() < self.columns[attr].dict.len());
-        self.version += 1;
         self.columns[attr].set(id, new)
-    }
-
-    /// Rewinds the modification counter to a previously observed value.
-    ///
-    /// For speculative apply/revert round trips that leave the table
-    /// logically unchanged (the violation engine's what-if evaluations):
-    /// reverted speculation must be invisible to version-watermarked caches
-    /// and to state serialisation, whose bytes are a pure function of
-    /// logical state — not of how many hypotheticals were evaluated against
-    /// it.  Callers must have restored every cell written since `version`
-    /// was observed.
-    pub fn rewind_version(&mut self, version: u64) {
-        debug_assert!(
-            version <= self.version,
-            "version counters only move forward outside a rewind"
-        );
-        self.version = version;
     }
 
     /// Interns a value into an attribute's dictionary without touching any
@@ -351,21 +320,6 @@ impl Table {
         }))
     }
 
-    /// Sets a tuple's business-importance weight.
-    pub fn set_weight(&mut self, id: TupleId, weight: f64) -> Result<()> {
-        if id >= self.len() {
-            return Err(RelationError::UnknownTuple { tuple: id });
-        }
-        self.version += 1;
-        self.weights[id] = weight;
-        Ok(())
-    }
-
-    /// A tuple's business-importance weight.
-    pub fn weight(&self, id: TupleId) -> f64 {
-        self.weights[id]
-    }
-
     /// Iterates `(TupleId, TupleRef)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, TupleRef<'_>)> {
         (0..self.len()).map(move |id| (id, TupleRef::new(self, id)))
@@ -376,35 +330,12 @@ impl Table {
         0..self.len()
     }
 
-    /// Collects the distinct values appearing in a column (its active
-    /// domain), excluding `Null`, in first-occurrence order.  O(dictionary),
-    /// not O(rows).
-    pub fn active_domain(&self, attr: AttrId) -> Vec<Value> {
-        let column = &self.columns[attr];
-        column
-            .dict
-            .values()
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| column.counts[i] > 0 && !v.is_null())
-            .map(|(_, v)| v.clone())
-            .collect()
-    }
-
     /// Counts the tuples whose attribute `attr` equals `value`.  O(1) via
     /// the per-id occurrence counts.
     pub fn count_value(&self, attr: AttrId, value: &Value) -> usize {
         self.lookup_id(attr, value)
             .map(|id| self.id_count(attr, id))
             .unwrap_or(0)
-    }
-
-    /// Returns the ids of all tuples satisfying a predicate over the tuple.
-    pub fn select<P: Fn(TupleRef<'_>) -> bool>(&self, predicate: P) -> Vec<TupleId> {
-        self.iter()
-            .filter(|(_, t)| predicate(*t))
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Deep-copies the table under a new name.  Used to snapshot the dirty
@@ -415,8 +346,7 @@ impl Table {
             name: name.into(),
             schema: self.schema.clone(),
             columns: self.columns.clone(),
-            weights: self.weights.clone(),
-            version: 0,
+            rows: self.rows,
         }
     }
 
@@ -448,26 +378,24 @@ impl Table {
     }
 }
 
-/// The table's canonical state: name, schema, version counter, row weights,
-/// then per column its dictionary and id column.  The per-id occurrence
-/// counts are derivable (a recount over the id columns) and are rebuilt on
-/// decode, which validates every id against its dictionary.
+/// The table's canonical state: name, schema, row count, then per column its
+/// dictionary and id column.  The per-id occurrence counts are derivable (a
+/// recount over the id columns) and are rebuilt on decode, which validates
+/// every id against its dictionary.
 impl State for Table {
-    const MIN_BYTES: usize = codec::section_bytes("table", 1)
+    const MIN_BYTES: usize = codec::section_bytes("table", 2)
         + String::MIN_BYTES
         + Vec::<String>::MIN_BYTES
-        + u64::MIN_BYTES
-        + Vec::<f64>::MIN_BYTES;
+        + usize::MIN_BYTES;
 
     fn encode_state(&self, enc: &mut Enc) {
-        enc.section("table", 1);
+        enc.section("table", 2);
         enc.put(&self.name);
         enc.usize(self.schema.arity());
         for attr in self.schema.attributes() {
             enc.put(&attr.name);
         }
-        enc.put(&self.version);
-        enc.put(&self.weights);
+        enc.usize(self.rows);
         // Every column holds one id per row: no length prefix.
         for column in &self.columns {
             enc.put(&column.dict);
@@ -476,16 +404,22 @@ impl State for Table {
     }
 
     fn decode_state(dec: &mut Dec<'_>) -> codec::Result<Table> {
-        dec.section("table", 1)?;
+        dec.section("table", 2)?;
         let name = dec.get()?;
         let names: Vec<String> = dec.get()?;
         if names.len() != names.iter().collect::<std::collections::HashSet<_>>().len() {
             return Err(CodecError::new("schema payload repeats an attribute name"));
         }
         let schema = Schema::new(&names);
-        let version = dec.get()?;
-        let weights: Vec<f64> = dec.get()?;
-        let rows = weights.len();
+        // Every row takes at least one byte per column, so the payload
+        // bounds the count; with no columns nothing would, and such a table
+        // holds no rows.
+        let rows = dec.usize()?;
+        if names.is_empty() && rows > 0 {
+            return Err(CodecError::new(format!(
+                "a table with no columns claims {rows} rows"
+            )));
+        }
         let mut columns = Vec::with_capacity(names.len());
         for attr in 0..names.len() {
             let dict: ValueInterner = dec.get()?;
@@ -507,20 +441,19 @@ impl State for Table {
             name,
             schema,
             columns,
-            weights,
-            version,
+            rows,
         })
     }
 }
 
-/// Logical equality: same name, schema, weights, and cell values.  Interned
+/// Logical equality: same name, schema, and cell values.  Interned
 /// ids are representation details and deliberately not compared — two tables
 /// whose dictionaries grew in different orders can still be equal.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.schema == other.schema
-            && self.weights == other.weights
+            && self.rows == other.rows
             && self
                 .schema
                 .attr_ids()
@@ -590,11 +523,9 @@ mod tests {
     #[test]
     fn set_cell_updates_value_and_version() {
         let mut table = small_table();
-        let v0 = table.version();
         let old = table.set_cell(2, 0, Value::from("Michigan City")).unwrap();
         assert_eq!(old.as_str(), Some("Westville"));
         assert_eq!(table.cell(2, 0).as_str(), Some("Michigan City"));
-        assert!(table.version() > v0);
     }
 
     #[test]
@@ -620,36 +551,10 @@ mod tests {
     }
 
     #[test]
-    fn active_domain_excludes_nulls_and_dedups() {
-        let mut table = small_table();
-        table
-            .push_row(vec![Value::Null, Value::from("46360")])
-            .unwrap();
-        let mut domain = table.active_domain(0);
-        domain.sort();
-        assert_eq!(
-            domain,
-            vec![Value::from("Michigan City"), Value::from("Westville")]
-        );
-    }
-
-    #[test]
-    fn active_domain_drops_overwritten_values() {
-        let mut table = small_table();
-        // "Michigan City" occurs once; overwrite it and it must leave the
-        // active domain even though it stays in the dictionary.
-        table.set_cell(0, 0, Value::from("Westville")).unwrap();
-        assert_eq!(table.active_domain(0), vec![Value::from("Westville")]);
-        assert!(table.dict_len(0) >= 2);
-    }
-
-    #[test]
     fn count_and_select() {
         let table = small_table();
         assert_eq!(table.count_value(0, &Value::from("Westville")), 2);
         assert_eq!(table.count_value(0, &Value::from("Nowhere")), 0);
-        let ids = table.select(|t| t.value(1).as_str() == Some("46360"));
-        assert_eq!(ids, vec![0, 2]);
     }
 
     #[test]
@@ -681,23 +586,6 @@ mod tests {
         let mut shorter = Table::new("y", Schema::new(&["CT", "ZIP"]));
         shorter.push_text_row(&["a", "b"]).unwrap();
         assert!(table.diff_cells(&shorter).is_err());
-    }
-
-    #[test]
-    fn weights_are_settable() {
-        let mut table = small_table();
-        table.set_weight(1, 3.0).unwrap();
-        assert_eq!(table.tuple(1).weight(), 3.0);
-        assert!(table.set_weight(50, 1.0).is_err());
-    }
-
-    #[test]
-    fn push_tuple_keeps_weight() {
-        let mut table = Table::new("w", Schema::new(&["A"]));
-        let id = table
-            .push_tuple(Tuple::with_weight(vec![Value::from("x")], 2.5))
-            .unwrap();
-        assert_eq!(table.weight(id), 2.5);
     }
 
     #[test]
@@ -756,7 +644,6 @@ mod tests {
     fn codec_round_trip_is_bit_identical() {
         let mut table = small_table();
         table.set_cell(0, 0, Value::from("Westville")).unwrap(); // dead dict entry
-        table.set_weight(1, 2.5).unwrap();
         let mut enc = crate::codec::Enc::new();
         table.encode_state(&mut enc);
         let bytes = enc.into_bytes();
@@ -764,7 +651,6 @@ mod tests {
         let restored = Table::decode_state(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(restored, table);
-        assert_eq!(restored.version(), table.version());
         assert_eq!(restored.dict_generation(), table.dict_generation());
         for attr in table.schema().attr_ids() {
             assert_eq!(restored.column_ids(attr), table.column_ids(attr));
@@ -786,6 +672,26 @@ mod tests {
             let mut dec = crate::codec::Dec::new(&bytes[..cut]);
             assert!(Table::decode_state(&mut dec).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn codec_refuses_rows_without_columns() {
+        // Only the column ids bound a row count by the payload; a table with
+        // no columns that claims rows errs before anything is sized from it.
+        let mut enc = crate::codec::Enc::new();
+        enc.section("table", 2);
+        enc.put(&String::from("t"));
+        enc.put(&Vec::<String>::new());
+        enc.u64(1 << 40);
+        let bytes = enc.into_bytes();
+        let mut dec = crate::codec::Dec::new(&bytes);
+        let err = Table::decode_state(&mut dec).unwrap_err();
+        assert!(err.detail.contains("no columns"), "{err}");
+
+        // The empty zero-column table still round-trips.
+        let empty = Table::new("t", Schema::new::<&str>(&[]));
+        let bytes = crate::codec::encode_to_vec(&empty);
+        assert_eq!(crate::codec::decode_exact::<Table>(&bytes).unwrap(), empty);
     }
 
     #[test]

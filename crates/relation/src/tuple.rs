@@ -26,45 +26,26 @@ pub trait Row {
     fn arity(&self) -> usize;
 }
 
-/// An owned row of values plus an importance weight.
+/// An owned row of values.
 ///
-/// The GDR paper (Definition 1) notes that per-tuple violations "can be
-/// scaled further using a weight attached to the tuple denoting its
-/// importance for the business to be clean"; [`Tuple::weight`] carries that
-/// scale factor and defaults to `1.0`.
+/// The GDR paper (Definition 1) allows scaling a tuple's violations by a
+/// weight "denoting its importance for the business to be clean".  This
+/// reproduction does not model that weight: every tuple weighs 1, and only
+/// the rule weights `w_i` of Eq. 3 scale the loss.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     values: Vec<Value>,
-    weight: f64,
 }
 
 impl Tuple {
-    /// Creates a tuple with unit weight.
+    /// Creates a tuple.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple {
-            values,
-            weight: 1.0,
-        }
-    }
-
-    /// Creates a tuple with an explicit importance weight.
-    pub fn with_weight(values: Vec<Value>, weight: f64) -> Tuple {
-        Tuple { values, weight }
+        Tuple { values }
     }
 
     /// Number of values in the tuple.
     pub fn arity(&self) -> usize {
         self.values.len()
-    }
-
-    /// Business-importance weight used to scale violation counts.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Sets the business-importance weight.
-    pub fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
     }
 
     /// Value of attribute `attr`.
@@ -76,11 +57,6 @@ impl Tuple {
         &self.values[attr]
     }
 
-    /// Mutable access to the value of attribute `attr`.
-    pub fn value_mut(&mut self, attr: AttrId) -> &mut Value {
-        &mut self.values[attr]
-    }
-
     /// All values, in schema order.
     pub fn values(&self) -> &[Value] {
         &self.values
@@ -90,11 +66,6 @@ impl Tuple {
     /// pushed tuple).
     pub fn into_values(self) -> Vec<Value> {
         self.values
-    }
-
-    /// Replaces the value of attribute `attr`, returning the previous value.
-    pub fn set_value(&mut self, attr: AttrId, value: Value) -> Value {
-        std::mem::replace(&mut self.values[attr], value)
     }
 
     /// Projects the tuple onto the given attributes, cloning the values.
@@ -166,11 +137,6 @@ impl<'a> TupleRef<'a> {
         self.table.schema().arity()
     }
 
-    /// Business-importance weight of the row.
-    pub fn weight(&self) -> f64 {
-        self.table.weight(self.id)
-    }
-
     /// Value of attribute `attr`, decoded through the dictionary.
     ///
     /// The returned reference borrows the *table* (not this view), so it
@@ -213,11 +179,6 @@ impl<'a> TupleRef<'a> {
         } else {
             attrs.iter().all(|&a| self.value(a) == other.value(a))
         }
-    }
-
-    /// Materialises the row as an owned [`Tuple`] (clones every value).
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::with_weight(self.iter().cloned().collect(), self.weight())
     }
 }
 
@@ -275,30 +236,6 @@ mod tests {
         let t = tuple(&["Jim", "H2", "Colfax Ave", "Westville", "IN", "46360"]);
         assert_eq!(t.arity(), 6);
         assert_eq!(t.value(3), &Value::from("Westville"));
-        assert_eq!(t.weight(), 1.0);
-    }
-
-    #[test]
-    fn weight_can_be_set() {
-        let mut t = Tuple::with_weight(vec![Value::Int(1)], 2.5);
-        assert_eq!(t.weight(), 2.5);
-        t.set_weight(0.5);
-        assert_eq!(t.weight(), 0.5);
-    }
-
-    #[test]
-    fn set_value_returns_old() {
-        let mut t = tuple(&["a", "b"]);
-        let old = t.set_value(1, Value::from("c"));
-        assert_eq!(old, Value::from("b"));
-        assert_eq!(t.value(1), &Value::from("c"));
-    }
-
-    #[test]
-    fn value_mut_allows_in_place_edit() {
-        let mut t = tuple(&["a"]);
-        *t.value_mut(0) = Value::from("z");
-        assert_eq!(t.value(0).as_str(), Some("z"));
     }
 
     #[test]
@@ -358,14 +295,6 @@ mod tests {
             t
         };
         assert!(table.tuple(0).agrees_with(&other.tuple(0), &[0, 1, 2]));
-    }
-
-    #[test]
-    fn tuple_ref_materialises() {
-        let table = table();
-        let owned = table.tuple(1).to_tuple();
-        assert_eq!(owned.values()[2], Value::from("46360"));
-        assert_eq!(owned.weight(), 1.0);
     }
 
     #[test]

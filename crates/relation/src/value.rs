@@ -3,33 +3,12 @@
 //! Data-repair workloads are dominated by string-valued categorical
 //! attributes (cities, zip codes, diagnosis codes, ...), so [`Value`] keeps
 //! the representation simple: a tri-state of `Null`, 64-bit integer, and
-//! owned string.  Values are totally ordered and hashable so they can be used
-//! directly as keys of violation indices and of the active-domain statistics.
+//! owned string.  Values are totally ordered and hashable so they can key
+//! the per-attribute interning dictionaries and sort deterministically.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-
-/// The type of a [`Value`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ValueType {
-    /// The SQL-style missing value.
-    Null,
-    /// A 64-bit signed integer.
-    Int,
-    /// A UTF-8 string.
-    Str,
-}
-
-impl fmt::Display for ValueType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValueType::Null => write!(f, "null"),
-            ValueType::Int => write!(f, "int"),
-            ValueType::Str => write!(f, "str"),
-        }
-    }
-}
 
 /// A single relational cell value.
 ///
@@ -49,15 +28,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Returns the type tag of the value.
-    pub fn value_type(&self) -> ValueType {
-        match self {
-            Value::Null => ValueType::Null,
-            Value::Int(_) => ValueType::Int,
-            Value::Str(_) => ValueType::Str,
-        }
-    }
-
     /// Returns `true` when the value is [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -67,14 +37,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer contents when the value is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -98,27 +60,6 @@ impl Value {
             Value::Null
         } else {
             Value::Str(text.to_string())
-        }
-    }
-
-    /// Parses a text field, attempting integer interpretation first.
-    pub fn from_text_typed(text: &str) -> Value {
-        if text.is_empty() {
-            return Value::Null;
-        }
-        match text.parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::Str(text.to_string()),
-        }
-    }
-
-    /// Lexicographic/numeric size of the rendered value, used by the
-    /// edit-distance based repair-evaluation function (Eq. 7 of the paper).
-    pub fn rendered_len(&self) -> usize {
-        match self {
-            Value::Null => 0,
-            Value::Int(i) => i.to_string().len(),
-            Value::Str(s) => s.chars().count(),
         }
     }
 }
@@ -197,14 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn from_text_typed_parses_integers() {
-        assert_eq!(Value::from_text_typed("42"), Value::Int(42));
-        assert_eq!(Value::from_text_typed("-7"), Value::Int(-7));
-        assert_eq!(Value::from_text_typed("42a"), Value::Str("42a".to_string()));
-        assert_eq!(Value::from_text_typed(""), Value::Null);
-    }
-
-    #[test]
     fn render_round_trips() {
         assert_eq!(Value::Null.render(), "");
         assert_eq!(Value::Int(5).render(), "5");
@@ -246,26 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn value_type_tags() {
-        assert_eq!(Value::Null.value_type(), ValueType::Null);
-        assert_eq!(Value::Int(1).value_type(), ValueType::Int);
-        assert_eq!(Value::from("x").value_type(), ValueType::Str);
-        assert_eq!(ValueType::Str.to_string(), "str");
-    }
-
-    #[test]
-    fn rendered_len_counts_chars() {
-        assert_eq!(Value::Null.rendered_len(), 0);
-        assert_eq!(Value::Int(-12).rendered_len(), 3);
-        assert_eq!(Value::from("Wayne").rendered_len(), 5);
-    }
-
-    #[test]
     fn accessors() {
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert_eq!(Value::Int(3).as_str(), None);
-        assert_eq!(Value::Int(3).as_int(), Some(3));
-        assert_eq!(Value::from("x").as_int(), None);
         assert_eq!(Value::default(), Value::Null);
     }
 }

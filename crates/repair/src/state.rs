@@ -148,11 +148,6 @@ impl RepairState {
             .unwrap_or(false)
     }
 
-    /// Number of values confirmed wrong for the cell.
-    pub fn prevented_count(&self, cell: Cell) -> usize {
-        self.prevented.get(&cell).map(|s| s.len()).unwrap_or(0)
-    }
-
     /// Every change applied to the database so far, in application order.
     pub fn applied_log(&self) -> &[AppliedChange] {
         &self.applied_log
@@ -541,8 +536,6 @@ mod tests {
         assert!(!state.is_prevented((3, 4), &Value::from("46825")));
         state.mark_prevented((3, 4), Value::from("46825"));
         assert!(state.is_prevented((3, 4), &Value::from("46825")));
-        assert_eq!(state.prevented_count((3, 4)), 1);
-        assert_eq!(state.prevented_count((0, 0)), 0);
     }
 
     #[test]

@@ -171,23 +171,22 @@
 //!   events append to `seg-NNNNNN.gdrj` segments of concatenated frames,
 //!   rolled at [`journal::JournalConfig::segment_max_bytes`], each payload
 //!   a one-byte event tag and its fields.  `examples/journal_dump.rs`
-//!   prints any journal directory as text.  The spec has no fallback: a
-//!   build reads only the `spec`, `table`, `dict`, `rules` and `config`
-//!   section versions it writes, so bumping one leaves every older
-//!   durable session unreadable.  Recovering such a session fails with a
-//!   typed `journal` error ([`store::StoreError::Gdr`]), and every other
-//!   session keeps serving.
+//!   prints any journal directory as text.
 //! * **Format break at `S2`** — files written before varint integers carry
 //!   the `S1` magic and fixed-width integers.  This build has no decoder
 //!   for them: [`codec::read_frame`](gdr_relation::codec::read_frame)
 //!   refuses the `S1` spec record, so such a session fails to recover with
 //!   a typed `journal` error naming the magic, its files are left as they
 //!   are, and every other session keeps serving.
-//! * **`config` v3** — `GdrConfig` no longer carries a worker count, so
-//!   its `config` section is at version 3 and has no decoder for v2.  A
-//!   durable session written by an older build fails to recover with a
-//!   typed `journal` error naming the section, and every other session
-//!   keeps serving.
+//! * **Section versions** — the spec has no fallback: a build reads only
+//!   the `spec`, `table`, `dict`, `rules` and `config` section versions it
+//!   writes.  `config` is at v3 (no worker count), `table` at v2 (a row
+//!   count in place of row weights and a version counter) and the
+//!   checkpoint's `asidx` at v2 (no value-keyed lookups or staleness
+//!   watermark).  A session whose spec record holds an older section fails
+//!   to recover with a typed `journal` error ([`store::StoreError::Gdr`])
+//!   naming it, e.g. ``section `table` has version 1``, and every other
+//!   session keeps serving.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (the
 //!   default) fsyncs each record before its verb replies, so every
 //!   acknowledged verb is on stable storage; `Never` (tests, benches)
