@@ -3,7 +3,7 @@
 //! This crate implements the data-quality-rule machinery of the GDR paper
 //! ("Guided Data Repair", Yakout et al., PVLDB 2011, §1.2 and Appendix A.1):
 //!
-//! * [`Pattern`] / [`PatternValue`] — pattern tuples mixing constants and the
+//! * [`PatternValue`] — pattern-tuple entries mixing constants and the
 //!   `'−'` wildcard, with the `≍` match operator,
 //! * [`Cfd`] — a CFD in normal form `(X → A, tp)`, classified as *constant*
 //!   (`tp[A]` is a constant) or *variable* (`tp[A] = '−'`),
@@ -51,7 +51,7 @@ pub mod ruleset;
 pub use discovery::{discover_cfds, DiscoveryConfig};
 pub use engine::{GuardedWhatIf, RuleStats, ViolationEngine};
 pub use error::CfdError;
-pub use pattern::{Pattern, PatternValue};
+pub use pattern::PatternValue;
 pub use rule::{Cfd, CfdSpec, RuleId};
 pub use ruleset::RuleSet;
 

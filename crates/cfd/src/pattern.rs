@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use gdr_relation::{AttrId, Row, Value};
+use gdr_relation::Value;
 
 /// One entry of a pattern tuple: a constant or the `'−'` wildcard.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -67,74 +67,9 @@ impl From<Value> for PatternValue {
     }
 }
 
-/// A pattern over an explicit list of attributes.
-///
-/// The pattern stores `(attribute, entry)` pairs so it can be evaluated
-/// against a [`Tuple`](gdr_relation::Tuple) without knowing the full schema; the attribute list is
-/// the rule's `X` (for the LHS pattern) or `X ∪ {A}` (for the full pattern).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pattern {
-    entries: Vec<(AttrId, PatternValue)>,
-}
-
-impl Pattern {
-    /// Builds a pattern from `(attribute, entry)` pairs.
-    pub fn new(entries: Vec<(AttrId, PatternValue)>) -> Pattern {
-        Pattern { entries }
-    }
-
-    /// The `(attribute, entry)` pairs of the pattern.
-    pub fn entries(&self) -> &[(AttrId, PatternValue)] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when the pattern has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up the entry for a given attribute.
-    pub fn entry(&self, attr: AttrId) -> Option<&PatternValue> {
-        self.entries
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, p)| p)
-    }
-
-    /// The `≍` operator lifted to tuples: `t ≍ tp` iff every entry matches.
-    pub fn matches<R: Row>(&self, tuple: &R) -> bool {
-        self.entries
-            .iter()
-            .all(|(attr, entry)| entry.matches(tuple.value(*attr)))
-    }
-}
-
-impl fmt::Display for Pattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, (_, entry)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{entry}")?;
-        }
-        write!(f, ")")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_relation::{Tuple, Value};
-
-    fn tuple(values: &[&str]) -> Tuple {
-        Tuple::new(values.iter().map(|v| Value::from(*v)).collect())
-    }
 
     #[test]
     fn pattern_value_matching() {
@@ -151,35 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn pattern_matches_tuple() {
-        // Attributes: 0=STR, 1=CT, 2=ZIP.  Pattern (−, Fort Wayne) over (STR, CT).
-        let pattern = Pattern::new(vec![
-            (0, PatternValue::Wildcard),
-            (1, PatternValue::constant("Fort Wayne")),
-        ]);
-        assert!(pattern.matches(&tuple(&["Sherden RD", "Fort Wayne", "46825"])));
-        assert!(!pattern.matches(&tuple(&["Sherden RD", "Westville", "46391"])));
-    }
-
-    #[test]
-    fn entry_lookup() {
-        let pattern = Pattern::new(vec![(3, PatternValue::constant("46360"))]);
-        assert_eq!(
-            pattern.entry(3),
-            Some(&PatternValue::Const(Value::from("46360")))
-        );
-        assert_eq!(pattern.entry(1), None);
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(PatternValue::Wildcard.to_string(), "_");
         assert_eq!(PatternValue::constant("46360").to_string(), "46360");
-        let pattern = Pattern::new(vec![
-            (0, PatternValue::constant("46360")),
-            (1, PatternValue::Wildcard),
-        ]);
-        assert_eq!(pattern.to_string(), "(46360, _)");
     }
 
     #[test]

@@ -41,11 +41,6 @@ pub enum RelationError {
         /// Human-readable description of the problem.
         detail: String,
     },
-    /// An I/O error occurred while reading or writing data.
-    Io {
-        /// Stringified source error (kept as a string so the error stays `Clone + Eq`).
-        detail: String,
-    },
 }
 
 impl fmt::Display for RelationError {
@@ -63,20 +58,11 @@ impl fmt::Display for RelationError {
             }
             RelationError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
             RelationError::Csv { line, detail } => write!(f, "CSV error at line {line}: {detail}"),
-            RelationError::Io { detail } => write!(f, "I/O error: {detail}"),
         }
     }
 }
 
 impl std::error::Error for RelationError {}
-
-impl From<std::io::Error> for RelationError {
-    fn from(err: std::io::Error) -> Self {
-        RelationError::Io {
-            detail: err.to_string(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -98,16 +84,6 @@ mod tests {
         };
         assert!(err.to_string().contains("3 values"));
         assert!(err.to_string().contains("expects 5"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing.csv");
-        let err: RelationError = io.into();
-        match err {
-            RelationError::Io { detail } => assert!(detail.contains("missing.csv")),
-            other => panic!("unexpected error variant {other:?}"),
-        }
     }
 
     #[test]

@@ -29,7 +29,13 @@
 //!   persists the validated session itself as `snap-NNNNNN.gdrs`
 //!   (write-to-temp + fsync + atomic rename): the frame
 //!   [`TeamSession::to_snapshot_bytes`] writes, whose checksum is the
-//!   session's [`team_digest`].  A checkpoint write killed before its
+//!   session's [`team_digest`].  The write is the last part of a
+//!   compaction's unlocked *run* step, after the validation replay; on the
+//!   threaded server it happens after the verb has replied, so a SIGKILL
+//!   can land before it — recovery then starts from the previous
+//!   checkpoint, which is still valid.  Writes to one directory hold its
+//!   checkpoint lock, which `SessionStore::remove` takes to close the
+//!   directory before deleting it.  A checkpoint write killed before its
 //!   rename leaves a `.tmp` file that the next [`DiskJournal::load`]
 //!   deletes.  Recovery loads the newest checkpoint that decodes, re-encodes
 //!   to its own payload, and covers no more events than the recovered
@@ -43,6 +49,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gdr_core::team::TeamSession;
 use gdr_relation::codec::{self, fnv1a64, CodecError};
@@ -387,6 +394,7 @@ pub struct LoadedJournal {
 #[derive(Debug)]
 pub struct DiskJournal {
     dir: PathBuf,
+    checkpoints: Checkpoints,
     active: File,
     active_index: u64,
     active_len: u64,
@@ -444,6 +452,10 @@ impl DiskJournal {
         config: JournalConfig,
     ) -> DiskJournal {
         DiskJournal {
+            checkpoints: Checkpoints {
+                dir: dir.clone(),
+                open: Arc::new(Mutex::new(true)),
+            },
             dir,
             active,
             active_index,
@@ -626,12 +638,37 @@ impl DiskJournal {
         self.syncs
     }
 
+    /// The directory's checkpoint writer, which a compaction takes with
+    /// it when it runs with the session unlocked.
+    pub(crate) fn checkpoints(&self) -> Checkpoints {
+        self.checkpoints.clone()
+    }
+}
+
+/// The checkpoint side of one session's journal directory, shared by the
+/// session's [`DiskJournal`] and its compaction in flight.  A write holds
+/// the lock from the temp file to the rename, and [`Checkpoints::close`]
+/// takes it before the session's directory is deleted, so a compaction
+/// that runs unlocked never writes into, or recreates, a removed directory,
+/// and two writes of one checkpoint name never interleave.
+#[derive(Debug, Clone)]
+pub(crate) struct Checkpoints {
+    dir: PathBuf,
+    /// `false` once the directory is being removed.
+    open: Arc<Mutex<bool>>,
+}
+
+impl Checkpoints {
     /// Persists a compaction checkpoint covering the first `events`
     /// transcript events: `frame`, the session's
     /// [`TeamSession::to_snapshot_bytes`], as `snap-NNNNNN.gdrs`, via
     /// write-to-temp + fsync + atomic rename.  Older checkpoints beyond
-    /// `SNAPSHOTS_KEPT` are pruned.
-    pub fn record_checkpoint(&mut self, events: usize, frame: &[u8]) -> Result<(), JournalError> {
+    /// `SNAPSHOTS_KEPT` are pruned.  Writes nothing once closed.
+    pub(crate) fn write(&self, events: usize, frame: &[u8]) -> Result<(), JournalError> {
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        if !*open {
+            return Ok(());
+        }
         let name = snapshot_name(events as u64);
         let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
         let mut file = File::create(&tmp)?;
@@ -642,6 +679,12 @@ impl DiskJournal {
             fs::remove_file(self.dir.join(snapshot_name(events))).ok();
         }
         Ok(())
+    }
+
+    /// Stops all later writes, waiting out one in progress: the directory
+    /// is about to be deleted.
+    pub(crate) fn close(&self) {
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = false;
     }
 }
 

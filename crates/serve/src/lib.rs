@@ -146,11 +146,22 @@
 //! the base and replays only the short tail.  A session thus holds one
 //! decoded engine, the live one.  Validation replays the journal and
 //! requires the result to re-encode to the live bytes exactly before the
-//! snapshot is adopted; a divergence fails with a `journal` error and
-//! changes nothing.  In durable mode the same frame is first *persisted* as
-//! a `snap-NNNNNN.gdrs` checkpoint file, and a cold restart becomes *load
-//! the newest valid checkpoint, replay only the journal tail* instead of
-//! replaying the whole transcript.  The session digest
+//! snapshot is adopted; a divergence adopts nothing (an explicit `compact`
+//! fails with a `journal` error) and the session is rebuilt from its
+//! journal before its next verb.  In durable mode the same frame is first
+//! *persisted* as a `snap-NNNNNN.gdrs` checkpoint file, and a cold restart
+//! becomes *load the newest valid checkpoint, replay only the journal
+//! tail* instead of replaying the whole transcript.
+//!
+//! Compaction is split so that only its cheap ends hold the session lock:
+//! *prepare* (encode, capture the journal prefix) and *install* (adopt the
+//! frame, unless a `restore`, `compact` or `remove` made it stale) lock;
+//! *run* (the validation replay, the framing and the checkpoint's write,
+//! fsync and rename) does not.  The threaded server replies first, then
+//! runs the compaction the verb left due, so the reviewer's next request
+//! is served by another worker meanwhile; in-process callers
+//! ([`store::SessionStore::with_session`], [`server::dispatch`]) still
+//! return with it done.  The session digest
 //! ([`journal::team_digest`]) is FNV-1a 64 of those canonical bytes, which
 //! is also the frame's checksum.
 //!

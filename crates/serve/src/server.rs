@@ -27,6 +27,13 @@
 //! parks no worker; once as many `busy`/`bad_request` replies wait too,
 //! its reader stops reading.
 //!
+//! Compaction: a verb that leaves its session's compaction due is answered
+//! first.  Its worker then runs the compaction — the validation replay and
+//! the checkpoint's write and fsync, with the session unlocked — and only
+//! after that takes new work, so the reviewer's next request goes to
+//! another worker instead of waiting.  [`dispatch`] and [`dispatch_with`]
+//! return with the compaction done.
+//!
 //! A protocol violation — malformed line, unknown session, stale work id —
 //! produces a structured error *reply* on that connection and nothing
 //! else: the connection stays open, the session stays servable, and every
@@ -39,7 +46,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, Thread};
+use std::thread::{self, Thread, ThreadId};
 
 use gdr_core::error::GdrError;
 use gdr_core::step::WorkId;
@@ -48,7 +55,7 @@ use gdr_relation::{AttrId, TupleId, Value};
 
 use gdr_core::team::{TeamConfig, TeamPlan};
 
-use crate::store::{DurabilityConfig, OpenSpec, SessionStore, StoreError};
+use crate::store::{Compaction, DurabilityConfig, OpenSpec, Session, SessionStore, StoreError};
 use crate::wire::{
     decode_request_frame, encode_response_frame, Request, Response, WireError, WireEval, WireGroup,
     WireLease, PROTOCOL_VERSION,
@@ -83,16 +90,53 @@ pub fn dispatch(store: &SessionStore, request: Request) -> Response {
 }
 
 /// [`dispatch`] with explicit `hello` limits (the threaded server passes
-/// its configured `max_outstanding` here).
+/// its configured `max_outstanding` here).  Returns with the compaction the
+/// verb left due done, as [`SessionStore::with_session`] does.
 pub fn dispatch_with(store: &SessionStore, request: Request, limits: &ServerLimits) -> Response {
-    match handle(store, request, limits) {
+    let (response, compaction) = dispatch_deferred(store, request, limits);
+    if let Some(compaction) = compaction {
+        let _ = compaction.run();
+    }
+    response
+}
+
+/// [`dispatch_with`], handing back the compaction the verb left due, unrun,
+/// so the worker can queue the reply first.
+fn dispatch_deferred(
+    store: &SessionStore,
+    request: Request,
+    limits: &ServerLimits,
+) -> (Response, Option<Compaction>) {
+    let mut verbs = Verbs { store, due: None };
+    let response = match handle(&mut verbs, request, limits) {
         Ok(response) => response,
         Err(error) => Response::Error(error),
+    };
+    (response, verbs.due)
+}
+
+/// The store as [`handle`] drives it: each session verb runs through
+/// [`SessionStore::with_session_deferred`], and the compaction it leaves
+/// due is kept for the caller.
+struct Verbs<'a> {
+    store: &'a SessionStore,
+    due: Option<Compaction>,
+}
+
+impl Verbs<'_> {
+    fn with_session<T>(
+        &mut self,
+        id: &str,
+        f: impl FnOnce(&mut Session) -> Result<T, GdrError>,
+    ) -> Result<T, StoreError> {
+        let (value, due) = self.store.with_session_deferred(id, f)?;
+        self.due = due;
+        Ok(value)
     }
 }
 
 fn handle(
-    store: &SessionStore,
+    verbs: &mut Verbs<'_>,
     request: Request,
     limits: &ServerLimits,
 ) -> Result<Response, WireError> {
@@ -126,7 +170,7 @@ fn handle(
                 spec.team.policy = policy;
             }
             spec.team.lease_ttl = lease_ttl.unwrap_or(limits.lease_ttl);
-            let handle = store.open(&session, spec).map_err(store_error)?;
+            let handle = verbs.store.open(&session, spec).map_err(store_error)?;
             let dirty_tuples = {
                 let guard = handle.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.engine().state().dirty_tuples().len()
@@ -137,7 +181,7 @@ fn handle(
             })
         }
         Request::Next { session } => {
-            let plan = store
+            let plan = verbs
                 .with_session(&session, |s| {
                     let plan = s.next()?;
                     Ok(plan_response(s, plan))
@@ -149,7 +193,7 @@ fn handle(
             session,
             id,
             feedback,
-        } => store
+        } => verbs
             .with_session(&session, |s| s.answer(WorkId::from_raw(id), feedback))
             .map(|verifications| Response::Answered { verifications })
             .map_err(store_error),
@@ -158,7 +202,7 @@ fn handle(
             tuple,
             attr,
             value,
-        } => store
+        } => verbs
             .with_session(&session, |s| s.supply((tuple, attr), value))
             .map(|verifications| Response::Supplied { verifications })
             .map_err(store_error),
@@ -166,15 +210,15 @@ fn handle(
             session,
             tuple,
             attr,
-        } => store
+        } => verbs
             .with_session(&session, |s| s.skip((tuple, attr)))
             .map(|()| Response::Skipped)
             .map_err(store_error),
-        Request::Finish { session } => store
+        Request::Finish { session } => verbs
             .with_session(&session, |s| s.finish())
             .map(|reason| Response::Done { reason })
             .map_err(store_error),
-        Request::Report { session } => store
+        Request::Report { session } => verbs
             .with_session(&session, |s| {
                 let engine = s.engine();
                 let eval = engine.report().map(|report| WireEval {
@@ -192,11 +236,11 @@ fn handle(
                 })
             })
             .map_err(store_error),
-        Request::Restore { session } => store
+        Request::Restore { session } => verbs
             .with_session(&session, |s| s.restore())
             .map(|replayed| Response::Restored { replayed })
             .map_err(store_error),
-        Request::Compact { session } => store
+        Request::Compact { session } => verbs
             .with_session(&session, |s| {
                 let stats = s.compact()?;
                 Ok((stats, s.journal().transcript().len()))
@@ -206,7 +250,7 @@ fn handle(
                 tail,
             })
             .map_err(store_error),
-        Request::Lease { session, reviewer } => store
+        Request::Lease { session, reviewer } => verbs
             .with_session(&session, |s| {
                 let plan = s.lease(&reviewer)?;
                 Ok(team_plan_response(s, plan))
@@ -217,7 +261,7 @@ fn handle(
             reviewer,
             id,
             feedback,
-        } => store
+        } => verbs
             .with_session(&session, |s| {
                 s.answer_as(&reviewer, WorkId::from_raw(id), feedback)
             })
@@ -228,7 +272,7 @@ fn handle(
             reviewer,
             id,
             value,
-        } => store
+        } => verbs
             .with_session(&session, |s| {
                 s.supply_as(&reviewer, WorkId::from_raw(id), value)
             })
@@ -238,7 +282,7 @@ fn handle(
             session,
             reviewer,
             id,
-        } => store
+        } => verbs
             .with_session(&session, |s| s.skip_as(&reviewer, WorkId::from_raw(id)))
             .map(|()| Response::Skipped)
             .map_err(store_error),
@@ -246,13 +290,13 @@ fn handle(
             session,
             reviewer,
             id,
-        } => store
+        } => verbs
             .with_session(&session, |s| {
                 s.release_lease(&reviewer, WorkId::from_raw(id))
             })
             .map(|held| Response::Released { held })
             .map_err(store_error),
-        Request::Leases { session } => store
+        Request::Leases { session } => verbs
             .with_session(&session, |s| {
                 Ok(s.team()
                     .lease_table()
@@ -274,7 +318,7 @@ fn handle(
 /// Maps a team plan onto its wire reply.  `leased` carries the cell's
 /// current value (like `ask`) so a remote reviewer can decide without a
 /// second round trip.
-fn team_plan_response(session: &crate::store::Session, plan: TeamPlan) -> Response {
+fn team_plan_response(session: &Session, plan: TeamPlan) -> Response {
     match plan {
         TeamPlan::Ask { id, update } => Response::Leased {
             id: id.raw(),
@@ -336,7 +380,7 @@ fn build_spec(
 
 /// Maps a work plan onto its wire reply, enriching it with the current cell
 /// values a remote user needs to decide.
-fn plan_response(session: &crate::store::Session, plan: gdr_core::step::WorkPlan) -> Response {
+fn plan_response(session: &Session, plan: gdr_core::step::WorkPlan) -> Response {
     use gdr_core::step::WorkPlan;
     match plan {
         WorkPlan::AskUser {
@@ -371,7 +415,7 @@ fn plan_response(session: &crate::store::Session, plan: gdr_core::step::WorkPlan
 }
 
 /// The value `cell` holds now, which replies show as `current`.
-fn current_value(session: &crate::store::Session, (tuple, attr): (TupleId, AttrId)) -> Value {
+fn current_value(session: &Session, (tuple, attr): (TupleId, AttrId)) -> Value {
     session.engine().state().table().cell(tuple, attr).clone()
 }
 
@@ -590,6 +634,15 @@ struct Job {
 /// job wakes the one that went idle last, so a client that waits for each
 /// reply keeps landing on one warm worker — rather than spreading its
 /// session's allocations over every worker's malloc arena.
+///
+/// A worker that compacted a session after its reply (see [`worker_loop`])
+/// readies *pinned* ([`Pool::ready_pinned`]): it goes on top of the stack
+/// and stays there, the workers that served the session meanwhile going
+/// under it, and the job that wakes it is handed to it alone instead of
+/// being left for a running worker to take.  The session's verbs thus come
+/// back to the worker whose arena holds its replay copy, and so does its
+/// next compaction; without the pin, the copy would land in a second
+/// worker's arena, which would grow to hold it too.
 #[derive(Default)]
 struct Pool {
     state: Mutex<PoolState>,
@@ -598,8 +651,12 @@ struct Pool {
 #[derive(Default)]
 struct PoolState {
     jobs: VecDeque<Job>,
+    /// Jobs that only the named worker may take.
+    handed: Vec<(ThreadId, Job)>,
     /// Idle workers, the most recently idle last.
     idle: Vec<Thread>,
+    /// The top of `idle`, while it is a worker that readied pinned.
+    pinned: Option<ThreadId>,
     /// Set once no connection is left: workers return instead of waiting.
     closed: bool,
 }
@@ -607,7 +664,9 @@ struct PoolState {
 impl PoolState {
     fn make_idle(&mut self, worker: &Thread) {
         if !self.idle.iter().any(|idle| idle.id() == worker.id()) {
-            self.idle.push(worker.clone());
+            // Under a pinned worker, not over it.
+            let at = self.idle.len() - usize::from(self.pinned.is_some());
+            self.idle.insert(at, worker.clone());
         }
     }
 }
@@ -619,22 +678,44 @@ impl Pool {
 
     fn submit(&self, conn: &Arc<Conn>, request: Request, seq: Option<u64>) {
         let mut state = self.lock();
-        let conn = Arc::clone(conn);
-        state.jobs.push_back(Job { conn, request, seq });
-        if let Some(worker) = state.idle.pop() {
-            worker.unpark();
+        let job = Job {
+            conn: Arc::clone(conn),
+            request,
+            seq,
+        };
+        match state.idle.pop() {
+            Some(worker) => {
+                if state.pinned.take() == Some(worker.id()) {
+                    state.handed.push((worker.id(), job));
+                } else {
+                    state.jobs.push_back(job);
+                }
+                worker.unpark();
+            }
+            None => state.jobs.push_back(job),
         }
     }
 
     fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
+        state.pinned = None;
         state.idle.drain(..).for_each(|worker| worker.unpark());
     }
 
-    /// Puts `worker` on top of the idle stack ahead of [`Pool::next`].
+    /// Puts `worker` on the idle stack ahead of [`Pool::next`]: on top,
+    /// or just under a pinned worker.
     fn ready(&self, worker: &Thread) {
         self.lock().make_idle(worker);
+    }
+
+    /// Puts `worker`, which has just compacted, on top of the idle stack
+    /// and pins it there (see [`Pool`]).
+    fn ready_pinned(&self, worker: &Thread) {
+        let mut state = self.lock();
+        state.idle.retain(|idle| idle.id() != worker.id());
+        state.idle.push(worker.clone());
+        state.pinned = Some(worker.id());
     }
 
     /// The next job for `worker`, parking it while there is none; `None`
@@ -642,8 +723,14 @@ impl Pool {
     fn next(&self, worker: &Thread) -> Option<Job> {
         let mut state = self.lock();
         loop {
+            if let Some(at) = state.handed.iter().position(|(id, _)| *id == worker.id()) {
+                return Some(state.handed.swap_remove(at).1);
+            }
             if let Some(job) = state.jobs.pop_front() {
                 state.idle.retain(|idle| idle.id() != worker.id());
+                if state.pinned == Some(worker.id()) {
+                    state.pinned = None;
+                }
                 return Some(job);
             }
             if state.closed {
@@ -658,24 +745,46 @@ impl Pool {
     }
 }
 
+/// A worker: runs jobs until the pool closes.  A verb that leaves a
+/// compaction due gets its reply queued first; the worker then runs the
+/// compaction, with the session unlocked but for its install, and only
+/// then readies itself.  The idle stack is LIFO, so a worker that readied
+/// before compacting would be handed the reviewer's very next request and
+/// make it wait out the compaction; readying after it sends that request
+/// to another worker.
 fn worker_loop(store: &SessionStore, pool: &Pool, limits: &ServerLimits) {
     let me = thread::current();
     while let Some(job) = pool.next(&me) {
         // A panicking verb must cost its requester an error reply, never
         // the worker thread (a dead worker would silently shrink the pool).
-        let response = catch_unwind(AssertUnwindSafe(|| {
-            dispatch_with(store, job.request, limits)
+        let (response, compaction) = catch_unwind(AssertUnwindSafe(|| {
+            dispatch_deferred(store, job.request, limits)
         }))
         .unwrap_or_else(|_| {
-            Response::Error(WireError::Engine {
+            let error = WireError::Engine {
                 detail: "panic while serving request".to_string(),
-            })
+            };
+            (Response::Error(error), None)
         });
-        // Ready up before the reply goes out, so the request it provokes
-        // comes back to this worker even if the hand-off preempts it.
-        pool.ready(&me);
-        job.conn
-            .reply(reply_line(&response, job.seq), job.seq.is_none());
+        let reply = reply_line(&response, job.seq);
+        match compaction {
+            None => {
+                // Ready up before the reply goes out, so the request it
+                // provokes comes back to this worker even if the hand-off
+                // preempts it.
+                pool.ready(&me);
+                job.conn.reply(reply, job.seq.is_none());
+            }
+            Some(compaction) => {
+                job.conn.reply(reply, job.seq.is_none());
+                match catch_unwind(AssertUnwindSafe(|| compaction.run())) {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(err)) => eprintln!("gdr-serve: compaction adopted nothing: {err}"),
+                    Err(_) => eprintln!("gdr-serve: panic while compacting"),
+                }
+                pool.ready_pinned(&me);
+            }
+        }
     }
 }
 

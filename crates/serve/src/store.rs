@@ -31,18 +31,43 @@
 //! ## Compaction
 //!
 //! Replaying from the `open` verb makes restore cost grow with session
-//! length, and so does the in-memory transcript.  [`Session::compact`]
-//! bounds both: it encodes the live session once
-//! ([`TeamSession::state_bytes`]), validates that replaying the current
-//! journal re-encodes to the same bytes, frames them, writes
-//! them as the on-disk checkpoint in durable mode, and only then installs
-//! the frame as the journal's new replay base and drops the replayed prefix
-//! from RAM.  From then on `replay` is "decode snapshot + replay short
-//! tail".  The session keeps one decoded engine, the live one: its replay
-//! bases are `S2` bytes, the spec record and the newest checkpoint frame.
-//! Sessions auto-compact once the tail exceeds
+//! length, and so does the in-memory transcript.  Compaction bounds both in
+//! three steps:
+//!
+//! 1. **prepare**, under the session lock: encode the live session once
+//!    ([`TeamSession::state_bytes`]) and capture the replay base bytes,
+//!    the tail events it will cover, whether a pull is pending, and the
+//!    session's journal epoch;
+//! 2. **run**, with no lock held: replay the captured journal, check that
+//!    it re-encodes to the live payload byte for byte, frame the payload
+//!    and, in durable mode, write, fsync and rename the
+//!    `snap-NNNNNN.gdrs` checkpoint;
+//! 3. **install**, under a short re-lock: adopt the frame as the journal's
+//!    new replay base and drop the covered tail from RAM — unless the epoch
+//!    moved meanwhile.  `restore`, an explicit `compact`, `remove` and
+//!    rehydration (a new session, a new epoch) all move it, so a stale
+//!    compaction installs nothing.
+//!
+//! From then on `replay` is "decode snapshot + replay short tail".  The
+//! session keeps one decoded engine, the live one: its replay bases are
+//! `S2` bytes, the spec record and the newest checkpoint frame.  Sessions
+//! auto-compact once the tail reaches
 //! [`crate::journal::JournalConfig::compact_every`] events, so journal
-//! memory is O(compact_every), not O(session length).
+//! memory is O(compact_every), not O(session length); at most one
+//! compaction per session is in flight.
+//!
+//! Who runs the automatic compaction: a standalone session's verb runs all
+//! three steps before it returns, and so do [`SessionStore::with_session`]
+//! and the in-process `dispatch`, which run step 2 with the lock released;
+//! checkpoints therefore land at the same event counts as when every step
+//! ran under the lock.  The threaded server takes the due compaction from
+//! [`SessionStore::with_session_deferred`] and queues the verb's reply
+//! before it runs it ([`Compaction`]), so the reviewer no longer waits for
+//! the replay or the fsync.  A caller that locks a store session straight
+//! from [`SessionStore::get`] leaves a due compaction pending; it runs
+//! inline at the session's next verb.  If the replay does not reproduce the
+//! live payload, nothing is adopted and the session is rebuilt from its
+//! journal — the on-disk one when durable — before its next verb.
 //!
 //! ## Durability
 //!
@@ -81,6 +106,14 @@
 //! take every other session down, and `restore` rebuilds a
 //! definitely-consistent engine from the journal if a panic left the live
 //! one suspect.
+//!
+//! A compaction holds the session lock to prepare and to install, not
+//! while it replays and writes.  Meanwhile it holds the session's `Arc`, so
+//! eviction (which takes only sessions nobody borrows) skips the session.
+//! Its checkpoint write holds the directory's checkpoint lock instead, which
+//! `remove` takes to close the directory before deleting it: a compaction
+//! in flight never writes into, or recreates, a removed session's
+//! directory.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -100,8 +133,8 @@ use gdr_relation::{Table, Value};
 use gdr_repair::{Cell, Feedback};
 
 use crate::journal::{
-    decode_spec, encode_spec, session_dir_name, session_shard, DiskJournal, JournalConfig,
-    JournalError, RecoveryReport,
+    decode_spec, encode_spec, session_dir_name, session_shard, Checkpoints, DiskJournal,
+    JournalConfig, JournalError, RecoveryReport,
 };
 
 /// Number of independent session-map shards (a power of two, so routing is
@@ -238,7 +271,7 @@ pub enum TranscriptEvent {
 /// transcript entries it absorbed.
 #[derive(Debug, Clone)]
 struct JournalSnapshot {
-    frame: Vec<u8>,
+    frame: Arc<Vec<u8>>,
     events: usize,
     ends_finished: bool,
 }
@@ -250,7 +283,7 @@ struct JournalSnapshot {
 #[derive(Debug, Clone)]
 pub struct SessionJournal {
     /// The spec record payload ([`encode_spec`]), as `spec.gdrj` frames it.
-    spec: Vec<u8>,
+    spec: Arc<Vec<u8>>,
     snapshot: Option<JournalSnapshot>,
     tail: Vec<TranscriptEvent>,
 }
@@ -270,7 +303,7 @@ impl SessionJournal {
     /// [`SessionJournal::from_events`] over an encoded spec record.
     fn from_record(spec: Vec<u8>, tail: Vec<TranscriptEvent>) -> SessionJournal {
         SessionJournal {
-            spec,
+            spec: Arc::new(spec),
             snapshot: None,
             tail,
         }
@@ -327,7 +360,7 @@ impl SessionJournal {
     /// replay base and drops the tail it absorbed.
     fn install_snapshot(&mut self, frame: Vec<u8>, covered: usize) {
         self.snapshot = Some(JournalSnapshot {
-            frame,
+            frame: Arc::new(frame),
             events: self.snapshot_events() + covered,
             ends_finished: self.finished_after(covered),
         });
@@ -462,13 +495,146 @@ impl SessionJournal {
     }
 }
 
-/// What [`Session::compact`] did.
+/// What an installed compaction did: [`Session::compact`]'s result, and
+/// [`Compaction::run`]'s when the job was not stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionStats {
     /// Total events the snapshot now covers.
     pub events: usize,
     /// Tail events dropped from RAM by this compaction.
     pub dropped: usize,
+}
+
+/// Where a session's automatic compaction stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CompactState {
+    /// Nothing is owed.
+    Idle,
+    /// The tail reached `compact_every` and no compaction is prepared yet.
+    Due,
+    /// A compaction is prepared and runs, or waits to run, unlocked.
+    Running,
+    /// A compaction's replay did not re-encode to the live payload: the
+    /// session is rebuilt from its journal before its next verb.
+    Diverged,
+}
+
+/// Draws a journal epoch.  Epochs are unique across sessions, so a
+/// rehydrated session never shares one with the copy it replaced.
+fn next_epoch() -> u64 {
+    static EPOCHS: AtomicU64 = AtomicU64::new(0);
+    EPOCHS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The lock-free part of a compaction, prepared under the session lock
+/// ([`Session::prepare`]): the live payload, the journal prefix it must
+/// replay to, and where to write the checkpoint.
+#[derive(Debug)]
+struct CompactionJob {
+    /// The live session's state payload.
+    live: Vec<u8>,
+    /// The replay base and the `covered` tail events past it.
+    journal: SessionJournal,
+    /// Whether the live engine holds a pull the journal does not record.
+    pull_pending: bool,
+    /// Total events the checkpoint covers.
+    events: usize,
+    /// The session's epoch at preparation.
+    epoch: u64,
+    checkpoints: Option<Checkpoints>,
+}
+
+/// Why a compaction's run adopted nothing.
+#[derive(Debug)]
+enum Refusal {
+    /// The journal does not replay to the live payload.
+    Diverged(GdrError),
+    /// The checkpoint could not be written.
+    Failed(GdrError),
+}
+
+impl CompactionJob {
+    /// Replays the journal prefix, compares it with the live payload byte
+    /// for byte, frames the payload and writes the checkpoint; holds no
+    /// session lock.  Returns the frame to install.
+    fn run(&self) -> Result<Vec<u8>, Refusal> {
+        let mut team = self.journal.replay().map_err(Refusal::Diverged)?;
+        if self.pull_pending {
+            team.engine_mut().next_work().map_err(Refusal::Diverged)?;
+        }
+        let rebuilt = team.state_bytes();
+        drop(team);
+        if rebuilt != self.live {
+            return Err(Refusal::Diverged(GdrError::Journal {
+                detail: format!(
+                    "compaction validation failed: replayed digest {:016x} != \
+                     live digest {:016x} after {} events",
+                    fnv1a64(&rebuilt),
+                    fnv1a64(&self.live),
+                    self.events
+                ),
+            }));
+        }
+        let frame = codec::frame(&self.live);
+        if let Some(checkpoints) = &self.checkpoints {
+            checkpoints
+                .write(self.events, &frame)
+                .map_err(|err| Refusal::Failed(err.into()))?;
+        }
+        Ok(frame)
+    }
+}
+
+/// A compaction a store session's verb left due, prepared under the
+/// session lock and not yet run.  [`Compaction::run`] validates and writes
+/// the checkpoint with the lock released, then re-locks briefly to install
+/// it.  It holds the session's `Arc`, so the store does not evict the
+/// session meanwhile.  Dropping it unrun gives the session's compaction
+/// slot back: the next event that finds the tail due prepares a new one.
+#[derive(Debug)]
+pub struct Compaction {
+    session: Arc<Mutex<Session>>,
+    job: Option<CompactionJob>,
+}
+
+impl Compaction {
+    /// Runs the compaction: replays, compares and writes the checkpoint
+    /// unlocked, then installs the frame under a short re-lock unless the
+    /// session's epoch moved meanwhile (a `restore`, an explicit `compact`,
+    /// or a `remove`), in which case the stale job is dropped and this
+    /// returns `Ok(None)`.  A replay that does not reproduce the live
+    /// payload is an error, and the session is rebuilt from its journal
+    /// before its next verb.  If verbs that ran meanwhile have made the
+    /// tail due again, the next compaction is prepared under the same
+    /// re-lock and run here too, so a session's compactions stay on one
+    /// thread; the stats are the last one's.
+    pub fn run(mut self) -> Result<Option<CompactionStats>, GdrError> {
+        loop {
+            // Taken only after the run: a run that panics leaves the job
+            // in place for `drop` to give the slot back.
+            let ran = self.job.as_ref().map(CompactionJob::run);
+            let (job, ran) = self.job.take().zip(ran).expect("a compaction runs once");
+            let mut session = lock_recovering(&self.session);
+            session.compaction = CompactState::Idle;
+            let stats = session.install(&job, ran)?;
+            if stats.is_some() && session.check_due() {
+                self.job = session.prepare_due();
+            } else {
+                return Ok(stats);
+            }
+        }
+    }
+}
+
+impl Drop for Compaction {
+    fn drop(&mut self) {
+        if self.job.is_some() {
+            let mut session = lock_recovering(&self.session);
+            if session.compaction == CompactState::Running {
+                session.compaction = CompactState::Idle;
+            }
+        }
+    }
 }
 
 /// How to construct a [`Session`]: journal tunables plus optional on-disk
@@ -537,6 +703,14 @@ pub struct Session {
     journal: SessionJournal,
     config: JournalConfig,
     disk: Option<DiskJournal>,
+    compaction: CompactState,
+    /// Bumped by `restore`, an explicit `compact` and `remove`; a compaction
+    /// prepared under an older epoch is stale and installs nothing.
+    epoch: u64,
+    /// A store session leaves a due compaction to the caller that holds
+    /// its `Arc` ([`SessionStore::with_session_deferred`]); a standalone
+    /// one compacts before its verb returns.
+    deferred: bool,
 }
 
 impl Session {
@@ -548,11 +722,28 @@ impl Session {
         config: JournalConfig,
         disk: Option<DiskJournal>,
     ) -> Session {
-        Session {
+        Session::assemble(
             team,
-            journal: SessionJournal::from_record(record, Vec::new()),
+            SessionJournal::from_record(record, Vec::new()),
             config,
             disk,
+        )
+    }
+
+    fn assemble(
+        team: TeamSession,
+        journal: SessionJournal,
+        config: JournalConfig,
+        disk: Option<DiskJournal>,
+    ) -> Session {
+        Session {
+            team,
+            journal,
+            config,
+            disk,
+            compaction: CompactState::Idle,
+            epoch: next_epoch(),
+            deferred: false,
         }
     }
 
@@ -590,12 +781,7 @@ impl Session {
             None => SessionJournal::replay_onto(loaded.spec.build(), &journal.tail)?,
         };
         Ok((
-            Session {
-                team,
-                journal,
-                config,
-                disk: Some(disk),
-            },
+            Session::assemble(team, journal, config, Some(disk)),
             recovery,
         ))
     }
@@ -629,7 +815,9 @@ impl Session {
 
     /// Appends an applied event to the journals — disk first (so the
     /// in-memory journal never claims more than stable storage), then RAM —
-    /// and auto-compacts when the tail is due.
+    /// and marks a compaction due when the tail reaches `compact_every`
+    /// (and none is in flight).  A standalone session compacts before its
+    /// verb returns; a store session leaves it to its caller.
     /// On a disk error the event is journaled **nowhere** even though the
     /// engine applied it: the caller gets [`GdrError::Journal`], and a
     /// `restore` (or crash recovery) rolls back to the last durable record,
@@ -639,8 +827,64 @@ impl Session {
             disk.append(&event)?;
         }
         self.journal.tail.push(event);
-        if self.config.compact_every > 0 && self.journal.tail.len() >= self.config.compact_every {
-            self.compact()?;
+        if self.check_due() && !self.deferred {
+            self.compact_due();
+        }
+        Ok(())
+    }
+
+    /// Marks a compaction due when none is owed or in flight and the tail
+    /// has reached `compact_every`; returns whether one is due.
+    fn check_due(&mut self) -> bool {
+        if self.compaction == CompactState::Idle
+            && self.config.compact_every > 0
+            && self.journal.tail.len() >= self.config.compact_every
+        {
+            self.compaction = CompactState::Due;
+        }
+        self.compaction == CompactState::Due
+    }
+
+    /// Brings the session up to date before a verb: rebuilds it from its
+    /// journal when a compaction found it diverged, and runs a compaction
+    /// still due, which a caller that locked the session straight from
+    /// [`SessionStore::get`] left behind.
+    fn settle(&mut self) -> Result<(), GdrError> {
+        match self.compaction {
+            CompactState::Diverged => self.rebuild(),
+            CompactState::Due => {
+                self.compact_due();
+                Ok(())
+            }
+            CompactState::Idle | CompactState::Running => Ok(()),
+        }
+    }
+
+    /// Runs the due compaction inline.  A refusal adopts nothing and is
+    /// not the verb's error: the journal still holds every event.
+    fn compact_due(&mut self) {
+        self.compaction = CompactState::Idle;
+        let job = self.prepare();
+        let ran = job.run();
+        let _ = self.install(&job, ran);
+    }
+
+    /// Rebuilds a diverged session from its journal: the on-disk one when
+    /// durable (the in-memory journal is what failed to replay), the
+    /// in-memory one otherwise.
+    fn rebuild(&mut self) -> Result<(), GdrError> {
+        match &self.disk {
+            Some(disk) => {
+                let (session, _recovery) = Session::rehydrate(disk.dir(), self.config)?;
+                *self = Session {
+                    deferred: self.deferred,
+                    ..session
+                };
+            }
+            None => {
+                self.team = self.replayed()?;
+                self.compaction = CompactState::Idle;
+            }
         }
         Ok(())
     }
@@ -663,6 +907,7 @@ impl Session {
     // stream of distinct items — it re-serves until answered).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<WorkPlan, GdrError> {
+        self.settle()?;
         self.team.engine_mut().next_work()
     }
 
@@ -670,6 +915,7 @@ impl Session {
     /// when nothing is outstanding, as replay does, so a client that held
     /// `id` across a crash answers it without pulling again.
     pub fn answer(&mut self, id: WorkId, feedback: Feedback) -> Result<usize, GdrError> {
+        self.settle()?;
         let engine = self.team.engine_mut();
         engine.next_work()?;
         engine.answer(id, feedback)?;
@@ -680,6 +926,7 @@ impl Session {
     /// Supplies a value for the `NeedsValue` cell; pulls and journals as
     /// [`Session::answer`].
     pub fn supply(&mut self, cell: Cell, value: Value) -> Result<usize, GdrError> {
+        self.settle()?;
         let engine = self.team.engine_mut();
         engine.next_work()?;
         engine.supply_value(cell, value.clone())?;
@@ -690,6 +937,7 @@ impl Session {
     /// Skips the `NeedsValue` cell; pulls and journals as
     /// [`Session::answer`].
     pub fn skip(&mut self, cell: Cell) -> Result<(), GdrError> {
+        self.settle()?;
         let engine = self.team.engine_mut();
         engine.next_work()?;
         engine.skip_value(cell)?;
@@ -699,6 +947,7 @@ impl Session {
 
     /// Finishes the session; journals on success.
     pub fn finish(&mut self) -> Result<gdr_core::step::DoneReason, GdrError> {
+        self.settle()?;
         let pulled = self.pull_pending();
         let reason = self.team.finish()?;
         // finish() is idempotent; journal it once so replay stays aligned.
@@ -720,6 +969,7 @@ impl Session {
     /// journals nothing; a state-changing pull — a grant or a clock-ticking
     /// [`TeamPlan::Wait`] — is journaled so replay re-runs it.
     pub fn lease(&mut self, reviewer: &str) -> Result<TeamPlan, GdrError> {
+        self.settle()?;
         let before = self.team.clock();
         let plan = self.team.next_work_for(reviewer)?;
         if self.team.clock() != before {
@@ -747,6 +997,7 @@ impl Session {
         id: WorkId,
         feedback: Feedback,
     ) -> Result<usize, GdrError> {
+        self.settle()?;
         let logged = self.team.resolutions().len();
         self.team.answer_as(reviewer, id, feedback)?;
         self.journal_event(TranscriptEvent::AnsweredAs {
@@ -766,6 +1017,7 @@ impl Session {
         id: WorkId,
         value: Value,
     ) -> Result<usize, GdrError> {
+        self.settle()?;
         let logged = self.team.resolutions().len();
         self.team.supply_as(reviewer, id, value.clone())?;
         self.journal_event(TranscriptEvent::SuppliedAs {
@@ -780,6 +1032,7 @@ impl Session {
     /// Declines the leased fix item `id` as `reviewer`; journals on
     /// success, as [`Session::answer_as`].
     pub fn skip_as(&mut self, reviewer: &str, id: WorkId) -> Result<(), GdrError> {
+        self.settle()?;
         let logged = self.team.resolutions().len();
         self.team.skip_as(reviewer, id)?;
         self.journal_event(TranscriptEvent::SkippedAs {
@@ -794,6 +1047,7 @@ impl Session {
     /// that actually held (returned `true`) changes state and is journaled;
     /// a stale release is a no-op on both the session and the journal.
     pub fn release_lease(&mut self, reviewer: &str, id: WorkId) -> Result<bool, GdrError> {
+        self.settle()?;
         let held = self.team.release(reviewer, id)?;
         if held {
             self.journal_event(TranscriptEvent::Released {
@@ -812,37 +1066,89 @@ impl Session {
             .collect()
     }
 
-    /// Compacts the journal: encodes the live session once (a pending pull
-    /// included: the verbs after it re-serve purely), frames it, persists
-    /// the frame in durable mode as the `snap-NNNNNN.gdrs` checkpoint — so a
+    /// Compacts the journal now, inline: encodes the live session once (a
+    /// pending pull included: the verbs after it re-serve purely), validates
+    /// that a replay of the current journal (and of the pending pull)
+    /// re-encodes to the same payload byte for byte, frames it, persists the
+    /// frame in durable mode as the `snap-NNNNNN.gdrs` checkpoint — so a
     /// cold restart loads it and replays only the journal tail — and then
     /// installs the same bytes as the replay base and drops the absorbed
-    /// tail from RAM.
-    /// The snapshot is only adopted after a replay of the current journal
-    /// (and of a pending pull) re-encodes to the live payload byte for
-    /// byte — a divergence (which would make the snapshot lie) fails with
-    /// [`GdrError::Journal`] and leaves the journal untouched.
+    /// tail from RAM.  A divergence (which would make the snapshot lie)
+    /// fails with [`GdrError::Journal`], adopts nothing, and has the
+    /// session rebuilt from its journal before its next verb.
+    ///
+    /// This is the automatic compaction's three steps run back to back
+    /// under one lock: *prepare* (encode, capture the journal prefix), *run*
+    /// (replay, compare, frame, write) and *install*.  A store session's
+    /// automatic compaction runs the middle step unlocked instead (see
+    /// [`Compaction`]).  Compacting bumps the session's epoch, so a
+    /// compaction in flight meanwhile is stale and installs nothing.
     pub fn compact(&mut self) -> Result<CompactionStats, GdrError> {
-        let events = self.journal.events_total();
-        let dropped = self.journal.tail.len();
-        let live = self.team.state_bytes();
-        let rebuilt = self.replayed()?.state_bytes();
-        if rebuilt != live {
-            return Err(GdrError::Journal {
-                detail: format!(
-                    "compaction validation failed: replayed digest {:016x} != \
-                     live digest {:016x} after {events} events",
-                    fnv1a64(&rebuilt),
-                    fnv1a64(&live)
-                ),
-            });
+        if self.compaction == CompactState::Diverged {
+            self.rebuild()?;
         }
-        let frame = codec::frame(&live);
-        if let Some(disk) = &mut self.disk {
-            disk.record_checkpoint(events, &frame)?;
+        if self.compaction == CompactState::Due {
+            self.compaction = CompactState::Idle;
         }
-        self.journal.install_snapshot(frame, dropped);
-        Ok(CompactionStats { events, dropped })
+        self.epoch = next_epoch();
+        let job = self.prepare();
+        let ran = job.run();
+        self.install(&job, ran)
+            .map(|stats| stats.expect("an inline compaction is never stale"))
+    }
+
+    /// *Prepare*, under the lock: encodes the live payload and captures the
+    /// replay base, the tail it covers, the pending-pull flag and the epoch.
+    fn prepare(&self) -> CompactionJob {
+        CompactionJob {
+            live: self.team.state_bytes(),
+            journal: self.journal.clone(),
+            pull_pending: self.pull_pending(),
+            events: self.journal.events_total(),
+            epoch: self.epoch,
+            checkpoints: self.disk.as_ref().map(DiskJournal::checkpoints),
+        }
+    }
+
+    /// Prepares the due compaction for [`Compaction::run`], if one is due;
+    /// at most one is in flight.
+    fn prepare_due(&mut self) -> Option<CompactionJob> {
+        (self.compaction == CompactState::Due).then(|| {
+            self.compaction = CompactState::Running;
+            self.prepare()
+        })
+    }
+
+    /// *Install*, under the lock: adopts the frame a run produced and drops
+    /// the tail it covers, unless the epoch moved since `job` was prepared.
+    /// A divergence found under the current epoch marks the session for
+    /// rebuilding, unless a compaction is still in flight: that one finds
+    /// the same divergence, and the rebuild waits for it.
+    fn install(
+        &mut self,
+        job: &CompactionJob,
+        ran: Result<Vec<u8>, Refusal>,
+    ) -> Result<Option<CompactionStats>, GdrError> {
+        if job.epoch != self.epoch {
+            return Ok(None);
+        }
+        match ran {
+            Ok(frame) => {
+                let dropped = job.journal.tail.len();
+                self.journal.install_snapshot(frame, dropped);
+                Ok(Some(CompactionStats {
+                    events: job.events,
+                    dropped,
+                }))
+            }
+            Err(Refusal::Diverged(err)) => {
+                if self.compaction != CompactState::Running {
+                    self.compaction = CompactState::Diverged;
+                }
+                Err(err)
+            }
+            Err(Refusal::Failed(err)) => Err(err),
+        }
     }
 
     /// The journal replayed, then the pending pull re-run when there is one
@@ -858,10 +1164,23 @@ impl Session {
     /// Discards the live engine and replays the journal in its place
     /// (snapshot + tail when compacted, from scratch otherwise), re-running
     /// a pending pull so the restored engine re-serves the item the live
-    /// one held.  Returns the number of tail events replayed.
+    /// one held.  Returns the number of tail events replayed.  Bumps the
+    /// epoch: a compaction in flight is stale and installs nothing.
     pub fn restore(&mut self) -> Result<usize, GdrError> {
+        self.settle()?;
+        self.epoch = next_epoch();
         self.team = self.replayed()?;
         Ok(self.journal.tail.len())
+    }
+
+    /// Detaches a removed session: bumps the epoch so a compaction in
+    /// flight installs nothing, and closes its checkpoint writer so that
+    /// compaction never writes into the directory being deleted.
+    fn retire(&mut self) {
+        self.epoch = next_epoch();
+        if let Some(disk) = &self.disk {
+            disk.checkpoints().close();
+        }
     }
 }
 
@@ -1143,7 +1462,11 @@ impl SessionStore {
                 }
                 _ => (JournalConfig::default(), None),
             };
-            let session = Arc::new(Mutex::new(Session::start(team, record, config, disk)));
+            let session = Session {
+                deferred: true,
+                ..Session::start(team, record, config, disk)
+            };
+            let session = Arc::new(Mutex::new(session));
             self.insert(id, session.clone())?;
             session
         };
@@ -1176,7 +1499,10 @@ impl SessionStore {
                 return Err(StoreError::UnknownSession(id.to_string()));
             };
             let (session, _recovery) = Session::rehydrate(&dir, config.journal)?;
-            let session = Arc::new(Mutex::new(session));
+            let session = Arc::new(Mutex::new(Session {
+                deferred: true,
+                ..session
+            }));
             self.insert(id, session.clone())?;
             session
         };
@@ -1242,25 +1568,53 @@ impl SessionStore {
         let _claim = lock_recovering(&shard.claim);
         let entry = shard.map().remove(id);
         let lived = entry.is_some();
-        if lived {
+        if let Some(entry) = entry {
             self.live.fetch_sub(1, Ordering::AcqRel);
+            // A compaction in flight still holds the session: it must
+            // neither install into it nor write into the directory below.
+            lock_recovering(&entry.session).retire();
         }
-        drop(entry);
         match self.existing_session_dir(id) {
             Some(dir) => fs::remove_dir_all(&dir).is_ok() || lived,
             None => lived,
         }
     }
 
-    /// Runs `f` under the session's lock.
+    /// Runs `f` under the session's lock, then the compaction it left due,
+    /// if any, with the lock released for all but its install: the session
+    /// is compacted when this returns, as if `f` had compacted inline.  A
+    /// compaction that adopts nothing is not `f`'s error.
     pub fn with_session<T>(
         &self,
         id: &str,
         f: impl FnOnce(&mut Session) -> Result<T, GdrError>,
     ) -> Result<T, StoreError> {
+        let (value, compaction) = self.with_session_deferred(id, f)?;
+        if let Some(compaction) = compaction {
+            let _ = compaction.run();
+        }
+        Ok(value)
+    }
+
+    /// [`SessionStore::with_session`], handing the due compaction back
+    /// unrun (prepared under the lock, see [`Compaction`]) so the caller
+    /// can reply first.  The threaded server runs it after queueing the
+    /// verb's reply.
+    pub fn with_session_deferred<T>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&mut Session) -> Result<T, GdrError>,
+    ) -> Result<(T, Option<Compaction>), StoreError> {
         let session = self.get(id)?;
         let mut guard = lock_recovering(&session);
-        f(&mut guard).map_err(StoreError::Gdr)
+        let value = f(&mut guard)?;
+        let job = guard.prepare_due();
+        drop(guard);
+        let compaction = job.map(|job| Compaction {
+            session,
+            job: Some(job),
+        });
+        Ok((value, compaction))
     }
 }
 
@@ -1314,6 +1668,17 @@ mod tests {
         &session.journal.snapshot.as_ref().expect("compacted").frame
     }
 
+    /// The checkpoint files in `dir`.
+    fn snapshot_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("snap-"))
+            .collect();
+        names.sort();
+        names
+    }
+
     /// Compacts and checks the base against the live session and, when
     /// durable, against the checkpoint file just written.
     fn compact(session: &mut Session) {
@@ -1365,5 +1730,94 @@ mod tests {
             restore(&mut session);
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A compaction whose replay does not reproduce the live session adopts
+    /// nothing: the in-memory tail is edited (one answer's feedback flipped)
+    /// so that it no longer replays to the live payload, while the disk
+    /// journal stays right.  The compaction the next verb makes due writes
+    /// no checkpoint and drops no tail, and the session is rebuilt from its
+    /// directory before it serves again: byte for byte (so fingerprint and
+    /// all) and by `team_digest` the session a cold rehydrate gives.
+    #[test]
+    fn a_diverging_compaction_is_refused_and_the_session_rebuilt_from_disk() {
+        const EVERY: usize = 8;
+        let oracle = GroundTruthOracle::new(spec().ground_truth.unwrap());
+        let root = std::env::temp_dir().join(format!("gdr-store-diverge-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let mut config = DurabilityConfig::new(&root);
+        config.journal = JournalConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: EVERY,
+            ..JournalConfig::default()
+        };
+        let store = SessionStore::durable(config.clone()).unwrap();
+        drop(store.open("s", spec()).unwrap());
+        let step = |session: &mut Session| {
+            drive(session, &oracle, 1);
+            Ok(())
+        };
+        for _ in 0..EVERY - 1 {
+            store.with_session("s", step).unwrap();
+        }
+        let dir = store
+            .with_session("s", |s| {
+                let flipped = s.journal.tail.iter_mut().find_map(|event| match event {
+                    TranscriptEvent::Answered(_, feedback) => Some(feedback),
+                    _ => None,
+                });
+                let feedback = flipped.expect("an answer in the tail");
+                *feedback = match feedback {
+                    Feedback::Confirm => Feedback::Reject,
+                    _ => Feedback::Confirm,
+                };
+                Ok(s.disk_dir().unwrap().to_path_buf())
+            })
+            .unwrap();
+
+        store.with_session("s", step).unwrap();
+        let (snapshot_events, tail, diverged) = store
+            .with_session("s", |s| {
+                Ok((
+                    s.journal.snapshot_events(),
+                    s.journal.tail.len(),
+                    s.compaction == CompactState::Diverged,
+                ))
+            })
+            .unwrap();
+        assert!(
+            snapshot_files(&dir).is_empty(),
+            "a refused compaction wrote a checkpoint"
+        );
+        assert_eq!(
+            (snapshot_events, tail),
+            (0, EVERY),
+            "a refused compaction dropped the tail"
+        );
+        assert!(diverged, "the session is not marked for rebuilding");
+
+        let (mut cold, recovery) = Session::rehydrate(&dir, config.journal).unwrap();
+        assert!(recovery.clean(), "{recovery:?}");
+        cold.next().unwrap();
+        store
+            .with_session("s", |s| {
+                s.next()?;
+                assert_eq!(
+                    s.team().to_snapshot_bytes(),
+                    cold.team().to_snapshot_bytes()
+                );
+                assert_eq!(
+                    crate::journal::team_digest(s.team()),
+                    crate::journal::team_digest(cold.team())
+                );
+                assert_eq!(s.journal.transcript(), cold.journal.transcript());
+                Ok(())
+            })
+            .unwrap();
+        // Rebuilt, the session compacts again at its next event.
+        store.with_session("s", step).unwrap();
+        assert_eq!(snapshot_files(&dir), [snapshot_name(EVERY as u64 + 1)]);
+        drop(store);
+        fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -4,11 +4,16 @@
 //! sessions are never evicted, in-memory stores never evict at all, and a
 //! session whose lock was poisoned by a panicking connection thread stays
 //! servable (regression for the `lock_recovering` + `restore` path).
-//! Concurrent lookups of an evicted session share one rehydrated copy.
+//! Concurrent lookups of an evicted session share one rehydrated copy.  A
+//! compaction in flight (prepared, then run with the session unlocked)
+//! that meets an explicit `compact`, a `restore` or a `remove` is dropped
+//! as stale, keeps its session from eviction meanwhile, and never writes
+//! into a removed session's directory.
 
 mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -17,9 +22,10 @@ use gdr_core::config::GdrConfig;
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy;
 use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
-use gdr_serve::journal::{team_digest, JournalConfig};
+use gdr_serve::journal::{team_digest, DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::store::{
-    DurabilityConfig, OpenSpec, Session, SessionOptions, SessionStore, StoreError,
+    Compaction, DurabilityConfig, OpenSpec, Session, SessionJournal, SessionOptions, SessionStore,
+    StoreError,
 };
 
 fn durable_store(root: &TempDir, max_live: usize) -> SessionStore {
@@ -290,4 +296,227 @@ fn concurrent_gets_of_an_evicted_session_share_one_rehydrated_copy() {
     assert!(recovery.clean(), "{recovery:?}");
     assert_eq!(fingerprint(cold.engine()), live);
     assert_eq!(team_digest(cold.team()), digest);
+}
+
+// ---- compactions in flight ------------------------------------------------
+
+/// Auto-compaction cadence of the in-flight tests: the Figure-1 session
+/// has only a handful of steps.
+const EVERY: usize = 2;
+
+fn compacting_store(root: &TempDir, max_live: usize) -> SessionStore {
+    let mut config = DurabilityConfig::new(root.path());
+    config.max_live_sessions = max_live;
+    config.journal = JournalConfig {
+        fsync: FsyncPolicy::Never,
+        compact_every: EVERY,
+        ..JournalConfig::default()
+    };
+    SessionStore::durable(config).expect("durable store")
+}
+
+/// Opens `id` and drives it until a verb leaves a compaction due, which is
+/// handed back prepared and unrun, as the threaded server holds it between
+/// the reply and the run.
+fn compaction_in_flight(store: &SessionStore, id: &str, oracle: &GroundTruthOracle) -> Compaction {
+    drop(
+        store
+            .open(id, figure1_spec(Strategy::GdrNoLearning, true))
+            .expect("open"),
+    );
+    loop {
+        let (more, due) = store
+            .with_session_deferred(id, |s| Ok(drive_one(s, oracle)))
+            .expect("step");
+        if let Some(compaction) = due {
+            return compaction;
+        }
+        assert!(more, "the session ended before a compaction fell due");
+    }
+}
+
+fn session_dir(store: &SessionStore, id: &str) -> std::path::PathBuf {
+    store
+        .with_session(id, |s| Ok(s.disk_dir().expect("durable").to_path_buf()))
+        .expect("dir")
+}
+
+/// `team_digest` of the journal in `dir` replayed from its spec, with no
+/// checkpoint: the session's serial replay.
+fn serial_replay_digest(dir: &Path) -> u64 {
+    let loaded = DiskJournal::load(dir).expect("load");
+    let team = SessionJournal::from_events(loaded.spec, loaded.events)
+        .replay()
+        .expect("serial replay");
+    team_digest(&team)
+}
+
+/// The live session's digest equals its serial replay, and so does a cold
+/// rehydrate's, whose recovery finds every checkpoint usable.
+fn assert_serial(store: &SessionStore, id: &str) {
+    let (live, dir) = store
+        .with_session(id, |s| {
+            Ok((
+                team_digest(s.team()),
+                s.disk_dir().expect("dir").to_path_buf(),
+            ))
+        })
+        .expect("inspect");
+    assert_eq!(
+        live,
+        serial_replay_digest(&dir),
+        "{id}: live != serial replay"
+    );
+    let (cold, recovery) = Session::rehydrate(&dir, JournalConfig::default()).expect("rehydrate");
+    assert!(recovery.clean(), "{id}: {recovery:?}");
+    assert_eq!(
+        team_digest(cold.team()),
+        live,
+        "{id}: cold rehydrate diverged"
+    );
+}
+
+/// Snapshot and tail sizes of `id`'s journal.
+fn journal_shape(store: &SessionStore, id: &str) -> (usize, usize) {
+    store
+        .with_session(id, |s| {
+            let journal = s.journal();
+            Ok((journal.snapshot_events(), journal.transcript().len()))
+        })
+        .expect("journal")
+}
+
+#[test]
+fn compaction_in_flight_meets_an_explicit_compact() {
+    let root = TempDir::new("inflight-compact");
+    let store = compacting_store(&root, 8);
+    let oracle = oracle();
+
+    let stale = compaction_in_flight(&store, "s", &oracle);
+    let stats = store.with_session("s", |s| s.compact()).expect("compact");
+    assert_eq!((stats.events, stats.dropped), (EVERY, EVERY));
+    assert!(store
+        .with_session("s", |s| Ok(drive_one(s, &oracle)))
+        .expect("step"));
+    assert_eq!(stale.run().expect("run"), None, "a stale job installed");
+    assert_eq!(journal_shape(&store, "s"), (EVERY, 1));
+    assert_serial(&store, "s");
+
+    // Racing: the job runs on another thread while the verb compacts.
+    for round in 0..8 {
+        let id = format!("race-{round}");
+        let compaction = compaction_in_flight(&store, &id, &oracle);
+        thread::scope(|scope| {
+            let runner = scope.spawn(move || compaction.run().expect("run"));
+            store.with_session(&id, |s| s.compact()).expect("compact");
+            runner.join().expect("runner");
+        });
+        assert_eq!(journal_shape(&store, &id), (EVERY, 0), "{id}");
+        assert_serial(&store, &id);
+    }
+}
+
+#[test]
+fn compaction_in_flight_meets_a_restore() {
+    let root = TempDir::new("inflight-restore");
+    let store = compacting_store(&root, 8);
+    let oracle = oracle();
+
+    let stale = compaction_in_flight(&store, "s", &oracle);
+    store.with_session("s", |s| s.restore()).expect("restore");
+    assert_eq!(stale.run().expect("run"), None, "a stale job installed");
+    assert_eq!(journal_shape(&store, "s"), (0, EVERY));
+    assert_serial(&store, "s");
+
+    // The slot is free again: the next event compacts everything.
+    assert!(store
+        .with_session("s", |s| Ok(drive_one(s, &oracle)))
+        .expect("step"));
+    assert_eq!(journal_shape(&store, "s"), (EVERY + 1, 0));
+    assert_serial(&store, "s");
+}
+
+/// Eviction cannot make a job stale: the job holds the session's `Arc`, so
+/// the store never evicts a session with a compaction in flight.  Once the
+/// job has installed, the session evicts, and its rehydrated copy (a new
+/// session under a new epoch) starts from the job's checkpoint.
+#[test]
+fn compaction_in_flight_meets_eviction_and_rehydration() {
+    let root = TempDir::new("inflight-evict");
+    let store = compacting_store(&root, 1);
+    let oracle = oracle();
+
+    let compaction = compaction_in_flight(&store, "s", &oracle);
+    let live = Arc::downgrade(&store.get("s").expect("get"));
+    for id in ["o", "p"] {
+        drop(
+            store
+                .open(id, figure1_spec(Strategy::GdrNoLearning, true))
+                .expect("open"),
+        );
+    }
+    let again = store.get("s").expect("get");
+    assert!(
+        Arc::ptr_eq(&live.upgrade().expect("alive"), &again),
+        "a session with a compaction in flight was evicted"
+    );
+    drop(again);
+    let stats = compaction.run().expect("run").expect("installed");
+    assert_eq!(stats.events, EVERY);
+
+    drop(store.get("o").expect("get o"));
+    assert!(live.upgrade().is_none(), "the idle session was not evicted");
+    assert_eq!(
+        journal_shape(&store, "s"),
+        (EVERY, 0),
+        "rehydrated past the checkpoint"
+    );
+    assert_serial(&store, "s");
+}
+
+#[test]
+fn compaction_in_flight_meets_a_remove() {
+    let root = TempDir::new("inflight-remove");
+    let store = compacting_store(&root, 8);
+    let oracle = oracle();
+
+    let stale = compaction_in_flight(&store, "s", &oracle);
+    let dir = session_dir(&store, "s");
+    assert!(store.remove("s"));
+    assert_eq!(stale.run().expect("run"), None, "a stale job installed");
+    assert!(!dir.exists(), "the job recreated a removed directory");
+
+    // The id is reused at once, and the old job's checkpoint never lands
+    // in the new session's directory.
+    let stale = compaction_in_flight(&store, "s", &oracle);
+    assert!(store.remove("s"));
+    drop(
+        store
+            .open("s", figure1_spec(Strategy::GdrNoLearning, true))
+            .expect("re-open"),
+    );
+    assert_eq!(stale.run().expect("run"), None);
+    assert_eq!(journal_shape(&store, "s"), (0, 0));
+    assert!(
+        !std::fs::read_dir(&dir).expect("dir").any(|entry| entry
+            .expect("entry")
+            .file_name()
+            .to_string_lossy()
+            .starts_with("snap-")),
+        "a removed session's checkpoint landed in its successor's directory"
+    );
+    assert_serial(&store, "s");
+
+    // Racing: the job runs on another thread while the session is removed.
+    for round in 0..8 {
+        let id = format!("race-{round}");
+        let compaction = compaction_in_flight(&store, &id, &oracle);
+        let dir = session_dir(&store, &id);
+        thread::scope(|scope| {
+            let runner = scope.spawn(move || compaction.run().expect("run"));
+            assert!(store.remove(&id));
+            runner.join().expect("runner");
+        });
+        assert!(!dir.exists(), "{id}: the job recreated a removed directory");
+    }
 }
