@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_bench::{generate, DatasetId};
-use gdr_repair::{ChangeSource, Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState};
 
 fn bench_consistency_manager(c: &mut Criterion) {
     let mut group = c.benchmark_group("consistency_manager");
@@ -27,11 +27,7 @@ fn bench_consistency_manager(c: &mut Criterion) {
                     || state.clone(),
                     |mut state| {
                         state
-                            .apply_feedback(
-                                &updates[0],
-                                Feedback::Confirm,
-                                ChangeSource::UserConfirmed,
-                            )
+                            .apply_feedback(&updates[0], Feedback::Confirm)
                             .unwrap();
                         state
                     },
@@ -45,13 +41,7 @@ fn bench_consistency_manager(c: &mut Criterion) {
                 b.iter_batched(
                     || state.clone(),
                     |mut state| {
-                        state
-                            .apply_feedback(
-                                &updates[0],
-                                Feedback::Reject,
-                                ChangeSource::UserConfirmed,
-                            )
-                            .unwrap();
+                        state.apply_feedback(&updates[0], Feedback::Reject).unwrap();
                         state
                     },
                 )

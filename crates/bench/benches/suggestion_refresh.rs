@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_bench::{generate, DatasetId};
-use gdr_repair::{ChangeSource, Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState};
 
 fn bench_suggestion_refresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("suggestion_refresh");
@@ -31,9 +31,7 @@ fn bench_suggestion_refresh(c: &mut Criterion) {
             .into_iter()
             .next()
             .expect("dirty dataset has pending updates");
-        state
-            .apply_feedback(&answer, Feedback::Confirm, ChangeSource::UserConfirmed)
-            .unwrap();
+        state.apply_feedback(&answer, Feedback::Confirm).unwrap();
 
         group.bench_with_input(
             BenchmarkId::new("refresh_after_answer", tuples),

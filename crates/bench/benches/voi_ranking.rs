@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdr_bench::{generate, DatasetId};
 use gdr_core::{group_benefit, group_updates, VoiRanker};
-use gdr_repair::{ChangeSource, Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState};
 
 fn rank_all_from_scratch(state: &mut RepairState) -> f64 {
     let updates = state.possible_updates_sorted();
@@ -55,9 +55,7 @@ fn bench_voi_ranking(c: &mut Criterion) {
         ranker.sync(&mut state);
         ranker.rescore_benefits(&mut state, |_, u| u.score).unwrap();
         let answer = ranker.best_group().expect("groups exist").0.updates[0].clone();
-        state
-            .apply_feedback(&answer, Feedback::Confirm, ChangeSource::UserConfirmed)
-            .unwrap();
+        state.apply_feedback(&answer, Feedback::Confirm).unwrap();
         state.refresh_updates();
         ranker.sync(&mut state);
         let dirty_keys = ranker.dirty_keys();

@@ -511,7 +511,11 @@ mod tests {
         // the candidate-update groups will differ in size (the property that
         // separates Greedy from Random in Figure 3a).
         let data = small();
-        let mut ids = data.clean.column_ids(ATTR_HOSPITAL).to_vec();
+        let mut ids: Vec<_> = data
+            .clean
+            .tuple_ids()
+            .map(|t| data.clean.cell_id(t, ATTR_HOSPITAL))
+            .collect();
         ids.sort_unstable();
         let mut counts: Vec<usize> = ids.chunk_by(|a, b| a == b).map(<[_]>::len).collect();
         counts.sort_unstable();
@@ -551,7 +555,12 @@ mod tests {
         assert_eq!(a.dirty, b.dirty);
         assert_eq!(a.corrupted_cells, b.corrupted_cells);
         // The synthetic cities actually receive tuples.
-        assert!(a.clean.dict_len(ATTR_CITY) > LOCALITIES.len());
+        let cities: std::collections::HashSet<_> = a
+            .clean
+            .tuple_ids()
+            .map(|t| a.clean.cell_id(t, ATTR_CITY))
+            .collect();
+        assert!(cities.len() > LOCALITIES.len());
     }
 
     #[test]

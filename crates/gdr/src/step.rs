@@ -55,8 +55,7 @@ use gdr_cfd::RuleSet;
 use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
 use gdr_relation::{AttrId, Table, Value};
 use gdr_repair::{
-    run_heuristic_repair, Cell, ChangeSource, Feedback, FeedbackOutcome, HeuristicConfig,
-    RepairState, Update,
+    run_heuristic_repair, Cell, Feedback, FeedbackOutcome, HeuristicConfig, RepairState, Update,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -244,11 +243,11 @@ impl EvalHooks {
         &self.checkpoints
     }
 
-    /// Report each applied change's damage to the incremental loss: a write
+    /// Report each written cell's damage to the incremental loss: a write
     /// to attribute `A` can only move the stats of the rules involving `A`.
     fn note_outcome(&mut self, state: &RepairState, outcome: &FeedbackOutcome) {
-        for change in &outcome.applied {
-            for &rule in state.rules_involving(change.attr) {
+        for &(_, attr) in &outcome.applied {
+            for &rule in state.rules_involving(attr) {
                 self.loss.invalidate_rule(rule);
             }
         }
@@ -926,7 +925,7 @@ impl GdrEngine {
         let Some(prediction) = self.models.predict(self.state.table(), update) else {
             return Ok(false);
         };
-        self.apply_decision(update, prediction, ChangeSource::LearnerApplied)?;
+        self.apply_decision(update, prediction)?;
         self.learner_decisions += 1;
         Ok(true)
     }
@@ -939,7 +938,7 @@ impl GdrEngine {
             self.models
                 .add_feedback(self.state.table(), update, feedback);
         }
-        self.apply_decision(update, feedback, ChangeSource::UserConfirmed)?;
+        self.apply_decision(update, feedback)?;
         self.verifications += 1;
         if self.strategy.uses_learner() {
             self.models
@@ -956,13 +955,8 @@ impl GdrEngine {
 
     /// Applies one decision through the consistency manager and reports the
     /// written cells' rule damage to the incremental loss.
-    fn apply_decision(
-        &mut self,
-        update: &Update,
-        feedback: Feedback,
-        source: ChangeSource,
-    ) -> Result<()> {
-        let outcome = self.state.apply_feedback(update, feedback, source)?;
+    fn apply_decision(&mut self, update: &Update, feedback: Feedback) -> Result<()> {
+        let outcome = self.state.apply_feedback(update, feedback)?;
         if let Some(hooks) = &mut self.eval {
             hooks.note_outcome(&self.state, &outcome);
         }

@@ -778,11 +778,7 @@ mod tests {
         // A real change to the same attribute moves the generation …
         let other = Update::new(2, update.attr, Value::from("Michigan City"), 0.9);
         state
-            .apply_feedback(
-                &other,
-                gdr_repair::Feedback::Confirm,
-                gdr_repair::ChangeSource::UserConfirmed,
-            )
+            .apply_feedback(&other, gdr_repair::Feedback::Confirm)
             .unwrap();
         assert_ne!(state.attr_stats_generation(update.attr), generation);
 
@@ -808,11 +804,7 @@ mod tests {
         // Confirm one member; the suggestion delta drives the index update.
         let update = best.updates[0].clone();
         state
-            .apply_feedback(
-                &update,
-                gdr_repair::Feedback::Confirm,
-                gdr_repair::ChangeSource::UserConfirmed,
-            )
+            .apply_feedback(&update, gdr_repair::Feedback::Confirm)
             .unwrap();
         state.refresh_updates();
         ranker.sync(&mut state);

@@ -8,7 +8,7 @@
 use gdr_cfd::{parser, RuleSet};
 use gdr_core::{group_benefit, group_updates, single_update_benefit, UpdateGroup, VoiRanker};
 use gdr_relation::{Schema, Table, Value};
-use gdr_repair::{ChangeSource, Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -102,11 +102,7 @@ fn assert_rankings_agree(state: &mut RepairState, ranker: &mut VoiRanker, step: 
 #[derive(Debug, Clone)]
 enum Op {
     /// Feedback on the k-th pending update, from the user or the learner.
-    Feedback {
-        pick: usize,
-        verdict: usize,
-        learner: bool,
-    },
+    Feedback { pick: usize, verdict: usize },
     /// Regenerate/retire suggestions (step 9 of the GDR process).
     Refresh,
     /// The user types in a brand-new value for some cell.
@@ -117,11 +113,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..64usize, 0..3usize, 0..2usize).prop_map(|(pick, verdict, learner)| Op::Feedback {
-            pick,
-            verdict,
-            learner: learner == 1,
-        }),
+        (0..64usize, 0..3usize).prop_map(|(pick, verdict)| Op::Feedback { pick, verdict }),
         Just(Op::Refresh),
         (0..ROWS.len(), 0..2usize)
             .prop_map(|(tuple, attr_pick)| Op::FreshValue { tuple, attr_pick }),
@@ -141,7 +133,7 @@ proptest! {
 
         for (step, op) in ops.iter().enumerate() {
             match op {
-                Op::Feedback { pick, verdict, learner } => {
+                Op::Feedback { pick, verdict } => {
                     let pending = state.possible_updates_sorted();
                     if pending.is_empty() {
                         continue;
@@ -152,12 +144,7 @@ proptest! {
                         1 => Feedback::Reject,
                         _ => Feedback::Retain,
                     };
-                    let source = if *learner {
-                        ChangeSource::LearnerApplied
-                    } else {
-                        ChangeSource::UserConfirmed
-                    };
-                    state.apply_feedback(&update, feedback, source).unwrap();
+                    state.apply_feedback(&update, feedback).unwrap();
                 }
                 Op::Refresh => state.refresh_updates(),
                 Op::FreshValue { tuple, attr_pick } => {

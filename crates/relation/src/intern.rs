@@ -13,8 +13,7 @@
 //! * **Append-only**: a dictionary never removes or re-numbers entries, so a
 //!   `ValueId` obtained once stays valid (and means the same [`Value`]) for
 //!   the life of the owning [`crate::Table`].  A dictionary may therefore
-//!   contain values that no longer occur in the column; occurrence counts
-//!   are tracked separately by the table.
+//!   contain values that no longer occur in the column.
 //! * **Bijective per attribute**: within one dictionary, `intern` returns
 //!   equal ids for equal values and distinct ids for distinct values —
 //!   `id == id'  ⟺  value == value'`.  Ids from *different* attributes are

@@ -13,10 +13,8 @@
 //! attribute:
 //!
 //! * a [`ValueInterner`] **dictionary** mapping each distinct [`Value`] to a
-//!   dense [`ValueId`] (`u32`) and back,
-//! * a columnar `Vec<ValueId>` with one id per row, and
-//! * a per-id **occurrence count**, making [`Table::count_value`] O(1)
-//!   instead of O(rows).
+//!   dense [`ValueId`] (`u32`) and back, and
+//! * a columnar `Vec<ValueId>` with one id per row.
 //!
 //! Hot paths (violation-engine group keys, agreement tests, what-if
 //! evaluation, learning features) work entirely in id space: integer
@@ -30,8 +28,8 @@
 //! 1. Dictionaries are **append-only**: ids are never re-numbered, so an id
 //!    captured by a downstream structure (violation group, prevented list,
 //!    feature vector) stays valid and keeps its meaning for the table's
-//!    lifetime.  A dictionary entry whose occurrence count drops to zero
-//!    merely leaves the active domain.
+//!    lifetime.  A dictionary entry that no row holds any more merely
+//!    leaves the active domain.
 //! 2. Within one attribute, `id == id' ⟺ value == value'` (strict [`Value`]
 //!    equality: `Int(46360) ≠ Str("46360")`).  Ids from different attributes
 //!    are incomparable.

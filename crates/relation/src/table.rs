@@ -1,11 +1,10 @@
 //! Tables: interned, columnar storage behind a row-oriented API.
 //!
 //! A [`Table`] stores one `Column` per attribute: a dense `Vec<ValueId>`
-//! of per-row ids plus the attribute's [`ValueInterner`] dictionary and a
-//! per-id occurrence count.  Rows are addressed by a stable [`TupleId`] and
-//! read through [`TupleRef`] views; owned [`crate::Tuple`]s exist only at
-//! the construction boundary.  See the crate-level docs for the full design
-//! rationale and invariants.
+//! of per-row ids plus the attribute's [`ValueInterner`] dictionary.  Rows
+//! are addressed by a stable [`TupleId`] and read through [`TupleRef`]
+//! views; owned [`crate::Tuple`]s exist only at the construction boundary.
+//! See the crate-level docs for the full design rationale and invariants.
 
 use std::fmt;
 
@@ -13,7 +12,7 @@ use crate::codec::{self, CodecError, Dec, Enc, State};
 use crate::error::RelationError;
 use crate::intern::{SmallKey, ValueId, ValueInterner};
 use crate::schema::{AttrId, Schema};
-use crate::tuple::{Tuple, TupleRef};
+use crate::tuple::TupleRef;
 use crate::value::Value;
 use crate::Result;
 
@@ -24,45 +23,12 @@ use crate::Result;
 /// machinery remains valid for the lifetime of the table.
 pub type TupleId = usize;
 
-/// One attribute's storage: per-row ids, the dictionary, and per-id counts.
+/// One attribute's storage: per-row ids and the dictionary.  The
+/// dictionary is append-only, so it may hold values no row holds any more.
 #[derive(Debug, Clone, Default)]
 struct Column {
     ids: Vec<ValueId>,
     dict: ValueInterner,
-    /// Occurrences of each id in `ids` (indexed by `ValueId::index`).  The
-    /// dictionary is append-only, so a count can drop to zero while the
-    /// dictionary entry remains.
-    counts: Vec<u32>,
-}
-
-impl Column {
-    fn intern(&mut self, value: Value) -> ValueId {
-        let id = self.dict.intern(value);
-        if id.index() == self.counts.len() {
-            self.counts.push(0);
-        }
-        id
-    }
-
-    fn intern_ref(&mut self, value: &Value) -> ValueId {
-        let id = self.dict.intern_ref(value);
-        if id.index() == self.counts.len() {
-            self.counts.push(0);
-        }
-        id
-    }
-
-    fn push(&mut self, id: ValueId) {
-        self.counts[id.index()] += 1;
-        self.ids.push(id);
-    }
-
-    fn set(&mut self, row: TupleId, id: ValueId) -> ValueId {
-        let old = std::mem::replace(&mut self.ids[row], id);
-        self.counts[old.index()] -= 1;
-        self.counts[id.index()] += 1;
-        old
-    }
 }
 
 /// An in-memory relation instance with interned, columnar storage.
@@ -99,7 +65,6 @@ impl Table {
             .map(|_| Column {
                 ids: Vec::with_capacity(capacity),
                 dict: ValueInterner::new(),
-                counts: Vec::new(),
             })
             .collect();
         Table {
@@ -147,16 +112,11 @@ impl Table {
         }
         let id = self.rows;
         for (column, value) in self.columns.iter_mut().zip(values) {
-            let vid = column.intern(value);
-            column.push(vid);
+            let vid = column.dict.intern(value);
+            column.ids.push(vid);
         }
         self.rows += 1;
         Ok(id)
-    }
-
-    /// Appends an already constructed tuple, validating arity.
-    pub fn push_tuple(&mut self, tuple: Tuple) -> Result<TupleId> {
-        self.push_row(tuple.into_values())
     }
 
     /// Appends a row of text fields (empty fields become `Null`).
@@ -171,20 +131,10 @@ impl Table {
     /// Returns a borrowed view of the tuple with the given id.
     ///
     /// # Panics
-    /// Panics when the id is out of bounds; use [`Table::try_tuple`] for a
-    /// fallible variant.
+    /// Panics when the id is out of bounds.
     pub fn tuple(&self, id: TupleId) -> TupleRef<'_> {
         assert!(id < self.len(), "unknown tuple id {id}");
         TupleRef::new(self, id)
-    }
-
-    /// Fallible tuple lookup.
-    pub fn try_tuple(&self, id: TupleId) -> Result<TupleRef<'_>> {
-        if id < self.len() {
-            Ok(TupleRef::new(self, id))
-        } else {
-            Err(RelationError::UnknownTuple { tuple: id })
-        }
     }
 
     /// Returns a single cell value (decoded through the dictionary).
@@ -229,8 +179,8 @@ impl Table {
             });
         }
         let column = &mut self.columns[attr];
-        let vid = column.intern(value);
-        let old = column.set(id, vid);
+        let vid = column.dict.intern(value);
+        let old = std::mem::replace(&mut column.ids[id], vid);
         Ok(column.dict.value(old).clone())
     }
 
@@ -242,19 +192,19 @@ impl Table {
     /// `attr` (debug builds), or when `id`/`attr` are out of bounds.
     pub fn set_cell_id(&mut self, id: TupleId, attr: AttrId, new: ValueId) -> ValueId {
         debug_assert!(new.index() < self.columns[attr].dict.len());
-        self.columns[attr].set(id, new)
+        std::mem::replace(&mut self.columns[attr].ids[id], new)
     }
 
     /// Interns a value into an attribute's dictionary without touching any
     /// row, returning its id.  Used to resolve externally supplied values
     /// (candidate updates, prevented values) into id space once.
     pub fn intern_value(&mut self, attr: AttrId, value: Value) -> ValueId {
-        self.columns[attr].intern(value)
+        self.columns[attr].dict.intern(value)
     }
 
     /// [`Table::intern_value`] by reference: clones only for new values.
     pub fn intern_value_ref(&mut self, attr: AttrId, value: &Value) -> ValueId {
-        self.columns[attr].intern_ref(value)
+        self.columns[attr].dict.intern_ref(value)
     }
 
     /// Looks up the id of a value in an attribute's dictionary, without
@@ -269,29 +219,6 @@ impl Table {
     #[inline]
     pub fn id_value(&self, attr: AttrId, id: ValueId) -> &Value {
         self.columns[attr].dict.value(id)
-    }
-
-    /// Number of rows currently holding `id` in attribute `attr`.
-    #[inline]
-    pub fn id_count(&self, attr: AttrId, id: ValueId) -> usize {
-        self.columns[attr].counts[id.index()] as usize
-    }
-
-    /// The dense id column of one attribute (one id per row).
-    pub fn column_ids(&self, attr: AttrId) -> &[ValueId] {
-        &self.columns[attr].ids
-    }
-
-    /// The distinct values ever seen in an attribute, in first-occurrence
-    /// order (slot `i` decodes `ValueId` with index `i`).  May include
-    /// values whose occurrence count has dropped to zero.
-    pub fn dict_values(&self, attr: AttrId) -> &[Value] {
-        self.columns[attr].dict.values()
-    }
-
-    /// Number of distinct values ever seen in an attribute.
-    pub fn dict_len(&self, attr: AttrId) -> usize {
-        self.columns[attr].dict.len()
     }
 
     /// Projects a row onto `attrs` as an inline id key (no allocation for
@@ -328,14 +255,6 @@ impl Table {
     /// Iterates all tuple ids.
     pub fn tuple_ids(&self) -> impl Iterator<Item = TupleId> {
         0..self.len()
-    }
-
-    /// Counts the tuples whose attribute `attr` equals `value`.  O(1) via
-    /// the per-id occurrence counts.
-    pub fn count_value(&self, attr: AttrId, value: &Value) -> usize {
-        self.lookup_id(attr, value)
-            .map(|id| self.id_count(attr, id))
-            .unwrap_or(0)
     }
 
     /// Deep-copies the table under a new name.  Used to snapshot the dirty
@@ -379,9 +298,8 @@ impl Table {
 }
 
 /// The table's canonical state: name, schema, row count, then per column its
-/// dictionary and id column.  The per-id occurrence counts are derivable (a
-/// recount over the id columns) and are rebuilt on decode, which validates
-/// every id against its dictionary.
+/// dictionary and id column.  Decoding checks every id against its
+/// dictionary.
 impl State for Table {
     const MIN_BYTES: usize = codec::section_bytes("table", 2)
         + String::MIN_BYTES
@@ -424,18 +342,14 @@ impl State for Table {
         for attr in 0..names.len() {
             let dict: ValueInterner = dec.get()?;
             let ids: Vec<ValueId> = dec.fixed(rows)?;
-            let mut counts = vec![0u32; dict.len()];
-            for id in &ids {
-                let Some(count) = counts.get_mut(id.index()) else {
-                    return Err(CodecError::new(format!(
-                        "column {attr} references id {} outside its {}-entry dictionary",
-                        id.index(),
-                        dict.len()
-                    )));
-                };
-                *count += 1;
+            if let Some(id) = ids.iter().find(|id| id.index() >= dict.len()) {
+                return Err(CodecError::new(format!(
+                    "column {attr} references id {} outside its {}-entry dictionary",
+                    id.index(),
+                    dict.len()
+                )));
             }
-            columns.push(Column { ids, dict, counts });
+            columns.push(Column { ids, dict });
         }
         Ok(Table {
             name,
@@ -508,9 +422,7 @@ mod tests {
                 expected: 2
             }
         ));
-        let err = table
-            .push_tuple(Tuple::new(vec![Value::Null; 3]))
-            .unwrap_err();
+        let err = table.push_row(vec![Value::Null; 3]).unwrap_err();
         assert!(matches!(
             err,
             RelationError::ArityMismatch {
@@ -547,14 +459,6 @@ mod tests {
         assert!(table.try_cell(0, 0).is_ok());
         assert!(table.try_cell(10, 0).is_err());
         assert!(table.try_cell(0, 10).is_err());
-        assert!(table.try_tuple(10).is_err());
-    }
-
-    #[test]
-    fn count_and_select() {
-        let table = small_table();
-        assert_eq!(table.count_value(0, &Value::from("Westville")), 2);
-        assert_eq!(table.count_value(0, &Value::from("Nowhere")), 0);
     }
 
     #[test]
@@ -613,7 +517,7 @@ mod tests {
         let old = table.set_cell_id(0, 0, westville);
         assert_eq!(table.id_value(0, old), &Value::from("Michigan City"));
         assert_eq!(table.cell(0, 0), &Value::from("Westville"));
-        assert_eq!(table.id_count(0, westville), 3);
+        assert!((0..3).all(|row| table.cell_id(row, 0) == westville));
     }
 
     #[test]
@@ -652,14 +556,8 @@ mod tests {
         dec.finish().unwrap();
         assert_eq!(restored, table);
         assert_eq!(restored.dict_generation(), table.dict_generation());
-        for attr in table.schema().attr_ids() {
-            assert_eq!(restored.column_ids(attr), table.column_ids(attr));
-            assert_eq!(restored.dict_values(attr), table.dict_values(attr));
-            for i in 0..restored.dict_len(attr) {
-                let id = ValueId::from_index(i);
-                assert_eq!(restored.id_count(attr, id), table.id_count(attr, id));
-            }
-        }
+        // Ids and dictionaries, dead entries included, survive unchanged.
+        assert_eq!(crate::codec::encode_to_vec(&restored), bytes);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! With columnar storage there is no materialised row inside a
 //! [`crate::Table`]; reads go through the lightweight [`TupleRef`] view
 //! (a `(table, row)` pair) that decodes values on demand and exposes the
-//! interned ids for hot paths.  The owned [`Tuple`] remains the type rows
-//! are *built* from (`push_row` / `push_tuple`) and is convenient for
+//! interned ids for hot paths.  The owned [`Tuple`] is convenient for
 //! table-free unit tests.  Code that must accept either implements over the
 //! [`Row`] trait.
 
@@ -60,12 +59,6 @@ impl Tuple {
     /// All values, in schema order.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Consumes the tuple, yielding its values (used when a table interns a
-    /// pushed tuple).
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 
     /// Projects the tuple onto the given attributes, cloning the values.

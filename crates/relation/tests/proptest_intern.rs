@@ -73,21 +73,6 @@ proptest! {
                 prop_assert_eq!(table.lookup_id(attr, table.cell(id, attr)), Some(vid));
             }
         }
-        // Occurrence counts sum to the row count per attribute.
-        for attr in table.schema().attr_ids() {
-            let total: usize = (0..table.dict_len(attr))
-                .map(|slot| table.id_count(attr, ValueId::from_index(slot)))
-                .sum();
-            prop_assert_eq!(total, table.len());
-            // count_value agrees with a scan for every dictionary value.
-            for value in table.dict_values(attr) {
-                let scanned = table
-                    .tuple_ids()
-                    .filter(|&id| table.cell(id, attr) == value)
-                    .count();
-                prop_assert_eq!(table.count_value(attr, value), scanned);
-            }
-        }
     }
 
     /// Project keys equal exactly when the projected values equal, for both

@@ -25,23 +25,22 @@ use std::collections::BTreeSet;
 use gdr_relation::TupleId;
 
 use crate::state::{FeedbackOutcome, RepairState};
-use crate::update::{AppliedChange, Cell, ChangeSource, Feedback, Update};
+use crate::update::{Cell, Feedback, Update};
 use crate::Result;
 
 impl RepairState {
     /// Applies feedback on a suggested update, running the consistency
-    /// manager.  Returns the changes written to the database and the cells
+    /// manager.  Returns the cells written to the database and the cells
     /// whose suggestions were regenerated.
     pub fn apply_feedback(
         &mut self,
         update: &Update,
         feedback: Feedback,
-        source: ChangeSource,
     ) -> Result<FeedbackOutcome> {
         match feedback {
             Feedback::Retain => Ok(self.apply_retain(update)),
             Feedback::Reject => Ok(self.apply_reject(update)),
-            Feedback::Confirm => self.apply_confirm(update, source),
+            Feedback::Confirm => self.apply_confirm(update),
         }
     }
 
@@ -54,7 +53,7 @@ impl RepairState {
         value: gdr_relation::Value,
     ) -> Result<FeedbackOutcome> {
         let update = Update::new(tuple, attr, value, 1.0);
-        self.apply_confirm(&update, ChangeSource::UserConfirmed)
+        self.apply_confirm(&update)
     }
 
     /// Step 1: retain the current value.
@@ -76,9 +75,9 @@ impl RepairState {
     }
 
     /// Steps 3–6: the suggested value is correct; apply it and propagate.
-    fn apply_confirm(&mut self, update: &Update, source: ChangeSource) -> Result<FeedbackOutcome> {
+    fn apply_confirm(&mut self, update: &Update) -> Result<FeedbackOutcome> {
         let cell = update.cell();
-        let mut applied: Vec<AppliedChange> = Vec::new();
+        let mut applied: Vec<Cell> = vec![cell];
 
         // Record, per rule involving the modified attribute, the tuples that
         // conflict with `t` *before* the change; their suggestions were
@@ -104,15 +103,6 @@ impl RepairState {
             update.attr,
             update.value.clone(),
         )?;
-        let change = AppliedChange {
-            tuple: update.tuple,
-            attr: update.attr,
-            old: self.table.id_value(update.attr, old_id).clone(),
-            new: update.value.clone(),
-            source,
-        };
-        self.applied_log.push(change.clone());
-        applied.push(change);
         self.note_cell_change(update.tuple, update.attr, old_id);
         self.mark_unchangeable(cell);
 
@@ -147,13 +137,8 @@ impl RepairState {
                     if self.is_changeable(rhs_cell)
                         && self.table.cell(update.tuple, rule.rhs()) != &constant
                     {
-                        let forced = self.force_value(
-                            update.tuple,
-                            rule.rhs(),
-                            constant,
-                            ChangeSource::CascadeForced,
-                        )?;
-                        applied.push(forced);
+                        self.force_value(update.tuple, rule.rhs(), constant)?;
+                        applied.push(rhs_cell);
                         self.mark_unchangeable(rhs_cell);
                     }
                 } else {
@@ -237,11 +222,8 @@ STR, CT -> ZIP : _, Fort Wayne || _
     fn confirm_applies_value_and_freezes_cell() {
         let mut state = state_with_rows(&[["H2", "Main St", "Michigan Cty", "IN", "46360"]]);
         let update = state.pending_update((0, 2)).unwrap().clone();
-        let outcome = state
-            .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
-            .unwrap();
-        assert_eq!(outcome.applied.len(), 1);
-        assert_eq!(outcome.applied[0].old, Value::from("Michigan Cty"));
+        let outcome = state.apply_feedback(&update, Feedback::Confirm).unwrap();
+        assert_eq!(outcome.applied, vec![(0, 2)]);
         assert_eq!(state.table().cell(0, 2), &Value::from("Michigan City"));
         assert!(!state.is_changeable((0, 2)));
         assert!(state.dirty_tuples().is_empty());
@@ -257,9 +239,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         // Suggestion for the ZIP cell is 46391 (scenario 3, from t1).
         let update = state.pending_update((0, 4)).unwrap().clone();
         assert_eq!(update.value, Value::from("46391"));
-        state
-            .apply_feedback(&update, Feedback::Reject, ChangeSource::UserConfirmed)
-            .unwrap();
+        state.apply_feedback(&update, Feedback::Reject).unwrap();
         assert!(state.is_prevented((0, 4), &Value::from("46391")));
         // A replacement was generated and differs from the rejected one.
         if let Some(next) = state.pending_update((0, 4)) {
@@ -272,9 +252,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
     fn retain_freezes_cell_without_changes() {
         let mut state = state_with_rows(&[["H2", "Main St", "Westville", "IN", "46360"]]);
         let update = state.pending_update((0, 2)).unwrap().clone();
-        let outcome = state
-            .apply_feedback(&update, Feedback::Retain, ChangeSource::UserConfirmed)
-            .unwrap();
+        let outcome = state.apply_feedback(&update, Feedback::Retain).unwrap();
         assert!(outcome.applied.is_empty());
         assert_eq!(state.table().cell(0, 2), &Value::from("Westville"));
         assert!(!state.is_changeable((0, 2)));
@@ -290,16 +268,9 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let mut state = state_with_rows(&[["H2", "Main St", "FT Wayne", "IN", "46391"]]);
         // Confirm ZIP := 46360 (a user-supplied correction).
         let outcome = state.apply_user_value(0, 4, Value::from("46360")).unwrap();
-        // The confirmed zip plus the forced city repair were both applied.
-        assert!(outcome
-            .applied
-            .iter()
-            .any(|c| c.new == Value::from("46360") && c.source == ChangeSource::UserConfirmed));
-        assert!(outcome
-            .applied
-            .iter()
-            .any(|c| c.new == Value::from("Michigan City")
-                && c.source == ChangeSource::CascadeForced));
+        // The confirmed zip, then the forced city repair.
+        assert_eq!(outcome.applied, vec![(0, 4), (0, 2)]);
+        assert_eq!(state.table().cell(0, 4), &Value::from("46360"));
         assert_eq!(state.table().cell(0, 2), &Value::from("Michigan City"));
         assert!(!state.is_changeable((0, 2)));
         assert!(state.dirty_tuples().is_empty());
@@ -315,9 +286,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         // Confirm t1's ZIP := 46825 (the partner's value).
         let update = state.pending_update((1, 4)).unwrap().clone();
         assert_eq!(update.value, Value::from("46825"));
-        let outcome = state
-            .apply_feedback(&update, Feedback::Confirm, ChangeSource::LearnerApplied)
-            .unwrap();
+        let outcome = state.apply_feedback(&update, Feedback::Confirm).unwrap();
         assert_eq!(state.table().cell(1, 4), &Value::from("46825"));
         assert!(state.dirty_tuples().is_empty());
         // The partner's cells were revisited (its stale suggestion dropped).
@@ -337,19 +306,13 @@ STR, CT -> ZIP : _, Fort Wayne || _
         // The tuple violates (46391 → Westville).  Confirm ZIP := 46825.
         let zip_update = Update::new(0, 4, Value::from("46825"), 0.6);
         let outcome = state
-            .apply_feedback(&zip_update, Feedback::Confirm, ChangeSource::UserConfirmed)
+            .apply_feedback(&zip_update, Feedback::Confirm)
             .unwrap();
         // The tuple now falls in the (46825 → Fort Wayne) context; because
         // its only LHS cell (the just-confirmed ZIP) is frozen, step 3(a)i
         // forces the constant RHS "Fort Wayne" — consistent with the *new*
         // context, not the old Westville one.
-        assert!(
-            outcome
-                .applied
-                .iter()
-                .any(|c| c.new == Value::from("Fort Wayne")
-                    && c.source == ChangeSource::CascadeForced)
-        );
+        assert_eq!(outcome.applied, vec![(0, 4), (0, 2)]);
         assert_eq!(state.table().cell(0, 2), &Value::from("Fort Wayne"));
         assert!(state.dirty_tuples().is_empty());
         assert!(state.invariants_hold());
@@ -382,9 +345,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
             } else {
                 Feedback::Reject
             };
-            state
-                .apply_feedback(&update, feedback, ChangeSource::UserConfirmed)
-                .unwrap();
+            state.apply_feedback(&update, feedback).unwrap();
             state.refresh_updates();
         }
         assert!(state.dirty_tuples().is_empty());
@@ -394,19 +355,5 @@ STR, CT -> ZIP : _, Fort Wayne || _
             }
         }
         assert!(state.invariants_hold());
-    }
-
-    #[test]
-    fn applied_log_records_every_change_in_order() {
-        let mut state = state_with_rows(&[["H2", "Main St", "Michigan Cty", "IN", "46360"]]);
-        let update = state.pending_update((0, 2)).unwrap().clone();
-        state
-            .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
-            .unwrap();
-        let log = state.applied_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].source, ChangeSource::UserConfirmed);
-        assert_eq!(log[0].tuple, 0);
-        assert_eq!(log[0].attr, 2);
     }
 }

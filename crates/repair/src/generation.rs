@@ -447,7 +447,7 @@ impl RepairState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::{ChangeSource, Feedback};
+    use crate::update::Feedback;
     use gdr_cfd::{parser, RuleSet};
     use gdr_relation::{Schema, Table, Value};
 
@@ -569,7 +569,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         assert!(state.pending_count() > 0);
         // Repair the tuple out-of-band, then refresh.
         state
-            .force_value(0, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
+            .force_value(0, 2, Value::from("Michigan City"))
             .unwrap();
         state.refresh_updates();
         assert_eq!(state.pending_count(), 0);
@@ -584,9 +584,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         ]);
         assert_eq!(state.pending_count(), 0);
         // An out-of-band change makes t0 dirty (wrong city for 46360).
-        state
-            .force_value(0, 2, Value::from("Fort Wayne"), ChangeSource::Heuristic)
-            .unwrap();
+        state.force_value(0, 2, Value::from("Fort Wayne")).unwrap();
         state.refresh_updates();
         assert!(state.pending_count() > 0);
         assert!(state.pending_update((0, 2)).is_some());
@@ -603,9 +601,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         assert!(state.revisit_queue.is_empty());
         // A write queues the damage fan-out: at least the written tuple's own
         // cells and its conflict partner's.
-        state
-            .force_value(2, 4, Value::from("46825"), ChangeSource::Heuristic)
-            .unwrap();
+        state.force_value(2, 4, Value::from("46825")).unwrap();
         assert!(state.revisit_queue.iter().any(|&(t, _)| t == 2));
         assert!(state.revisit_queue.iter().any(|&(t, _)| t == 1));
         let mut oracle = state.clone();
@@ -627,9 +623,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
             let Some(update) = state.pending_update((0, 2)).cloned() else {
                 break;
             };
-            state
-                .apply_feedback(&update, Feedback::Reject, ChangeSource::UserConfirmed)
-                .unwrap();
+            state.apply_feedback(&update, Feedback::Reject).unwrap();
         }
         // Eventually the generator runs out of admissible values for the cell.
         assert!(state.pending_update((0, 2)).is_none());

@@ -16,7 +16,7 @@
 use gdr_relation::TupleId;
 
 use crate::state::RepairState;
-use crate::update::{ChangeSource, Update};
+use crate::update::Update;
 use crate::Result;
 
 /// Tuning knobs for the automatic heuristic.
@@ -79,12 +79,7 @@ pub fn run_heuristic_repair(
             if update.score < config.min_score {
                 continue;
             }
-            state.force_value(
-                update.tuple,
-                update.attr,
-                update.value.clone(),
-                ChangeSource::Heuristic,
-            )?;
+            state.force_value(update.tuple, update.attr, update.value)?;
             repairs_applied += 1;
             progressed = true;
         }

@@ -65,7 +65,7 @@
 //! ```
 //! use gdr_relation::{Schema, Table, Value};
 //! use gdr_cfd::{parser, RuleSet};
-//! use gdr_repair::{Feedback, RepairState, ChangeSource};
+//! use gdr_repair::{Feedback, RepairState};
 //!
 //! let schema = Schema::new(&["CT", "ZIP"]);
 //! let mut table = Table::new("addr", schema.clone());
@@ -76,7 +76,7 @@
 //! let mut state = RepairState::new(table, &rules);
 //! let update = state.possible_updates().next().unwrap().clone();
 //! assert_eq!(update.value, Value::from("Michigan City"));
-//! state.apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed).unwrap();
+//! state.apply_feedback(&update, Feedback::Confirm).unwrap();
 //! assert!(state.dirty_tuples().is_empty());
 //! ```
 
@@ -94,7 +94,7 @@ pub mod update;
 pub use heuristic::{run_heuristic_repair, HeuristicConfig, HeuristicReport};
 pub use similarity::{edit_distance, string_similarity, value_similarity};
 pub use state::{FeedbackOutcome, RepairState};
-pub use update::{AppliedChange, Cell, ChangeSource, Feedback, Update};
+pub use update::{Cell, Feedback, Update};
 
 /// Result alias re-using the CFD error type (repairs are driven by rules).
 pub type Result<T> = std::result::Result<T, gdr_cfd::CfdError>;

@@ -8,15 +8,15 @@ use gdr_relation::codec::{self, Dec, Enc, State};
 use gdr_relation::{AttrId, Table, TupleId, Value, ValueId};
 
 use crate::index_pool::AttrIndexPool;
-use crate::update::{AppliedChange, Cell, ChangeSource, Update};
+use crate::update::{Cell, Update};
 use crate::Result;
 
 /// Outcome of applying one piece of feedback through the consistency manager.
 #[derive(Debug, Clone, Default)]
 pub struct FeedbackOutcome {
-    /// Cell changes actually written to the database (the confirmed update
+    /// Cells written to the database, in write order (the confirmed update
     /// itself plus any cascade repairs forced by step 3(a)i of Appendix A.5).
-    pub applied: Vec<AppliedChange>,
+    pub applied: Vec<Cell>,
     /// Cells whose candidate updates were discarded and regenerated because
     /// they depended on modified data (the `RevisitList` of Appendix A.5).
     pub revisited: Vec<Cell>,
@@ -27,7 +27,9 @@ pub struct FeedbackOutcome {
 ///
 /// `RepairState` owns the [`Table`] so that every mutation is forced through
 /// the consistency manager and the incremental violation engine stays in sync
-/// with the data.
+/// with the data.  It keeps no history of writes: each [`FeedbackOutcome`]
+/// names the cells its feedback wrote, and a session's journal of answers
+/// is the record of how the data got here.
 #[derive(Debug, Clone)]
 pub struct RepairState {
     pub(crate) table: Table,
@@ -40,8 +42,6 @@ pub struct RepairState {
     pub(crate) prevented: HashMap<Cell, HashSet<ValueId>>,
     /// Cells confirmed to be correct (`⟨t, B⟩.Changeable = false`).
     pub(crate) unchangeable: HashSet<Cell>,
-    /// Every change applied to the database, in order.
-    pub(crate) applied_log: Vec<AppliedChange>,
     /// The net suggestion delta since the ranker last synced: for each cell
     /// whose suggestion changed, the suggestion it held at that sync.
     /// Drained by [`RepairState::take_suggestion_delta`]; not checkpointed.
@@ -70,7 +70,6 @@ impl RepairState {
             possible: HashMap::new(),
             prevented: HashMap::new(),
             unchangeable: HashSet::new(),
-            applied_log: Vec::new(),
             suggestion_delta: BTreeMap::new(),
             pool,
             revisit_queue: BTreeSet::new(),
@@ -146,11 +145,6 @@ impl RepairState {
             .get(&cell)
             .map(|set| set.contains(&id))
             .unwrap_or(false)
-    }
-
-    /// Every change applied to the database so far, in application order.
-    pub fn applied_log(&self) -> &[AppliedChange] {
-        &self.applied_log
     }
 
     /// Total violation count of the current instance (`vio(D, Σ)`).
@@ -335,29 +329,15 @@ impl RepairState {
     }
 
     /// Applies a cell change directly (bypassing feedback semantics), keeping
-    /// the engine in sync and logging the change.  Used by the automatic
-    /// heuristic baseline and by cascade repairs.
-    pub fn force_value(
-        &mut self,
-        tuple: TupleId,
-        attr: AttrId,
-        value: Value,
-        source: ChangeSource,
-    ) -> Result<AppliedChange> {
+    /// the engine in sync.  Used by the automatic heuristic baseline and by
+    /// cascade repairs.
+    pub fn force_value(&mut self, tuple: TupleId, attr: AttrId, value: Value) -> Result<()> {
         let old_id = self
             .engine
-            .apply_cell_change(&mut self.table, tuple, attr, value.clone())?;
-        let change = AppliedChange {
-            tuple,
-            attr,
-            old: self.table.id_value(attr, old_id).clone(),
-            new: value,
-            source,
-        };
-        self.applied_log.push(change.clone());
+            .apply_cell_change(&mut self.table, tuple, attr, value)?;
         self.note_cell_change(tuple, attr, old_id);
         self.drop_pending((tuple, attr));
-        Ok(change)
+        Ok(())
     }
 
     /// Removes the pending update for a cell, if any, noting the cell's
@@ -421,22 +401,21 @@ impl RepairState {
 /// processes.  The ranker's suggestion delta is not state: a decoded
 /// context starts with none.
 impl State for RepairState {
-    const MIN_BYTES: usize = codec::section_bytes("repair", 2) + Table::MIN_BYTES;
+    const MIN_BYTES: usize = codec::section_bytes("repair", 3) + Table::MIN_BYTES;
 
     fn encode_state(&self, enc: &mut Enc) {
-        enc.section("repair", 2);
+        enc.section("repair", 3);
         enc.put(&self.table);
         self.engine.encode_state(enc);
         enc.put(&self.possible);
         enc.put(&self.prevented);
         enc.put(&self.unchangeable);
-        enc.put(&self.applied_log);
         enc.put(&self.pool);
         enc.put(&self.revisit_queue);
     }
 
     fn decode_state(dec: &mut Dec<'_>) -> codec::Result<RepairState> {
-        dec.section("repair", 2)?;
+        dec.section("repair", 3)?;
         let table: Table = dec.get()?;
         let engine = ViolationEngine::decode_state(dec, &table)?;
         Ok(RepairState {
@@ -445,7 +424,6 @@ impl State for RepairState {
             possible: dec.get()?,
             prevented: dec.get()?,
             unchangeable: dec.get()?,
-            applied_log: dec.get()?,
             suggestion_delta: BTreeMap::new(),
             pool: dec.get()?,
             revisit_queue: dec.get()?,
@@ -503,14 +481,14 @@ mod tests {
     }
 
     #[test]
-    fn force_value_applies_and_logs() {
+    fn force_value_applies_the_write() {
         let mut state = fixture();
-        let change = state
-            .force_value(1, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
+        assert_eq!(state.table().cell(1, 2), &Value::from("Westville"));
+        state
+            .force_value(1, 2, Value::from("Michigan City"))
             .unwrap();
-        assert_eq!(change.old, Value::from("Westville"));
         assert_eq!(state.table().cell(1, 2), &Value::from("Michigan City"));
-        assert_eq!(state.applied_log().len(), 1);
+        assert!(state.pending_update((1, 2)).is_none());
         assert!(!state.dirty_tuples().contains(&1));
     }
 
@@ -555,7 +533,7 @@ mod tests {
         let old = state.pending_update((1, 2)).cloned();
         assert!(old.is_some());
         state
-            .force_value(1, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
+            .force_value(1, 2, Value::from("Michigan City"))
             .unwrap();
         assert_eq!(state.suggestion_delta().get(&(1, 2)), Some(&old));
     }
@@ -593,12 +571,10 @@ mod tests {
             let Some(update) = state.possible_updates_sorted().into_iter().next() else {
                 break;
             };
-            let outcome = state
-                .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
-                .unwrap();
+            let outcome = state.apply_feedback(&update, Feedback::Confirm).unwrap();
             let mut touched: BTreeSet<Cell> = outcome.revisited.iter().copied().collect();
             touched.insert(update.cell());
-            touched.extend(outcome.applied.iter().map(|c| (c.tuple, c.attr)));
+            touched.extend(outcome.applied.iter().copied());
             touched.extend(state.revisit_queue.iter().copied());
             state.refresh_updates();
             assert!(state.suggestion_delta().len() <= touched.len());
@@ -665,15 +641,13 @@ mod tests {
         // and prevented/unchangeable flags.  The suggestion delta left
         // untaken is not serialised.
         state
-            .force_value(1, 2, Value::from("Michigan City"), ChangeSource::Heuristic)
+            .force_value(1, 2, Value::from("Michigan City"))
             .unwrap();
         state.mark_prevented((3, 4), Value::from("46111"));
         state.mark_unchangeable((0, 0));
         state.take_suggestion_delta();
         let update = state.possible_updates_sorted().into_iter().next().unwrap();
-        state
-            .apply_feedback(&update, Feedback::Confirm, ChangeSource::UserConfirmed)
-            .unwrap();
+        state.apply_feedback(&update, Feedback::Confirm).unwrap();
 
         let bytes = encode(&state);
         let mut dec = Dec::new(&bytes);
@@ -686,7 +660,6 @@ mod tests {
             restored.possible_updates_sorted(),
             state.possible_updates_sorted()
         );
-        assert_eq!(restored.applied_log(), state.applied_log());
         assert!(!state.suggestion_delta().is_empty());
         assert!(restored.suggestion_delta().is_empty());
 
@@ -694,8 +667,7 @@ mod tests {
         for s in [&mut state, &mut restored] {
             s.refresh_updates();
             if let Some(u) = s.possible_updates_sorted().into_iter().next() {
-                s.apply_feedback(&u, Feedback::Reject, ChangeSource::UserConfirmed)
-                    .unwrap();
+                s.apply_feedback(&u, Feedback::Reject).unwrap();
                 s.refresh_updates();
             }
         }

@@ -160,46 +160,6 @@ impl fmt::Display for Feedback {
     }
 }
 
-/// Provenance of a cell change applied to the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangeSource {
-    /// Directly confirmed by the user.
-    UserConfirmed,
-    /// Predicted as correct by the learning component and applied
-    /// automatically.
-    LearnerApplied,
-    /// Forced by the consistency manager (step 3(a)i of Appendix A.5): all
-    /// LHS attributes were confirmed correct, so the constant RHS had to be
-    /// applied.
-    CascadeForced,
-    /// Applied by the automatic heuristic baseline (no user involvement).
-    Heuristic,
-}
-
-gdr_relation::state_enum! { ChangeSource, "change-source" {
-    0 => UserConfirmed,
-    1 => LearnerApplied,
-    2 => CascadeForced,
-    3 => Heuristic,
-} }
-
-/// A cell change that has actually been applied to the database.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppliedChange {
-    /// The modified tuple.
-    pub tuple: TupleId,
-    /// The modified attribute.
-    pub attr: AttrId,
-    /// The value before the change.
-    pub old: Value,
-    /// The value after the change.
-    pub new: Value,
-    /// Who decided the change.
-    pub source: ChangeSource,
-}
-
-gdr_relation::state_record! { AppliedChange { tuple, attr, old, new, source } }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,18 +219,5 @@ mod tests {
         assert_eq!(Feedback::Confirm.to_string(), "confirm");
         assert_eq!(Feedback::Reject.to_string(), "reject");
         assert_eq!(Feedback::Retain.to_string(), "retain");
-    }
-
-    #[test]
-    fn applied_change_records_provenance() {
-        let change = AppliedChange {
-            tuple: 1,
-            attr: 2,
-            old: Value::from("a"),
-            new: Value::from("b"),
-            source: ChangeSource::CascadeForced,
-        };
-        assert_eq!(change.source, ChangeSource::CascadeForced);
-        assert_ne!(change.old, change.new);
     }
 }

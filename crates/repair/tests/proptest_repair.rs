@@ -1,11 +1,11 @@
 //! Property-based tests for the repair substrate: arbitrary feedback
-//! sequences must preserve the consistency-manager invariants, and an oracle
-//! that answers from the ground truth must always drive the database to a
-//! consistent state.
+//! sequences must preserve the consistency-manager invariants and report
+//! exactly the cells they wrote, and an oracle that answers from the ground
+//! truth must always drive the database to a consistent state.
 
 use gdr_cfd::{parser, RuleSet};
 use gdr_relation::{Schema, Table, Value};
-use gdr_repair::{ChangeSource, Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -26,6 +26,9 @@ STR, CT -> ZIP : _, Fort Wayne || _
         .unwrap(),
     )
 }
+
+/// The `ZIP` attribute, the left-hand side of the constant rules.
+const ZIP: usize = 4;
 
 /// Clean rows consistent with the rules.
 const CLEAN_ROWS: &[[&str; 5]] = &[
@@ -72,11 +75,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary (even adversarial) feedback sequences keep the invariants:
-    /// the engine matches a rebuild and no pending update is vacuous.
+    /// the engine matches a rebuild and no pending update is vacuous.  Some
+    /// answers instead supply a zip for the suggestion's tuple, moving it to
+    /// a constant context whose right-hand sides step 3(a)i may force.
     #[test]
     fn random_feedback_preserves_invariants(
         corruptions in proptest::collection::vec((0usize..7, 0usize..5, 0usize..4), 0..6),
-        feedback_picks in proptest::collection::vec((0usize..64, 0usize..3), 0..20),
+        feedback_picks in proptest::collection::vec((0usize..64, 0usize..4), 0..20),
     ) {
         let (mut state, _) = dirty_state(&corruptions);
         for (pick, fb) in feedback_picks {
@@ -85,12 +90,25 @@ proptest! {
                 break;
             }
             let update = updates[pick % updates.len()].clone();
-            let feedback = match fb {
-                0 => Feedback::Confirm,
-                1 => Feedback::Reject,
-                _ => Feedback::Retain,
+            let before = state.table().clone();
+            let outcome = match fb {
+                0 => state.apply_feedback(&update, Feedback::Confirm),
+                1 => state.apply_feedback(&update, Feedback::Reject),
+                2 => state.apply_feedback(&update, Feedback::Retain),
+                _ => {
+                    let zip = Value::from(["46360", "46391", "46825"][pick % 3]);
+                    let cell = (update.tuple, ZIP);
+                    if !state.is_changeable(cell) || before.cell(cell.0, cell.1) == &zip {
+                        continue;
+                    }
+                    state.apply_user_value(cell.0, cell.1, zip)
+                }
             };
-            state.apply_feedback(&update, feedback, ChangeSource::UserConfirmed).unwrap();
+            // The outcome names exactly the cells the verb wrote (in write
+            // order, so sort before comparing).
+            let mut written = outcome.unwrap().applied;
+            written.sort_unstable();
+            prop_assert_eq!(written, before.diff_cells(state.table()).unwrap());
             prop_assert!(state.invariants_hold());
         }
         state.refresh_updates();
@@ -121,7 +139,12 @@ proptest! {
             } else {
                 Feedback::Reject
             };
-            state.apply_feedback(&update, feedback, ChangeSource::UserConfirmed).unwrap();
+            let before = state.table().clone();
+            let mut written = state.apply_feedback(&update, feedback).unwrap().applied;
+            // The outcome names exactly the cells the verb wrote (in write
+            // order, so sort before comparing).
+            written.sort_unstable();
+            prop_assert_eq!(written, before.diff_cells(state.table()).unwrap());
         }
         // Every remaining dirty tuple has no admissible suggestion left; with
         // this rule set and corruption model the database must be consistent.

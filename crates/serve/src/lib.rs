@@ -197,7 +197,11 @@
 //!   watermark).  A session whose spec record holds an older section fails
 //!   to recover with a typed `journal` error ([`store::StoreError::Gdr`])
 //!   naming it, e.g. ``section `table` has version 1``, and every other
-//!   session keeps serving.
+//!   session keeps serving.  The checkpoint's `repair` section is at v3
+//!   (no log of applied writes); a checkpoint holding `repair` v2 is
+//!   refused like any damaged one: it is deleted, counted in
+//!   [`journal::RecoveryReport::snapshots_skipped`], and the session
+//!   recovers by replaying its journal from the spec record.
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (the
 //!   default) fsyncs each record before its verb replies, so every
 //!   acknowledged verb is on stable storage; `Never` (tests, benches)

@@ -6,8 +6,8 @@
 //! stream:
 //!
 //! 1. a process **kill or torn write at every byte boundary** — produced by
-//!    [`gdr_serve::journal::fault::FaultyWriter`] — must recover exactly the
-//!    record prefix that reached disk, truncating the rest;
+//!    [`fault::FaultyWriter`] — must recover exactly the record prefix
+//!    that reached disk, truncating the rest;
 //! 2. rehydrating from **every record boundary** must be bit-identical to an
 //!    in-memory replay of that prefix, and driving the recovered session to
 //!    completion must land on the exact same final state as the
@@ -19,6 +19,8 @@
 //!    on-disk repair is idempotent.
 
 mod common;
+#[path = "common/fault.rs"]
+mod fault;
 
 use std::fs;
 use std::io::Write;
@@ -26,9 +28,9 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use common::{drive_one, figure1_spec, fingerprint, record_ends, TempDir};
+use fault::{FaultMode, FaultyWriter};
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy as GdrStrategy;
-use gdr_serve::journal::fault::{FaultMode, FaultyWriter};
 use gdr_serve::journal::{DiskJournal, FsyncPolicy, JournalConfig};
 use gdr_serve::store::{Session, SessionJournal, SessionOptions, TranscriptEvent};
 use proptest::prelude::*;

@@ -143,8 +143,8 @@ fn a_learning_figure1_session_keeps_its_pinned_state() {
     assert_eq!(
         (pin(&session.team().state_bytes()), fnv1a64(&visited)),
         (
-            (3_025, 11_729_584_009_251_128_089),
-            10_141_849_705_149_130_275
+            (2_872, 6_350_136_053_719_018_142),
+            1_062_978_894_090_767_032
         )
     );
 }
@@ -210,8 +210,8 @@ fn a_majority_team_run_keeps_its_pinned_states() {
     assert_eq!(
         scripted_team_run(ConflictPolicy::Majority { k: 2 }),
         (
-            (1_617, 6_005_814_749_442_644_111),
-            2_917_124_594_558_764_767
+            (1_434, 11_092_411_521_105_438_012),
+            17_609_014_262_320_647_755
         )
     );
 }
@@ -221,8 +221,8 @@ fn an_escalating_team_run_keeps_its_pinned_states() {
     assert_eq!(
         scripted_team_run(ConflictPolicy::EscalateToNeedsValue),
         (
-            (1_604, 17_776_991_792_351_625_522),
-            1_147_489_855_656_952_129
+            (1_451, 13_514_730_370_145_621_969),
+            5_296_474_753_033_989_709
         )
     );
 }
@@ -272,5 +272,5 @@ fn a_1k_row_team_checkpoint_keeps_its_pinned_bytes() {
         }
     }
     let bytes = fs::read(&checkpoint).expect("checkpoint");
-    assert_eq!(pin(&bytes), (51_717, 12_394_517_108_859_192_805));
+    assert_eq!(pin(&bytes), (51_413, 12_744_765_863_045_091_619));
 }
