@@ -24,13 +24,22 @@ The match is by name, not by path, so a function that shares its name with
 anything used elsewhere, a call inside its own body included, is never
 reported: the list can miss dead functions, but each one it names has no
 caller outside tests except through other listed functions.  A file whose
-brackets do not balance counts every occurrence in it as a use.  The
-script only reports; it always exits 0.
+brackets do not balance counts every occurrence in it as a use.
+
+The proptest oracles in ``ALLOWED`` are expected on the list: tests compare
+the incremental code against them, and no other code calls them.  The
+script exits 1 when the list holds any other function, so a `pub fn` that
+loses its last non-test caller fails CI until it is deleted or made private.
 """
 
 import argparse
 import pathlib
 import re
+import sys
+
+# Proptest oracles: from-scratch versions of incremental state that only
+# tests call.
+ALLOWED = {"vio_tuple", "agrees_with_rebuild", "invariants_hold", "loss_of_table"}
 
 DEFINITION = re.compile(r"^\s*pub\s+(?:const\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 TOKEN = re.compile(
@@ -151,8 +160,13 @@ def main():
     reported = [d for d in definitions if d[2] in dead]
     for path, number, name in reported:
         note = f" (called only from {', '.join(dead[name])})" if dead[name] else ""
-        print(f"{path.relative_to(root)}:{number}: {name}{note}")
+        allowed = " [allowed oracle]" if name in ALLOWED else ""
+        print(f"{path.relative_to(root)}:{number}: {name}{note}{allowed}")
     print(f"{len(reported)} pub fn with no non-test caller")
+    unexpected = sorted({name for _, _, name in reported} - ALLOWED)
+    if unexpected:
+        print(f"not allowed: {', '.join(unexpected)}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

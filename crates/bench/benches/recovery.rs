@@ -10,8 +10,9 @@
 //! * `live_rehydrate/full` — [`Session::restore`]: the in-memory journal
 //!   replays onto a fresh engine (the `restore` verb / compaction
 //!   validation path).
-//! * `cold_restore/full` — [`Session::rehydrate`]: segments are read back
-//!   from disk, decoded, and replayed (the crash-recovery path).
+//! * `cold_restore/full` — [`Session::rehydrate`]: the session's one event
+//!   log is read back from disk, decoded, and replayed (the crash-recovery
+//!   path).
 //! * `cold_restore/checkpointed` — the same recovery after one
 //!   [`Session::compact`] persisted a `snap-NNNNNN.gdrs` checkpoint:
 //!   rehydrate decodes the serialised session and replays only the journal
@@ -71,7 +72,6 @@ fn journal_config() -> JournalConfig {
     JournalConfig {
         // Never fsync: this bench times replay, not the disk controller.
         fsync: FsyncPolicy::Never,
-        segment_max_bytes: 64 * 1024,
         // No auto-compaction: every rebuild replays the full transcript.
         // The one explicit compaction validates by replay, outside the
         // timed loops.
@@ -184,7 +184,7 @@ fn main() {
         .collect();
     drop(live);
 
-    // Cold restore: read the segments back from disk and replay.
+    // Cold restore: read the log back from disk and replay.
     let cold_samples: Vec<f64> = (0..REPS)
         .map(|_| {
             let start = Instant::now();

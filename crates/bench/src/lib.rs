@@ -43,14 +43,6 @@ impl DatasetId {
             _ => None,
         }
     }
-
-    /// Display label used in CSV output.
-    pub fn label(self) -> &'static str {
-        match self {
-            DatasetId::Dataset1 => "Dataset1",
-            DatasetId::Dataset2 => "Dataset2",
-        }
-    }
 }
 
 /// Generates the requested dataset at a given size (seeded, deterministic).
@@ -115,11 +107,6 @@ impl Figure {
             }
         }
         out
-    }
-
-    /// The series with a given label, if present.
-    pub fn series_named(&self, label: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label == label)
     }
 }
 
@@ -304,7 +291,6 @@ mod tests {
         assert_eq!(DatasetId::parse("1"), Some(DatasetId::Dataset1));
         assert_eq!(DatasetId::parse(" 2 "), Some(DatasetId::Dataset2));
         assert_eq!(DatasetId::parse("3"), None);
-        assert_eq!(DatasetId::Dataset1.label(), "Dataset1");
     }
 
     #[test]
@@ -321,8 +307,6 @@ mod tests {
         let csv = figure.to_csv();
         assert!(csv.starts_with("figure,series,x,y\n"));
         assert!(csv.contains("Test,S,1.00,2.0000"));
-        assert!(figure.series_named("S").is_some());
-        assert!(figure.series_named("missing").is_none());
     }
 
     #[test]
@@ -340,7 +324,11 @@ mod tests {
     #[test]
     fn tiny_figure4_includes_flat_heuristic_line() {
         let figure = figure4(DatasetId::Dataset1, 250, 5, &[0.0, 50.0, 100.0]);
-        let heuristic = figure.series_named("Heuristic").unwrap();
+        let heuristic = figure
+            .series
+            .iter()
+            .find(|s| s.label == "Heuristic")
+            .unwrap();
         let first = heuristic.points[0].y;
         assert!(heuristic.points.iter().all(|p| (p.y - first).abs() < 1e-9));
         assert_eq!(figure.series.len(), 5);

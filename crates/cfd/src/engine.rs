@@ -25,7 +25,7 @@
 //! variable CFD are keyed by [`SmallKey`]s (inline arrays of the LHS ids, no
 //! allocation for rules of up to 4 LHS attributes), group members are
 //! bucketed by RHS [`ValueId`], and pattern constants are resolved to ids
-//! once and cached.  [`ViolationEngine::apply_cell_change_id`] and
+//! once and cached.  `ViolationEngine::apply_cell_change_id` and
 //! [`ViolationEngine::stats_if`] therefore hash and compare only integers —
 //! no `String` is cloned, hashed, or even looked at on those paths.
 //!
@@ -139,9 +139,8 @@ impl ResolvedRule {
 }
 
 /// A dense set of tuple ids, one bit per row: the per-rule violation index
-/// that [`ViolationEngine::tuple_violates`], [`ViolationEngine::is_dirty`],
-/// [`ViolationEngine::violating_tuples`] and
-/// [`ViolationEngine::dirty_tuples`] read.  Membership is a word read and a
+/// that [`ViolationEngine::tuple_violates`], [`ViolationEngine::is_dirty`]
+/// and [`ViolationEngine::dirty_tuples`] read.  Membership is a word read and a
 /// mask, with no hashing, and iteration yields ids in ascending order.
 /// Inserting past the end grows the set, so rows appended later need no
 /// separate resize.
@@ -425,11 +424,6 @@ impl ViolationEngine {
         &self.ruleset
     }
 
-    /// Number of rows the engine currently tracks.
-    pub fn row_count(&self) -> usize {
-        self.n_rows
-    }
-
     /// Ids of the rules involving an attribute, without allocating (the
     /// precomputed per-attribute list the change path itself iterates).
     pub fn rules_involving(&self, attr: AttrId) -> &[RuleId] {
@@ -514,7 +508,7 @@ impl ViolationEngine {
 
     /// Registers a newly appended tuple (e.g. from an online data-entry feed,
     /// §3 "Updates Consistency Manager") with every rule.
-    pub fn note_new_tuple(&mut self, table: &Table, tuple: TupleId) {
+    pub(crate) fn note_new_tuple(&mut self, table: &Table, tuple: TupleId) {
         self.refresh_resolution(table);
         self.n_rows += 1;
         // A new row changes every rule's satisfying/context counts.
@@ -548,7 +542,7 @@ impl ViolationEngine {
     /// Id-space core of [`ViolationEngine::apply_cell_change`]: removes the
     /// tuple from the affected rules, swaps the cell id, re-adds it, and
     /// returns the previous id.
-    pub fn apply_cell_change_id(
+    pub(crate) fn apply_cell_change_id(
         &mut self,
         table: &mut Table,
         tuple: TupleId,
@@ -799,13 +793,6 @@ impl ViolationEngine {
             .flat_map(|g| g.members_by_rhs.values().flatten().copied())
     }
 
-    /// All tuples violating a specific rule, in ascending id order: a walk
-    /// over the rule's violation index, one word per 64 rows, that comes out
-    /// sorted without a sort.
-    pub fn violating_tuples(&self, rule: RuleId) -> Vec<TupleId> {
-        self.states[rule].violating().iter().collect()
-    }
-
     /// All dirty tuples (violating at least one rule), in ascending id
     /// order: the OR of every rule's violation index, word by word, walked
     /// once.
@@ -869,26 +856,6 @@ impl ViolationEngine {
         }
         partners.sort_unstable();
         partners
-    }
-
-    /// Rebuilds the engine from scratch.  Intended for tests and for callers
-    /// that mutated the table behind the engine's back.
-    pub fn rebuild(&mut self, table: &Table) {
-        // Keep the generation stream monotone across rebuilds so caches keyed
-        // on pre-rebuild stamps can never collide with post-rebuild state.
-        let stamp = self.generation_counter + 1;
-        *self = ViolationEngine::build(table, &self.ruleset);
-        self.generation_counter = self.generation_counter.max(stamp);
-        let counter = self.generation_counter;
-        self.stats_generation.fill(counter);
-        self.row_generation.fill(counter);
-        for state in &mut self.states {
-            if let RuleState::Variable(state) = state {
-                for generation in state.group_generation.values_mut() {
-                    *generation = counter;
-                }
-            }
-        }
     }
 
     /// Compares the incrementally maintained statistics against a fresh
@@ -1267,7 +1234,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
     fn dirty_tuples_are_identified() {
         let (_, _, engine) = build_fixture();
         assert_eq!(engine.dirty_tuples(), vec![1, 2, 3]);
-        assert_eq!(engine.row_count(), 5);
     }
 
     fn encode(engine: &ViolationEngine) -> Vec<u8> {
@@ -1584,7 +1550,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
             .push_text_row(&["H9", "Coliseum Blvd", "Fort Wayne", "IN", "46111"])
             .unwrap();
         engine.note_new_tuple(&table, tid);
-        assert_eq!(engine.row_count(), 6);
         // The new tuple conflicts with t2 and t3 on the variable rule.
         assert!(engine.dirty_tuples().contains(&tid));
         assert_eq!(engine.conflict_partners(6, tid), vec![2, 3]);
@@ -1629,7 +1594,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
     }
 
     #[test]
-    fn new_tuples_and_rebuilds_stamp_every_rule() {
+    fn new_tuples_stamp_every_rule() {
         let (mut table, _, mut engine) = build_fixture();
         let before = engine.attr_stats_generation(0);
         let tid = table
@@ -1639,9 +1604,6 @@ STR, CT -> ZIP : _, Fort Wayne || _
         for rule in 0..engine.ruleset().len() {
             assert!(engine.stats_generation(rule) > before);
         }
-        let pre_rebuild = engine.stats_generation(0);
-        engine.rebuild(&table);
-        assert!(engine.stats_generation(0) > pre_rebuild);
     }
 
     #[test]
@@ -1650,8 +1612,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         engine
             .apply_cell_change(&mut table, 1, 2, Value::from("Michigan City"))
             .unwrap();
-        let mut rebuilt = engine.clone();
-        rebuilt.rebuild(&table);
+        let rebuilt = ViolationEngine::build(&table, engine.ruleset());
         for rule in 0..engine.ruleset().len() {
             assert_eq!(engine.rule_stats(rule), rebuilt.rule_stats(rule));
         }
@@ -1674,7 +1635,7 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let (table, _, engine) = build_fixture();
         let rule = 6;
         let rhs_attr = engine.ruleset().rule(rule).rhs();
-        for tuple in 0..engine.row_count() {
+        for tuple in 0..table.len() {
             let mut via_partners: Vec<ValueId> = engine
                 .conflict_partners(rule, tuple)
                 .into_iter()
@@ -1692,11 +1653,13 @@ STR, CT -> ZIP : _, Fort Wayne || _
 
     #[test]
     fn rule_stats_satisfying_plus_violating_tuples_equals_rows() {
-        let (_, ruleset, engine) = build_fixture();
+        let (table, ruleset, engine) = build_fixture();
         for rule in 0..ruleset.len() {
             let stats = engine.rule_stats(rule);
-            let violating = engine.violating_tuples(rule).len();
-            assert_eq!(stats.satisfying + violating, engine.row_count());
+            let violating = (0..table.len())
+                .filter(|&t| engine.tuple_violates(rule, t))
+                .count();
+            assert_eq!(stats.satisfying + violating, table.len());
         }
     }
 }

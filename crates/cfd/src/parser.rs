@@ -54,7 +54,7 @@ pub fn parse_rules(schema: &Schema, text: &str) -> Result<Vec<Cfd>> {
 }
 
 /// Parses a single rule line into the (possibly multi-RHS) specification form.
-pub fn parse_spec_line(line: &str, line_no: usize, default_name: &str) -> Result<CfdSpec> {
+pub(crate) fn parse_spec_line(line: &str, line_no: usize, default_name: &str) -> Result<CfdSpec> {
     // Optional explicit name prefix: `name: LHS -> RHS ...` is not supported
     // because attribute lists already use commas; the default name is the
     // rule's position (`phi1`, `phi2`, ...).
@@ -175,7 +175,7 @@ fn parse_pattern_list(text: &str) -> Vec<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_relation::{Schema, Tuple, Value};
+    use gdr_relation::{Schema, Table, Value};
 
     fn schema() -> Schema {
         Schema::new(&["Name", "SRC", "STR", "CT", "STT", "ZIP"])
@@ -211,7 +211,9 @@ STR, CT -> ZIP : _, Fort Wayne || _
         let rules = parse_rules(&schema(), "ZIP -> CT\n").unwrap();
         assert_eq!(rules.len(), 1);
         assert!(!rules[0].is_constant());
-        let t = Tuple::new(vec![Value::Null; 6]);
+        let mut table = Table::new("t", schema());
+        table.push_row(vec![Value::Null; 6]).unwrap();
+        let (_, t) = table.iter().next().unwrap();
         assert!(rules[0].in_context(&t)); // all-wildcard context
     }
 

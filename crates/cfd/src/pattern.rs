@@ -25,13 +25,13 @@ gdr_relation::state_enum! { PatternValue, "pattern" {
 
 impl PatternValue {
     /// Builds a constant pattern entry from anything convertible to a value.
-    pub fn constant(value: impl Into<Value>) -> PatternValue {
+    pub(crate) fn constant(value: impl Into<Value>) -> PatternValue {
         PatternValue::Const(value.into())
     }
 
     /// The `≍` operator on a single value: `v ≍ '−'` always holds, and
     /// `v ≍ a` holds iff `v = a`.
-    pub fn matches(&self, value: &Value) -> bool {
+    pub(crate) fn matches(&self, value: &Value) -> bool {
         match self {
             PatternValue::Wildcard => true,
             PatternValue::Const(c) => c == value,
@@ -39,7 +39,7 @@ impl PatternValue {
     }
 
     /// Returns `true` for the wildcard entry.
-    pub fn is_wildcard(&self) -> bool {
+    pub(crate) fn is_wildcard(&self) -> bool {
         matches!(self, PatternValue::Wildcard)
     }
 

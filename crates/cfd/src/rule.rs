@@ -3,7 +3,7 @@
 use std::fmt;
 
 use gdr_relation::codec::{self, CodecError, Dec, Enc, State};
-use gdr_relation::{AttrId, Row, Schema};
+use gdr_relation::{AttrId, Schema, TupleRef};
 
 use crate::error::CfdError;
 use crate::pattern::PatternValue;
@@ -67,7 +67,7 @@ impl Cfd {
     ///
     /// `lhs_pattern` and `rhs_pattern` use `None` for the wildcard and
     /// `Some(text)` for constants.
-    pub fn with_names(
+    pub(crate) fn with_names(
         name: impl Into<String>,
         schema: &Schema,
         lhs: &[&str],
@@ -141,7 +141,7 @@ impl Cfd {
     }
 
     /// Returns `true` if `attr` appears anywhere in the rule (`X ∪ {A}`).
-    pub fn involves(&self, attr: AttrId) -> bool {
+    pub(crate) fn involves(&self, attr: AttrId) -> bool {
         self.rhs == attr || self.lhs.contains(&attr)
     }
 
@@ -152,10 +152,8 @@ impl Cfd {
         attrs
     }
 
-    /// `t[X] ≍ tp[X]`: the tuple falls in the rule's context.  Generic over
-    /// [`Row`] so owned [`gdr_relation::Tuple`]s and borrowed
-    /// [`gdr_relation::TupleRef`]s both work.
-    pub fn in_context<R: Row>(&self, tuple: &R) -> bool {
+    /// `t[X] ≍ tp[X]`: the row falls in the rule's context.
+    pub(crate) fn in_context(&self, tuple: &TupleRef<'_>) -> bool {
         self.lhs
             .iter()
             .zip(self.lhs_pattern.iter())
@@ -238,7 +236,7 @@ pub struct CfdSpec {
 
 impl CfdSpec {
     /// Splits the specification into normal-form rules against a schema.
-    pub fn normalize(&self, schema: &Schema) -> Result<Vec<Cfd>> {
+    pub(crate) fn normalize(&self, schema: &Schema) -> Result<Vec<Cfd>> {
         if self.lhs.is_empty() {
             return Err(CfdError::EmptyLhs);
         }
@@ -284,14 +282,10 @@ impl CfdSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdr_relation::{Schema, Tuple, Value};
+    use gdr_relation::{Schema, Table};
 
     fn schema() -> Schema {
         Schema::new(&["Name", "SRC", "STR", "CT", "STT", "ZIP"])
-    }
-
-    fn tuple(values: &[&str]) -> Tuple {
-        Tuple::new(values.iter().map(|v| Value::from(*v)).collect())
     }
 
     /// φ1,1 : (ZIP → CT, {46360 ‖ Michigan City})
@@ -341,10 +335,16 @@ mod tests {
     #[test]
     fn context_membership() {
         let rule = phi_1_1();
-        let in_ctx = tuple(&["Jim", "H2", "Colfax", "Westville", "IN", "46360"]);
-        let out_ctx = tuple(&["Tom", "H3", "Colfax", "Westville", "IN", "46391"]);
-        assert!(rule.in_context(&in_ctx));
-        assert!(!rule.in_context(&out_ctx));
+        let mut table = Table::new("t", schema());
+        table
+            .push_text_row(&["Jim", "H2", "Colfax", "Westville", "IN", "46360"])
+            .unwrap();
+        table
+            .push_text_row(&["Tom", "H3", "Colfax", "Westville", "IN", "46391"])
+            .unwrap();
+        let rows: Vec<_> = table.iter().map(|(_, t)| t).collect();
+        assert!(rule.in_context(&rows[0]));
+        assert!(!rule.in_context(&rows[1]));
     }
 
     #[test]

@@ -12,9 +12,7 @@ use std::fmt;
 use gdr_relation::codec::{self, Dec, Enc, State};
 use gdr_relation::Table;
 
-use crate::error::CfdError;
 use crate::rule::{Cfd, RuleId};
-use crate::Result;
 
 /// An ordered collection of normal-form CFDs with per-rule weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,23 +53,9 @@ impl RuleSet {
         &self.rules[id]
     }
 
-    /// The weight `w_i` of a rule.
-    pub fn weight(&self, id: RuleId) -> f64 {
-        self.weights[id]
-    }
-
     /// All weights, parallel to [`RuleSet::rules`].
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Overrides the weight of one rule.
-    pub fn set_weight(&mut self, id: RuleId, weight: f64) -> Result<()> {
-        if id >= self.weights.len() {
-            return Err(CfdError::UnknownRule { rule: id });
-        }
-        self.weights[id] = weight;
-        Ok(())
     }
 
     /// Sets every rule's weight to `|D(φ_i)| / |D|`, the default of the
@@ -90,19 +74,11 @@ impl RuleSet {
     /// Ids of the rules that involve a given attribute (`attr ∈ X ∪ {A}`).
     /// The consistency manager iterates exactly this set after a cell of that
     /// attribute changes.
-    pub fn rules_involving(&self, attr: usize) -> Vec<RuleId> {
+    pub(crate) fn rules_involving(&self, attr: usize) -> Vec<RuleId> {
         self.iter()
             .filter(|(_, rule)| rule.involves(attr))
             .map(|(id, _)| id)
             .collect()
-    }
-
-    /// Appends a rule with the given weight and returns its id.
-    pub fn push(&mut self, rule: Cfd, weight: f64) -> RuleId {
-        let id = self.rules.len();
-        self.rules.push(rule);
-        self.weights.push(weight);
-        id
     }
 }
 
@@ -166,7 +142,7 @@ mod tests {
         let set = RuleSet::new(rules());
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        assert_eq!(set.weight(0), 1.0);
+        assert_eq!(set.weights()[0], 1.0);
         assert_eq!(set.rule(1).name(), "phi2");
     }
 
@@ -175,8 +151,8 @@ mod tests {
         let mut set = RuleSet::new(rules());
         set.weights_from_context(&table());
         // Two of four tuples have ZIP 46360, one has 46391.
-        assert!((set.weight(0) - 0.5).abs() < 1e-12);
-        assert!((set.weight(1) - 0.25).abs() < 1e-12);
+        assert!((set.weights()[0] - 0.5).abs() < 1e-12);
+        assert!((set.weights()[1] - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -184,14 +160,6 @@ mod tests {
         let mut set = RuleSet::new(rules());
         set.weights_from_context(&Table::new("empty", schema()));
         assert_eq!(set.weights(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn set_weight_overrides() {
-        let mut set = RuleSet::new(rules());
-        set.set_weight(1, 3.5).unwrap();
-        assert_eq!(set.weight(1), 3.5);
-        assert!(set.set_weight(5, 1.0).is_err());
     }
 
     #[test]
@@ -206,17 +174,6 @@ mod tests {
         assert_eq!(set.rules_involving(0), vec![1]); // STR only in phi2
         assert_eq!(set.rules_involving(1), vec![0, 1]); // CT in both
         assert_eq!(set.rules_involving(2), vec![0, 1]); // ZIP in both
-    }
-
-    #[test]
-    fn push_appends_rule() {
-        let mut set = RuleSet::new(vec![]);
-        assert!(set.is_empty());
-        let rule = rules().pop().unwrap();
-        let id = set.push(rule, 0.7);
-        assert_eq!(id, 0);
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.weight(0), 0.7);
     }
 
     #[test]

@@ -128,19 +128,6 @@ impl Default for CensusConfig {
     }
 }
 
-impl CensusConfig {
-    /// A configuration for scale experiments: `tuples` rows with the paper's
-    /// 30 % error rate and discovery support.  The census domains are fixed
-    /// (like the real adult dataset's), so scaling only grows the groups —
-    /// the adversarial case for group-proportional algorithms.
-    pub fn at_scale(tuples: usize) -> CensusConfig {
-        CensusConfig {
-            tuples,
-            ..CensusConfig::default()
-        }
-    }
-}
-
 /// Generates the census dataset: clean ground truth, randomly corrupted dirty
 /// instance, and rules discovered from the clean instance with the configured
 /// support threshold.
@@ -290,7 +277,7 @@ mod tests {
     #[test]
     fn corruption_bookkeeping_is_exact() {
         let data = small();
-        assert!(data.corruption_is_consistent());
+        assert!(crate::tests::corruption_is_consistent(&data));
         let fraction = data.dirty_tuple_fraction();
         assert!(fraction > 0.2 && fraction < 0.35, "fraction = {fraction}");
     }

@@ -111,16 +111,6 @@ pub const CLASSIFICATIONS: &[&str] = &["Emergent", "Urgent", "Non-urgent", "Tran
 /// Patient sex values.
 pub const SEXES: &[&str] = &["F", "M"];
 
-/// Looks up the locality of a zip code.
-pub fn locality_for_zip(zip: &str) -> Option<&'static Locality> {
-    LOCALITIES.iter().find(|l| l.zip == zip)
-}
-
-/// All localities belonging to a city (a city may span several zips).
-pub fn localities_for_city(city: &str) -> Vec<&'static Locality> {
-    LOCALITIES.iter().filter(|l| l.city == city).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +149,7 @@ mod tests {
 
     #[test]
     fn fort_wayne_spans_multiple_zips() {
-        assert!(localities_for_city("Fort Wayne").len() >= 2);
+        assert!(LOCALITIES.iter().filter(|l| l.city == "Fort Wayne").count() >= 2);
     }
 
     #[test]
@@ -171,9 +161,10 @@ mod tests {
 
     #[test]
     fn zip_lookup_round_trips() {
+        // The zip determines the city, as the rules `Zip -> City` assume.
         for locality in LOCALITIES {
-            assert_eq!(locality_for_zip(locality.zip).unwrap().city, locality.city);
+            let found = LOCALITIES.iter().find(|l| l.zip == locality.zip).unwrap();
+            assert_eq!(found.city, locality.city);
         }
-        assert!(locality_for_zip("99999").is_none());
     }
 }

@@ -26,7 +26,7 @@ pub enum ErrorKind {
 /// Applies a typo to a string: one character substitution and, for longer
 /// strings, one deletion.  Guaranteed to differ from the input for non-empty
 /// inputs.
-pub fn apply_typo(value: &str, rng: &mut StdRng) -> String {
+pub(crate) fn apply_typo(value: &str, rng: &mut StdRng) -> String {
     let chars: Vec<char> = value.chars().collect();
     if chars.is_empty() {
         return "x".to_string();
@@ -63,7 +63,7 @@ pub fn apply_typo(value: &str, rng: &mut StdRng) -> String {
 /// lets the repair-evaluation score (Eq. 7) and the VOI ranking favour the
 /// right fix, as in the paper's data.  Values without a droppable vowel lose
 /// their last character instead.
-pub fn apply_abbreviation(value: &str) -> String {
+pub(crate) fn apply_abbreviation(value: &str) -> String {
     let words: Vec<&str> = value.split_whitespace().collect();
     let first = words.first().copied().unwrap_or(value);
     let chars: Vec<char> = first.chars().collect();
@@ -95,7 +95,7 @@ pub fn apply_abbreviation(value: &str) -> String {
 
 /// Replaces a value with a different one drawn from `domain`.  Returns `None`
 /// when the domain offers no alternative.
-pub fn apply_domain_swap(value: &str, domain: &[&str], rng: &mut StdRng) -> Option<String> {
+pub(crate) fn apply_domain_swap(value: &str, domain: &[&str], rng: &mut StdRng) -> Option<String> {
     let alternatives: Vec<&&str> = domain.iter().filter(|&&d| d != value).collect();
     alternatives.choose(rng).map(|s| s.to_string())
 }

@@ -335,14 +335,6 @@ pub fn generate_hospital_dataset(config: &HospitalConfig) -> GeneratedDataset {
     }
 }
 
-/// The CFDs of the hospital dataset, in the textual syntax of
-/// [`gdr_cfd::parser`]: one constant CFD `Zip → City, State` per locality
-/// (mirroring φ1–φ4 of Figure 1) and one variable CFD
-/// `StreetAddress, City → Zip` per multi-zip city (mirroring φ5).
-pub fn hospital_rules_text() -> String {
-    rules_text_for(&scaled_domain(0).localities)
-}
-
 /// The rule text over an arbitrary (possibly scaled) locality list.
 fn rules_text_for(localities: &[ScaledLocality]) -> String {
     let mut text = String::new();
@@ -435,7 +427,7 @@ mod tests {
     #[test]
     fn corruption_bookkeeping_is_exact() {
         let data = small();
-        assert!(data.corruption_is_consistent());
+        assert!(crate::tests::corruption_is_consistent(&data));
         assert!(!data.corrupted_cells.is_empty());
     }
 
@@ -494,7 +486,7 @@ mod tests {
 
     #[test]
     fn rules_cover_every_zip_and_multizip_city() {
-        let text = hospital_rules_text();
+        let text = rules_text_for(&scaled_domain(0).localities);
         for locality in LOCALITIES {
             assert!(text.contains(locality.zip));
         }
@@ -545,7 +537,7 @@ mod tests {
         assert_eq!(engine.total_violations(), 0);
         let engine = ViolationEngine::build(&data.dirty, &data.rules);
         assert!(!engine.dirty_tuples().is_empty());
-        assert!(data.corruption_is_consistent());
+        assert!(crate::tests::corruption_is_consistent(&data));
     }
 
     #[test]
@@ -566,12 +558,7 @@ mod tests {
     #[test]
     fn extra_cities_zero_reproduces_the_base_generator() {
         // The owned-domain path with no synthetic cities must match the
-        // original static-domain output byte for byte (same RNG draws, same
-        // rule text), so existing seeds stay stable.
-        assert_eq!(
-            hospital_rules_text(),
-            rules_text_for(&scaled_domain(0).localities)
-        );
+        // original static domain, so existing seeds stay stable.
         let domain = scaled_domain(0);
         assert_eq!(domain.localities.len(), LOCALITIES.len());
         assert_eq!(domain.hospitals.len(), HOSPITALS.len());
@@ -588,8 +575,8 @@ mod tests {
             let city = data.clean.cell(tid, ATTR_CITY).render().into_owned();
             let bad_zip = data.dirty.cell(tid, ATTR_ZIP).render().into_owned();
             // Multi-zip cities swap to a neighbour zip of the same city.
-            if crate::domains::localities_for_city(&city).len() >= 2 {
-                let locality = crate::domains::locality_for_zip(&bad_zip).unwrap();
+            if LOCALITIES.iter().filter(|l| l.city == city).count() >= 2 {
+                let locality = LOCALITIES.iter().find(|l| l.zip == bad_zip).unwrap();
                 assert_eq!(locality.city, city);
             }
         }

@@ -75,19 +75,20 @@ impl GeneratedDataset {
         tuples.dedup();
         tuples.len() as f64 / self.clean.len() as f64
     }
+}
 
-    /// Sanity check used by tests: every listed corrupted cell really differs
-    /// from the ground truth, and no unlisted cell does.
-    pub fn corruption_is_consistent(&self) -> bool {
-        match self.dirty.diff_cells(&self.clean) {
-            Ok(mut diff) => {
-                diff.sort_unstable();
-                let mut listed = self.corrupted_cells.clone();
-                listed.sort_unstable();
-                listed.dedup();
-                diff == listed
-            }
-            Err(_) => false,
-        }
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::GeneratedDataset;
+
+    /// Every listed corrupted cell really differs from the ground truth, and
+    /// no unlisted cell does.
+    pub(crate) fn corruption_is_consistent(data: &GeneratedDataset) -> bool {
+        let mut diff = data.dirty.diff_cells(&data.clean).unwrap();
+        diff.sort_unstable();
+        let mut listed = data.corrupted_cells.clone();
+        listed.sort_unstable();
+        listed.dedup();
+        diff == listed
     }
 }

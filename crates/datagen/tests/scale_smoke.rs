@@ -33,7 +33,14 @@ fn fixed_seed_scale_generation_smoke() {
 
     assert_eq!(data.dirty.len(), tuples);
     assert_eq!(data.clean.len(), tuples);
-    assert!(data.corruption_is_consistent());
+    // Every listed corrupted cell differs from the ground truth, and no
+    // unlisted cell does.
+    let mut diff = data.dirty.diff_cells(&data.clean).unwrap();
+    diff.sort_unstable();
+    let mut listed = data.corrupted_cells.clone();
+    listed.sort_unstable();
+    listed.dedup();
+    assert_eq!(diff, listed);
     let fraction = data.dirty_tuple_fraction();
     assert!(
         fraction > 0.2 && fraction < 0.35,

@@ -20,7 +20,7 @@ use gdr_cfd::{parser, RuleSet};
 use gdr_relation::{Schema, Table};
 
 /// The schema of the Figure 1 `Customer` relation.
-pub fn customer_schema() -> Schema {
+pub(crate) fn customer_schema() -> Schema {
     Schema::new(&["Name", "SRC", "STR", "CT", "STT", "ZIP"])
 }
 
@@ -153,7 +153,7 @@ mod tests {
             .iter()
             .find(|g| g.attr == 5 && g.value == Value::from("46825"))
             .expect("46825 group");
-        assert!(!zip_group.is_empty());
+        assert!(!zip_group.updates.is_empty());
     }
 
     #[test]

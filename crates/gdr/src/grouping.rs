@@ -38,13 +38,8 @@ pub struct UpdateGroup {
 
 impl UpdateGroup {
     /// Number of member updates.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.updates.len()
-    }
-
-    /// Returns `true` when the group has no members.
-    pub fn is_empty(&self) -> bool {
-        self.updates.is_empty()
     }
 
     /// Human-readable label, e.g. `CT := 'Michigan City' (3 updates)`.
@@ -141,27 +136,17 @@ pub struct IndexedGroup {
 
 impl IndexedGroup {
     /// Number of member updates.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
-    /// Returns `true` when the group has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// The member updates in ascending tuple order.
-    pub fn updates(&self) -> impl Iterator<Item = &Update> {
+    pub(crate) fn updates(&self) -> impl Iterator<Item = &Update> {
         self.members.values()
     }
 
-    /// The group's last computed score.
-    pub fn score(&self) -> f64 {
-        self.score
-    }
-
     /// Materialises the group in the snapshot representation.
-    pub fn to_group(&self) -> UpdateGroup {
+    pub(crate) fn to_group(&self) -> UpdateGroup {
         UpdateGroup {
             attr: self.attr,
             value: self.value.clone(),
@@ -172,13 +157,13 @@ impl IndexedGroup {
 
 /// A persistent `(attribute, suggested value)` index over the
 /// `PossibleUpdates` list, maintained incrementally by
-/// [`GroupIndex::insert`] and [`GroupIndex::remove`], with a max-ordered
+/// `GroupIndex::insert` and `GroupIndex::remove`, with a max-ordered
 /// ranking over the group scores.
 ///
 /// The index itself is score-agnostic: callers mark groups dirty (directly,
 /// per attribute, or wholesale), compute scores however they like, and feed
-/// them back through [`GroupIndex::set_score`]; [`GroupIndex::best`] and
-/// [`GroupIndex::ranking`] then read the max-ordered structure without
+/// them back through `GroupIndex::set_score`; `GroupIndex::best` and
+/// `GroupIndex::ranking` then read the max-ordered structure without
 /// touching clean groups.
 #[derive(Debug, Clone, Default)]
 pub struct GroupIndex {
@@ -196,14 +181,17 @@ pub struct GroupIndex {
 
 impl GroupIndex {
     /// An empty index.
-    pub fn new() -> GroupIndex {
+    pub(crate) fn new() -> GroupIndex {
         GroupIndex::default()
     }
 
     /// Builds the index from a snapshot of suggestions.  `lookup` must
     /// resolve a suggested value to its interned id (suggestion values are
     /// always interned by the generator, so resolution cannot fail).
-    pub fn from_updates<'a, F>(lookup: F, updates: impl IntoIterator<Item = &'a Update>) -> Self
+    pub(crate) fn from_updates<'a, F>(
+        lookup: F,
+        updates: impl IntoIterator<Item = &'a Update>,
+    ) -> Self
     where
         F: Fn(AttrId, &Value) -> Option<ValueId>,
     {
@@ -214,24 +202,14 @@ impl GroupIndex {
         index
     }
 
-    /// Number of live groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Returns `true` when no suggestions are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// The attributes with at least one live group.
-    pub fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
+    pub(crate) fn attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
         self.by_attr.keys().copied()
     }
 
     /// Adds a member update to its group (creating the group on first use)
     /// and marks the group dirty.
-    pub fn insert<F>(&mut self, lookup: F, update: Update)
+    pub(crate) fn insert<F>(&mut self, lookup: F, update: Update)
     where
         F: Fn(AttrId, &Value) -> Option<ValueId>,
     {
@@ -258,7 +236,7 @@ impl GroupIndex {
     }
 
     /// Retires a member update, dropping its group when it empties.
-    pub fn remove<F>(&mut self, lookup: F, update: &Update)
+    pub(crate) fn remove<F>(&mut self, lookup: F, update: &Update)
     where
         F: Fn(AttrId, &Value) -> Option<ValueId>,
     {
@@ -297,7 +275,7 @@ impl GroupIndex {
 
     /// Marks one group's score stale, pulling it out of the ranked order
     /// until [`GroupIndex::set_score`] is called for it again.
-    pub fn mark_dirty(&mut self, key: GroupKey) {
+    pub(crate) fn mark_dirty(&mut self, key: GroupKey) {
         if let Some(group) = self.groups.get_mut(&key) {
             if group.in_ranked {
                 group.in_ranked = false;
@@ -313,7 +291,7 @@ impl GroupIndex {
     }
 
     /// Marks every group of an attribute stale (its rules' statistics moved).
-    pub fn mark_attr_dirty(&mut self, attr: AttrId) {
+    pub(crate) fn mark_attr_dirty(&mut self, attr: AttrId) {
         let keys: Vec<GroupKey> = self
             .by_attr
             .get(&attr)
@@ -325,7 +303,7 @@ impl GroupIndex {
     }
 
     /// Marks every group stale.
-    pub fn mark_all_dirty(&mut self) {
+    pub(crate) fn mark_all_dirty(&mut self) {
         let keys: Vec<GroupKey> = self.groups.keys().copied().collect();
         for key in keys {
             self.mark_dirty(key);
@@ -333,23 +311,23 @@ impl GroupIndex {
     }
 
     /// The currently stale groups, in deterministic key order.
-    pub fn dirty_keys(&self) -> Vec<GroupKey> {
+    pub(crate) fn dirty_keys(&self) -> Vec<GroupKey> {
         self.dirty.iter().copied().collect()
     }
 
     /// Drains and returns the stale groups, in deterministic key order.
-    pub fn take_dirty(&mut self) -> Vec<GroupKey> {
+    pub(crate) fn take_dirty(&mut self) -> Vec<GroupKey> {
         std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
     /// A group by key.
-    pub fn group(&self, key: GroupKey) -> Option<&IndexedGroup> {
+    pub(crate) fn group(&self, key: GroupKey) -> Option<&IndexedGroup> {
         self.groups.get(&key)
     }
 
     /// Stores a freshly computed score and (re-)inserts the group into the
     /// ranked order.
-    pub fn set_score(&mut self, key: GroupKey, score: f64) {
+    pub(crate) fn set_score(&mut self, key: GroupKey, score: f64) {
         let Some(group) = self.groups.get_mut(&key) else {
             return;
         };
@@ -374,7 +352,7 @@ impl GroupIndex {
 
     /// The best-ranked group and its score.  All groups must have been
     /// scored since they were last marked dirty.
-    pub fn best(&self) -> Option<(&IndexedGroup, f64)> {
+    pub(crate) fn best(&self) -> Option<(&IndexedGroup, f64)> {
         debug_assert!(self.dirty.is_empty(), "best() read while groups are dirty");
         self.ranked
             .values()
@@ -385,12 +363,12 @@ impl GroupIndex {
 
     /// The highest group score, floored at zero (the `g_max` of the quota
     /// formula).
-    pub fn max_score(&self) -> f64 {
+    pub(crate) fn max_score(&self) -> f64 {
         self.best().map(|(_, s)| s).unwrap_or(f64::MIN).max(0.0)
     }
 
     /// Every group best-first (score descending, ties by `(attr, value)`).
-    pub fn ranking(&self) -> Vec<(&IndexedGroup, f64)> {
+    pub(crate) fn ranking(&self) -> Vec<(&IndexedGroup, f64)> {
         debug_assert!(self.dirty.is_empty(), "ranking() read while dirty");
         self.ranked
             .values()
@@ -401,7 +379,7 @@ impl GroupIndex {
 
     /// Every group in the deterministic `(attr, value)` order — the order
     /// [`group_updates`] materialises groups in.
-    pub fn groups_in_default_order(&self) -> Vec<UpdateGroup> {
+    pub(crate) fn groups_in_default_order(&self) -> Vec<UpdateGroup> {
         self.order
             .values()
             .map(|key| self.groups[key].to_group())
@@ -456,7 +434,7 @@ mod tests {
         let groups = group_updates(&updates);
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.len() == 1));
-        assert!(!groups[0].is_empty());
+        assert!(!groups[0].updates.is_empty());
     }
 
     /// A stand-in for the table's per-attribute dictionaries: one shared
@@ -482,7 +460,7 @@ mod tests {
         let updates = sample_updates();
         let lookup = make_lookup();
         let index = GroupIndex::from_updates(&lookup, updates.iter());
-        assert_eq!(index.len(), 3);
+        assert_eq!(index.groups.len(), 3);
         let materialised = index.groups_in_default_order();
         assert_eq!(materialised, group_updates(&updates));
         let mut attrs: Vec<AttrId> = index.attrs().collect();

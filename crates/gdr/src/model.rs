@@ -49,11 +49,6 @@ impl ModelStore {
         }
     }
 
-    /// Number of per-attribute models.
-    pub fn arity(&self) -> usize {
-        self.learners.len()
-    }
-
     /// Builds the feature vector `⟨t[A_1..A_n], v, R(t[A_i], v)⟩` for an
     /// update against the *current* table instance.
     ///
@@ -67,7 +62,7 @@ impl ModelStore {
     /// distinct to the learner once the value is interned later.  Its
     /// rendering is shared work with the similarity feature, so this costs
     /// one small allocation per example.
-    pub fn features_for(&self, table: &Table, update: &Update) -> Vec<FeatureValue> {
+    pub(crate) fn features_for(&self, table: &Table, update: &Update) -> Vec<FeatureValue> {
         let arity = table.schema().arity();
         let mut features: Vec<FeatureValue> = Vec::with_capacity(arity + 2);
         for attr in 0..arity {
@@ -104,7 +99,7 @@ impl ModelStore {
     }
 
     /// Retrains every attribute model that has accumulated new examples.
-    pub fn retrain_all(&mut self) {
+    pub(crate) fn retrain_all(&mut self) {
         for attr in 0..self.learners.len() {
             if self.pending_since_retrain[attr] > 0 {
                 self.retrain(attr);
@@ -115,7 +110,7 @@ impl ModelStore {
     /// The `n_s` retrain schedule of §4.2, driven by the engine: retrains
     /// all stale models when `answers` completes a batch of `ns_batch` user
     /// answers.  Returns whether a retrain ran.
-    pub fn retrain_if_due(&mut self, answers: usize, ns_batch: usize) -> bool {
+    pub(crate) fn retrain_if_due(&mut self, answers: usize, ns_batch: usize) -> bool {
         if ns_batch == 0 || !answers.is_multiple_of(ns_batch) {
             return false;
         }
@@ -257,7 +252,7 @@ mod tests {
         let store = ModelStore::new(2, ForestConfig::default(), 0);
         let update = Update::new(0, 1, Value::from("y"), 0.5);
         let features = store.features_for(&t, &update);
-        assert!(features[0].is_missing());
+        assert!(matches!(features[0], FeatureValue::Missing));
     }
 
     #[test]
@@ -325,6 +320,6 @@ mod tests {
         assert!(store.is_trained(2));
         assert!(!store.is_trained(0));
         assert!(!store.is_trained(1));
-        assert_eq!(store.arity(), 3);
+        assert_eq!(store.learners.len(), 3);
     }
 }

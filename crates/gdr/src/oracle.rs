@@ -52,13 +52,8 @@ impl GroundTruthOracle {
     }
 
     /// Wraps an already-shared ground-truth table without copying it.
-    pub fn from_shared(truth: Arc<Table>) -> GroundTruthOracle {
+    pub(crate) fn from_shared(truth: Arc<Table>) -> GroundTruthOracle {
         GroundTruthOracle { truth }
-    }
-
-    /// The wrapped ground-truth table.
-    pub fn truth(&self) -> &Table {
-        &self.truth
     }
 }
 
@@ -125,7 +120,7 @@ mod tests {
     fn exposes_correct_values() {
         let oracle = oracle();
         assert_eq!(oracle.correct_value(1, 0), Some(Value::from("Fort Wayne")));
-        assert_eq!(oracle.truth().len(), 2);
+        assert_eq!(oracle.truth.len(), 2);
     }
 
     #[test]

@@ -43,7 +43,11 @@ pub struct QualityEvaluator {
 impl QualityEvaluator {
     /// Builds the evaluator from the ground truth, the rules, and the initial
     /// dirty instance (whose loss becomes the 0 %-improvement reference).
-    pub fn new(ground_truth: &Table, ruleset: &RuleSet, initial_dirty: &Table) -> QualityEvaluator {
+    pub(crate) fn new(
+        ground_truth: &Table,
+        ruleset: &RuleSet,
+        initial_dirty: &Table,
+    ) -> QualityEvaluator {
         let opt_engine = ViolationEngine::build(ground_truth, ruleset);
         let opt_satisfying: Vec<usize> = (0..ruleset.len())
             .map(|r| opt_engine.rule_stats(r).satisfying)
@@ -60,12 +64,12 @@ impl QualityEvaluator {
     }
 
     /// The loss of the initial dirty instance (the 0 %-improvement baseline).
-    pub fn initial_loss(&self) -> f64 {
+    pub(crate) fn initial_loss(&self) -> f64 {
         self.initial_loss
     }
 
     /// Number of rules the evaluator was built over.
-    pub fn rule_count(&self) -> usize {
+    pub(crate) fn rule_count(&self) -> usize {
         self.opt_satisfying.len()
     }
 
@@ -73,7 +77,7 @@ impl QualityEvaluator {
     /// from the engine's statistics.  Both the from-scratch
     /// [`QualityEvaluator::loss_of_engine`] and the incremental
     /// [`LossTracker`] are sums of exactly these terms.
-    pub fn rule_loss_term(&self, rule: RuleId, engine: &ViolationEngine) -> f64 {
+    pub(crate) fn rule_loss_term(&self, rule: RuleId, engine: &ViolationEngine) -> f64 {
         let opt = self.opt_satisfying[rule];
         if opt == 0 {
             return 0.0;
@@ -101,7 +105,7 @@ impl QualityEvaluator {
     ///
     /// 0 % means "as dirty as the start", 100 % means "loss fully recovered".
     /// The value is clamped below at 0 so a (rare) regression reads as 0 %.
-    pub fn improvement_pct(&self, current_loss: f64) -> f64 {
+    pub(crate) fn improvement_pct(&self, current_loss: f64) -> f64 {
         if self.initial_loss <= f64::EPSILON {
             return 100.0;
         }
@@ -114,7 +118,7 @@ impl QualityEvaluator {
 /// The tracker caches one weighted loss term per rule.  Callers report the
 /// *damage* of each database write — the rules involving the written
 /// attribute, exactly what `RepairState` journals per cell change — via
-/// [`LossTracker::invalidate_rule`]; a [`LossTracker::loss`] read then
+/// `LossTracker::invalidate_rule`; a `LossTracker::loss` read then
 /// refreshes only the invalidated terms and re-sums the cached vector in
 /// rule order.  Summing in rule order makes the result bit-identical to the
 /// from-scratch [`QualityEvaluator::loss_of_engine`] (same addends, same
@@ -131,7 +135,7 @@ pub struct LossTracker {
 
 impl LossTracker {
     /// A tracker over `rules` rules with every term initially stale.
-    pub fn new(rules: usize) -> LossTracker {
+    pub(crate) fn new(rules: usize) -> LossTracker {
         LossTracker {
             per_rule: vec![0.0; rules],
             stale: vec![false; rules],
@@ -141,7 +145,7 @@ impl LossTracker {
     }
 
     /// Marks one rule's cached term stale (idempotent within an epoch).
-    pub fn invalidate_rule(&mut self, rule: RuleId) {
+    pub(crate) fn invalidate_rule(&mut self, rule: RuleId) {
         if self.all_dirty || self.stale[rule] {
             return;
         }
@@ -151,7 +155,7 @@ impl LossTracker {
 
     /// Marks every term stale — the escape hatch for bulk mutations that
     /// bypass per-change damage reporting (e.g. the automatic heuristic).
-    pub fn invalidate_all(&mut self) {
+    pub(crate) fn invalidate_all(&mut self) {
         self.all_dirty = true;
         self.dirty.clear();
         for flag in &mut self.stale {
@@ -161,7 +165,7 @@ impl LossTracker {
 
     /// The current Eq. 3 loss: refreshes the invalidated terms from the
     /// engine's statistics and sums the per-rule vector in rule order.
-    pub fn loss(&mut self, evaluator: &QualityEvaluator, engine: &ViolationEngine) -> f64 {
+    pub(crate) fn loss(&mut self, evaluator: &QualityEvaluator, engine: &ViolationEngine) -> f64 {
         debug_assert_eq!(self.per_rule.len(), evaluator.rule_count());
         if self.all_dirty {
             for (rule, term) in self.per_rule.iter_mut().enumerate() {
@@ -202,8 +206,9 @@ mod tests {
             )
             .unwrap(),
         );
-        rules.set_weight(0, 0.5).unwrap();
-        rules.set_weight(1, 0.25).unwrap();
+        // Context weights over the clean table: 2 of 4 rows have ZIP 46360
+        // and 1 of 4 has 46391, so the rules weigh 0.5 and 0.25.
+        rules.weights_from_context(&clean());
         rules
     }
 
@@ -364,11 +369,9 @@ mod tests {
     fn rules_with_empty_optimal_context_contribute_nothing() {
         let schema = schema();
         // A rule whose context never occurs in the ground truth.
-        let mut rules = rules(&schema);
-        let extra = parser::parse_rules(&schema, "ZIP -> CT : 99999 || Nowhere\n").unwrap();
-        for rule in extra {
-            rules.push(rule, 1.0);
-        }
+        let mut all = rules(&schema).rules().to_vec();
+        all.extend(parser::parse_rules(&schema, "ZIP -> CT : 99999 || Nowhere\n").unwrap());
+        let rules = RuleSet::new(all);
         let clean = clean();
         let dirty = dirty();
         let evaluator = QualityEvaluator::new(&clean, &rules, &dirty);

@@ -263,22 +263,6 @@ impl GdrSession {
         self.engine.state()
     }
 
-    /// The underlying pull-based engine.
-    pub fn engine(&self) -> &GdrEngine {
-        &self.engine
-    }
-
-    /// Mutable access to the engine, e.g. to interleave manual pull-API
-    /// steps with [`GdrSession::run`].
-    pub fn engine_mut(&mut self) -> &mut GdrEngine {
-        &mut self.engine
-    }
-
-    /// The simulated user.
-    pub fn oracle(&self) -> &GroundTruthOracle {
-        &self.oracle
-    }
-
     /// Runs the session until the feedback budget (`None` = unlimited) is
     /// exhausted or no candidate updates remain, and returns the report.
     pub fn run(&mut self, budget: Option<usize>) -> Result<SessionReport> {
@@ -392,15 +376,14 @@ mod tests {
             .config(GdrConfig::fast())
             .simulated(clean);
         for _ in 0..2 {
-            let WorkPlan::AskUser { id, update, .. } = session.engine_mut().next_work().unwrap()
-            else {
+            let WorkPlan::AskUser { id, update, .. } = session.engine.next_work().unwrap() else {
                 panic!("expected AskUser");
             };
             let feedback = {
                 let current = session.state().table().cell(update.tuple, update.attr);
-                session.oracle().feedback(&update, current)
+                session.oracle.feedback(&update, current)
             };
-            session.engine_mut().answer(id, feedback).unwrap();
+            session.engine.answer(id, feedback).unwrap();
         }
         let report = session.run(None).unwrap();
         assert!(report.verifications >= 2);
@@ -569,6 +552,6 @@ mod tests {
         assert_eq!(reason, DoneReason::Finished);
         assert_eq!(engine.verifications(), 3);
         // Initial + per-answer + final checkpoints.
-        assert_eq!(engine.eval_hooks().unwrap().checkpoints().len(), 5);
+        assert_eq!(engine.report().unwrap().checkpoints.len(), 5);
     }
 }

@@ -192,7 +192,7 @@ gdr_relation::state_enum! { WorkPlan, "work-plan" {
 ///
 /// Production sessions have no ground truth, so none of this lives on the
 /// engine proper.  Installing hooks (via [`SessionBuilder::ground_truth`] or
-/// [`SessionBuilder::eval_hooks`]) enables loss checkpoints after every
+/// `SessionBuilder::eval_hooks`) enables loss checkpoints after every
 /// answer and the final [`SessionReport`].
 #[derive(Debug, Clone)]
 pub struct EvalHooks {
@@ -208,12 +208,12 @@ pub struct EvalHooks {
 impl EvalHooks {
     /// Builds the hooks from the ground truth, the rules, and the initial
     /// dirty instance (whose loss becomes the 0 %-improvement reference).
-    pub fn new(ground_truth: Table, rules: &RuleSet, dirty: &Table) -> EvalHooks {
+    pub(crate) fn new(ground_truth: Table, rules: &RuleSet, dirty: &Table) -> EvalHooks {
         EvalHooks::from_shared(std::sync::Arc::new(ground_truth), rules, dirty)
     }
 
     /// [`EvalHooks::new`] over an already-shared ground truth (no copy).
-    pub fn from_shared(
+    pub(crate) fn from_shared(
         ground_truth: std::sync::Arc<Table>,
         rules: &RuleSet,
         dirty: &Table,
@@ -226,21 +226,6 @@ impl EvalHooks {
             initial_dirty: dirty.snapshot("initial_dirty"),
             checkpoints: Vec::new(),
         }
-    }
-
-    /// The loss evaluator measuring against the ground truth.
-    pub fn evaluator(&self) -> &QualityEvaluator {
-        &self.evaluator
-    }
-
-    /// The ground-truth table.
-    pub fn truth(&self) -> &Table {
-        &self.truth
-    }
-
-    /// Quality checkpoints recorded so far, in verification order.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
     }
 
     /// Report each written cell's damage to the incremental loss: a write
@@ -270,7 +255,7 @@ impl EvalHooks {
     /// the ground truth, the initial dirty instance, and the recorded
     /// checkpoints; the evaluator and the incremental loss cache are pure
     /// functions of those plus the rules and are re-derived on decode.
-    pub fn encode_state(&self, enc: &mut Enc) {
+    pub(crate) fn encode_state(&self, enc: &mut Enc) {
         enc.section("eval", 1);
         enc.put(&*self.truth);
         enc.put(&self.initial_dirty);
@@ -284,7 +269,7 @@ impl EvalHooks {
     /// fresh [`LossTracker`] starts all-dirty, so its first read recomputes
     /// every term — bit-identical to the from-scratch oracle by
     /// construction.
-    pub fn decode_state(dec: &mut Dec<'_>, state: &RepairState) -> codec::Result<EvalHooks> {
+    pub(crate) fn decode_state(dec: &mut Dec<'_>, state: &RepairState) -> codec::Result<EvalHooks> {
         dec.section("eval", 1)?;
         let truth = std::sync::Arc::new(dec.get::<Table>()?);
         let initial_dirty: Table = dec.get()?;
@@ -426,16 +411,6 @@ impl GdrEngine {
         &self.state
     }
 
-    /// The strategy the engine executes.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &GdrConfig {
-        &self.config
-    }
-
     /// Number of user answers consumed so far (the driver's budget meter).
     pub fn verifications(&self) -> usize {
         self.verifications
@@ -444,16 +419,6 @@ impl GdrEngine {
     /// Number of updates decided automatically by the learner so far.
     pub fn learner_decisions(&self) -> usize {
         self.learner_decisions
-    }
-
-    /// Number of dirty tuples in the initial instance (the paper's `E`).
-    pub fn initial_dirty_tuples(&self) -> usize {
-        self.initial_dirty_tuples
-    }
-
-    /// The evaluation hooks, when installed.
-    pub fn eval_hooks(&self) -> Option<&EvalHooks> {
-        self.eval.as_ref()
     }
 
     /// `Some(reason)` once the engine has concluded.
@@ -477,7 +442,7 @@ impl GdrEngine {
     /// done).  A multi-reviewer coordinator (see [`crate::team`]) leases
     /// only from this list plus the outstanding plan: work the strategy has
     /// already committed to asking about.
-    pub fn group_candidates(&self) -> &[Update] {
+    pub(crate) fn group_candidates(&self) -> &[Update] {
         match &self.phase {
             Phase::InGroup(progress) => &progress.remaining,
             _ => &[],
@@ -1256,7 +1221,7 @@ impl<'r> SessionBuilder<'r> {
     }
 
     /// Installs pre-built evaluation hooks.
-    pub fn eval_hooks(mut self, hooks: EvalHooks) -> Self {
+    pub(crate) fn eval_hooks(mut self, hooks: EvalHooks) -> Self {
         self.eval = Some(hooks);
         self
     }
@@ -1339,7 +1304,6 @@ mod tests {
             panic!("expected AskUser");
         };
         e.answer(id, Feedback::Confirm).unwrap();
-        assert!(e.eval_hooks().is_none());
         assert!(e.report().is_none());
         assert_eq!(e.verifications(), 1);
     }
@@ -1353,7 +1317,7 @@ mod tests {
         assert_eq!(e.next_work().unwrap(), WorkPlan::Done(DoneReason::Finished));
         assert_eq!(e.done(), Some(DoneReason::Finished));
         // Initial + final checkpoint, as in a zero-budget legacy run.
-        assert_eq!(e.eval_hooks().unwrap().checkpoints().len(), 2);
+        assert_eq!(e.report().unwrap().checkpoints.len(), 2);
     }
 
     #[test]

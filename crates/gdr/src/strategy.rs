@@ -40,7 +40,7 @@ impl Strategy {
     ];
 
     /// Does the strategy train and consult the learning component?
-    pub fn uses_learner(self) -> bool {
+    pub(crate) fn uses_learner(self) -> bool {
         matches!(
             self,
             Strategy::Gdr | Strategy::GdrSLearning | Strategy::ActiveLearningOnly
@@ -48,7 +48,7 @@ impl Strategy {
     }
 
     /// Does the strategy rank groups with the VOI benefit (Eq. 6)?
-    pub fn uses_voi(self) -> bool {
+    pub(crate) fn uses_voi(self) -> bool {
         matches!(
             self,
             Strategy::Gdr | Strategy::GdrNoLearning | Strategy::GdrSLearning
@@ -68,7 +68,7 @@ impl Strategy {
     /// the pull-based engine consults — `remaining` must be non-empty, and
     /// the rng is drawn exactly once for the sampling strategy (callers that
     /// discard the pick still consume the draw, keeping replays aligned).
-    pub fn pick_within_group<R: Rng>(
+    pub(crate) fn pick_within_group<R: Rng>(
         self,
         remaining: &[Update],
         mut uncertainty: impl FnMut(&Update) -> f64,

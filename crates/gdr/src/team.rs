@@ -282,11 +282,6 @@ impl TeamSession {
         &mut self.engine
     }
 
-    /// The coordinator configuration.
-    pub fn config(&self) -> &TeamConfig {
-        &self.config
-    }
-
     /// The logical clock (ticks once per state-changing operation).
     pub fn clock(&self) -> u64 {
         self.clock
@@ -296,16 +291,6 @@ impl TeamSession {
     /// one-reviewer session this team run is equivalent to.
     pub fn resolutions(&self) -> &[Resolution] {
         &self.resolutions
-    }
-
-    /// Number of currently live (unexpired) leases.
-    pub fn live_leases(&self) -> usize {
-        let clock = self.clock;
-        let ttl = self.ttl();
-        self.leases
-            .iter()
-            .filter(|lease| clock - lease.granted_at < ttl)
-            .count()
     }
 
     /// A read-only view of every currently live lease, in grant order — the
@@ -1086,7 +1071,7 @@ mod tests {
             t.next_work_for("alice").unwrap(),
             TeamPlan::Done(DoneReason::Finished)
         ));
-        assert_eq!(t.live_leases(), 0);
+        assert!(t.lease_table().is_empty());
     }
 
     #[test]

@@ -224,28 +224,8 @@ struct CachedRuleDelta {
 }
 
 impl BenefitCache {
-    /// An empty cache.
-    pub fn new() -> BenefitCache {
-        BenefitCache::default()
-    }
-
-    /// Number of memoized what-if evaluations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Drops one entry, if present.
-    pub fn remove(&mut self, key: &BenefitKey) {
+    pub(crate) fn remove(&mut self, key: &BenefitKey) {
         self.entries.remove(key);
     }
 
@@ -260,24 +240,11 @@ impl BenefitCache {
         entry_valid(state, update.tuple, update.attr, entry)
     }
 
-    /// The Eq. 6 contribution of one update, reusing the memoized deltas
-    /// when every guard generation still matches.  Bit-identical to
-    /// [`single_update_benefit`] in both the hit and the miss path.
-    pub fn update_benefit(
-        &mut self,
-        state: &mut RepairState,
-        update: &Update,
-        probability: f64,
-    ) -> Result<f64> {
-        let id = state.table().lookup_id(update.attr, &update.value);
-        self.update_benefit_keyed(state, update, id, probability)
-    }
-
     /// [`BenefitCache::update_benefit`] with the update's value id already
     /// resolved (`None` when the value is not interned yet) — the group
     /// index knows it, and skipping the per-member dictionary lookup keeps
     /// the hit path free of string hashing.
-    pub fn update_benefit_keyed(
+    pub(crate) fn update_benefit_keyed(
         &mut self,
         state: &mut RepairState,
         update: &Update,
@@ -475,7 +442,7 @@ impl VoiRanker {
     /// Marks every group's score stale (required before rescoring with
     /// probabilities that may have changed outside the delta, e.g. the
     /// learner's committee votes).
-    pub fn mark_all_dirty(&mut self) {
+    pub(crate) fn mark_all_dirty(&mut self) {
         self.index.mark_all_dirty();
     }
 
@@ -521,7 +488,7 @@ impl VoiRanker {
     }
 
     /// Scores every dirty group by its size (the Greedy strategy).
-    pub fn rescore_sizes(&mut self) {
+    pub(crate) fn rescore_sizes(&mut self) {
         for key in self.index.take_dirty() {
             let len = self.index.group(key).map(|g| g.len()).unwrap_or(0);
             self.index.set_score(key, len as f64);
@@ -530,20 +497,10 @@ impl VoiRanker {
 
     /// Scores every dirty group 0.0 (strategies that ignore scores but must
     /// keep the ranked structure drained).
-    pub fn rescore_zero(&mut self) {
+    pub(crate) fn rescore_zero(&mut self) {
         for key in self.index.take_dirty() {
             self.index.set_score(key, 0.0);
         }
-    }
-
-    /// `true` when no suggestions are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Number of live groups.
-    pub fn len(&self) -> usize {
-        self.index.len()
     }
 
     /// The best-ranked group (materialised) and its score.
@@ -556,7 +513,8 @@ impl VoiRanker {
         self.index.max_score()
     }
 
-    /// The full ranking, best first (materialised; for tests and tools).
+    /// The full ranking, best first: the oracle `proptest_incremental_rank`
+    /// compares against a from-scratch ranking.
     pub fn ranking(&self) -> Vec<(UpdateGroup, f64)> {
         self.index
             .ranking()
@@ -566,7 +524,7 @@ impl VoiRanker {
     }
 
     /// Every group in the deterministic `(attr, value)` order.
-    pub fn groups_in_default_order(&self) -> Vec<UpdateGroup> {
+    pub(crate) fn groups_in_default_order(&self) -> Vec<UpdateGroup> {
         self.index.groups_in_default_order()
     }
 
@@ -751,18 +709,25 @@ mod tests {
     fn cache_hit_skips_the_what_if_round_trip() {
         let (mut state, _) = fixture();
         let update = state.possible_updates_sorted().remove(0);
-        let mut cache = BenefitCache::new();
+        let mut cache = BenefitCache::default();
 
         let fresh = single_update_benefit(&mut state, &update, 0.7).unwrap();
-        let miss = cache.update_benefit(&mut state, &update, 0.7).unwrap();
+        let id = state.table().lookup_id(update.attr, &update.value);
+        let miss = cache
+            .update_benefit_keyed(&mut state, &update, id, 0.7)
+            .unwrap();
         assert_eq!(fresh.to_bits(), miss.to_bits());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
 
-        let hit = cache.update_benefit(&mut state, &update, 0.7).unwrap();
+        let hit = cache
+            .update_benefit_keyed(&mut state, &update, id, 0.7)
+            .unwrap();
         assert_eq!(hit.to_bits(), fresh.to_bits());
 
         // A different probability multiplies back in without recomputing.
-        let scaled = cache.update_benefit(&mut state, &update, 0.35).unwrap();
+        let scaled = cache
+            .update_benefit_keyed(&mut state, &update, id, 0.35)
+            .unwrap();
         let fresh_scaled = single_update_benefit(&mut state, &update, 0.35).unwrap();
         assert_eq!(scaled.to_bits(), fresh_scaled.to_bits());
     }
@@ -771,8 +736,11 @@ mod tests {
     fn cache_invalidates_when_a_rule_of_the_attribute_moves() {
         let (mut state, _) = fixture();
         let update = state.possible_updates_sorted().remove(0);
-        let mut cache = BenefitCache::new();
-        cache.update_benefit(&mut state, &update, 0.5).unwrap();
+        let mut cache = BenefitCache::default();
+        let id = state.table().lookup_id(update.attr, &update.value);
+        cache
+            .update_benefit_keyed(&mut state, &update, id, 0.5)
+            .unwrap();
         let generation = state.attr_stats_generation(update.attr);
 
         // A real change to the same attribute moves the generation …
@@ -785,7 +753,10 @@ mod tests {
         // … so the cached entry is stale and the next read recomputes: the
         // result must again equal the from-scratch benefit bit for bit.
         let fresh = single_update_benefit(&mut state, &update, 0.5).unwrap();
-        let recomputed = cache.update_benefit(&mut state, &update, 0.5).unwrap();
+        let id = state.table().lookup_id(update.attr, &update.value);
+        let recomputed = cache
+            .update_benefit_keyed(&mut state, &update, id, 0.5)
+            .unwrap();
         assert_eq!(recomputed.to_bits(), fresh.to_bits());
     }
 

@@ -8,7 +8,7 @@
 use gdr_cfd::{parser, RuleSet};
 use gdr_core::{group_benefit, group_updates, single_update_benefit, UpdateGroup, VoiRanker};
 use gdr_relation::{Schema, Table, Value};
-use gdr_repair::{Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState, Update};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -154,7 +154,9 @@ proptest! {
                     let attr = if attr_pick % 2 == 0 { 2 } else { 4 };
                     fresh_counter += 1;
                     let value = Value::from(format!("Fresh-{fresh_counter}"));
-                    state.apply_user_value(*tuple, attr, value).unwrap();
+                    state
+                        .apply_feedback(&Update::new(*tuple, attr, value, 1.0), Feedback::Confirm)
+                        .unwrap();
                 }
                 Op::Probe { pick } => {
                     let pending = state.possible_updates_sorted();

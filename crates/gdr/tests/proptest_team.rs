@@ -88,10 +88,10 @@ fn build_engine(dirty: &Table, clean: &Table, rules: &RuleSet, strategy: Strateg
 /// Everything observable about an engine, with floats taken to bits.
 fn fingerprint(engine: &GdrEngine) -> (Vec<(usize, u64, u64)>, usize, usize, String) {
     let checkpoints = engine
-        .eval_hooks()
-        .map(|hooks| {
-            hooks
-                .checkpoints()
+        .report()
+        .map(|report| {
+            report
+                .checkpoints
                 .iter()
                 .map(|c| {
                     (

@@ -23,9 +23,9 @@ fn engine(strategy: Strategy) -> GdrEngine {
 
 fn checkpoints_bits(engine: &GdrEngine) -> Vec<(usize, u64, u64)> {
     engine
-        .eval_hooks()
+        .report()
         .expect("eval hooks installed")
-        .checkpoints()
+        .checkpoints
         .iter()
         .map(|c| {
             (

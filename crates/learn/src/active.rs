@@ -45,16 +45,6 @@ impl ActiveLearner {
         self.forest.is_some()
     }
 
-    /// Number of times the forest has been retrained.
-    pub fn retrain_count(&self) -> usize {
-        self.retrains
-    }
-
-    /// The underlying forest, if trained.
-    pub fn forest(&self) -> Option<&RandomForest> {
-        self.forest.as_ref()
-    }
-
     /// Adds a labelled example *without* retraining (retraining after every
     /// single example would dominate the session cost; GDR retrains once per
     /// feedback batch).
@@ -147,7 +137,7 @@ mod tests {
         let mut l = learner();
         l.retrain();
         assert!(!l.is_trained());
-        assert_eq!(l.retrain_count(), 0);
+        assert_eq!(l.retrains, 0);
     }
 
     #[test]
@@ -158,14 +148,14 @@ mod tests {
         assert!(!l.is_trained());
         l.retrain();
         assert!(l.is_trained());
-        assert_eq!(l.retrain_count(), 1);
+        assert_eq!(l.retrains, 1);
         assert_eq!(l.predict(&[cat("H2"), FeatureValue::Numeric(1.0)]), Some(1));
         assert_eq!(l.predict(&[cat("H1"), FeatureValue::Numeric(1.0)]), Some(0));
         let p = l
             .label_probability(&[cat("H2"), FeatureValue::Numeric(1.0)], 1)
             .unwrap();
         assert!(p > 0.5);
-        assert!(l.forest().is_some());
+        assert!(l.forest.is_some());
     }
 
     #[test]
@@ -199,12 +189,12 @@ mod tests {
         dec.finish().unwrap();
         assert_eq!(encode(&restored), bytes);
         assert_eq!(restored.training_size(), l.training_size());
-        assert_eq!(restored.retrain_count(), l.retrain_count());
+        assert_eq!(restored.retrains, l.retrains);
         let probe = [cat("H2"), FeatureValue::Numeric(1.0)];
         assert_eq!(restored.predict(&probe), l.predict(&probe));
         assert_eq!(
-            restored.forest().unwrap().votes(&probe),
-            l.forest().unwrap().votes(&probe)
+            restored.forest.as_ref().unwrap().votes(&probe),
+            l.forest.as_ref().unwrap().votes(&probe)
         );
 
         // Future retrains diverge identically: the seed schedule survives.
@@ -247,7 +237,7 @@ mod tests {
         a.retrain();
         b.retrain();
         b.retrain();
-        assert_eq!(a.retrain_count(), 2);
+        assert_eq!(a.retrains, 2);
         let probe = [cat("H2"), FeatureValue::Numeric(0.0)];
         assert_eq!(a.predict(&probe), b.predict(&probe));
     }

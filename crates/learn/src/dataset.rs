@@ -61,11 +61,6 @@ impl FeatureValue {
             _ => None,
         }
     }
-
-    /// Returns `true` for [`FeatureValue::Missing`].
-    pub fn is_missing(&self) -> bool {
-        matches!(self, FeatureValue::Missing)
-    }
 }
 
 gdr_relation::state_enum! { FeatureValue, "feature" {
@@ -122,7 +117,7 @@ impl Dataset {
     }
 
     /// Number of features per example.
-    pub fn feature_count(&self) -> usize {
+    pub(crate) fn feature_count(&self) -> usize {
         self.feature_count
     }
 
@@ -161,18 +156,13 @@ impl Dataset {
         self.examples.push(example);
     }
 
-    /// All examples.
-    pub fn examples(&self) -> &[Example] {
-        &self.examples
-    }
-
     /// One example by index.
     pub fn example(&self, index: usize) -> &Example {
         &self.examples[index]
     }
 
     /// Label histogram over a subset of example indices.
-    pub fn label_counts(&self, indices: &[usize]) -> Vec<usize> {
+    pub(crate) fn label_counts(&self, indices: &[usize]) -> Vec<usize> {
         let mut counts = vec![0usize; self.label_count];
         for &i in indices {
             counts[self.examples[i].label] += 1;
@@ -182,7 +172,7 @@ impl Dataset {
 
     /// The majority label over a subset (ties resolved toward the smaller
     /// label index for determinism); `None` when the subset is empty.
-    pub fn majority_label(&self, indices: &[usize]) -> Option<usize> {
+    pub(crate) fn majority_label(&self, indices: &[usize]) -> Option<usize> {
         if indices.is_empty() {
             return None;
         }
@@ -264,7 +254,7 @@ mod tests {
     fn feature_value_accessors() {
         assert_eq!(FeatureValue::categorical("x").as_categorical(), Some("x"));
         assert_eq!(FeatureValue::Numeric(2.5).as_numeric(), Some(2.5));
-        assert!(FeatureValue::Missing.is_missing());
+        assert_eq!(FeatureValue::Missing.as_numeric(), None);
         assert_eq!(FeatureValue::Missing.as_categorical(), None);
         assert_eq!(FeatureValue::categorical("x").as_numeric(), None);
         assert_eq!(FeatureValue::Missing.to_string(), "?");

@@ -75,11 +75,6 @@ impl RandomForest {
         }
     }
 
-    /// Number of classes.
-    pub fn label_count(&self) -> usize {
-        self.label_count
-    }
-
     /// The individual predictions of every committee member.
     pub fn votes(&self, features: &[FeatureValue]) -> Vec<usize> {
         self.trees.iter().map(|t| t.predict(features)).collect()
@@ -108,7 +103,7 @@ impl RandomForest {
     /// The probability the forest assigns to a specific label (its vote
     /// fraction).  GDR uses the fraction voting *confirm* as the prediction
     /// probability `p̃ⱼ` of the user model.
-    pub fn label_probability(&self, features: &[FeatureValue], label: usize) -> f64 {
+    pub(crate) fn label_probability(&self, features: &[FeatureValue], label: usize) -> f64 {
         self.vote_distribution(features)
             .get(label)
             .copied()
@@ -136,19 +131,6 @@ impl RandomForest {
             None => Ok(()),
         }
     }
-
-    /// Classification accuracy over a labelled dataset.
-    pub fn accuracy(&self, dataset: &Dataset) -> f64 {
-        if dataset.is_empty() {
-            return 0.0;
-        }
-        let correct = dataset
-            .examples()
-            .iter()
-            .filter(|e| self.predict(&e.features) == e.label)
-            .count();
-        correct as f64 / dataset.len() as f64
-    }
 }
 
 // Every tree, in committee order.
@@ -161,6 +143,18 @@ gdr_relation::state_record! {
 mod tests {
     use super::*;
     use crate::dataset::Example;
+
+    /// Classification accuracy over a labelled dataset.
+    fn accuracy(forest: &RandomForest, dataset: &Dataset) -> f64 {
+        if dataset.is_empty() {
+            return 0.0;
+        }
+        let correct = (0..dataset.len())
+            .map(|i| dataset.example(i))
+            .filter(|e| forest.predict(&e.features) == e.label)
+            .count();
+        correct as f64 / dataset.len() as f64
+    }
 
     fn cat(s: &str) -> FeatureValue {
         FeatureValue::categorical(s)
@@ -193,7 +187,7 @@ mod tests {
     fn forest_learns_systematic_pattern() {
         let d = systematic_dataset(60);
         let forest = RandomForest::train(&d, &ForestConfig::default(), 11);
-        assert_eq!(forest.label_count(), 2);
+        assert_eq!(forest.label_count, 2);
         assert_eq!(
             forest.predict(&[cat("H2"), cat("Westville"), FeatureValue::Numeric(1.0)]),
             1
@@ -202,7 +196,7 @@ mod tests {
             forest.predict(&[cat("H1"), cat("Fort Wayne"), FeatureValue::Numeric(2.0)]),
             0
         );
-        assert!(forest.accuracy(&d) > 0.9);
+        assert!(accuracy(&forest, &d) > 0.9);
     }
 
     #[test]
@@ -261,7 +255,7 @@ mod tests {
     fn accuracy_of_empty_eval_set_is_zero() {
         let d = systematic_dataset(10);
         let forest = RandomForest::train(&d, &ForestConfig::default(), 1);
-        assert_eq!(forest.accuracy(&Dataset::new(3, 2)), 0.0);
+        assert_eq!(accuracy(&forest, &Dataset::new(3, 2)), 0.0);
     }
 
     #[test]

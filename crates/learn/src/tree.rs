@@ -95,13 +95,6 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Trains a tree on the full dataset (no bagging) with a seeded RNG for
-    /// the per-split feature subsampling.
-    pub fn train(dataset: &Dataset, config: &TreeConfig, seed: u64) -> DecisionTree {
-        let indices: Vec<usize> = (0..dataset.len()).collect();
-        DecisionTree::train_on(dataset, &indices, config, seed)
-    }
-
     /// Trains a tree on a subset of example indices (the bag drawn by the
     /// random forest).
     pub fn train_on(
@@ -136,20 +129,8 @@ impl DecisionTree {
     }
 
     /// Number of classes the tree was trained for.
-    pub fn label_count(&self) -> usize {
+    pub(crate) fn label_count(&self) -> usize {
         self.label_count
-    }
-
-    /// Number of decision nodes (excluding leaves); useful to check that
-    /// training actually split something.
-    pub fn split_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 0,
-                Node::Split { pass, fail, .. } => 1 + count(pass) + count(fail),
-            }
-        }
-        count(&self.root)
     }
 }
 
@@ -339,6 +320,23 @@ fn partition_counts(
 mod tests {
     use super::*;
 
+    /// Trains a tree on the full dataset (no bagging).
+    fn train(dataset: &Dataset, config: &TreeConfig, seed: u64) -> DecisionTree {
+        let indices: Vec<usize> = (0..dataset.len()).collect();
+        DecisionTree::train_on(dataset, &indices, config, seed)
+    }
+
+    /// Number of decision nodes (excluding leaves).
+    fn split_count(tree: &DecisionTree) -> usize {
+        fn count(node: &Node) -> usize {
+            match node {
+                Node::Leaf { .. } => 0,
+                Node::Split { pass, fail, .. } => 1 + count(pass) + count(fail),
+            }
+        }
+        count(&tree.root)
+    }
+
     fn cat(s: &str) -> FeatureValue {
         FeatureValue::categorical(s)
     }
@@ -370,8 +368,8 @@ mod tests {
             features_per_split: Some(2),
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 1);
-        assert!(tree.split_count() >= 1);
+        let tree = train(&d, &config, 1);
+        assert!(split_count(&tree) >= 1);
         assert_eq!(tree.predict(&[cat("b"), FeatureValue::Numeric(9.0)]), 1);
         assert_eq!(tree.predict(&[cat("a"), FeatureValue::Numeric(9.0)]), 0);
         // Unseen value: falls to the "fail" side of the b-test → majority 0.
@@ -392,7 +390,7 @@ mod tests {
             features_per_split: Some(1),
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 3);
+        let tree = train(&d, &config, 3);
         assert_eq!(tree.predict(&[FeatureValue::Numeric(1.0)]), 0);
         assert_eq!(tree.predict(&[FeatureValue::Numeric(8.5)]), 1);
     }
@@ -403,8 +401,8 @@ mod tests {
         for _ in 0..5 {
             d.push(Example::new(vec![cat("x")], 1));
         }
-        let tree = DecisionTree::train(&d, &TreeConfig::default(), 0);
-        assert_eq!(tree.split_count(), 0);
+        let tree = train(&d, &TreeConfig::default(), 0);
+        assert_eq!(split_count(&tree), 0);
         assert_eq!(tree.predict(&[cat("anything")]), 1);
     }
 
@@ -415,8 +413,8 @@ mod tests {
             max_depth: 0,
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 0);
-        assert_eq!(tree.split_count(), 0);
+        let tree = train(&d, &config, 0);
+        assert_eq!(split_count(&tree), 0);
         // Majority label of the whole set is 0 (4 vs 3).
         assert_eq!(tree.predict(&[cat("b"), FeatureValue::Numeric(0.0)]), 0);
     }
@@ -428,8 +426,8 @@ mod tests {
             min_samples_split: 100,
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 0);
-        assert_eq!(tree.split_count(), 0);
+        let tree = train(&d, &config, 0);
+        assert_eq!(split_count(&tree), 0);
     }
 
     #[test]
@@ -439,7 +437,7 @@ mod tests {
             features_per_split: Some(2),
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 1);
+        let tree = train(&d, &config, 1);
         // Missing routes to the non-"b" side → label 0.
         assert_eq!(
             tree.predict(&[FeatureValue::Missing, FeatureValue::Missing]),
@@ -451,8 +449,8 @@ mod tests {
     fn training_is_deterministic_for_a_seed() {
         let d = simple_dataset();
         let config = TreeConfig::default();
-        let t1 = DecisionTree::train(&d, &config, 42);
-        let t2 = DecisionTree::train(&d, &config, 42);
+        let t1 = train(&d, &config, 42);
+        let t2 = train(&d, &config, 42);
         for f in ["a", "b", "c", "z"] {
             let features = vec![cat(f), FeatureValue::Numeric(0.0)];
             assert_eq!(t1.predict(&features), t2.predict(&features));
@@ -467,8 +465,8 @@ mod tests {
         for label in [0, 0, 0, 1, 1] {
             d.push(Example::new(vec![cat("same")], label));
         }
-        let tree = DecisionTree::train(&d, &TreeConfig::default(), 9);
-        assert_eq!(tree.split_count(), 0);
+        let tree = train(&d, &TreeConfig::default(), 9);
+        assert_eq!(split_count(&tree), 0);
         assert_eq!(tree.predict(&[cat("same")]), 0);
     }
 
@@ -491,8 +489,8 @@ mod tests {
             features_per_split: Some(1),
             ..TreeConfig::default()
         };
-        let tree = DecisionTree::train(&d, &config, 5);
-        assert!(tree.split_count() >= 1);
+        let tree = train(&d, &config, 5);
+        assert!(split_count(&tree) >= 1);
         assert_eq!(tree.predict(&[FeatureValue::Symbol(9)]), 1);
         assert_eq!(tree.predict(&[FeatureValue::Symbol(7)]), 0);
         // Unseen symbol falls to the majority side.

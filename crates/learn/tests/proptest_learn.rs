@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn predictions_are_valid_labels(d in dataset_strategy(), seed in 0u64..1000) {
         let forest = RandomForest::train(&d, &ForestConfig::default(), seed);
-        for e in d.examples() {
+        for e in (0..d.len()).map(|i| d.example(i)) {
             let p = forest.predict(&e.features);
             prop_assert!(p < d.label_count());
             let dist = forest.vote_distribution(&e.features);
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn majority_matches_vote_distribution(d in dataset_strategy(), seed in 0u64..1000) {
         let forest = RandomForest::train(&d, &ForestConfig::default(), seed);
-        for e in d.examples().iter().take(10) {
+        for e in (0..d.len().min(10)).map(|i| d.example(i)) {
             let dist = forest.vote_distribution(&e.features);
             let max = dist.iter().cloned().fold(f64::MIN, f64::max);
             let predicted = forest.predict(&e.features);
@@ -68,7 +68,7 @@ proptest! {
     fn training_is_deterministic(d in dataset_strategy(), seed in 0u64..1000) {
         let a = RandomForest::train(&d, &ForestConfig::default(), seed);
         let b = RandomForest::train(&d, &ForestConfig::default(), seed);
-        for e in d.examples().iter().take(10) {
+        for e in (0..d.len().min(10)).map(|i| d.example(i)) {
             prop_assert_eq!(a.votes(&e.features), b.votes(&e.features));
         }
     }
@@ -94,8 +94,8 @@ proptest! {
         };
         // A bag sampled with replacement may omit examples, so train a single
         // tree directly instead.
-        let tree = gdr_learn::DecisionTree::train(&d, &config.tree, 7);
-        for e in d.examples() {
+        let tree = gdr_learn::DecisionTree::train_on(&d, &(0..d.len()).collect::<Vec<_>>(), &config.tree, 7);
+        for e in (0..d.len()).map(|i| d.example(i)) {
             prop_assert_eq!(tree.predict(&e.features), e.label);
         }
     }

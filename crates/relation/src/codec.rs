@@ -142,11 +142,6 @@ impl Enc {
         Enc::default()
     }
 
-    /// The encoded bytes so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Consumes the encoder, returning the payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -175,12 +170,12 @@ impl Enc {
     }
 
     /// A `u16` as a varint.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.varint(v.into());
     }
 
     /// A `u32` as a varint.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.varint(v.into());
     }
 
@@ -195,18 +190,18 @@ impl Enc {
     }
 
     /// An `i64` as the varint of its zigzag mapping.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// An `f64` as its raw bits, 8 little-endian bytes — restored values
     /// are bit-identical.
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// A boolean as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
 
@@ -238,7 +233,7 @@ impl Enc {
 
     /// A slice as a [`Vec`] of its elements encodes: a length, then each
     /// element.
-    pub fn seq<T: State>(&mut self, items: &[T]) {
+    pub(crate) fn seq<T: State>(&mut self, items: &[T]) {
         self.usize(items.len());
         self.fixed(items);
     }
@@ -377,7 +372,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A `u32` varint.
-    pub fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         self.varint_as("u32")
     }
 
@@ -392,20 +387,20 @@ impl<'a> Dec<'a> {
     }
 
     /// A zigzag-mapped `i64` varint.
-    pub fn i64(&mut self) -> Result<i64> {
+    pub(crate) fn i64(&mut self) -> Result<i64> {
         let zigzag = self.varint()?;
         Ok((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64))
     }
 
     /// An `f64` from its 8 raw little-endian bytes.
-    pub fn f64(&mut self) -> Result<f64> {
+    pub(crate) fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(u64::from_le_bytes(
             self.take(8)?.try_into().unwrap(),
         )))
     }
 
     /// A boolean (strictly 0 or 1).
-    pub fn bool(&mut self) -> Result<bool> {
+    pub(crate) fn bool(&mut self) -> Result<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -448,7 +443,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    pub(crate) fn str(&mut self) -> Result<String> {
         let n = self.seq_len(1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
@@ -456,7 +451,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A cell [`Value`].
-    pub fn value(&mut self) -> Result<Value> {
+    pub(crate) fn value(&mut self) -> Result<Value> {
         match self.u8()? {
             0 => Ok(Value::Null),
             1 => Ok(Value::Int(self.i64()?)),

@@ -198,14 +198,14 @@ mod tests {
         let table = parse_csv("t", "A,B\n1,x\n2,y\n").unwrap();
         assert_eq!(table.len(), 2);
         assert_eq!(table.schema().attr_id("B").unwrap(), 1);
-        assert_eq!(table.cell(1, 1).as_str(), Some("y"));
+        assert_eq!(table.cell(1, 1), &Value::from("y"));
     }
 
     #[test]
     fn parse_without_trailing_newline() {
         let table = parse_csv("t", "A,B\n1,x").unwrap();
         assert_eq!(table.len(), 1);
-        assert_eq!(table.cell(0, 1).as_str(), Some("x"));
+        assert_eq!(table.cell(0, 1), &Value::from("x"));
     }
 
     #[test]
@@ -217,21 +217,21 @@ mod tests {
     #[test]
     fn quoted_fields_with_commas_and_quotes() {
         let table = parse_csv("t", "A,B\n\"Fort, Wayne\",\"say \"\"hi\"\"\"\n").unwrap();
-        assert_eq!(table.cell(0, 0).as_str(), Some("Fort, Wayne"));
-        assert_eq!(table.cell(0, 1).as_str(), Some("say \"hi\""));
+        assert_eq!(table.cell(0, 0), &Value::from("Fort, Wayne"));
+        assert_eq!(table.cell(0, 1), &Value::from("say \"hi\""));
     }
 
     #[test]
     fn quoted_fields_with_newlines() {
         let table = parse_csv("t", "A,B\n\"line1\nline2\",x\n").unwrap();
-        assert_eq!(table.cell(0, 0).as_str(), Some("line1\nline2"));
+        assert_eq!(table.cell(0, 0), &Value::from("line1\nline2"));
     }
 
     #[test]
     fn crlf_line_endings() {
         let table = parse_csv("t", "A,B\r\n1,x\r\n2,y\r\n").unwrap();
         assert_eq!(table.len(), 2);
-        assert_eq!(table.cell(0, 0).as_str(), Some("1"));
+        assert_eq!(table.cell(0, 0), &Value::from("1"));
     }
 
     #[test]

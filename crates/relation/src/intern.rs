@@ -20,7 +20,7 @@
 //!   not comparable; callers key composite structures by `(attr, id)` or use
 //!   per-attribute containers.
 //! * **Generation counter**: every insertion of a *new* distinct value bumps
-//!   a generation counter ([`ValueInterner::generation`]).  Caches that
+//!   a generation counter (`ValueInterner::generation`).  Caches that
 //!   resolve external constants (e.g. CFD pattern constants) to ids can
 //!   re-resolve only when the generation moves, keeping re-hashing of
 //!   strings off steady-state hot paths.
@@ -45,7 +45,7 @@ impl ValueId {
 
     /// The dictionary slot index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -125,15 +125,10 @@ impl ValueInterner {
         self.values.is_empty()
     }
 
-    /// All distinct values, in first-interned order (ids are indices).
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
     /// Monotone counter bumped whenever a *new* distinct value is interned.
     /// Constant-resolution caches compare this to decide when to re-resolve.
     #[inline]
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 }
@@ -194,7 +189,7 @@ pub enum SmallKey {
 
 impl SmallKey {
     /// Builds a key from a slice of ids.
-    pub fn from_slice(ids: &[ValueId]) -> SmallKey {
+    pub(crate) fn from_slice(ids: &[ValueId]) -> SmallKey {
         if ids.len() <= SMALL_KEY_INLINE {
             let mut storage = [ValueId::from_index(0); SMALL_KEY_INLINE];
             storage[..ids.len()].copy_from_slice(ids);
@@ -209,7 +204,7 @@ impl SmallKey {
 
     /// Collects a key from an iterator of ids without intermediate
     /// allocation for keys that fit inline.
-    pub fn collect(ids: impl Iterator<Item = ValueId>) -> SmallKey {
+    pub(crate) fn collect(ids: impl Iterator<Item = ValueId>) -> SmallKey {
         let mut storage = [ValueId::from_index(0); SMALL_KEY_INLINE];
         let mut len = 0usize;
         let mut spill: Option<Vec<ValueId>> = None;
@@ -246,20 +241,10 @@ impl SmallKey {
             SmallKey::Spilled(vec) => vec,
         }
     }
-
-    /// Number of ids in the key.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Returns `true` for the empty key.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
 }
 
 /// The logical id slice, as a `Vec<ValueId>` encodes.  Inline-versus-spilled
-/// is a representation detail ([`SmallKey::from_slice`] re-chooses it by
+/// is a representation detail (`SmallKey::from_slice` re-chooses it by
 /// length) and is not encoded.
 impl State for SmallKey {
     const MIN_BYTES: usize = Vec::<ValueId>::MIN_BYTES;
@@ -378,7 +363,9 @@ mod tests {
         dict.intern(Value::from("b"));
         dict.intern(Value::from("a"));
         dict.intern(Value::from("b"));
-        assert_eq!(dict.values(), &[Value::from("b"), Value::from("a")]);
+        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.value(ValueId::from_index(0)), &Value::from("b"));
+        assert_eq!(dict.value(ValueId::from_index(1)), &Value::from("a"));
     }
 
     #[test]
@@ -398,7 +385,7 @@ mod tests {
         let key = SmallKey::from_slice(&long);
         assert!(matches!(key, SmallKey::Spilled(_)));
         assert_eq!(key.as_slice(), long.as_slice());
-        assert_eq!(key.len(), 9);
+        assert_eq!(key.as_slice().len(), 9);
     }
 
     #[test]
@@ -407,7 +394,7 @@ mod tests {
             let ids: Vec<ValueId> = (0..n).map(ValueId::from_index).collect();
             let collected = SmallKey::collect(ids.iter().copied());
             assert_eq!(collected, SmallKey::from_slice(&ids));
-            assert_eq!(collected.is_empty(), n == 0);
+            assert_eq!(collected.as_slice().is_empty(), n == 0);
         }
     }
 
@@ -416,7 +403,7 @@ mod tests {
         let a = SmallKey::from_slice(&[ValueId::from_index(1)]);
         let b = SmallKey::from_slice(&[ValueId::from_index(1), ValueId::from_index(0)]);
         assert_ne!(a, b);
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.as_slice().len(), 1);
     }
 
     #[test]

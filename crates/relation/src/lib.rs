@@ -40,9 +40,9 @@
 //!    that routes each write.  Every tuple weighs 1: the paper's optional
 //!    per-tuple weight is not modelled.
 //! 4. Rows are append-only and addressed by a stable [`TupleId`]; reads go
-//!    through the `Copy`able [`TupleRef`] view, whose id-level accessors
-//!    ([`TupleRef::value_id`], [`TupleRef::project_key`],
-//!    [`TupleRef::agrees_with`]) never materialise a [`Value`].
+//!    through the `Copy`able [`TupleRef`] view, and id-level reads
+//!    ([`Table::cell_id`], [`Table::project_key`]) never materialise a
+//!    [`Value`].
 //!
 //! ## Module map
 //!
@@ -50,8 +50,7 @@
 //! * [`intern`] — [`ValueId`], [`ValueInterner`], and the inline
 //!   [`SmallKey`] used for agreement-group keys,
 //! * [`Schema`] / [`Attribute`] — a named, ordered attribute list,
-//! * [`Tuple`] / [`TupleRef`] / [`Row`] — owned rows (construction) and
-//!   borrowed row views (reads),
+//! * [`TupleRef`] — a borrowed row view,
 //! * [`Table`] — schema + interned columns with cell-level read/write access,
 //! * [`index`] — the [`AttrSetIndex`] agreement index, grouping tuples by
 //!   their id projection on an attribute set,
@@ -77,7 +76,7 @@
 //!     Value::from("Michigan City"),
 //!     Value::from("46391"),
 //! ]).unwrap();
-//! assert_eq!(table.cell(t0, 1).as_str(), Some("Michigan City"));
+//! assert_eq!(table.cell(t0, 1), &Value::from("Michigan City"));
 //! // Equal values share an interned id within a column:
 //! assert_eq!(table.cell_id(t0, 1), table.cell_id(t1, 1));
 //! ```
@@ -101,7 +100,7 @@ pub use index::AttrSetIndex;
 pub use intern::{SmallKey, ValueId, ValueInterner};
 pub use schema::{AttrId, Attribute, Schema};
 pub use table::{Table, TupleId};
-pub use tuple::{Row, Tuple, TupleRef};
+pub use tuple::TupleRef;
 pub use value::Value;
 
 /// Convenience result alias used across the crate.

@@ -53,7 +53,7 @@ impl Schema {
     ///
     /// # Panics
     /// Panics on duplicate attribute names.
-    pub fn push_attribute(&mut self, name: &str) -> AttrId {
+    pub(crate) fn push_attribute(&mut self, name: &str) -> AttrId {
         assert!(
             !self.by_name.contains_key(name),
             "duplicate attribute name `{name}`"
@@ -70,11 +70,6 @@ impl Schema {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.attributes.len()
-    }
-
-    /// Returns `true` when the schema has no attributes.
-    pub fn is_empty(&self) -> bool {
-        self.attributes.is_empty()
     }
 
     /// All attributes, in order.
@@ -97,21 +92,10 @@ impl Schema {
             })
     }
 
-    /// Returns the attribute with the given id.
-    pub fn attribute(&self, id: AttrId) -> Result<&Attribute> {
-        self.attributes
-            .get(id)
-            .ok_or(RelationError::AttributeOutOfBounds {
-                index: id,
-                arity: self.attributes.len(),
-            })
-    }
-
     /// Returns the name of the attribute with the given id.
     ///
     /// # Panics
-    /// Panics if the id is out of bounds; use [`Schema::attribute`] for a
-    /// fallible variant.
+    /// Panics if the id is out of bounds.
     pub fn attr_name(&self, id: AttrId) -> &str {
         &self.attributes[id].name
     }
@@ -129,7 +113,7 @@ impl Schema {
 
     /// Checks that another schema matches this one, returning a descriptive
     /// error otherwise.
-    pub fn ensure_same_as(&self, other: &Schema) -> Result<()> {
+    pub(crate) fn ensure_same_as(&self, other: &Schema) -> Result<()> {
         if self.same_as(other) {
             Ok(())
         } else {
@@ -176,10 +160,9 @@ mod tests {
     fn build_and_lookup() {
         let schema = customer_schema();
         assert_eq!(schema.arity(), 6);
-        assert!(!schema.is_empty());
         assert_eq!(schema.attr_id("ZIP").unwrap(), 5);
         assert_eq!(schema.attr_name(3), "CT");
-        assert_eq!(schema.attribute(0).unwrap().name, "Name");
+        assert_eq!(schema.attributes()[0].name, "Name");
     }
 
     #[test]
@@ -192,19 +175,6 @@ mod tests {
                 name: "Country".to_string()
             }
         );
-    }
-
-    #[test]
-    fn out_of_bounds_attribute_errors() {
-        let schema = customer_schema();
-        let err = schema.attribute(17).unwrap_err();
-        assert!(matches!(
-            err,
-            RelationError::AttributeOutOfBounds {
-                index: 17,
-                arity: 6
-            }
-        ));
     }
 
     #[test]

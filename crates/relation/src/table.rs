@@ -3,7 +3,7 @@
 //! A [`Table`] stores one `Column` per attribute: a dense `Vec<ValueId>`
 //! of per-row ids plus the attribute's [`ValueInterner`] dictionary.  Rows
 //! are addressed by a stable [`TupleId`] and read through [`TupleRef`]
-//! views; owned [`crate::Tuple`]s exist only at the construction boundary.
+//! views.
 //! See the crate-level docs for the full design rationale and invariants.
 
 use std::fmt;
@@ -126,15 +126,6 @@ impl Table {
             .map(|f| Value::from_text(f.as_ref()))
             .collect();
         self.push_row(values)
-    }
-
-    /// Returns a borrowed view of the tuple with the given id.
-    ///
-    /// # Panics
-    /// Panics when the id is out of bounds.
-    pub fn tuple(&self, id: TupleId) -> TupleRef<'_> {
-        assert!(id < self.len(), "unknown tuple id {id}");
-        TupleRef::new(self, id)
     }
 
     /// Returns a single cell value (decoded through the dictionary).
@@ -406,8 +397,8 @@ mod tests {
         let table = small_table();
         assert_eq!(table.len(), 3);
         assert!(!table.is_empty());
-        assert_eq!(table.cell(0, 1).as_str(), Some("46360"));
-        assert_eq!(table.tuple(2).value(0).as_str(), Some("Westville"));
+        assert_eq!(table.cell(0, 1), &Value::from("46360"));
+        assert_eq!(table.cell(2, 0), &Value::from("Westville"));
         assert_eq!(table.name(), "addr");
     }
 
@@ -436,8 +427,8 @@ mod tests {
     fn set_cell_updates_value_and_version() {
         let mut table = small_table();
         let old = table.set_cell(2, 0, Value::from("Michigan City")).unwrap();
-        assert_eq!(old.as_str(), Some("Westville"));
-        assert_eq!(table.cell(2, 0).as_str(), Some("Michigan City"));
+        assert_eq!(old, Value::from("Westville"));
+        assert_eq!(table.cell(2, 0), &Value::from("Michigan City"));
     }
 
     #[test]
@@ -466,7 +457,7 @@ mod tests {
         let mut table = small_table();
         let snap = table.snapshot("clean");
         table.set_cell(0, 0, Value::from("X")).unwrap();
-        assert_eq!(snap.cell(0, 0).as_str(), Some("Michigan City"));
+        assert_eq!(snap.cell(0, 0), &Value::from("Michigan City"));
         assert_eq!(snap.name(), "clean");
         assert_eq!(snap.len(), table.len());
     }

@@ -44,18 +44,6 @@ impl RepairState {
         }
     }
 
-    /// The user supplied the correct value `v'` directly: the paper treats it
-    /// as a confirm of `⟨t, A, v', 1⟩`.
-    pub fn apply_user_value(
-        &mut self,
-        tuple: TupleId,
-        attr: usize,
-        value: gdr_relation::Value,
-    ) -> Result<FeedbackOutcome> {
-        let update = Update::new(tuple, attr, value, 1.0);
-        self.apply_confirm(&update)
-    }
-
     /// Step 1: retain the current value.
     fn apply_retain(&mut self, update: &Update) -> FeedbackOutcome {
         self.mark_unchangeable(update.cell());
@@ -75,9 +63,12 @@ impl RepairState {
     }
 
     /// Steps 3–6: the suggested value is correct; apply it and propagate.
+    /// A value the cell already holds is not written: the cell only becomes
+    /// unchangeable, and the rule walk still runs.
     fn apply_confirm(&mut self, update: &Update) -> Result<FeedbackOutcome> {
         let cell = update.cell();
-        let mut applied: Vec<Cell> = vec![cell];
+        let writes = self.table.try_cell(update.tuple, update.attr)? != &update.value;
+        let mut applied: Vec<Cell> = Vec::new();
 
         // Record, per rule involving the modified attribute, the tuples that
         // conflict with `t` *before* the change; their suggestions were
@@ -97,13 +88,16 @@ impl RepairState {
 
         // Apply the confirmed value through the violation engine and freeze
         // the cell.
-        let old_id = self.engine.apply_cell_change(
-            &mut self.table,
-            update.tuple,
-            update.attr,
-            update.value.clone(),
-        )?;
-        self.note_cell_change(update.tuple, update.attr, old_id);
+        if writes {
+            let old_id = self.engine.apply_cell_change(
+                &mut self.table,
+                update.tuple,
+                update.attr,
+                update.value.clone(),
+            )?;
+            self.note_cell_change(update.tuple, update.attr, old_id);
+            applied.push(cell);
+        }
         self.mark_unchangeable(cell);
 
         // Step 3: walk the rules involving the modified attribute.
@@ -267,13 +261,35 @@ STR, CT -> ZIP : _, Fort Wayne || _
         // cell frozen — the consistency manager must force the constant RHS.
         let mut state = state_with_rows(&[["H2", "Main St", "FT Wayne", "IN", "46391"]]);
         // Confirm ZIP := 46360 (a user-supplied correction).
-        let outcome = state.apply_user_value(0, 4, Value::from("46360")).unwrap();
+        let supplied = Update::new(0, 4, Value::from("46360"), 1.0);
+        let outcome = state.apply_feedback(&supplied, Feedback::Confirm).unwrap();
         // The confirmed zip, then the forced city repair.
         assert_eq!(outcome.applied, vec![(0, 4), (0, 2)]);
         assert_eq!(state.table().cell(0, 4), &Value::from("46360"));
         assert_eq!(state.table().cell(0, 2), &Value::from("Michigan City"));
         assert!(!state.is_changeable((0, 2)));
         assert!(state.dirty_tuples().is_empty());
+        assert!(state.invariants_hold());
+    }
+
+    #[test]
+    fn confirming_the_held_value_writes_nothing() {
+        let mut state = state_with_rows(&[["H2", "Main St", "Westville", "IN", "46391"]]);
+        let before = state.table().snapshot("before");
+        let rules = state.engine().ruleset().len();
+        let stats: Vec<u64> = (0..rules)
+            .map(|rule| state.engine().stats_generation(rule))
+            .collect();
+        let row = state.engine().row_generation(0);
+        let held = Update::new(0, 4, Value::from("46391"), 1.0);
+        let outcome = state.apply_feedback(&held, Feedback::Confirm).unwrap();
+        assert!(outcome.applied.is_empty());
+        assert!(before.diff_cells(state.table()).unwrap().is_empty());
+        for (rule, &generation) in stats.iter().enumerate() {
+            assert_eq!(state.engine().stats_generation(rule), generation);
+        }
+        assert_eq!(state.engine().row_generation(0), row);
+        assert!(!state.is_changeable((0, 4)));
         assert!(state.invariants_hold());
     }
 

@@ -68,21 +68,21 @@ impl AttrIndexPool {
     }
 
     /// The `attrs(φ) − {B}` index for LHS position `lhs_pos` of `rule`.
-    pub fn lhs_index(&self, rule: RuleId, lhs_pos: usize) -> &AttrSetIndex {
+    pub(crate) fn lhs_index(&self, rule: RuleId, lhs_pos: usize) -> &AttrSetIndex {
         &self.indexes[self.lhs_slots[rule][lhs_pos]]
     }
 
     /// The slot in the deduplicated index list backing
     /// [`AttrIndexPool::lhs_index`] — a stable identity for memoising probe
     /// results across the `(rule, lhs_pos)` pairs that share an index.
-    pub fn lhs_slot(&self, rule: RuleId, lhs_pos: usize) -> usize {
+    pub(crate) fn lhs_slot(&self, rule: RuleId, lhs_pos: usize) -> usize {
         self.lhs_slots[rule][lhs_pos]
     }
 
     /// Propagates one already-applied cell write into every index whose
     /// attribute set contains `attr`.  `old_id` is the id the cell held
     /// before the write.
-    pub fn note_cell_write(
+    pub(crate) fn note_cell_write(
         &mut self,
         table: &Table,
         tuple: TupleId,
@@ -92,12 +92,6 @@ impl AttrIndexPool {
         for index in &mut self.indexes {
             index.note_cell_write(table, tuple, attr, old_id);
         }
-    }
-
-    /// Number of distinct indices the pool maintains.
-    #[cfg(test)]
-    pub fn index_count(&self) -> usize {
-        self.indexes.len()
     }
 
     /// Rejects a decoded slot that names no index.
@@ -159,7 +153,7 @@ mod tests {
         // Rules: ZIP→CT, ZIP→STT, (STR,CT)→ZIP.  Subsets: {CT} (from ZIP→CT),
         // {STT} (from ZIP→STT), {CT,ZIP} and {STR,ZIP} (from the variable
         // rule) — all distinct here, but the count proves enumeration.
-        assert_eq!(pool.index_count(), 4);
+        assert_eq!(pool.indexes.len(), 4);
         // The variable rule (id 2) has LHS [STR, CT]; wildcarding STR leaves
         // [CT, ZIP].
         assert_eq!(pool.lhs_index(2, 0).attrs(), &[2, 4]);

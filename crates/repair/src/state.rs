@@ -140,7 +140,7 @@ impl RepairState {
 
     /// Id-space variant of [`RepairState::is_prevented`] for the update
     /// generator's hot path.
-    pub fn is_prevented_id(&self, cell: Cell, id: ValueId) -> bool {
+    pub(crate) fn is_prevented_id(&self, cell: Cell, id: ValueId) -> bool {
         self.prevented
             .get(&cell)
             .map(|set| set.contains(&id))
@@ -173,13 +173,6 @@ impl RepairState {
     /// [`ViolationEngine::attr_stats_generation`]).
     pub fn attr_stats_generation(&self, attr: AttrId) -> u64 {
         self.engine.attr_stats_generation(attr)
-    }
-
-    /// The live suggestion delta: for each cell whose suggestion changed
-    /// since the last [`RepairState::take_suggestion_delta`], the suggestion
-    /// it held then (`None` when it held none).
-    pub fn suggestion_delta(&self) -> &BTreeMap<Cell, Option<Update>> {
-        &self.suggestion_delta
     }
 
     /// Drains the suggestion delta: every cell whose suggestion now differs
@@ -521,13 +514,13 @@ mod tests {
         let mut state = fixture();
         // Construction recorded every initial suggestion into the delta, each
         // against an empty cell.
-        assert_eq!(state.suggestion_delta().len(), state.pending_count());
-        assert!(state.suggestion_delta().values().all(Option::is_none));
+        assert_eq!(state.suggestion_delta.len(), state.pending_count());
+        assert!(state.suggestion_delta.values().all(Option::is_none));
 
         // Taking hands the delta over and leaves it empty.
         let delta = state.take_suggestion_delta();
         assert_eq!(delta.len(), state.pending_count());
-        assert!(state.suggestion_delta().is_empty());
+        assert!(state.suggestion_delta.is_empty());
 
         // A write records the retired suggestion of the written cell.
         let old = state.pending_update((1, 2)).cloned();
@@ -535,7 +528,7 @@ mod tests {
         state
             .force_value(1, 2, Value::from("Michigan City"))
             .unwrap();
-        assert_eq!(state.suggestion_delta().get(&(1, 2)), Some(&old));
+        assert_eq!(state.suggestion_delta.get(&(1, 2)), Some(&old));
     }
 
     /// Applies one take of the delta to a replica of `PossibleUpdates`: each
@@ -577,8 +570,8 @@ mod tests {
             touched.extend(outcome.applied.iter().copied());
             touched.extend(state.revisit_queue.iter().copied());
             state.refresh_updates();
-            assert!(state.suggestion_delta().len() <= touched.len());
-            assert!(state.suggestion_delta().keys().all(|c| touched.contains(c)));
+            assert!(state.suggestion_delta.len() <= touched.len());
+            assert!(state.suggestion_delta.keys().all(|c| touched.contains(c)));
             apply_take(&mut replayed, &mut state);
             assert_eq!(replayed, state.possible);
         }
@@ -603,7 +596,7 @@ mod tests {
         assert!(state.pending_update(empty).is_none());
         state.record_suggestion(Update::new(0, 1, Value::from("Main St"), 0.5));
         state.drop_pending(empty);
-        assert_eq!(state.suggestion_delta().len(), 2);
+        assert_eq!(state.suggestion_delta.len(), 2);
         assert!(state.take_suggestion_delta().is_empty());
 
         // X → Y → Z hands over X once.
@@ -621,7 +614,7 @@ mod tests {
             .collect();
         let update = Update::new(1, 2, Value::from("Michigan City"), 0.5);
         state.what_if_stats(&update).unwrap();
-        assert!(state.suggestion_delta().is_empty());
+        assert!(state.suggestion_delta.is_empty());
         let after: Vec<u64> = (0..state.ruleset().len())
             .map(|r| state.stats_generation(r))
             .collect();
@@ -660,8 +653,8 @@ mod tests {
             restored.possible_updates_sorted(),
             state.possible_updates_sorted()
         );
-        assert!(!state.suggestion_delta().is_empty());
-        assert!(restored.suggestion_delta().is_empty());
+        assert!(!state.suggestion_delta.is_empty());
+        assert!(restored.suggestion_delta.is_empty());
 
         // Both continue identically through another feedback round.
         for s in [&mut state, &mut restored] {

@@ -61,7 +61,7 @@ impl Update {
 
     /// Builds an update whose value is already interned (the generator's
     /// constructor — every suggestion in `PossibleUpdates` carries its id).
-    pub fn with_value_id(
+    pub(crate) fn with_value_id(
         tuple: TupleId,
         attr: AttrId,
         value: Value,

@@ -170,7 +170,9 @@ proptest! {
                     let attr = if attr_pick % 2 == 0 { 2 } else { 4 };
                     fresh_counter += 1;
                     let value = Value::from(format!("Fresh-{fresh_counter}"));
-                    state.apply_user_value(*tuple, attr, value).unwrap();
+                    state
+                        .apply_feedback(&Update::new(*tuple, attr, value, 1.0), Feedback::Confirm)
+                        .unwrap();
                 }
                 Op::Refresh => {}
             }

@@ -5,7 +5,7 @@
 
 use gdr_cfd::{parser, RuleSet};
 use gdr_relation::{Schema, Table, Value};
-use gdr_repair::{Feedback, RepairState};
+use gdr_repair::{Feedback, RepairState, Update};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -98,10 +98,10 @@ proptest! {
                 _ => {
                     let zip = Value::from(["46360", "46391", "46825"][pick % 3]);
                     let cell = (update.tuple, ZIP);
-                    if !state.is_changeable(cell) || before.cell(cell.0, cell.1) == &zip {
+                    if !state.is_changeable(cell) {
                         continue;
                     }
-                    state.apply_user_value(cell.0, cell.1, zip)
+                    state.apply_feedback(&Update::new(cell.0, cell.1, zip, 1.0), Feedback::Confirm)
                 }
             };
             // The outcome names exactly the cells the verb wrote (in write

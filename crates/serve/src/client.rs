@@ -42,7 +42,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -50,12 +50,10 @@ use gdr_core::oracle::UserOracle;
 use gdr_core::step::DoneReason;
 use gdr_core::strategy::Strategy;
 use gdr_core::team::ConflictPolicy;
-use gdr_relation::Value;
 use gdr_repair::{Feedback, Update};
 
 use crate::wire::{
-    decode_response_frame, encode_request_frame, Request, Response, WireError, WireLease,
-    PROTOCOL_VERSION,
+    decode_response_frame, encode_request_frame, Request, Response, WireError, PROTOCOL_VERSION,
 };
 
 /// The server's `hello` reply: protocol version, capability flags, and the
@@ -211,7 +209,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// A policy that never retries — [`Client::drive_retrying`] with this
     /// behaves exactly like [`Client::drive`].
-    pub fn none() -> RetryPolicy {
+    pub(crate) fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             initial_backoff: Duration::ZERO,
@@ -288,21 +286,6 @@ impl Client<TcpStream, TcpStream> {
             session: session.into(),
         })
     }
-
-    /// Connects over TCP with `timeout` applied to the connect itself and
-    /// to every subsequent read and write — a verb that hangs past the
-    /// deadline surfaces as a transport error the retry layer can handle,
-    /// instead of blocking the driver forever.
-    pub fn connect_timeout(
-        addr: &SocketAddr,
-        session: impl Into<String>,
-        timeout: Duration,
-    ) -> io::Result<Self> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Client::connect(stream, session)
-    }
 }
 
 impl<R: Read, W: Write> Client<R, W> {
@@ -314,15 +297,10 @@ impl<R: Read, W: Write> Client<R, W> {
         }
     }
 
-    /// The session id this client addresses.
-    pub fn session(&self) -> &str {
-        &self.session
-    }
-
     /// Swaps in a fresh transport pair — the reconnect primitive.  The
     /// old pair is dropped; any half-exchanged request on it is abandoned
     /// (safe: see the module docs on duplicate-delivery recovery).
-    pub fn replace_transport(&mut self, reader: R, writer: W) {
+    pub(crate) fn replace_transport(&mut self, reader: R, writer: W) {
         self.framed = Framed::new(reader, writer);
     }
 
@@ -414,21 +392,6 @@ impl<R: Read, W: Write> Client<R, W> {
         })
     }
 
-    /// Supplies the correct value for the outstanding `need_value` cell.
-    pub fn supply(
-        &mut self,
-        tuple: usize,
-        attr: usize,
-        value: Value,
-    ) -> Result<Response, ClientError> {
-        self.expect_ok(&Request::Supply {
-            session: self.session.clone(),
-            tuple,
-            attr,
-            value,
-        })
-    }
-
     /// Declines the outstanding `need_value` cell.
     pub fn skip(&mut self, tuple: usize, attr: usize) -> Result<Response, ClientError> {
         self.expect_ok(&Request::Skip {
@@ -436,12 +399,6 @@ impl<R: Read, W: Write> Client<R, W> {
             tuple,
             attr,
         })
-    }
-
-    /// Ends the session from the client side.
-    pub fn finish(&mut self) -> Result<DoneReason, ClientError> {
-        let session = self.session.clone();
-        done_reason(self.call(&Request::Finish { session })?)
     }
 
     /// Requests the session summary.
@@ -468,16 +425,6 @@ impl<R: Read, W: Write> Client<R, W> {
         match self.call(&Request::Compact { session })? {
             Response::Compacted { events, tail } => Ok((events, tail)),
             other => Err(unexpected("compact", "a compacted reply", other)),
-        }
-    }
-
-    /// Reads the session's live lease table (grant order).  Purely
-    /// observational: ticks no coordinator clock and expires nothing.
-    pub fn leases(&mut self) -> Result<Vec<WireLease>, ClientError> {
-        let session = self.session.clone();
-        match self.call(&Request::Leases { session })? {
-            Response::Leases { leases } => Ok(leases),
-            other => Err(unexpected("leases", "a leases reply", other)),
         }
     }
 
@@ -549,14 +496,6 @@ impl MuxClient<TcpStream, TcpStream> {
 }
 
 impl<R: Read, W: Write> MuxClient<R, W> {
-    /// Wraps a transport pair.
-    pub fn new(reader: R, writer: W) -> Self {
-        MuxClient {
-            framed: Framed::new(reader, writer),
-            next_seq: 0,
-        }
-    }
-
     /// Sends one `seq`-tagged request without waiting for its reply;
     /// returns the tag its reply will carry.
     pub fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
@@ -912,11 +851,6 @@ impl ReviewTeam {
             session: session.into(),
             reviewers: reviewers.into_iter().map(Into::into).collect(),
         }
-    }
-
-    /// The session id this team addresses.
-    pub fn session(&self) -> &str {
-        &self.session
     }
 
     /// Drives every reviewer until the session is done or the shared

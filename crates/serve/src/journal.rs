@@ -1,4 +1,4 @@
-//! Crash-safe on-disk session journals: segmented, checksummed, compactable.
+//! Crash-safe on-disk session journals: one checksummed log, compactable.
 //!
 //! The in-memory [`crate::store::SessionJournal`] already makes every
 //! session a replayable value (build inputs + state-advancing verbs).  This
@@ -16,15 +16,18 @@
 //!   record** instead of failing the session; the wire protocol's
 //!   `StaleWork` recovery already makes drivers resilient to a rolled-back
 //!   outstanding question.
-//! * **Segments.**  Events append to `seg-NNNNNN.gdrj` files that roll over
-//!   at a configurable byte size, so one hot session never owns one
-//!   unbounded file and recovery IO is bounded per segment.  The build
-//!   inputs live in `spec.gdrj`, written and fsync'd once at open.
+//! * **The log.**  Events append to one file per session that never rolls:
+//!   `seg-000000.gdrj`, the name the first segment had when the log rolled
+//!   over at a byte size, so journal roots written then still load and
+//!   tools that read `seg-*.gdrj` files still find it.  A directory that
+//!   holds any other `seg-*` file is refused with [`JournalError::Corrupt`]
+//!   naming it, so no event is dropped without an error.  The build inputs
+//!   live in `spec.gdrj`, written and fsync'd once at open.
 //! * **Fsync policy.**  [`FsyncPolicy::EveryRecord`], the default, fsyncs
 //!   each record inside [`DiskJournal::append`], so a record is on stable
 //!   storage before the verb that wrote it is answered.
 //!   [`FsyncPolicy::Never`] (tests, benches) leaves flushing to the OS and
-//!   claims no durability.  Segment rolls always sync the sealed segment.
+//!   claims no durability.
 //! * **Checkpoints.**  Compaction (see [`crate::store::Session::compact`])
 //!   persists the validated session itself as `snap-NNNNNN.gdrs`
 //!   (write-to-temp + fsync + atomic rename): the frame
@@ -70,8 +73,9 @@ pub enum JournalError {
         dir: PathBuf,
     },
     /// A record or file that must be intact (the spec, a decoded event) is
-    /// not.  Tail corruption of event segments is *not* an error — the
-    /// loader truncates and reports it in [`RecoveryReport`] instead.
+    /// not, or the directory holds a `seg-*` file besides the log.  Tail
+    /// corruption of the log is *not* an error — the loader truncates and
+    /// reports it in [`RecoveryReport`] instead.
     Corrupt {
         /// What was corrupt and where.
         detail: String,
@@ -128,7 +132,7 @@ pub struct ScanOutcome<'a> {
     pub corruption: Option<String>,
 }
 
-/// Scans a segment byte stream, stopping at the first record that is torn,
+/// Scans a log byte stream, stopping at the first record that is torn,
 /// short, malformed, or checksum-failing.  Never panics: every byte stream
 /// yields a (possibly empty) valid prefix.
 pub fn scan_records(bytes: &[u8]) -> ScanOutcome<'_> {
@@ -251,8 +255,6 @@ pub enum FsyncPolicy {
 pub struct JournalConfig {
     /// When appended records are fsync'd.
     pub fsync: FsyncPolicy,
-    /// Roll to a new segment once the active one exceeds this many bytes.
-    pub segment_max_bytes: u64,
     /// Auto-compact the in-memory journal once its tail exceeds this many
     /// events (0 disables auto-compaction; `compact` stays available).
     pub compact_every: usize,
@@ -262,7 +264,6 @@ impl Default for JournalConfig {
     fn default() -> JournalConfig {
         JournalConfig {
             fsync: FsyncPolicy::EveryRecord,
-            segment_max_bytes: 64 * 1024,
             compact_every: 64,
         }
     }
@@ -271,8 +272,12 @@ impl Default for JournalConfig {
 // ---- disk journal ---------------------------------------------------------
 
 const SPEC_FILE: &str = "spec.gdrj";
+/// The event log.  It keeps the name of the first segment of the rolling
+/// layout this log replaced.
+const LOG_FILE: &str = "seg-000000.gdrj";
+/// Prefix of the rolled segments of that layout; the loader refuses any
+/// file with it but the log.
 const SEGMENT_PREFIX: &str = "seg-";
-const SEGMENT_SUFFIX: &str = ".gdrj";
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".gdrs";
 /// Suffix of a checkpoint being written; renamed away once synced.
@@ -281,17 +286,6 @@ const TMP_SUFFIX: &str = ".tmp";
 /// wrote plus one older fallback, so a corrupt newest checkpoint still
 /// degrades to a checkpointed restore instead of a full replay.
 const SNAPSHOTS_KEPT: usize = 2;
-
-fn segment_name(index: u64) -> String {
-    format!("{SEGMENT_PREFIX}{index:06}{SEGMENT_SUFFIX}")
-}
-
-fn segment_index(name: &str) -> Option<u64> {
-    name.strip_prefix(SEGMENT_PREFIX)?
-        .strip_suffix(SEGMENT_SUFFIX)?
-        .parse()
-        .ok()
-}
 
 /// Name of the checkpoint file covering the first `events` transcript
 /// events: `snap-NNNNNN.gdrs`, the session's
@@ -346,10 +340,9 @@ pub fn session_shard(id: &str) -> String {
 /// What the loader found (and repaired) while reading a journal directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Bytes cut from the first corrupt segment (torn tail, flipped bits).
+    /// Bytes cut from the log at its first corrupt record (torn tail,
+    /// flipped bits).
     pub truncated_bytes: u64,
-    /// Whole segments discarded because they followed a corrupt record.
-    pub dropped_segments: usize,
     /// Detail of the corruption that forced the truncation, if any.
     pub corruption: Option<String>,
     /// Checkpoint files that were unreadable, undecodable, did not
@@ -362,10 +355,7 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Whether the loader had to repair anything.
     pub fn clean(&self) -> bool {
-        self.truncated_bytes == 0
-            && self.dropped_segments == 0
-            && self.corruption.is_none()
-            && self.snapshots_skipped == 0
+        self.truncated_bytes == 0 && self.corruption.is_none() && self.snapshots_skipped == 0
     }
 }
 
@@ -395,17 +385,14 @@ pub struct LoadedJournal {
 pub struct DiskJournal {
     dir: PathBuf,
     checkpoints: Checkpoints,
-    active: File,
-    active_index: u64,
-    active_len: u64,
-    appended: u64,
+    log: File,
     syncs: u64,
     config: JournalConfig,
 }
 
 impl DiskJournal {
     /// Creates a fresh journal directory for `spec`: writes and fsyncs
-    /// `spec.gdrj`, then opens the first event segment.  Fails if the
+    /// `spec.gdrj`, then creates the event log.  Fails if the
     /// directory already holds a journal.
     pub fn create(
         dir: impl Into<PathBuf>,
@@ -440,27 +427,18 @@ impl DiskJournal {
             })?;
         spec_file.write_all(&codec::frame(spec_record))?;
         spec_file.sync_all()?;
-        let active = File::create(dir.join(segment_name(0)))?;
-        Ok(DiskJournal::assemble(dir, active, 0, 0, config))
+        let log = File::create(dir.join(LOG_FILE))?;
+        Ok(DiskJournal::assemble(dir, log, config))
     }
 
-    fn assemble(
-        dir: PathBuf,
-        active: File,
-        active_index: u64,
-        active_len: u64,
-        config: JournalConfig,
-    ) -> DiskJournal {
+    fn assemble(dir: PathBuf, log: File, config: JournalConfig) -> DiskJournal {
         DiskJournal {
             checkpoints: Checkpoints {
                 dir: dir.clone(),
                 open: Arc::new(Mutex::new(true)),
             },
             dir,
-            active,
-            active_index,
-            active_len,
-            appended: 0,
+            log,
             syncs: 0,
             config,
         }
@@ -471,12 +449,13 @@ impl DiskJournal {
         dir.as_ref().join(SPEC_FILE).is_file()
     }
 
-    /// Reads a journal directory back, truncating corrupt tails **on disk**
-    /// (the offending segment is cut to its last valid record and every
-    /// later segment is removed) so subsequent appends restart from a
-    /// consistent prefix.  Unusable checkpoint files, and the temp files of
-    /// checkpoint writes that never reached their rename, are deleted and
-    /// skipped.  Only a missing or corrupt spec record is fatal.
+    /// Reads a journal directory back, truncating a corrupt log tail **on
+    /// disk** (the log is cut to its last valid record) so subsequent
+    /// appends restart from a consistent prefix.  Unusable checkpoint
+    /// files, and the temp files of checkpoint writes that never reached
+    /// their rename, are deleted and skipped.  A missing or corrupt spec
+    /// record is fatal, and so is a `seg-*` file besides the log: its
+    /// events would otherwise be lost without an error.
     pub fn load(dir: impl AsRef<Path>) -> Result<LoadedJournal, JournalError> {
         let dir = dir.as_ref();
         let spec_bytes = fs::read(dir.join(SPEC_FILE))?;
@@ -487,14 +466,14 @@ impl DiskJournal {
                 detail: format!("spec record: {detail}"),
             })?;
 
-        let mut recovery = RecoveryReport::default();
-        let mut events = Vec::new();
-        let mut segments = Vec::new();
         for entry in fs::read_dir(dir)?.filter_map(|entry| entry.ok()) {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(index) = segment_index(&name) {
-                segments.push(index);
-            } else if name
+            if name.starts_with(SEGMENT_PREFIX) && name != LOG_FILE {
+                return Err(JournalError::Corrupt {
+                    detail: format!("{}: not the journal's log", entry.path().display()),
+                });
+            }
+            if name
                 .strip_suffix(TMP_SUFFIX)
                 .is_some_and(|snap| snapshot_events(snap).is_some())
             {
@@ -502,34 +481,28 @@ impl DiskJournal {
                 fs::remove_file(entry.path()).ok();
             }
         }
-        segments.sort_unstable();
-        let mut stop_after: Option<usize> = None;
-        for (position, &index) in segments.iter().enumerate() {
-            let path = dir.join(segment_name(index));
-            if stop_after.is_some() {
-                // Everything after a corrupt record is untrusted: the append
-                // order is strictly sequential, so later segments cannot
-                // hold valid state for a prefix that was cut.
-                recovery.dropped_segments += 1;
-                fs::remove_file(&path)?;
-                continue;
-            }
-            let bytes = fs::read(&path)?;
-            let scan = scan_records(&bytes);
-            for payload in &scan.payloads {
-                let event = decode_event(payload).map_err(|detail| JournalError::Corrupt {
-                    detail: format!("{}: undecodable event: {detail}", path.display()),
-                })?;
-                events.push(event);
-            }
-            if let Some(detail) = scan.corruption {
-                recovery.truncated_bytes += (bytes.len() - scan.valid_len) as u64;
-                recovery.corruption = Some(format!("{}: {detail}", path.display()));
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(scan.valid_len as u64)?;
-                file.sync_all()?;
-                stop_after = Some(position);
-            }
+
+        let mut recovery = RecoveryReport::default();
+        let path = dir.join(LOG_FILE);
+        let bytes = match fs::read(&path) {
+            Err(err) if err.kind() == io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let scan = scan_records(&bytes);
+        let events = scan
+            .payloads
+            .iter()
+            .map(|payload| decode_event(payload))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|detail| JournalError::Corrupt {
+                detail: format!("{}: undecodable event: {detail}", path.display()),
+            })?;
+        if let Some(detail) = scan.corruption {
+            recovery.truncated_bytes = (bytes.len() - scan.valid_len) as u64;
+            recovery.corruption = Some(format!("{}: {detail}", path.display()));
+            let file = OpenOptions::new().write(true).open(&path)?;
+            file.set_len(scan.valid_len as u64)?;
+            file.sync_all()?;
         }
 
         // Checkpoints: the newest one that covers no more events than the
@@ -568,53 +541,31 @@ impl DiskJournal {
         })
     }
 
-    /// Loads a journal directory and positions an append handle at its end
-    /// (the last valid segment, post-truncation).
-    pub fn open(
+    /// Loads a journal directory and positions an append handle at the end
+    /// of its log (post-truncation).
+    pub(crate) fn open(
         dir: impl Into<PathBuf>,
         config: JournalConfig,
     ) -> Result<(DiskJournal, LoadedJournal), JournalError> {
         let dir = dir.into();
         let loaded = DiskJournal::load(&dir)?;
-        let mut last_index = 0u64;
-        for entry in fs::read_dir(&dir)? {
-            if let Some(index) = entry
-                .ok()
-                .and_then(|e| segment_index(&e.file_name().to_string_lossy()))
-            {
-                last_index = last_index.max(index);
-            }
-        }
-        let path = dir.join(segment_name(last_index));
-        let active = OpenOptions::new().create(true).append(true).open(&path)?;
-        let active_len = active.metadata()?.len();
-        let journal = DiskJournal::assemble(dir, active, last_index, active_len, config);
-        Ok((journal, loaded))
+        let log = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(dir.join(LOG_FILE))?;
+        Ok((DiskJournal::assemble(dir, log, config), loaded))
     }
 
     /// The journal's directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Appends one event record, rolling the segment when it is full.  Under
+    /// Appends one event record to the log.  Under
     /// [`FsyncPolicy::EveryRecord`] the record is on stable storage when
     /// this returns.
     pub fn append(&mut self, event: &TranscriptEvent) -> Result<(), JournalError> {
-        let record = codec::frame(&encode_event(event));
-        if self.active_len > 0
-            && self.active_len + record.len() as u64 > self.config.segment_max_bytes
-        {
-            // Seal the active segment: sync it regardless of policy (a
-            // segment boundary is a durability point), then start the next.
-            self.sync()?;
-            self.active_index += 1;
-            self.active = File::create(self.dir.join(segment_name(self.active_index)))?;
-            self.active_len = 0;
-        }
-        self.active.write_all(&record)?;
-        self.active_len += record.len() as u64;
-        self.appended += 1;
+        self.log.write_all(&codec::frame(&encode_event(event)))?;
         if self.config.fsync == FsyncPolicy::EveryRecord {
             self.sync()?;
         }
@@ -622,15 +573,10 @@ impl DiskJournal {
     }
 
     /// Forces everything appended so far to stable storage.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.active.sync_all()?;
+    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
+        self.log.sync_all()?;
         self.syncs += 1;
         Ok(())
-    }
-
-    /// Records appended through this handle.
-    pub fn appends(&self) -> u64 {
-        self.appended
     }
 
     /// fsyncs issued through this handle.
@@ -692,7 +638,7 @@ impl Drop for DiskJournal {
     fn drop(&mut self) {
         // Best-effort: an evicted or closing session should not lose its
         // tail to a missing final sync under `FsyncPolicy::Never`.
-        let _ = self.active.sync_all();
+        let _ = self.log.sync_all();
     }
 }
 
@@ -834,8 +780,8 @@ mod tests {
         assert_eq!(decoded.rules.len(), spec.rules.len());
         for (id, _) in spec.rules.iter() {
             assert_eq!(
-                decoded.rules.weight(id).to_bits(),
-                spec.rules.weight(id).to_bits(),
+                decoded.rules.weights()[id].to_bits(),
+                spec.rules.weights()[id].to_bits(),
                 "weight of rule {id}"
             );
         }
@@ -850,11 +796,11 @@ mod tests {
         // And the engines built from both specs serve identically.
         // (Deterministic builds: same inputs, same bits.)
         let a = {
-            let journal = crate::store::SessionJournal::new(spec.clone());
+            let journal = crate::store::SessionJournal::from_events(spec.clone(), Vec::new());
             journal.replay().unwrap()
         };
         let b = {
-            let journal = crate::store::SessionJournal::new(decoded);
+            let journal = crate::store::SessionJournal::from_events(decoded, Vec::new());
             journal.replay().unwrap()
         };
         assert_eq!(team_digest(&a), team_digest(&b));
@@ -872,7 +818,11 @@ mod tests {
         );
         let digest = |dirty: Table| {
             let spec = OpenSpec::new(dirty, data.rules.clone());
-            team_digest(&crate::store::SessionJournal::new(spec).replay().unwrap())
+            team_digest(
+                &crate::store::SessionJournal::from_events(spec, Vec::new())
+                    .replay()
+                    .unwrap(),
+            )
         };
         let mut edited = data.dirty.clone();
         edited

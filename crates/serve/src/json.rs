@@ -69,7 +69,7 @@ impl Json {
     }
 
     /// The numeric contents of an `Int` or `Float`.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
             Json::Float(f) => Some(*f),
@@ -78,7 +78,7 @@ impl Json {
     }
 
     /// The boolean contents, when this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -173,16 +173,19 @@
 //! huge stores never pile thousands of directories into one listing — and
 //! survives process death.
 //!
-//! * **Segment format** — every file is written in the `S2` frame of
+//! * **File format** — every file is written in the `S2` frame of
 //!   `gdr_relation::codec`: `S2 <len> <fnv64-hex> ` followed by `len`
 //!   payload bytes, the checksum being FNV-1a 64 over the payload, and
 //!   every integer in a payload a LEB128 varint.
 //!   `spec.gdrj` holds one frame with the spec record in the state codec
 //!   (its `create_new` creation is the atomic claim on a session id);
-//!   events append to `seg-NNNNNN.gdrj` segments of concatenated frames,
-//!   rolled at [`journal::JournalConfig::segment_max_bytes`], each payload
-//!   a one-byte event tag and its fields.  `examples/journal_dump.rs`
-//!   prints any journal directory as text.
+//!   events append to one log of concatenated frames that never rolls,
+//!   each payload a one-byte event tag and its fields.  The log is named
+//!   `seg-000000.gdrj`, the name of the first segment when the journal
+//!   rolled over by size, so older roots load as they are; a directory
+//!   holding any other `seg-*` file is refused with a typed `journal` error
+//!   naming it.  `examples/journal_dump.rs` prints any journal directory as
+//!   text.
 //! * **Format break at `S2`** — files written before varint integers carry
 //!   the `S1` magic and fixed-width integers.  This build has no decoder
 //!   for them: [`codec::read_frame`](gdr_relation::codec::read_frame)
@@ -205,13 +208,12 @@
 //! * **Fsync policy** — [`journal::FsyncPolicy`]: `EveryRecord` (the
 //!   default) fsyncs each record before its verb replies, so every
 //!   acknowledged verb is on stable storage; `Never` (tests, benches)
-//!   leaves flushing to the OS.  Sealed segments are always synced.  Disk
-//!   is written *before* RAM, so the in-memory journal never claims more
-//!   than stable storage.
+//!   leaves flushing to the OS.  Disk is written *before* RAM, so the
+//!   in-memory journal never claims more than stable storage.
 //! * **Corruption semantics** — recovery scans for the longest valid record
 //!   prefix: the first torn, short, malformed, or checksum-failing record
-//!   truncates its segment (persisted with `set_len`, so repair is
-//!   idempotent) and discards every later segment.  The session re-serves
+//!   and everything after it are cut from the log (persisted with
+//!   `set_len`, so repair is idempotent).  The session re-serves
 //!   from the last durable record; [`journal::RecoveryReport`] says what
 //!   was cut.
 //! * **Checkpointed recovery** — each compaction persists the serialised

@@ -289,11 +289,6 @@ pub struct SessionJournal {
 }
 
 impl SessionJournal {
-    /// A fresh journal over the given build inputs.
-    pub fn new(spec: OpenSpec) -> SessionJournal {
-        SessionJournal::from_events(spec, Vec::new())
-    }
-
     /// A journal rebuilt from externally recovered events (the on-disk
     /// path): no snapshot, the whole transcript as tail.
     pub fn from_events(spec: OpenSpec, events: Vec<TranscriptEvent>) -> SessionJournal {
@@ -322,11 +317,6 @@ impl SessionJournal {
         let mut journal = SessionJournal::from_events(spec, events.to_vec());
         journal.install_snapshot(team.to_snapshot_bytes(), covered);
         journal
-    }
-
-    /// The journaled build inputs, decoded from the spec record.
-    pub fn spec(&self) -> OpenSpec {
-        decode_spec(&self.spec).expect("the spec record decodes: it was encoded or decoded whole")
     }
 
     /// The in-memory transcript tail: every event since the last compaction
@@ -664,8 +654,7 @@ impl SessionOptions {
         SessionOptions::default()
     }
 
-    /// Sets the journal tunables (auto-compaction cadence, segment size,
-    /// fsync policy).
+    /// Sets the journal tunables (auto-compaction cadence, fsync policy).
     pub fn journal(mut self, config: JournalConfig) -> SessionOptions {
         self.journal = config;
         self
@@ -807,8 +796,7 @@ impl Session {
     }
 
     /// The on-disk journal itself, when this session is durable — for
-    /// append and fsync accounting ([`DiskJournal::appends`],
-    /// [`DiskJournal::syncs`]).
+    /// fsync accounting ([`DiskJournal::syncs`]).
     pub fn disk(&self) -> Option<&DiskJournal> {
         self.disk.as_ref()
     }
@@ -1378,11 +1366,6 @@ impl SessionStore {
         })
     }
 
-    /// The durability configuration, when this store persists to disk.
-    pub fn durability(&self) -> Option<&DurabilityConfig> {
-        self.durability.as_ref()
-    }
-
     /// The shard owning `id` — a stable FNV-1a hash of the id, masked down,
     /// so an id routes to the same shard in every process.
     fn shard(&self, id: &str) -> &Shard {
@@ -1703,7 +1686,6 @@ mod tests {
         let config = JournalConfig {
             fsync: FsyncPolicy::Never,
             compact_every: 0,
-            ..JournalConfig::default()
         };
         let dir = std::env::temp_dir().join(format!("gdr-store-base-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1749,7 +1731,6 @@ mod tests {
         config.journal = JournalConfig {
             fsync: FsyncPolicy::Never,
             compact_every: EVERY,
-            ..JournalConfig::default()
         };
         let store = SessionStore::durable(config.clone()).unwrap();
         drop(store.open("s", spec()).unwrap());

@@ -27,7 +27,6 @@ fn journal_config() -> JournalConfig {
         // This suite times and compares replay paths, not the disk
         // controller; compaction is triggered manually at chosen points.
         fsync: FsyncPolicy::Never,
-        segment_max_bytes: 16 * 1024,
         compact_every: 0,
     }
 }
@@ -106,14 +105,7 @@ fn workload_events() -> usize {
 /// The concatenated journal byte stream and the offset just past each
 /// record, from the framed lengths of the decoded events.
 fn stream_and_ends(dir: &Path) -> (Vec<u8>, Vec<usize>) {
-    let mut stream = Vec::new();
-    for index in 0u64.. {
-        let path = dir.join(format!("seg-{index:06}.gdrj"));
-        if !path.exists() {
-            break;
-        }
-        stream.extend(fs::read(path).expect("read segment"));
-    }
+    let stream = fs::read(dir.join("seg-000000.gdrj")).expect("read log");
     let loaded = DiskJournal::load(dir).expect("load recording");
     assert!(loaded.recovery.clean(), "{:?}", loaded.recovery);
     let ends = record_ends(&loaded.events);

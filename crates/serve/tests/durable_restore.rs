@@ -21,7 +21,6 @@ use gdr_serve::store::{Session, SessionJournal, SessionOptions, TranscriptEvent}
 fn journal_config() -> JournalConfig {
     JournalConfig {
         fsync: FsyncPolicy::EveryRecord,
-        segment_max_bytes: 256,
         compact_every: 7,
     }
 }
@@ -85,14 +84,7 @@ fn every_event_kind_rehydrates_bit_identically_at_every_boundary() {
 
     // Read back the raw stream and the clean transcript.
     let spec_bytes = fs::read(recorded.join("spec.gdrj")).expect("read spec");
-    let mut stream = Vec::new();
-    for index in 0u64.. {
-        let path = recorded.join(format!("seg-{index:06}.gdrj"));
-        if !path.exists() {
-            break;
-        }
-        stream.extend(fs::read(path).expect("read segment"));
-    }
+    let stream = fs::read(recorded.join("seg-000000.gdrj")).expect("read log");
     let loaded = DiskJournal::load(recorded.path()).expect("load");
     assert!(loaded.recovery.clean(), "{:?}", loaded.recovery);
     let events = loaded.events;
@@ -136,7 +128,7 @@ fn every_event_kind_rehydrates_bit_identically_at_every_boundary() {
 
         // Disk rehydration equals the in-memory replay of the same prefix.
         let twin = SessionJournal::from_events(
-            session.journal().spec().clone(),
+            DiskJournal::load(dir.path()).expect("load").spec,
             events[..boundary].to_vec(),
         )
         .replay()

@@ -1,9 +1,8 @@
 //! Fault-injected crash recovery for the on-disk journal.
 //!
 //! The harness records one durable reference session (Figure 1, ground-truth
-//! oracle, small segments so the journal spans several files, aggressive
-//! auto-compaction so checkpoints are exercised), then attacks its byte
-//! stream:
+//! oracle, aggressive auto-compaction so checkpoints are exercised), then
+//! attacks the byte stream of its one event log:
 //!
 //! 1. a process **kill or torn write at every byte boundary** — produced by
 //!    [`fault::FaultyWriter`] — must recover exactly the record prefix
@@ -15,8 +14,10 @@
 //!    property 1);
 //! 3. a proptest over **arbitrary corruption** (flips, truncation, appended
 //!    garbage) must always yield a loadable prefix and a servable session;
-//! 4. corruption in an **early segment** drops every later segment, and the
-//!    on-disk repair is idempotent.
+//! 4. corruption **early in the log** truncates the log at the corrupt
+//!    record, and the on-disk repair is idempotent;
+//! 5. a `seg-*` file beside the log is refused by name, so its events are
+//!    never dropped without an error.
 
 mod common;
 #[path = "common/fault.rs"]
@@ -31,7 +32,7 @@ use common::{drive_one, figure1_spec, fingerprint, record_ends, TempDir};
 use fault::{FaultMode, FaultyWriter};
 use gdr_core::oracle::GroundTruthOracle;
 use gdr_core::strategy::Strategy as GdrStrategy;
-use gdr_serve::journal::{DiskJournal, FsyncPolicy, JournalConfig};
+use gdr_serve::journal::{DiskJournal, FsyncPolicy, JournalConfig, JournalError};
 use gdr_serve::store::{Session, SessionJournal, SessionOptions, TranscriptEvent};
 use proptest::prelude::*;
 
@@ -42,9 +43,7 @@ type Fingerprint = (Vec<(usize, u64, u64)>, usize, usize, String);
 struct Reference {
     /// The framed `spec.gdrj` contents.
     spec_bytes: Vec<u8>,
-    /// Per-segment bytes, in index order, exactly as recorded.
-    segments: Vec<Vec<u8>>,
-    /// All segments concatenated: the logical event stream.
+    /// The event log, exactly as recorded.
     stream: Vec<u8>,
     /// Byte offset just past each record in `stream`.
     record_ends: Vec<usize>,
@@ -59,8 +58,6 @@ fn journal_config() -> JournalConfig {
         // Fsync'ing every record on every test iteration is pure latency;
         // the tests inject faults at the byte level themselves.
         fsync: FsyncPolicy::Never,
-        // Small segments so the reference journal spans several files.
-        segment_max_bytes: 200,
         // Aggressive auto-compaction so checkpoints are recorded and must
         // be ignored/validated on recovery.
         compact_every: 5,
@@ -85,15 +82,15 @@ fn reference() -> &'static Reference {
         drop(session);
 
         let spec_bytes = fs::read(dir.join("spec.gdrj")).expect("read spec");
-        let mut segments = Vec::new();
-        for index in 0u64.. {
-            let path = dir.join(format!("seg-{index:06}.gdrj"));
-            if !path.exists() {
-                break;
-            }
-            segments.push(fs::read(path).expect("read segment"));
-        }
-        let stream: Vec<u8> = segments.concat();
+        let stream = fs::read(dir.join("seg-000000.gdrj")).expect("read log");
+        let logs = fs::read_dir(dir.path())
+            .expect("read_dir")
+            .filter(|entry| {
+                let entry = entry.as_ref().expect("entry");
+                entry.file_name().to_string_lossy().starts_with("seg-")
+            })
+            .count();
+        assert_eq!(logs, 1, "the session keeps one log");
 
         let loaded = DiskJournal::load(dir.path()).expect("load reference");
         assert!(
@@ -105,12 +102,7 @@ fn reference() -> &'static Reference {
         assert_eq!(
             record_ends.last().copied(),
             Some(stream.len()),
-            "one record per event, and nothing else in the segments"
-        );
-        assert!(
-            segments.len() >= 2,
-            "reference must span multiple segments (got {})",
-            segments.len()
+            "one record per event, and nothing else in the log"
         );
         assert!(
             loaded.checkpoint.is_some(),
@@ -119,7 +111,6 @@ fn reference() -> &'static Reference {
 
         Reference {
             spec_bytes,
-            segments,
             stream,
             record_ends,
             events: loaded.events,
@@ -143,19 +134,11 @@ impl Reference {
             .unwrap_or(0)
     }
 
-    /// Materialises a journal directory holding the spec plus a single
-    /// segment with exactly `bytes` as its contents.
+    /// Materialises a journal directory holding the spec plus a log with
+    /// exactly `bytes` as its contents.
     fn write_dir(&self, dir: &Path, bytes: &[u8]) {
         fs::write(dir.join("spec.gdrj"), &self.spec_bytes).expect("write spec");
-        fs::write(dir.join("seg-000000.gdrj"), bytes).expect("write segment");
-    }
-
-    /// Materialises a faithful multi-segment copy of the recorded journal.
-    fn write_segmented_dir(&self, dir: &Path) {
-        fs::write(dir.join("spec.gdrj"), &self.spec_bytes).expect("write spec");
-        for (index, segment) in self.segments.iter().enumerate() {
-            fs::write(dir.join(format!("seg-{index:06}.gdrj")), segment).expect("write segment");
-        }
+        fs::write(dir.join("seg-000000.gdrj"), bytes).expect("write log");
     }
 }
 
@@ -248,7 +231,7 @@ fn rehydrated_session_continues_bit_identically() {
 
         // Bit-identical to the in-memory replay of the same prefix.
         let twin = SessionJournal::from_events(
-            session.journal().spec().clone(),
+            DiskJournal::load(dir.path()).expect("load").spec,
             reference.events[..boundary].to_vec(),
         )
         .replay()
@@ -270,37 +253,38 @@ fn rehydrated_session_continues_bit_identically() {
     }
 }
 
-/// Property 4: a corrupt record in an early segment truncates that segment
-/// and drops every later one — and the repair, being written back to disk,
-/// makes the second load clean.
+/// Property 4: a corrupt record early in the log truncates the log at that
+/// record, and the repair, being written back to disk, makes the second
+/// load clean.
 #[test]
-fn early_segment_corruption_drops_later_segments_and_repair_is_idempotent() {
+fn early_corruption_truncates_the_log_and_repair_is_idempotent() {
     let reference = reference();
-    let dir = TempDir::new("fault-multiseg");
-    reference.write_segmented_dir(dir.path());
+    let dir = TempDir::new("fault-early");
 
-    // Flip a payload byte in the middle of the first segment.
-    let seg0 = dir.join("seg-000000.gdrj");
-    let mut bytes = fs::read(&seg0).expect("read seg0");
-    let target = bytes.len() / 2;
+    // Flip a byte a quarter of the way into the log.
+    let target = reference.stream.len() / 4;
+    let mut bytes = reference.stream.clone();
     bytes[target] ^= 0x01;
-    fs::write(&seg0, &bytes).expect("corrupt seg0");
+    reference.write_dir(dir.path(), &bytes);
 
     let loaded = DiskJournal::load(dir.path()).expect("load survives corruption");
-    assert!(
-        loaded.recovery.dropped_segments >= 1,
-        "later segments must be dropped: {:?}",
+    let kept = reference.boundary_before(target);
+    assert_eq!(
+        loaded.recovery.truncated_bytes,
+        (bytes.len() - kept) as u64,
+        "the cut drops the corrupt record and everything after it: {:?}",
         loaded.recovery
     );
     assert!(loaded.recovery.corruption.is_some());
-    assert!(
-        loaded.events.len() < reference.events.len(),
-        "corruption mid-stream must cost events"
-    );
     assert_eq!(
         loaded.events,
-        &reference.events[..loaded.events.len()],
-        "recovered events must be a clean prefix"
+        &reference.events[..reference.records_before(target)],
+        "recovered events must be the clean prefix"
+    );
+    assert_eq!(
+        fs::read(dir.join("seg-000000.gdrj")).expect("read log"),
+        &reference.stream[..kept],
+        "the log is cut on disk"
     );
 
     // The repair was persisted: loading again finds nothing to fix.
@@ -315,6 +299,28 @@ fn early_segment_corruption_drops_later_segments_and_repair_is_idempotent() {
     // And the repaired journal still rehydrates into a servable session.
     let (mut session, _) = Session::rehydrate(dir.path(), journal_config()).expect("rehydrate");
     session.next().expect("recovered session must serve");
+}
+
+/// Property 5: a `seg-*` file beside the log is refused with an error that
+/// names it, and the directory is left as it was.
+#[test]
+fn a_stray_segment_file_is_refused_by_name() {
+    let reference = reference();
+    let dir = TempDir::new("fault-stray");
+    reference.write_dir(dir.path(), &reference.stream);
+    fs::write(dir.join("seg-000001.gdrj"), b"").expect("write stray");
+
+    match DiskJournal::load(dir.path()) {
+        Err(JournalError::Corrupt { detail }) => {
+            assert!(detail.contains("seg-000001.gdrj"), "{detail}");
+        }
+        other => panic!("expected a corrupt-journal error, got {other:?}"),
+    }
+    assert_eq!(
+        fs::read(dir.join("seg-000000.gdrj")).expect("read log"),
+        reference.stream
+    );
+    assert!(dir.join("seg-000001.gdrj").exists());
 }
 
 /// The corruption a proptest case inflicts on the recorded stream.

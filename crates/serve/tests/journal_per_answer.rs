@@ -31,7 +31,7 @@ use gdr_relation::codec;
 use gdr_relation::Value;
 use gdr_repair::Feedback;
 use gdr_serve::journal::{
-    decode_event, encode_event, scan_records, team_digest, FsyncPolicy, JournalConfig,
+    decode_event, encode_event, scan_records, team_digest, DiskJournal, FsyncPolicy, JournalConfig,
 };
 use gdr_serve::store::{
     DurabilityConfig, OpenSpec, Session, SessionJournal, SessionOptions, SessionStore,
@@ -41,7 +41,6 @@ use gdr_serve::store::{
 fn journal_config() -> JournalConfig {
     JournalConfig {
         fsync: FsyncPolicy::EveryRecord,
-        segment_max_bytes: 1 << 20,
         compact_every: 0,
     }
 }
@@ -62,10 +61,12 @@ fn open_durable(dir: &TempDir, spec: OpenSpec) -> Session {
         .expect("open durable")
 }
 
-/// `(appends, fsyncs)` of the session's disk journal.
+/// `(records in the log, fsyncs)` of the session's disk journal.
 fn disk_counts(session: &Session) -> (u64, u64) {
-    let disk = session.disk().expect("durable session");
-    (disk.appends(), disk.syncs())
+    let dir = session.disk_dir().expect("durable session");
+    let log = fs::read(dir.join("seg-000000.gdrj")).expect("read log");
+    let records = scan_records(&log).payloads.len() as u64;
+    (records, session.disk().expect("durable session").syncs())
 }
 
 #[test]
@@ -156,7 +157,9 @@ fn finish_digests(session: &Session) -> (u64, u64) {
     finished.finish().expect("finish a clone");
     let mut events = session.journal().transcript().to_vec();
     events.push(TranscriptEvent::Finished { pulled: false });
-    let unpulled = SessionJournal::from_events(session.journal().spec().clone(), events)
+    let dir = session.disk_dir().expect("durable session");
+    let spec = DiskJournal::load(dir).expect("load").spec;
+    let unpulled = SessionJournal::from_events(spec, events)
         .replay()
         .expect("replay");
     (team_digest(&finished), team_digest(&unpulled))
@@ -372,10 +375,7 @@ fn a_rewritten_carried_resolution_fails_replay() {
 
 #[test]
 fn contending_reviewer_threads_fsync_every_record_and_reload_complete() {
-    let config = JournalConfig {
-        segment_max_bytes: 8 * 1024,
-        ..journal_config()
-    };
+    let config = journal_config();
     let root = TempDir::new("contended-verbs");
     let mut durability = DurabilityConfig::new(root.path());
     durability.journal = config;
@@ -429,10 +429,10 @@ fn contending_reviewer_threads_fsync_every_record_and_reload_complete() {
     let (appends, syncs, events, fp, dir) = store
         .with_session("s", |s| {
             s.finish()?;
-            let disk = s.disk().expect("durable session");
+            let (appends, syncs) = disk_counts(s);
             Ok((
-                disk.appends(),
-                disk.syncs(),
+                appends,
+                syncs,
                 s.journal().events_total(),
                 fingerprint(s.engine()),
                 s.disk_dir().expect("dir").to_path_buf(),

@@ -20,7 +20,7 @@ use gdr_repair::Feedback;
 use gdr_serve::client::{Client, OpenOptions};
 use gdr_serve::server::ServerConfig;
 use gdr_serve::store::SessionStore;
-use gdr_serve::wire::{Response, WireError};
+use gdr_serve::wire::{Request, Response, WireError};
 
 fn spawn_server(
     connections: usize,
@@ -90,10 +90,17 @@ fn stale_answer_over_the_wire_is_recoverable_and_the_session_completes() {
 
     // Mismatched verbs also come back typed; then the session still drives
     // to completion with the oracle.
-    let err = client.supply(0, 0, Value::from("x")).expect_err("mismatch");
+    let reply = client
+        .call(&Request::Supply {
+            session: "s1".to_string(),
+            tuple: 0,
+            attr: 0,
+            value: Value::from("x"),
+        })
+        .expect("reply");
     assert!(matches!(
-        err,
-        gdr_serve::client::ClientError::Server(WireError::WorkMismatch { .. })
+        reply,
+        Response::Error(WireError::WorkMismatch { .. })
     ));
     let oracle = GroundTruthOracle::new(clean.clone());
     let reason = client.drive(&oracle, None).expect("drive");

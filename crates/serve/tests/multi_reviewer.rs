@@ -122,6 +122,12 @@ fn team_run(
     let (reply_seq, response) = mux.recv().expect("open reply");
     assert_eq!(reply_seq, seq);
     assert!(matches!(response, Response::Opened { .. }), "{response:?}");
+    // The session as built from its spec, before any verb.
+    let mut twin = {
+        let handle = store.get("team").expect("session exists");
+        let guard = handle.lock().expect("session lock");
+        guard.team().clone()
+    };
 
     let reviewers: Vec<String> = (0..n).map(|i| format!("rev{i}")).collect();
     let team = ReviewTeam::new("team", reviewers);
@@ -142,13 +148,9 @@ fn team_run(
     let guard = handle.lock().expect("session lock");
     let team_fp = fingerprint(guard.engine());
     let resolutions = guard.team().resolutions().to_vec();
-    let spec = guard.journal().spec().clone();
     let events = guard.journal().transcript().to_vec();
     drop(guard);
 
-    let mut twin = SessionJournal::from_events(spec, Vec::new())
-        .replay()
-        .expect("fresh twin");
     serial_replay(twin.engine_mut(), &resolutions);
     match twin.engine_mut().next_work().expect("concluding pull") {
         WorkPlan::Done(_) => {}
@@ -254,7 +256,6 @@ fn waiting_reviewers_park_instead_of_re_leasing() {
         journal: JournalConfig {
             fsync: FsyncPolicy::Never,
             compact_every: 0,
-            ..JournalConfig::default()
         },
         ..DurabilityConfig::new(root.path())
     };
@@ -661,7 +662,13 @@ fn leases_verb_round_trips_through_the_client() {
             },
         )
         .expect("open");
-    assert!(client.leases().expect("empty table").is_empty());
+    let leases = Request::Leases {
+        session: "s".to_string(),
+    };
+    assert_eq!(
+        client.call(&leases).expect("empty table"),
+        Response::Leases { leases: Vec::new() }
+    );
     let granted = client
         .call(&Request::Lease {
             session: "s".to_string(),
@@ -672,7 +679,9 @@ fn leases_verb_round_trips_through_the_client() {
         matches!(granted, Response::Leased { .. } | Response::Fix { .. }),
         "{granted:?}"
     );
-    let leases = client.leases().expect("leases");
+    let Response::Leases { leases } = client.call(&leases).expect("leases") else {
+        panic!("expected a leases reply");
+    };
     assert_eq!(leases.len(), 1, "{leases:?}");
     assert_eq!(leases[0].reviewer, "a");
     drop(client);
@@ -684,7 +693,6 @@ fn leases_verb_round_trips_through_the_client() {
 fn journal_config() -> JournalConfig {
     JournalConfig {
         fsync: FsyncPolicy::EveryRecord,
-        segment_max_bytes: 256,
         compact_every: 7,
     }
 }
@@ -809,14 +817,7 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
     drop(live);
 
     let spec_bytes = fs::read(recorded.join("spec.gdrj")).expect("read spec");
-    let mut stream = Vec::new();
-    for index in 0u64.. {
-        let path = recorded.join(format!("seg-{index:06}.gdrj"));
-        if !path.exists() {
-            break;
-        }
-        stream.extend(fs::read(path).expect("read segment"));
-    }
+    let stream = fs::read(recorded.join("seg-000000.gdrj")).expect("read log");
     let loaded = DiskJournal::load(recorded.path()).expect("load");
     assert!(loaded.recovery.clean(), "{:?}", loaded.recovery);
     let events = loaded.events;
@@ -898,7 +899,7 @@ fn team_events_rehydrate_bit_identically_at_every_boundary() {
         // Disk rehydration equals the in-memory replay of the same prefix,
         // coordinator state included.
         let twin = SessionJournal::from_events(
-            session.journal().spec().clone(),
+            DiskJournal::load(dir.path()).expect("load").spec,
             events[..boundary].to_vec(),
         )
         .replay()

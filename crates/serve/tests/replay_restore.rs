@@ -28,10 +28,10 @@ fn figure1_spec(strategy: Strategy, with_truth: bool) -> OpenSpec {
 /// Everything observable about an engine, with floats taken to bits.
 fn fingerprint(engine: &GdrEngine) -> (Vec<(usize, u64, u64)>, usize, usize, String) {
     let checkpoints = engine
-        .eval_hooks()
-        .map(|hooks| {
-            hooks
-                .checkpoints()
+        .report()
+        .map(|report| {
+            report
+                .checkpoints
                 .iter()
                 .map(|c| {
                     (

@@ -310,7 +310,6 @@ fn compacting_store(root: &TempDir, max_live: usize) -> SessionStore {
     config.journal = JournalConfig {
         fsync: FsyncPolicy::Never,
         compact_every: EVERY,
-        ..JournalConfig::default()
     };
     SessionStore::durable(config).expect("durable store")
 }

@@ -4,9 +4,9 @@
 //! cargo run --example durable_sessions
 //! ```
 //!
-//! The durable session tier journals every session to disk (segmented
-//! append-only records, fsync'd per policy), so a server crash loses at
-//! most the unsynced tail:
+//! The durable session tier journals every session to disk (one
+//! append-only log of records per session, fsync'd per policy), so a server
+//! crash loses at most the unsynced tail:
 //!
 //! 1. **Life one**: a durable store serves the Figure 1 session over TCP;
 //!    the client answers three questions, compacts the journal, and leaves

@@ -4,12 +4,13 @@
 //! cargo run --example journal_dump -- <session-dir>
 //! ```
 //!
-//! A session directory holds `spec.gdrj` (the build inputs),
-//! `seg-NNNNNN.gdrj` event segments and `snap-NNNNNN.gdrs` checkpoints, all
-//! binary `S2` frames.  This prints the spec summary, every event with its
-//! index, every checkpoint with the events it covers, its byte count and
-//! whether it re-encodes to its own payload (recovery's usability test),
-//! and any corruption found on the way.  It only reads: it scans and decodes
+//! A session directory holds `spec.gdrj` (the build inputs), the event log
+//! `seg-000000.gdrj` and `snap-NNNNNN.gdrs` checkpoints, all binary `S2`
+//! frames.  This prints the spec summary, every event with its index, every
+//! checkpoint with the events it covers, its byte count and whether it
+//! re-encodes to its own payload (recovery's usability test), and any
+//! corruption found on the way, including a `seg-*` file beside the log,
+//! which recovery refuses.  It only reads: it scans and decodes
 //! the files itself instead of calling `DiskJournal::load`, which truncates
 //! corrupt tails on disk.
 
@@ -69,46 +70,41 @@ fn dump_spec(dir: &Path) {
     }
 }
 
-/// Prints every event of every segment, numbering them across segments.
-/// Stops where recovery would: at the first corrupt record.
+/// Prints every event of the log.  Stops where recovery would: at the first
+/// corrupt record.
 fn dump_events(dir: &Path) {
-    let mut index = 0usize;
-    let mut corrupt = false;
+    const LOG: &str = "seg-000000.gdrj";
     for (_, name) in numbered_files(dir, "seg-", ".gdrj") {
-        if corrupt {
-            println!("{name}: follows a corrupt record; recovery would drop it");
-            continue;
-        }
-        let bytes = match fs::read(dir.join(&name)) {
-            Ok(bytes) => bytes,
-            Err(err) => {
-                println!("{name}: UNREADABLE: {err}");
-                corrupt = true;
-                continue;
-            }
-        };
-        let scan = scan_records(&bytes);
-        println!(
-            "{name}: {} records, {} bytes",
-            scan.payloads.len(),
-            bytes.len()
-        );
-        for payload in &scan.payloads {
-            match decode_event(payload) {
-                Ok(event) => println!("  {index:>6}  {event:?}"),
-                Err(detail) => println!("  {index:>6}  UNDECODABLE: {detail}"),
-            }
-            index += 1;
-        }
-        if let Some(detail) = scan.corruption {
-            println!(
-                "  CORRUPTION: {detail}; recovery would cut {} bytes",
-                bytes.len() - scan.valid_len
-            );
-            corrupt = true;
+        if name != LOG {
+            println!("{name}: not the log; recovery refuses the directory");
         }
     }
-    println!("{index} events in the valid prefix");
+    let bytes = match fs::read(dir.join(LOG)) {
+        Ok(bytes) => bytes,
+        Err(err) => {
+            println!("{LOG}: UNREADABLE: {err}");
+            return;
+        }
+    };
+    let scan = scan_records(&bytes);
+    println!(
+        "{LOG}: {} records, {} bytes",
+        scan.payloads.len(),
+        bytes.len()
+    );
+    for (index, payload) in scan.payloads.iter().enumerate() {
+        match decode_event(payload) {
+            Ok(event) => println!("  {index:>6}  {event:?}"),
+            Err(detail) => println!("  {index:>6}  UNDECODABLE: {detail}"),
+        }
+    }
+    if let Some(detail) = scan.corruption {
+        println!(
+            "  CORRUPTION: {detail}; recovery would cut {} bytes",
+            bytes.len() - scan.valid_len
+        );
+    }
+    println!("{} events in the valid prefix", scan.payloads.len());
 }
 
 fn dump_checkpoints(dir: &Path) {

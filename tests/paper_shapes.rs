@@ -11,12 +11,17 @@
 //!   randomly-dirty Dataset 2 (Figures 4–5),
 //! * precision/recall grow with user effort (Figure 5).
 
-use gdr_bench::{figure3, figure4, figure5, DatasetId};
+use gdr_bench::{figure3, figure4, figure5, DatasetId, Figure, Series};
 
 const TUPLES: usize = 700;
 const SEED: u64 = 20260615;
 
 /// Area under the improvement curve — higher means faster convergence.
+/// The series of `figure` labelled `label`.
+fn series<'a>(figure: &'a Figure, label: &str) -> Option<&'a Series> {
+    figure.series.iter().find(|s| s.label == label)
+}
+
 fn auc(points: &[gdr_bench::Point]) -> f64 {
     points.iter().map(|p| p.y).sum::<f64>() / points.len() as f64
 }
@@ -24,8 +29,8 @@ fn auc(points: &[gdr_bench::Point]) -> f64 {
 #[test]
 fn figure3a_voi_ranking_converges_faster_than_random_on_dataset1() {
     let figure = figure3(DatasetId::Dataset1, TUPLES, SEED);
-    let gdr = auc(&figure.series_named("GDR-NoLearning").unwrap().points);
-    let random = auc(&figure.series_named("Random").unwrap().points);
+    let gdr = auc(&series(&figure, "GDR-NoLearning").unwrap().points);
+    let random = auc(&series(&figure, "Random").unwrap().points);
     assert!(
         gdr > random,
         "VOI ranking ({gdr:.1}) should converge faster than Random ({random:.1})"
@@ -60,8 +65,8 @@ fn figure3b_strategies_are_closer_on_dataset2() {
 #[test]
 fn figure4_gdr_with_small_budget_beats_the_automatic_heuristic() {
     let figure = figure4(DatasetId::Dataset1, TUPLES, SEED, &[0.0, 20.0, 100.0]);
-    let gdr = figure.series_named("GDR").unwrap();
-    let heuristic = figure.series_named("Heuristic").unwrap();
+    let gdr = series(&figure, "GDR").unwrap();
+    let heuristic = series(&figure, "Heuristic").unwrap();
     // At 20% effort GDR should already match or beat the heuristic's fixed
     // quality (the paper reaches it with ~10%).
     let gdr_at_20 = gdr.points.iter().find(|p| p.x == 20.0).unwrap().y;
@@ -78,8 +83,8 @@ fn figure4_gdr_with_small_budget_beats_the_automatic_heuristic() {
 #[test]
 fn figure4_learning_beats_no_learning_at_equal_budget_on_dataset1() {
     let figure = figure4(DatasetId::Dataset1, TUPLES, SEED, &[30.0]);
-    let gdr = figure.series_named("GDR").unwrap().points[0].y;
-    let no_learning = figure.series_named("GDR-NoLearning").unwrap().points[0].y;
+    let gdr = series(&figure, "GDR").unwrap().points[0].y;
+    let no_learning = series(&figure, "GDR-NoLearning").unwrap().points[0].y;
     // The learned models decide updates beyond the budget, so GDR must be at
     // least as good as verifying the same number of updates without them.
     assert!(
@@ -92,7 +97,7 @@ fn figure4_learning_beats_no_learning_at_equal_budget_on_dataset1() {
 fn figure5_precision_and_recall_grow_with_effort() {
     let figure = figure5(DatasetId::Dataset1, TUPLES, SEED, &[10.0, 100.0]);
     for label in ["Precision", "Recall"] {
-        let series = figure.series_named(label).unwrap();
+        let series = series(&figure, label).unwrap();
         let low = series.points.first().unwrap().y;
         let high = series.points.last().unwrap().y;
         // Precision stays high throughout; recall grows.  A small precision
@@ -111,8 +116,8 @@ fn figure5_precision_and_recall_grow_with_effort() {
 fn figure5_dataset1_precision_is_at_least_dataset2_precision_at_full_effort() {
     let fig1 = figure5(DatasetId::Dataset1, TUPLES, SEED, &[100.0]);
     let fig2 = figure5(DatasetId::Dataset2, TUPLES, SEED, &[100.0]);
-    let p1 = fig1.series_named("Precision").unwrap().points[0].y;
-    let p2 = fig2.series_named("Precision").unwrap().points[0].y;
+    let p1 = series(&fig1, "Precision").unwrap().points[0].y;
+    let p2 = series(&fig2, "Precision").unwrap().points[0].y;
     // The paper: "for Dataset 1, the precision is always higher than for
     // Dataset 2" (systematic errors are learnable, random ones are not).
     assert!(

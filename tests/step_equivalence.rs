@@ -11,7 +11,7 @@
 //! fourth branches a cloned engine mid-session.
 
 use gdr_cfd::RuleSet;
-use gdr_core::session::{drive_with, parse_reply, GdrSession, Reply, SessionReport};
+use gdr_core::session::{drive, drive_with, parse_reply, Reply, SessionReport};
 use gdr_core::step::{GdrEngine, SessionBuilder, WorkPlan};
 use gdr_core::{fixture, GdrConfig, GroundTruthOracle, Strategy, UserOracle};
 use gdr_datagen::hospital::{generate_hospital_dataset, HospitalConfig};
@@ -300,17 +300,21 @@ fn session_facade_and_raw_engine_share_one_state_machine() {
         .run(None)
         .expect("run");
 
-    let mut mixed: GdrSession = builder(&dirty, &rules, Strategy::Greedy).simulated(clean.clone());
+    let mut mixed = builder(&dirty, &rules, Strategy::Greedy)
+        .ground_truth(clean.clone())
+        .build();
+    let oracle = GroundTruthOracle::new(clean.clone());
     // Answer the first item by hand through the engine...
-    let WorkPlan::AskUser { id, update, .. } = mixed.engine_mut().next_work().expect("work") else {
+    let WorkPlan::AskUser { id, update, .. } = mixed.next_work().expect("work") else {
         panic!("expected AskUser");
     };
     let feedback = {
         let current = mixed.state().table().cell(update.tuple, update.attr);
-        mixed.oracle().feedback(&update, current)
+        oracle.feedback(&update, current)
     };
-    mixed.engine_mut().answer(id, feedback).expect("answer");
-    // ...then let the facade finish.
-    let mixed_report = mixed.run(None).expect("run");
+    mixed.answer(id, feedback).expect("answer");
+    // ...then let the driver the facade runs finish.
+    drive(&mut mixed, &oracle, None).expect("drive");
+    let mixed_report = mixed.report().expect("eval hooks installed");
     assert_bit_identical(Strategy::Greedy, &mixed_report, &all_run);
 }
